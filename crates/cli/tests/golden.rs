@@ -13,10 +13,17 @@
 //! and are the pre-containment `trace.csv` / `front.csv` of each run
 //! directory. Regenerate them only for an intentional, documented change
 //! to optimizer behavior.
+//!
+//! `tests/golden/checkpoint_state.crc32` pins, per algorithm, the CRC-32
+//! of the newest checkpoint's `state` object from the same command, with
+//! every wall-clock `elapsed_nanos` zeroed. Equal bytes mean checkpoints
+//! written by earlier builds still restore unchanged.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+
+use moela_persist::{crc32::crc32, encode, RunStore, Value};
 
 const BIN: &str = env!("CARGO_BIN_EXE_moela-dse");
 
@@ -38,8 +45,8 @@ fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
 
-fn assert_matches_golden(algorithm: &str) {
-    let dir = scratch(algorithm);
+/// Runs the golden command for `algorithm` into `dir`.
+fn golden_run(algorithm: &str, dir: &Path) {
     let dir_str = dir.to_str().expect("utf-8 path");
     let out = moela_dse(&[
         "run",
@@ -63,6 +70,11 @@ fn assert_matches_golden(algorithm: &str) {
         "{algorithm} run failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
+}
+
+fn assert_matches_golden(algorithm: &str) {
+    let dir = scratch(algorithm);
+    golden_run(algorithm, &dir);
     for (artifact, fixture) in [("trace.csv", "trace.csv"), ("front.csv", "front.csv")] {
         let expected = golden_dir().join(format!("{algorithm}.{fixture}"));
         assert_eq!(
@@ -90,4 +102,43 @@ golden_tests! {
     moo_stage_happy_path_matches_golden_output: "moo-stage";
     nsga2_happy_path_matches_golden_output: "nsga2";
     random_happy_path_matches_golden_output: "random";
+}
+
+/// Zeroes every `elapsed_nanos` field, the only wall-clock data in a
+/// checkpoint.
+fn zero_elapsed(value: &mut Value) {
+    match value {
+        Value::Object(fields) => {
+            for (key, v) in fields {
+                if key == "elapsed_nanos" {
+                    *v = Value::U64(0);
+                } else {
+                    zero_elapsed(v);
+                }
+            }
+        }
+        Value::Array(items) => items.iter_mut().for_each(zero_elapsed),
+        _ => {}
+    }
+}
+
+#[test]
+fn checkpoint_state_bytes_match_the_pins() {
+    let pins =
+        String::from_utf8(read(&golden_dir().join("checkpoint_state.crc32"))).expect("utf-8 pins");
+    let mut drifted = Vec::new();
+    for algorithm in ["moela", "moead", "moos", "moo-stage", "nsga2", "random"] {
+        let dir = scratch(&format!("ckpt-{algorithm}"));
+        golden_run(algorithm, &dir);
+        let store = RunStore::open(&dir).and_then(|s| s.checkpoints()).expect("checkpoints");
+        let (_, envelope, _) = store.load_latest().expect("load").expect("a checkpoint");
+        let mut state = envelope.field("state").expect("state").clone();
+        zero_elapsed(&mut state);
+        let actual = format!("{algorithm} {:08x}", crc32(encode::to_string(&state).as_bytes()));
+        if !pins.lines().any(|line| line == actual) {
+            drifted.push(actual);
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+    assert!(drifted.is_empty(), "checkpoint state bytes drifted from the pins: {drifted:?}");
 }
