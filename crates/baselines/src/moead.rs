@@ -12,20 +12,19 @@
 //! Like every optimizer in the workspace, the run loop is exposed as a
 //! checkpointable state machine ([`MoeadState`], one step per generation).
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore};
 
-use moela_moo::checkpoint::{CancelToken, Resumable};
-use moela_moo::fault::{fault_log_from, is_quarantined, EvalFault, FaultConfig, FaultLog};
+use moela_moo::checkpoint::{run_to_end, Resumable, RunCtx};
+use moela_moo::fault::{is_quarantined, FaultConfig};
 use moela_moo::normalize::Normalizer;
-use moela_moo::run::{RunResult, TraceRecorder};
+use moela_moo::run::RunResult;
 use moela_moo::scalarize::{ReferencePoint, Scalarizer};
 use moela_moo::snapshot::{entries_from_value, entries_to_value};
 use moela_moo::weights::{neighborhoods, uniform_weights};
-use moela_moo::{GuardedEvaluator, Problem};
-use moela_obs::Obs;
+use moela_moo::Problem;
 use moela_persist::{PersistError, Restore, Snapshot, SolutionCodec, Value};
 
 /// MOEA/D parameters.
@@ -120,14 +119,13 @@ where
     ///
     /// Each generation's offspring are generated sequentially from `rng`
     /// (parents drawn from the population as it stood at the start of the
-    /// generation), evaluated as one batch through a [`GuardedEvaluator`]
-    /// sized by [`MoeadConfig::threads`], then applied in sub-problem
-    /// order — so results are bit-identical for every thread count.
+    /// generation), evaluated as one batch through a
+    /// [`moela_moo::GuardedEvaluator`] sized by [`MoeadConfig::threads`],
+    /// then applied in sub-problem order — so results are bit-identical
+    /// for every thread count.
     pub fn run(&self, rng: &mut impl RngCore) -> RunResult<P::Solution> {
         let rng: &mut dyn RngCore = rng;
-        let mut state = self.start(rng);
-        while state.step(rng) {}
-        state.finish()
+        run_to_end(self.start(rng), rng)
     }
 
     /// Initializes a run (random population + generation-0 trace point)
@@ -135,13 +133,14 @@ where
     pub fn start(&self, rng: &mut dyn RngCore) -> MoeadState<'p, P> {
         let cfg = self.config.clone();
         let m = self.problem.objective_count();
-        let start_time = Instant::now();
-        let mut evaluator = GuardedEvaluator::new(cfg.threads, cfg.fault);
-        let mut evaluations = 0u64;
-        let mut recorder = match &cfg.trace_normalizer {
-            Some(n) => TraceRecorder::with_fixed_normalizer(n.clone()),
-            None => TraceRecorder::new(m),
-        };
+        let mut ctx = RunCtx::new(
+            cfg.threads,
+            cfg.fault,
+            cfg.trace_normalizer.as_ref(),
+            m,
+            cfg.max_evaluations,
+            cfg.time_budget,
+        );
 
         let weights = uniform_weights(cfg.population, m);
         let nbhd = neighborhoods(&weights, cfg.neighborhood);
@@ -149,30 +148,24 @@ where
         let mut normalizer = Normalizer::new(m);
         let solutions: Vec<P::Solution> =
             (0..cfg.population).map(|_| self.problem.random_solution(rng)).collect();
-        let batch = evaluator.evaluate(self.problem, &solutions);
-        evaluations += batch.attempts;
         // Dropped initial slots are materialized as penalty vectors — every
         // sub-problem keeps a member, but the quarantined ones never feed
         // the reference point, normalizer, or trace.
-        let objectives = batch.materialized(m);
+        let objectives = ctx.evaluate(self.problem, &solutions).materialized(m);
         for o in &objectives {
             if is_quarantined(o) {
                 continue;
             }
             z.update(o);
             normalizer.observe(o);
-            recorder.observe(o);
+            ctx.recorder.observe(o);
         }
-        recorder.record(0, evaluations, start_time.elapsed(), &objectives);
-        let evaluator_poisoned = evaluator.poisoned();
+        ctx.record(0, &objectives);
 
         MoeadState {
             config: cfg,
             problem: self.problem,
-            evaluator,
-            start_time,
-            evaluations,
-            recorder,
+            ctx,
             weights,
             nbhd,
             z,
@@ -180,9 +173,6 @@ where
             solutions,
             objectives,
             generation: 0,
-            finished: evaluator_poisoned,
-            obs: Obs::disabled(),
-            cancel: CancelToken::default(),
         }
     }
 
@@ -214,16 +204,16 @@ where
         let weights = uniform_weights(cfg.population, m);
         let nbhd = neighborhoods(&weights, cfg.neighborhood);
         Ok(MoeadState {
-            evaluator: GuardedEvaluator::from_parts(
+            ctx: RunCtx::restore(
+                value,
+                elapsed,
                 cfg.threads,
                 cfg.fault,
-                fault_log_from(value, "faults")?,
-            ),
+                cfg.max_evaluations,
+                cfg.time_budget,
+            )?,
             config: cfg,
             problem: self.problem,
-            start_time: Instant::now().checked_sub(elapsed).unwrap_or_else(Instant::now),
-            evaluations: value.field("evaluations")?.as_u64()?,
-            recorder: TraceRecorder::restore(value.field("recorder")?)?,
             weights,
             nbhd,
             z,
@@ -231,9 +221,6 @@ where
             solutions,
             objectives,
             generation: value.field("generation")?.as_usize()?,
-            finished: value.field("finished")?.as_bool()?,
-            obs: Obs::disabled(),
-            cancel: CancelToken::default(),
         })
     }
 }
@@ -243,10 +230,7 @@ where
 pub struct MoeadState<'p, P: Problem> {
     config: MoeadConfig,
     problem: &'p P,
-    evaluator: GuardedEvaluator,
-    start_time: Instant,
-    evaluations: u64,
-    recorder: TraceRecorder,
+    ctx: RunCtx,
     weights: Vec<Vec<f64>>,
     nbhd: Vec<Vec<usize>>,
     z: ReferencePoint,
@@ -254,79 +238,47 @@ pub struct MoeadState<'p, P: Problem> {
     solutions: Vec<P::Solution>,
     objectives: Vec<Vec<f64>>,
     generation: usize,
-    finished: bool,
-    /// Telemetry handle (never checkpointed; disabled by default).
-    obs: Obs,
-    /// Cooperative cancellation flag (never checkpointed; inert
-    /// unless the driver installs a shared token).
-    cancel: CancelToken,
 }
 
-impl<'p, P> MoeadState<'p, P>
+impl<'p, P, C> Resumable<C> for MoeadState<'p, P>
 where
     P: Problem + Sync,
     P::Solution: Sync,
+    C: SolutionCodec<P::Solution>,
 {
+    type Solution = P::Solution;
+
+    fn ctx(&self) -> &RunCtx {
+        &self.ctx
+    }
+
+    fn ctx_mut(&mut self) -> &mut RunCtx {
+        &mut self.ctx
+    }
+
     /// Completed generations.
-    pub fn completed(&self) -> u64 {
+    fn completed(&self) -> u64 {
         self.generation as u64
     }
 
-    /// Objective evaluations paid for so far.
-    pub fn evaluations(&self) -> u64 {
-        self.evaluations
-    }
-
-    /// Installs the observability handle phase spans are reported
-    /// through. Telemetry is write-only: it never alters an RNG draw,
-    /// an evaluation, or a trace byte.
-    /// Installs a cooperative cancellation token checked at step
-    /// boundaries (see [`CancelToken`]).
-    pub fn set_cancel(&mut self, token: CancelToken) {
-        self.cancel = token;
-    }
-
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.evaluator.set_obs(obs.clone());
-        self.obs = obs;
-    }
-
-    /// Executes one generation. Returns `false` — drawing no RNG values —
-    /// once the run has finished.
-    pub fn step(&mut self, rng: &mut dyn RngCore) -> bool {
-        if self.cancel.is_cancelled() {
-            // Cancelled at a step boundary: draw nothing, mutate
-            // nothing, stay snapshottable and resumable.
-            return false;
-        }
-        if self.finished || self.generation >= self.config.generations || self.evaluator.poisoned()
-        {
-            self.finished = true;
+    /// Executes one generation.
+    fn step(&mut self, rng: &mut dyn RngCore) -> bool {
+        if !self.ctx.begin_step(self.generation >= self.config.generations) {
             return false;
         }
         let cfg = &self.config;
         let generation = self.generation;
-        if cfg.time_budget.is_some_and(|cap| self.start_time.elapsed() >= cap) {
-            self.finished = true;
-            return false;
-        }
         // Cap the generation to the remaining evaluation budget; a short
         // (partial) generation is still evaluated, applied, and recorded
         // before stopping, so the trace accounts for every evaluation.
-        let remaining =
-            cfg.max_evaluations.map_or(u64::MAX, |cap| cap.saturating_sub(self.evaluations));
-        if remaining == 0 {
-            self.finished = true;
-            return false;
-        }
         let mut order: Vec<usize> = (0..cfg.population).collect();
         order.shuffle(rng);
-        order.truncate(remaining.min(cfg.population as u64) as usize);
+        order.truncate(self.ctx.remaining().min(cfg.population as u64) as usize);
         let partial = order.len() < cfg.population;
 
         let mut children: Vec<P::Solution> = Vec::with_capacity(order.len());
         let mut pools: Vec<Vec<usize>> = Vec::with_capacity(order.len());
-        let mate_span = self.obs.span("mate");
+        let mate_span = self.ctx.obs.span("mate");
         for &i in &order {
             let whole: Vec<usize>;
             let pool: &[usize] = if rng.gen_bool(cfg.delta) {
@@ -353,13 +305,11 @@ where
         }
         drop(mate_span);
 
-        let batch = self.evaluator.evaluate(self.problem, &children);
-        self.evaluations += batch.attempts;
-        if self.evaluator.poisoned() {
-            self.finished = true;
+        let batch = self.ctx.evaluate(self.problem, &children);
+        if self.ctx.poisoned() {
             return false;
         }
-        let select_span = self.obs.span("select");
+        let select_span = self.ctx.obs.span("select");
         let mut ea_improvements = 0u64;
         for ((child, child_objs), pool) in children.iter().zip(&batch.objectives).zip(&pools) {
             let Some(child_objs) = child_objs else { continue };
@@ -368,7 +318,7 @@ where
             }
             self.z.update(child_objs);
             self.normalizer.observe(child_objs);
-            self.recorder.observe(child_objs);
+            self.ctx.recorder.observe(child_objs);
 
             let g = |objs: &[f64], w: &[f64]| {
                 Scalarizer::Tchebycheff.value(
@@ -391,114 +341,37 @@ where
             ea_improvements += replaced as u64;
         }
         if ea_improvements > 0 {
-            self.obs.counter(moela_obs::names::EA_IMPROVEMENTS, ea_improvements);
+            self.ctx.obs.counter(moela_obs::names::EA_IMPROVEMENTS, ea_improvements);
         }
         drop(select_span);
         {
-            let _archive = self.obs.span("archive_update");
-            self.recorder.record(
-                generation + 1,
-                self.evaluations,
-                self.start_time.elapsed(),
-                &self.objectives,
-            );
+            let _archive = self.ctx.obs.span("archive_update");
+            self.ctx.record(generation + 1, &self.objectives);
         }
         self.generation = generation + 1;
-        self.obs.counter("generations", 1);
-        if let Some(point) = self.recorder.points().last() {
-            self.obs.gauge("phv", point.phv);
-        }
+        self.ctx.report_step();
         if partial {
-            self.finished = true;
+            self.ctx.finished = true;
             return false;
         }
         true
     }
 
-    /// Consumes the state, producing the final result.
-    pub fn finish(self) -> RunResult<P::Solution> {
-        RunResult {
-            population: self.solutions.into_iter().zip(self.objectives).collect(),
-            trace: self.recorder.into_points(),
-            evaluations: self.evaluations,
-            elapsed: self.start_time.elapsed(),
-        }
-    }
-
-    /// Captures the complete optimizer state (the RNG is checkpointed by
-    /// the driver alongside).
-    pub fn snapshot_state<C: SolutionCodec<P::Solution>>(&self, codec: &C) -> Value {
+    fn snapshot_state(&self, codec: &C) -> Value {
         let entries: Vec<(P::Solution, Vec<f64>)> =
             self.solutions.iter().cloned().zip(self.objectives.iter().cloned()).collect();
-        Value::object(vec![
-            ("generation", Value::U64(self.generation as u64)),
-            ("finished", Value::Bool(self.finished)),
-            ("evaluations", Value::U64(self.evaluations)),
-            ("recorder", self.recorder.snapshot()),
-            ("population", entries_to_value(&entries, codec)),
-            ("z", self.z.snapshot()),
-            ("normalizer", self.normalizer.snapshot()),
-            ("faults", self.evaluator.log().snapshot()),
-        ])
-    }
-
-    /// Fault counters accumulated by the guarded evaluator.
-    pub fn fault_log(&self) -> &FaultLog {
-        self.evaluator.log()
-    }
-
-    /// The latched `Fail`-policy fault, if one stopped the run.
-    pub fn fault_error(&self) -> Option<&EvalFault> {
-        self.evaluator.error()
-    }
-}
-
-impl<'p, P, C> Resumable<C> for MoeadState<'p, P>
-where
-    P: Problem + Sync,
-    P::Solution: Sync,
-    C: SolutionCodec<P::Solution>,
-{
-    type Solution = P::Solution;
-
-    fn completed(&self) -> u64 {
-        MoeadState::completed(self)
-    }
-
-    fn step(&mut self, rng: &mut dyn RngCore) -> bool {
-        MoeadState::step(self, rng)
-    }
-
-    fn snapshot_state(&self, codec: &C) -> Value {
-        MoeadState::snapshot_state(self, codec)
+        self.ctx.snapshot(
+            vec![("generation", Value::U64(self.generation as u64))],
+            vec![
+                ("population", entries_to_value(&entries, codec)),
+                ("z", self.z.snapshot()),
+                ("normalizer", self.normalizer.snapshot()),
+            ],
+        )
     }
 
     fn finish(self) -> RunResult<P::Solution> {
-        MoeadState::finish(self)
-    }
-
-    fn fault_log(&self) -> Option<&FaultLog> {
-        Some(MoeadState::fault_log(self))
-    }
-
-    fn fault_error(&self) -> Option<&EvalFault> {
-        MoeadState::fault_error(self)
-    }
-
-    fn set_cancel(&mut self, token: CancelToken) {
-        MoeadState::set_cancel(self, token);
-    }
-
-    fn set_obs(&mut self, obs: Obs) {
-        MoeadState::set_obs(self, obs);
-    }
-
-    fn evaluations(&self) -> u64 {
-        MoeadState::evaluations(self)
-    }
-
-    fn latest_phv(&self) -> Option<f64> {
-        self.recorder.points().last().map(|p| p.phv)
+        self.ctx.into_result(self.solutions.into_iter().zip(self.objectives).collect())
     }
 }
 
@@ -512,6 +385,14 @@ mod tests {
 
     fn rng(seed: u64) -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(seed)
+    }
+
+    /// Fixes the checkpoint codec so the `Resumable` methods resolve.
+    fn zdt<S>(state: S) -> impl Resumable<VecF64Codec, Solution = Vec<f64>>
+    where
+        S: Resumable<VecF64Codec, Solution = Vec<f64>>,
+    {
+        state
     }
 
     #[test]
@@ -597,11 +478,12 @@ mod tests {
 
         for boundary in 0..6u64 {
             let mut r = rng(31);
-            let mut state = moead.start(&mut r);
+            let mut state = zdt(moead.start(&mut r));
             while state.completed() < boundary && state.step(&mut r) {}
             let snap = state.snapshot_state(&VecF64Codec);
             let mut r2 = rand::rngs::StdRng::from_state(r.state());
-            let mut resumed = moead.restore(&VecF64Codec, &snap, Duration::ZERO).expect("restore");
+            let mut resumed =
+                zdt(moead.restore(&VecF64Codec, &snap, Duration::ZERO).expect("restore"));
             while resumed.step(&mut r2) {}
             let out = resumed.finish();
             assert_eq!(out.population, baseline.population, "boundary {boundary}");
@@ -630,7 +512,7 @@ mod tests {
                 ..Default::default()
             };
             let mut r = rng(13);
-            let mut state = Moead::new(config, &problem).start(&mut r);
+            let mut state = zdt(Moead::new(config, &problem).start(&mut r));
             while state.step(&mut r) {}
             let log = *state.fault_log();
             (state.finish(), log)
@@ -656,13 +538,10 @@ mod tests {
         let config =
             MoeadConfig { population: 6, neighborhood: 3, generations: 10, ..Default::default() };
         let mut r = rng(1);
-        let mut state = Moead::new(config, &problem).start(&mut r);
+        let mut state = zdt(Moead::new(config, &problem).start(&mut r));
         assert!(!state.step(&mut r), "the poisoned guard must stop the run");
         let err = state.fault_error().expect("a latched error");
         assert_eq!(err.kind, FaultKind::Panic);
-        let via_trait =
-            <MoeadState<_> as Resumable<VecF64Codec>>::fault_error(&state).expect("surfaced");
-        assert_eq!(via_trait, err);
     }
 
     /// Interrupting a chaotic run and resuming (restoring the fault log
@@ -681,7 +560,7 @@ mod tests {
 
         let baseline_problem = ChaosProblem::new(Zdt::zdt3(8), spec, 77);
         let mut r = rng(17);
-        let mut state = Moead::new(config.clone(), &baseline_problem).start(&mut r);
+        let mut state = zdt(Moead::new(config.clone(), &baseline_problem).start(&mut r));
         while state.step(&mut r) {}
         let base_log = *state.fault_log();
         let baseline = state.finish();
@@ -690,7 +569,7 @@ mod tests {
         let interrupted_problem = ChaosProblem::new(Zdt::zdt3(8), spec, 77);
         let moead2 = Moead::new(config.clone(), &interrupted_problem);
         let mut r = rng(17);
-        let mut state = moead2.start(&mut r);
+        let mut state = zdt(moead2.start(&mut r));
         while state.completed() < 2 && state.step(&mut r) {}
         let snap = state.snapshot_state(&VecF64Codec);
         let ordinal = interrupted_problem.ordinal();
@@ -700,7 +579,8 @@ mod tests {
         resumed_problem.set_ordinal(ordinal);
         let moead3 = Moead::new(config, &resumed_problem);
         let mut r2 = rand::rngs::StdRng::from_state(rng_state);
-        let mut resumed = moead3.restore(&VecF64Codec, &snap, Duration::ZERO).expect("restore");
+        let mut resumed =
+            zdt(moead3.restore(&VecF64Codec, &snap, Duration::ZERO).expect("restore"));
         while resumed.step(&mut r2) {}
         assert_eq!(*resumed.fault_log(), base_log, "health counters must round-trip");
         let out = resumed.finish();

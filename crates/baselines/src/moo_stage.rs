@@ -18,19 +18,18 @@
 //! The run loop is exposed as a checkpointable state machine
 //! ([`MooStageState`], one step per episode).
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rand::RngCore;
 
 use moela_ml::{Dataset, ForestConfig, RandomForest};
 use moela_moo::archive::ParetoArchive;
-use moela_moo::checkpoint::{CancelToken, Resumable};
-use moela_moo::fault::{fault_log_from, is_quarantined, EvalFault, FaultConfig, FaultLog};
+use moela_moo::checkpoint::{run_to_end, Resumable, RunCtx};
+use moela_moo::fault::{is_quarantined, FaultConfig};
 use moela_moo::normalize::Normalizer;
-use moela_moo::run::{RunResult, TraceRecorder};
+use moela_moo::run::RunResult;
 use moela_moo::snapshot::{archive_from_value, archive_to_value};
-use moela_moo::{GuardedEvaluator, Problem};
-use moela_obs::Obs;
+use moela_moo::Problem;
 use moela_persist::{PersistError, Restore, Snapshot, SolutionCodec, Value};
 
 use crate::common::normalized_phv;
@@ -130,15 +129,13 @@ where
     /// trace.
     ///
     /// Each base-search step's neighbors are sampled sequentially from
-    /// `rng`, then evaluated as one batch through a [`GuardedEvaluator`]
-    /// sized by [`MooStageConfig::threads`] — results are bit-identical
+    /// `rng`, then evaluated as one batch through a
+    /// [`moela_moo::GuardedEvaluator`] sized by [`MooStageConfig::threads`] — results are bit-identical
     /// for every thread count (the archive only changes after the step's
     /// best candidate is chosen).
     pub fn run(&self, rng: &mut impl RngCore) -> RunResult<P::Solution> {
         let rng: &mut dyn RngCore = rng;
-        let mut state = self.start(rng);
-        while state.step(rng) {}
-        state.finish()
+        run_to_end(self.start(rng), rng)
     }
 
     /// Initializes a run (the seeded archive + episode-0 trace point) as
@@ -146,13 +143,14 @@ where
     pub fn start(&self, rng: &mut dyn RngCore) -> MooStageState<'p, P> {
         let cfg = self.config.clone();
         let m = self.problem.objective_count();
-        let start_time = Instant::now();
-        let mut evaluator = GuardedEvaluator::new(cfg.threads, cfg.fault);
-        let mut evaluations = 0u64;
-        let mut recorder = match &cfg.trace_normalizer {
-            Some(n) => TraceRecorder::with_fixed_normalizer(n.clone()),
-            None => TraceRecorder::new(m),
-        };
+        let mut ctx = RunCtx::new(
+            cfg.threads,
+            cfg.fault,
+            cfg.trace_normalizer.as_ref(),
+            m,
+            cfg.max_evaluations,
+            cfg.time_budget,
+        );
 
         let mut archive: ParetoArchive<P::Solution> = ParetoArchive::bounded(cfg.archive_cap);
         let mut normalizer = Normalizer::new(m);
@@ -160,32 +158,23 @@ where
         // Initial random start; a quarantined one is simply not archived
         // (the base search still departs from it).
         let start = self.problem.random_solution(rng);
-        let (start_objs, attempts) = evaluator.evaluate_one(self.problem, &start);
-        evaluations += attempts;
-        if let Some(o) = start_objs.filter(|o| !is_quarantined(o)) {
+        if let Some(o) = ctx.evaluate_one(self.problem, &start).filter(|o| !is_quarantined(o)) {
             normalizer.observe(&o);
-            recorder.observe(&o);
+            ctx.recorder.observe(&o);
             archive.insert(start.clone(), o);
         }
-        recorder.record(0, evaluations, start_time.elapsed(), &archive.objectives());
-        let evaluator_poisoned = evaluator.poisoned();
+        ctx.record(0, &archive.objectives());
 
         MooStageState {
             config: cfg,
             problem: self.problem,
-            evaluator,
-            start_time,
-            evaluations,
-            recorder,
+            ctx,
             archive,
             normalizer,
             train: Dataset::with_capacity(10_000),
             eval_fn: None,
             start,
             episode: 0,
-            finished: evaluator_poisoned,
-            obs: Obs::disabled(),
-            cancel: CancelToken::default(),
         }
     }
 
@@ -208,25 +197,22 @@ where
             v => Some(RandomForest::restore(v)?),
         };
         Ok(MooStageState {
-            evaluator: GuardedEvaluator::from_parts(
+            ctx: RunCtx::restore(
+                value,
+                elapsed,
                 cfg.threads,
                 cfg.fault,
-                fault_log_from(value, "faults")?,
-            ),
+                cfg.max_evaluations,
+                cfg.time_budget,
+            )?,
             config: cfg,
             problem: self.problem,
-            start_time: Instant::now().checked_sub(elapsed).unwrap_or_else(Instant::now),
-            evaluations: value.field("evaluations")?.as_u64()?,
-            recorder: TraceRecorder::restore(value.field("recorder")?)?,
             archive: archive_from_value(value.field("archive")?, codec)?,
             normalizer,
             train: Dataset::restore(value.field("train")?)?,
             eval_fn,
             start: codec.decode_solution(value.field("start")?)?,
             episode: value.field("episode")?.as_usize()?,
-            finished: value.field("finished")?.as_bool()?,
-            obs: Obs::disabled(),
-            cancel: CancelToken::default(),
         })
     }
 }
@@ -236,10 +222,7 @@ where
 pub struct MooStageState<'p, P: Problem> {
     config: MooStageConfig,
     problem: &'p P,
-    evaluator: GuardedEvaluator,
-    start_time: Instant,
-    evaluations: u64,
-    recorder: TraceRecorder,
+    ctx: RunCtx,
     archive: ParetoArchive<P::Solution>,
     normalizer: Normalizer,
     train: Dataset,
@@ -247,70 +230,40 @@ pub struct MooStageState<'p, P: Problem> {
     /// The next episode's base-search start, carried across episodes.
     start: P::Solution,
     episode: usize,
-    finished: bool,
-    /// Telemetry handle (never checkpointed; disabled by default).
-    obs: Obs,
-    /// Cooperative cancellation flag (never checkpointed; inert
-    /// unless the driver installs a shared token).
-    cancel: CancelToken,
 }
 
-impl<'p, P> MooStageState<'p, P>
+impl<'p, P, C> Resumable<C> for MooStageState<'p, P>
 where
     P: Problem + Sync,
     P::Solution: Sync,
+    C: SolutionCodec<P::Solution>,
 {
+    type Solution = P::Solution;
+
+    fn ctx(&self) -> &RunCtx {
+        &self.ctx
+    }
+
+    fn ctx_mut(&mut self) -> &mut RunCtx {
+        &mut self.ctx
+    }
+
     /// Completed episodes.
-    pub fn completed(&self) -> u64 {
+    fn completed(&self) -> u64 {
         self.episode as u64
     }
 
-    /// Objective evaluations paid for so far.
-    pub fn evaluations(&self) -> u64 {
-        self.evaluations
-    }
-
-    /// Installs the observability handle phase spans are reported
-    /// through. Telemetry is write-only: it never alters an RNG draw,
-    /// an evaluation, or a trace byte.
-    /// Installs a cooperative cancellation token checked at step
-    /// boundaries (see [`CancelToken`]).
-    pub fn set_cancel(&mut self, token: CancelToken) {
-        self.cancel = token;
-    }
-
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.evaluator.set_obs(obs.clone());
-        self.obs = obs;
-    }
-
-    fn budget_left(&self) -> bool {
-        self.config.max_evaluations.is_none_or(|cap| self.evaluations < cap)
-            && self.config.time_budget.is_none_or(|cap| self.start_time.elapsed() < cap)
-    }
-
-    /// Executes one episode. Returns `false` — drawing no RNG values —
-    /// once the run has finished.
-    pub fn step(&mut self, rng: &mut dyn RngCore) -> bool {
-        if self.cancel.is_cancelled() {
-            // Cancelled at a step boundary: draw nothing, mutate
-            // nothing, stay snapshottable and resumable.
+    /// Executes one episode.
+    fn step(&mut self, rng: &mut dyn RngCore) -> bool {
+        if !self.ctx.begin_step(self.episode >= self.config.episodes) {
             return false;
         }
         let mut rng = rng;
-        if self.finished || self.episode >= self.config.episodes || self.evaluator.poisoned() {
-            self.finished = true;
-            return false;
-        }
-        if !self.budget_left() {
-            self.finished = true;
-            return false;
-        }
         let episode = self.episode;
         let cfg = self.config.clone();
 
         // --- Base search: PHV-greedy hill climb ---------------------
-        let ls_span = self.obs.span("local_search");
+        let ls_span = self.ctx.obs.span("local_search");
         let mut ls_improvements = 0u64;
         const PATIENCE: usize = 3;
         let mut current = self.start.clone();
@@ -323,10 +276,8 @@ where
                 .collect();
             // Every candidate is one move from `current`, so delta-capable
             // problems may score the batch incrementally (bit-identically).
-            let batch = self.evaluator.evaluate_neighbors(self.problem, &current, &candidates);
-            self.evaluations += batch.attempts;
-            if self.evaluator.poisoned() {
-                self.finished = true;
+            let batch = self.ctx.evaluate_neighbors(self.problem, &current, &candidates);
+            if self.ctx.poisoned() {
                 return false;
             }
             let mut best: Option<(P::Solution, Vec<f64>, f64)> = None;
@@ -336,7 +287,7 @@ where
                     continue;
                 }
                 self.normalizer.observe(&objs);
-                self.recorder.observe(&objs);
+                self.ctx.recorder.observe(&objs);
                 // PHV potential: archive HV if this design joined.
                 let mut with = self.archive.objectives();
                 with.push(objs.clone());
@@ -365,7 +316,7 @@ where
         }
 
         if ls_improvements > 0 {
-            self.obs.counter(moela_obs::names::LS_IMPROVEMENTS, ls_improvements);
+            self.ctx.obs.counter(moela_obs::names::LS_IMPROVEMENTS, ls_improvements);
         }
         drop(ls_span);
 
@@ -378,14 +329,14 @@ where
             self.train.push_finite(features, -final_phv);
         }
         if self.train.len() >= 8 {
-            let _fit = self.obs.span("surrogate_fit");
+            let _fit = self.ctx.obs.span("surrogate_fit");
             self.eval_fn = Some(RandomForest::fit(&self.train, &cfg.forest, &mut rng));
         }
 
         // --- Meta search on predicted Eval --------------------------
         self.start = match &self.eval_fn {
             Some(model) => {
-                let _predict = self.obs.span("surrogate_predict");
+                let _predict = self.ctx.obs.span("surrogate_predict");
                 let mut meta = current.clone();
                 let mut meta_score = model.predict(&self.problem.features(&meta));
                 let mut moved = false;
@@ -410,107 +361,30 @@ where
         };
 
         {
-            let _archive = self.obs.span("archive_update");
-            self.recorder.record(
-                episode + 1,
-                self.evaluations,
-                self.start_time.elapsed(),
-                &self.archive.objectives(),
-            );
+            let _archive = self.ctx.obs.span("archive_update");
+            self.ctx.record(episode + 1, &self.archive.objectives());
         }
         self.episode = episode + 1;
-        self.obs.counter("generations", 1);
-        self.obs.gauge("archive_size", self.archive.len() as f64);
-        if let Some(point) = self.recorder.points().last() {
-            self.obs.gauge("phv", point.phv);
-        }
+        self.ctx.obs.gauge("archive_size", self.archive.len() as f64);
+        self.ctx.report_step();
         true
     }
 
-    /// Consumes the state, producing the final result.
-    pub fn finish(self) -> RunResult<P::Solution> {
-        RunResult {
-            population: self.archive.into_entries(),
-            trace: self.recorder.into_points(),
-            evaluations: self.evaluations,
-            elapsed: self.start_time.elapsed(),
-        }
-    }
-
-    /// Captures the complete optimizer state (the RNG is checkpointed by
-    /// the driver alongside).
-    pub fn snapshot_state<C: SolutionCodec<P::Solution>>(&self, codec: &C) -> Value {
-        Value::object(vec![
-            ("episode", Value::U64(self.episode as u64)),
-            ("finished", Value::Bool(self.finished)),
-            ("evaluations", Value::U64(self.evaluations)),
-            ("recorder", self.recorder.snapshot()),
-            ("archive", archive_to_value(&self.archive, codec)),
-            ("normalizer", self.normalizer.snapshot()),
-            ("train", self.train.snapshot()),
-            ("eval_fn", self.eval_fn.as_ref().map_or(Value::Null, Snapshot::snapshot)),
-            ("start", codec.encode_solution(&self.start)),
-            ("faults", self.evaluator.log().snapshot()),
-        ])
-    }
-
-    /// Fault counters accumulated by the guarded evaluator.
-    pub fn fault_log(&self) -> &FaultLog {
-        self.evaluator.log()
-    }
-
-    /// The latched `Fail`-policy fault, if one stopped the run.
-    pub fn fault_error(&self) -> Option<&EvalFault> {
-        self.evaluator.error()
-    }
-}
-
-impl<'p, P, C> Resumable<C> for MooStageState<'p, P>
-where
-    P: Problem + Sync,
-    P::Solution: Sync,
-    C: SolutionCodec<P::Solution>,
-{
-    type Solution = P::Solution;
-
-    fn completed(&self) -> u64 {
-        MooStageState::completed(self)
-    }
-
-    fn step(&mut self, rng: &mut dyn RngCore) -> bool {
-        MooStageState::step(self, rng)
-    }
-
     fn snapshot_state(&self, codec: &C) -> Value {
-        MooStageState::snapshot_state(self, codec)
+        self.ctx.snapshot(
+            vec![("episode", Value::U64(self.episode as u64))],
+            vec![
+                ("archive", archive_to_value(&self.archive, codec)),
+                ("normalizer", self.normalizer.snapshot()),
+                ("train", self.train.snapshot()),
+                ("eval_fn", self.eval_fn.as_ref().map_or(Value::Null, Snapshot::snapshot)),
+                ("start", codec.encode_solution(&self.start)),
+            ],
+        )
     }
 
     fn finish(self) -> RunResult<P::Solution> {
-        MooStageState::finish(self)
-    }
-
-    fn fault_log(&self) -> Option<&FaultLog> {
-        Some(MooStageState::fault_log(self))
-    }
-
-    fn fault_error(&self) -> Option<&EvalFault> {
-        MooStageState::fault_error(self)
-    }
-
-    fn set_cancel(&mut self, token: CancelToken) {
-        MooStageState::set_cancel(self, token);
-    }
-
-    fn set_obs(&mut self, obs: Obs) {
-        MooStageState::set_obs(self, obs);
-    }
-
-    fn evaluations(&self) -> u64 {
-        MooStageState::evaluations(self)
-    }
-
-    fn latest_phv(&self) -> Option<f64> {
-        self.recorder.points().last().map(|p| p.phv)
+        self.ctx.into_result(self.archive.into_entries())
     }
 }
 
@@ -524,6 +398,14 @@ mod tests {
 
     fn rng(seed: u64) -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(seed)
+    }
+
+    /// Fixes the checkpoint codec so the `Resumable` methods resolve.
+    fn zdt<S>(state: S) -> impl Resumable<VecF64Codec, Solution = Vec<f64>>
+    where
+        S: Resumable<VecF64Codec, Solution = Vec<f64>>,
+    {
+        state
     }
 
     #[test]
@@ -601,7 +483,7 @@ mod tests {
                 ..Default::default()
             };
             let mut r = rng(13);
-            let mut state = MooStage::new(config, &problem).start(&mut r);
+            let mut state = zdt(MooStage::new(config, &problem).start(&mut r));
             while state.step(&mut r) {}
             let log = *state.fault_log();
             (state.finish(), log)
@@ -632,13 +514,10 @@ mod tests {
         let problem = ChaosProblem::new(Zdt::zdt1(6), ChaosSpec::parse("panic=1.0").unwrap(), 5);
         let config = MooStageConfig { episodes: 10, ..Default::default() };
         let mut r = rng(1);
-        let mut state = MooStage::new(config, &problem).start(&mut r);
+        let mut state = zdt(MooStage::new(config, &problem).start(&mut r));
         assert!(!state.step(&mut r), "the poisoned guard must stop the run");
         let err = state.fault_error().expect("a latched error");
         assert_eq!(err.kind, FaultKind::Panic);
-        let via_trait =
-            <MooStageState<_> as Resumable<VecF64Codec>>::fault_error(&state).expect("surfaced");
-        assert_eq!(via_trait, err);
     }
 
     #[test]
@@ -652,11 +531,12 @@ mod tests {
 
         for boundary in [0u64, 1, 3, 6] {
             let mut r = rng(61);
-            let mut state = stage.start(&mut r);
+            let mut state = zdt(stage.start(&mut r));
             while state.completed() < boundary && state.step(&mut r) {}
             let snap = state.snapshot_state(&VecF64Codec);
             let mut r2 = rand::rngs::StdRng::from_state(r.state());
-            let mut resumed = stage.restore(&VecF64Codec, &snap, Duration::ZERO).expect("restore");
+            let mut resumed =
+                zdt(stage.restore(&VecF64Codec, &snap, Duration::ZERO).expect("restore"));
             while resumed.step(&mut r2) {}
             let out = resumed.finish();
             assert_eq!(out.evaluations, baseline.evaluations, "boundary {boundary}");

@@ -4,18 +4,17 @@
 //! The run loop is exposed as a checkpointable state machine
 //! ([`Nsga2State`], one step per generation).
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rand::{Rng, RngCore};
 
-use moela_moo::checkpoint::{CancelToken, Resumable};
-use moela_moo::fault::{fault_log_from, is_quarantined, EvalFault, FaultConfig, FaultLog};
+use moela_moo::checkpoint::{run_to_end, Resumable, RunCtx};
+use moela_moo::fault::{is_quarantined, FaultConfig};
 use moela_moo::pareto::{crowding_distance, non_dominated_sort};
-use moela_moo::run::{RunResult, TraceRecorder};
+use moela_moo::run::RunResult;
 use moela_moo::snapshot::{entries_from_value, entries_to_value};
-use moela_moo::{GuardedEvaluator, Problem};
-use moela_obs::Obs;
-use moela_persist::{PersistError, Restore, Snapshot, SolutionCodec, Value};
+use moela_moo::Problem;
+use moela_persist::{PersistError, SolutionCodec, Value};
 
 /// NSGA-II parameters.
 #[derive(Clone, Debug, PartialEq)]
@@ -94,16 +93,14 @@ where
     /// Runs NSGA-II and returns the final population with its trace.
     ///
     /// Each generation's offspring are generated sequentially from `rng`,
-    /// then evaluated as one batch through a [`GuardedEvaluator`] sized
-    /// by [`Nsga2Config::threads`] — results are bit-identical for every
+    /// then evaluated as one batch through a
+    /// [`moela_moo::GuardedEvaluator`] sized by [`Nsga2Config::threads`] — results are bit-identical for every
     /// thread count. When the evaluation budget runs out mid-generation,
     /// the partial offspring batch still enters environmental selection
     /// (those evaluations are paid for) and the trace records it.
     pub fn run(&self, rng: &mut impl RngCore) -> RunResult<P::Solution> {
         let rng: &mut dyn RngCore = rng;
-        let mut state = self.start(rng);
-        while state.step(rng) {}
-        state.finish()
+        run_to_end(self.start(rng), rng)
     }
 
     /// Initializes a run (random population + generation-0 trace point)
@@ -111,48 +108,35 @@ where
     pub fn start(&self, rng: &mut dyn RngCore) -> Nsga2State<'p, P> {
         let cfg = self.config.clone();
         let m = self.problem.objective_count();
-        let start_time = Instant::now();
-        let mut evaluator = GuardedEvaluator::new(cfg.threads, cfg.fault);
-        let mut evaluations = 0u64;
-        let mut recorder = match &cfg.trace_normalizer {
-            Some(n) => TraceRecorder::with_fixed_normalizer(n.clone()),
-            None => TraceRecorder::new(m),
-        };
+        let mut ctx = RunCtx::new(
+            cfg.threads,
+            cfg.fault,
+            cfg.trace_normalizer.as_ref(),
+            m,
+            cfg.max_evaluations,
+            cfg.time_budget,
+        );
 
         let candidates: Vec<P::Solution> =
             (0..cfg.population).map(|_| self.problem.random_solution(rng)).collect();
-        let batch = evaluator.evaluate(self.problem, &candidates);
-        evaluations += batch.attempts;
+        let objectives = ctx.evaluate(self.problem, &candidates).materialized(m);
         // Dropped initial slots are materialized as penalty vectors so the
         // population keeps its size; penalty members sink to the last front
         // and are bred out, and they never feed the trace normalizer.
         let pop: Vec<(P::Solution, Vec<f64>)> = candidates
             .into_iter()
-            .zip(batch.materialized(m))
+            .zip(objectives)
             .map(|(s, o)| {
                 if !is_quarantined(&o) {
-                    recorder.observe(&o);
+                    ctx.recorder.observe(&o);
                 }
                 (s, o)
             })
             .collect();
         let objs: Vec<Vec<f64>> = pop.iter().map(|(_, o)| o.clone()).collect();
-        recorder.record(0, evaluations, start_time.elapsed(), &objs);
-        let evaluator_poisoned = evaluator.poisoned();
+        ctx.record(0, &objs);
 
-        Nsga2State {
-            config: cfg,
-            problem: self.problem,
-            evaluator,
-            start_time,
-            evaluations,
-            recorder,
-            pop,
-            generation: 0,
-            finished: evaluator_poisoned,
-            obs: Obs::disabled(),
-            cancel: CancelToken::default(),
-        }
+        Nsga2State { config: cfg, problem: self.problem, ctx, pop, generation: 0 }
     }
 
     /// Rebuilds a mid-run state from a [`Nsga2State::snapshot_state`]
@@ -173,21 +157,18 @@ where
             return Err(PersistError::schema("checkpointed objective dimensionality mismatch"));
         }
         Ok(Nsga2State {
-            evaluator: GuardedEvaluator::from_parts(
+            ctx: RunCtx::restore(
+                value,
+                elapsed,
                 cfg.threads,
                 cfg.fault,
-                fault_log_from(value, "faults")?,
-            ),
+                cfg.max_evaluations,
+                cfg.time_budget,
+            )?,
             config: cfg,
             problem: self.problem,
-            start_time: Instant::now().checked_sub(elapsed).unwrap_or_else(Instant::now),
-            evaluations: value.field("evaluations")?.as_u64()?,
-            recorder: TraceRecorder::restore(value.field("recorder")?)?,
             pop,
             generation: value.field("generation")?.as_usize()?,
-            finished: value.field("finished")?.as_bool()?,
-            obs: Obs::disabled(),
-            cancel: CancelToken::default(),
         })
     }
 }
@@ -197,81 +178,46 @@ where
 pub struct Nsga2State<'p, P: Problem> {
     config: Nsga2Config,
     problem: &'p P,
-    evaluator: GuardedEvaluator,
-    start_time: Instant,
-    evaluations: u64,
-    recorder: TraceRecorder,
+    ctx: RunCtx,
     pop: Vec<(P::Solution, Vec<f64>)>,
     generation: usize,
-    finished: bool,
-    /// Telemetry handle (never checkpointed; disabled by default).
-    obs: Obs,
-    /// Cooperative cancellation flag (never checkpointed; inert
-    /// unless the driver installs a shared token).
-    cancel: CancelToken,
 }
 
-impl<'p, P> Nsga2State<'p, P>
+impl<'p, P, C> Resumable<C> for Nsga2State<'p, P>
 where
     P: Problem + Sync,
     P::Solution: Sync,
+    C: SolutionCodec<P::Solution>,
 {
+    type Solution = P::Solution;
+
+    fn ctx(&self) -> &RunCtx {
+        &self.ctx
+    }
+
+    fn ctx_mut(&mut self) -> &mut RunCtx {
+        &mut self.ctx
+    }
+
     /// Completed generations.
-    pub fn completed(&self) -> u64 {
+    fn completed(&self) -> u64 {
         self.generation as u64
     }
 
-    /// Objective evaluations paid for so far.
-    pub fn evaluations(&self) -> u64 {
-        self.evaluations
-    }
-
-    /// Installs the observability handle phase spans are reported
-    /// through. Telemetry is write-only: it never alters an RNG draw,
-    /// an evaluation, or a trace byte.
-    /// Installs a cooperative cancellation token checked at step
-    /// boundaries (see [`CancelToken`]).
-    pub fn set_cancel(&mut self, token: CancelToken) {
-        self.cancel = token;
-    }
-
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.evaluator.set_obs(obs.clone());
-        self.obs = obs;
-    }
-
-    /// Executes one generation. Returns `false` — drawing no RNG values —
-    /// once the run has finished.
-    pub fn step(&mut self, rng: &mut dyn RngCore) -> bool {
-        if self.cancel.is_cancelled() {
-            // Cancelled at a step boundary: draw nothing, mutate
-            // nothing, stay snapshottable and resumable.
-            return false;
-        }
-        if self.finished || self.generation >= self.config.generations || self.evaluator.poisoned()
-        {
-            self.finished = true;
+    /// Executes one generation.
+    fn step(&mut self, rng: &mut dyn RngCore) -> bool {
+        if !self.ctx.begin_step(self.generation >= self.config.generations) {
             return false;
         }
         let cfg = &self.config;
         let generation = self.generation;
-        if cfg.time_budget.is_some_and(|cap| self.start_time.elapsed() >= cap) {
-            self.finished = true;
-            return false;
-        }
         // Cap the offspring batch to the remaining evaluation budget;
         // a partial batch is still selected over and recorded.
-        let remaining =
-            cfg.max_evaluations.map_or(u64::MAX, |cap| cap.saturating_sub(self.evaluations));
-        if remaining == 0 {
-            self.finished = true;
-            return false;
-        }
-        let n_children = remaining.min(cfg.population as u64) as usize;
+        let n_children = self.ctx.remaining().min(cfg.population as u64) as usize;
         let partial = n_children < cfg.population;
 
         // Rank the current population for tournament selection.
-        let rank_span = self.obs.span("select");
+        let rank_span = self.ctx.obs.span("select");
         let objs: Vec<Vec<f64>> = self.pop.iter().map(|(_, o)| o.clone()).collect();
         let fronts = non_dominated_sort(&objs);
         let mut rank = vec![0usize; self.pop.len()];
@@ -298,7 +244,7 @@ where
 
         // Offspring generation: children first (sequential RNG), then
         // one batched evaluation.
-        let mate_span = self.obs.span("mate");
+        let mate_span = self.ctx.obs.span("mate");
         let children: Vec<P::Solution> = (0..n_children)
             .map(|_| {
                 let pa = tournament(rng);
@@ -307,10 +253,8 @@ where
             })
             .collect();
         drop(mate_span);
-        let batch = self.evaluator.evaluate(self.problem, &children);
-        self.evaluations += batch.attempts;
-        if self.evaluator.poisoned() {
-            self.finished = true;
+        let batch = self.ctx.evaluate(self.problem, &children);
+        if self.ctx.poisoned() {
             return false;
         }
         // Skipped offspring simply shrink the batch — environmental
@@ -321,14 +265,14 @@ where
             .filter_map(|(child, o)| o.map(|o| (child, o)))
             .filter(|(_, o)| !is_quarantined(o))
             .map(|(child, o)| {
-                self.recorder.observe(&o);
+                self.ctx.recorder.observe(&o);
                 (child, o)
             })
             .collect();
 
         // Environmental selection over parents ∪ offspring.
         {
-            let _select = self.obs.span("select");
+            let _select = self.ctx.obs.span("select");
             let offspring_objs: Vec<Vec<f64>> = offspring.iter().map(|(_, o)| o.clone()).collect();
             self.pop.extend(offspring);
             self.pop = environmental_selection(std::mem::take(&mut self.pop), cfg.population);
@@ -348,111 +292,32 @@ where
                 })
                 .count() as u64;
             if survivors > 0 {
-                self.obs.counter(moela_obs::names::EA_IMPROVEMENTS, survivors);
+                self.ctx.obs.counter(moela_obs::names::EA_IMPROVEMENTS, survivors);
             }
         }
         let objs: Vec<Vec<f64>> = self.pop.iter().map(|(_, o)| o.clone()).collect();
         {
-            let _archive = self.obs.span("archive_update");
-            self.recorder.record(
-                generation + 1,
-                self.evaluations,
-                self.start_time.elapsed(),
-                &objs,
-            );
+            let _archive = self.ctx.obs.span("archive_update");
+            self.ctx.record(generation + 1, &objs);
         }
         self.generation = generation + 1;
-        self.obs.counter("generations", 1);
-        if let Some(point) = self.recorder.points().last() {
-            self.obs.gauge("phv", point.phv);
-        }
+        self.ctx.report_step();
         if partial {
-            self.finished = true;
+            self.ctx.finished = true;
             return false;
         }
         true
     }
 
-    /// Consumes the state, producing the final result.
-    pub fn finish(self) -> RunResult<P::Solution> {
-        RunResult {
-            population: self.pop,
-            trace: self.recorder.into_points(),
-            evaluations: self.evaluations,
-            elapsed: self.start_time.elapsed(),
-        }
-    }
-
-    /// Captures the complete optimizer state (the RNG is checkpointed by
-    /// the driver alongside).
-    pub fn snapshot_state<C: SolutionCodec<P::Solution>>(&self, codec: &C) -> Value {
-        Value::object(vec![
-            ("generation", Value::U64(self.generation as u64)),
-            ("finished", Value::Bool(self.finished)),
-            ("evaluations", Value::U64(self.evaluations)),
-            ("recorder", self.recorder.snapshot()),
-            ("population", entries_to_value(&self.pop, codec)),
-            ("faults", self.evaluator.log().snapshot()),
-        ])
-    }
-
-    /// Fault counters accumulated by the guarded evaluator.
-    pub fn fault_log(&self) -> &FaultLog {
-        self.evaluator.log()
-    }
-
-    /// The latched `Fail`-policy fault, if one stopped the run.
-    pub fn fault_error(&self) -> Option<&EvalFault> {
-        self.evaluator.error()
-    }
-}
-
-impl<'p, P, C> Resumable<C> for Nsga2State<'p, P>
-where
-    P: Problem + Sync,
-    P::Solution: Sync,
-    C: SolutionCodec<P::Solution>,
-{
-    type Solution = P::Solution;
-
-    fn completed(&self) -> u64 {
-        Nsga2State::completed(self)
-    }
-
-    fn step(&mut self, rng: &mut dyn RngCore) -> bool {
-        Nsga2State::step(self, rng)
-    }
-
     fn snapshot_state(&self, codec: &C) -> Value {
-        Nsga2State::snapshot_state(self, codec)
+        self.ctx.snapshot(
+            vec![("generation", Value::U64(self.generation as u64))],
+            vec![("population", entries_to_value(&self.pop, codec))],
+        )
     }
 
     fn finish(self) -> RunResult<P::Solution> {
-        Nsga2State::finish(self)
-    }
-
-    fn fault_log(&self) -> Option<&FaultLog> {
-        Some(Nsga2State::fault_log(self))
-    }
-
-    fn fault_error(&self) -> Option<&EvalFault> {
-        Nsga2State::fault_error(self)
-    }
-
-    fn set_cancel(&mut self, token: CancelToken) {
-        Nsga2State::set_cancel(self, token);
-    }
-
-    fn set_obs(&mut self, obs: Obs) {
-        Nsga2State::set_obs(self, obs);
-    }
-
-    fn evaluations(&self) -> u64 {
-        Nsga2State::evaluations(self)
-    }
-
-    fn latest_phv(&self) -> Option<f64> {
-        self.recorder.points().last().map(|p| p.phv)
+        self.ctx.into_result(self.pop)
     }
 }
 
@@ -492,6 +357,14 @@ mod tests {
 
     fn rng(seed: u64) -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(seed)
+    }
+
+    /// Fixes the checkpoint codec so the `Resumable` methods resolve.
+    fn zdt<S>(state: S) -> impl Resumable<VecF64Codec, Solution = Vec<f64>>
+    where
+        S: Resumable<VecF64Codec, Solution = Vec<f64>>,
+    {
+        state
     }
 
     #[test]
@@ -590,7 +463,7 @@ mod tests {
                 ..Default::default()
             };
             let mut r = rng(13);
-            let mut state = Nsga2::new(config, &problem).start(&mut r);
+            let mut state = zdt(Nsga2::new(config, &problem).start(&mut r));
             while state.step(&mut r) {}
             let log = *state.fault_log();
             (state.finish(), log)
@@ -615,13 +488,10 @@ mod tests {
         let problem = ChaosProblem::new(Zdt::zdt1(6), ChaosSpec::parse("panic=1.0").unwrap(), 5);
         let config = Nsga2Config { population: 6, generations: 10, ..Default::default() };
         let mut r = rng(1);
-        let mut state = Nsga2::new(config, &problem).start(&mut r);
+        let mut state = zdt(Nsga2::new(config, &problem).start(&mut r));
         assert!(!state.step(&mut r), "the poisoned guard must stop the run");
         let err = state.fault_error().expect("a latched error");
         assert_eq!(err.kind, FaultKind::Panic);
-        let via_trait =
-            <Nsga2State<_> as Resumable<VecF64Codec>>::fault_error(&state).expect("surfaced");
-        assert_eq!(via_trait, err);
     }
 
     #[test]
@@ -633,11 +503,12 @@ mod tests {
 
         for boundary in 0..6u64 {
             let mut r = rng(41);
-            let mut state = nsga2.start(&mut r);
+            let mut state = zdt(nsga2.start(&mut r));
             while state.completed() < boundary && state.step(&mut r) {}
             let snap = state.snapshot_state(&VecF64Codec);
             let mut r2 = rand::rngs::StdRng::from_state(r.state());
-            let mut resumed = nsga2.restore(&VecF64Codec, &snap, Duration::ZERO).expect("restore");
+            let mut resumed =
+                zdt(nsga2.restore(&VecF64Codec, &snap, Duration::ZERO).expect("restore"));
             while resumed.step(&mut r2) {}
             let out = resumed.finish();
             assert_eq!(out.population, baseline.population, "boundary {boundary}");

@@ -7,15 +7,14 @@ use std::time::{Duration, Instant};
 use rand::{Rng, RngCore};
 
 use moela_moo::archive::ParetoArchive;
-use moela_moo::checkpoint::{CancelToken, Resumable};
-use moela_moo::fault::{fault_log_from, is_quarantined, EvalFault, FaultConfig, FaultLog};
+use moela_moo::checkpoint::{run_to_end, Resumable, RunCtx};
+use moela_moo::fault::{is_quarantined, FaultConfig};
 use moela_moo::normalize::Normalizer;
 use moela_moo::run::{RunResult, TraceRecorder};
 use moela_moo::scalarize::ReferencePoint;
 use moela_moo::snapshot::{archive_from_value, archive_to_value};
 use moela_moo::weights::uniform_weights;
 use moela_moo::{GuardedEvaluator, Problem};
-use moela_obs::Obs;
 use moela_persist::{PersistError, SolutionCodec, Value};
 
 use crate::common::weighted_descent;
@@ -81,9 +80,7 @@ where
     P::Solution: Sync,
 {
     let rng: &mut dyn RngCore = rng;
-    let mut state = random_search_start(config, problem);
-    while state.step(rng) {}
-    state.finish()
+    run_to_end(random_search_start(config, problem), rng)
 }
 
 /// Initializes a random-search run as a steppable state machine (one
@@ -96,24 +93,20 @@ where
     P: Problem + Sync,
     P::Solution: Sync,
 {
-    let m = problem.objective_count();
-    let recorder = match &config.trace_normalizer {
-        Some(n) => TraceRecorder::with_fixed_normalizer(n.clone()),
-        None => TraceRecorder::new(m),
-    };
     RandomSearchState {
-        evaluator: GuardedEvaluator::new(config.threads, config.fault),
+        ctx: RunCtx::new(
+            config.threads,
+            config.fault,
+            config.trace_normalizer.as_ref(),
+            problem.objective_count(),
+            None,
+            config.time_budget,
+        ),
         config: config.clone(),
         problem,
-        start_time: Instant::now(),
-        evaluations: 0,
-        recorder,
         archive: ParetoArchive::bounded(config.archive_cap),
         drawn: 0,
         chunks: 0,
-        finished: false,
-        obs: Obs::disabled(),
-        cancel: CancelToken::default(),
     }
 }
 
@@ -131,28 +124,24 @@ where
     P::Solution: Sync,
     C: SolutionCodec<P::Solution>,
 {
-    use moela_persist::Restore;
     let drawn = value.field("drawn")?.as_u64()?;
     if drawn > config.samples {
         return Err(PersistError::schema("checkpoint drew more samples than configured"));
     }
     Ok(RandomSearchState {
-        evaluator: GuardedEvaluator::from_parts(
+        ctx: RunCtx::restore(
+            value,
+            elapsed,
             config.threads,
             config.fault,
-            fault_log_from(value, "faults")?,
-        ),
+            None,
+            config.time_budget,
+        )?,
         config: config.clone(),
         problem,
-        start_time: Instant::now().checked_sub(elapsed).unwrap_or_else(Instant::now),
-        evaluations: value.field("evaluations")?.as_u64()?,
-        recorder: TraceRecorder::restore(value.field("recorder")?)?,
         archive: archive_from_value(value.field("archive")?, codec)?,
         drawn,
         chunks: value.field("chunks")?.as_u64()?,
-        finished: value.field("finished")?.as_bool()?,
-        obs: Obs::disabled(),
-        cancel: CancelToken::default(),
     })
 }
 
@@ -161,150 +150,10 @@ where
 pub struct RandomSearchState<'p, P: Problem> {
     config: RandomSearchConfig,
     problem: &'p P,
-    evaluator: GuardedEvaluator,
-    start_time: Instant,
-    evaluations: u64,
-    recorder: TraceRecorder,
+    ctx: RunCtx,
     archive: ParetoArchive<P::Solution>,
     drawn: u64,
     chunks: u64,
-    finished: bool,
-    /// Telemetry handle (never checkpointed; disabled by default).
-    obs: Obs,
-    /// Cooperative cancellation flag (never checkpointed; inert
-    /// unless the driver installs a shared token).
-    cancel: CancelToken,
-}
-
-impl<'p, P> RandomSearchState<'p, P>
-where
-    P: Problem + Sync,
-    P::Solution: Sync,
-{
-    /// Completed chunks (checkpoint boundaries, not samples).
-    pub fn completed(&self) -> u64 {
-        self.chunks
-    }
-
-    /// Objective evaluations paid for so far.
-    pub fn evaluations(&self) -> u64 {
-        self.evaluations
-    }
-
-    /// Installs the observability handle phase spans are reported
-    /// through. Telemetry is write-only: it never alters an RNG draw,
-    /// an evaluation, or a trace byte.
-    /// Installs a cooperative cancellation token checked at step
-    /// boundaries (see [`CancelToken`]).
-    pub fn set_cancel(&mut self, token: CancelToken) {
-        self.cancel = token;
-    }
-
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.evaluator.set_obs(obs.clone());
-        self.obs = obs;
-    }
-
-    /// Draws and evaluates one chunk of samples, aligned to the trace
-    /// granularity so the trace is identical to the old one-at-a-time
-    /// loop (the wall-clock budget is checked per chunk rather than per
-    /// sample). Returns `false` — drawing no RNG values — once the run
-    /// has finished.
-    pub fn step(&mut self, rng: &mut dyn RngCore) -> bool {
-        if self.cancel.is_cancelled() {
-            // Cancelled at a step boundary: draw nothing, mutate
-            // nothing, stay snapshottable and resumable.
-            return false;
-        }
-        if self.finished || self.drawn >= self.config.samples {
-            self.finished = true;
-            return false;
-        }
-        if self.config.time_budget.is_some_and(|cap| self.start_time.elapsed() >= cap) {
-            self.finished = true;
-            return false;
-        }
-        let cfg = &self.config;
-        let chunk = if cfg.trace_every > 0 { cfg.trace_every } else { 64 };
-        let n = chunk.min(cfg.samples - self.drawn) as usize;
-        let candidates: Vec<P::Solution> =
-            (0..n).map(|_| self.problem.random_solution(rng)).collect();
-        let batch = self.evaluator.evaluate(self.problem, &candidates);
-        self.evaluations += batch.attempts;
-        if self.evaluator.poisoned() {
-            self.finished = true;
-            return false;
-        }
-        {
-            let _archive = self.obs.span("archive_update");
-            for (s, o) in candidates.into_iter().zip(batch.objectives) {
-                let Some(o) = o else { continue };
-                if is_quarantined(&o) {
-                    continue;
-                }
-                self.recorder.observe(&o);
-                self.archive.insert(s, o);
-            }
-            self.drawn += n as u64;
-            if cfg.trace_every > 0 && self.drawn.is_multiple_of(cfg.trace_every) {
-                self.recorder.record(
-                    ((self.drawn - 1) / cfg.trace_every) as usize,
-                    self.evaluations,
-                    self.start_time.elapsed(),
-                    &self.archive.objectives(),
-                );
-            }
-        }
-        self.chunks += 1;
-        self.obs.counter("generations", 1);
-        self.obs.gauge("archive_size", self.archive.len() as f64);
-        if let Some(point) = self.recorder.points().last() {
-            self.obs.gauge("phv", point.phv);
-        }
-        true
-    }
-
-    /// Consumes the state, recording the final trace point and producing
-    /// the result.
-    pub fn finish(mut self) -> RunResult<P::Solution> {
-        self.recorder.record(
-            self.config.samples as usize,
-            self.evaluations,
-            self.start_time.elapsed(),
-            &self.archive.objectives(),
-        );
-        RunResult {
-            population: self.archive.into_entries(),
-            trace: self.recorder.into_points(),
-            evaluations: self.evaluations,
-            elapsed: self.start_time.elapsed(),
-        }
-    }
-
-    /// Captures the complete optimizer state (the RNG is checkpointed by
-    /// the driver alongside).
-    pub fn snapshot_state<C: SolutionCodec<P::Solution>>(&self, codec: &C) -> Value {
-        use moela_persist::Snapshot;
-        Value::object(vec![
-            ("drawn", Value::U64(self.drawn)),
-            ("chunks", Value::U64(self.chunks)),
-            ("finished", Value::Bool(self.finished)),
-            ("evaluations", Value::U64(self.evaluations)),
-            ("recorder", self.recorder.snapshot()),
-            ("archive", archive_to_value(&self.archive, codec)),
-            ("faults", self.evaluator.log().snapshot()),
-        ])
-    }
-
-    /// Fault counters accumulated by the guarded evaluator.
-    pub fn fault_log(&self) -> &FaultLog {
-        self.evaluator.log()
-    }
-
-    /// The latched `Fail`-policy fault, if one stopped the run.
-    pub fn fault_error(&self) -> Option<&EvalFault> {
-        self.evaluator.error()
-    }
 }
 
 impl<'p, P, C> Resumable<C> for RandomSearchState<'p, P>
@@ -315,44 +164,69 @@ where
 {
     type Solution = P::Solution;
 
-    fn completed(&self) -> u64 {
-        RandomSearchState::completed(self)
+    fn ctx(&self) -> &RunCtx {
+        &self.ctx
     }
 
+    fn ctx_mut(&mut self) -> &mut RunCtx {
+        &mut self.ctx
+    }
+
+    /// Completed chunks (checkpoint boundaries, not samples).
+    fn completed(&self) -> u64 {
+        self.chunks
+    }
+
+    /// Draws and evaluates one chunk of samples, aligned to the trace
+    /// granularity so the trace is identical to the old one-at-a-time
+    /// loop (the wall-clock budget is checked per chunk rather than per
+    /// sample).
     fn step(&mut self, rng: &mut dyn RngCore) -> bool {
-        RandomSearchState::step(self, rng)
+        if !self.ctx.begin_step(self.drawn >= self.config.samples) {
+            return false;
+        }
+        let cfg = &self.config;
+        let chunk = if cfg.trace_every > 0 { cfg.trace_every } else { 64 };
+        let n = chunk.min(cfg.samples - self.drawn) as usize;
+        let candidates: Vec<P::Solution> =
+            (0..n).map(|_| self.problem.random_solution(rng)).collect();
+        let batch = self.ctx.evaluate(self.problem, &candidates);
+        if self.ctx.poisoned() {
+            return false;
+        }
+        {
+            let _archive = self.ctx.obs.span("archive_update");
+            for (s, o) in candidates.into_iter().zip(batch.objectives) {
+                let Some(o) = o else { continue };
+                if is_quarantined(&o) {
+                    continue;
+                }
+                self.ctx.recorder.observe(&o);
+                self.archive.insert(s, o);
+            }
+            self.drawn += n as u64;
+            if cfg.trace_every > 0 && self.drawn.is_multiple_of(cfg.trace_every) {
+                let step = ((self.drawn - 1) / cfg.trace_every) as usize;
+                self.ctx.record(step, &self.archive.objectives());
+            }
+        }
+        self.chunks += 1;
+        self.ctx.obs.gauge("archive_size", self.archive.len() as f64);
+        self.ctx.report_step();
+        true
     }
 
     fn snapshot_state(&self, codec: &C) -> Value {
-        RandomSearchState::snapshot_state(self, codec)
+        self.ctx.snapshot(
+            vec![("drawn", Value::U64(self.drawn)), ("chunks", Value::U64(self.chunks))],
+            vec![("archive", archive_to_value(&self.archive, codec))],
+        )
     }
 
-    fn finish(self) -> RunResult<P::Solution> {
-        RandomSearchState::finish(self)
-    }
-
-    fn fault_log(&self) -> Option<&FaultLog> {
-        Some(RandomSearchState::fault_log(self))
-    }
-
-    fn fault_error(&self) -> Option<&EvalFault> {
-        RandomSearchState::fault_error(self)
-    }
-
-    fn set_cancel(&mut self, token: CancelToken) {
-        RandomSearchState::set_cancel(self, token);
-    }
-
-    fn set_obs(&mut self, obs: Obs) {
-        RandomSearchState::set_obs(self, obs);
-    }
-
-    fn evaluations(&self) -> u64 {
-        RandomSearchState::evaluations(self)
-    }
-
-    fn latest_phv(&self) -> Option<f64> {
-        self.recorder.points().last().map(|p| p.phv)
+    /// Records the final trace point and produces the result.
+    fn finish(mut self) -> RunResult<P::Solution> {
+        self.ctx.record(self.config.samples as usize, &self.archive.objectives());
+        self.ctx.into_result(self.archive.into_entries())
     }
 }
 
@@ -503,10 +377,19 @@ pub fn sample_indices(n: usize, k: usize, rng: &mut impl Rng) -> Vec<usize> {
 mod tests {
     use super::*;
     use moela_moo::problems::Zdt;
+    use moela_persist::VecF64Codec;
     use rand::SeedableRng;
 
     fn rng(seed: u64) -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(seed)
+    }
+
+    /// Fixes the checkpoint codec so the `Resumable` methods resolve.
+    fn zdt<S>(state: S) -> impl Resumable<VecF64Codec, Solution = Vec<f64>>
+    where
+        S: Resumable<VecF64Codec, Solution = Vec<f64>>,
+    {
+        state
     }
 
     #[test]
@@ -573,7 +456,6 @@ mod tests {
 
     #[test]
     fn snapshot_resume_is_bit_identical_at_every_boundary() {
-        use moela_persist::VecF64Codec;
         let problem = Zdt::zdt1(6);
         let cfg = RandomSearchConfig { samples: 230, trace_every: 50, ..Default::default() };
         let baseline = random_search(&cfg, &problem, &mut rng(71));
@@ -581,13 +463,13 @@ mod tests {
         // 230 samples at trace_every=50 is 5 chunks (the last partial).
         for boundary in [0u64, 1, 3, 5] {
             let mut r = rng(71);
-            let mut state = random_search_start(&cfg, &problem);
+            let mut state = zdt(random_search_start(&cfg, &problem));
             while state.completed() < boundary && state.step(&mut r) {}
             let snap = state.snapshot_state(&VecF64Codec);
             let mut r2 = rand::rngs::StdRng::from_state(r.state());
             let mut resumed =
-                random_search_restore(&cfg, &problem, &VecF64Codec, &snap, Duration::ZERO)
-                    .expect("restore");
+                zdt(random_search_restore(&cfg, &problem, &VecF64Codec, &snap, Duration::ZERO)
+                    .expect("restore"));
             while resumed.step(&mut r2) {}
             let out = resumed.finish();
             assert_eq!(out.evaluations, baseline.evaluations, "boundary {boundary}");
@@ -620,7 +502,7 @@ mod tests {
                 ..Default::default()
             };
             let mut r = rng(13);
-            let mut state = random_search_start(&cfg, &problem);
+            let mut state = zdt(random_search_start(&cfg, &problem));
             while state.step(&mut r) {}
             let log = *state.fault_log();
             (state.finish(), log)
@@ -646,20 +528,15 @@ mod tests {
     /// error and stops random search instead of aborting the process.
     #[test]
     fn fail_policy_latches_a_structured_error() {
-        use moela_moo::checkpoint::Resumable;
         use moela_moo::fault::FaultKind;
         use moela_moo::{ChaosProblem, ChaosSpec};
-        use moela_persist::VecF64Codec;
         let problem = ChaosProblem::new(Zdt::zdt1(6), ChaosSpec::parse("panic=1.0").unwrap(), 5);
         let cfg = RandomSearchConfig { samples: 100, ..Default::default() };
         let mut r = rng(1);
-        let mut state = random_search_start(&cfg, &problem);
+        let mut state = zdt(random_search_start(&cfg, &problem));
         assert!(!state.step(&mut r), "the poisoned guard must stop the run");
         let err = state.fault_error().expect("a latched error");
         assert_eq!(err.kind, FaultKind::Panic);
-        let via_trait = <RandomSearchState<_> as Resumable<VecF64Codec>>::fault_error(&state)
-            .expect("surfaced");
-        assert_eq!(via_trait, err);
     }
 
     /// Multi-start local search contains chaos: faulted starts and

@@ -13,15 +13,17 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 use moela_baselines::{
-    random_search_restore, random_search_start, Moead, MoeadConfig, MooStage, MooStageConfig, Moos,
-    MoosConfig, Nsga2, Nsga2Config, RandomSearchConfig,
+    random_search_restore, random_search_start, Moead, MoeadConfig, MoeadState, MooStage,
+    MooStageConfig, MooStageState, Moos, MoosConfig, MoosState, Nsga2, Nsga2Config, Nsga2State,
+    RandomSearchConfig, RandomSearchState,
 };
+use moela_core::moela::MoelaState;
 use moela_core::{Moela, MoelaConfig};
 use moela_manycore::{viz, Design, ManycoreProblem, ObjectiveSet, PlatformConfig};
-use moela_moo::checkpoint::{CancelToken, Resumable};
+use moela_moo::checkpoint::{CancelToken, Resumable, RunCtx};
 use moela_moo::fault::{FaultLog, FaultPolicy};
 use moela_moo::normalize::Normalizer;
 use moela_moo::run::RunResult;
@@ -447,8 +449,64 @@ where
              penalize-worst or skip to contain faults and continue)"
         )));
     }
-    let log = state.fault_log().copied().unwrap_or_default();
+    let log = *state.fault_log();
     Ok(Driven::Finished(state.finish(), log))
+}
+
+/// The selected optimizer's run, so [`execute_on`] drives every
+/// algorithm through one [`drive`] call.
+enum AnyState<'p, P: Problem> {
+    Moela(MoelaState<'p, P>),
+    Moead(MoeadState<'p, P>),
+    Moos(MoosState<'p, P>),
+    MooStage(MooStageState<'p, P>),
+    Nsga2(Nsga2State<'p, P>),
+    Random(RandomSearchState<'p, P>),
+}
+
+/// Forwards one `Resumable` call to the state an [`AnyState`] wraps.
+macro_rules! forward {
+    ($state:expr, $method:ident($($arg:expr),*)) => {
+        match $state {
+            AnyState::Moela(s) => Resumable::<ManycoreProblem>::$method(s $(, $arg)*),
+            AnyState::Moead(s) => Resumable::<ManycoreProblem>::$method(s $(, $arg)*),
+            AnyState::Moos(s) => Resumable::<ManycoreProblem>::$method(s $(, $arg)*),
+            AnyState::MooStage(s) => Resumable::<ManycoreProblem>::$method(s $(, $arg)*),
+            AnyState::Nsga2(s) => Resumable::<ManycoreProblem>::$method(s $(, $arg)*),
+            AnyState::Random(s) => Resumable::<ManycoreProblem>::$method(s $(, $arg)*),
+        }
+    };
+}
+
+impl<P> Resumable<ManycoreProblem> for AnyState<'_, P>
+where
+    P: Problem<Solution = Design> + Sync,
+{
+    type Solution = Design;
+
+    fn ctx(&self) -> &RunCtx {
+        forward!(self, ctx())
+    }
+
+    fn ctx_mut(&mut self) -> &mut RunCtx {
+        forward!(self, ctx_mut())
+    }
+
+    fn completed(&self) -> u64 {
+        forward!(self, completed())
+    }
+
+    fn step(&mut self, rng: &mut dyn RngCore) -> bool {
+        forward!(self, step(rng))
+    }
+
+    fn snapshot_state(&self, codec: &ManycoreProblem) -> Value {
+        forward!(self, snapshot_state(codec))
+    }
+
+    fn finish(self) -> RunResult<Design> {
+        forward!(self, finish())
+    }
 }
 
 /// Builds the selected optimizer (fresh, or restored from a checkpoint)
@@ -595,7 +653,7 @@ where
         None => (None, StdRng::seed_from_u64(opts.seed)),
     };
     let base_elapsed = point.as_ref().map_or(Duration::ZERO, |p| p.elapsed);
-    match opts.algorithm {
+    let state = match opts.algorithm {
         Algorithm::Moela => {
             let config = MoelaConfig::builder()
                 .population(opts.population)
@@ -608,20 +666,10 @@ where
                 .build()
                 .map_err(|e| fail(format!("invalid MOELA configuration: {e}")))?;
             let moela = Moela::new(config, problem);
-            let state = match &point {
+            AnyState::Moela(match &point {
                 Some(p) => moela.restore(codec, &p.state, p.elapsed)?,
                 None => moela.start(&mut rng),
-            };
-            drive(
-                state,
-                &mut rng,
-                codec,
-                persistence,
-                base_elapsed,
-                chaos_ordinal,
-                telemetry,
-                hooks,
-            )
+            })
         }
         Algorithm::Moead => {
             let config = MoeadConfig {
@@ -636,20 +684,10 @@ where
                 ..Default::default()
             };
             let moead = Moead::new(config, problem);
-            let state = match &point {
+            AnyState::Moead(match &point {
                 Some(p) => moead.restore(codec, &p.state, p.elapsed)?,
                 None => moead.start(&mut rng),
-            };
-            drive(
-                state,
-                &mut rng,
-                codec,
-                persistence,
-                base_elapsed,
-                chaos_ordinal,
-                telemetry,
-                hooks,
-            )
+            })
         }
         Algorithm::Moos => {
             let config = MoosConfig {
@@ -662,20 +700,10 @@ where
                 ..Default::default()
             };
             let moos = Moos::new(config, problem);
-            let state = match &point {
+            AnyState::Moos(match &point {
                 Some(p) => moos.restore(codec, &p.state, p.elapsed)?,
                 None => moos.start(&mut rng),
-            };
-            drive(
-                state,
-                &mut rng,
-                codec,
-                persistence,
-                base_elapsed,
-                chaos_ordinal,
-                telemetry,
-                hooks,
-            )
+            })
         }
         Algorithm::MooStage => {
             let config = MooStageConfig {
@@ -688,20 +716,10 @@ where
                 ..Default::default()
             };
             let stage = MooStage::new(config, problem);
-            let state = match &point {
+            AnyState::MooStage(match &point {
                 Some(p) => stage.restore(codec, &p.state, p.elapsed)?,
                 None => stage.start(&mut rng),
-            };
-            drive(
-                state,
-                &mut rng,
-                codec,
-                persistence,
-                base_elapsed,
-                chaos_ordinal,
-                telemetry,
-                hooks,
-            )
+            })
         }
         Algorithm::Nsga2 => {
             let config = Nsga2Config {
@@ -714,20 +732,10 @@ where
                 fault: opts.fault(),
             };
             let nsga2 = Nsga2::new(config, problem);
-            let state = match &point {
+            AnyState::Nsga2(match &point {
                 Some(p) => nsga2.restore(codec, &p.state, p.elapsed)?,
                 None => nsga2.start(&mut rng),
-            };
-            drive(
-                state,
-                &mut rng,
-                codec,
-                persistence,
-                base_elapsed,
-                chaos_ordinal,
-                telemetry,
-                hooks,
-            )
+            })
         }
         Algorithm::Random => {
             let config = RandomSearchConfig {
@@ -737,22 +745,13 @@ where
                 fault: opts.fault(),
                 ..Default::default()
             };
-            let state = match &point {
+            AnyState::Random(match &point {
                 Some(p) => random_search_restore(&config, problem, codec, &p.state, p.elapsed)?,
                 None => random_search_start(&config, problem),
-            };
-            drive(
-                state,
-                &mut rng,
-                codec,
-                persistence,
-                base_elapsed,
-                chaos_ordinal,
-                telemetry,
-                hooks,
-            )
+            })
         }
-    }
+    };
+    drive(state, &mut rng, codec, persistence, base_elapsed, chaos_ordinal, telemetry, hooks)
 }
 
 /// The manifest written into every run directory: enough to rebuild the

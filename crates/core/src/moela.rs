@@ -17,20 +17,19 @@
 //! ([`MoelaState`], one [`Resumable::step`] per generation) so a run can
 //! be snapshotted at any generation boundary and resumed bit-identically.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore};
 
 use moela_ml::{Dataset, RandomForest};
-use moela_moo::checkpoint::{CancelToken, Resumable};
-use moela_moo::fault::{fault_log_from, is_quarantined, EvalFault, FaultLog};
+use moela_moo::checkpoint::{run_to_end, Resumable, RunCtx};
+use moela_moo::fault::is_quarantined;
 use moela_moo::normalize::Normalizer;
-use moela_moo::run::{RunResult, TraceRecorder};
+use moela_moo::run::RunResult;
 use moela_moo::scalarize::{ReferencePoint, Scalarizer};
 use moela_moo::snapshot::entries_from_value;
-use moela_moo::{GuardedEvaluator, Problem};
-use moela_obs::Obs;
+use moela_moo::Problem;
 use moela_persist::{PersistError, Restore, Snapshot, SolutionCodec, Value};
 
 use crate::config::MoelaConfig;
@@ -87,14 +86,13 @@ where
     /// population with its trace.
     ///
     /// Candidate designs are always *generated* sequentially from `rng`
-    /// and *evaluated* in batches through a [`ParallelEvaluator`] sized by
+    /// and *evaluated* in batches through a
+    /// [`ParallelEvaluator`](moela_moo::ParallelEvaluator) sized by
     /// [`MoelaConfig::threads`], so the outcome is bit-identical for every
     /// thread count.
     pub fn run(&self, rng: &mut impl RngCore) -> MoelaOutcome<P::Solution> {
         let rng: &mut dyn RngCore = rng;
-        let mut state = self.start(rng);
-        while state.step(rng) {}
-        state.finish()
+        run_to_end(self.start(rng), rng)
     }
 
     /// Initializes a run (the random population plus the generation-0
@@ -102,13 +100,14 @@ where
     pub fn start(&self, rng: &mut dyn RngCore) -> MoelaState<'p, P> {
         let cfg = self.config.clone();
         let m = self.problem.objective_count();
-        let start_time = Instant::now();
-        let mut evaluations = 0u64;
-        let mut recorder = match &cfg.trace_normalizer {
-            Some(n) => TraceRecorder::with_fixed_normalizer(n.clone()),
-            None => TraceRecorder::new(m),
-        };
-        let mut evaluator = GuardedEvaluator::new(cfg.threads, cfg.fault);
+        let mut ctx = RunCtx::new(
+            cfg.threads,
+            cfg.fault,
+            cfg.trace_normalizer.as_ref(),
+            m,
+            cfg.max_evaluations,
+            cfg.time_budget,
+        );
 
         // Initialization: N random designs, one per weight vector, drawn
         // sequentially and evaluated as one batch. The population
@@ -117,37 +116,29 @@ where
         // retired by selection pressure and never reach front or scale).
         let candidates: Vec<P::Solution> =
             (0..cfg.population).map(|_| self.problem.random_solution(rng)).collect();
-        let batch = evaluator.evaluate(self.problem, &candidates);
-        evaluations += batch.attempts;
-        let objective_batch = batch.materialized(m);
+        let objective_batch = ctx.evaluate(self.problem, &candidates).materialized(m);
         let individuals: Vec<Individual<P::Solution>> = candidates
             .into_iter()
             .zip(objective_batch)
             .map(|(solution, objectives)| {
-                recorder.observe(&objectives);
+                ctx.recorder.observe(&objectives);
                 Individual { solution, objectives }
             })
             .collect();
         let population = Population::new(individuals, m, cfg.neighborhood);
         let train = Dataset::with_capacity(cfg.train_cap);
-        recorder.record(0, evaluations, start_time.elapsed(), &population.objective_vectors());
+        ctx.record(0, &population.objective_vectors());
 
         MoelaState {
             config: cfg,
             problem: self.problem,
-            start_time,
-            evaluations,
-            recorder,
+            ctx,
             population,
             train,
             eval_fn: None,
             recent_starts: Vec::new(),
             generation: 0,
             last_generation: 0,
-            finished: evaluator.poisoned(),
-            evaluator,
-            obs: Obs::disabled(),
-            cancel: CancelToken::default(),
         }
     }
 
@@ -187,25 +178,22 @@ where
             v => Some(RandomForest::restore(v)?),
         };
         Ok(MoelaState {
-            evaluator: GuardedEvaluator::from_parts(
+            ctx: RunCtx::restore(
+                value,
+                elapsed,
                 cfg.threads,
                 cfg.fault,
-                fault_log_from(value, "faults")?,
-            ),
+                cfg.max_evaluations,
+                cfg.time_budget,
+            )?,
             config: cfg,
             problem: self.problem,
-            start_time: Instant::now().checked_sub(elapsed).unwrap_or_else(Instant::now),
-            evaluations: value.field("evaluations")?.as_u64()?,
-            recorder: TraceRecorder::restore(value.field("recorder")?)?,
             population,
             train: Dataset::restore(value.field("train")?)?,
             eval_fn,
             recent_starts: value.field("recent_starts")?.to_usize_vec()?,
             generation: value.field("generation")?.as_usize()?,
             last_generation: value.field("last_generation")?.as_usize()?,
-            finished: value.field("finished")?.as_bool()?,
-            obs: Obs::disabled(),
-            cancel: CancelToken::default(),
         })
     }
 }
@@ -216,10 +204,7 @@ where
 pub struct MoelaState<'p, P: Problem> {
     config: MoelaConfig,
     problem: &'p P,
-    evaluator: GuardedEvaluator,
-    start_time: Instant,
-    evaluations: u64,
-    recorder: TraceRecorder,
+    ctx: RunCtx,
     population: Population<P::Solution>,
     train: Dataset,
     eval_fn: Option<RandomForest>,
@@ -229,87 +214,48 @@ pub struct MoelaState<'p, P: Problem> {
     /// Next generation index to execute.
     generation: usize,
     last_generation: usize,
-    finished: bool,
-    /// Telemetry handle (never checkpointed; disabled by default).
-    obs: Obs,
-    /// Cooperative cancellation flag (never checkpointed; inert
-    /// unless the driver installs a shared token).
-    cancel: CancelToken,
 }
 
-impl<'p, P> MoelaState<'p, P>
+impl<'p, P, C> Resumable<C> for MoelaState<'p, P>
 where
     P: Problem + Sync,
     P::Solution: Sync,
+    C: SolutionCodec<P::Solution>,
 {
-    /// Objective evaluations paid for so far (faulted and retried
-    /// attempts included).
-    pub fn evaluations(&self) -> u64 {
-        self.evaluations
+    type Solution = P::Solution;
+
+    fn ctx(&self) -> &RunCtx {
+        &self.ctx
     }
 
-    /// The fault counters accumulated so far.
-    pub fn fault_log(&self) -> &FaultLog {
-        self.evaluator.log()
-    }
-
-    /// The latched [`FaultPolicy::Fail`](moela_moo::fault::FaultPolicy)
-    /// error, if evaluation faulted under the default policy.
-    pub fn fault_error(&self) -> Option<&EvalFault> {
-        self.evaluator.error()
+    fn ctx_mut(&mut self) -> &mut RunCtx {
+        &mut self.ctx
     }
 
     /// Completed generations.
-    pub fn completed(&self) -> u64 {
+    fn completed(&self) -> u64 {
         self.generation as u64
     }
 
-    /// Installs the observability handle phase spans are reported
-    /// through. Telemetry is write-only: it never alters an RNG draw,
-    /// an evaluation, or a trace byte.
-    /// Installs a cooperative cancellation token checked at step
-    /// boundaries (see [`CancelToken`]).
-    pub fn set_cancel(&mut self, token: CancelToken) {
-        self.cancel = token;
-    }
-
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.evaluator.set_obs(obs.clone());
-        self.obs = obs;
-    }
-
-    fn budget_left(&self) -> bool {
-        self.config.max_evaluations.is_none_or(|cap| self.evaluations < cap)
-            && self.config.time_budget.is_none_or(|cap| self.start_time.elapsed() < cap)
-    }
-
-    /// Executes one generation. Returns `false` — drawing no RNG values —
-    /// once the run has finished.
-    pub fn step(&mut self, rng: &mut dyn RngCore) -> bool {
-        if self.cancel.is_cancelled() {
-            // Cancelled at a step boundary: draw nothing, mutate
-            // nothing, stay snapshottable and resumable.
+    /// Executes one generation.
+    fn step(&mut self, rng: &mut dyn RngCore) -> bool {
+        if !self.ctx.begin_step(self.generation >= self.config.generations) {
             return false;
         }
         let mut rng = rng;
-        if self.finished || self.generation >= self.config.generations || self.evaluator.poisoned()
-        {
-            self.finished = true;
-            return false;
-        }
         let generation = self.generation;
         self.last_generation = generation + 1;
 
         // --- (Ablation) EA-first ordering ---------------------------
         if self.config.ea_first && !self.ea_step(rng) {
-            self.finished = true;
+            self.ctx.finished = true;
             return false;
         }
 
         // --- Local-search phase -------------------------------------
         let starts = match &self.eval_fn {
             Some(model) if generation >= self.config.iter_early => {
-                let _predict = self.obs.span("surrogate_predict");
+                let _predict = self.ctx.obs.span("surrogate_predict");
                 ml_guide(self.problem, &self.config, model, &self.population, &self.recent_starts)
             }
             _ => {
@@ -320,10 +266,10 @@ where
             }
         };
         self.recent_starts = starts.clone();
-        let ls_span = self.obs.span("local_search");
+        let ls_span = self.ctx.obs.span("local_search");
         for idx in starts {
-            if !self.budget_left() {
-                self.finished = true;
+            if !self.ctx.budget_left() {
+                self.ctx.finished = true;
                 return false;
             }
             let individual = self.population.individual(idx).clone();
@@ -347,15 +293,14 @@ where
                     neighbors_per_step: self.config.ls_neighbors_per_step,
                     stall_evaluations: self.config.ls_stall_evaluations,
                 },
-                &mut self.evaluator,
+                &mut self.ctx.evaluator,
                 rng,
             );
-            self.evaluations += outcome.evaluations;
-            if self.evaluator.poisoned() {
-                self.finished = true;
+            self.ctx.charge(outcome.evaluations);
+            if self.ctx.poisoned() {
                 return false;
             }
-            self.recorder.observe(&outcome.best_objectives);
+            self.ctx.recorder.observe(&outcome.best_objectives);
             // The paper's Eval "predict[s] how much a design can
             // improve towards the reference point": the regression
             // target is the (negative) improvement, so Algorithm 2's
@@ -371,7 +316,7 @@ where
             let scope: Vec<usize> = (0..self.population.len()).collect();
             let mut ls_improvements = 0u64;
             for (state, objectives) in &outcome.accepted {
-                self.recorder.observe(objectives);
+                self.ctx.recorder.observe(objectives);
                 ls_improvements += self.population.update(
                     Scalarizer::Tchebycheff,
                     state,
@@ -381,70 +326,33 @@ where
                 ) as u64;
             }
             if ls_improvements > 0 {
-                self.obs.counter(moela_obs::names::LS_IMPROVEMENTS, ls_improvements);
+                self.ctx.obs.counter(moela_obs::names::LS_IMPROVEMENTS, ls_improvements);
             }
         }
         drop(ls_span);
 
         // --- Train Eval ----------------------------------------------
         if generation + 1 >= self.config.iter_early && self.train.len() >= 8 {
-            let _fit = self.obs.span("surrogate_fit");
+            let _fit = self.ctx.obs.span("surrogate_fit");
             self.eval_fn = Some(RandomForest::fit(&self.train, &self.config.forest, &mut rng));
         }
 
         // --- Decomposition EA step -----------------------------------
         if !self.config.ea_first && !self.ea_step(rng) {
-            self.finished = true;
+            self.ctx.finished = true;
             return false;
         }
 
         {
-            let _archive = self.obs.span("archive_update");
-            self.recorder.record(
-                generation + 1,
-                self.evaluations,
-                self.start_time.elapsed(),
-                &self.population.objective_vectors(),
-            );
+            let _archive = self.ctx.obs.span("archive_update");
+            self.ctx.record(generation + 1, &self.population.objective_vectors());
         }
         self.generation = generation + 1;
-        self.obs.counter("generations", 1);
-        if let Some(point) = self.recorder.points().last() {
-            self.obs.gauge("phv", point.phv);
-        }
+        self.ctx.report_step();
         true
     }
 
-    /// Consumes the state, producing the final result.
-    pub fn finish(mut self) -> MoelaOutcome<P::Solution> {
-        // A budget exhaustion stops the run *before* the per-generation
-        // record, which would leave the last paid-for evaluations
-        // invisible in the trace. Record a final point whenever the trace
-        // lags the evaluation count.
-        if self.recorder.points().last().is_none_or(|p| p.evaluations != self.evaluations) {
-            self.recorder.record(
-                self.last_generation,
-                self.evaluations,
-                self.start_time.elapsed(),
-                &self.population.objective_vectors(),
-            );
-        }
-        RunResult {
-            population: self
-                .population
-                .individuals()
-                .iter()
-                .map(|i| (i.solution.clone(), i.objectives.clone()))
-                .collect(),
-            trace: self.recorder.into_points(),
-            evaluations: self.evaluations,
-            elapsed: self.start_time.elapsed(),
-        }
-    }
-
-    /// Captures the complete optimizer state (the RNG is checkpointed by
-    /// the driver alongside).
-    pub fn snapshot_state<C: SolutionCodec<P::Solution>>(&self, codec: &C) -> Value {
+    fn snapshot_state(&self, codec: &C) -> Value {
         let individuals = Value::Array(
             self.population
                 .individuals()
@@ -457,22 +365,45 @@ where
                 })
                 .collect(),
         );
-        Value::object(vec![
-            ("generation", Value::U64(self.generation as u64)),
-            ("last_generation", Value::U64(self.last_generation as u64)),
-            ("finished", Value::Bool(self.finished)),
-            ("evaluations", Value::U64(self.evaluations)),
-            ("recorder", self.recorder.snapshot()),
-            ("population", individuals),
-            ("z", self.population.reference().snapshot()),
-            ("normalizer", self.population.normalizer().snapshot()),
-            ("train", self.train.snapshot()),
-            ("eval_fn", self.eval_fn.as_ref().map_or(Value::Null, Snapshot::snapshot)),
-            ("recent_starts", Value::usize_array(&self.recent_starts)),
-            ("faults", self.evaluator.log().snapshot()),
-        ])
+        self.ctx.snapshot(
+            vec![
+                ("generation", Value::U64(self.generation as u64)),
+                ("last_generation", Value::U64(self.last_generation as u64)),
+            ],
+            vec![
+                ("population", individuals),
+                ("z", self.population.reference().snapshot()),
+                ("normalizer", self.population.normalizer().snapshot()),
+                ("train", self.train.snapshot()),
+                ("eval_fn", self.eval_fn.as_ref().map_or(Value::Null, Snapshot::snapshot)),
+                ("recent_starts", Value::usize_array(&self.recent_starts)),
+            ],
+        )
     }
 
+    fn finish(mut self) -> MoelaOutcome<P::Solution> {
+        // A budget exhaustion stops the run *before* the per-generation
+        // record, which would leave the last paid-for evaluations
+        // invisible in the trace. Record a final point whenever the trace
+        // lags the evaluation count.
+        if self.ctx.recorder.points().last().is_none_or(|p| p.evaluations != self.ctx.evaluations) {
+            self.ctx.record(self.last_generation, &self.population.objective_vectors());
+        }
+        let population = self
+            .population
+            .individuals()
+            .iter()
+            .map(|i| (i.solution.clone(), i.objectives.clone()))
+            .collect();
+        self.ctx.into_result(population)
+    }
+}
+
+impl<'p, P> MoelaState<'p, P>
+where
+    P: Problem + Sync,
+    P::Solution: Sync,
+{
     /// One decomposition-EA pass over all sub-problems (Algorithm 1,
     /// line 12). Offspring for every sub-problem are generated first —
     /// parents drawn from the population as it stood at the start of the
@@ -481,21 +412,19 @@ where
     /// short.
     fn ea_step(&mut self, rng: &mut dyn RngCore) -> bool {
         let cfg = &self.config;
-        if cfg.time_budget.is_some_and(|cap| self.start_time.elapsed() >= cap) {
+        if self.ctx.out_of_time() {
             return false;
         }
         // Cap the batch to the remaining evaluation budget so hard caps
         // stay as tight as with one-at-a-time evaluation.
-        let remaining =
-            cfg.max_evaluations.map_or(u64::MAX, |cap| cap.saturating_sub(self.evaluations));
-        let batch = (cfg.population as u64).min(remaining) as usize;
+        let batch = (cfg.population as u64).min(self.ctx.remaining()) as usize;
         if batch == 0 {
             return false;
         }
 
         let mut children: Vec<P::Solution> = Vec::with_capacity(batch);
         let mut scopes: Vec<Vec<usize>> = Vec::with_capacity(batch);
-        let mate_span = self.obs.span("mate");
+        let mate_span = self.ctx.obs.span("mate");
         for i in 0..batch {
             let whole: Vec<usize>;
             let pool: &[usize] = if rng.gen_bool(cfg.delta) {
@@ -526,12 +455,11 @@ where
         }
         drop(mate_span);
 
-        let guarded = self.evaluator.evaluate(self.problem, &children);
-        self.evaluations += guarded.attempts;
-        if self.evaluator.poisoned() {
+        let guarded = self.ctx.evaluate(self.problem, &children);
+        if self.ctx.poisoned() {
             return false;
         }
-        let _select = self.obs.span("select");
+        let _select = self.ctx.obs.span("select");
         let mut ea_improvements = 0u64;
         for ((child, objectives), scope) in children.iter().zip(&guarded.objectives).zip(&scopes) {
             // Dropped (Skip) children vanish; quarantined penalties could
@@ -540,7 +468,7 @@ where
             if is_quarantined(objectives) {
                 continue;
             }
-            self.recorder.observe(objectives);
+            self.ctx.recorder.observe(objectives);
             ea_improvements += self.population.update(
                 Scalarizer::Tchebycheff,
                 child,
@@ -550,58 +478,9 @@ where
             ) as u64;
         }
         if ea_improvements > 0 {
-            self.obs.counter(moela_obs::names::EA_IMPROVEMENTS, ea_improvements);
+            self.ctx.obs.counter(moela_obs::names::EA_IMPROVEMENTS, ea_improvements);
         }
         batch == cfg.population
-    }
-}
-
-impl<'p, P, C> Resumable<C> for MoelaState<'p, P>
-where
-    P: Problem + Sync,
-    P::Solution: Sync,
-    C: SolutionCodec<P::Solution>,
-{
-    type Solution = P::Solution;
-
-    fn completed(&self) -> u64 {
-        MoelaState::completed(self)
-    }
-
-    fn step(&mut self, rng: &mut dyn RngCore) -> bool {
-        MoelaState::step(self, rng)
-    }
-
-    fn snapshot_state(&self, codec: &C) -> Value {
-        MoelaState::snapshot_state(self, codec)
-    }
-
-    fn finish(self) -> RunResult<P::Solution> {
-        MoelaState::finish(self)
-    }
-
-    fn fault_log(&self) -> Option<&FaultLog> {
-        Some(MoelaState::fault_log(self))
-    }
-
-    fn fault_error(&self) -> Option<&EvalFault> {
-        MoelaState::fault_error(self)
-    }
-
-    fn set_cancel(&mut self, token: CancelToken) {
-        MoelaState::set_cancel(self, token);
-    }
-
-    fn set_obs(&mut self, obs: Obs) {
-        MoelaState::set_obs(self, obs);
-    }
-
-    fn evaluations(&self) -> u64 {
-        MoelaState::evaluations(self)
-    }
-
-    fn latest_phv(&self) -> Option<f64> {
-        self.recorder.points().last().map(|p| p.phv)
     }
 }
 
@@ -640,6 +519,14 @@ mod tests {
 
     fn rng(seed: u64) -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(seed)
+    }
+
+    /// Fixes the checkpoint codec so the `Resumable` methods resolve.
+    fn zdt<S>(state: S) -> impl Resumable<VecF64Codec, Solution = Vec<f64>>
+    where
+        S: Resumable<VecF64Codec, Solution = Vec<f64>>,
+    {
+        state
     }
 
     #[test]
@@ -807,14 +694,15 @@ mod tests {
 
         for boundary in 0..5u64 {
             let mut r = rng(21);
-            let mut state = moela.start(&mut r);
+            let mut state = zdt(moela.start(&mut r));
             while state.completed() < boundary && state.step(&mut r) {}
             let snap = state.snapshot_state(&VecF64Codec);
             let rng_state = r.state();
 
             // Resume in a fresh state and run to completion.
             let mut r2 = rand::rngs::StdRng::from_state(rng_state);
-            let mut resumed = moela.restore(&VecF64Codec, &snap, Duration::ZERO).expect("restore");
+            let mut resumed =
+                zdt(moela.restore(&VecF64Codec, &snap, Duration::ZERO).expect("restore"));
             assert_eq!(resumed.completed(), boundary.min(state.completed()));
             while resumed.step(&mut r2) {}
             let out = resumed.finish();
@@ -841,12 +729,12 @@ mod tests {
             .expect("valid");
         let moela = Moela::new(config, &problem);
         let mut r = rng(5);
-        let mut state = moela.start(&mut r);
+        let mut state = zdt(moela.start(&mut r));
         while state.completed() < 2 && state.step(&mut r) {}
         let snap = state.snapshot_state(&VecF64Codec);
         let json = moela_persist::encode::to_string(&snap);
         let back = moela_persist::decode::from_str(&json).expect("parse");
-        let restored = moela.restore(&VecF64Codec, &back, Duration::ZERO).expect("restore");
+        let restored = zdt(moela.restore(&VecF64Codec, &back, Duration::ZERO).expect("restore"));
         assert_eq!(restored.completed(), 2);
         assert_eq!(restored.evaluations(), state.evaluations());
     }
@@ -869,7 +757,7 @@ mod tests {
                 .expect("valid");
             let mut r = rng(13);
             let moela = Moela::new(config, &problem);
-            let mut state = moela.start(&mut r);
+            let mut state = zdt(moela.start(&mut r));
             while state.step(&mut r) {}
             let log = *state.fault_log();
             (state.finish(), log)
@@ -894,15 +782,11 @@ mod tests {
         let problem = ChaosProblem::new(Zdt::zdt1(6), ChaosSpec::parse("panic=1.0").unwrap(), 5);
         let config = MoelaConfig::builder().population(6).generations(10).build().expect("valid");
         let mut r = rng(1);
-        let mut state = Moela::new(config, &problem).start(&mut r);
+        let mut state = zdt(Moela::new(config, &problem).start(&mut r));
         assert!(!state.step(&mut r), "the poisoned guard must stop the run");
         let err = state.fault_error().expect("a latched error");
         assert_eq!(err.kind, FaultKind::Panic);
         assert!(err.message.contains("chaos: injected panic"));
-        // Resumable surfaces the same error without a downcast.
-        let via_trait =
-            <MoelaState<_> as Resumable<VecF64Codec>>::fault_error(&state).expect("surfaced");
-        assert_eq!(via_trait, err);
     }
 
     /// Interrupting a chaotic run and resuming (restoring the fault log
@@ -923,7 +807,7 @@ mod tests {
         let baseline_problem = ChaosProblem::new(Zdt::zdt3(8), spec, 77);
         let moela = Moela::new(config.clone(), &baseline_problem);
         let mut r = rng(17);
-        let mut state = moela.start(&mut r);
+        let mut state = zdt(moela.start(&mut r));
         while state.step(&mut r) {}
         let base_log = *state.fault_log();
         let baseline = state.finish();
@@ -934,7 +818,7 @@ mod tests {
         let interrupted_problem = ChaosProblem::new(Zdt::zdt3(8), spec, 77);
         let moela2 = Moela::new(config.clone(), &interrupted_problem);
         let mut r = rng(17);
-        let mut state = moela2.start(&mut r);
+        let mut state = zdt(moela2.start(&mut r));
         while state.completed() < 2 && state.step(&mut r) {}
         let snap = state.snapshot_state(&VecF64Codec);
         let ordinal = interrupted_problem.ordinal();
@@ -944,7 +828,8 @@ mod tests {
         resumed_problem.set_ordinal(ordinal);
         let moela3 = Moela::new(config, &resumed_problem);
         let mut r2 = rand::rngs::StdRng::from_state(rng_state);
-        let mut resumed = moela3.restore(&VecF64Codec, &snap, Duration::ZERO).expect("restore");
+        let mut resumed =
+            zdt(moela3.restore(&VecF64Codec, &snap, Duration::ZERO).expect("restore"));
         while resumed.step(&mut r2) {}
         assert_eq!(*resumed.fault_log(), base_log, "health counters must round-trip");
         let out = resumed.finish();
@@ -959,7 +844,7 @@ mod tests {
         let config = MoelaConfig::builder().population(6).generations(3).build().expect("valid");
         let moela = Moela::new(config, &problem);
         let mut r = rng(5);
-        let mut state = moela.start(&mut r);
+        let mut state = zdt(moela.start(&mut r));
         while state.completed() < 1 && state.step(&mut r) {}
         let snap = state.snapshot_state(&VecF64Codec);
         // Strip the faults field to mimic an old checkpoint.
@@ -968,7 +853,7 @@ mod tests {
         let Value::Object(mut fields) = stripped else { panic!("object snapshot") };
         fields.retain(|(k, _)| k != "faults");
         let old = Value::Object(fields);
-        let restored = moela.restore(&VecF64Codec, &old, Duration::ZERO).expect("restore");
+        let restored = zdt(moela.restore(&VecF64Codec, &old, Duration::ZERO).expect("restore"));
         assert!(restored.fault_log().is_clean());
     }
 
@@ -979,7 +864,7 @@ mod tests {
         let problem = Zdt::zdt1(6);
         let config = MoelaConfig::builder().population(6).generations(2).build().expect("valid");
         let mut r = rng(3);
-        let mut state = Moela::new(config, &problem).start(&mut r);
+        let mut state = zdt(Moela::new(config, &problem).start(&mut r));
         while state.step(&mut r) {}
         let before = r.state();
         assert!(!state.step(&mut r));

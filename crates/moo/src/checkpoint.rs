@@ -1,17 +1,29 @@
-//! The optimizer-side checkpointing contract.
+//! The optimizer-side checkpointing contract and the run context every
+//! optimizer shares.
 //!
 //! Every optimizer in the workspace exposes a *state-machine* form of its
-//! run loop — `init` / [`Resumable::step`] / [`Resumable::finish`] — whose
+//! run loop — `start` / [`Resumable::step`] / [`Resumable::finish`] — whose
 //! step granularity is one generation (or episode, or sampling chunk).
 //! The driver owns the loop:
 //!
 //! ```text
-//! let mut state = Algo::init(config, &problem, &mut rng);
+//! let mut state = Algo::new(config, &problem).start(&mut rng);
 //! while state.step(&mut rng) {
 //!     // safe point: state.snapshot_state(&codec) + rng state → disk
 //! }
 //! let result = state.finish();
 //! ```
+//!
+//! Each state is its own search state plus one [`RunCtx`]: the lifecycle
+//! all optimizers share. The context owns the fault-guarded evaluator, the
+//! evaluation count and the budget caps, the anytime trace recorder, the
+//! start time, the `finished` latch, and the telemetry and cancellation
+//! handles. A `step` opens with [`RunCtx::begin_step`], evaluates through
+//! the context's metered methods, records trace points with
+//! [`RunCtx::record`], and a snapshot wraps the optimizer's own fields
+//! around [`RunCtx::snapshot`]. [`Resumable`] reaches the context through
+//! `ctx`/`ctx_mut` and implements the driver hooks (`set_obs`,
+//! `set_cancel`) and the progress queries once, for every optimizer.
 //!
 //! The determinism contract: a state restored from
 //! [`Resumable::snapshot_state`] (together with the RNG state captured at
@@ -21,20 +33,22 @@
 //! driver stores it alongside, in the checkpoint envelope, because one
 //! RNG spans the whole run while snapshots are per-algorithm.
 //!
-//! Restoration is an inherent per-algorithm constructor (configs and
-//! context differ), so this trait covers only the uniform part: stepping,
-//! snapshotting and finishing.
+//! Restoration is an inherent per-algorithm constructor (configs
+//! differ); it rebuilds the shared part with [`RunCtx::restore`].
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use rand::RngCore;
 
 use moela_obs::Obs;
-use moela_persist::{SolutionCodec, Value};
+use moela_persist::{PersistError, Restore, Snapshot, SolutionCodec, Value};
 
-use crate::fault::{EvalFault, FaultLog};
-use crate::run::RunResult;
+use crate::fault::{fault_log_from, EvalFault, FaultConfig, FaultLog, GuardedBatch};
+use crate::normalize::Normalizer;
+use crate::run::{RunResult, TraceRecorder};
+use crate::{GuardedEvaluator, Problem};
 
 /// A shared cooperative-cancellation flag checked at step boundaries.
 ///
@@ -67,6 +81,219 @@ impl CancelToken {
     }
 }
 
+/// The run lifecycle shared by every optimizer state: evaluation under
+/// containment and budget, the anytime trace, and the step-boundary
+/// guard.
+#[derive(Debug)]
+pub struct RunCtx {
+    /// The fault-containing evaluator. Evaluate through the metered
+    /// methods; a helper that takes the evaluator itself reports its
+    /// attempts through [`RunCtx::charge`].
+    pub evaluator: GuardedEvaluator,
+    /// Objective evaluations paid for so far, retries included.
+    pub evaluations: u64,
+    /// The anytime-PHV trace.
+    pub recorder: TraceRecorder,
+    /// Latched once the run is over; every later step is a no-op.
+    pub finished: bool,
+    /// Telemetry handle (never checkpointed; disabled by default).
+    pub obs: Obs,
+    /// Cooperative cancellation flag (never checkpointed; inert unless
+    /// the driver installs a shared token).
+    cancel: CancelToken,
+    start_time: Instant,
+    max_evaluations: Option<u64>,
+    time_budget: Option<Duration>,
+}
+
+impl RunCtx {
+    /// A fresh context for `m` objectives: `threads` evaluation workers
+    /// (0 = auto) under the `fault` policy, a trace on the pre-fitted
+    /// `trace_normalizer` (or one fitted online), and the optional
+    /// evaluation and wall-clock caps. The clock starts now.
+    pub fn new(
+        threads: usize,
+        fault: FaultConfig,
+        trace_normalizer: Option<&Normalizer>,
+        m: usize,
+        max_evaluations: Option<u64>,
+        time_budget: Option<Duration>,
+    ) -> Self {
+        Self {
+            evaluator: GuardedEvaluator::new(threads, fault),
+            evaluations: 0,
+            recorder: match trace_normalizer {
+                Some(n) => TraceRecorder::with_fixed_normalizer(n.clone()),
+                None => TraceRecorder::new(m),
+            },
+            finished: false,
+            obs: Obs::disabled(),
+            cancel: CancelToken::default(),
+            start_time: Instant::now(),
+            max_evaluations,
+            time_budget,
+        }
+    }
+
+    /// Rebuilds a context from the shared keys of a snapshot (see
+    /// [`RunCtx::snapshot`]), with `elapsed` wall-clock time already
+    /// consumed. A state written before fault containment has no
+    /// `faults` key and restores with zero counters.
+    pub fn restore(
+        state: &Value,
+        elapsed: Duration,
+        threads: usize,
+        fault: FaultConfig,
+        max_evaluations: Option<u64>,
+        time_budget: Option<Duration>,
+    ) -> Result<Self, PersistError> {
+        Ok(Self {
+            evaluator: GuardedEvaluator::from_parts(
+                threads,
+                fault,
+                fault_log_from(state, "faults")?,
+            ),
+            evaluations: state.field("evaluations")?.as_u64()?,
+            recorder: TraceRecorder::restore(state.field("recorder")?)?,
+            finished: state.field("finished")?.as_bool()?,
+            obs: Obs::disabled(),
+            cancel: CancelToken::default(),
+            start_time: Instant::now().checked_sub(elapsed).unwrap_or_else(Instant::now),
+            max_evaluations,
+            time_budget,
+        })
+    }
+
+    /// Snapshots an optimizer state in the key order every checkpoint
+    /// has: `head` (the optimizer's step counters), the shared
+    /// `finished`, `evaluations` and `recorder`, then `body` (its search
+    /// state), then the shared `faults`.
+    pub fn snapshot(
+        &self,
+        head: Vec<(&'static str, Value)>,
+        body: Vec<(&'static str, Value)>,
+    ) -> Value {
+        let mut fields = head;
+        fields.push(("finished", Value::Bool(self.finished)));
+        fields.push(("evaluations", Value::U64(self.evaluations)));
+        fields.push(("recorder", self.recorder.snapshot()));
+        fields.extend(body);
+        fields.push(("faults", self.evaluator.log().snapshot()));
+        Value::object(fields)
+    }
+
+    /// The guard every step opens with; returns whether the step may
+    /// run. A cancelled run refuses the step and touches nothing, so it
+    /// stays snapshottable and resumable. A finished or poisoned run, a
+    /// reached step limit (`done`), or a spent budget latches
+    /// `finished`.
+    pub fn begin_step(&mut self, done: bool) -> bool {
+        if self.cancel.is_cancelled() {
+            return false;
+        }
+        if self.finished || done || self.poisoned() || !self.budget_left() {
+            self.finished = true;
+        }
+        !self.finished
+    }
+
+    /// Evaluations left under the cap (`u64::MAX` when uncapped).
+    pub fn remaining(&self) -> u64 {
+        self.max_evaluations.map_or(u64::MAX, |cap| cap.saturating_sub(self.evaluations))
+    }
+
+    /// Whether the wall-clock budget is spent.
+    pub fn out_of_time(&self) -> bool {
+        self.time_budget.is_some_and(|cap| self.start_time.elapsed() >= cap)
+    }
+
+    /// Whether both the evaluation cap and the wall-clock budget have
+    /// room left.
+    pub fn budget_left(&self) -> bool {
+        self.remaining() > 0 && !self.out_of_time()
+    }
+
+    /// `true` once a [`crate::fault::FaultPolicy::Fail`] fault latched;
+    /// the metered methods latch `finished` with it.
+    pub fn poisoned(&self) -> bool {
+        self.evaluator.poisoned()
+    }
+
+    /// Adds `attempts` paid evaluations and latches `finished` if the
+    /// evaluator is poisoned.
+    pub fn charge(&mut self, attempts: u64) {
+        self.evaluations += attempts;
+        if self.poisoned() {
+            self.finished = true;
+        }
+    }
+
+    /// Evaluates a batch under containment, metered.
+    pub fn evaluate<P>(&mut self, problem: &P, solutions: &[P::Solution]) -> GuardedBatch
+    where
+        P: Problem + Sync,
+        P::Solution: Sync,
+    {
+        let batch = self.evaluator.evaluate(problem, solutions);
+        self.charge(batch.attempts);
+        batch
+    }
+
+    /// Evaluates neighbors of `base` under containment, metered (see
+    /// [`GuardedEvaluator::evaluate_neighbors`]).
+    pub fn evaluate_neighbors<P>(
+        &mut self,
+        problem: &P,
+        base: &P::Solution,
+        solutions: &[P::Solution],
+    ) -> GuardedBatch
+    where
+        P: Problem + Sync,
+        P::Solution: Sync,
+    {
+        let batch = self.evaluator.evaluate_neighbors(problem, base, solutions);
+        self.charge(batch.attempts);
+        batch
+    }
+
+    /// Evaluates one candidate under containment, metered.
+    pub fn evaluate_one<P>(&mut self, problem: &P, solution: &P::Solution) -> Option<Vec<f64>>
+    where
+        P: Problem + Sync,
+        P::Solution: Sync,
+    {
+        let (objectives, attempts) = self.evaluator.evaluate_one(problem, solution);
+        self.charge(attempts);
+        objectives
+    }
+
+    /// Appends the trace point of `step` over `objectives`, at the
+    /// current evaluation count and wall-clock time.
+    pub fn record(&mut self, step: usize, objectives: &[Vec<f64>]) {
+        self.recorder.record(step, self.evaluations, self.start_time.elapsed(), objectives);
+    }
+
+    /// Reports a completed step: the `generations` counter and the
+    /// latest `phv` gauge.
+    pub fn report_step(&self) {
+        self.obs.counter("generations", 1);
+        if let Some(point) = self.recorder.points().last() {
+            self.obs.gauge("phv", point.phv);
+        }
+    }
+
+    /// Consumes the context into the run's result over the final
+    /// `population`.
+    pub fn into_result<S>(self, population: Vec<(S, Vec<f64>)>) -> RunResult<S> {
+        RunResult {
+            population,
+            trace: self.recorder.into_points(),
+            evaluations: self.evaluations,
+            elapsed: self.start_time.elapsed(),
+        }
+    }
+}
+
 /// A checkpointable optimizer run in progress.
 ///
 /// `C` is the solution codec (usually the problem type itself) used to
@@ -75,8 +302,14 @@ pub trait Resumable<C: SolutionCodec<Self::Solution>> {
     /// The problem's solution type.
     type Solution;
 
+    /// The shared run context.
+    fn ctx(&self) -> &RunCtx;
+
+    /// The shared run context, mutably.
+    fn ctx_mut(&mut self) -> &mut RunCtx;
+
     /// Completed step count (generations / episodes / chunks). Starts at
-    /// 0 after `init` and increases by one per successful [`step`].
+    /// 0 after `start` and increases by one per successful [`step`].
     ///
     /// [`step`]: Resumable::step
     fn completed(&self) -> u64;
@@ -93,11 +326,9 @@ pub trait Resumable<C: SolutionCodec<Self::Solution>> {
     /// Consumes the state, producing the final [`RunResult`].
     fn finish(self) -> RunResult<Self::Solution>;
 
-    /// The fault counters accumulated by this run's guarded evaluator,
-    /// if the optimizer evaluates under containment (all workspace
-    /// optimizers do; the default covers external implementors).
-    fn fault_log(&self) -> Option<&FaultLog> {
-        None
+    /// The fault counters accumulated by this run's guarded evaluator.
+    fn fault_log(&self) -> &FaultLog {
+        self.ctx().evaluator.log()
     }
 
     /// The latched [`crate::fault::FaultPolicy::Fail`] error, if an
@@ -107,35 +338,63 @@ pub trait Resumable<C: SolutionCodec<Self::Solution>> {
     ///
     /// [`step`]: Resumable::step
     fn fault_error(&self) -> Option<&EvalFault> {
-        None
+        self.ctx().evaluator.error()
     }
 
-    /// Installs a cooperative-cancellation token. After the token is
-    /// cancelled, [`step`] must return `false` immediately — drawing no
-    /// RNG values and mutating nothing — so the state can still be
-    /// snapshotted at the boundary and resumed later. The default
-    /// ignores the token (external implementors are then only
-    /// cancellable between steps, by the driver's own check).
+    /// Installs a cooperative-cancellation token (see [`CancelToken`]).
+    /// Once it is cancelled, [`step`] returns `false` immediately —
+    /// drawing no RNG values and mutating nothing — so the state can
+    /// still be snapshotted at the boundary and resumed later.
     ///
     /// [`step`]: Resumable::step
-    fn set_cancel(&mut self, _token: CancelToken) {}
+    fn set_cancel(&mut self, token: CancelToken) {
+        self.ctx_mut().cancel = token;
+    }
 
-    /// Installs an observability handle the optimizer reports phase
-    /// spans and counters through. Called by the driver after `init` or
-    /// restore; never checkpointed. Observability is strictly
-    /// write-only telemetry — installing a handle must not change a
-    /// single RNG draw, evaluation, or trace byte. The default ignores
-    /// the handle (external implementors emit nothing).
-    fn set_obs(&mut self, _obs: Obs) {}
+    /// Installs the observability handle the run reports phase spans
+    /// and counters through, its evaluator included. Called by the
+    /// driver after `start` or restore; never checkpointed. Telemetry is
+    /// write-only: installing a handle never changes an RNG draw, an
+    /// evaluation, or a trace byte.
+    fn set_obs(&mut self, obs: Obs) {
+        let ctx = self.ctx_mut();
+        ctx.evaluator.set_obs(obs.clone());
+        ctx.obs = obs;
+    }
 
-    /// Objective evaluations paid for so far, for progress reporting.
+    /// Objective evaluations paid for so far, retries included.
     fn evaluations(&self) -> u64 {
-        0
+        self.ctx().evaluations
     }
 
     /// The most recent normalized hypervolume recorded on the anytime
     /// trace, if any — the "best scalarized" figure progress lines show.
     fn latest_phv(&self) -> Option<f64> {
-        None
+        self.ctx().recorder.points().last().map(|p| p.phv)
     }
+}
+
+/// The codec of a run that is never checkpointed. It has no values, so
+/// a `Resumable<NoCodec>` can step and finish but never snapshot.
+#[derive(Debug)]
+pub enum NoCodec {}
+
+impl<S> SolutionCodec<S> for NoCodec {
+    fn encode_solution(&self, _: &S) -> Value {
+        match *self {}
+    }
+
+    fn decode_solution(&self, _: &Value) -> Result<S, PersistError> {
+        match *self {}
+    }
+}
+
+/// Steps `state` until it finishes, without checkpoints, and returns its
+/// result.
+pub fn run_to_end<S: Resumable<NoCodec>>(
+    mut state: S,
+    rng: &mut dyn RngCore,
+) -> RunResult<S::Solution> {
+    while state.step(rng) {}
+    state.finish()
 }
