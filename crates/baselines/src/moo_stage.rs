@@ -130,9 +130,10 @@ where
     ///
     /// Each base-search step's neighbors are sampled sequentially from
     /// `rng`, then evaluated as one batch through a
-    /// [`moela_moo::GuardedEvaluator`] sized by [`MooStageConfig::threads`] — results are bit-identical
-    /// for every thread count (the archive only changes after the step's
-    /// best candidate is chosen).
+    /// [`moela_moo::GuardedEvaluator`] sized by
+    /// [`MooStageConfig::threads`] — results are bit-identical for every
+    /// thread count (the archive only changes after the step's best
+    /// candidate is chosen).
     pub fn run(&self, rng: &mut impl RngCore) -> RunResult<P::Solution> {
         let rng: &mut dyn RngCore = rng;
         run_to_end(self.start(rng), rng)

@@ -138,8 +138,8 @@ where
     /// trace.
     ///
     /// Each descent step's neighbors are evaluated as one batch through a
-    /// [`moela_moo::GuardedEvaluator`] sized by [`MoosConfig::threads`] — results
-    /// are bit-identical for every thread count.
+    /// [`moela_moo::GuardedEvaluator`] sized by [`MoosConfig::threads`] —
+    /// results are bit-identical for every thread count.
     pub fn run(&self, rng: &mut impl RngCore) -> RunResult<P::Solution> {
         let rng: &mut dyn RngCore = rng;
         run_to_end(self.start(rng), rng)

@@ -94,8 +94,9 @@ where
     ///
     /// Each generation's offspring are generated sequentially from `rng`,
     /// then evaluated as one batch through a
-    /// [`moela_moo::GuardedEvaluator`] sized by [`Nsga2Config::threads`] — results are bit-identical for every
-    /// thread count. When the evaluation budget runs out mid-generation,
+    /// [`moela_moo::GuardedEvaluator`] sized by [`Nsga2Config::threads`] —
+    /// results are bit-identical for every thread count. When the
+    /// evaluation budget runs out mid-generation,
     /// the partial offspring batch still enters environmental selection
     /// (those evaluations are paid for) and the trace records it.
     pub fn run(&self, rng: &mut impl RngCore) -> RunResult<P::Solution> {

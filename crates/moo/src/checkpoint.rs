@@ -398,3 +398,171 @@ pub fn run_to_end<S: Resumable<NoCodec>>(
     while state.step(rng) {}
     state.finish()
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fault::FaultPolicy;
+    use crate::problems::Zdt;
+    use crate::{ChaosProblem, ChaosSpec};
+    use moela_persist::VecF64Codec;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// An RNG that counts the values drawn from it.
+    struct Counting {
+        inner: StdRng,
+        draws: u64,
+    }
+
+    impl RngCore for Counting {
+        fn next_u32(&mut self) -> u32 {
+            self.draws += 1;
+            self.inner.next_u32()
+        }
+
+        fn next_u64(&mut self) -> u64 {
+            self.draws += 1;
+            self.inner.next_u64()
+        }
+
+        fn fill_bytes(&mut self, dest: &mut [u8]) {
+            self.draws += 1;
+            self.inner.fill_bytes(dest);
+        }
+    }
+
+    /// The smallest optimizer: each step samples and evaluates one design.
+    struct Sampler<'p, P> {
+        problem: &'p P,
+        ctx: RunCtx,
+        steps: u64,
+    }
+
+    impl<P, C> Resumable<C> for Sampler<'_, P>
+    where
+        P: Problem<Solution = Vec<f64>> + Sync,
+        C: SolutionCodec<Vec<f64>>,
+    {
+        type Solution = Vec<f64>;
+
+        fn ctx(&self) -> &RunCtx {
+            &self.ctx
+        }
+
+        fn ctx_mut(&mut self) -> &mut RunCtx {
+            &mut self.ctx
+        }
+
+        fn completed(&self) -> u64 {
+            self.steps
+        }
+
+        fn step(&mut self, rng: &mut dyn RngCore) -> bool {
+            if !self.ctx.begin_step(self.steps >= 100) {
+                return false;
+            }
+            let design = self.problem.random_solution(rng);
+            let m = self.problem.objective_count();
+            let objectives = self.ctx.evaluate(self.problem, &[design]).materialized(m);
+            self.steps += 1;
+            self.ctx.record(self.steps as usize, &objectives);
+            true
+        }
+
+        fn snapshot_state(&self, _: &C) -> Value {
+            self.ctx.snapshot(vec![("steps", Value::U64(self.steps))], Vec::new())
+        }
+
+        fn finish(self) -> RunResult<Vec<f64>> {
+            self.ctx.into_result(Vec::new())
+        }
+    }
+
+    fn sampler<P>(problem: &P, ctx: RunCtx) -> impl Resumable<VecF64Codec, Solution = Vec<f64>> + '_
+    where
+        P: Problem<Solution = Vec<f64>> + Sync,
+    {
+        Sampler { problem, ctx, steps: 0 }
+    }
+
+    fn ctx(
+        fault: FaultConfig,
+        max_evaluations: Option<u64>,
+        time_budget: Option<Duration>,
+    ) -> RunCtx {
+        RunCtx::new(1, fault, None, 2, max_evaluations, time_budget)
+    }
+
+    #[test]
+    fn a_cancelled_run_refuses_to_step_and_draws_nothing() {
+        let problem = Zdt::zdt1(4);
+        let mut run = sampler(&problem, ctx(FaultConfig::default(), None, None));
+        let mut rng = Counting { inner: StdRng::seed_from_u64(1), draws: 0 };
+        assert!(run.step(&mut rng));
+        let drawn = rng.draws;
+        let before = run.snapshot_state(&VecF64Codec);
+        let token = CancelToken::new();
+        run.set_cancel(token.clone());
+        token.cancel();
+        assert!(!run.step(&mut rng));
+        assert!(!run.step(&mut rng));
+        assert_eq!(rng.draws, drawn, "a refused step draws nothing");
+        assert_eq!(run.snapshot_state(&VecF64Codec), before, "a refused step changes nothing");
+        assert!(!run.ctx().finished, "cancellation is not completion");
+    }
+
+    #[test]
+    fn the_evaluation_cap_latches_finished() {
+        let problem = Zdt::zdt1(4);
+        let mut run = sampler(&problem, ctx(FaultConfig::default(), Some(3), None));
+        let mut rng = StdRng::seed_from_u64(2);
+        while run.step(&mut rng) {}
+        assert_eq!(run.completed(), 3);
+        assert_eq!(run.evaluations(), 3);
+        assert!(run.ctx().finished);
+        assert!(!run.step(&mut rng), "a finished run stays finished");
+    }
+
+    #[test]
+    fn the_time_cap_latches_finished() {
+        let mut ctx = ctx(FaultConfig::default(), None, Some(Duration::ZERO));
+        assert!(!ctx.budget_left());
+        assert!(!ctx.begin_step(false));
+        assert!(ctx.finished);
+    }
+
+    #[test]
+    fn a_snapshot_restores_the_shared_fields() {
+        let problem = ChaosProblem::new(Zdt::zdt1(4), ChaosSpec::parse("nan=0.3").unwrap(), 7);
+        let skip = FaultConfig { policy: FaultPolicy::Skip, retries: 1 };
+        let mut run = sampler(&problem, ctx(skip, Some(12), None));
+        let mut rng = StdRng::seed_from_u64(3);
+        while run.step(&mut rng) {}
+        assert!(run.fault_log().faults() > 0, "the spec must actually inject");
+        let snap = run.snapshot_state(&VecF64Codec);
+        let restored = RunCtx::restore(&snap, Duration::ZERO, 1, skip, Some(12), None).unwrap();
+        assert_eq!(restored.evaluations, run.evaluations());
+        assert!(restored.finished);
+        assert_eq!(restored.evaluator.log(), run.fault_log());
+        assert_eq!(restored.recorder.points(), run.ctx().recorder.points());
+        let shared = |c: &RunCtx| c.snapshot(Vec::new(), Vec::new());
+        assert_eq!(shared(&restored), shared(run.ctx()));
+    }
+
+    #[test]
+    fn a_state_without_fault_counters_restores_clean() {
+        let problem = Zdt::zdt1(4);
+        let mut run = sampler(&problem, ctx(FaultConfig::default(), None, None));
+        assert!(run.step(&mut StdRng::seed_from_u64(4)));
+        let Value::Object(mut fields) = run.snapshot_state(&VecF64Codec) else {
+            panic!("object snapshot")
+        };
+        fields.retain(|(key, _)| key != "faults");
+        let old = Value::Object(fields);
+        let restored =
+            RunCtx::restore(&old, Duration::ZERO, 1, FaultConfig::default(), None, None).unwrap();
+        assert_eq!(*restored.evaluator.log(), FaultLog::default());
+        assert_eq!(restored.evaluations, 1);
+    }
+}

@@ -6,7 +6,7 @@
 //! turns those failures into data instead of process aborts:
 //!
 //! * [`GuardedEvaluator`] wraps the workspace's
-//!   [`ParallelEvaluator`](crate::ParallelEvaluator) with per-candidate
+//!   [`ParallelEvaluator`] with per-candidate
 //!   panic isolation and result validation, classifying every failure as a
 //!   structured [`EvalFault`];
 //! * [`FaultPolicy`] decides what happens next — abort the run with a
@@ -332,7 +332,7 @@ impl GuardedBatch {
 }
 
 /// A fault-containing evaluation front-end: the
-/// [`ParallelEvaluator`](crate::ParallelEvaluator) plus per-candidate
+/// [`ParallelEvaluator`] plus per-candidate
 /// panic isolation, validation, retries, and policy application.
 ///
 /// On the happy path (no faults) it returns exactly what the parallel

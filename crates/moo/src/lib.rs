@@ -34,7 +34,8 @@
 //!   (ZDT, DTLZ, and a combinatorial multi-objective knapsack), used to
 //!   validate every optimizer in the workspace;
 //! * checkpoint/resume support: the [`checkpoint::Resumable`]
-//!   state-machine contract every optimizer implements, and [`snapshot`]
+//!   state-machine contract every optimizer implements, the
+//!   [`checkpoint::RunCtx`] run lifecycle they share, and [`snapshot`]
 //!   conversions of toolkit components to `moela-persist` JSON values.
 //!
 //! # Example

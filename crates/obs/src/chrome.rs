@@ -1,6 +1,6 @@
 //! Chrome trace-event export (`trace.chrome.json`, Perfetto-viewable).
 //!
-//! Converts a [`RunReplay`](crate::replay::RunReplay) into the Chrome
+//! Converts a [`RunReplay`] into the Chrome
 //! trace-event JSON format (the `{"traceEvents": [...]}` object form):
 //! one complete `X` event per finished span, `C` counter tracks for the
 //! `phv` / `archive_size` gauges, and instant `i` events for markers.

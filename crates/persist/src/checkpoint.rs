@@ -16,9 +16,10 @@
 //! Files are written atomically: the bytes go to a `.tmp` sibling which is
 //! fsynced and then renamed over the final name, so a crash mid-write can
 //! never corrupt a previously good checkpoint. The store keeps the last
-//! [`CheckpointStore::keep`] files (`ckpt-00000042.json`, numbered by
-//! sequence) and [`CheckpointStore::load_latest`] falls back to older
-//! rotations when the newest file is damaged.
+//! few files ([`CheckpointStore::DEFAULT_KEEP`] unless configured;
+//! `ckpt-00000042.json`, numbered by sequence) and
+//! [`CheckpointStore::load_latest`] falls back to older rotations when
+//! the newest file is damaged.
 
 use std::fs;
 use std::io::Write;

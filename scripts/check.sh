@@ -17,6 +17,12 @@ cargo build --workspace --release
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> cargo doc (deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
+echo "==> dse-bench builds and passes against the workspace API"
+cargo test --manifest-path dse-bench/Cargo.toml -q
+
 echo "==> resume smoke (crash + resume is byte-identical)"
 smoke="$(mktemp -d)"
 trap 'rm -rf "$smoke"' EXIT
@@ -28,6 +34,12 @@ flags=(--app BFS --objectives 3 --algorithm moela --budget 120 --population 8 --
 "$dse" resume "$smoke/crashed" >/dev/null
 cmp "$smoke/full/trace.csv" "$smoke/crashed/trace.csv"
 cmp "$smoke/full/front.csv" "$smoke/crashed/front.csv"
+# A later crash, resumed at another thread count, must match as well.
+"$dse" run "${flags[@]}" --run-dir "$smoke/crashed-late" --crash-after-checkpoints 2 \
+    >/dev/null 2>&1 && { echo "crash injection did not abort"; exit 1; }
+"$dse" resume "$smoke/crashed-late" --threads 4 >/dev/null
+cmp "$smoke/full/trace.csv" "$smoke/crashed-late/trace.csv"
+cmp "$smoke/full/front.csv" "$smoke/crashed-late/front.csv"
 
 echo "==> chaos smoke (faults contained, kill + resume under chaos byte-identical)"
 chaos_flags=("${flags[@]}" --chaos panic=0.03,nan=0.03,arity=0.02 --chaos-seed 41
@@ -83,7 +95,9 @@ job="$(curl -sf -X POST "http://$addr/jobs" --data "$spec" \
 [ -n "$job" ] || { echo "job submission returned no id"; exit 1; }
 state=""
 for _ in $(seq 1 600); do
-    state="$(curl -sf "http://$addr/jobs/$job" | grep -o '"state":"[^"]*"' | cut -d'"' -f4)"
+    # The first "state" is the job's own; later ones are its history.
+    state="$(curl -sf "http://$addr/jobs/$job" | grep -o '"state":"[^"]*"' | head -n 1 \
+        | cut -d'"' -f4)"
     [ "$state" = "done" ] && break
     case "$state" in failed|cancelled|interrupted)
         echo "served job ended $state"; exit 1;;

@@ -9,7 +9,7 @@
 //! Versus upstream: no statistical analysis, plots, or baselines. Each
 //! benchmark runs a short warm-up, then `sample_size` timed samples with
 //! an iteration count chosen so a sample lasts roughly
-//! [`TARGET_SAMPLE_TIME`]; the median, minimum, and maximum per-iteration
+//! 50 ms; the median, minimum, and maximum per-iteration
 //! times are printed to stdout.
 
 use std::time::{Duration, Instant};

@@ -5,7 +5,7 @@ use rand::Rng;
 
 use crate::Strategy;
 
-/// A length specification for [`vec`]: a fixed `usize` or a `Range<usize>`.
+/// A length specification for [`vec()`]: a fixed `usize` or a `Range<usize>`.
 pub trait SizeSpec {
     /// Draws a concrete length.
     fn sample_len(&self, rng: &mut StdRng) -> usize;
