@@ -24,6 +24,7 @@
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::crc32::crc32;
 use crate::error::PersistError;
@@ -97,14 +98,24 @@ pub fn from_bytes(bytes: &[u8], path: &Path) -> Result<Value, PersistError> {
 }
 
 /// Writes `bytes` to `path` atomically: temp sibling, fsync, rename.
+///
+/// Each call writes its own temp sibling (`<name>.<pid>-<n>.tmp`), so
+/// concurrent writers of one path never rename each other's files; the
+/// last rename wins. A failed write removes its temp file.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = fs::File::create(&tmp).map_err(|e| PersistError::io(&tmp, e))?;
-        f.write_all(bytes).map_err(|e| PersistError::io(&tmp, e))?;
-        f.sync_all().map_err(|e| PersistError::io(&tmp, e))?;
+    static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    let n = NEXT_TMP.fetch_add(1, Ordering::Relaxed);
+    name.push(format!(".{}-{n}.tmp", std::process::id()));
+    let tmp = path.with_file_name(name);
+    let written = fs::File::create(&tmp)
+        .and_then(|mut f| f.write_all(bytes).and_then(|()| f.sync_all()))
+        .map_err(|e| PersistError::io(&tmp, e))
+        .and_then(|()| fs::rename(&tmp, path).map_err(|e| PersistError::io(path, e)));
+    if written.is_err() {
+        let _ = fs::remove_file(&tmp);
     }
-    fs::rename(&tmp, path).map_err(|e| PersistError::io(path, e))
+    written
 }
 
 /// A rotating set of checkpoint files inside one directory.
@@ -341,13 +352,52 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    fn file_names(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
     #[test]
     fn atomic_write_leaves_no_temp_file() {
         let dir = temp_dir("atomic");
         let path = dir.join("ckpt-00000001.json");
         write_atomic(&path, &to_bytes(&sample(1))).unwrap();
-        assert!(path.exists());
-        assert!(!path.with_extension("tmp").exists());
+        write_atomic(&path, &to_bytes(&sample(2))).unwrap();
+        assert_eq!(file_names(&dir), ["ckpt-00000001.json"]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_atomic_write_leaves_no_temp_file() {
+        let dir = temp_dir("atomic-fail");
+        // Renaming a file over a non-empty directory fails.
+        let path = dir.join("occupied");
+        fs::create_dir_all(path.join("inner")).unwrap();
+        assert!(write_atomic(&path, b"x").is_err());
+        assert_eq!(file_names(&dir), ["occupied"]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn concurrent_writers_of_one_path_all_succeed() {
+        let dir = temp_dir("atomic-race");
+        let path = dir.join("job.json");
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let path = &path;
+                scope.spawn(move || {
+                    for i in 0..50 {
+                        write_atomic(path, format!("{t}-{i}").as_bytes()).unwrap();
+                    }
+                });
+            }
+        });
+        assert_eq!(file_names(&dir), ["job.json"]);
+        assert!(fs::read_to_string(&path).unwrap().ends_with("-49"));
         fs::remove_dir_all(&dir).unwrap();
     }
 }
