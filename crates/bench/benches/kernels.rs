@@ -88,6 +88,24 @@ fn bench_random_forest(c: &mut Criterion) {
     let forest = RandomForest::fit(&data, &cfg, &mut rng);
     let query: Vec<f64> = (0..37).map(|_| rng.gen_range(0.0..1.0)).collect();
     c.bench_function("forest/predict", |b| b.iter(|| forest.predict(&query)));
+
+    // Shaped like the surrogate's real training sets: a few hundred
+    // samples whose features take 10–70 levels each and whose targets take
+    // a handful of values, so most split points sit between equal values.
+    let levels: Vec<u32> = (0..32).map(|_| rng.gen_range(10..=70)).collect();
+    let targets: Vec<f64> = (0..6).map(|_| rng.gen_range(-1.0..0.0)).collect();
+    let mut tied = Dataset::new();
+    for _ in 0..230 {
+        let x = levels.iter().map(|&l| f64::from(rng.gen_range(0..l)) / f64::from(l)).collect();
+        tied.push(x, targets[rng.gen_range(0..targets.len())]);
+    }
+    c.bench_function("forest/fit_230x32_tied", |b| {
+        b.iter_batched(
+            || rand::rngs::StdRng::seed_from_u64(6),
+            |mut r| RandomForest::fit(&tied, &cfg, &mut r),
+            BatchSize::SmallInput,
+        )
+    });
 }
 
 criterion_group! {

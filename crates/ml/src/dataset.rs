@@ -51,10 +51,11 @@ impl Dataset {
     ///
     /// # Panics
     ///
-    /// Panics if `features` has a different length from earlier samples or
-    /// `target` is not finite.
+    /// Panics if `features` has a different length from earlier samples,
+    /// or if `target` or any feature is not finite.
     pub fn push(&mut self, features: Vec<f64>, target: f64) {
         assert!(target.is_finite(), "regression target must be finite");
+        assert!(features.iter().all(|f| f.is_finite()), "features must be finite");
         if let Some(first) = self.features.first() {
             assert_eq!(features.len(), first.len(), "inconsistent feature dimensionality");
         }
@@ -130,15 +131,55 @@ impl Dataset {
     /// Rebuilds a dataset from checkpointed storage — exact storage order
     /// and ring position, so subsequent pushes evict the same samples the
     /// uninterrupted run would have evicted.
+    ///
+    /// # Panics
+    ///
+    /// Panics on parts no sequence of pushes could produce: unequal
+    /// feature and target counts, ragged feature rows, non-finite values,
+    /// a zero capacity or more samples than it, or a ring start that is
+    /// not 0 while the buffer is not full.
     pub fn from_parts(
         features: Vec<Vec<f64>>,
         targets: Vec<f64>,
         capacity: Option<usize>,
         start: usize,
     ) -> Self {
-        assert_eq!(features.len(), targets.len(), "feature/target length mismatch");
+        if let Err(message) = check_parts(&features, &targets, capacity, start) {
+            panic!("{message}");
+        }
         Self { features, targets, capacity, start }
     }
+}
+
+/// Why `(features, targets, capacity, start)` is not a state
+/// [`Dataset::push`] can reach, if it is not.
+fn check_parts(
+    features: &[Vec<f64>],
+    targets: &[f64],
+    capacity: Option<usize>,
+    start: usize,
+) -> Result<(), String> {
+    if features.len() != targets.len() {
+        return Err("feature/target length mismatch".into());
+    }
+    let width = features.first().map_or(0, Vec::len);
+    if features.iter().any(|row| row.len() != width) {
+        return Err("inconsistent feature dimensionality".into());
+    }
+    if !targets.iter().chain(features.iter().flatten()).all(|x| x.is_finite()) {
+        return Err("samples must be finite".into());
+    }
+    let len = features.len();
+    match capacity {
+        Some(0) => return Err("capacity must be positive".into()),
+        Some(cap) if len > cap => return Err(format!("{len} samples exceed capacity {cap}")),
+        _ => {}
+    }
+    let full = capacity == Some(len);
+    if start != 0 && !(full && start < len) {
+        return Err(format!("ring start {start} out of range for {len} samples"));
+    }
+    Ok(())
 }
 
 impl Snapshot for Dataset {
@@ -167,15 +208,14 @@ impl Restore for Dataset {
             .map(Value::to_f64_vec)
             .collect::<Result<Vec<_>, _>>()?;
         let targets = value.field("targets")?.to_f64_vec()?;
-        if features.len() != targets.len() {
-            return Err(PersistError::schema("dataset feature/target length mismatch"));
-        }
         let capacity = match value.field("capacity")? {
             Value::Null => None,
             v => Some(v.as_usize()?),
         };
         let start = value.field("start")?.as_usize()?;
-        Ok(Dataset::from_parts(features, targets, capacity, start))
+        check_parts(&features, &targets, capacity, start)
+            .map_err(|message| PersistError::schema(format!("dataset {message}")))?;
+        Ok(Dataset { features, targets, capacity, start })
     }
 }
 
@@ -220,6 +260,13 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "features must be finite")]
+    fn nan_feature_panics() {
+        let mut d = Dataset::new();
+        d.push(vec![1.0, f64::NAN], 0.0);
+    }
+
+    #[test]
     fn push_finite_drops_non_finite_samples() {
         let mut d = Dataset::new();
         assert!(d.push_finite(vec![1.0], 2.0));
@@ -245,6 +292,86 @@ mod tests {
         d.push(vec![99.0], 99.0);
         back.push(vec![99.0], 99.0);
         assert_eq!(back.targets(), d.targets());
+    }
+
+    /// Restores a full three-sample ring after `edit` changes its snapshot
+    /// fields, expecting a schema error.
+    fn restore_err(edit: impl FnOnce(&mut [(String, Value)])) -> String {
+        let mut d = Dataset::with_capacity(3);
+        for i in 0..3 {
+            d.push(vec![i as f64, 1.0], i as f64);
+        }
+        let Value::Object(mut fields) = d.snapshot() else { unreachable!("an object") };
+        edit(&mut fields);
+        match Dataset::restore(&Value::Object(fields)) {
+            Err(PersistError::Schema(message)) => message,
+            other => panic!("expected a schema error, got {other:?}"),
+        }
+    }
+
+    fn set(fields: &mut [(String, Value)], key: &str, value: Value) {
+        fields.iter_mut().find(|(k, _)| k == key).expect("snapshot key").1 = value;
+    }
+
+    #[test]
+    fn restore_rejects_ragged_feature_rows() {
+        let message = restore_err(|f| {
+            let rows = [[0.0, 1.0].as_slice(), &[1.0], &[2.0, 1.0]];
+            set(f, "features", Value::Array(rows.iter().map(|r| Value::f64_array(r)).collect()));
+        });
+        assert!(message.contains("dimensionality"), "{message}");
+    }
+
+    #[test]
+    fn restore_rejects_zero_capacity() {
+        let message = restore_err(|f| set(f, "capacity", Value::U64(0)));
+        assert!(message.contains("capacity must be positive"), "{message}");
+    }
+
+    #[test]
+    fn restore_rejects_more_samples_than_capacity() {
+        let message = restore_err(|f| set(f, "capacity", Value::U64(2)));
+        assert!(message.contains("exceed capacity"), "{message}");
+    }
+
+    #[test]
+    fn restore_rejects_an_out_of_range_start() {
+        let message = restore_err(|f| set(f, "start", Value::U64(3)));
+        assert!(message.contains("ring start 3"), "{message}");
+        // A ring that is not full has never moved its start.
+        let message = restore_err(|f| {
+            set(f, "capacity", Value::U64(5));
+            set(f, "start", Value::U64(1));
+        });
+        assert!(message.contains("ring start 1"), "{message}");
+    }
+
+    #[test]
+    fn restore_rejects_non_finite_features() {
+        let message = restore_err(|f| {
+            let rows = vec![Value::f64_array(&[0.0, f64::NAN]); 3];
+            set(f, "features", Value::Array(rows));
+        });
+        assert!(message.contains("finite"), "{message}");
+    }
+
+    #[test]
+    fn restore_rejects_non_finite_targets() {
+        let message =
+            restore_err(|f| set(f, "targets", Value::f64_array(&[0.0, f64::INFINITY, 1.0])));
+        assert!(message.contains("finite"), "{message}");
+    }
+
+    #[test]
+    fn restore_rejects_a_target_count_mismatch() {
+        let message = restore_err(|f| set(f, "targets", Value::f64_array(&[0.0])));
+        assert!(message.contains("length mismatch"), "{message}");
+    }
+
+    #[test]
+    #[should_panic(expected = "ring start")]
+    fn from_parts_panics_on_an_unreachable_state() {
+        Dataset::from_parts(vec![vec![1.0]], vec![1.0], Some(4), 2);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use moela_persist::{PersistError, Restore, Snapshot, Value};
 use rand::Rng;
 
 use crate::dataset::Dataset;
-use crate::tree::{RegressionTree, TreeConfig};
+use crate::tree::{ColumnTable, RegressionTree, TreeConfig};
 
 /// Hyper-parameters of a [`RandomForest`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -50,7 +50,8 @@ pub struct RandomForest {
 }
 
 impl RandomForest {
-    /// Fits a forest on `data`.
+    /// Fits a forest on `data`. The trees share one column-major copy of
+    /// `data` with per-feature ranks, built here (see [`crate::tree`]).
     ///
     /// # Panics
     ///
@@ -65,10 +66,11 @@ impl RandomForest {
             let d = data.feature_len().max(1);
             tree_cfg.max_features = Some((d as f64).sqrt().ceil() as usize);
         }
+        let table = ColumnTable::new(data);
         let trees = (0..config.trees)
             .map(|_| {
                 let indices: Vec<usize> = (0..boot).map(|_| rng.gen_range(0..n)).collect();
-                RegressionTree::fit_on(data, &indices, &tree_cfg, rng)
+                RegressionTree::fit_table(&table, &indices, &tree_cfg, rng)
             })
             .collect();
         Self { trees }
@@ -95,6 +97,11 @@ impl RandomForest {
     pub fn tree_count(&self) -> usize {
         self.trees.len()
     }
+
+    #[cfg(test)]
+    pub(crate) fn trees(&self) -> &[RegressionTree] {
+        &self.trees
+    }
 }
 
 impl Snapshot for RandomForest {
@@ -114,8 +121,15 @@ impl Restore for RandomForest {
             .iter()
             .map(RegressionTree::restore)
             .collect::<Result<Vec<_>, _>>()?;
-        if trees.is_empty() {
+        let Some(first) = trees.first() else {
             return Err(PersistError::schema("forest must have at least one tree"));
+        };
+        if let Some(odd) = trees.iter().find(|t| t.feature_len() != first.feature_len()) {
+            return Err(PersistError::schema(format!(
+                "forest mixes trees over {} and {} features",
+                first.feature_len(),
+                odd.feature_len()
+            )));
         }
         Ok(Self { trees })
     }
@@ -221,6 +235,26 @@ mod tests {
         for x in [[0.1, 0.9], [0.5, 0.5], [0.9, 0.2]] {
             assert_eq!(back.predict(&x), f.predict(&x), "bit-identical predictions");
             assert_eq!(back.tree_predictions(&x), f.tree_predictions(&x));
+        }
+    }
+
+    #[test]
+    fn restore_rejects_trees_of_different_feature_lengths() {
+        let mut r = rng();
+        let narrow =
+            RandomForest::fit(&linear_data(40, 0.1, &mut r), &ForestConfig::default(), &mut r);
+        let mut wide_data = Dataset::new();
+        for i in 0..40 {
+            wide_data.push(vec![i as f64, 1.0, 2.0], i as f64);
+        }
+        let wide = RandomForest::fit(&wide_data, &ForestConfig::default(), &mut r);
+        let trees = vec![narrow.trees[0].snapshot(), wide.trees[0].snapshot()];
+        let mixed = Value::object(vec![("trees", Value::Array(trees))]);
+        match RandomForest::restore(&mixed) {
+            Err(PersistError::Schema(message)) => {
+                assert!(message.contains("2 and 3 features"), "{message}")
+            }
+            other => panic!("expected a schema error, got {other:?}"),
         }
     }
 
