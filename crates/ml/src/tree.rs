@@ -394,7 +394,7 @@ impl<'a> Builder<'a> {
                 let xa = values[order[split_at - 1] as usize];
                 let xb = values[order[split_at] as usize];
                 if xb - xa < 1e-15 {
-                    continue; // cannot separate equal feature values
+                    continue; // too close to separate
                 }
                 if split_at < min_leaf || n - split_at < min_leaf {
                     continue;

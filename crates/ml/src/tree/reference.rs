@@ -274,8 +274,8 @@ fn the_harness_catches_ties_broken_by_bootstrap_position() {
 
 #[test]
 fn without_ties_the_presort_order_is_the_same_tree() {
-    // Distinct continuous values leave no tie to break, so the variant is
-    // caught only by what the fixture above exercises.
+    // The self-check above fails only through the tie order: with
+    // distinct values and no repeated samples, the variant agrees.
     let mut rng = StdRng::seed_from_u64(3);
     let mut data = Dataset::new();
     for _ in 0..120 {
