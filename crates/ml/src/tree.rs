@@ -25,8 +25,8 @@
 //! A column table, built once per forest fit and shared by its trees,
 //! makes the re-sort cheap. It stores each feature's column and the
 //! column's dense ranks under `total_cmp`, so a candidate's re-sort is a
-//! stable counting sort of `order` by rank (an insertion sort for small
-//! nodes). A candidate whose feature is constant within the node is
+//! stable counting sort of `order` by rank (a stable comparison sort when
+//! the node's ranks spread too widely). A candidate whose feature is constant within the node is
 //! skipped: the stable sort would leave `order` unchanged and the scan
 //! could evaluate no split. A [`Dataset`] holds only finite values, so
 //! equal ranks are equal values, and the scan passes over their split
@@ -199,17 +199,19 @@ fn node_to_value(node: &Node) -> Value {
 }
 
 /// Decodes a node, refusing anything `predict` could not walk: a split
-/// on a feature past `feature_len`, or a non-finite threshold or leaf.
+/// on a feature past `feature_len`, or a NaN threshold or leaf. Infinite
+/// values stay: a fit on finite data makes an infinite leaf when a mean
+/// overflows, and `predict` compares against an infinite threshold fine.
 fn node_from_value(value: &Value, feature_len: usize) -> Result<Node, PersistError> {
-    let finite = |name: &str, x: f64| {
-        if x.is_finite() {
-            Ok(x)
+    let number = |name: &str, x: f64| {
+        if x.is_nan() {
+            Err(PersistError::schema(format!("tree {name} must be a number, found NaN")))
         } else {
-            Err(PersistError::schema(format!("tree {name} must be finite, found {x}")))
+            Ok(x)
         }
     };
     if let Some(leaf) = value.field_opt("leaf") {
-        return Ok(Node::Leaf { value: finite("leaf", leaf.as_f64()?)? });
+        return Ok(Node::Leaf { value: number("leaf", leaf.as_f64()?)? });
     }
     let feature = value.field("feature")?.as_usize()?;
     if feature >= feature_len {
@@ -219,7 +221,7 @@ fn node_from_value(value: &Value, feature_len: usize) -> Result<Node, PersistErr
     }
     Ok(Node::Split {
         feature,
-        threshold: finite("threshold", value.field("threshold")?.as_f64()?)?,
+        threshold: number("threshold", value.field("threshold")?.as_f64()?)?,
         left: Box::new(node_from_value(value.field("left")?, feature_len)?),
         right: Box::new(node_from_value(value.field("right")?, feature_len)?),
     })
@@ -281,9 +283,6 @@ fn total_order_key(x: f64) -> i64 {
     let bits = x.to_bits() as i64;
     bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
-
-/// Nodes up to this size re-sort by insertion sort.
-const INSERTION_SORT_MAX: usize = 24;
 
 /// A counting sort runs when the node's rank span is at most this many
 /// times its size; wider spans fall back to a stable comparison sort.
@@ -431,19 +430,7 @@ impl<'a> Builder<'a> {
         }
         let n = order.len();
         let span = (hi - lo) as usize + 1;
-        if n <= INSERTION_SORT_MAX {
-            for j in 1..n {
-                let (key, sample) = (keys[j], order[j]);
-                let mut p = j;
-                while p > 0 && keys[p - 1] > key {
-                    keys[p] = keys[p - 1];
-                    order[p] = order[p - 1];
-                    p -= 1;
-                }
-                keys[p] = key;
-                order[p] = sample;
-            }
-        } else if span <= COUNTING_SPAN_FACTOR * n {
+        if span <= COUNTING_SPAN_FACTOR * n {
             // counts[b] becomes the first output slot of rank lo + b, and
             // after the placement, the end of that rank's run.
             counts.clear();
@@ -621,27 +608,35 @@ mod tests {
 
     #[test]
     fn every_sort_path_is_stable() {
-        // Sizes and rank spans that reach the insertion, counting and
-        // comparison sorts; equal ranks must keep their incoming order.
+        // A whole tied column takes the counting sort; a few samples
+        // spread over a wide column take the comparison sort. Samples
+        // repeat, as in a bootstrap, and equal ranks must keep their
+        // incoming order.
         let mut r = rng();
-        for (n, levels) in [(10, 3), (200, 5), (60, 1000)] {
+        for (rows, levels, node, counting) in [(200, 5, 200, true), (200, 1000, 12, false)] {
             let mut d = Dataset::new();
-            for _ in 0..n {
+            for _ in 0..rows {
                 d.push(vec![r.gen_range(0..levels) as f64], 0.0);
             }
             let table = ColumnTable::new(&d);
+            let (values, ranks) = (table.values(0), table.ranks(0));
             let config = TreeConfig::default();
             let mut builder = Builder::new(&table, &config);
-            let mut incoming: Vec<u32> = (0..n as u32).collect();
+            let mut incoming: Vec<u32> = (0..rows as u32).collect();
             incoming.shuffle(&mut r);
+            incoming.truncate(node);
+            incoming.extend_from_within(..node / 2);
+            incoming.shuffle(&mut r);
+            let node_ranks = incoming.iter().map(|&i| ranks[i as usize]);
+            let span = (node_ranks.clone().max().unwrap() - node_ranks.min().unwrap()) as usize + 1;
+            assert_eq!(span <= COUNTING_SPAN_FACTOR * incoming.len(), counting, "span {span}");
             builder.order = incoming.clone();
-            assert!(builder.sort_by_rank(table.ranks(0)));
-            let (values, ranks) = (table.values(0), table.ranks(0));
+            assert!(builder.sort_by_rank(ranks));
             let mut expected = incoming;
             expected.sort_by(|&a, &b| values[a as usize].total_cmp(&values[b as usize]));
-            assert_eq!(builder.order, expected, "n = {n}, levels = {levels}");
+            assert_eq!(builder.order, expected, "levels = {levels}");
             let expected_keys: Vec<u32> = expected.iter().map(|&i| ranks[i as usize]).collect();
-            assert_eq!(builder.keys, expected_keys, "n = {n}, levels = {levels}");
+            assert_eq!(builder.keys, expected_keys, "levels = {levels}");
         }
     }
 
@@ -693,14 +688,31 @@ mod tests {
     }
 
     #[test]
-    fn restore_rejects_a_non_finite_threshold() {
+    fn restore_rejects_a_nan_threshold() {
         let message = restore_err(tree_value(2, split(0, f64::NAN, 3.0)));
         assert!(message.contains("threshold"), "{message}");
     }
 
     #[test]
-    fn restore_rejects_a_non_finite_leaf() {
-        let message = restore_err(tree_value(2, split(0, 0.5, f64::INFINITY)));
+    fn restore_rejects_a_nan_leaf() {
+        let message = restore_err(tree_value(2, split(0, 0.5, f64::NAN)));
         assert!(message.contains("leaf"), "{message}");
+    }
+
+    #[test]
+    fn a_fit_with_an_overflowing_leaf_round_trips() {
+        // Two huge same-sign targets share a leaf whose mean overflows.
+        let mut d = Dataset::new();
+        for (x, y) in [(1.0, 0.9 * f64::MAX), (1.0, 0.8 * f64::MAX), (3.0, 0.0), (4.0, 1.0)] {
+            d.push(vec![x], y);
+        }
+        let cfg = TreeConfig { min_samples_leaf: 1, ..TreeConfig::default() };
+        let tree = RegressionTree::fit(&d, &cfg, &mut rng());
+        assert_eq!(tree.predict(&[1.0]), f64::INFINITY);
+        let text = moela_persist::encode::to_string(&tree.snapshot());
+        let back = RegressionTree::restore(&moela_persist::decode::from_str(&text).unwrap())
+            .expect("a fitted tree restores");
+        assert_eq!(moela_persist::encode::to_string(&back.snapshot()), text);
+        assert_eq!(back.predict(&[1.0]), f64::INFINITY);
     }
 }
