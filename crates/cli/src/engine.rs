@@ -1044,6 +1044,7 @@ pub(crate) fn run(opts: &RunOptions, hooks: &ExecHooks<'_>) -> Result<RunStatus,
     let run_store = match &opts.run_dir {
         Some(dir) => {
             let store = RunStore::create(dir)?;
+            store.remove_stale_temps();
             store.write_manifest(&manifest_value(opts, &normalizer))?;
             Some(store)
         }
@@ -1106,6 +1107,7 @@ pub(crate) fn resume(
     hooks: &ExecHooks<'_>,
 ) -> Result<RunStatus, CliError> {
     let store = RunStore::open(dir)?;
+    store.remove_stale_temps();
     let manifest = store.read_manifest()?;
     let (mut opts, normalizer) = options_from_manifest(&manifest)?;
     if let Some(t) = overrides.threads {

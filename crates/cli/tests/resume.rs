@@ -178,6 +178,30 @@ fn resume_falls_back_when_the_newest_checkpoint_is_corrupt() {
 }
 
 #[test]
+fn resume_removes_temp_files_a_killed_writer_left() {
+    let (full, crashed) = crashed_run_pair("stale-temps");
+    // Named as write_atomic names them, by a process that no longer runs.
+    let stale = [
+        crashed.join("manifest.json.4294967295-0.tmp"),
+        crashed.join("checkpoints/x.4294967295-1.tmp"),
+    ];
+    for path in &stale {
+        fs::write(path, b"partial").expect("plant temp file");
+    }
+
+    let out = moela_dse(&["resume", crashed.to_str().expect("utf-8 path")]);
+    assert!(out.status.success(), "resume failed: {}", stderr_of(&out));
+    for path in &stale {
+        assert!(!path.exists(), "{} survived the resume", path.display());
+    }
+    for file in ["trace.csv", "front.csv"] {
+        assert_eq!(read(&full.join(file)), read(&crashed.join(file)), "{file} differs");
+    }
+    let _ = fs::remove_dir_all(&full);
+    let _ = fs::remove_dir_all(&crashed);
+}
+
+#[test]
 fn resume_reports_a_diagnostic_when_every_checkpoint_is_damaged() {
     let (full, crashed) = crashed_run_pair("all-damaged");
     for file in checkpoint_files(&crashed) {

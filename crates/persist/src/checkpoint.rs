@@ -101,7 +101,8 @@ pub fn from_bytes(bytes: &[u8], path: &Path) -> Result<Value, PersistError> {
 ///
 /// Each call writes its own temp sibling (`<name>.<pid>-<n>.tmp`), so
 /// concurrent writers of one path never rename each other's files; the
-/// last rename wins. A failed write removes its temp file.
+/// last rename wins. A failed write removes its temp file; a process
+/// killed mid-write leaves it for [`remove_stale_temps`].
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
     static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
     let mut name = path.file_name().unwrap_or_default().to_os_string();
@@ -116,6 +117,28 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
         let _ = fs::remove_file(&tmp);
     }
     written
+}
+
+/// Deletes the `.tmp` files in `dir` that no [`write_atomic`] call of
+/// this process owns: those of killed processes and the fixed-name
+/// temp files of older builds. This process's own temp files stay, as
+/// another thread may be writing one. Best effort: errors are ignored.
+///
+/// Only a process that owns the directory should call this; a live
+/// writer in another process would lose its temp file.
+pub fn remove_stale_temps(dir: &Path) {
+    let Ok(entries) = fs::read_dir(dir) else { return };
+    let own = std::process::id().to_string();
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        let Some(stem) = name.to_str().and_then(|name| name.strip_suffix(".tmp")) else {
+            continue;
+        };
+        let pid = stem.rsplit_once('.').and_then(|(_, tag)| tag.split_once('-')).map(|(p, _)| p);
+        if pid != Some(own.as_str()) && entry.file_type().is_ok_and(|t| t.is_file()) {
+            let _ = fs::remove_file(entry.path());
+        }
+    }
 }
 
 /// A rotating set of checkpoint files inside one directory.
@@ -379,6 +402,18 @@ mod tests {
         fs::create_dir_all(path.join("inner")).unwrap();
         assert!(write_atomic(&path, b"x").is_err());
         assert_eq!(file_names(&dir), ["occupied"]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn stale_temp_files_are_removed_and_own_ones_kept() {
+        let dir = temp_dir("stale");
+        let own = format!("job.json.{}-7.tmp", std::process::id());
+        for name in ["ckpt-00000001.json", "job.json.4294967295-0.tmp", "job.tmp", &own, "notes"] {
+            fs::write(dir.join(name), b"x").unwrap();
+        }
+        remove_stale_temps(&dir);
+        assert_eq!(file_names(&dir), ["ckpt-00000001.json", own.as_str(), "notes"]);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -20,7 +20,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::checkpoint::{write_atomic, CheckpointStore};
+use crate::checkpoint::{remove_stale_temps, write_atomic, CheckpointStore};
 use crate::error::PersistError;
 use crate::value::Value;
 use crate::{decode, encode};
@@ -140,6 +140,14 @@ impl RunStore {
     /// The rotating checkpoint store under this run.
     pub fn checkpoints(&self) -> Result<CheckpointStore, PersistError> {
         CheckpointStore::new(self.checkpoints_dir())
+    }
+
+    /// Deletes the temp files that killed writers left in the run
+    /// directory and its `checkpoints/` (see [`remove_stale_temps`]).
+    /// Call it when a run starts or resumes, never from a reader.
+    pub fn remove_stale_temps(&self) {
+        remove_stale_temps(&self.root);
+        remove_stale_temps(&self.checkpoints_dir());
     }
 
     /// Writes the manifest atomically.
