@@ -1,21 +1,27 @@
-//! Criterion benches for the incremental move-evaluation fast path:
-//! what one neighbor costs scored from scratch versus patched from the
-//! base design's cached [`moela_manycore::EvalState`], per move kind.
+//! Criterion benches for the neighbor evaluation path: what one neighbor
+//! costs through [`DeltaEngine::evaluate_neighbor`] versus a full
+//! [`Evaluator::evaluate`], per move kind, with the full side given the
+//! same routing tables the neighbor side can use.
 //!
-//! The full-evaluation side runs with the routing cache disabled so it
-//! prices a genuinely fresh topology per move (a rewire chain never
-//! revisits a fingerprint); the delta side includes the classification
-//! diff ([`MoveDelta::between`]), so both sides measure the whole cost
-//! their code path pays inside a hill-climbing loop.
+//! * `full_warm_swap` / `neighbor_swap`: the swap's topology is cached,
+//!   so both sides only score; the neighbor side adds the classifying
+//!   diff ([`moela_manycore::MoveDelta::between`]).
+//! * `full_cold_rewire`: a full evaluation routing the rewired topology
+//!   from scratch (a rewire chain rarely revisits a topology).
+//! * `neighbor_rewire`: the neighbor path with only the base's table
+//!   cached, so it repairs the rewired table and then scores.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use moela_manycore::moves;
 use moela_manycore::objectives::Evaluator;
 use moela_manycore::topology::TopologyBuilder;
-use moela_manycore::{Design, ManycoreProblem, MoveDelta, ObjectiveSet, PlatformConfig};
+use moela_manycore::{
+    DeltaEngine, ManycoreProblem, MoveDelta, ObjectiveSet, PlatformConfig,
+    DEFAULT_DELTA_CACHE_CAPACITY,
+};
 use moela_moo::Problem;
 use moela_thermal::FastThermalModel;
 use moela_traffic::{Benchmark, Workload};
@@ -29,10 +35,11 @@ fn bench_delta_eval(c: &mut Criterion) {
     let mut cold = Evaluator::new(*config.dims(), *config.noc(), workload.clone(), thermal.clone());
     cold.set_routing_cache_capacity(0);
     let warm = Evaluator::new(*config.dims(), *config.noc(), workload, thermal);
+    let engine = DeltaEngine::new(DEFAULT_DELTA_CACHE_CAPACITY);
 
     let mut rng = StdRng::seed_from_u64(9);
     let base = problem.random_solution(&mut rng);
-    let state = warm.build_state(&base);
+    warm.evaluate(&base);
 
     let swap = loop {
         let n = moves::swap_tiles(config.dims(), config.pe_mix(), &base, &mut rng);
@@ -55,16 +62,28 @@ fn bench_delta_eval(c: &mut Criterion) {
         }
     };
 
-    let kinds: [(&str, &Design); 2] = [("swap", &swap), ("rewire", &rewire)];
-    for (name, next) in kinds {
-        c.bench_function(&format!("delta_eval/full_{name}"), |b| b.iter(|| cold.evaluate(next)));
-        c.bench_function(&format!("delta_eval/delta_{name}"), |b| {
-            b.iter(|| {
-                let delta = MoveDelta::between(&base, next).expect("one recognizable move");
-                warm.evaluate_delta(&state, &delta).expect("the delta applies")
-            })
-        });
-    }
+    c.bench_function("delta_eval/full_warm_swap", |b| b.iter(|| warm.evaluate(&swap)));
+    c.bench_function("delta_eval/neighbor_swap", |b| {
+        b.iter(|| engine.evaluate_neighbor(&warm, &base, &swap))
+    });
+    c.bench_function("delta_eval/full_cold_rewire", |b| b.iter(|| cold.evaluate(&rewire)));
+    c.bench_function("delta_eval/neighbor_rewire", |b| {
+        b.iter_batched(
+            || {
+                // A cache holding the base's table only.
+                let mut ev = warm.clone();
+                ev.set_routing_cache_capacity(DEFAULT_DELTA_CACHE_CAPACITY);
+                ev.evaluate(&base);
+                ev
+            },
+            // Returned, so the cache drops outside the timed region.
+            |ev| {
+                let e = engine.evaluate_neighbor(&ev, &base, &rewire);
+                (ev, e)
+            },
+            BatchSize::SmallInput,
+        )
+    });
 }
 
 criterion_group! {

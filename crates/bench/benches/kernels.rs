@@ -28,6 +28,12 @@ fn bench_routing(c: &mut Criterion) {
     c.bench_function("routing/all_pairs_mesh_4x4x4", |b| {
         b.iter(|| RoutingTable::build(&dims, &mesh, &params))
     });
+    // The topologies search actually routes: random links up to 5 units
+    // long, with more distinct path costs than the mesh.
+    let random = problem.random_solution(&mut rand::rngs::StdRng::seed_from_u64(8)).topology;
+    c.bench_function("routing/all_pairs_random_4x4x4", |b| {
+        b.iter(|| RoutingTable::build(&dims, &random, &params))
+    });
 }
 
 fn bench_objectives(c: &mut Criterion) {

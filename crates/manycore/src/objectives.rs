@@ -90,6 +90,12 @@ pub struct Evaluator {
     workload: Workload,
     thermal: FastThermalModel,
     routing: Arc<RoutingCache>,
+    /// `workload.flows()`: every `(i, j, f_ij)` with non-zero traffic.
+    flows: Arc<[(usize, usize, f64)]>,
+    /// `(cpu, llc, f_cpu,llc)` for every CPU–LLC pair, CPU-major.
+    cpu_llc: Arc<[(usize, usize, f64)]>,
+    /// Σ PE power, in PE order.
+    total_pe_power: f64,
 }
 
 impl Evaluator {
@@ -110,9 +116,18 @@ impl Evaluator {
             thermal.params().layers() >= dims.layers(),
             "thermal model covers fewer layers than the grid"
         );
+        let mix = workload.mix();
+        let cpu_llc = mix
+            .ids_of(PeKind::Cpu)
+            .flat_map(|c| mix.ids_of(PeKind::Llc).map(move |m| (c, m)))
+            .map(|(c, m)| (c, m, workload.traffic(c, m)))
+            .collect();
         Self {
             dims,
             params,
+            flows: workload.flows().into(),
+            cpu_llc,
+            total_pe_power: workload.pe_powers().iter().sum(),
             workload,
             thermal,
             routing: Arc::new(RoutingCache::new(DEFAULT_ROUTING_CACHE_CAPACITY)),
@@ -144,12 +159,6 @@ impl Evaluator {
     /// The NoC parameters.
     pub fn params(&self) -> &NocParams {
         &self.params
-    }
-
-    /// The thermal model (used by the delta-evaluation fast path to
-    /// re-solve a patched power grid).
-    pub(crate) fn thermal_model(&self) -> &FastThermalModel {
-        &self.thermal
     }
 
     /// Computes every objective and summary statistic for `design`.
@@ -193,7 +202,7 @@ impl Evaluator {
             })
             .collect();
 
-        for (i, j, f) in self.workload.flows() {
+        for &(i, j, f) in self.flows.iter() {
             let src = design.placement.tile_of(i);
             let dst = design.placement.tile_of(j);
             weighted_latency += f * table.latency(src, dst);
@@ -214,18 +223,15 @@ impl Evaluator {
             utilization.iter().map(|u| (u - mean_traffic).powi(2)).sum::<f64>() / link_count as f64;
 
         // Eq. (3): CPU–LLC latency, traffic-weighted, normalized by C·M.
-        let mix = self.workload.mix();
         let mut cpu_latency = 0.0;
-        for c in mix.ids_of(PeKind::Cpu) {
-            for m in mix.ids_of(PeKind::Llc) {
-                let src = design.placement.tile_of(c);
-                let dst = design.placement.tile_of(m);
-                cpu_latency += table.latency(src, dst) * self.workload.traffic(c, m);
-            }
+        for &(c, m, f) in self.cpu_llc.iter() {
+            let src = design.placement.tile_of(c);
+            let dst = design.placement.tile_of(m);
+            cpu_latency += table.latency(src, dst) * f;
         }
         // Degenerate mixes (no CPUs or no LLCs) have no CPU–LLC pairs at
         // all: the objective is 0 by definition, not 0/0.
-        let cpu_llc_pairs = (mix.cpus() * mix.llcs()) as f64;
+        let cpu_llc_pairs = self.cpu_llc.len() as f64;
         cpu_latency = if cpu_llc_pairs > 0.0 { cpu_latency / cpu_llc_pairs } else { 0.0 };
 
         // Thermal: map per-PE power onto the stacks.
@@ -244,7 +250,7 @@ impl Evaluator {
             avg_packet_latency: if total_flow > 0.0 { weighted_latency / total_flow } else { 0.0 },
             max_link_utilization: max_u / self.params.link_capacity,
             network_energy_rate: energy,
-            total_pe_power: self.workload.pe_powers().iter().sum(),
+            total_pe_power: self.total_pe_power,
         };
 
         Evaluation {

@@ -10,7 +10,7 @@ use moela_thermal::{FastThermalModel, ThermalParams};
 use moela_traffic::{PeKind, PeMix, Workload};
 
 use crate::crossover;
-use crate::delta::{self, DeltaEngine, DEFAULT_DELTA_CACHE_CAPACITY};
+use crate::delta::{DeltaEngine, DEFAULT_DELTA_CACHE_CAPACITY};
 use crate::design::{Design, Placement};
 use crate::geometry::{GridDims, TileId};
 use crate::link::LinkKind;
@@ -402,10 +402,10 @@ impl ManycoreProblem {
         (cache.rebuilds(), cache.hits())
     }
 
-    /// Switches the incremental (delta) move-evaluation fast path on or
-    /// off. Off replaces the engine, so counters restart from zero and
-    /// nothing is retained. Apply before cloning/sharing the problem:
-    /// clones made earlier keep the old engine.
+    /// Switches the neighbor (delta) evaluation fast path on or off. Off
+    /// replaces the engine, so counters restart from zero. Apply before
+    /// cloning/sharing the problem: clones made earlier keep the old
+    /// engine.
     pub fn set_delta_eval(&mut self, enabled: bool) {
         self.delta_enabled = enabled;
         let capacity = if enabled { DEFAULT_DELTA_CACHE_CAPACITY } else { 0 };
@@ -418,9 +418,9 @@ impl ManycoreProblem {
     }
 
     /// Delta-evaluation (hits, fallbacks) counters, shared across every
-    /// clone of this problem: hits are neighbor evaluations served by an
-    /// exact incremental update, fallbacks are full evaluations (base
-    /// bootstraps included).
+    /// clone of this problem: hits are neighbor evaluations scored
+    /// against a cached or repaired routing table, fallbacks are full
+    /// evaluations (cache misses included).
     pub fn delta_stats(&self) -> (u64, u64) {
         (self.delta.hits(), self.delta.fallbacks())
     }
@@ -467,12 +467,12 @@ impl Problem for ManycoreProblem {
         self.evaluator.evaluate(s).objectives(self.objective_set)
     }
 
-    /// The incremental fast path: when `s` is one recognized move away
-    /// from `base`, the shared [`DeltaEngine`] patches the base's cached
-    /// evaluation state instead of re-evaluating from scratch — with a
-    /// guaranteed-exact result (the engine falls back to a full
-    /// evaluation whenever a move cannot be scored exactly). Disabled
-    /// engines skip straight to [`evaluate_ordinal`](Problem::evaluate_ordinal).
+    /// The neighbor fast path: when `s` is one recognized move away from
+    /// `base`, the shared [`DeltaEngine`] scores it against a cached or
+    /// incrementally repaired routing table instead of routing it from
+    /// scratch — with a guaranteed-exact result (the engine falls back to
+    /// a full evaluation whenever no such table exists). Disabled engines
+    /// skip straight to [`evaluate_ordinal`](Problem::evaluate_ordinal).
     fn evaluate_neighbor_ordinal(&self, base: &Design, s: &Design, ordinal: u64) -> Vec<f64> {
         if !self.delta_enabled {
             return self.evaluate_ordinal(s, ordinal);
@@ -483,10 +483,21 @@ impl Problem for ManycoreProblem {
     /// Exact canonical bytes of the design: the placement vector plus the
     /// ordered link list. Two designs share a key iff they are equal
     /// (`Design: PartialEq` compares the same data), so memoized results
-    /// can never collide. The same bytes key the delta engine's state
-    /// cache.
+    /// can never collide.
     fn cache_key(&self, s: &Design) -> Option<Vec<u8>> {
-        Some(delta::design_key(s))
+        let links = s.topology.links();
+        let pe_of = s.placement.pe_of();
+        let mut key = Vec::with_capacity(8 + 4 * (pe_of.len() + 2 * links.len()));
+        key.extend_from_slice(&(pe_of.len() as u32).to_le_bytes());
+        for &pe in pe_of {
+            key.extend_from_slice(&(pe as u32).to_le_bytes());
+        }
+        key.extend_from_slice(&(links.len() as u32).to_le_bytes());
+        for l in links {
+            key.extend_from_slice(&(l.a().0 as u32).to_le_bytes());
+            key.extend_from_slice(&(l.b().0 as u32).to_le_bytes());
+        }
+        Some(key)
     }
 
     fn features(&self, s: &Design) -> Vec<f64> {
@@ -765,20 +776,24 @@ mod tests {
     #[test]
     fn neighbor_evaluation_is_bit_identical_and_counts_delta_hits() {
         let p = paper_problem(ObjectiveSet::Five);
+        // Scored on its own routing cache, so a wrong table admitted by
+        // the neighbor path cannot leak into the expected values.
+        let mut reference = paper_problem(ObjectiveSet::Five);
+        reference.set_routing_cache_capacity(0);
         let mut rng = rand::rngs::StdRng::seed_from_u64(8);
         let mut current = p.random_solution(&mut rng);
         for step in 0..12 {
             let next = p.neighbor(&current, &mut rng);
             assert_eq!(
                 p.evaluate_neighbor_ordinal(&current, &next, step),
-                p.evaluate(&next),
+                reference.evaluate(&next),
                 "delta and full evaluation diverged at step {step}"
             );
             current = next;
         }
         let (hits, fallbacks) = p.delta_stats();
-        assert_eq!(fallbacks, 1, "only the seed design needs a full bootstrap");
-        assert_eq!(hits, 12, "every accepted neighbor delta-evaluates");
+        assert_eq!(fallbacks, 1, "only the unscored seed design misses the routing cache");
+        assert_eq!(hits, 11, "every later neighbor reuses or repairs a cached table");
     }
 
     #[test]

@@ -6,8 +6,11 @@
 //! on the path minimizing end-to-end latency — `router_stages` per hop plus
 //! length-proportional wire delay — with deterministic tie-breaking (lowest
 //! tile id wins), so identical designs always evaluate identically.
+//!
+//! The table is stored flat: every per-pair array is row-major `n × n`
+//! (row = source), so a table is four allocations however large the grid.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::geometry::{GridDims, TileId};
@@ -15,20 +18,26 @@ use crate::link::Link;
 use crate::params::NocParams;
 use crate::topology::Topology;
 
+#[cfg(test)]
+mod reference;
+
+/// The `parent` entry of a source (and of an unreached tile): no link.
+const NO_PARENT: (u32, u32) = (u32::MAX, u32::MAX);
+
 /// All-pairs routing information for one topology.
 #[derive(Clone, Debug)]
 pub struct RoutingTable {
     n: usize,
-    /// `parent[src][t] = (previous tile, link index)` on the best path
-    /// from `src` to `t`; `None` at `t == src`.
-    parent: Vec<Vec<Option<(TileId, usize)>>>,
-    /// `cost[src][t]`: total latency of the best path (cycles).
-    cost: Vec<Vec<f64>>,
-    /// `hops[src][t]`: number of links on the best path.
-    hops: Vec<Vec<u32>>,
-    /// `wire_delay[src][t]`: total link traversal delay (cycles), the
+    /// `parent[src·n + t] = (previous tile, link index)` on the best path
+    /// from `src` to `t`; [`NO_PARENT`] at `t == src`.
+    parent: Vec<(u32, u32)>,
+    /// `cost[src·n + t]`: total latency of the best path (cycles).
+    cost: Vec<f64>,
+    /// `hops[src·n + t]`: number of links on the best path.
+    hops: Vec<u32>,
+    /// `wire_delay[src·n + t]`: total link traversal delay (cycles), the
     /// `d_ij` of eq. (3).
-    wire_delay: Vec<Vec<f64>>,
+    wire_delay: Vec<f64>,
 }
 
 impl RoutingTable {
@@ -40,53 +49,40 @@ impl RoutingTable {
     /// constraint guarantees this never happens for feasible designs).
     pub fn build(dims: &GridDims, topology: &Topology, params: &NocParams) -> Self {
         let n = dims.tiles();
-        let link_cost: Vec<f64> = topology
-            .links()
-            .iter()
-            .map(|l| params.router_stages + l.length(dims) * params.link_delay_per_unit)
-            .collect();
-        let link_delay: Vec<f64> =
-            topology.links().iter().map(|l| l.length(dims) * params.link_delay_per_unit).collect();
-
-        let mut parent = Vec::with_capacity(n);
-        let mut cost = Vec::with_capacity(n);
-        let mut hops = Vec::with_capacity(n);
-        let mut wire = Vec::with_capacity(n);
+        let mut table = Self {
+            n,
+            parent: vec![NO_PARENT; n * n],
+            cost: vec![0.0; n * n],
+            hops: vec![0; n * n],
+            wire_delay: vec![0.0; n * n],
+        };
+        let mut router = Router::new(dims, topology, params);
         for src in 0..n {
-            let (p, c, h, w) = dijkstra(src, n, topology, &link_cost, &link_delay);
-            assert!(c.iter().all(|v| v.is_finite()), "topology must be connected before routing");
-            parent.push(p);
-            cost.push(c);
-            hops.push(h);
-            wire.push(w);
+            router.route(&mut table, src);
         }
-        Self { n, parent, cost, hops, wire_delay: wire }
+        table
     }
 
     /// End-to-end latency (cycles) of the `src → dst` route, per eq. (3):
     /// `r·h + d` (router stages per hop plus wire delay).
     pub fn latency(&self, src: TileId, dst: TileId) -> f64 {
-        self.cost[src.0][dst.0]
+        self.cost[src.0 * self.n + dst.0]
     }
 
     /// Hop count `h_ij` of the route.
     pub fn hop_count(&self, src: TileId, dst: TileId) -> u32 {
-        self.hops[src.0][dst.0]
+        self.hops[src.0 * self.n + dst.0]
     }
 
     /// Total wire delay `d_ij` of the route (cycles).
     pub fn wire_delay(&self, src: TileId, dst: TileId) -> f64 {
-        self.wire_delay[src.0][dst.0]
+        self.wire_delay[src.0 * self.n + dst.0]
     }
 
     /// The link indices of the route, destination-first order.
     pub fn path_links(&self, src: TileId, dst: TileId) -> Vec<usize> {
         let mut out = Vec::new();
-        let mut t = dst;
-        while let Some((prev, link)) = self.parent[src.0][t.0] {
-            out.push(link);
-            t = prev;
-        }
+        self.walk_path(src, dst, |link, _| out.extend(link));
         out
     }
 
@@ -108,10 +104,15 @@ impl RoutingTable {
         dst: TileId,
         mut visit: impl FnMut(Option<usize>, TileId),
     ) {
-        let mut t = dst;
-        while let Some((prev, link)) = self.parent[src.0][t.0] {
-            visit(Some(link), t);
-            t = prev;
+        let row = &self.parent[src.0 * self.n..(src.0 + 1) * self.n];
+        let mut t = dst.0;
+        loop {
+            let (prev, link) = row[t];
+            if prev == u32::MAX {
+                break;
+            }
+            visit(Some(link as usize), TileId(t));
+            t = prev as usize;
         }
         visit(None, src);
     }
@@ -139,11 +140,12 @@ impl RoutingTable {
         new_cost: f64,
     ) -> Vec<bool> {
         let (a, b) = (new_link.a().0, new_link.b().0);
-        (0..self.n)
+        let n = self.n;
+        (0..n)
             .map(|src| {
-                let uses_victim =
-                    self.parent[src].iter().any(|p| p.is_some_and(|(_, l)| l == victim_idx));
-                let row = &self.cost[src];
+                let parents = &self.parent[src * n..(src + 1) * n];
+                let uses_victim = parents.iter().any(|&(_, l)| l as usize == victim_idx);
+                let row = &self.cost[src * n..(src + 1) * n];
                 uses_victim || row[a] + new_cost <= row[b] || row[b] + new_cost <= row[a]
             })
             .collect()
@@ -152,7 +154,7 @@ impl RoutingTable {
     /// Repairs this table — built for the pre-rewire topology — into the
     /// table for `new_topology`, rerunning Dijkstra only for the sources
     /// in `affected` (from [`RoutingTable::rewire_affected_sources`]) and
-    /// cloning every other row. The result is bitwise identical to
+    /// copying every other row. The result is bitwise identical to
     /// [`RoutingTable::build`] on `new_topology`.
     ///
     /// # Panics
@@ -165,109 +167,116 @@ impl RoutingTable {
         affected: &[bool],
         params: &NocParams,
     ) -> Self {
-        let n = self.n;
-        let link_cost: Vec<f64> = new_topology
-            .links()
-            .iter()
-            .map(|l| params.router_stages + l.length(dims) * params.link_delay_per_unit)
-            .collect();
-        let link_delay: Vec<f64> = new_topology
-            .links()
-            .iter()
-            .map(|l| l.length(dims) * params.link_delay_per_unit)
-            .collect();
-        let mut parent = Vec::with_capacity(n);
-        let mut cost = Vec::with_capacity(n);
-        let mut hops = Vec::with_capacity(n);
-        let mut wire = Vec::with_capacity(n);
-        for (src, &is_affected) in affected.iter().enumerate().take(n) {
-            if is_affected {
-                let (p, c, h, w) = dijkstra(src, n, new_topology, &link_cost, &link_delay);
-                assert!(
-                    c.iter().all(|v| v.is_finite()),
-                    "topology must be connected before routing"
-                );
-                parent.push(p);
-                cost.push(c);
-                hops.push(h);
-                wire.push(w);
-            } else {
-                parent.push(self.parent[src].clone());
-                cost.push(self.cost[src].clone());
-                hops.push(self.hops[src].clone());
-                wire.push(self.wire_delay[src].clone());
+        let mut table = self.clone();
+        let mut router = Router::new(dims, new_topology, params);
+        for (src, _) in affected.iter().enumerate().take(self.n).filter(|(_, &a)| a) {
+            router.route(&mut table, src);
+        }
+        table
+    }
+
+    /// Deliberate divergence for the parity harness's self-test: raises
+    /// every latency in the `rows` marked, as a wrong repair would. Only
+    /// the neighbor path calls it, so full evaluation stays correct and
+    /// the harness must flag the difference.
+    #[cfg(feature = "delta-fault")]
+    pub(crate) fn with_fault(mut self, rows: &[bool]) -> Self {
+        for (row, _) in rows.iter().enumerate().filter(|(_, &r)| r) {
+            for c in &mut self.cost[row * self.n..(row + 1) * self.n] {
+                *c += 1.0;
             }
         }
-        Self { n, parent, cost, hops, wire_delay: wire }
+        self
     }
 }
 
-#[derive(PartialEq)]
-struct HeapEntry {
+/// One arc of the compressed adjacency: a link seen from one endpoint.
+#[derive(Clone, Copy)]
+struct Edge {
+    nb: u32,
+    link: u32,
     cost: f64,
-    tile: usize,
+    delay: f64,
 }
 
-impl Eq for HeapEntry {}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap on (cost, tile id): reversed for BinaryHeap, with the
-        // tile id as the deterministic tie-breaker.
-        other
-            .cost
-            .partial_cmp(&self.cost)
-            .expect("costs are finite")
-            .then_with(|| other.tile.cmp(&self.tile))
-    }
+/// Single-source Dijkstra over one topology, with the adjacency flattened
+/// into a CSR arc list (in [`Topology::neighbors`] order) and the visit
+/// marks and heap reused across sources.
+struct Router {
+    /// `arcs[start[t]..start[t + 1]]` leave tile `t`.
+    start: Vec<usize>,
+    arcs: Vec<Edge>,
+    done: Vec<bool>,
+    /// Min-heap on `(cost bits, tile)`. Costs are non-negative and finite
+    /// (validated link parameters), and such f64s order like their bit
+    /// patterns, so this pops in `(cost, tile id)` order.
+    heap: BinaryHeap<Reverse<(u64, u32)>>,
 }
 
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-type DijkstraOut = (Vec<Option<(TileId, usize)>>, Vec<f64>, Vec<u32>, Vec<f64>);
-
-fn dijkstra(
-    src: usize,
-    n: usize,
-    topology: &Topology,
-    link_cost: &[f64],
-    link_delay: &[f64],
-) -> DijkstraOut {
-    let mut cost = vec![f64::INFINITY; n];
-    let mut hops = vec![u32::MAX; n];
-    let mut wire = vec![f64::INFINITY; n];
-    let mut parent: Vec<Option<(TileId, usize)>> = vec![None; n];
-    let mut done = vec![false; n];
-    cost[src] = 0.0;
-    hops[src] = 0;
-    wire[src] = 0.0;
-    let mut heap = BinaryHeap::new();
-    heap.push(HeapEntry { cost: 0.0, tile: src });
-    while let Some(HeapEntry { cost: c, tile }) = heap.pop() {
-        if done[tile] {
-            continue;
-        }
-        done[tile] = true;
-        for &(nb, link) in topology.neighbors(TileId(tile)) {
-            let nc = c + link_cost[link];
-            // Deterministic preference: strictly lower cost, or equal cost
-            // through a lower-id predecessor.
-            let better = nc < cost[nb.0]
-                || (nc == cost[nb.0] && parent[nb.0].is_some_and(|(p, _)| tile < p.0));
-            if better && !done[nb.0] {
-                cost[nb.0] = nc;
-                hops[nb.0] = hops[tile] + 1;
-                wire[nb.0] = wire[tile] + link_delay[link];
-                parent[nb.0] = Some((TileId(tile), link));
-                heap.push(HeapEntry { cost: nc, tile: nb.0 });
+impl Router {
+    fn new(dims: &GridDims, topology: &Topology, params: &NocParams) -> Self {
+        let n = dims.tiles();
+        let mut start = Vec::with_capacity(n + 1);
+        let mut arcs = Vec::with_capacity(2 * topology.link_count());
+        for t in 0..n {
+            start.push(arcs.len());
+            for &(nb, link) in topology.neighbors(TileId(t)) {
+                let delay = topology.links()[link].length(dims) * params.link_delay_per_unit;
+                debug_assert!(params.router_stages + delay >= 0.0, "negative link cost");
+                arcs.push(Edge {
+                    nb: nb.0 as u32,
+                    link: link as u32,
+                    cost: params.router_stages + delay,
+                    delay,
+                });
             }
         }
+        start.push(arcs.len());
+        Self { start, arcs, done: vec![false; n], heap: BinaryHeap::new() }
     }
-    (parent, cost, hops, wire)
+
+    /// Fills `src`'s row of every array of `table`.
+    fn route(&mut self, table: &mut RoutingTable, src: usize) {
+        let n = table.n;
+        let row = src * n..(src + 1) * n;
+        let parent = &mut table.parent[row.clone()];
+        let cost = &mut table.cost[row.clone()];
+        let hops = &mut table.hops[row.clone()];
+        let wire = &mut table.wire_delay[row];
+        parent.fill(NO_PARENT);
+        cost.fill(f64::INFINITY);
+        hops.fill(u32::MAX);
+        wire.fill(f64::INFINITY);
+        self.done.fill(false);
+        cost[src] = 0.0;
+        hops[src] = 0;
+        wire[src] = 0.0;
+        self.heap.push(Reverse((0.0f64.to_bits(), src as u32)));
+        while let Some(Reverse((bits, tile))) = self.heap.pop() {
+            let tile = tile as usize;
+            if self.done[tile] {
+                continue;
+            }
+            self.done[tile] = true;
+            let c = f64::from_bits(bits);
+            for arc in &self.arcs[self.start[tile]..self.start[tile + 1]] {
+                let nb = arc.nb as usize;
+                let nc = c + arc.cost;
+                // Deterministic preference: strictly lower cost, or equal
+                // cost through a lower-id predecessor.
+                let better = nc < cost[nb]
+                    || (nc == cost[nb] && parent[nb].0 != u32::MAX && tile < parent[nb].0 as usize);
+                if better && !self.done[nb] {
+                    cost[nb] = nc;
+                    hops[nb] = hops[tile] + 1;
+                    wire[nb] = wire[tile] + arc.delay;
+                    parent[nb] = (tile as u32, arc.link);
+                    self.heap.push(Reverse((nc.to_bits(), nb as u32)));
+                }
+            }
+        }
+        assert!(cost.iter().all(|v| v.is_finite()), "topology must be connected before routing");
+    }
 }
 
 #[cfg(test)]

@@ -136,53 +136,19 @@ impl RoutingCache {
     /// The table is built *outside* the lock, so concurrent misses on
     /// different topologies never serialize on Dijkstra; concurrent misses
     /// on the same topology build duplicate (identical) tables and the
-    /// last insert wins.
+    /// first admitted stays.
     pub fn routing_for(
         &self,
         dims: &GridDims,
         topology: &Topology,
         params: &NocParams,
     ) -> Arc<RoutingTable> {
-        let fp = topology.fingerprint();
-        if self.capacity > 0 {
-            let mut state = self.state.lock().expect("routing cache poisoned");
-            state.tick += 1;
-            let tick = state.tick;
-            if let Some(entry) = state
-                .entries
-                .iter_mut()
-                .find(|e| e.fingerprint == fp && e.links == topology.links())
-            {
-                entry.last_used = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(&entry.table);
-            }
+        if let Some(table) = self.lookup(topology) {
+            return table;
         }
         self.rebuilds.fetch_add(1, Ordering::Relaxed);
         let table = Arc::new(RoutingTable::build(dims, topology, params));
-        if self.capacity > 0 {
-            let mut state = self.state.lock().expect("routing cache poisoned");
-            state.tick += 1;
-            let tick = state.tick;
-            if !state.entries.iter().any(|e| e.fingerprint == fp && e.links == topology.links()) {
-                if state.entries.len() >= self.capacity {
-                    let victim = state
-                        .entries
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, e)| e.last_used)
-                        .map(|(i, _)| i)
-                        .expect("non-empty over-capacity cache");
-                    state.entries.swap_remove(victim);
-                }
-                state.entries.push(Entry {
-                    fingerprint: fp,
-                    links: topology.links().to_vec(),
-                    table: Arc::clone(&table),
-                    last_used: tick,
-                });
-            }
-        }
+        self.admit(topology, Arc::clone(&table));
         table
     }
 }

@@ -1,18 +1,22 @@
-//! Differential conformance harness for the incremental (delta) move
-//! evaluation fast path: long random move chains — swaps, rewires, and
-//! mixed walks, on the paper platform and on degenerate grids — must
-//! produce objective vectors *bitwise* equal to full evaluation at
-//! every step, for all five objectives.
+//! Differential conformance harness for the neighbor (delta) evaluation
+//! fast path: long random move chains — swaps, rewires, and mixed walks,
+//! on the paper platform and on degenerate grids — must produce
+//! objective vectors *bitwise* equal to full evaluation at every step,
+//! for all five objectives.
+//!
+//! The expected values always come from a twin problem whose routing
+//! cache is off, so a wrong table the neighbor path admits to the shared
+//! cache cannot leak into them.
 //!
 //! The harness has a self-check mode: compiling with
-//! `--features delta-fault` routes every applied delta through a
-//! deliberate one-ULP-sized utilization perturbation, and the
-//! `self_check` module asserts the divergence is caught — proving these
-//! parity assertions have teeth rather than comparing a value to
-//! itself.
+//! `--features delta-fault` raises the latencies of every row a rewire
+//! repair re-routes, and the `self_check` module asserts the divergence
+//! is caught — proving these parity assertions have teeth rather than
+//! comparing a value to itself.
 
 use moela_manycore::moves;
-use moela_manycore::{ManycoreProblem, ObjectiveSet, PlatformConfig};
+use moela_manycore::topology::TopologyBuilder;
+use moela_manycore::{Design, ManycoreProblem, ObjectiveSet, PlatformConfig};
 use moela_moo::Problem;
 use moela_traffic::{Benchmark, Workload};
 use rand::rngs::StdRng;
@@ -47,6 +51,34 @@ fn problem_on(grid: u8, set: ObjectiveSet, seed: u64) -> ManycoreProblem {
     ManycoreProblem::new(config, workload, set).expect("platform builds")
 }
 
+/// The same problem with its routing cache off: every evaluation routes
+/// from scratch and shares no table with `problem_on`'s.
+fn reference_on(grid: u8, set: ObjectiveSet, seed: u64) -> ManycoreProblem {
+    let mut problem = problem_on(grid, set, seed);
+    problem.set_routing_cache_capacity(0);
+    problem
+}
+
+/// One move of the requested kind. `kind` 0 = placement swap, 1 = link
+/// rewire, anything else = the problem's own mixed move distribution.
+fn step(problem: &ManycoreProblem, kind: u8, current: &Design, rng: &mut StdRng) -> Design {
+    let config = problem.config();
+    match kind {
+        0 => moves::swap_tiles(config.dims(), config.pe_mix(), current, rng),
+        1 => {
+            let builder = TopologyBuilder::new(
+                *config.dims(),
+                config.planar_links(),
+                config.tsvs(),
+                config.noc().max_planar_length,
+                config.noc().max_degree,
+            );
+            moves::rewire_link(config.dims(), &builder, config.noc().max_degree, current, rng)
+        }
+        _ => problem.neighbor(current, rng),
+    }
+}
+
 /// Bit patterns, so the comparison is exact equality of bytes — not an
 /// epsilon, and not `==` (which would let `-0.0` pass for `0.0`).
 fn bits(objectives: &[f64]) -> Vec<u64> {
@@ -58,15 +90,14 @@ fn bits(objectives: &[f64]) -> Vec<u64> {
 #[cfg(not(feature = "delta-fault"))]
 mod parity {
     use super::*;
-    use moela_manycore::objectives::Evaluator;
-    use moela_manycore::topology::TopologyBuilder;
-    use moela_manycore::{Design, MoveDelta};
+    use moela_manycore::objectives::{Evaluation, Evaluator};
+    use moela_manycore::{DeltaEngine, DEFAULT_DELTA_CACHE_CAPACITY};
     use moela_thermal::FastThermalModel;
     use proptest::prelude::*;
 
     /// A bare engine-level evaluator over the same `(platform, workload)`
-    /// pair `problem_on` builds, for driving [`Evaluator::evaluate_delta`]
-    /// directly.
+    /// pair `problem_on` builds, for driving
+    /// [`DeltaEngine::evaluate_neighbor`] directly.
     fn evaluator_on(grid: u8, seed: u64) -> Evaluator {
         let config = platform(grid);
         let workload = Workload::synthesize(Benchmark::Bfs, config.pe_mix(), seed);
@@ -74,24 +105,21 @@ mod parity {
         Evaluator::new(*config.dims(), *config.noc(), workload, thermal)
     }
 
-    /// One move of the requested kind. `kind` 0 = placement swap, 1 = link
-    /// rewire, anything else = the problem's own mixed move distribution.
-    fn step(problem: &ManycoreProblem, kind: u8, current: &Design, rng: &mut StdRng) -> Design {
-        let config = problem.config();
-        match kind {
-            0 => moves::swap_tiles(config.dims(), config.pe_mix(), current, rng),
-            1 => {
-                let builder = TopologyBuilder::new(
-                    *config.dims(),
-                    config.planar_links(),
-                    config.tsvs(),
-                    config.noc().max_planar_length,
-                    config.noc().max_degree,
-                );
-                moves::rewire_link(config.dims(), &builder, config.noc().max_degree, current, rng)
-            }
-            _ => problem.neighbor(current, rng),
-        }
+    /// Every number of an evaluation, objectives and EDP inputs alike.
+    fn evaluation_bits(e: &Evaluation) -> Vec<u64> {
+        let n = &e.network;
+        bits(&[
+            e.mean_traffic,
+            e.traffic_variance,
+            e.cpu_latency,
+            e.energy,
+            e.thermal,
+            e.peak_temperature,
+            n.avg_packet_latency,
+            n.max_link_utilization,
+            n.network_energy_rate,
+            n.total_pe_power,
+        ])
     }
 
     proptest! {
@@ -100,9 +128,9 @@ mod parity {
         /// Random move chains of every kind, on every grid, scored over
         /// all five objectives: the delta-served neighbor evaluation
         /// must equal full evaluation bitwise at every single step. The
-        /// chain always advances through the delta path's own output,
-        /// so drift would compound — and be caught at the step it
-        /// first appears.
+        /// chain's tables come from the neighbor path's own repairs, so
+        /// drift would compound — and be caught at the step it first
+        /// appears.
         #[test]
         fn move_chains_evaluate_bitwise_identically(
             seed in 0u64..500,
@@ -111,12 +139,13 @@ mod parity {
             grid in 0u8..3,
         ) {
             let problem = problem_on(grid, ObjectiveSet::Five, seed);
+            let reference = reference_on(grid, ObjectiveSet::Five, seed);
             let mut rng = StdRng::seed_from_u64(seed ^ 0xD17A);
             let mut current = problem.random_solution(&mut rng);
             for i in 0..walk {
                 let next = step(&problem, kind, &current, &mut rng);
                 let fast = problem.evaluate_neighbor_ordinal(&current, &next, 0);
-                let full = problem.evaluate(&next);
+                let full = reference.evaluate(&next);
                 prop_assert_eq!(
                     bits(&fast), bits(&full),
                     "step {} of a kind-{} chain on grid {} diverged: delta {:?} vs full {:?}",
@@ -126,58 +155,54 @@ mod parity {
             }
         }
 
-        /// The engine driven bare, below the problem wrapper: classify
-        /// each move with [`MoveDelta::between`], patch the running
-        /// [`EvalState`] with [`Evaluator::evaluate_delta`], and demand
-        /// the patched state equals a from-scratch build bitwise — both
-        /// its evaluation and its successor's (state chaining).
+        /// The engine driven bare, below the problem wrapper, over a
+        /// chain cycling swap, rewire and mixed moves: every neighbor's
+        /// whole [`Evaluation`] must equal a from-scratch evaluation
+        /// bitwise, and the chain must actually be served by cached or
+        /// repaired tables.
         #[test]
-        fn patched_states_equal_fresh_builds(
+        fn engine_neighbors_equal_fresh_evaluations(
             seed in 0u64..300,
             walk in 2usize..14,
             grid in 0u8..3,
         ) {
             let problem = problem_on(grid, ObjectiveSet::Five, seed);
             let evaluator = evaluator_on(grid, seed);
+            let mut fresh = evaluator_on(grid, seed);
+            fresh.set_routing_cache_capacity(0);
+            let engine = DeltaEngine::new(DEFAULT_DELTA_CACHE_CAPACITY);
             let mut rng = StdRng::seed_from_u64(seed ^ 0x5A7E);
-            let start = problem.random_solution(&mut rng);
-            let mut state = evaluator.build_state(&start);
-            let mut applied = 0usize;
+            let mut current = problem.random_solution(&mut rng);
             for i in 0..walk {
-                let next = step(&problem, (i % 3) as u8, state.design(), &mut rng);
-                let delta = MoveDelta::between(state.design(), &next);
-                state = match delta.and_then(|d| evaluator.evaluate_delta(&state, &d)) {
-                    Some(patched) => {
-                        applied += 1;
-                        let fresh = evaluator.build_state(&next);
-                        prop_assert_eq!(
-                            bits(&patched.evaluation().objectives(ObjectiveSet::Five)),
-                            bits(&fresh.evaluation().objectives(ObjectiveSet::Five)),
-                            "delta {:?} at step {} diverged from the fresh build", delta, i
-                        );
-                        patched
-                    }
-                    None => evaluator.build_state(&next),
-                };
+                let next = step(&problem, (i % 3) as u8, &current, &mut rng);
+                let served = engine.evaluate_neighbor(&evaluator, &current, &next);
+                prop_assert_eq!(
+                    evaluation_bits(&served),
+                    evaluation_bits(&fresh.evaluate(&next)),
+                    "{:?} at step {} diverged from the fresh evaluation",
+                    moela_manycore::MoveDelta::between(&current, &next), i
+                );
+                current = next;
             }
-            // Move generators only return clones on rejection-sampling
-            // exhaustion, so real chains must exercise the fast path.
-            prop_assert!(applied > 0, "no step was delta-classifiable");
+            // Only the unscored seed design misses the cache; every later
+            // step finds its base's table resident.
+            prop_assert_eq!((engine.hits(), engine.fallbacks()), (walk as u64 - 1, 1));
         }
     }
 
-    /// A cloned design is the `Identity` delta: the cached evaluation is
+    /// A cloned design is the `Identity` delta: the cached table is
     /// reused verbatim and counted as a hit.
     #[test]
-    fn identity_moves_reuse_the_cached_state_exactly() {
+    fn identity_moves_reuse_the_cached_table_exactly() {
         let problem = problem_on(0, ObjectiveSet::Five, 3);
+        let reference = reference_on(0, ObjectiveSet::Five, 3);
         let mut rng = StdRng::seed_from_u64(3);
         let d = problem.random_solution(&mut rng);
-        let full = problem.evaluate(&d);
+        problem.evaluate(&d);
         let fast = problem.evaluate_neighbor_ordinal(&d, &d.clone(), 0);
-        assert_eq!(bits(&fast), bits(&full));
+        assert_eq!(bits(&fast), bits(&reference.evaluate(&d)));
         let (hits, fallbacks) = problem.delta_stats();
-        assert_eq!((hits, fallbacks), (1, 1), "bootstrap build, then an identity hit");
+        assert_eq!((hits, fallbacks), (1, 0), "the full evaluation cached the table it reuses");
     }
 
     /// The ISSUE's acceptance bar, proven by the same counters
@@ -187,6 +212,7 @@ mod parity {
     #[test]
     fn swap_heavy_walks_hit_the_delta_path_at_least_3x_more_than_falling_back() {
         let problem = problem_on(0, ObjectiveSet::Three, 11);
+        let reference = reference_on(0, ObjectiveSet::Three, 11);
         let config = problem.config();
         let (dims, mix) = (*config.dims(), config.pe_mix());
         let mut rng = StdRng::seed_from_u64(13);
@@ -195,25 +221,45 @@ mod parity {
         for _ in 0..walk {
             let next = moves::swap_tiles(&dims, mix, &current, &mut rng);
             let fast = problem.evaluate_neighbor_ordinal(&current, &next, 0);
-            assert_eq!(bits(&fast), bits(&problem.evaluate(&next)));
+            assert_eq!(bits(&fast), bits(&reference.evaluate(&next)));
             current = next;
         }
         let (hits, fallbacks) = problem.delta_stats();
-        // Counters count *work*, not neighbors: the first call pays one
-        // full bootstrap build (a fallback) and still serves its
-        // neighbor through the delta path (a hit).
-        assert_eq!((hits, fallbacks), (walk, 1), "one bootstrap, then pure delta");
+        // The seed design was never scored: the first neighbor misses the
+        // routing cache and is evaluated in full (a fallback), which
+        // caches the one table every later swap shares (hits).
+        assert_eq!((hits, fallbacks), (walk - 1, 1), "one full evaluation, then pure reuse");
         assert!(
             hits >= 3 * fallbacks.max(1),
             "swap-heavy walks must be delta-dominated (hits {hits}, fallbacks {fallbacks})"
         );
+        assert_eq!(problem.routing_stats().0, 1, "a swap walk routes one topology");
+    }
+
+    /// A rewire walk builds one table from scratch; every later table is
+    /// repaired from its predecessor — and still evaluates exactly.
+    #[test]
+    fn rewire_walks_repair_every_table_after_the_first() {
+        let problem = problem_on(0, ObjectiveSet::Five, 5);
+        let reference = reference_on(0, ObjectiveSet::Five, 5);
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut current = problem.random_solution(&mut rng);
+        let walk = 12u64;
+        for _ in 0..walk {
+            let next = step(&problem, 1, &current, &mut rng);
+            let fast = problem.evaluate_neighbor_ordinal(&current, &next, 0);
+            assert_eq!(bits(&fast), bits(&reference.evaluate(&next)));
+            current = next;
+        }
+        assert_eq!(problem.delta_stats(), (walk - 1, 1));
+        assert_eq!(problem.routing_stats().0, 1, "repairs are not rebuilds");
     }
 }
 
 /// Harness self-test, compiled only with `--features delta-fault`: the
-/// delta path then perturbs one utilization entry on every applied
-/// delta, and the very comparison the parity suite runs must flag it.
-/// A green run here proves a wrong fast path cannot slip through.
+/// rewire repair then raises every latency of the rows it re-routes, and
+/// the very comparison the parity suite runs must flag it. A green run
+/// here proves a wrong fast path cannot slip through.
 #[cfg(feature = "delta-fault")]
 mod self_check {
     use super::*;
@@ -221,15 +267,14 @@ mod self_check {
     #[test]
     fn the_deliberately_broken_delta_path_is_caught() {
         let problem = problem_on(0, ObjectiveSet::Five, 7);
-        let config = problem.config();
-        let (dims, mix) = (*config.dims(), config.pe_mix());
+        let reference = reference_on(0, ObjectiveSet::Five, 7);
         let mut rng = StdRng::seed_from_u64(7);
         let mut current = problem.random_solution(&mut rng);
         let mut diverged = 0usize;
         for _ in 0..6 {
-            let next = moves::swap_tiles(&dims, mix, &current, &mut rng);
+            let next = step(&problem, 1, &current, &mut rng);
             let fast = problem.evaluate_neighbor_ordinal(&current, &next, 0);
-            let full = problem.evaluate(&next);
+            let full = reference.evaluate(&next);
             if bits(&fast) != bits(&full) {
                 diverged += 1;
             }

@@ -198,6 +198,10 @@ pub struct JobRecord {
     /// Step-boundary heartbeat the watchdog reads.
     pub heartbeat: Heartbeat,
     cell: Mutex<JobCell>,
+    /// Held across a persist's snapshot and write, so concurrent persists
+    /// of this record land in snapshot order and the last write carries
+    /// the newest state.
+    persisting: Mutex<()>,
 }
 
 impl JobRecord {
@@ -228,6 +232,7 @@ impl JobRecord {
                 cancel: CancelToken::new(),
                 history: Vec::new(),
             }),
+            persisting: Mutex::new(()),
         }
     }
 
@@ -448,6 +453,7 @@ impl JobRecord {
     /// returned as text: losing a state write must fail the transition
     /// loudly, never crash the server.
     pub fn persist(&self) -> Result<(), String> {
+        let _persisting = lock(&self.persisting);
         let store = RunStore::create(&self.dir)
             .map_err(|e| format!("cannot open run dir for {}: {e}", self.id))?;
         store.write_job(&self.manifest()).map_err(|e| format!("cannot persist {}: {e}", self.id))
@@ -585,6 +591,52 @@ mod tests {
         assert_eq!(history[0].state, JobState::Running);
         assert_eq!(history[1].state, JobState::Queued);
         assert_eq!(history[1].error.as_deref(), Some("boom"));
+    }
+
+    /// Threads that each change a record and then persist it: whatever
+    /// order their snapshots and writes interleave in, once all are done
+    /// `job.json` must hold the record's final state. Without the persist
+    /// lock a write whose snapshot predates another thread's change can
+    /// land last.
+    #[test]
+    fn concurrent_persists_leave_the_newest_state_on_disk() {
+        use std::sync::Arc;
+
+        let root =
+            std::env::temp_dir().join(format!("moela-serve-persist-race-{}", std::process::id()));
+        for round in 0..256 {
+            let dir = root.join(format!("round-{round}"));
+            let record = Arc::new(JobRecord::new(
+                format!("job-{round:06}"),
+                round,
+                dir.clone(),
+                Value::object(vec![]),
+                JobState::Running,
+            ));
+            let writers: Vec<_> = (0..4)
+                .map(|t| {
+                    let record = Arc::clone(&record);
+                    std::thread::spawn(move || {
+                        for i in 0..2 {
+                            let note = format!("writer {t} step {i}");
+                            record.set_state(JobState::Running, Some(note), None);
+                            record.persist().expect("job.json is writable");
+                        }
+                    })
+                })
+                .collect();
+            for w in writers {
+                w.join().expect("writer thread");
+            }
+            let text = std::fs::read_to_string(dir.join("job.json")).expect("job.json");
+            let on_disk = moela_persist::decode::from_str(&text).expect("job.json parses");
+            assert_eq!(
+                on_disk,
+                record.manifest(),
+                "round {round}: job.json holds an older state than the record"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
