@@ -4,14 +4,12 @@
 //! same routing tables the neighbor side can use.
 //!
 //! * `full_warm_swap` / `neighbor_swap`: the swap's topology is cached,
-//!   so both sides only score; the neighbor side adds the classifying
-//!   diff ([`moela_manycore::MoveDelta::between`]).
+//!   so both sides only look the table up and score.
 //! * `full_cold_rewire`: a full evaluation routing the rewired topology
-//!   from scratch (a rewire chain rarely revisits a topology).
-//! * `neighbor_rewire`: the neighbor path with only the base's table
-//!   cached, so it repairs the rewired table and then scores.
+//!   from scratch, which is what the neighbor path does for a rewire (a
+//!   rewire chain rarely revisits a topology).
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -19,8 +17,7 @@ use moela_manycore::moves;
 use moela_manycore::objectives::Evaluator;
 use moela_manycore::topology::TopologyBuilder;
 use moela_manycore::{
-    DeltaEngine, ManycoreProblem, MoveDelta, ObjectiveSet, PlatformConfig,
-    DEFAULT_DELTA_CACHE_CAPACITY,
+    DeltaEngine, ManycoreProblem, ObjectiveSet, PlatformConfig, DEFAULT_DELTA_CACHE_CAPACITY,
 };
 use moela_moo::Problem;
 use moela_thermal::FastThermalModel;
@@ -43,7 +40,7 @@ fn bench_delta_eval(c: &mut Criterion) {
 
     let swap = loop {
         let n = moves::swap_tiles(config.dims(), config.pe_mix(), &base, &mut rng);
-        if matches!(MoveDelta::between(&base, &n), Some(MoveDelta::Swap { .. })) {
+        if n.placement != base.placement {
             break n;
         }
     };
@@ -57,7 +54,7 @@ fn bench_delta_eval(c: &mut Criterion) {
     let rewire = loop {
         let n =
             moves::rewire_link(config.dims(), &builder, config.noc().max_degree, &base, &mut rng);
-        if matches!(MoveDelta::between(&base, &n), Some(MoveDelta::Rewire { .. })) {
+        if n.topology != base.topology {
             break n;
         }
     };
@@ -67,23 +64,6 @@ fn bench_delta_eval(c: &mut Criterion) {
         b.iter(|| engine.evaluate_neighbor(&warm, &base, &swap))
     });
     c.bench_function("delta_eval/full_cold_rewire", |b| b.iter(|| cold.evaluate(&rewire)));
-    c.bench_function("delta_eval/neighbor_rewire", |b| {
-        b.iter_batched(
-            || {
-                // A cache holding the base's table only.
-                let mut ev = warm.clone();
-                ev.set_routing_cache_capacity(DEFAULT_DELTA_CACHE_CAPACITY);
-                ev.evaluate(&base);
-                ev
-            },
-            // Returned, so the cache drops outside the timed region.
-            |ev| {
-                let e = engine.evaluate_neighbor(&ev, &base, &rewire);
-                (ev, e)
-            },
-            BatchSize::SmallInput,
-        )
-    });
 }
 
 criterion_group! {

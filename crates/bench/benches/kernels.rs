@@ -6,7 +6,8 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::{Rng, SeedableRng};
 
 use moela_manycore::routing::RoutingTable;
-use moela_manycore::Topology;
+use moela_manycore::topology::TopologyBuilder;
+use moela_manycore::{GridDims, NocParams, Topology};
 use moela_manycore::{ManycoreProblem, ObjectiveSet, PlatformConfig};
 use moela_ml::{Dataset, ForestConfig, RandomForest};
 use moela_moo::hypervolume::hypervolume;
@@ -33,6 +34,26 @@ fn bench_routing(c: &mut Criterion) {
     let random = problem.random_solution(&mut rand::rngs::StdRng::seed_from_u64(8)).topology;
     c.bench_function("routing/all_pairs_random_4x4x4", |b| {
         b.iter(|| RoutingTable::build(&dims, &random, &params))
+    });
+    // Link costs that are not whole cycles, so the build runs Dijkstra
+    // per source instead of the level sweep.
+    let fractional = NocParams { router_stages: 2.5, link_delay_per_unit: 0.75, ..params };
+    c.bench_function("routing/all_pairs_random_4x4x4_fractional", |b| {
+        b.iter(|| RoutingTable::build(&dims, &random, &fractional))
+    });
+    // The scaling axis: 256 tiles, four source blocks of the sweep.
+    let large = GridDims::new(8, 8, 4);
+    let (nx, ny, layers) = (large.nx(), large.ny(), large.layers());
+    let builder = TopologyBuilder::new(
+        large,
+        layers * (nx * (ny - 1) + ny * (nx - 1)),
+        nx * ny * (layers - 1),
+        params.max_planar_length,
+        params.max_degree,
+    );
+    let random = builder.random(&mut rand::rngs::StdRng::seed_from_u64(8)).expect("mesh budgets");
+    c.bench_function("routing/all_pairs_random_8x8x4", |b| {
+        b.iter(|| RoutingTable::build(&large, &random, &params))
     });
 }
 

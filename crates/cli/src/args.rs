@@ -134,10 +134,10 @@ pub struct RunOptions {
     /// off, including topology-keyed routing reuse). Results are
     /// bit-identical for every value.
     pub eval_cache: usize,
-    /// Neighbor move evaluation: score a neighbor against a cached
-    /// routing table, or one repaired from the base design's, instead of
-    /// routing it from scratch, falling back to full evaluation when no
-    /// such table exists. Results are bit-identical on or off.
+    /// Neighbor move evaluation: score a neighbor against its cached
+    /// routing table instead of routing it from scratch, falling back to
+    /// full evaluation when no such table exists. Results are
+    /// bit-identical on or off.
     pub eval_delta: bool,
     /// Optional seeded fault injection (chaos testing).
     pub chaos: Option<ChaosSpec>,
@@ -703,11 +703,10 @@ COMMON FLAGS:
                                         both layers; results are identical
                                         either way [4096]
     --eval-delta <on|off>               neighbor move evaluation: score a
-                                        neighbor against a cached routing
-                                        table, or one repaired from the
-                                        base design's (exact; falls back to
-                                        a full evaluation otherwise);
-                                        results are identical either way [on]
+                                        neighbor against its cached routing
+                                        table (exact; falls back to a full
+                                        evaluation otherwise); results are
+                                        identical either way [on]
     --trace-csv <PATH>                  write PHV trace CSV
     --front-csv <PATH>                  write final front CSV
     --dot <PATH>                        write best design as Graphviz DOT

@@ -11,6 +11,8 @@
 //! platform (or corrupted in transit) is rejected with a schema error
 //! instead of producing an infeasible design or panicking.
 
+use std::collections::HashSet;
+
 use moela_persist::{PersistError, SolutionCodec, Value};
 use moela_traffic::PeKind;
 
@@ -59,9 +61,20 @@ impl SolutionCodec<Design> for ManycoreProblem {
         let placement = Placement::from_pe_of(dims, mix, pe_of);
 
         // Topology: distinct in-grid endpoints, no duplicate links
-        // (checked here so `Topology::from_links` cannot panic).
-        let mut links = Vec::new();
-        for pair in value.field("links")?.as_array()? {
+        // (checked here so `Topology::from_links` cannot panic). The
+        // length bound comes first, so a hostile list costs at most one
+        // pass over the link budget.
+        let pairs = value.field("links")?.as_array()?;
+        let budget = config.planar_links() + config.tsvs();
+        if pairs.len() > budget {
+            return Err(PersistError::schema(format!(
+                "topology lists {} links but the platform has {budget}",
+                pairs.len()
+            )));
+        }
+        let mut links = Vec::with_capacity(pairs.len());
+        let mut seen_links = HashSet::with_capacity(pairs.len());
+        for pair in pairs {
             let ends = pair.to_usize_vec()?;
             let [a, b] = ends[..] else {
                 return Err(PersistError::schema("a link must have exactly two endpoints"));
@@ -70,7 +83,7 @@ impl SolutionCodec<Design> for ManycoreProblem {
                 return Err(PersistError::schema("link endpoints must be distinct grid tiles"));
             }
             let link = Link::new(TileId(a), TileId(b));
-            if links.contains(&link) {
+            if !seen_links.insert(link) {
                 return Err(PersistError::schema("duplicate link in topology"));
             }
             links.push(link);
@@ -171,5 +184,31 @@ mod tests {
         let v = p.encode_solution(&p.random_solution(&mut rng));
         let broken = with_field(&v, "links", Value::Array(vec![Value::usize_array(&[0, 999])]));
         assert!(p.decode_solution(&broken).is_err());
+    }
+
+    #[test]
+    fn rejects_duplicate_links() {
+        let p = problem();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(16);
+        let v = p.encode_solution(&p.random_solution(&mut rng));
+        let mut pairs = v.field("links").unwrap().as_array().unwrap().to_vec();
+        let last = pairs.len() - 1;
+        pairs[last] = pairs[0].clone();
+        let err = p.decode_solution(&with_field(&v, "links", Value::Array(pairs))).unwrap_err();
+        assert!(err.to_string().contains("duplicate link"), "{err}");
+    }
+
+    /// A list longer than the link budget is rejected by its length,
+    /// before any link is looked at: these entries are all the same
+    /// valid link, which a scan would reject only as duplicates.
+    #[test]
+    fn rejects_an_oversized_link_list_before_scanning_it() {
+        let p = problem();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        let v = p.encode_solution(&p.random_solution(&mut rng));
+        let budget = p.config().planar_links() + p.config().tsvs();
+        let pairs = vec![Value::usize_array(&[0, 1]); 50 * budget];
+        let err = p.decode_solution(&with_field(&v, "links", Value::Array(pairs))).unwrap_err();
+        assert!(err.to_string().contains(&format!("the platform has {budget}")), "{err}");
     }
 }

@@ -58,7 +58,7 @@ pub mod routing_cache;
 pub mod topology;
 pub mod viz;
 
-pub use delta::{DeltaEngine, MoveDelta, DEFAULT_DELTA_CACHE_CAPACITY};
+pub use delta::{DeltaEngine, DEFAULT_DELTA_CACHE_CAPACITY};
 pub use design::Design;
 pub use geometry::{GridDims, TileCoord, TileId};
 pub use link::{Link, LinkKind};

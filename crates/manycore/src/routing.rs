@@ -7,14 +7,19 @@
 //! length-proportional wire delay — with deterministic tie-breaking (lowest
 //! tile id wins), so identical designs always evaluate identically.
 //!
-//! The table is stored flat: every per-pair array is row-major `n × n`
-//! (row = source), so a table is four allocations however large the grid.
+//! The table is stored flat: both per-pair arrays are row-major `n × n`
+//! (row = source), so a table is two allocations however large the grid.
+//!
+//! Two builders fill it. When every link costs a whole number of cycles
+//! between 1 and `MAX_SWEEP_COST` (64) — the paper's parameters give
+//! `3 + length` — a level sweep routes 64 sources at a time with one
+//! bitset per tile. Any other parameters run Dijkstra once per source.
+//! Both produce the same bits; `Router::sweep` says why.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::geometry::{GridDims, TileId};
-use crate::link::Link;
 use crate::params::NocParams;
 use crate::topology::Topology;
 
@@ -23,6 +28,13 @@ mod reference;
 
 /// The `parent` entry of a source (and of an unreached tile): no link.
 const NO_PARENT: (u32, u32) = (u32::MAX, u32::MAX);
+
+/// The largest arc cost (cycles) the level sweep accepts. Its ring keeps
+/// one bitset per tile for each of the last `max cost + 1` levels.
+const MAX_SWEEP_COST: u32 = 64;
+
+/// Sources routed together by the level sweep: one bit of a `u64` each.
+const BLOCK: usize = 64;
 
 /// All-pairs routing information for one topology.
 #[derive(Clone, Debug)]
@@ -33,11 +45,6 @@ pub struct RoutingTable {
     parent: Vec<(u32, u32)>,
     /// `cost[src·n + t]`: total latency of the best path (cycles).
     cost: Vec<f64>,
-    /// `hops[src·n + t]`: number of links on the best path.
-    hops: Vec<u32>,
-    /// `wire_delay[src·n + t]`: total link traversal delay (cycles), the
-    /// `d_ij` of eq. (3).
-    wire_delay: Vec<f64>,
 }
 
 impl RoutingTable {
@@ -49,16 +56,11 @@ impl RoutingTable {
     /// constraint guarantees this never happens for feasible designs).
     pub fn build(dims: &GridDims, topology: &Topology, params: &NocParams) -> Self {
         let n = dims.tiles();
-        let mut table = Self {
-            n,
-            parent: vec![NO_PARENT; n * n],
-            cost: vec![0.0; n * n],
-            hops: vec![0; n * n],
-            wire_delay: vec![0.0; n * n],
-        };
-        let mut router = Router::new(dims, topology, params);
-        for src in 0..n {
-            router.route(&mut table, src);
+        let mut table = Self { n, parent: vec![NO_PARENT; n * n], cost: vec![0.0; n * n] };
+        let router = Router::new(dims, topology, params);
+        match router.sweep_max_cost() {
+            Some(max_cost) => router.sweep(&mut table, max_cost),
+            None => router.dijkstra(&mut table),
         }
         table
     }
@@ -69,14 +71,11 @@ impl RoutingTable {
         self.cost[src.0 * self.n + dst.0]
     }
 
-    /// Hop count `h_ij` of the route.
+    /// Hop count `h_ij` of the route, counted by walking it.
     pub fn hop_count(&self, src: TileId, dst: TileId) -> u32 {
-        self.hops[src.0 * self.n + dst.0]
-    }
-
-    /// Total wire delay `d_ij` of the route (cycles).
-    pub fn wire_delay(&self, src: TileId, dst: TileId) -> f64 {
-        self.wire_delay[src.0 * self.n + dst.0]
+        let mut hops = 0;
+        self.walk_path(src, dst, |link, _| hops += u32::from(link.is_some()));
+        hops
     }
 
     /// The link indices of the route, destination-first order.
@@ -122,69 +121,14 @@ impl RoutingTable {
         self.n
     }
 
-    /// The per-source "row may change" mask for replacing the link at
-    /// `victim_idx` with `new_link` (latency cost `new_cost`).
-    ///
-    /// A source's routes are provably unchanged by the rewire when
-    /// (a) its shortest-path tree never crosses the removed link — removal
-    /// can then neither raise a cost nor steal a chosen parent — and
-    /// (b) the inserted link cannot complete a path that matches or beats
-    /// an existing route: `cost[a] + new_cost > cost[b]` and symmetrically
-    /// (ties count as affected because they can flip the deterministic
-    /// lowest-id parent preference). Everything else is conservatively
-    /// marked affected and re-routed from scratch.
-    pub fn rewire_affected_sources(
-        &self,
-        victim_idx: usize,
-        new_link: Link,
-        new_cost: f64,
-    ) -> Vec<bool> {
-        let (a, b) = (new_link.a().0, new_link.b().0);
-        let n = self.n;
-        (0..n)
-            .map(|src| {
-                let parents = &self.parent[src * n..(src + 1) * n];
-                let uses_victim = parents.iter().any(|&(_, l)| l as usize == victim_idx);
-                let row = &self.cost[src * n..(src + 1) * n];
-                uses_victim || row[a] + new_cost <= row[b] || row[b] + new_cost <= row[a]
-            })
-            .collect()
-    }
-
-    /// Repairs this table — built for the pre-rewire topology — into the
-    /// table for `new_topology`, rerunning Dijkstra only for the sources
-    /// in `affected` (from [`RoutingTable::rewire_affected_sources`]) and
-    /// copying every other row. The result is bitwise identical to
-    /// [`RoutingTable::build`] on `new_topology`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `new_topology` is disconnected.
-    pub fn repair_rewire(
-        &self,
-        dims: &GridDims,
-        new_topology: &Topology,
-        affected: &[bool],
-        params: &NocParams,
-    ) -> Self {
-        let mut table = self.clone();
-        let mut router = Router::new(dims, new_topology, params);
-        for (src, _) in affected.iter().enumerate().take(self.n).filter(|(_, &a)| a) {
-            router.route(&mut table, src);
-        }
-        table
-    }
-
     /// Deliberate divergence for the parity harness's self-test: raises
-    /// every latency in the `rows` marked, as a wrong repair would. Only
-    /// the neighbor path calls it, so full evaluation stays correct and
-    /// the harness must flag the difference.
+    /// every latency, as a stale or wrong cached table would. Only the
+    /// neighbor path calls it, so full evaluation stays correct and the
+    /// harness must flag the difference.
     #[cfg(feature = "delta-fault")]
-    pub(crate) fn with_fault(mut self, rows: &[bool]) -> Self {
-        for (row, _) in rows.iter().enumerate().filter(|(_, &r)| r) {
-            for c in &mut self.cost[row * self.n..(row + 1) * self.n] {
-                *c += 1.0;
-            }
+    pub(crate) fn with_fault(mut self) -> Self {
+        for c in &mut self.cost {
+            *c += 1.0;
         }
         self
     }
@@ -196,22 +140,26 @@ struct Edge {
     nb: u32,
     link: u32,
     cost: f64,
-    delay: f64,
 }
 
-/// Single-source Dijkstra over one topology, with the adjacency flattened
-/// into a CSR arc list (in [`Topology::neighbors`] order) and the visit
-/// marks and heap reused across sources.
+/// The all-pairs builders over one topology, with the adjacency flattened
+/// into a CSR arc list in [`Topology::neighbors`] order.
 struct Router {
     /// `arcs[start[t]..start[t + 1]]` leave tile `t`.
     start: Vec<usize>,
     arcs: Vec<Edge>,
-    done: Vec<bool>,
-    /// Min-heap on `(cost bits, tile)`. Costs are non-negative and finite
-    /// (validated link parameters), and such f64s order like their bit
-    /// patterns, so this pops in `(cost, tile id)` order.
-    heap: BinaryHeap<Reverse<(u64, u32)>>,
 }
+
+/// An arc seen from its head, for the level sweep.
+#[derive(Clone, Copy)]
+struct InArc {
+    pred: u32,
+    link: u32,
+    cost: u32,
+}
+
+/// A [`Router::sweep`] claim with no arc: the source itself.
+const NO_ARC: u32 = u32::MAX;
 
 impl Router {
     fn new(dims: &GridDims, topology: &Topology, params: &NocParams) -> Self {
@@ -227,55 +175,189 @@ impl Router {
                     nb: nb.0 as u32,
                     link: link as u32,
                     cost: params.router_stages + delay,
-                    delay,
                 });
             }
         }
         start.push(arcs.len());
-        Self { start, arcs, done: vec![false; n], heap: BinaryHeap::new() }
+        Self { start, arcs }
     }
 
-    /// Fills `src`'s row of every array of `table`.
-    fn route(&mut self, table: &mut RoutingTable, src: usize) {
+    /// The largest arc cost when every arc costs a whole number of cycles
+    /// in `1..=MAX_SWEEP_COST`, so that [`Router::sweep`] applies; `None`
+    /// sends the build to Dijkstra.
+    fn sweep_max_cost(&self) -> Option<u32> {
+        let whole = |c: f64| c.fract() == 0.0 && (1.0..=f64::from(MAX_SWEEP_COST)).contains(&c);
+        self.arcs.iter().try_fold(1, |max, arc| whole(arc.cost).then(|| max.max(arc.cost as u32)))
+    }
+
+    /// Fills every row of `table` by a level sweep over whole-cycle arc
+    /// costs in `1..=max_cost`, 64 sources at a time.
+    ///
+    /// With whole arc costs every f64 path sum is exact, so Dijkstra's
+    /// cost to `t` is the integer distance `d(s, t)`, and its tie rule
+    /// keeps, among the arcs `p → t` with `d(s, p) + cost == d(s, t)`,
+    /// the one from the lowest-id `p` (the first in `p`'s arc order, were
+    /// there parallel links). That is a function of the graph, not of
+    /// the pop order, and it is what the sweep computes: at level `L`
+    /// tile `t` scans its incoming arcs by ascending predecessor id, and
+    /// the first arc whose tail was first reached at level `L - cost` by
+    /// a source not yet at `t` claims that source for `t`. Costs of at
+    /// least 1 keep every such tail on an earlier level.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the topology is disconnected.
+    fn sweep(&self, table: &mut RoutingTable, max_cost: u32) {
         let n = table.n;
-        let row = src * n..(src + 1) * n;
-        let parent = &mut table.parent[row.clone()];
-        let cost = &mut table.cost[row.clone()];
-        let hops = &mut table.hops[row.clone()];
-        let wire = &mut table.wire_delay[row];
-        parent.fill(NO_PARENT);
-        cost.fill(f64::INFINITY);
-        hops.fill(u32::MAX);
-        wire.fill(f64::INFINITY);
-        self.done.fill(false);
-        cost[src] = 0.0;
-        hops[src] = 0;
-        wire[src] = 0.0;
-        self.heap.push(Reverse((0.0f64.to_bits(), src as u32)));
-        while let Some(Reverse((bits, tile))) = self.heap.pop() {
-            let tile = tile as usize;
-            if self.done[tile] {
-                continue;
+        // Incoming arcs of every tile, in ascending predecessor id and,
+        // within one predecessor, in its own arc order.
+        let mut in_start = vec![0usize; n + 1];
+        for arc in &self.arcs {
+            in_start[arc.nb as usize + 1] += 1;
+        }
+        for t in 0..n {
+            in_start[t + 1] += in_start[t];
+        }
+        let mut fill = in_start.clone();
+        let mut incoming = vec![InArc { pred: 0, link: 0, cost: 0 }; self.arcs.len()];
+        for p in 0..n {
+            for arc in &self.arcs[self.start[p]..self.start[p + 1]] {
+                let slot = &mut fill[arc.nb as usize];
+                incoming[*slot] = InArc { pred: p as u32, link: arc.link, cost: arc.cost as u32 };
+                *slot += 1;
             }
-            self.done[tile] = true;
-            let c = f64::from_bits(bits);
-            for arc in &self.arcs[self.start[tile]..self.start[tile + 1]] {
-                let nb = arc.nb as usize;
-                let nc = c + arc.cost;
-                // Deterministic preference: strictly lower cost, or equal
-                // cost through a lower-id predecessor.
-                let better = nc < cost[nb]
-                    || (nc == cost[nb] && parent[nb].0 != u32::MAX && tile < parent[nb].0 as usize);
-                if better && !self.done[nb] {
-                    cost[nb] = nc;
-                    hops[nb] = hops[tile] + 1;
-                    wire[nb] = wire[tile] + arc.delay;
-                    parent[nb] = (tile as u32, arc.link);
-                    self.heap.push(Reverse((nc.to_bits(), nb as u32)));
+        }
+
+        let slots = max_cost as usize + 1;
+        // `ring[(L mod slots)·n + t]`: the block's sources first reaching
+        // `t` at level `L`, for the last `slots` levels.
+        let mut ring = vec![0u64; slots * n];
+        // `reached[t]`: the block's sources already at `t`.
+        let mut reached = vec![0u64; n];
+        // `claims[t·BLOCK + bit]`: (level, incoming arc) of the block's
+        // source `bit` at `t`, dst-major so the level loop writes near.
+        let mut claims = vec![(0u32, NO_ARC); BLOCK * n];
+        for base in (0..n).step_by(BLOCK) {
+            let width = BLOCK.min(n - base);
+            let all = u64::MAX >> (BLOCK - width);
+            ring.fill(0);
+            reached.fill(0);
+            for bit in 0..width {
+                let src = base + bit;
+                ring[src] = 1 << bit;
+                reached[src] = 1 << bit;
+                claims[src * BLOCK + bit] = (0, NO_ARC);
+            }
+            let mut pending = (n - 1) * width;
+            let (mut level, mut slot, mut last_claim) = (0u32, 0usize, 0u32);
+            while pending > 0 {
+                level += 1;
+                slot = if slot + 1 == slots { 0 } else { slot + 1 };
+                assert!(
+                    level - last_claim <= max_cost,
+                    "topology must be connected before routing"
+                );
+                for t in 0..n {
+                    let mut open = all & !reached[t];
+                    let mut found = 0u64;
+                    if open != 0 {
+                        let first = in_start[t];
+                        for (i, arc) in incoming[first..in_start[t + 1]].iter().enumerate() {
+                            // Levels below 0 map to slots not yet written
+                            // in this block, which hold no sources.
+                            let mut from = slot + slots - arc.cost as usize;
+                            if from >= slots {
+                                from -= slots;
+                            }
+                            let mut claim = ring[from * n + arc.pred as usize] & open;
+                            if claim == 0 {
+                                continue;
+                            }
+                            open &= !claim;
+                            found |= claim;
+                            while claim != 0 {
+                                let bit = claim.trailing_zeros() as usize;
+                                claims[t * BLOCK + bit] = (level, (first + i) as u32);
+                                claim &= claim - 1;
+                            }
+                            if open == 0 {
+                                break;
+                            }
+                        }
+                    }
+                    ring[slot * n + t] = found;
+                    if found != 0 {
+                        reached[t] |= found;
+                        pending -= found.count_ones() as usize;
+                        last_claim = level;
+                    }
+                }
+            }
+            for bit in 0..width {
+                let row = (base + bit) * n;
+                let cost = &mut table.cost[row..row + n];
+                let parent = &mut table.parent[row..row + n];
+                for t in 0..n {
+                    let (level, arc) = claims[t * BLOCK + bit];
+                    cost[t] = f64::from(level);
+                    parent[t] = match incoming.get(arc as usize) {
+                        Some(arc) => (arc.pred, arc.link),
+                        None => NO_PARENT,
+                    };
                 }
             }
         }
-        assert!(cost.iter().all(|v| v.is_finite()), "topology must be connected before routing");
+    }
+
+    /// Fills every row of `table` by Dijkstra from each source, with the
+    /// visit marks and heap reused across sources.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the topology is disconnected.
+    fn dijkstra(&self, table: &mut RoutingTable) {
+        let n = table.n;
+        let mut done = vec![false; n];
+        // Min-heap on `(cost bits, tile)`. Costs are non-negative and
+        // finite (validated link parameters), and such f64s order like
+        // their bit patterns, so this pops in `(cost, tile id)` order.
+        let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
+        for src in 0..n {
+            let row = src * n..(src + 1) * n;
+            let parent = &mut table.parent[row.clone()];
+            let cost = &mut table.cost[row];
+            cost.fill(f64::INFINITY);
+            done.fill(false);
+            cost[src] = 0.0;
+            heap.push(Reverse((0.0f64.to_bits(), src as u32)));
+            while let Some(Reverse((bits, tile))) = heap.pop() {
+                let tile = tile as usize;
+                if done[tile] {
+                    continue;
+                }
+                done[tile] = true;
+                let c = f64::from_bits(bits);
+                for arc in &self.arcs[self.start[tile]..self.start[tile + 1]] {
+                    let nb = arc.nb as usize;
+                    let nc = c + arc.cost;
+                    // Deterministic preference: strictly lower cost, or
+                    // equal cost through a lower-id predecessor.
+                    let better = nc < cost[nb]
+                        || (nc == cost[nb]
+                            && parent[nb].0 != u32::MAX
+                            && tile < parent[nb].0 as usize);
+                    if better && !done[nb] {
+                        cost[nb] = nc;
+                        parent[nb] = (tile as u32, arc.link);
+                        heap.push(Reverse((nc.to_bits(), nb as u32)));
+                    }
+                }
+            }
+            assert!(
+                cost.iter().all(|v| v.is_finite()),
+                "topology must be connected before routing"
+            );
+        }
     }
 }
 
@@ -310,7 +392,6 @@ mod tests {
         let p = NocParams::paper();
         let want = 6.0 * (p.router_stages + p.link_delay_per_unit);
         assert!((table.latency(a, b) - want).abs() < 1e-9);
-        assert!((table.wire_delay(a, b) - 6.0).abs() < 1e-9);
     }
 
     #[test]

@@ -2,11 +2,13 @@
 //! [`super::RoutingTable`], and the differential harness that holds the
 //! two to the same bits.
 //!
-//! [`Reference::build`] is the original builder verbatim: nested
-//! per-source vectors, `Option` parents, a fresh heap per source ordered
-//! by `partial_cmp`, and per-link cost arrays indexed through
-//! [`Topology::neighbors`]. The flat kernel must reproduce its latency and
-//! wire-delay bits, hop counts and link paths for every ordered pair.
+//! [`Reference::build`] is the original builder (less its wire-delay
+//! array, which nothing reads): nested per-source vectors, `Option`
+//! parents, a fresh heap per source ordered by `partial_cmp`, and per-link
+//! cost arrays indexed through [`Topology::neighbors`]. Both production
+//! builders — the level sweep for whole-cycle arc costs, Dijkstra for any
+//! other — must reproduce its latency bits, hop counts and link paths for
+//! every ordered pair.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -15,9 +17,10 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use super::RoutingTable;
+use super::{Router, RoutingTable, MAX_SWEEP_COST};
 use crate::design::{Design, Placement};
 use crate::geometry::{GridDims, TileId};
+use crate::link::Link;
 use crate::moves;
 use crate::params::NocParams;
 use crate::topology::{Topology, TopologyBuilder};
@@ -28,7 +31,6 @@ struct Reference {
     parent: Vec<Vec<Option<(TileId, usize)>>>,
     cost: Vec<Vec<f64>>,
     hops: Vec<Vec<u32>>,
-    wire_delay: Vec<Vec<f64>>,
 }
 
 impl Reference {
@@ -39,16 +41,13 @@ impl Reference {
             .iter()
             .map(|l| params.router_stages + l.length(dims) * params.link_delay_per_unit)
             .collect();
-        let link_delay: Vec<f64> =
-            topology.links().iter().map(|l| l.length(dims) * params.link_delay_per_unit).collect();
-        let mut out = Self { parent: vec![], cost: vec![], hops: vec![], wire_delay: vec![] };
+        let mut out = Self { parent: vec![], cost: vec![], hops: vec![] };
         for src in 0..n {
-            let (p, c, h, w) = dijkstra(src, n, topology, &link_cost, &link_delay);
+            let (p, c, h) = dijkstra(src, n, topology, &link_cost);
             assert!(c.iter().all(|v| v.is_finite()), "topology must be connected before routing");
             out.parent.push(p);
             out.cost.push(c);
             out.hops.push(h);
-            out.wire_delay.push(w);
         }
         out
     }
@@ -88,23 +87,15 @@ impl PartialOrd for HeapEntry {
     }
 }
 
-type DijkstraOut = (Vec<Option<(TileId, usize)>>, Vec<f64>, Vec<u32>, Vec<f64>);
+type DijkstraOut = (Vec<Option<(TileId, usize)>>, Vec<f64>, Vec<u32>);
 
-fn dijkstra(
-    src: usize,
-    n: usize,
-    topology: &Topology,
-    link_cost: &[f64],
-    link_delay: &[f64],
-) -> DijkstraOut {
+fn dijkstra(src: usize, n: usize, topology: &Topology, link_cost: &[f64]) -> DijkstraOut {
     let mut cost = vec![f64::INFINITY; n];
     let mut hops = vec![u32::MAX; n];
-    let mut wire = vec![f64::INFINITY; n];
     let mut parent: Vec<Option<(TileId, usize)>> = vec![None; n];
     let mut done = vec![false; n];
     cost[src] = 0.0;
     hops[src] = 0;
-    wire[src] = 0.0;
     let mut heap = BinaryHeap::new();
     heap.push(HeapEntry { cost: 0.0, tile: src });
     while let Some(HeapEntry { cost: c, tile }) = heap.pop() {
@@ -119,13 +110,12 @@ fn dijkstra(
             if better && !done[nb.0] {
                 cost[nb.0] = nc;
                 hops[nb.0] = hops[tile] + 1;
-                wire[nb.0] = wire[tile] + link_delay[link];
                 parent[nb.0] = Some((TileId(tile), link));
                 heap.push(HeapEntry { cost: nc, tile: nb.0 });
             }
         }
     }
-    (parent, cost, hops, wire)
+    (parent, cost, hops)
 }
 
 /// Asserts `table` and `oracle` agree bitwise on every ordered pair.
@@ -140,11 +130,6 @@ fn assert_matches(table: &RoutingTable, oracle: &Reference, what: &str) {
                 oracle.cost[s][d].to_bits(),
                 "{what}: latency {s}->{d}"
             );
-            assert_eq!(
-                table.wire_delay(src, dst).to_bits(),
-                oracle.wire_delay[s][d].to_bits(),
-                "{what}: wire delay {s}->{d}"
-            );
             assert_eq!(table.hop_count(src, dst), oracle.hops[s][d], "{what}: hops {s}->{d}");
             assert_eq!(table.path_links(src, dst), oracle.path_links(src, dst), "{what}: path");
         }
@@ -153,44 +138,60 @@ fn assert_matches(table: &RoutingTable, oracle: &Reference, what: &str) {
 
 /// A grid and a topology builder with its 3D-mesh link budgets (the
 /// paper's budgets on the paper grid). `grid` 0 = 4×4×4, 1 = 2×2×2,
-/// 2 = a 3×3 single layer, 3 = a 5×1 line.
+/// 2 = a 3×3 single layer, 3 = a 5×1 line, 4 = a 9×9 single layer and
+/// 5 = 5×5×3. The last two have more than 64 tiles, so the level sweep
+/// routes them in two source blocks, the second one partial.
 fn grid(grid: u8) -> (GridDims, TopologyBuilder) {
     let dims = match grid {
         0 => GridDims::paper(),
         1 => GridDims::new(2, 2, 2),
         2 => GridDims::new(3, 3, 1),
-        _ => GridDims::new(5, 1, 1),
+        3 => GridDims::new(5, 1, 1),
+        4 => GridDims::new(9, 9, 1),
+        _ => GridDims::new(5, 5, 3),
     };
+    (dims, mesh_budgets(dims))
+}
+
+fn mesh_budgets(dims: GridDims) -> TopologyBuilder {
     let (nx, ny, layers) = (dims.nx(), dims.ny(), dims.layers());
     let planar = layers * (nx * (ny - 1) + ny * (nx - 1));
     let tsvs = nx * ny * (layers - 1);
-    (dims, TopologyBuilder::new(dims, planar, tsvs, 5, 7))
+    TopologyBuilder::new(dims, planar, tsvs, 5, 7)
 }
 
-/// The paper's parameters, or off-integer ones so that equal-cost ties
-/// are decided by rounded sums rather than exact small integers.
-fn params(router_stages: f64, link_delay_per_unit: f64, integral: bool) -> NocParams {
-    if integral {
-        NocParams::paper()
-    } else {
-        NocParams { router_stages, link_delay_per_unit, ..NocParams::paper() }
-    }
+/// Link parameters by `kind`: 0 = the paper's (whole arc costs `3 +
+/// length`), 1 = other whole costs within the sweep's bound, 2 = whole
+/// costs above [`MAX_SWEEP_COST`], 3 = whole and half costs mixed
+/// (2.5 + 0.5 per unit), and anything else = off-integer ones, so that
+/// equal-cost ties are decided by rounded sums rather than exact small
+/// integers. `a` and `b` pick the free coefficients.
+fn params(kind: u8, a: f64, b: f64) -> NocParams {
+    let (router_stages, link_delay_per_unit) = match kind {
+        0 => return NocParams::paper(),
+        1 => ((1.0 + 7.0 * a).floor(), (1.0 + 7.0 * b).floor()),
+        2 => (f64::from(MAX_SWEEP_COST) + (8.0 * a).floor(), (1.0 + 3.0 * b).floor()),
+        3 => (2.5, 0.5),
+        _ => (0.1 + 3.9 * a, 0.05 + 1.95 * b),
+    };
+    NocParams { router_stages, link_delay_per_unit, ..NocParams::paper() }
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Fresh builds on random topologies of every grid shape.
+    /// Fresh builds on random topologies of every grid shape, under
+    /// parameters that select each builder.
     #[test]
     fn flat_builds_match_the_oracle(
         seed in 0u64..1000,
-        g in 0u8..4,
-        router_stages in 0.1f64..4.0,
-        link_delay in 0.05f64..2.0,
-        integral in 0u8..2,
+        g in 0u8..6,
+        kind in 0u8..5,
+        a in 0.0f64..1.0,
+        b in 0.0f64..1.0,
     ) {
         let (dims, builder) = grid(g);
-        let p = params(router_stages, link_delay, integral == 0);
+        let p = params(kind, a, b);
         let mut rng = StdRng::seed_from_u64(seed);
         let topo = builder.random(&mut rng).expect("mesh budgets build");
         let oracle = Reference::build(&dims, &topo, &p);
@@ -199,43 +200,80 @@ proptest! {
 
     /// Rewire chains: each step's topology has had its adjacency lists
     /// edited in place by `replace_link`, so its neighbor order differs
-    /// from a fresh build of the same link list. The flat build on the
-    /// edited topology, the oracle on a fresh one and the incremental
-    /// repair of the previous table must all agree.
+    /// from a fresh build of the same link list. The build on the edited
+    /// topology and the oracle on a fresh one must agree.
     #[test]
-    fn rewire_chains_and_repairs_match_the_oracle(
+    fn rewire_chains_match_the_oracle(
         seed in 0u64..1000,
         g in 0u8..4,
         walk in 1usize..8,
-        router_stages in 0.1f64..4.0,
-        link_delay in 0.05f64..2.0,
-        integral in 0u8..2,
+        kind in 0u8..5,
+        a in 0.0f64..1.0,
+        b in 0.0f64..1.0,
     ) {
         let (dims, builder) = grid(g);
-        let p = params(router_stages, link_delay, integral == 0);
+        let p = params(kind, a, b);
         let mut rng = StdRng::seed_from_u64(seed);
         let mix = PeMix::new(1, dims.tiles() - 2, 1);
         let placement = Placement::random(&dims, mix, &mut rng);
         let mut design = Design::new(placement, builder.random(&mut rng).expect("builds"));
-        let mut table = RoutingTable::build(&dims, &design.topology, &p);
         for step in 0..walk {
             let next = moves::rewire_link(&dims, &builder, 7, &design, &mut rng);
             let fresh = Topology::from_links(&dims, next.topology.links().to_vec());
             let oracle = Reference::build(&dims, &fresh, &p);
             let built = RoutingTable::build(&dims, &next.topology, &p);
             assert_matches(&built, &oracle, &format!("step {step} build"));
-            let old = design.topology.links();
-            if let Some(victim) = (0..old.len()).find(|&k| old[k] != next.topology.links()[k]) {
-                let link = next.topology.links()[victim];
-                let cost = p.router_stages + link.length(&dims) * p.link_delay_per_unit;
-                let affected = table.rewire_affected_sources(victim, link, cost);
-                let repaired = table.repair_rewire(&dims, &next.topology, &affected, &p);
-                assert_matches(&repaired, &oracle, &format!("step {step} repair"));
-            }
-            table = built;
             design = next;
         }
     }
+}
+
+/// The grids the random topologies above do not reach: the paper's mesh,
+/// whose many equal-cost paths make every tie rule count, and a 256-tile
+/// random stack (four source blocks).
+#[test]
+fn meshes_and_a_large_stack_match_the_oracle() {
+    let p = NocParams::paper();
+    for g in 0..6 {
+        let (dims, _) = grid(g);
+        let mesh = Topology::mesh(&dims);
+        assert_matches(
+            &RoutingTable::build(&dims, &mesh, &p),
+            &Reference::build(&dims, &mesh, &p),
+            "mesh",
+        );
+    }
+    let dims = GridDims::new(8, 8, 4);
+    let topo = mesh_budgets(dims).random(&mut StdRng::seed_from_u64(3)).expect("builds");
+    assert_matches(
+        &RoutingTable::build(&dims, &topo, &p),
+        &Reference::build(&dims, &topo, &p),
+        "8x8x4",
+    );
+}
+
+/// Which builder each parameter set selects: the sweep exactly when every
+/// arc cost is a whole number of cycles in `1..=MAX_SWEEP_COST`.
+#[test]
+fn whole_bounded_arc_costs_select_the_sweep() {
+    let dims = GridDims::new(6, 1, 1);
+    // A line plus express links of 2 and 5 units.
+    let mut links: Vec<Link> = (0..5).map(|i| Link::new(TileId(i), TileId(i + 1))).collect();
+    links.push(Link::new(TileId(0), TileId(5)));
+    links.push(Link::new(TileId(1), TileId(3)));
+    let topo = Topology::from_links(&dims, links);
+    let select = |router_stages: f64, link_delay_per_unit: f64| {
+        let p = NocParams { router_stages, link_delay_per_unit, ..NocParams::paper() };
+        Router::new(&dims, &topo, &p).sweep_max_cost()
+    };
+    assert_eq!(Router::new(&dims, &topo, &NocParams::paper()).sweep_max_cost(), Some(8));
+    assert_eq!(select(1.0, 2.0), Some(11));
+    assert_eq!(select(59.0, 1.0), Some(64), "the bound is inclusive");
+    assert_eq!(select(60.0, 1.0), None, "one arc costs 65");
+    assert_eq!(select(64.0, 1.0), None);
+    assert_eq!(select(2.5, 0.5), None, "the 2-unit arc costs 3.5");
+    assert_eq!(select(3.0, 0.5), None);
+    assert_eq!(select(0.25, 0.75), None, "1-unit arcs cost 1, the 2-unit arc 1.75");
 }
 
 /// The harness can fail: a table whose one latency differs by the

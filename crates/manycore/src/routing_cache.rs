@@ -68,7 +68,7 @@ impl RoutingCache {
         self.capacity
     }
 
-    /// Routing tables built so far (Dijkstra invocations).
+    /// Routing tables built so far (all-pairs builds).
     pub fn rebuilds(&self) -> u64 {
         self.rebuilds.load(Ordering::Relaxed)
     }
@@ -80,7 +80,7 @@ impl RoutingCache {
 
     /// Looks up the table for `topology` without building on a miss. A
     /// hit counts toward [`RoutingCache::hits`]; a miss counts nothing
-    /// (the caller decides whether to rebuild or repair incrementally).
+    /// (the caller decides whether to route the topology).
     pub fn lookup(&self, topology: &Topology) -> Option<Arc<RoutingTable>> {
         if self.capacity == 0 {
             return None;
@@ -98,12 +98,9 @@ impl RoutingCache {
         Some(Arc::clone(&entry.table))
     }
 
-    /// Stores a table produced elsewhere (e.g. by incremental repair)
-    /// under `topology`, evicting LRU-style. Does not count a rebuild —
-    /// [`RoutingCache::rebuilds`] keeps meaning "full Dijkstra passes".
-    /// No-op at capacity 0. `table` must have been built (or repaired to
-    /// be bitwise identical to a build) for `topology`'s exact link list.
-    pub fn admit(&self, topology: &Topology, table: Arc<RoutingTable>) {
+    /// Stores `table`, built for `topology`'s exact link list, evicting
+    /// LRU-style. No-op at capacity 0.
+    fn admit(&self, topology: &Topology, table: Arc<RoutingTable>) {
         if self.capacity == 0 {
             return;
         }

@@ -9,10 +9,10 @@
 //! cache cannot leak into them.
 //!
 //! The harness has a self-check mode: compiling with
-//! `--features delta-fault` raises the latencies of every row a rewire
-//! repair re-routes, and the `self_check` module asserts the divergence
-//! is caught — proving these parity assertions have teeth rather than
-//! comparing a value to itself.
+//! `--features delta-fault` raises every latency of the table a cache hit
+//! serves to the neighbor path, and the `self_check` module asserts the
+//! divergence is caught — proving these parity assertions have teeth
+//! rather than comparing a value to itself.
 
 use moela_manycore::moves;
 use moela_manycore::topology::TopologyBuilder;
@@ -91,7 +91,7 @@ fn bits(objectives: &[f64]) -> Vec<u64> {
 mod parity {
     use super::*;
     use moela_manycore::objectives::{Evaluation, Evaluator};
-    use moela_manycore::{DeltaEngine, DEFAULT_DELTA_CACHE_CAPACITY};
+    use moela_manycore::{DeltaEngine, Link, DEFAULT_DELTA_CACHE_CAPACITY};
     use moela_thermal::FastThermalModel;
     use proptest::prelude::*;
 
@@ -127,10 +127,7 @@ mod parity {
 
         /// Random move chains of every kind, on every grid, scored over
         /// all five objectives: the delta-served neighbor evaluation
-        /// must equal full evaluation bitwise at every single step. The
-        /// chain's tables come from the neighbor path's own repairs, so
-        /// drift would compound — and be caught at the step it first
-        /// appears.
+        /// must equal full evaluation bitwise at every single step.
         #[test]
         fn move_chains_evaluate_bitwise_identically(
             seed in 0u64..500,
@@ -158,8 +155,8 @@ mod parity {
         /// The engine driven bare, below the problem wrapper, over a
         /// chain cycling swap, rewire and mixed moves: every neighbor's
         /// whole [`Evaluation`] must equal a from-scratch evaluation
-        /// bitwise, and the chain must actually be served by cached or
-        /// repaired tables.
+        /// bitwise, and exactly the neighbors whose topology was scored
+        /// before in the chain must be served by a cached table.
         #[test]
         fn engine_neighbors_equal_fresh_evaluations(
             seed in 0u64..300,
@@ -173,20 +170,31 @@ mod parity {
             let engine = DeltaEngine::new(DEFAULT_DELTA_CACHE_CAPACITY);
             let mut rng = StdRng::seed_from_u64(seed ^ 0x5A7E);
             let mut current = problem.random_solution(&mut rng);
+            // The link lists routed so far (the routing cache's key): the
+            // chain is shorter than the cache, so none is evicted and a
+            // neighbor hits iff its link list is among them.
+            let mut routed: Vec<Vec<Link>> = Vec::new();
+            let mut expected_hits = 0u64;
             for i in 0..walk {
                 let next = step(&problem, (i % 3) as u8, &current, &mut rng);
+                if routed.iter().any(|links| links == next.topology.links()) {
+                    expected_hits += 1;
+                } else {
+                    routed.push(next.topology.links().to_vec());
+                }
                 let served = engine.evaluate_neighbor(&evaluator, &current, &next);
                 prop_assert_eq!(
                     evaluation_bits(&served),
                     evaluation_bits(&fresh.evaluate(&next)),
-                    "{:?} at step {} diverged from the fresh evaluation",
-                    moela_manycore::MoveDelta::between(&current, &next), i
+                    "step {} (kind {}) diverged from the fresh evaluation",
+                    i, i % 3
                 );
                 current = next;
             }
-            // Only the unscored seed design misses the cache; every later
-            // step finds its base's table resident.
-            prop_assert_eq!((engine.hits(), engine.fallbacks()), (walk as u64 - 1, 1));
+            prop_assert_eq!(
+                (engine.hits(), engine.fallbacks()),
+                (expected_hits, walk as u64 - expected_hits)
+            );
         }
     }
 
@@ -236,10 +244,10 @@ mod parity {
         assert_eq!(problem.routing_stats().0, 1, "a swap walk routes one topology");
     }
 
-    /// A rewire walk builds one table from scratch; every later table is
-    /// repaired from its predecessor — and still evaluates exactly.
+    /// Every step of a rewire walk routes a new topology, so each
+    /// neighbor is a full evaluation that routes from scratch.
     #[test]
-    fn rewire_walks_repair_every_table_after_the_first() {
+    fn rewire_walks_route_every_new_topology() {
         let problem = problem_on(0, ObjectiveSet::Five, 5);
         let reference = reference_on(0, ObjectiveSet::Five, 5);
         let mut rng = StdRng::seed_from_u64(17);
@@ -251,15 +259,15 @@ mod parity {
             assert_eq!(bits(&fast), bits(&reference.evaluate(&next)));
             current = next;
         }
-        assert_eq!(problem.delta_stats(), (walk - 1, 1));
-        assert_eq!(problem.routing_stats().0, 1, "repairs are not rebuilds");
+        assert_eq!(problem.delta_stats(), (0, walk), "no rewire revisits a topology");
+        assert_eq!(problem.routing_stats().0, walk, "one build per rewire");
     }
 }
 
 /// Harness self-test, compiled only with `--features delta-fault`: the
-/// rewire repair then raises every latency of the rows it re-routes, and
-/// the very comparison the parity suite runs must flag it. A green run
-/// here proves a wrong fast path cannot slip through.
+/// neighbor path then raises every latency of the table a cache hit
+/// serves, and the very comparison the parity suite runs must flag it. A
+/// green run here proves a wrong fast path cannot slip through.
 #[cfg(feature = "delta-fault")]
 mod self_check {
     use super::*;
@@ -270,9 +278,10 @@ mod self_check {
         let reference = reference_on(0, ObjectiveSet::Five, 7);
         let mut rng = StdRng::seed_from_u64(7);
         let mut current = problem.random_solution(&mut rng);
-        let mut diverged = 0usize;
-        for _ in 0..6 {
-            let next = step(&problem, 1, &current, &mut rng);
+        let mut diverged = 0u64;
+        let walk = 6u64;
+        for _ in 0..walk {
+            let next = step(&problem, 0, &current, &mut rng);
             let fast = problem.evaluate_neighbor_ordinal(&current, &next, 0);
             let full = reference.evaluate(&next);
             if bits(&fast) != bits(&full) {
@@ -280,10 +289,12 @@ mod self_check {
             }
             current = next;
         }
-        let (hits, _) = problem.delta_stats();
-        assert!(hits > 0, "the chain must actually exercise the delta path");
-        assert!(
-            diverged > 0,
+        // The unscored seed design's first swap is a full evaluation;
+        // every later swap is served the faulty copy of the cached table.
+        assert_eq!(problem.delta_stats(), (walk - 1, 1));
+        assert_eq!(
+            diverged,
+            walk - 1,
             "the injected delta fault went undetected — the parity harness is toothless"
         );
     }
