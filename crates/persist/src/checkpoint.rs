@@ -38,13 +38,16 @@ pub const FORMAT_VERSION: u32 = 1;
 /// Magic token opening every checkpoint header line.
 const MAGIC: &str = "MOELA-CKPT";
 
+/// The header line of a checkpoint whose payload is `body`.
+fn header(body: &[u8]) -> String {
+    format!("{MAGIC} {FORMAT_VERSION} crc32={:08x} len={}\n", crc32(body), body.len())
+}
+
 /// Serializes `payload` with the checksummed header.
 pub fn to_bytes(payload: &Value) -> Vec<u8> {
-    let body = encode::to_string(payload).into_bytes();
-    let mut out =
-        format!("{MAGIC} {FORMAT_VERSION} crc32={:08x} len={}\n", crc32(&body), body.len())
-            .into_bytes();
-    out.extend_from_slice(&body);
+    let body = encode::to_string(payload);
+    let mut out = header(body.as_bytes()).into_bytes();
+    out.extend_from_slice(body.as_bytes());
     out
 }
 
@@ -104,13 +107,22 @@ pub fn from_bytes(bytes: &[u8], path: &Path) -> Result<Value, PersistError> {
 /// last rename wins. A failed write removes its temp file; a process
 /// killed mid-write leaves it for [`remove_stale_temps`].
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
+    write_atomic_parts(path, &[bytes])
+}
+
+/// [`write_atomic`] of the concatenation of `parts`, written one after
+/// the other instead of copied into one buffer first.
+fn write_atomic_parts(path: &Path, parts: &[&[u8]]) -> Result<(), PersistError> {
     static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
     let mut name = path.file_name().unwrap_or_default().to_os_string();
     let n = NEXT_TMP.fetch_add(1, Ordering::Relaxed);
     name.push(format!(".{}-{n}.tmp", std::process::id()));
     let tmp = path.with_file_name(name);
     let written = fs::File::create(&tmp)
-        .and_then(|mut f| f.write_all(bytes).and_then(|()| f.sync_all()))
+        .and_then(|mut f| {
+            parts.iter().try_for_each(|part| f.write_all(part))?;
+            f.sync_all()
+        })
         .map_err(|e| PersistError::io(&tmp, e))
         .and_then(|()| fs::rename(&tmp, path).map_err(|e| PersistError::io(path, e)));
     if written.is_err() {
@@ -183,10 +195,19 @@ impl CheckpointStore {
     /// Saves `payload` as sequence number `seq` (atomically) and prunes
     /// rotations beyond the keep limit.
     pub fn save(&self, seq: u64, payload: &Value) -> Result<PathBuf, PersistError> {
+        self.save_sized(seq, payload).map(|(path, _)| path)
+    }
+
+    /// [`save`](Self::save) that also returns the file's size in bytes.
+    /// The header and the payload are written as two slices, so the
+    /// payload is never copied behind its header.
+    pub fn save_sized(&self, seq: u64, payload: &Value) -> Result<(PathBuf, u64), PersistError> {
         let path = self.path_for(seq);
-        write_atomic(&path, &to_bytes(payload))?;
+        let body = encode::to_string(payload);
+        let header = header(body.as_bytes());
+        write_atomic_parts(&path, &[header.as_bytes(), body.as_bytes()])?;
         self.prune()?;
-        Ok(path)
+        Ok((path, (header.len() + body.len()) as u64))
     }
 
     /// All checkpoint sequence numbers on disk, ascending.
@@ -273,8 +294,19 @@ mod tests {
     fn header_round_trip() {
         let v = sample(7);
         let bytes = to_bytes(&v);
-        assert!(bytes.starts_with(b"MOELA-CKPT 1 crc32="));
+        assert!(bytes.starts_with(format!("MOELA-CKPT {FORMAT_VERSION} crc32=").as_bytes()));
         assert_eq!(from_bytes(&bytes, Path::new("x")).unwrap(), v);
+    }
+
+    #[test]
+    fn save_writes_exactly_the_bytes_of_to_bytes() {
+        let dir = temp_dir("save-bytes");
+        let store = CheckpointStore::new(&dir).unwrap();
+        let (path, len) = store.save_sized(4, &sample(4)).unwrap();
+        let on_disk = fs::read(&path).unwrap();
+        assert_eq!(on_disk, to_bytes(&sample(4)));
+        assert_eq!(len, on_disk.len() as u64);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -301,14 +333,17 @@ mod tests {
     }
 
     #[test]
-    fn future_format_versions_are_refused() {
-        let bytes = to_bytes(&sample(3));
-        let text = String::from_utf8(bytes).unwrap();
-        let bumped = text.replacen("MOELA-CKPT 1 ", "MOELA-CKPT 2 ", 1);
-        assert!(matches!(
-            from_bytes(bumped.as_bytes(), Path::new("t.json")),
-            Err(PersistError::FormatVersion { supported: 1, found: 2 })
-        ));
+    fn other_format_versions_are_refused() {
+        let text = String::from_utf8(to_bytes(&sample(3))).unwrap();
+        let ours = format!("MOELA-CKPT {FORMAT_VERSION} ");
+        for found in [FORMAT_VERSION - 1, FORMAT_VERSION + 1] {
+            let other = text.replacen(&ours, &format!("MOELA-CKPT {found} "), 1);
+            assert!(matches!(
+                from_bytes(other.as_bytes(), Path::new("t.json")),
+                Err(PersistError::FormatVersion { supported: FORMAT_VERSION, found: f })
+                    if f == found
+            ));
+        }
     }
 
     #[test]

@@ -3,6 +3,14 @@
 //! Output is deterministic: object fields appear in insertion order and
 //! floats use Rust's shortest-round-trip `Display` formatting, so equal
 //! [`Value`]s always serialize to equal bytes.
+//!
+//! Every token is appended to one output `String`: integers go through a
+//! stack digit buffer and floats through `write!`, so encoding allocates
+//! nothing per number. The per-number `to_string` encoder this replaced
+//! is kept in the crate's test oracle, which holds the two to the same
+//! bytes.
+
+use std::fmt::Write;
 
 use crate::value::Value;
 
@@ -18,8 +26,13 @@ fn write_value(out: &mut String, value: &Value) {
         Value::Null => out.push_str("null"),
         Value::Bool(true) => out.push_str("true"),
         Value::Bool(false) => out.push_str("false"),
-        Value::I64(v) => out.push_str(&v.to_string()),
-        Value::U64(v) => out.push_str(&v.to_string()),
+        Value::I64(v) => {
+            if *v < 0 {
+                out.push('-');
+            }
+            write_u64(out, v.unsigned_abs());
+        }
+        Value::U64(v) => write_u64(out, *v),
         Value::F64(v) => write_f64(out, *v),
         Value::Str(s) => write_string(out, s),
         Value::Array(items) => {
@@ -47,6 +60,21 @@ fn write_value(out: &mut String, value: &Value) {
     }
 }
 
+/// Appends the decimal digits of `v`.
+fn write_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
 fn write_f64(out: &mut String, v: f64) {
     if v.is_nan() {
         out.push_str("\"NaN\"");
@@ -58,9 +86,9 @@ fn write_f64(out: &mut String, v: f64) {
         // Rust's Display for f64 is the shortest string that round-trips.
         // Keep a decimal point (or exponent) so the token re-parses as a
         // float, not an integer: 2.0 must encode as "2.0", not "2".
-        let s = v.to_string();
-        out.push_str(&s);
-        if !s.contains(['.', 'e', 'E']) {
+        let at = out.len();
+        write!(out, "{v}").expect("writing to a String cannot fail");
+        if !out[at..].contains(['.', 'e', 'E']) {
             out.push_str(".0");
         }
     }
@@ -68,21 +96,34 @@ fn write_f64(out: &mut String, v: f64) {
 
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    // Copy runs of characters that need no escape as one slice; every
+    // escaped character is ASCII, so the run boundaries are char
+    // boundaries.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0C => "\\f",
+            0x00..=0x1F => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        if escape.is_empty() {
+            const HEX: &[u8; 16] = b"0123456789abcdef";
+            out.push_str("\\u00");
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xF)]));
+        } else {
+            out.push_str(escape);
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 

@@ -26,6 +26,8 @@ pub mod crc32;
 pub mod decode;
 pub mod encode;
 pub mod error;
+#[cfg(test)]
+mod reference;
 pub mod store;
 pub mod value;
 
