@@ -14,6 +14,7 @@
 
 use std::time::Duration;
 
+use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore};
 
@@ -123,8 +124,7 @@ where
     /// [`moela_moo::GuardedEvaluator`] sized by [`MoeadConfig::threads`],
     /// then applied in sub-problem order — so results are bit-identical
     /// for every thread count.
-    pub fn run(&self, rng: &mut impl RngCore) -> RunResult<P::Solution> {
-        let rng: &mut dyn RngCore = rng;
+    pub fn run(&self, rng: &mut StdRng) -> RunResult<P::Solution> {
         run_to_end(self.start(rng), rng)
     }
 
@@ -262,7 +262,7 @@ where
     }
 
     /// Executes one generation.
-    fn step(&mut self, rng: &mut dyn RngCore) -> bool {
+    fn step(&mut self, rng: &mut StdRng) -> bool {
         if !self.ctx.begin_step(self.generation >= self.config.generations) {
             return false;
         }

@@ -10,7 +10,9 @@
 //!   archive's hypervolume (this per-candidate PHV computation is the
 //!   overhead MOELA's §IV.A calls out);
 //! * every base-search trajectory is labeled with the final archive PHV
-//!   and appended to the training set of a random-forest `Eval`;
+//!   and appended to the training set of a random-forest `Eval`, refit
+//!   from that set every episode (so `Eval` is a local of the step and
+//!   is never checkpointed);
 //! * the **meta search** hill-climbs on `Eval`'s *predictions* (no real
 //!   evaluations) from the end of the last trajectory to propose the next
 //!   start; when the meta search stalls, the next start is random.
@@ -20,9 +22,10 @@
 
 use std::time::Duration;
 
+use rand::rngs::StdRng;
 use rand::RngCore;
 
-use moela_ml::{Dataset, ForestConfig, RandomForest};
+use moela_ml::{Dataset, ForestConfig, RandomForest, MIN_FIT_ROWS};
 use moela_moo::archive::ParetoArchive;
 use moela_moo::checkpoint::{run_to_end, Resumable, RunCtx};
 use moela_moo::fault::{is_quarantined, FaultConfig};
@@ -134,8 +137,7 @@ where
     /// [`MooStageConfig::threads`] — results are bit-identical for every
     /// thread count (the archive only changes after the step's best
     /// candidate is chosen).
-    pub fn run(&self, rng: &mut impl RngCore) -> RunResult<P::Solution> {
-        let rng: &mut dyn RngCore = rng;
+    pub fn run(&self, rng: &mut StdRng) -> RunResult<P::Solution> {
         run_to_end(self.start(rng), rng)
     }
 
@@ -173,7 +175,6 @@ where
             archive,
             normalizer,
             train: Dataset::with_capacity(10_000),
-            eval_fn: None,
             start,
             episode: 0,
         }
@@ -193,10 +194,8 @@ where
         if normalizer.len() != m {
             return Err(PersistError::schema("checkpointed normalizer dimension mismatch"));
         }
-        let eval_fn = match value.field("eval_fn")? {
-            Value::Null => None,
-            v => Some(RandomForest::restore(v)?),
-        };
+        let train = Dataset::restore(value.field("train")?)?;
+        train.check_width(self.problem.feature_len())?;
         Ok(MooStageState {
             ctx: RunCtx::restore(
                 value,
@@ -210,8 +209,7 @@ where
             problem: self.problem,
             archive: archive_from_value(value.field("archive")?, codec)?,
             normalizer,
-            train: Dataset::restore(value.field("train")?)?,
-            eval_fn,
+            train,
             start: codec.decode_solution(value.field("start")?)?,
             episode: value.field("episode")?.as_usize()?,
         })
@@ -227,7 +225,6 @@ pub struct MooStageState<'p, P: Problem> {
     archive: ParetoArchive<P::Solution>,
     normalizer: Normalizer,
     train: Dataset,
-    eval_fn: Option<RandomForest>,
     /// The next episode's base-search start, carried across episodes.
     start: P::Solution,
     episode: usize,
@@ -255,11 +252,10 @@ where
     }
 
     /// Executes one episode.
-    fn step(&mut self, rng: &mut dyn RngCore) -> bool {
+    fn step(&mut self, rng: &mut StdRng) -> bool {
         if !self.ctx.begin_step(self.episode >= self.config.episodes) {
             return false;
         }
-        let mut rng = rng;
         let episode = self.episode;
         let cfg = self.config.clone();
 
@@ -329,13 +325,16 @@ where
             // the random-forest consumers elsewhere in the workspace.
             self.train.push_finite(features, -final_phv);
         }
-        if self.train.len() >= 8 {
+        // The training set only grows, so once it is large enough every
+        // episode refits before it predicts, and `Eval` never outlives
+        // the episode.
+        let eval_fn = (self.train.len() >= MIN_FIT_ROWS).then(|| {
             let _fit = self.ctx.obs.span("surrogate_fit");
-            self.eval_fn = Some(RandomForest::fit(&self.train, &cfg.forest, &mut rng));
-        }
+            RandomForest::fit(&self.train, &cfg.forest, rng)
+        });
 
         // --- Meta search on predicted Eval --------------------------
-        self.start = match &self.eval_fn {
+        self.start = match &eval_fn {
             Some(model) => {
                 let _predict = self.ctx.obs.span("surrogate_predict");
                 let mut meta = current.clone();
@@ -378,7 +377,6 @@ where
                 ("archive", archive_to_value(&self.archive, codec)),
                 ("normalizer", self.normalizer.snapshot()),
                 ("train", self.train.snapshot()),
-                ("eval_fn", self.eval_fn.as_ref().map_or(Value::Null, Snapshot::snapshot)),
                 ("start", codec.encode_solution(&self.start)),
             ],
         )

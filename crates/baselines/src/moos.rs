@@ -22,9 +22,10 @@
 
 use std::time::Duration;
 
+use rand::rngs::StdRng;
 use rand::{Rng, RngCore};
 
-use moela_ml::{Dataset, ForestConfig, RandomForest};
+use moela_ml::{Dataset, ForestConfig, Surrogate, MIN_FIT_ROWS};
 use moela_moo::archive::ParetoArchive;
 use moela_moo::checkpoint::{run_to_end, Resumable, RunCtx};
 use moela_moo::fault::{is_quarantined, penalty_objectives, FaultConfig};
@@ -140,8 +141,7 @@ where
     /// Each descent step's neighbors are evaluated as one batch through a
     /// [`moela_moo::GuardedEvaluator`] sized by [`MoosConfig::threads`] —
     /// results are bit-identical for every thread count.
-    pub fn run(&self, rng: &mut impl RngCore) -> RunResult<P::Solution> {
-        let rng: &mut dyn RngCore = rng;
+    pub fn run(&self, rng: &mut StdRng) -> RunResult<P::Solution> {
         run_to_end(self.start(rng), rng)
     }
 
@@ -190,7 +190,7 @@ where
             z,
             normalizer,
             train: Dataset::with_capacity(10_000),
-            gain_model: None,
+            gain_model: Surrogate::default(),
             episode: 0,
         }
     }
@@ -213,10 +213,9 @@ where
                 "checkpointed reference/normalizer dimension mismatch",
             ));
         }
-        let gain_model = match value.field("gain_model")? {
-            Value::Null => None,
-            v => Some(RandomForest::restore(v)?),
-        };
+        let train = Dataset::restore(value.field("train")?)?;
+        train.check_width(self.problem.feature_len() + m)?;
+        let gain_model = Surrogate::restore(value.field("fit_rng")?, &train, &cfg.forest)?;
         Ok(MoosState {
             ctx: RunCtx::restore(
                 value,
@@ -231,7 +230,7 @@ where
             archive,
             z,
             normalizer,
-            train: Dataset::restore(value.field("train")?)?,
+            train,
             gain_model,
             episode: value.field("episode")?.as_usize()?,
         })
@@ -248,7 +247,8 @@ pub struct MoosState<'p, P: Problem> {
     z: ReferencePoint,
     normalizer: Normalizer,
     train: Dataset,
-    gain_model: Option<RandomForest>,
+    /// Checkpointed as its `fit_rng` and refit on restore.
+    gain_model: Surrogate,
     episode: usize,
 }
 
@@ -274,11 +274,10 @@ where
     }
 
     /// Executes one episode.
-    fn step(&mut self, rng: &mut dyn RngCore) -> bool {
+    fn step(&mut self, rng: &mut StdRng) -> bool {
         if !self.ctx.begin_step(self.episode >= self.config.episodes) {
             return false;
         }
-        let mut rng = rng;
         let episode = self.episode;
         let cfg = self.config.clone();
         let directions = uniform_weights(cfg.directions, self.problem.objective_count());
@@ -289,67 +288,69 @@ where
         // happen past warm-up with a model), so a `match` rewrite
         // would change the RNG stream.
         #[allow(clippy::unnecessary_unwrap)]
-        let (start, start_objs, weight) =
-            if episode < cfg.warmup || self.gain_model.is_none() || rng.gen_bool(cfg.epsilon) {
-                // Exploration: half the time restart from a fresh random
-                // design (archive members are locally exhausted), half the
-                // time re-descend an archive member in a random direction.
-                let w = directions[rng.gen_range(0..directions.len())].clone();
-                if entries.is_empty() || rng.gen_bool(0.5) {
-                    let s = self.problem.random_solution(rng);
-                    let o = self.ctx.evaluate_one(self.problem, &s);
-                    if self.ctx.poisoned() {
-                        return false;
-                    }
-                    // A quarantined fresh start still descends — from the
-                    // penalty corner, where any real neighbor improves —
-                    // but never touches the archive or the normalizer.
-                    let o = match o {
-                        Some(o) if !is_quarantined(&o) => {
-                            self.z.update(&o);
-                            self.normalizer.observe(&o);
-                            self.ctx.recorder.observe(&o);
-                            self.archive.insert(s.clone(), o.clone());
-                            o
-                        }
-                        _ => penalty_objectives(self.problem.objective_count()),
-                    };
-                    (s, o, w)
-                } else {
-                    let (s, o) = &entries[rng.gen_range(0..entries.len())];
-                    (s.clone(), o.clone(), w)
+        let (start, start_objs, weight) = if episode < cfg.warmup
+            || self.gain_model.model().is_none()
+            || rng.gen_bool(cfg.epsilon)
+        {
+            // Exploration: half the time restart from a fresh random
+            // design (archive members are locally exhausted), half the
+            // time re-descend an archive member in a random direction.
+            let w = directions[rng.gen_range(0..directions.len())].clone();
+            if entries.is_empty() || rng.gen_bool(0.5) {
+                let s = self.problem.random_solution(rng);
+                let o = self.ctx.evaluate_one(self.problem, &s);
+                if self.ctx.poisoned() {
+                    return false;
                 }
+                // A quarantined fresh start still descends — from the
+                // penalty corner, where any real neighbor improves —
+                // but never touches the archive or the normalizer.
+                let o = match o {
+                    Some(o) if !is_quarantined(&o) => {
+                        self.z.update(&o);
+                        self.normalizer.observe(&o);
+                        self.ctx.recorder.observe(&o);
+                        self.archive.insert(s.clone(), o.clone());
+                        o
+                    }
+                    _ => penalty_objectives(self.problem.objective_count()),
+                };
+                (s, o, w)
             } else {
-                let _predict = self.ctx.obs.span("surrogate_predict");
-                let model = self.gain_model.as_ref().expect("checked above");
-                let mut best: Option<(usize, usize, f64)> = None;
-                for (si, (s, _)) in entries.iter().enumerate() {
-                    let f_base = self.problem.features(s);
-                    for (di, d) in directions.iter().enumerate() {
-                        let mut f = f_base.clone();
-                        f.extend_from_slice(d);
-                        let pred = model.predict(&f);
-                        if best.is_none_or(|(_, _, bp)| pred > bp) {
-                            best = Some((si, di, pred));
-                        }
+                let (s, o) = &entries[rng.gen_range(0..entries.len())];
+                (s.clone(), o.clone(), w)
+            }
+        } else {
+            let _predict = self.ctx.obs.span("surrogate_predict");
+            let model = self.gain_model.model().expect("checked above");
+            let mut best: Option<(usize, usize, f64)> = None;
+            for (si, (s, _)) in entries.iter().enumerate() {
+                let f_base = self.problem.features(s);
+                for (di, d) in directions.iter().enumerate() {
+                    let mut f = f_base.clone();
+                    f.extend_from_slice(d);
+                    let pred = model.predict(&f);
+                    if best.is_none_or(|(_, _, bp)| pred > bp) {
+                        best = Some((si, di, pred));
                     }
                 }
-                match best {
-                    Some((si, di, _)) => {
-                        let (s, o) = &entries[si];
-                        (s.clone(), o.clone(), directions[di].clone())
-                    }
-                    // Only reachable when chaos emptied the archive: fall
-                    // back to an unevaluated random start at the penalty
-                    // corner rather than indexing an empty archive.
-                    None => {
-                        let s = self.problem.random_solution(rng);
-                        let o = penalty_objectives(self.problem.objective_count());
-                        let w = directions[rng.gen_range(0..directions.len())].clone();
-                        (s, o, w)
-                    }
+            }
+            match best {
+                Some((si, di, _)) => {
+                    let (s, o) = &entries[si];
+                    (s.clone(), o.clone(), directions[di].clone())
                 }
-            };
+                // Only reachable when chaos emptied the archive: fall
+                // back to an unevaluated random start at the penalty
+                // corner rather than indexing an empty archive.
+                None => {
+                    let s = self.problem.random_solution(rng);
+                    let o = penalty_objectives(self.problem.objective_count());
+                    let w = directions[rng.gen_range(0..directions.len())].clone();
+                    (s, o, w)
+                }
+            }
+        };
 
         // --- Episode: descend and archive ---------------------------
         let phv_before = normalized_phv(&self.archive.objectives(), &self.normalizer);
@@ -392,9 +393,9 @@ where
         let mut features = self.problem.features(&start);
         features.extend_from_slice(&weight);
         self.train.push_finite(features, phv_after - phv_before);
-        if episode + 1 >= cfg.warmup && self.train.len() >= 8 {
+        if episode + 1 >= cfg.warmup && self.train.len() >= MIN_FIT_ROWS {
             let _fit = self.ctx.obs.span("surrogate_fit");
-            self.gain_model = Some(RandomForest::fit(&self.train, &cfg.forest, &mut rng));
+            self.gain_model.fit(&self.train, &cfg.forest, rng);
         }
 
         {
@@ -415,7 +416,7 @@ where
                 ("z", self.z.snapshot()),
                 ("normalizer", self.normalizer.snapshot()),
                 ("train", self.train.snapshot()),
-                ("gain_model", self.gain_model.as_ref().map_or(Value::Null, Snapshot::snapshot)),
+                ("fit_rng", self.gain_model.snapshot()),
             ],
         )
     }

@@ -6,6 +6,7 @@
 
 use std::time::Duration;
 
+use rand::rngs::StdRng;
 use rand::{Rng, RngCore};
 
 use moela_moo::checkpoint::{run_to_end, Resumable, RunCtx};
@@ -99,8 +100,7 @@ where
     /// evaluation budget runs out mid-generation,
     /// the partial offspring batch still enters environmental selection
     /// (those evaluations are paid for) and the trace records it.
-    pub fn run(&self, rng: &mut impl RngCore) -> RunResult<P::Solution> {
-        let rng: &mut dyn RngCore = rng;
+    pub fn run(&self, rng: &mut StdRng) -> RunResult<P::Solution> {
         run_to_end(self.start(rng), rng)
     }
 
@@ -206,7 +206,7 @@ where
     }
 
     /// Executes one generation.
-    fn step(&mut self, rng: &mut dyn RngCore) -> bool {
+    fn step(&mut self, rng: &mut StdRng) -> bool {
         if !self.ctx.begin_step(self.generation >= self.config.generations) {
             return false;
         }

@@ -4,6 +4,7 @@
 
 use std::time::{Duration, Instant};
 
+use rand::rngs::StdRng;
 use rand::{Rng, RngCore};
 
 use moela_moo::archive::ParetoArchive;
@@ -73,13 +74,12 @@ impl Default for RandomSearchConfig {
 pub fn random_search<P>(
     config: &RandomSearchConfig,
     problem: &P,
-    rng: &mut impl RngCore,
+    rng: &mut StdRng,
 ) -> RunResult<P::Solution>
 where
     P: Problem + Sync,
     P::Solution: Sync,
 {
-    let rng: &mut dyn RngCore = rng;
     run_to_end(random_search_start(config, problem), rng)
 }
 
@@ -181,7 +181,7 @@ where
     /// granularity so the trace is identical to the old one-at-a-time
     /// loop (the wall-clock budget is checked per chunk rather than per
     /// sample).
-    fn step(&mut self, rng: &mut dyn RngCore) -> bool {
+    fn step(&mut self, rng: &mut StdRng) -> bool {
         if !self.ctx.begin_step(self.drawn >= self.config.samples) {
             return false;
         }

@@ -13,7 +13,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::SeedableRng;
 
 use moela_baselines::{
     random_search_restore, random_search_start, Moead, MoeadConfig, MoeadState, MooStage,
@@ -496,7 +496,7 @@ where
         forward!(self, completed())
     }
 
-    fn step(&mut self, rng: &mut dyn RngCore) -> bool {
+    fn step(&mut self, rng: &mut StdRng) -> bool {
         forward!(self, step(rng))
     }
 

@@ -10,6 +10,9 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
+use moela_persist::checkpoint::from_bytes;
+use moela_persist::{PersistError, FORMAT_VERSION};
+
 const BIN: &str = env!("CARGO_BIN_EXE_moela-dse");
 
 fn moela_dse(args: &[&str]) -> Output {
@@ -99,28 +102,35 @@ fn assert_crash_resume_is_bit_identical(cell: &Cell, crash_after: &str) {
 }
 
 macro_rules! crash_resume_tests {
-    ($($name:ident: $algorithm:literal / $threads:literal / budget $budget:literal;)*) => {$(
+    ($($name:ident: $algorithm:literal / $threads:literal / budget $budget:literal
+        / crash after $crash_after:literal;)*) => {$(
         #[test]
         fn $name() {
             let cell = Cell { algorithm: $algorithm, threads: $threads, budget: $budget };
-            assert_crash_resume_is_bit_identical(&cell, "1");
+            assert_crash_resume_is_bit_identical(&cell, $crash_after);
         }
     )*};
 }
 
+// MOELA and MOOS checkpoint their surrogate as the RNG state of its last
+// fit and refit on resume, so their kills come after the first fit:
+// MOELA fits from its second generation on, MOOS after its 8 warm-up
+// episodes.
 crash_resume_tests! {
-    moela_resumes_bit_identical_single_threaded: "moela" / "1" / budget "120";
-    moela_resumes_bit_identical_multi_threaded: "moela" / "4" / budget "120";
-    moead_resumes_bit_identical_single_threaded: "moead" / "1" / budget "120";
-    moead_resumes_bit_identical_multi_threaded: "moead" / "4" / budget "120";
-    nsga2_resumes_bit_identical_single_threaded: "nsga2" / "1" / budget "120";
-    nsga2_resumes_bit_identical_multi_threaded: "nsga2" / "4" / budget "120";
-    moos_resumes_bit_identical_single_threaded: "moos" / "1" / budget "160";
-    moos_resumes_bit_identical_multi_threaded: "moos" / "4" / budget "160";
-    moo_stage_resumes_bit_identical_single_threaded: "moo-stage" / "1" / budget "160";
-    moo_stage_resumes_bit_identical_multi_threaded: "moo-stage" / "4" / budget "160";
-    random_resumes_bit_identical_single_threaded: "random" / "1" / budget "200";
-    random_resumes_bit_identical_multi_threaded: "random" / "4" / budget "200";
+    moela_resumes_bit_identical_single_threaded: "moela" / "1" / budget "120" / crash after "2";
+    moela_resumes_bit_identical_multi_threaded: "moela" / "4" / budget "120" / crash after "2";
+    moead_resumes_bit_identical_single_threaded: "moead" / "1" / budget "120" / crash after "1";
+    moead_resumes_bit_identical_multi_threaded: "moead" / "4" / budget "120" / crash after "1";
+    nsga2_resumes_bit_identical_single_threaded: "nsga2" / "1" / budget "120" / crash after "1";
+    nsga2_resumes_bit_identical_multi_threaded: "nsga2" / "4" / budget "120" / crash after "1";
+    moos_resumes_bit_identical_single_threaded: "moos" / "1" / budget "600" / crash after "8";
+    moos_resumes_bit_identical_multi_threaded: "moos" / "4" / budget "600" / crash after "8";
+    moo_stage_resumes_bit_identical_single_threaded:
+        "moo-stage" / "1" / budget "160" / crash after "1";
+    moo_stage_resumes_bit_identical_multi_threaded:
+        "moo-stage" / "4" / budget "160" / crash after "1";
+    random_resumes_bit_identical_single_threaded: "random" / "1" / budget "200" / crash after "1";
+    random_resumes_bit_identical_multi_threaded: "random" / "4" / budget "200" / crash after "1";
 }
 
 /// A crashed MOELA run directory with at least two intact checkpoints,
@@ -249,9 +259,9 @@ fn resume_refuses_a_future_checkpoint_format() {
     let (full, crashed) = crashed_run_pair("future-format");
     let manifest = crashed.join("manifest.json");
     let text = String::from_utf8(read(&manifest)).expect("manifest is UTF-8");
-    assert!(text.contains("\"format\":1,"), "manifest format field moved? {text}");
-    fs::write(&manifest, text.replace("\"format\":1,", "\"format\":99,"))
-        .expect("rewrite manifest");
+    let ours = format!("\"format\":{FORMAT_VERSION},");
+    assert!(text.contains(&ours), "manifest format field moved? {text}");
+    fs::write(&manifest, text.replace(&ours, "\"format\":99,")).expect("rewrite manifest");
 
     let out = moela_dse(&["resume", crashed.to_str().expect("utf-8 path")]);
     let stderr = stderr_of(&out);
@@ -259,6 +269,40 @@ fn resume_refuses_a_future_checkpoint_format() {
     assert!(stderr.contains("format 99"), "must name the offending version, got: {stderr}");
     let _ = fs::remove_dir_all(&full);
     let _ = fs::remove_dir_all(&crashed);
+}
+
+/// `tests/fixtures/v1-moela` is a run directory written by a format-1
+/// build (`--budget 120 --population 8 --seed 7`, killed after two
+/// checkpoints): its MOELA checkpoint still carries the fitted forest
+/// under `eval_fn`, which format 2 replaced by `fit_rng`. It must be
+/// refused with the format message, never misread.
+#[test]
+fn resume_refuses_a_format_1_checkpoint() {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v1-moela");
+    let dir = scratch("v1-fixture");
+    fs::create_dir_all(dir.join("checkpoints")).expect("mkdir");
+    for file in ["manifest.json", "checkpoints/ckpt-00000002.json"] {
+        fs::copy(fixture.join(file), dir.join(file)).expect("copy fixture");
+    }
+    let ckpt = dir.join("checkpoints/ckpt-00000002.json");
+    let bytes = read(&ckpt);
+    assert!(bytes.starts_with(b"MOELA-CKPT 1 "), "the fixture must stay a format-1 file");
+    assert!(String::from_utf8_lossy(&bytes).contains("\"eval_fn\":{\"trees\""));
+    assert!(matches!(
+        from_bytes(&bytes, &ckpt),
+        Err(PersistError::FormatVersion { supported: FORMAT_VERSION, found: 1 })
+    ));
+
+    let out = moela_dse(&["resume", dir.to_str().expect("utf-8 path")]);
+    let stderr = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(1), "got: {stderr}");
+    assert!(
+        stderr.contains("format 1") && stderr.contains(&format!("format {FORMAT_VERSION}")),
+        "must name both format versions, got: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "got: {stderr}");
+    assert!(!dir.join("trace.csv").exists());
+    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]

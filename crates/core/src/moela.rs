@@ -19,10 +19,11 @@
 
 use std::time::Duration;
 
+use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore};
 
-use moela_ml::{Dataset, RandomForest};
+use moela_ml::{Dataset, RandomForest, Surrogate, MIN_FIT_ROWS};
 use moela_moo::checkpoint::{run_to_end, Resumable, RunCtx};
 use moela_moo::fault::is_quarantined;
 use moela_moo::normalize::Normalizer;
@@ -90,8 +91,7 @@ where
     /// [`ParallelEvaluator`](moela_moo::ParallelEvaluator) sized by
     /// [`MoelaConfig::threads`], so the outcome is bit-identical for every
     /// thread count.
-    pub fn run(&self, rng: &mut impl RngCore) -> MoelaOutcome<P::Solution> {
-        let rng: &mut dyn RngCore = rng;
+    pub fn run(&self, rng: &mut StdRng) -> MoelaOutcome<P::Solution> {
         run_to_end(self.start(rng), rng)
     }
 
@@ -135,7 +135,7 @@ where
             ctx,
             population,
             train,
-            eval_fn: None,
+            eval_fn: Surrogate::default(),
             recent_starts: Vec::new(),
             generation: 0,
             last_generation: 0,
@@ -159,8 +159,12 @@ where
                 .into_iter()
                 .map(|(solution, objectives)| Individual { solution, objectives })
                 .collect();
-        if individuals.is_empty() {
-            return Err(PersistError::schema("checkpointed population is empty"));
+        if individuals.len() != cfg.population {
+            return Err(PersistError::schema(format!(
+                "checkpointed population has {} members, the configuration {}",
+                individuals.len(),
+                cfg.population
+            )));
         }
         if individuals.iter().any(|i| i.objectives.len() != m) {
             return Err(PersistError::schema("checkpointed objective dimensionality mismatch"));
@@ -173,10 +177,9 @@ where
             ));
         }
         let population = Population::from_parts(individuals, m, cfg.neighborhood, z, normalizer);
-        let eval_fn = match value.field("eval_fn")? {
-            Value::Null => None,
-            v => Some(RandomForest::restore(v)?),
-        };
+        let train = Dataset::restore(value.field("train")?)?;
+        train.check_width(self.problem.feature_len() + m)?;
+        let eval_fn = Surrogate::restore(value.field("fit_rng")?, &train, &cfg.forest)?;
         Ok(MoelaState {
             ctx: RunCtx::restore(
                 value,
@@ -189,7 +192,7 @@ where
             config: cfg,
             problem: self.problem,
             population,
-            train: Dataset::restore(value.field("train")?)?,
+            train,
             eval_fn,
             recent_starts: value.field("recent_starts")?.to_usize_vec()?,
             generation: value.field("generation")?.as_usize()?,
@@ -207,7 +210,8 @@ pub struct MoelaState<'p, P: Problem> {
     ctx: RunCtx,
     population: Population<P::Solution>,
     train: Dataset,
-    eval_fn: Option<RandomForest>,
+    /// `Eval`, checkpointed as its `fit_rng` and refit on restore.
+    eval_fn: Surrogate,
     /// Starts used in the previous iteration; MLguide skips them so the
     /// guided phase does not re-descend a freshly exhausted design.
     recent_starts: Vec<usize>,
@@ -238,11 +242,10 @@ where
     }
 
     /// Executes one generation.
-    fn step(&mut self, rng: &mut dyn RngCore) -> bool {
+    fn step(&mut self, rng: &mut StdRng) -> bool {
         if !self.ctx.begin_step(self.generation >= self.config.generations) {
             return false;
         }
-        let mut rng = rng;
         let generation = self.generation;
         self.last_generation = generation + 1;
 
@@ -253,14 +256,14 @@ where
         }
 
         // --- Local-search phase -------------------------------------
-        let starts = match &self.eval_fn {
+        let starts = match self.eval_fn.model() {
             Some(model) if generation >= self.config.iter_early => {
                 let _predict = self.ctx.obs.span("surrogate_predict");
                 ml_guide(self.problem, &self.config, model, &self.population, &self.recent_starts)
             }
             _ => {
                 let mut all: Vec<usize> = (0..self.config.population).collect();
-                all.shuffle(&mut rng);
+                all.shuffle(rng);
                 all.truncate(self.config.n_local);
                 all
             }
@@ -332,9 +335,9 @@ where
         drop(ls_span);
 
         // --- Train Eval ----------------------------------------------
-        if generation + 1 >= self.config.iter_early && self.train.len() >= 8 {
+        if generation + 1 >= self.config.iter_early && self.train.len() >= MIN_FIT_ROWS {
             let _fit = self.ctx.obs.span("surrogate_fit");
-            self.eval_fn = Some(RandomForest::fit(&self.train, &self.config.forest, &mut rng));
+            self.eval_fn.fit(&self.train, &self.config.forest, rng);
         }
 
         // --- Decomposition EA step -----------------------------------
@@ -375,7 +378,7 @@ where
                 ("z", self.population.reference().snapshot()),
                 ("normalizer", self.population.normalizer().snapshot()),
                 ("train", self.train.snapshot()),
-                ("eval_fn", self.eval_fn.as_ref().map_or(Value::Null, Snapshot::snapshot)),
+                ("fit_rng", self.eval_fn.snapshot()),
                 ("recent_starts", Value::usize_array(&self.recent_starts)),
             ],
         )

@@ -128,6 +128,18 @@ impl Dataset {
         self.start
     }
 
+    /// `Err` when the dataset holds rows that are not `width` features
+    /// wide: a restored training set that the run's next push or
+    /// prediction would reject.
+    pub fn check_width(&self, width: usize) -> Result<(), PersistError> {
+        match self.feature_len() {
+            w if self.is_empty() || w == width => Ok(()),
+            w => Err(PersistError::schema(format!(
+                "dataset rows have {w} features, expected {width}"
+            ))),
+        }
+    }
+
     /// Rebuilds a dataset from checkpointed storage — exact storage order
     /// and ring position, so subsequent pushes evict the same samples the
     /// uninterrupted run would have evicted.

@@ -1,6 +1,5 @@
 //! Bagged random forests over [`crate::tree::RegressionTree`].
 
-use moela_persist::{PersistError, Restore, Snapshot, Value};
 use rand::Rng;
 
 use crate::dataset::Dataset;
@@ -104,37 +103,6 @@ impl RandomForest {
     }
 }
 
-impl Snapshot for RandomForest {
-    fn snapshot(&self) -> Value {
-        Value::object(vec![(
-            "trees",
-            Value::Array(self.trees.iter().map(Snapshot::snapshot).collect()),
-        )])
-    }
-}
-
-impl Restore for RandomForest {
-    fn restore(value: &Value) -> Result<Self, PersistError> {
-        let trees = value
-            .field("trees")?
-            .as_array()?
-            .iter()
-            .map(RegressionTree::restore)
-            .collect::<Result<Vec<_>, _>>()?;
-        let Some(first) = trees.first() else {
-            return Err(PersistError::schema("forest must have at least one tree"));
-        };
-        if let Some(odd) = trees.iter().find(|t| t.feature_len() != first.feature_len()) {
-            return Err(PersistError::schema(format!(
-                "forest mixes trees over {} and {} features",
-                first.feature_len(),
-                odd.feature_len()
-            )));
-        }
-        Ok(Self { trees })
-    }
-}
-
 /// Mean-squared error of a predictor over a dataset — the fit-quality
 /// figure the MOELA trainer logs.
 pub fn mse(forest: &RandomForest, data: &Dataset) -> f64 {
@@ -222,39 +190,6 @@ mod tests {
         let f2 = RandomForest::fit(&d, &ForestConfig::default(), &mut rng());
         for x in [[0.2, 0.8], [0.7, 0.3]] {
             assert_eq!(f1.predict(&x), f2.predict(&x));
-        }
-    }
-
-    #[test]
-    fn snapshot_restore_predicts_identically() {
-        let mut r = rng();
-        let d = linear_data(300, 0.2, &mut r);
-        let f = RandomForest::fit(&d, &ForestConfig::default(), &mut r);
-        let back = RandomForest::restore(&f.snapshot()).unwrap();
-        assert_eq!(back.tree_count(), f.tree_count());
-        for x in [[0.1, 0.9], [0.5, 0.5], [0.9, 0.2]] {
-            assert_eq!(back.predict(&x), f.predict(&x), "bit-identical predictions");
-            assert_eq!(back.tree_predictions(&x), f.tree_predictions(&x));
-        }
-    }
-
-    #[test]
-    fn restore_rejects_trees_of_different_feature_lengths() {
-        let mut r = rng();
-        let narrow =
-            RandomForest::fit(&linear_data(40, 0.1, &mut r), &ForestConfig::default(), &mut r);
-        let mut wide_data = Dataset::new();
-        for i in 0..40 {
-            wide_data.push(vec![i as f64, 1.0, 2.0], i as f64);
-        }
-        let wide = RandomForest::fit(&wide_data, &ForestConfig::default(), &mut r);
-        let trees = vec![narrow.trees[0].snapshot(), wide.trees[0].snapshot()];
-        let mixed = Value::object(vec![("trees", Value::Array(trees))]);
-        match RandomForest::restore(&mixed) {
-            Err(PersistError::Schema(message)) => {
-                assert!(message.contains("2 and 3 features"), "{message}")
-            }
-            other => panic!("expected a schema error, got {other:?}"),
         }
     }
 

@@ -31,8 +31,10 @@
 
 pub mod dataset;
 pub mod forest;
+pub mod surrogate;
 pub mod tree;
 
 pub use dataset::Dataset;
 pub use forest::{ForestConfig, RandomForest};
+pub use surrogate::{Surrogate, MIN_FIT_ROWS};
 pub use tree::{RegressionTree, TreeConfig};

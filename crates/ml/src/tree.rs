@@ -163,11 +163,6 @@ impl RegressionTree {
         }
         walk(&self.root)
     }
-
-    /// Number of features the tree was fitted on.
-    pub(crate) fn feature_len(&self) -> usize {
-        self.feature_len
-    }
 }
 
 impl Snapshot for RegressionTree {

@@ -40,7 +40,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rand::RngCore;
+use rand::rngs::StdRng;
 
 use moela_obs::Obs;
 use moela_persist::{PersistError, Restore, Snapshot, SolutionCodec, Value};
@@ -317,7 +317,11 @@ pub trait Resumable<C: SolutionCodec<Self::Solution>> {
     /// Executes exactly one step. Returns `false` when the run has
     /// finished (budget exhausted, generations done, or time up) — after
     /// which further calls must be no-ops that draw no RNG values.
-    fn step(&mut self, rng: &mut dyn RngCore) -> bool;
+    ///
+    /// The generator is the concrete [`StdRng`] every driver passes, so
+    /// a step can record the state a surrogate fit starts from and a
+    /// restore can refit instead of checkpointing the model.
+    fn step(&mut self, rng: &mut StdRng) -> bool;
 
     /// Captures the complete optimizer state (excluding the RNG, which
     /// the driver checkpoints alongside).
@@ -391,10 +395,7 @@ impl<S> SolutionCodec<S> for NoCodec {
 
 /// Steps `state` until it finishes, without checkpoints, and returns its
 /// result.
-pub fn run_to_end<S: Resumable<NoCodec>>(
-    mut state: S,
-    rng: &mut dyn RngCore,
-) -> RunResult<S::Solution> {
+pub fn run_to_end<S: Resumable<NoCodec>>(mut state: S, rng: &mut StdRng) -> RunResult<S::Solution> {
     while state.step(rng) {}
     state.finish()
 }
@@ -406,31 +407,7 @@ mod tests {
     use crate::problems::Zdt;
     use crate::{ChaosProblem, ChaosSpec};
     use moela_persist::VecF64Codec;
-    use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    /// An RNG that counts the values drawn from it.
-    struct Counting {
-        inner: StdRng,
-        draws: u64,
-    }
-
-    impl RngCore for Counting {
-        fn next_u32(&mut self) -> u32 {
-            self.draws += 1;
-            self.inner.next_u32()
-        }
-
-        fn next_u64(&mut self) -> u64 {
-            self.draws += 1;
-            self.inner.next_u64()
-        }
-
-        fn fill_bytes(&mut self, dest: &mut [u8]) {
-            self.draws += 1;
-            self.inner.fill_bytes(dest);
-        }
-    }
 
     /// The smallest optimizer: each step samples and evaluates one design.
     struct Sampler<'p, P> {
@@ -458,7 +435,7 @@ mod tests {
             self.steps
         }
 
-        fn step(&mut self, rng: &mut dyn RngCore) -> bool {
+        fn step(&mut self, rng: &mut StdRng) -> bool {
             if !self.ctx.begin_step(self.steps >= 100) {
                 return false;
             }
@@ -498,16 +475,16 @@ mod tests {
     fn a_cancelled_run_refuses_to_step_and_draws_nothing() {
         let problem = Zdt::zdt1(4);
         let mut run = sampler(&problem, ctx(FaultConfig::default(), None, None));
-        let mut rng = Counting { inner: StdRng::seed_from_u64(1), draws: 0 };
+        let mut rng = StdRng::seed_from_u64(1);
         assert!(run.step(&mut rng));
-        let drawn = rng.draws;
+        let drawn = rng.state();
         let before = run.snapshot_state(&VecF64Codec);
         let token = CancelToken::new();
         run.set_cancel(token.clone());
         token.cancel();
         assert!(!run.step(&mut rng));
         assert!(!run.step(&mut rng));
-        assert_eq!(rng.draws, drawn, "a refused step draws nothing");
+        assert_eq!(rng.state(), drawn, "a refused step draws nothing");
         assert_eq!(run.snapshot_state(&VecF64Codec), before, "a refused step changes nothing");
         assert!(!run.ctx().finished, "cancellation is not completion");
     }

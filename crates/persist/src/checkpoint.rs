@@ -4,11 +4,11 @@
 //! payload:
 //!
 //! ```text
-//! MOELA-CKPT 1 crc32=ab12cd34 len=4096\n
-//! {"format":1,...}
+//! MOELA-CKPT 2 crc32=ab12cd34 len=4096\n
+//! {"format":2,...}
 //! ```
 //!
-//! * `1` is [`FORMAT_VERSION`];
+//! * `2` is [`FORMAT_VERSION`];
 //! * `crc32` is the CRC-32 (IEEE) of the payload bytes, lowercase hex;
 //! * `len` is the exact payload byte count, so truncation is detected
 //!   even when the truncated payload happens to parse.
@@ -33,7 +33,7 @@ use crate::{decode, encode};
 
 /// Version stamped into every checkpoint header and envelope. Bump when
 /// the snapshot schema changes incompatibly.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Magic token opening every checkpoint header line.
 const MAGIC: &str = "MOELA-CKPT";
