@@ -13,23 +13,29 @@
 //!
 //! `compare <baseline> <candidate>` loads each side from a run
 //! directory (its `metrics.json`) or a benchmark snapshot
-//! (`BENCH_*.json`), prints per-algorithm deltas, and exits with code
-//! [`REGRESSION_EXIT_CODE`] when the candidate regresses past the
-//! configured thresholds — the CI bench gate.
+//! (`BENCH_*.json`), refuses two sides run under a different
+//! [`PROTOCOL_FIELDS`] value, prints per-algorithm deltas, and exits
+//! with code [`REGRESSION_EXIT_CODE`] when the candidate regresses past
+//! the configured thresholds — the CI bench gate.
 
 use std::path::Path;
 use std::time::Duration;
 
 use moela_moo::run::{convergence_point, evaluations_to_reach, normalized_phv, TracePoint};
 use moela_obs::{chrome_trace, names, replay_run_dir, LogLevel, Reporter, RunReplay};
-use moela_persist::{decode, RunStore, Value};
+use moela_persist::{decode, encode, RunStore, Value};
 
-use crate::engine::{fail, options_from_manifest, CliError, ErrorClass};
+use crate::engine::{fail, options_from_manifest, user_error, CliError, ErrorClass};
 
 /// Exit code for a compare-detected regression, distinct from 1
 /// (operational failure) and 2 (configuration error) so CI can tell
 /// "the candidate is worse" from "the tool broke".
 pub(crate) const REGRESSION_EXIT_CODE: u8 = 3;
+
+/// The run settings two compared sides must share. PHV and throughput
+/// at budget 600 say nothing about a run at budget 2000, or on another
+/// seed or application. A side that lacks a field is not checked on it.
+const PROTOCOL_FIELDS: [&str; 3] = ["budget", "seed", "app"];
 
 /// Relative-PHV slack inside which the terminal plateau counts as
 /// converged (the paper's §V.C criterion: 0.5%).
@@ -360,9 +366,18 @@ pub(crate) fn report(dir: &str, log_level: LogLevel) -> Result<(), CliError> {
     Ok(())
 }
 
-/// One side of a comparison: `(algorithm, metrics.json-shaped value)`
-/// rows loaded from a run directory or a `BENCH_*.json` snapshot.
-fn load_side(path: &str) -> Result<Vec<(String, Value)>, CliError> {
+/// One side of a comparison.
+struct Side {
+    /// The document carrying the [`PROTOCOL_FIELDS`]: the run's
+    /// `metrics.json`, or the snapshot's top level.
+    protocol: Value,
+    /// `(algorithm, metrics.json-shaped value)` rows.
+    runs: Vec<(String, Value)>,
+}
+
+/// Loads one side of a comparison from a run directory or a
+/// `BENCH_*.json` snapshot.
+fn load_side(path: &str) -> Result<Side, CliError> {
     let p = Path::new(path);
     if p.is_dir() {
         let store = RunStore::open(p)?;
@@ -374,7 +389,7 @@ fn load_side(path: &str) -> Result<Vec<(String, Value)>, CliError> {
         }
         let metrics = read_json(&store.metrics_path())?;
         let algorithm = metrics.field("algorithm")?.as_str()?.to_owned();
-        return Ok(vec![(algorithm, metrics)]);
+        return Ok(Side { protocol: metrics.clone(), runs: vec![(algorithm, metrics)] });
     }
     let bench = read_json(p)?;
     let runs = bench.field_opt("runs").ok_or_else(|| {
@@ -386,7 +401,26 @@ fn load_side(path: &str) -> Result<Vec<(String, Value)>, CliError> {
     let Value::Object(entries) = runs else {
         return Err(fail(format!("{}: \"runs\" must be an object", p.display())));
     };
-    Ok(entries.clone())
+    Ok(Side { runs: entries.clone(), protocol: bench })
+}
+
+/// `Err` naming the first [`PROTOCOL_FIELDS`] entry both sides carry
+/// with different values.
+fn check_protocol(base: &Side, cand: &Side) -> Result<(), CliError> {
+    for field in PROTOCOL_FIELDS {
+        let (Some(b), Some(c)) = (base.protocol.field_opt(field), cand.protocol.field_opt(field))
+        else {
+            continue;
+        };
+        if b != c {
+            return Err(user_error(format!(
+                "cannot compare runs with different {field}: baseline {}, candidate {}",
+                encode::to_string(b),
+                encode::to_string(c)
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// Final PHV and evaluation throughput for one `metrics.json`-shaped
@@ -416,6 +450,8 @@ pub(crate) fn compare_runs(
 ) -> Result<(), CliError> {
     let base = load_side(baseline)?;
     let cand = load_side(candidate)?;
+    check_protocol(&base, &cand)?;
+    let (base, cand) = (base.runs, cand.runs);
     println!("comparing {candidate} against baseline {baseline}");
     println!(
         "{:<12} {:>12} {:>12} {:>9}   {:>12} {:>12} {:>9}",
@@ -541,13 +577,51 @@ mod tests {
     }
 
     #[test]
+    fn compare_refuses_sides_run_under_another_protocol() {
+        let dir = std::env::temp_dir().join(format!("moela-compare-proto-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        // Doctored snapshots in the shape of BENCH_2026-08-06.json and
+        // BENCH_2026-08-08.json: protocol fields at the top level.
+        let write = |name: &str, protocol: Vec<(&str, Value)>| {
+            let mut fields = protocol;
+            fields.push(("runs", Value::Object(vec![("moela".into(), metrics(0.80, 100.0))])));
+            let doc = Value::object(fields);
+            std::fs::write(dir.join(name), moela_persist::encode::to_string(&doc)).unwrap();
+            dir.join(name).to_string_lossy().into_owned()
+        };
+        let hot = || ("app", Value::Str("HOT".into()));
+        let old =
+            write("old.json", vec![("budget", Value::U64(600)), ("seed", Value::U64(7)), hot()]);
+        let new =
+            write("new.json", vec![("budget", Value::U64(2000)), ("seed", Value::U64(11)), hot()]);
+        let reseeded =
+            write("reseeded.json", vec![("budget", Value::U64(600)), ("seed", Value::U64(11))]);
+        let bfs =
+            write("bfs.json", vec![("budget", Value::U64(600)), ("app", Value::Str("BFS".into()))]);
+        let bare = write("bare.json", Vec::new());
+        let thresholds = CompareThresholds::default();
+        for (candidate, field) in [(&new, "budget"), (&reseeded, "seed"), (&bfs, "app")] {
+            let err = compare_runs(&old, candidate, &thresholds).expect_err("protocols differ");
+            assert_eq!(err.code, 2, "{}", err.message);
+            assert_ne!(err.code, REGRESSION_EXIT_CODE);
+            assert!(err.message.contains(&format!("different {field}")), "{}", err.message);
+        }
+        // A side without the fields still compares, against either.
+        assert!(compare_runs(&old, &bare, &thresholds).is_ok());
+        assert!(compare_runs(&bare, &new, &thresholds).is_ok());
+        assert!(compare_runs(&old, &old, &thresholds).is_ok());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn a_bench_file_without_runs_is_rejected() {
         let dir = std::env::temp_dir().join(format!("moela-compare-bad-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("not-a-bench.json");
         std::fs::write(&path, "{\"date\":\"2026-08-08\"}").unwrap();
-        let err = load_side(&path.to_string_lossy()).expect_err("no runs map");
+        let err = load_side(&path.to_string_lossy()).err().expect("no runs map");
         assert!(err.message.contains("runs"), "{}", err.message);
         std::fs::remove_dir_all(&dir).unwrap();
     }
