@@ -113,6 +113,22 @@ fn phases_value(replay: &RunReplay) -> Value {
     )
 }
 
+/// What the run's checkpoints cost: how many were written, the time
+/// spent snapshotting state and writing files, and the newest and
+/// largest file size.
+fn checkpoints_value(replay: &RunReplay) -> Value {
+    let total_us = |name: &str| replay.phase(name).map_or(0, |p| p.total_us);
+    let sizes = replay.gauge_events.iter().filter(|(n, _, _)| n == "checkpoint_bytes");
+    let max_bytes = sizes.map(|&(_, _, v)| v as u64).max().unwrap_or(0);
+    Value::object(vec![
+        ("count", Value::U64(replay.phase("checkpoint_write").map_or(0, |p| p.count))),
+        ("snapshot_us", Value::U64(total_us("checkpoint_snapshot"))),
+        ("write_us", Value::U64(total_us("checkpoint_write"))),
+        ("last_bytes", Value::U64(replay.gauge("checkpoint_bytes").map_or(0, |v| v as u64))),
+        ("max_bytes", Value::U64(max_bytes)),
+    ])
+}
+
 /// Per-gauge and per-counter time series on the stitched global
 /// timeline, for plotting convergence and cache behavior over the run.
 fn trends_value(replay: &RunReplay) -> Value {
@@ -225,6 +241,7 @@ pub(crate) fn build_report(dir: &Path) -> Result<(Value, Value), CliError> {
             ]),
         ),
         ("phases", phases_value(&replay)),
+        ("checkpoints", checkpoints_value(&replay)),
         (
             "counters",
             Value::Object(
@@ -331,10 +348,22 @@ pub(crate) fn report(dir: &str, log_level: LogLevel) -> Result<(), CliError> {
             "  delta evaluation: {delta_hits} incremental, {delta_fallbacks} full fallbacks"
         ));
     }
+    let ckpt = report.field("checkpoints")?;
+    let written = ckpt.field("count")?.as_u64()?;
+    if written > 0 {
+        reporter.info(&format!(
+            "  checkpoints: {written} written, newest {} bytes (largest {}); \
+             snapshot {}us, encode+write {}us",
+            ckpt.field("last_bytes")?.as_u64()?,
+            ckpt.field("max_bytes")?.as_u64()?,
+            ckpt.field("snapshot_us")?.as_u64()?,
+            ckpt.field("write_us")?.as_u64()?,
+        ));
+    }
     if let Value::Object(phases) = report.field("phases")? {
         for (name, stat) in phases {
             reporter.info(&format!(
-                "  phase {:<18} count {:>6}  total {:>9}us  p50 {:>7}us  p90 {:>7}us  p99 {:>7}us",
+                "  phase {:<20} count {:>6}  total {:>9}us  p50 {:>7}us  p90 {:>7}us  p99 {:>7}us",
                 name,
                 stat.field("count")?.as_u64()?,
                 stat.field("total_us")?.as_u64()?,

@@ -334,7 +334,10 @@ pub(crate) enum Driven {
     },
 }
 
-/// Writes one checkpoint envelope at the current step boundary.
+/// Writes one checkpoint envelope at the current step boundary, timing
+/// the state snapshot (`checkpoint_snapshot`) apart from the encode and
+/// durable save (`checkpoint_write`), and reporting the file size as the
+/// `checkpoint_bytes` gauge.
 fn write_checkpoint<S>(
     state: &S,
     rng: &StdRng,
@@ -358,12 +361,17 @@ where
     if let Some(ordinal) = chaos_ordinal {
         fields.push(("chaos_ordinal", Value::U64(ordinal())));
     }
-    fields.push(("state", state.snapshot_state(codec)));
+    let snapshot = {
+        let _snapshot = telemetry.obs.span("checkpoint_snapshot");
+        state.snapshot_state(codec)
+    };
+    fields.push(("state", snapshot));
     let envelope = Value::object(fields);
-    {
+    let (_, bytes) = {
         let _ckpt = telemetry.obs.span("checkpoint_write");
-        p.store.save(state.completed(), &envelope)?;
-    }
+        p.store.save_sized(state.completed(), &envelope)?
+    };
+    telemetry.obs.gauge("checkpoint_bytes", bytes as f64);
     // Telemetry is crash-safe at the same cadence as the run itself:
     // everything up to the newest checkpoint survives an abort.
     telemetry.obs.flush();

@@ -120,6 +120,26 @@ fn assert_report_round_trips(algorithm: &str) {
         let max = get(stat, &["max_us"]).as_u64().unwrap();
         assert!(p50 <= p99 && p99 <= max, "{algorithm}: '{name}' quantiles out of order");
     }
+    // Checkpoint cost: one write per checkpoint, and the newest size is
+    // the newest file's.
+    let ckpt = get(&report, &["checkpoints"]);
+    assert_eq!(get(ckpt, &["count"]), get(live_phases, &["checkpoint_write", "count"]));
+    assert_eq!(
+        get(ckpt, &["snapshot_us"]),
+        get(live_phases, &["checkpoint_snapshot", "total_us"]),
+        "{algorithm}: snapshot time is its own phase"
+    );
+    let newest = fs::read_dir(dir.join("checkpoints"))
+        .expect("checkpoints dir")
+        .map(|e| e.expect("dir entry").path())
+        .max()
+        .expect("a checkpoint");
+    let size = fs::metadata(&newest).expect("stat").len();
+    assert_eq!(get(ckpt, &["last_bytes"]).as_u64().unwrap(), size, "{algorithm}");
+    assert_eq!(
+        get(&metrics, &["telemetry", "gauges", "checkpoint_bytes"]).as_f64().unwrap(),
+        size as f64
+    );
     assert_eq!(
         get(&report, &["throughput", "evaluations"]),
         get(&metrics, &["telemetry", "counters", "evaluations"]),

@@ -147,9 +147,15 @@ fn events_jsonl_is_well_formed_with_balanced_spans() {
     }
     assert!(stack.is_empty(), "unclosed spans at end of run: {stack:?}");
     // MOELA must emit its full shared span set.
-    for span in
-        ["evaluate", "select", "mate", "local_search", "surrogate_predict", "checkpoint_write"]
-    {
+    for span in [
+        "evaluate",
+        "select",
+        "mate",
+        "local_search",
+        "surrogate_predict",
+        "checkpoint_snapshot",
+        "checkpoint_write",
+    ] {
         assert!(seen_spans.contains(span), "missing span '{span}' (saw {seen_spans:?})");
     }
     let _ = fs::remove_dir_all(&dir);
@@ -180,6 +186,8 @@ fn metrics_json_reports_phases_throughput_and_faults() {
         "\"evictions\":",
         "\"routing_rebuilds\":",
         "\"routing_hits\":",
+        "\"checkpoint_snapshot\":",
+        "\"checkpoint_bytes\":",
     ] {
         assert!(text.contains(key), "metrics.json lacks {key}: {text}");
     }
