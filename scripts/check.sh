@@ -40,6 +40,16 @@ cmp "$smoke/full/front.csv" "$smoke/crashed/front.csv"
 "$dse" resume "$smoke/crashed-late" --threads 4 >/dev/null
 cmp "$smoke/full/trace.csv" "$smoke/crashed-late/trace.csv"
 cmp "$smoke/full/front.csv" "$smoke/crashed-late/front.csv"
+# The other two surrogate optimizers checkpoint their own schemas.
+for algo in moo-stage moos; do
+    algo_flags=("${flags[@]}" --algorithm "$algo")
+    "$dse" run "${algo_flags[@]}" --run-dir "$smoke/$algo-full" >/dev/null
+    "$dse" run "${algo_flags[@]}" --run-dir "$smoke/$algo-crashed" --crash-after-checkpoints 2 \
+        >/dev/null 2>&1 && { echo "crash injection did not abort"; exit 1; }
+    "$dse" resume "$smoke/$algo-crashed" --threads 4 >/dev/null
+    cmp "$smoke/$algo-full/trace.csv" "$smoke/$algo-crashed/trace.csv"
+    cmp "$smoke/$algo-full/front.csv" "$smoke/$algo-crashed/front.csv"
+done
 
 echo "==> chaos smoke (faults contained, kill + resume under chaos byte-identical)"
 chaos_flags=("${flags[@]}" --chaos panic=0.03,nan=0.03,arity=0.02 --chaos-seed 41
