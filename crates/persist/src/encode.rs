@@ -5,13 +5,12 @@
 //! [`Value`]s always serialize to equal bytes.
 //!
 //! Every token is appended to one output `String`: integers go through a
-//! stack digit buffer and floats through `write!`, so encoding allocates
-//! nothing per number. The per-number `to_string` encoder this replaced
-//! is kept in the crate's test oracle, which holds the two to the same
-//! bytes.
+//! stack digit buffer and floats through [`crate::shortest`], so encoding
+//! allocates nothing per number. The per-number `to_string` encoder this
+//! replaced is kept in the crate's test oracle, which holds the two to
+//! the same bytes.
 
-use std::fmt::Write;
-
+use crate::shortest;
 use crate::value::Value;
 
 /// Encodes a value as compact JSON (no whitespace).
@@ -61,18 +60,8 @@ fn write_value(out: &mut String, value: &Value) {
 }
 
 /// Appends the decimal digits of `v`.
-fn write_u64(out: &mut String, mut v: u64) {
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+fn write_u64(out: &mut String, v: u64) {
+    out.push_str(shortest::decimal(v, &mut [0u8; 20]));
 }
 
 fn write_f64(out: &mut String, v: f64) {
@@ -84,11 +73,9 @@ fn write_f64(out: &mut String, v: f64) {
         out.push_str("\"-Infinity\"");
     } else {
         // Rust's Display for f64 is the shortest string that round-trips.
-        // Keep a decimal point (or exponent) so the token re-parses as a
-        // float, not an integer: 2.0 must encode as "2.0", not "2".
-        let at = out.len();
-        write!(out, "{v}").expect("writing to a String cannot fail");
-        if !out[at..].contains(['.', 'e', 'E']) {
+        // Keep a decimal point so the token re-parses as a float, not an
+        // integer: 2.0 must encode as "2.0", not "2".
+        if !shortest::write_finite(out, v) {
             out.push_str(".0");
         }
     }

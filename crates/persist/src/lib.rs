@@ -28,6 +28,7 @@ pub mod encode;
 pub mod error;
 #[cfg(test)]
 mod reference;
+mod shortest;
 pub mod store;
 pub mod value;
 

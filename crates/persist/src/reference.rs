@@ -3,8 +3,8 @@
 //! harness that holds each pair to the same bytes.
 //!
 //! [`to_string`] formats every number through its own `to_string`
-//! `String` and escapes strings one character at a time; [`crc32`] folds
-//! one byte per step through one table. The production kernels must
+//! `String` (floats through `Display`) and escapes strings one character
+//! at a time; [`crc32`] folds one byte per step through one table. The production kernels must
 //! reproduce both bit for bit: checkpoint bytes are pinned by CRC, so a
 //! drift in either would read as a change of optimizer state.
 
@@ -227,6 +227,45 @@ proptest! {
     #[test]
     fn the_crc_matches_the_oracle(bytes in ArbBytes) {
         prop_assert_eq!(crate::crc32::crc32(&bytes), crc32(&bytes));
+    }
+}
+
+/// Batches of floats: raw bit patterns (every exponent, subnormals),
+/// short decimals read back from text (the values whose shortest digits
+/// are few, where ties to even show), and powers of two and ten across
+/// the whole range.
+#[derive(Clone, Debug)]
+struct ArbFloats;
+
+impl Strategy for ArbFloats {
+    type Value = Vec<f64>;
+
+    fn generate(&self, rng: &mut StdRng) -> Vec<f64> {
+        (0..2048)
+            .map(|_| match rng.gen_range(0..4usize) {
+                0 | 1 => f64::from_bits(rng.next_u64()),
+                2 => {
+                    let digits = rng.next_u64() % 10u64.pow(rng.gen_range(1..18u32));
+                    format!("{digits}e{}", rng.gen_range(-330..310i32)).parse().unwrap_or(0.0)
+                }
+                _ => {
+                    let base: f64 = if rng.gen_bool(0.5) { 2.0 } else { 10.0 };
+                    base.powi(rng.gen_range(-1100..1030i32))
+                        * if rng.gen_bool(0.5) { 1.0 } else { 3.0 }
+                }
+            })
+            .collect()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn floats_encode_like_display(floats in ArbFloats) {
+        for v in floats {
+            prop_assert_eq!(crate::encode::to_string(&Value::F64(v)), to_string(&Value::F64(v)), "{:e}", v);
+        }
     }
 }
 
