@@ -287,70 +287,68 @@ where
         // Keep the exact short-circuit order (the ε draw must only
         // happen past warm-up with a model), so a `match` rewrite
         // would change the RNG stream.
-        #[allow(clippy::unnecessary_unwrap)]
-        let (start, start_objs, weight) = if episode < cfg.warmup
-            || self.gain_model.model().is_none()
-            || rng.gen_bool(cfg.epsilon)
-        {
-            // Exploration: half the time restart from a fresh random
-            // design (archive members are locally exhausted), half the
-            // time re-descend an archive member in a random direction.
-            let w = directions[rng.gen_range(0..directions.len())].clone();
-            if entries.is_empty() || rng.gen_bool(0.5) {
-                let s = self.problem.random_solution(rng);
-                let o = self.ctx.evaluate_one(self.problem, &s);
-                if self.ctx.poisoned() {
-                    return false;
-                }
-                // A quarantined fresh start still descends — from the
-                // penalty corner, where any real neighbor improves —
-                // but never touches the archive or the normalizer.
-                let o = match o {
-                    Some(o) if !is_quarantined(&o) => {
-                        self.z.update(&o);
-                        self.normalizer.observe(&o);
-                        self.ctx.recorder.observe(&o);
-                        self.archive.insert(s.clone(), o.clone());
-                        o
-                    }
-                    _ => penalty_objectives(self.problem.objective_count()),
-                };
-                (s, o, w)
-            } else {
-                let (s, o) = &entries[rng.gen_range(0..entries.len())];
-                (s.clone(), o.clone(), w)
-            }
-        } else {
-            let _predict = self.ctx.obs.span("surrogate_predict");
-            let model = self.gain_model.model().expect("checked above");
-            let mut best: Option<(usize, usize, f64)> = None;
-            for (si, (s, _)) in entries.iter().enumerate() {
-                let f_base = self.problem.features(s);
-                for (di, d) in directions.iter().enumerate() {
-                    let mut f = f_base.clone();
-                    f.extend_from_slice(d);
-                    let pred = model.predict(&f);
-                    if best.is_none_or(|(_, _, bp)| pred > bp) {
-                        best = Some((si, di, pred));
-                    }
-                }
-            }
-            match best {
-                Some((si, di, _)) => {
-                    let (s, o) = &entries[si];
-                    (s.clone(), o.clone(), directions[di].clone())
-                }
-                // Only reachable when chaos emptied the archive: fall
-                // back to an unevaluated random start at the penalty
-                // corner rather than indexing an empty archive.
-                None => {
+        let unfitted = self.gain_model.model().is_none();
+        let (start, start_objs, weight) =
+            if episode < cfg.warmup || unfitted || rng.gen_bool(cfg.epsilon) {
+                // Exploration: half the time restart from a fresh random
+                // design (archive members are locally exhausted), half the
+                // time re-descend an archive member in a random direction.
+                let w = directions[rng.gen_range(0..directions.len())].clone();
+                if entries.is_empty() || rng.gen_bool(0.5) {
                     let s = self.problem.random_solution(rng);
-                    let o = penalty_objectives(self.problem.objective_count());
-                    let w = directions[rng.gen_range(0..directions.len())].clone();
+                    let o = self.ctx.evaluate_one(self.problem, &s);
+                    if self.ctx.poisoned() {
+                        return false;
+                    }
+                    // A quarantined fresh start still descends — from the
+                    // penalty corner, where any real neighbor improves —
+                    // but never touches the archive or the normalizer.
+                    let o = match o {
+                        Some(o) if !is_quarantined(&o) => {
+                            self.z.update(&o);
+                            self.normalizer.observe(&o);
+                            self.ctx.recorder.observe(&o);
+                            self.archive.insert(s.clone(), o.clone());
+                            o
+                        }
+                        _ => penalty_objectives(self.problem.objective_count()),
+                    };
                     (s, o, w)
+                } else {
+                    let (s, o) = &entries[rng.gen_range(0..entries.len())];
+                    (s.clone(), o.clone(), w)
                 }
-            }
-        };
+            } else {
+                let _predict = self.ctx.obs.span("surrogate_predict");
+                let model = self.gain_model.model().expect("checked above");
+                let mut best: Option<(usize, usize, f64)> = None;
+                for (si, (s, _)) in entries.iter().enumerate() {
+                    let f_base = self.problem.features(s);
+                    for (di, d) in directions.iter().enumerate() {
+                        let mut f = f_base.clone();
+                        f.extend_from_slice(d);
+                        let pred = model.predict(&f);
+                        if best.is_none_or(|(_, _, bp)| pred > bp) {
+                            best = Some((si, di, pred));
+                        }
+                    }
+                }
+                match best {
+                    Some((si, di, _)) => {
+                        let (s, o) = &entries[si];
+                        (s.clone(), o.clone(), directions[di].clone())
+                    }
+                    // Only reachable when chaos emptied the archive: fall
+                    // back to an unevaluated random start at the penalty
+                    // corner rather than indexing an empty archive.
+                    None => {
+                        let s = self.problem.random_solution(rng);
+                        let o = penalty_objectives(self.problem.objective_count());
+                        let w = directions[rng.gen_range(0..directions.len())].clone();
+                        (s, o, w)
+                    }
+                }
+            };
 
         // --- Episode: descend and archive ---------------------------
         let phv_before = normalized_phv(&self.archive.objectives(), &self.normalizer);
@@ -568,6 +566,34 @@ mod tests {
         assert!(!state.step(&mut r), "the poisoned guard must stop the run");
         let err = state.fault_error().expect("a latched error");
         assert_eq!(err.kind, FaultKind::Panic);
+    }
+
+    /// A restored state refits the gain model from the checkpointed
+    /// `fit_rng` and training set: every tree predicts what the
+    /// snapshotted state's tree predicts.
+    #[test]
+    fn restore_refits_the_same_gain_model() {
+        let problem = Zdt::zdt1(8);
+        let config = MoosConfig { episodes: 20, warmup: 2, ..Default::default() };
+        let moos = Moos::new(config.clone(), &problem);
+        let mut r = rng(52);
+        let mut state = moos.start(&mut r);
+        for _ in 0..10 {
+            assert!(Resumable::<VecF64Codec>::step(&mut state, &mut r));
+        }
+        let snap = Resumable::<VecF64Codec>::snapshot_state(&state, &VecF64Codec);
+        let restored = moos.restore(&VecF64Codec, &snap, Duration::ZERO).expect("restore");
+        let (a, b) = (
+            state.gain_model.model().expect("fitted"),
+            restored.gain_model.model().expect("refit"),
+        );
+        for (s, _) in state.archive.iter() {
+            for d in uniform_weights(config.directions, 2) {
+                let mut f = problem.features(s);
+                f.extend_from_slice(&d);
+                assert_eq!(a.tree_predictions(&f), b.tree_predictions(&f));
+            }
+        }
     }
 
     #[test]

@@ -860,6 +860,35 @@ mod tests {
         assert!(restored.fault_log().is_clean());
     }
 
+    /// A restored state refits `Eval` from the checkpointed `fit_rng`
+    /// and training set: every tree predicts what the snapshotted
+    /// state's tree predicts.
+    #[test]
+    fn restore_refits_the_same_eval() {
+        let problem = Zdt::zdt1(6);
+        let config = MoelaConfig::builder()
+            .population(6)
+            .generations(10)
+            .iter_early(1)
+            .build()
+            .expect("valid");
+        let moela = Moela::new(config, &problem);
+        let mut r = rng(12);
+        let mut state = moela.start(&mut r);
+        for _ in 0..3 {
+            assert!(Resumable::<VecF64Codec>::step(&mut state, &mut r));
+        }
+        let snap = Resumable::<VecF64Codec>::snapshot_state(&state, &VecF64Codec);
+        let restored = moela.restore(&VecF64Codec, &snap, Duration::ZERO).expect("restore");
+        let (a, b) =
+            (state.eval_fn.model().expect("fitted"), restored.eval_fn.model().expect("refit"));
+        for i in 0..state.population.len() {
+            let mut f = problem.features(&state.population.individual(i).solution);
+            f.extend_from_slice(state.population.weight(i));
+            assert_eq!(a.tree_predictions(&f), b.tree_predictions(&f), "individual {i}");
+        }
+    }
+
     /// Once a run reports completion, further steps are no-ops that draw
     /// nothing from the RNG.
     #[test]
