@@ -123,26 +123,4 @@ mod tests {
         assert!(restored.model().is_none());
         assert_eq!(restored.snapshot(), Value::Null);
     }
-
-    #[test]
-    fn hostile_fit_rng_values_are_schema_errors() {
-        let d = data(20);
-        for bad in [
-            Value::u64_array(&[1, 2, 3]),
-            Value::u64_array(&[1, 2, 3, 4, 5]),
-            Value::Array(Vec::new()),
-            Value::Str("seed".into()),
-            Value::f64_array(&[1.0, 2.0, 3.0, 4.0]),
-        ] {
-            let err = Surrogate::restore(&bad, &d, &config()).unwrap_err();
-            assert!(matches!(err, PersistError::Schema(_)), "{bad:?}: {err}");
-        }
-        let few = data(MIN_FIT_ROWS - 1);
-        let err = Surrogate::restore(&Value::u64_array(&[1, 2, 3, 4]), &few, &config())
-            .expect_err("too few rows");
-        assert!(err.to_string().contains("training rows"), "{err}");
-        let empty =
-            Surrogate::restore(&Value::u64_array(&[1, 2, 3, 4]), &Dataset::new(), &config());
-        assert!(empty.is_err());
-    }
 }

@@ -5,10 +5,10 @@
 //! [`Value`]s always serialize to equal bytes.
 //!
 //! Every token is appended to one output `String`: integers go through a
-//! stack digit buffer and floats through [`crate::shortest`], so encoding
-//! allocates nothing per number. The per-number `to_string` encoder this
-//! replaced is kept in the crate's test oracle, which holds the two to
-//! the same bytes.
+//! stack digit buffer and floats through the Ryū kernel in
+//! `shortest.rs`, so encoding allocates nothing per number. The
+//! per-number `to_string` encoder this replaced is kept in the crate's
+//! test oracle, which holds the two to the same bytes.
 
 use crate::shortest;
 use crate::value::Value;
