@@ -62,7 +62,7 @@ prev="$(ls -1t BENCH_*.json 2>/dev/null | grep -vF "$out" | head -1 || true)"
 if [ -n "$prev" ]; then
     echo "==> compare against $prev"
     "$dse" compare "$prev" "$out" \
-        || echo "    (delta past thresholds — informational only on a different machine)"
+        || echo "    (not comparable, or a delta past thresholds — informational only)"
 else
     echo "no previous BENCH_*.json to compare against"
 fi
