@@ -16,23 +16,24 @@
 //!   [`f64::total_cmp`]. Equal feature values therefore stay in the order
 //!   the earlier candidates left, and the first candidate's ties stay in
 //!   bootstrap order.
-//! * The scan sums the sorted targets and their squares in `order`: the
-//!   totals first, then the prefixes split point by split point. Every
-//!   SSE, and so the winning split, depends on that order's rounding. A
-//!   single presort per fit would break ties by bootstrap position at
-//!   every candidate, and would change the trees.
+//! * The scan sums the sorted targets and their squares in `order` in one
+//!   pass, recording the prefix at the end of each run of equal values;
+//!   the totals are that prefix carried to the end of `order`. Every SSE,
+//!   and so the winning split, depends on that order's rounding. A single
+//!   presort per fit would break ties by bootstrap position at every
+//!   candidate, and would change the trees.
 //!
 //! A column table, built once per forest fit and shared by its trees,
 //! makes the re-sort cheap. It stores each feature's column and the
 //! column's dense ranks under `total_cmp`, so a candidate's re-sort is a
 //! stable counting sort of `order` by rank (a stable comparison sort when
-//! the node's ranks spread too widely). A candidate whose feature is constant within the node is
-//! skipped: the stable sort would leave `order` unchanged and the scan
-//! could evaluate no split. A [`Dataset`] holds only finite values, so
-//! equal ranks are equal values, and the scan passes over their split
-//! points without reading the values.
+//! the node's ranks spread too widely). The sort also emits where each
+//! run of equal ranks ends. A [`Dataset`] holds only finite values, so
+//! equal ranks are equal values, and only run ends can be split points.
+//! A candidate whose feature is constant within the node is skipped: the
+//! stable sort would leave `order` unchanged and the scan could evaluate
+//! no split.
 
-use moela_persist::{PersistError, Restore, Snapshot, Value};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -165,61 +166,26 @@ impl RegressionTree {
     }
 }
 
-impl Snapshot for RegressionTree {
-    fn snapshot(&self) -> Value {
+#[cfg(test)]
+impl moela_persist::Snapshot for RegressionTree {
+    fn snapshot(&self) -> moela_persist::Value {
+        use moela_persist::Value;
+        fn node_to_value(node: &Node) -> Value {
+            match node {
+                Node::Leaf { value } => Value::object(vec![("leaf", Value::F64(*value))]),
+                Node::Split { feature, threshold, left, right } => Value::object(vec![
+                    ("feature", Value::U64(*feature as u64)),
+                    ("threshold", Value::F64(*threshold)),
+                    ("left", node_to_value(left)),
+                    ("right", node_to_value(right)),
+                ]),
+            }
+        }
         Value::object(vec![
             ("feature_len", Value::U64(self.feature_len as u64)),
             ("root", node_to_value(&self.root)),
         ])
     }
-}
-
-impl Restore for RegressionTree {
-    fn restore(value: &Value) -> Result<Self, PersistError> {
-        let feature_len = value.field("feature_len")?.as_usize()?;
-        Ok(Self { feature_len, root: node_from_value(value.field("root")?, feature_len)? })
-    }
-}
-
-fn node_to_value(node: &Node) -> Value {
-    match node {
-        Node::Leaf { value } => Value::object(vec![("leaf", Value::F64(*value))]),
-        Node::Split { feature, threshold, left, right } => Value::object(vec![
-            ("feature", Value::U64(*feature as u64)),
-            ("threshold", Value::F64(*threshold)),
-            ("left", node_to_value(left)),
-            ("right", node_to_value(right)),
-        ]),
-    }
-}
-
-/// Decodes a node, refusing anything `predict` could not walk: a split
-/// on a feature past `feature_len`, or a NaN threshold or leaf. Infinite
-/// values stay: a fit on finite data makes an infinite leaf when a mean
-/// overflows, and `predict` compares against an infinite threshold fine.
-fn node_from_value(value: &Value, feature_len: usize) -> Result<Node, PersistError> {
-    let number = |name: &str, x: f64| {
-        if x.is_nan() {
-            Err(PersistError::schema(format!("tree {name} must be a number, found NaN")))
-        } else {
-            Ok(x)
-        }
-    };
-    if let Some(leaf) = value.field_opt("leaf") {
-        return Ok(Node::Leaf { value: number("leaf", leaf.as_f64()?)? });
-    }
-    let feature = value.field("feature")?.as_usize()?;
-    if feature >= feature_len {
-        return Err(PersistError::schema(format!(
-            "tree splits on feature {feature} of {feature_len}"
-        )));
-    }
-    Ok(Node::Split {
-        feature,
-        threshold: number("threshold", value.field("threshold")?.as_f64()?)?,
-        left: Box::new(node_from_value(value.field("left")?, feature_len)?),
-        right: Box::new(node_from_value(value.field("right")?, feature_len)?),
-    })
 }
 
 /// A dataset in the split search's layout: feature-major columns, each
@@ -232,6 +198,8 @@ pub(crate) struct ColumnTable {
     values: Vec<f64>,
     /// Dense rank of `values[f * rows + i]` within column `f`.
     ranks: Vec<u32>,
+    /// The largest rank in any column.
+    max_rank: u32,
     targets: Vec<f64>,
 }
 
@@ -245,6 +213,7 @@ impl ColumnTable {
             values.extend((0..rows).map(|i| data.features(i)[f]));
         }
         let mut ranks = vec![0; rows * features];
+        let mut max_rank = 0;
         let mut keyed: Vec<(i64, u32)> = Vec::with_capacity(rows);
         for f in 0..features {
             let column = &values[f * rows..(f + 1) * rows];
@@ -259,8 +228,9 @@ impl ColumnTable {
                 }
                 column_ranks[i as usize] = rank;
             }
+            max_rank = max_rank.max(rank);
         }
-        Self { rows, features, values, ranks, targets: data.targets().to_vec() }
+        Self { rows, features, values, ranks, max_rank, targets: data.targets().to_vec() }
     }
 
     fn values(&self, feature: usize) -> &[f64] {
@@ -290,14 +260,15 @@ struct Builder<'a> {
     config: &'a TreeConfig,
     /// The node's samples in the order the candidates so far left them.
     order: Vec<u32>,
-    /// `order`'s ranks under the current candidate.
-    keys: Vec<u32>,
-    /// Counting-sort buckets.
+    /// Where each run of equal ranks in `order` ends (exclusive), in
+    /// order; the last is `order.len()`.
+    run_ends: Vec<u32>,
+    /// Σy and Σy² over `order` up to each of `run_ends`.
+    prefixes: Vec<(f64, f64)>,
+    /// Counting-sort buckets, indexed by rank and all zero between sorts.
     counts: Vec<u32>,
     /// Counting-sort output and partition overflow.
     spare: Vec<u32>,
-    /// The targets in `order`.
-    ys: Vec<f64>,
 }
 
 impl<'a> Builder<'a> {
@@ -306,10 +277,10 @@ impl<'a> Builder<'a> {
             table,
             config,
             order: Vec::new(),
-            keys: Vec::new(),
-            counts: Vec::new(),
+            run_ends: Vec::new(),
+            prefixes: Vec::new(),
+            counts: vec![0; table.max_rank as usize + 1],
             spare: Vec::new(),
-            ys: Vec::new(),
         }
     }
 
@@ -352,6 +323,7 @@ impl<'a> Builder<'a> {
     /// to the first found.
     fn best_split(&mut self, samples: &[u32], candidates: &[usize]) -> Option<(usize, f64)> {
         let table = self.table;
+        let targets = &table.targets;
         let n = samples.len();
         let min_leaf = self.config.min_samples_leaf;
         let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, sse)
@@ -362,36 +334,37 @@ impl<'a> Builder<'a> {
                 continue; // constant here: no value can be separated
             }
             // Prefix sums over sorted targets let every threshold be scored in
-            // O(1): SSE_total = Σy² − (Σy)²/n on each side. The totals add
-            // in `order` too; a zero start is exact because some target
-            // here is non-zero (the node is not homogeneous).
-            let (order, keys, ys) = (&self.order, &self.keys, &mut self.ys);
-            ys.clear();
-            let mut total_sum = 0.0;
-            let mut total_sq = 0.0;
-            for &i in order {
-                let y = table.targets[i as usize];
-                ys.push(y);
-                total_sum += y;
-                total_sq += y.powi(2);
-            }
-            let values = table.values(feat);
+            // O(1): SSE_total = Σy² − (Σy)²/n on each side. One pass adds
+            // the targets in `order` and records the prefix at each run
+            // end; the last run's prefix is the totals. A zero start is
+            // exact because some target here is non-zero (the node is not
+            // homogeneous).
+            let (order, run_ends, prefixes) = (&self.order, &self.run_ends, &mut self.prefixes);
+            prefixes.clear();
             let mut prefix_sum = 0.0;
             let mut prefix_sq = 0.0;
-            for split_at in 1..n {
-                let y = ys[split_at - 1];
-                prefix_sum += y;
-                prefix_sq += y.powi(2);
-                if keys[split_at] == keys[split_at - 1] {
-                    continue; // equal ranks are equal values
+            let mut start = 0;
+            for &end in run_ends {
+                for &i in &order[start..end as usize] {
+                    let y = targets[i as usize];
+                    prefix_sum += y;
+                    prefix_sq += y.powi(2);
+                }
+                prefixes.push((prefix_sum, prefix_sq));
+                start = end as usize;
+            }
+            let (total_sum, total_sq) = (prefix_sum, prefix_sq);
+            let values = table.values(feat);
+            let splits = &run_ends[..run_ends.len() - 1];
+            for (&split_at, &(prefix_sum, prefix_sq)) in splits.iter().zip(prefixes.iter()) {
+                let split_at = split_at as usize;
+                if split_at < min_leaf || n - split_at < min_leaf {
+                    continue;
                 }
                 let xa = values[order[split_at - 1] as usize];
                 let xb = values[order[split_at] as usize];
                 if xb - xa < 1e-15 {
                     continue; // too close to separate
-                }
-                if split_at < min_leaf || n - split_at < min_leaf {
-                    continue;
                 }
                 let left_n = split_at as f64;
                 let right_n = (n - split_at) as f64;
@@ -407,52 +380,58 @@ impl<'a> Builder<'a> {
         best.map(|(feature, threshold, _)| (feature, threshold))
     }
 
-    /// Stably re-sorts `order` by `ranks`, leaving their ranks in `keys`.
-    /// Returns `false`, with `order` untouched, when every sample in it
-    /// has the same rank.
+    /// Stably re-sorts `order` by `ranks`, leaving the end of each run of
+    /// equal ranks in `run_ends`. Returns `false`, with `order` untouched,
+    /// when every sample in it has the same rank.
     fn sort_by_rank(&mut self, ranks: &[u32]) -> bool {
-        let Self { order, keys, counts, spare, .. } = self;
-        keys.clear();
+        let Self { order, run_ends, counts, spare, .. } = self;
         let (mut lo, mut hi) = (u32::MAX, 0);
         for &i in order.iter() {
             let key = ranks[i as usize];
             lo = lo.min(key);
             hi = hi.max(key);
-            keys.push(key);
+            counts[key as usize] += 1;
         }
+        let (lo, hi) = (lo as usize, hi as usize);
         if lo >= hi {
+            counts[lo] = 0;
             return false;
         }
         let n = order.len();
-        let span = (hi - lo) as usize + 1;
+        let span = hi - lo + 1;
+        run_ends.clear();
         if span <= COUNTING_SPAN_FACTOR * n {
-            // counts[b] becomes the first output slot of rank lo + b, and
-            // after the placement, the end of that rank's run.
-            counts.clear();
-            counts.resize(span + 1, 0);
-            for &key in keys.iter() {
-                counts[(key - lo) as usize + 1] += 1;
-            }
-            for b in 1..span {
-                counts[b] += counts[b - 1];
+            // counts[r] becomes the first output slot of rank r; the
+            // placement advances it to the end of that rank's run.
+            let mut end = 0;
+            for count in &mut counts[lo..=hi] {
+                if *count > 0 {
+                    let start = end;
+                    end += *count;
+                    run_ends.push(end);
+                    *count = start;
+                }
             }
             spare.clear();
             spare.resize(n, 0);
-            for (&key, &sample) in keys.iter().zip(order.iter()) {
-                let slot = &mut counts[(key - lo) as usize];
+            for &sample in order.iter() {
+                let slot = &mut counts[ranks[sample as usize] as usize];
                 spare[*slot as usize] = sample;
                 *slot += 1;
             }
             std::mem::swap(order, spare);
-            let mut start = 0;
-            for (key, &end) in (lo..).zip(&counts[..span]) {
-                keys[start..end as usize].fill(key);
-                start = end as usize;
-            }
+            counts[lo..=hi].fill(0);
         } else {
+            for &i in order.iter() {
+                counts[ranks[i as usize] as usize] = 0;
+            }
             order.sort_by_key(|&i| ranks[i as usize]);
-            keys.clear();
-            keys.extend(order.iter().map(|&i| ranks[i as usize]));
+            for k in 1..n {
+                if ranks[order[k] as usize] != ranks[order[k - 1] as usize] {
+                    run_ends.push(k as u32);
+                }
+            }
+            run_ends.push(n as u32);
         }
         true
     }
@@ -630,8 +609,13 @@ mod tests {
             let mut expected = incoming;
             expected.sort_by(|&a, &b| values[a as usize].total_cmp(&values[b as usize]));
             assert_eq!(builder.order, expected, "levels = {levels}");
-            let expected_keys: Vec<u32> = expected.iter().map(|&i| ranks[i as usize]).collect();
-            assert_eq!(builder.keys, expected_keys, "levels = {levels}");
+            let mut expected_ends: Vec<u32> = (1..expected.len())
+                .filter(|&k| values[expected[k] as usize] != values[expected[k - 1] as usize])
+                .map(|k| k as u32)
+                .collect();
+            expected_ends.push(expected.len() as u32);
+            assert_eq!(builder.run_ends, expected_ends, "levels = {levels}");
+            assert!(builder.counts.iter().all(|&c| c == 0), "levels = {levels}");
         }
     }
 
@@ -647,55 +631,11 @@ mod tests {
         builder.order = (0..30).rev().collect();
         assert!(!builder.sort_by_rank(table.ranks(0)));
         assert_eq!(builder.order, (0..30).rev().collect::<Vec<u32>>());
-    }
-
-    fn restore_err(value: Value) -> String {
-        match RegressionTree::restore(&value) {
-            Err(PersistError::Schema(message)) => message,
-            other => panic!("expected a schema error, got {other:?}"),
-        }
-    }
-
-    fn split(feature: u64, threshold: f64, leaf: f64) -> Value {
-        let leaf = Value::object(vec![("leaf", Value::F64(leaf))]);
-        Value::object(vec![
-            ("feature", Value::U64(feature)),
-            ("threshold", Value::F64(threshold)),
-            ("left", leaf.clone()),
-            ("right", leaf),
-        ])
-    }
-
-    fn tree_value(feature_len: u64, root: Value) -> Value {
-        Value::object(vec![("feature_len", Value::U64(feature_len)), ("root", root)])
+        assert!(builder.counts.iter().all(|&c| c == 0));
     }
 
     #[test]
-    fn restore_accepts_a_well_formed_tree() {
-        let tree = RegressionTree::restore(&tree_value(2, split(1, 0.5, 3.0))).unwrap();
-        assert_eq!(tree.predict(&[9.0, 0.0]), 3.0);
-    }
-
-    #[test]
-    fn restore_rejects_a_split_past_the_feature_length() {
-        let message = restore_err(tree_value(2, split(2, 0.5, 3.0)));
-        assert!(message.contains("feature 2 of 2"), "{message}");
-    }
-
-    #[test]
-    fn restore_rejects_a_nan_threshold() {
-        let message = restore_err(tree_value(2, split(0, f64::NAN, 3.0)));
-        assert!(message.contains("threshold"), "{message}");
-    }
-
-    #[test]
-    fn restore_rejects_a_nan_leaf() {
-        let message = restore_err(tree_value(2, split(0, 0.5, f64::NAN)));
-        assert!(message.contains("leaf"), "{message}");
-    }
-
-    #[test]
-    fn a_fit_with_an_overflowing_leaf_round_trips() {
+    fn a_fit_with_an_overflowing_leaf_predicts_infinity() {
         // Two huge same-sign targets share a leaf whose mean overflows.
         let mut d = Dataset::new();
         for (x, y) in [(1.0, 0.9 * f64::MAX), (1.0, 0.8 * f64::MAX), (3.0, 0.0), (4.0, 1.0)] {
@@ -704,10 +644,5 @@ mod tests {
         let cfg = TreeConfig { min_samples_leaf: 1, ..TreeConfig::default() };
         let tree = RegressionTree::fit(&d, &cfg, &mut rng());
         assert_eq!(tree.predict(&[1.0]), f64::INFINITY);
-        let text = moela_persist::encode::to_string(&tree.snapshot());
-        let back = RegressionTree::restore(&moela_persist::decode::from_str(&text).unwrap())
-            .expect("a fitted tree restores");
-        assert_eq!(moela_persist::encode::to_string(&back.snapshot()), text);
-        assert_eq!(back.predict(&[1.0]), f64::INFINITY);
     }
 }
