@@ -139,6 +139,11 @@ impl Evaluator {
         &self.workload
     }
 
+    /// `workload().flows()`, built once at construction.
+    pub(crate) fn flows(&self) -> &[(usize, usize, f64)] {
+        &self.flows
+    }
+
     /// Replaces the routing cache with a fresh one of `capacity` tables
     /// (0 disables reuse: every evaluation rebuilds its table). Existing
     /// clones keep the old cache; reconfigure before sharing.
@@ -242,8 +247,8 @@ impl Evaluator {
             let pe = design.placement.pe_at(t);
             power.set(stack, c.z + 1, self.workload.pe_power(pe));
         }
-        let thermal = self.thermal.thermal_objective(&power);
-        let peak_temperature = self.thermal.peak_temperature(&power);
+        let (peak_temperature, max_spread) = self.thermal.peak_and_max_spread(&power);
+        let thermal = peak_temperature * max_spread;
 
         let max_u = utilization.iter().fold(0.0f64, |a, &b| a.max(b));
         let network = NetworkStats {

@@ -130,11 +130,58 @@ impl FastThermalModel {
             (1..=power.layers()).map(|k| self.layer_delta_t(power, k)).fold(0.0f64, f64::max);
         self.peak_temperature(power) * max_delta
     }
+
+    /// The peak temperature `max_{n,k} T_{n,k}` and the largest layer
+    /// spread `max_k ΔT(k)` in one sweep over the stacks, so eq. (7) is
+    /// their product.
+    ///
+    /// Bit for bit what [`peak_temperature`](Self::peak_temperature) and
+    /// [`thermal_objective`](Self::thermal_objective) compute: each
+    /// `T_{n,k}` is built from the same additions,
+    /// `0 + R_1·S_1 + … + R_k·S_k` then `+ R_b·S`, and every max and min
+    /// takes its operands in the same order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the grid stacks more layers than the parameters cover.
+    pub fn peak_and_max_spread(&self, power: &PowerGrid) -> (f64, f64) {
+        let top = power.layers();
+        assert!(
+            top <= self.params.layers(),
+            "layer {top} exceeds calibrated layer count {}",
+            self.params.layers()
+        );
+        // suffix[k - 1] = S_k = Σ_{i=k}^{Y} P_{n,i}; lo/hi track ΔT(k).
+        let mut suffix = vec![0.0; top];
+        let mut lo = vec![f64::INFINITY; top];
+        let mut hi = vec![f64::NEG_INFINITY; top];
+        let mut peak = 0.0f64;
+        for n in 0..power.stacks() {
+            let mut s = 0.0;
+            for (slot, p) in suffix.iter_mut().zip(power.stack_powers(n)).rev() {
+                s += p;
+                *slot = s;
+            }
+            let mut t = 0.0;
+            for (k, (r, s_k)) in self.params.r_vertical.iter().zip(&suffix).enumerate() {
+                t += r * s_k;
+                let t_nk = t + self.params.r_base * s;
+                peak = peak.max(t_nk);
+                lo[k] = lo[k].min(t_nk);
+                hi[k] = hi[k].max(t_nk);
+            }
+        }
+        let max_spread = hi.iter().zip(&lo).map(|(h, l)| h - l).fold(0.0f64, f64::max);
+        (peak, max_spread)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn two_layer_model() -> FastThermalModel {
         FastThermalModel::new(ThermalParams { r_vertical: vec![1.0, 2.0], r_base: 0.5 })
@@ -233,5 +280,46 @@ mod tests {
         let m = two_layer_model();
         let p = PowerGrid::new(1, 1, 3);
         m.stack_temperature(&p, 0, 3);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn one_sweep_matches_the_per_cell_functions_bit_for_bit(
+            seed in 0u64..1 << 40,
+            nx in 1usize..5,
+            ny in 1usize..5,
+            layers in 1usize..=6,
+            extra_layers in 0usize..3,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let params = ThermalParams {
+                r_vertical: (0..layers + extra_layers).map(|_| rng.gen_range(0.05..3.0)).collect(),
+                r_base: rng.gen_range(0.05..3.0),
+            };
+            let model = FastThermalModel::new(params);
+            let mut power = PowerGrid::new(nx, ny, layers);
+            for n in 0..power.stacks() {
+                for k in 1..=layers {
+                    // Some cells stay idle, as unused tiles do.
+                    if rng.gen_range(0..4u32) > 0 {
+                        power.set(n, k, rng.gen_range(0.0..20.0));
+                    }
+                }
+            }
+            let (peak, spread) = model.peak_and_max_spread(&power);
+            let max_delta =
+                (1..=layers).map(|k| model.layer_delta_t(&power, k)).fold(0.0f64, f64::max);
+            prop_assert_eq!(peak.to_bits(), model.peak_temperature(&power).to_bits());
+            prop_assert_eq!(spread.to_bits(), max_delta.to_bits());
+            prop_assert_eq!((peak * spread).to_bits(), model.thermal_objective(&power).to_bits());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds calibrated layer count")]
+    fn one_sweep_beyond_calibration_panics() {
+        two_layer_model().peak_and_max_spread(&PowerGrid::new(1, 1, 3));
     }
 }

@@ -146,6 +146,11 @@ impl PowerGrid {
         self.power.iter().sum()
     }
 
+    /// The powers of `stack`, layer 1 first.
+    fn stack_powers(&self, stack: usize) -> &[f64] {
+        &self.power[stack * self.layers..(stack + 1) * self.layers]
+    }
+
     fn index(&self, stack: usize, layer: usize) -> usize {
         assert!(stack < self.stacks(), "stack {stack} out of range");
         assert!(
