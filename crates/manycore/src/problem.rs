@@ -12,8 +12,7 @@ use moela_traffic::{PeKind, PeMix, Workload};
 use crate::crossover;
 use crate::delta::{DeltaEngine, DEFAULT_DELTA_CACHE_CAPACITY};
 use crate::design::{Design, Placement};
-use crate::geometry::{GridDims, TileId};
-use crate::link::LinkKind;
+use crate::geometry::{GridDims, TileCoord};
 use crate::moves;
 use crate::objectives::{Evaluation, Evaluator, ObjectiveSet};
 use crate::params::NocParams;
@@ -320,6 +319,8 @@ pub struct ManycoreProblem {
     objective_set: ObjectiveSet,
     evaluator: Evaluator,
     builder: TopologyBuilder,
+    /// [`coord_table`] of the grid, for [`Problem::features`].
+    coords: Arc<[TileCoord]>,
     delta: Arc<DeltaEngine>,
     delta_enabled: bool,
 }
@@ -352,6 +353,7 @@ impl ManycoreProblem {
             config.noc.max_degree,
         );
         Ok(Self {
+            coords: coord_table(&config.dims),
             config,
             objective_set,
             evaluator,
@@ -501,11 +503,11 @@ impl Problem for ManycoreProblem {
     }
 
     fn features(&self, s: &Design) -> Vec<f64> {
-        design_features(&self.config, self.evaluator.workload(), s)
+        features_from(&self.config, &self.coords, self.evaluator.flows(), s)
     }
 
     fn feature_len(&self) -> usize {
-        // Keep in sync with `design_features`.
+        // Keep in sync with `features_from`.
         18 + 2 + 2 + self.config.dims.layers() + (self.config.dims.layers() - 1) + 3
     }
 }
@@ -514,42 +516,71 @@ impl Problem for ManycoreProblem {
 /// evaluation): per-kind placement statistics, link-length and degree
 /// statistics, per-layer link distribution, and traffic-weighted placement
 /// distances. Input features of MOELA's learned `Eval`.
+///
+/// [`ManycoreProblem::features`] returns the same values from tables the
+/// problem builds once; this function builds them on every call.
 pub fn design_features(config: &PlatformConfig, workload: &Workload, d: &Design) -> Vec<f64> {
+    features_from(config, &coord_table(&config.dims), &workload.flows(), d)
+}
+
+/// The coordinates of every tile, indexed by tile id.
+fn coord_table(dims: &GridDims) -> Arc<[TileCoord]> {
+    dims.tile_ids().map(|t| dims.coord(t)).collect()
+}
+
+/// [`design_features`] over a [`coord_table`] and `workload.flows()`.
+/// Every sum adds the same terms in the same order as the reference in
+/// `problem/reference.rs`, so the bits are the same.
+fn features_from(
+    config: &PlatformConfig,
+    coords: &[TileCoord],
+    flows: &[(usize, usize, f64)],
+    d: &Design,
+) -> Vec<f64> {
     let dims = &config.dims;
     let mix = config.pe_mix();
     let mut out = Vec::with_capacity(32);
+    // The coordinates of each PE's tile, in PE order.
+    let pe_coords: Vec<TileCoord> =
+        (0..mix.total()).map(|pe| coords[d.placement.tile_of(pe).0]).collect();
+    let manhattan = |a: TileCoord, b: TileCoord| {
+        (a.x.abs_diff(b.x) + a.y.abs_diff(b.y) + a.z.abs_diff(b.z)) as f64
+    };
 
     // 1. Per-kind coordinate mean/std (3 kinds × 6 values = 18).
     for kind in [PeKind::Cpu, PeKind::Gpu, PeKind::Llc] {
-        let coords: Vec<(f64, f64, f64)> = mix
-            .ids_of(kind)
-            .map(|pe| {
-                let c = dims.coord(d.placement.tile_of(pe));
-                (c.x as f64, c.y as f64, c.z as f64)
-            })
-            .collect();
+        let coords = &pe_coords[mix.ids_of(kind)];
         let n = coords.len() as f64;
-        let mean = coords
-            .iter()
-            .fold((0.0, 0.0, 0.0), |acc, c| (acc.0 + c.0 / n, acc.1 + c.1 / n, acc.2 + c.2 / n));
+        let mean = coords.iter().fold((0.0, 0.0, 0.0), |acc, c| {
+            (acc.0 + c.x as f64 / n, acc.1 + c.y as f64 / n, acc.2 + c.z as f64 / n)
+        });
         let var = coords.iter().fold((0.0, 0.0, 0.0), |acc, c| {
             (
-                acc.0 + (c.0 - mean.0).powi(2) / n,
-                acc.1 + (c.1 - mean.1).powi(2) / n,
-                acc.2 + (c.2 - mean.2).powi(2) / n,
+                acc.0 + (c.x as f64 - mean.0).powi(2) / n,
+                acc.1 + (c.y as f64 - mean.1).powi(2) / n,
+                acc.2 + (c.z as f64 - mean.2).powi(2) / n,
             )
         });
         out.extend([mean.0, mean.1, mean.2, var.0.sqrt(), var.1.sqrt(), var.2.sqrt()]);
     }
 
+    // One pass over the links: planar lengths, planar links per layer and
+    // TSVs per layer gap. A link's `a` is its lower tile, so a TSV's `a`
+    // sits in the layer below its gap.
+    let mut lengths = Vec::with_capacity(d.topology.link_count());
+    let mut per_layer = vec![0.0f64; dims.layers()];
+    let mut per_gap = vec![0.0f64; dims.layers() - 1];
+    for l in d.topology.links() {
+        let (a, b) = (coords[l.a().0], coords[l.b().0]);
+        if a.z == b.z {
+            lengths.push((a.x.abs_diff(b.x) + a.y.abs_diff(b.y)) as f64);
+            per_layer[a.z] += 1.0;
+        } else {
+            per_gap[a.z] += 1.0;
+        }
+    }
+
     // 2. Planar link length mean/std (2).
-    let lengths: Vec<f64> = d
-        .topology
-        .links()
-        .iter()
-        .filter(|l| l.kind(dims) == LinkKind::Planar)
-        .map(|l| l.length(dims))
-        .collect();
     let ln = lengths.len().max(1) as f64;
     let lmean = lengths.iter().sum::<f64>() / ln;
     let lvar = lengths.iter().map(|l| (l - lmean).powi(2)).sum::<f64>() / ln;
@@ -562,44 +593,27 @@ pub fn design_features(config: &PlatformConfig, workload: &Workload, d: &Design)
     out.extend([dvar.sqrt(), degrees.iter().fold(0.0f64, |a, &b| a.max(b))]);
 
     // 4. Planar links per layer, normalized (layers values).
-    let mut per_layer = vec![0.0f64; dims.layers()];
-    for l in d.topology.links() {
-        if l.kind(dims) == LinkKind::Planar {
-            per_layer[dims.coord(l.a()).z] += 1.0;
-        }
-    }
     let planar_total: f64 = per_layer.iter().sum::<f64>().max(1.0);
     out.extend(per_layer.iter().map(|v| v / planar_total));
 
     // 5. TSVs per layer gap, normalized (layers − 1 values).
-    let mut per_gap = vec![0.0f64; dims.layers() - 1];
-    for l in d.topology.links() {
-        if l.kind(dims) == LinkKind::Vertical {
-            per_gap[dims.coord(l.a()).z] += 1.0;
-        }
-    }
     let tsv_total: f64 = per_gap.iter().sum::<f64>().max(1.0);
     out.extend(per_gap.iter().map(|v| v / tsv_total));
 
     // 6. Traffic-weighted placement distance + class distances (3).
-    let manhattan = |a: TileId, b: TileId| {
-        let ca = dims.coord(a);
-        let cb = dims.coord(b);
-        (ca.x.abs_diff(cb.x) + ca.y.abs_diff(cb.y) + ca.z.abs_diff(cb.z)) as f64
-    };
     let mut weighted = 0.0;
     let mut flow_total = 0.0;
-    for (i, j, f) in workload.flows() {
-        weighted += f * manhattan(d.placement.tile_of(i), d.placement.tile_of(j));
+    for &(i, j, f) in flows {
+        weighted += f * manhattan(pe_coords[i], pe_coords[j]);
         flow_total += f;
     }
     out.push(if flow_total > 0.0 { weighted / flow_total } else { 0.0 });
     let class_distance = |a: PeKind, b: PeKind| {
         let mut sum = 0.0;
         let mut count = 0usize;
-        for i in mix.ids_of(a) {
-            for j in mix.ids_of(b) {
-                sum += manhattan(d.placement.tile_of(i), d.placement.tile_of(j));
+        for &ca in &pe_coords[mix.ids_of(a)] {
+            for &cb in &pe_coords[mix.ids_of(b)] {
+                sum += manhattan(ca, cb);
                 count += 1;
             }
         }
@@ -610,6 +624,9 @@ pub fn design_features(config: &PlatformConfig, workload: &Workload, d: &Design)
 
     out
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
