@@ -339,17 +339,20 @@ where
                 let _predict = self.ctx.obs.span("surrogate_predict");
                 let mut meta = current.clone();
                 let mut meta_score = model.predict(&self.problem.features(&meta));
-                let mut moved = false;
+                let mut moves = 0u64;
                 for _ in 0..cfg.meta_steps {
                     let cand = self.problem.neighbor(&meta, rng);
                     let score = model.predict(&self.problem.features(&cand));
                     if score < meta_score {
                         meta = cand;
                         meta_score = score;
-                        moved = true;
+                        moves += 1;
                     }
                 }
-                if moved {
+                // Both every time, so a run's metrics name them even at 0.
+                self.ctx.obs.counter(moela_obs::names::META_MOVES, moves);
+                self.ctx.obs.counter(moela_obs::names::RANDOM_RESTARTS, u64::from(moves == 0));
+                if moves > 0 {
                     meta
                 } else {
                     // STAGE restarts randomly when the meta search

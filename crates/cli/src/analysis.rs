@@ -230,6 +230,10 @@ pub(crate) fn build_report(dir: &Path) -> Result<(Value, Value), CliError> {
             Value::object(vec![
                 ("ls_improvements", Value::U64(replay.counter(names::LS_IMPROVEMENTS))),
                 ("ea_improvements", Value::U64(replay.counter(names::EA_IMPROVEMENTS))),
+                // MOO-STAGE's meta search: moves it made, and episodes it
+                // could not move at all and restarted at random.
+                ("meta_moves", Value::U64(replay.counter(names::META_MOVES))),
+                ("random_restarts", Value::U64(replay.counter(names::RANDOM_RESTARTS))),
             ]),
         ),
         (
@@ -334,6 +338,13 @@ pub(crate) fn report(dir: &str, log_level: LogLevel) -> Result<(), CliError> {
         ops.field("ls_improvements")?.as_u64()?,
         ops.field("ea_improvements")?.as_u64()?
     ));
+    let (meta_moves, restarts) =
+        (ops.field("meta_moves")?.as_u64()?, ops.field("random_restarts")?.as_u64()?);
+    if meta_moves + restarts > 0 {
+        reporter.info(&format!(
+            "  meta search: {meta_moves} moves on predicted Eval, {restarts} random restarts"
+        ));
+    }
     let throughput = report.field("throughput")?;
     reporter.info(&format!(
         "  throughput: {:.1} evals/s over {:.2}s of traced wall clock",

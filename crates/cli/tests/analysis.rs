@@ -376,3 +376,68 @@ fn compare_passes_self_and_gates_a_doctored_regression() {
     assert!(stderr.contains("regress"), "no regression message: {stderr}");
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// MOO-STAGE counts its meta search: the moves it made on predicted
+/// `Eval`, and the episodes where it could not move and restarted at
+/// random. Both reach metrics.json and the report's operators section,
+/// and a baseline recorded before the counters existed still compares.
+#[test]
+fn moo_stage_reports_meta_moves_and_random_restarts() {
+    let dir = scratch("meta-search");
+    let dir_str = dir.to_str().expect("utf-8 path");
+    let out = moela_dse(&[
+        "run",
+        "--app",
+        "BFS",
+        "--objectives",
+        "3",
+        "--algorithm",
+        "moo-stage",
+        "--budget",
+        "600",
+        "--population",
+        "8",
+        "--seed",
+        "7",
+        "--run-dir",
+        dir_str,
+    ]);
+    assert!(out.status.success(), "run failed: {}", String::from_utf8_lossy(&out.stderr));
+    let out = moela_dse(&["report", dir_str]);
+    assert!(out.status.success(), "report failed: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stdout.contains("meta search:") || stderr.contains("meta search:"),
+        "no meta-search line in the summary"
+    );
+
+    let metrics = read_json(&dir.join("metrics.json"));
+    let report = read_json(&dir.join("report.json"));
+    let counter = |name: &str| get(&metrics, &["telemetry", "counters", name]).as_u64().unwrap();
+    let (moves, restarts) = (counter("meta_moves"), counter("random_restarts"));
+    assert!(moves > 0, "the meta search never moved at this seed");
+    assert!(restarts > 0, "the meta search never restarted at this seed");
+    assert!(restarts <= counter("generations"), "at most one restart per episode");
+    assert_eq!(get(&report, &["operators", "meta_moves"]).as_u64().unwrap(), moves);
+    assert_eq!(get(&report, &["operators", "random_restarts"]).as_u64().unwrap(), restarts);
+
+    // The same run as an older snapshot without the two counters.
+    let mut older = metrics.clone();
+    let Value::Object(fields) = &mut older else { panic!("metrics.json is an object") };
+    let telemetry = &mut fields.iter_mut().find(|(n, _)| n == "telemetry").expect("telemetry").1;
+    let Value::Object(telemetry) = telemetry else { panic!("telemetry is an object") };
+    let counters = &mut telemetry.iter_mut().find(|(n, _)| n == "counters").expect("counters").1;
+    let Value::Object(counters) = counters else { panic!("counters is an object") };
+    counters.retain(|(n, _)| n != "meta_moves" && n != "random_restarts");
+    let bench = dir.join("older-bench.json");
+    let snapshot = Value::object(vec![("runs", Value::Object(vec![("moo-stage".into(), older)]))]);
+    fs::write(&bench, encode::to_string(&snapshot)).expect("write bench");
+    let out = moela_dse(&["compare", bench.to_str().unwrap(), dir_str]);
+    assert!(
+        out.status.success(),
+        "an older baseline must still compare: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let _ = fs::remove_dir_all(&dir);
+}

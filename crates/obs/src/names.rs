@@ -40,3 +40,11 @@ pub const LS_IMPROVEMENTS: &str = "ls_improvements";
 /// Population members replaced by crossover/mutation offspring (the
 /// decomposition-EA or environmental-selection half of a step).
 pub const EA_IMPROVEMENTS: &str = "ea_improvements";
+
+/// MOO-STAGE meta-search moves: neighbors the learned `Eval` predicted
+/// better than the meta search's current design, so the search moved.
+pub const META_MOVES: &str = "meta_moves";
+
+/// MOO-STAGE random restarts: episodes whose meta search could not move
+/// from the local search's final design, so the next start is random.
+pub const RANDOM_RESTARTS: &str = "random_restarts";
