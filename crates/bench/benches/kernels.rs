@@ -13,11 +13,16 @@ use moela_ml::{Dataset, ForestConfig, RandomForest};
 use moela_moo::hypervolume::hypervolume;
 use moela_moo::pareto::non_dominated_sort;
 use moela_moo::Problem;
+use moela_thermal::{FastThermalModel, PowerGrid, ThermalParams};
 use moela_traffic::{Benchmark, Workload};
 
 fn paper_problem(set: ObjectiveSet) -> ManycoreProblem {
+    app_problem(Benchmark::Hot, set)
+}
+
+fn app_problem(app: Benchmark, set: ObjectiveSet) -> ManycoreProblem {
     let platform = PlatformConfig::paper();
-    let workload = Workload::synthesize(Benchmark::Hot, platform.pe_mix(), 7);
+    let workload = Workload::synthesize(app, platform.pe_mix(), 7);
     ManycoreProblem::new(platform, workload, set).expect("paper platform")
 }
 
@@ -66,6 +71,16 @@ fn bench_objectives(c: &mut Criterion) {
             b.iter(|| problem.evaluate(&design))
         });
     }
+    // The thermal term of every evaluation: peak temperature and the
+    // largest layer spread over the paper's 16 stacks of 4 layers.
+    let model = FastThermalModel::new(ThermalParams::uniform(4, 1.0, 0.5));
+    let mut power = PowerGrid::new(4, 4, 4);
+    for stack in 0..power.stacks() {
+        for layer in 1..=4 {
+            power.set(stack, layer, rng.gen_range(0.5..12.0));
+        }
+    }
+    c.bench_function("objectives/thermal_4x4x4", |b| b.iter(|| model.peak_and_max_spread(&power)));
 }
 
 fn bench_operators(c: &mut Criterion) {
@@ -77,6 +92,9 @@ fn bench_operators(c: &mut Criterion) {
     c.bench_function("operators/neighbor_move", |b| b.iter(|| problem.neighbor(&a, &mut rng)));
     c.bench_function("operators/crossover", |b| b.iter(|| problem.crossover(&a, &b2, &mut rng)));
     c.bench_function("operators/features", |b| b.iter(|| problem.features(&a)));
+    // GAU has the densest traffic, so the most flows to weigh.
+    let gau = app_problem(Benchmark::Gau, ObjectiveSet::Three);
+    c.bench_function("operators/features_gau", |b| b.iter(|| gau.features(&a)));
 }
 
 fn bench_hypervolume(c: &mut Criterion) {
