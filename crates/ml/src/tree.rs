@@ -26,8 +26,9 @@
 //! A column table, built once per forest fit and shared by its trees,
 //! makes the re-sort cheap. It stores each feature's column and the
 //! column's dense ranks under `total_cmp`, so a candidate's re-sort is a
-//! stable counting sort of `order` by rank (a stable comparison sort when
-//! the node's ranks spread too widely). The sort also emits where each
+//! stable counting sort of `order` by rank (when the node's ranks spread
+//! too widely, a sort of keys that put the rank above the position in
+//! `order`, which is just as stable). The sort also emits where each
 //! run of equal ranks ends. A [`Dataset`] holds only finite values, so
 //! equal ranks are equal values, and only run ends can be split points.
 //! A candidate whose feature is constant within the node is skipped: the
@@ -250,7 +251,7 @@ fn total_order_key(x: f64) -> i64 {
 }
 
 /// A counting sort runs when the node's rank span is at most this many
-/// times its size; wider spans fall back to a stable comparison sort.
+/// times its size; wider spans fall back to a comparison sort.
 const COUNTING_SPAN_FACTOR: usize = 4;
 
 /// Grows one tree over a [`ColumnTable`], reusing its scratch buffers
@@ -269,6 +270,9 @@ struct Builder<'a> {
     counts: Vec<u32>,
     /// Counting-sort output and partition overflow.
     spare: Vec<u32>,
+    /// Comparison-sort keys: rank in the high half, position in `order`
+    /// in the low half.
+    keyed: Vec<u64>,
 }
 
 impl<'a> Builder<'a> {
@@ -281,6 +285,7 @@ impl<'a> Builder<'a> {
             prefixes: Vec::new(),
             counts: vec![0; table.max_rank as usize + 1],
             spare: Vec::new(),
+            keyed: Vec::new(),
         }
     }
 
@@ -384,7 +389,7 @@ impl<'a> Builder<'a> {
     /// equal ranks in `run_ends`. Returns `false`, with `order` untouched,
     /// when every sample in it has the same rank.
     fn sort_by_rank(&mut self, ranks: &[u32]) -> bool {
-        let Self { order, run_ends, counts, spare, .. } = self;
+        let Self { order, run_ends, counts, spare, keyed, .. } = self;
         let (mut lo, mut hi) = (u32::MAX, 0);
         for &i in order.iter() {
             let key = ranks[i as usize];
@@ -422,12 +427,22 @@ impl<'a> Builder<'a> {
             std::mem::swap(order, spare);
             counts[lo..=hi].fill(0);
         } else {
-            for &i in order.iter() {
-                counts[ranks[i as usize] as usize] = 0;
-            }
-            order.sort_by_key(|&i| ranks[i as usize]);
-            for k in 1..n {
-                if ranks[order[k] as usize] != ranks[order[k - 1] as usize] {
+            // Each sample keyed by its rank, then its position in `order`:
+            // the keys are distinct, so an unstable sort of them is a
+            // stable sort of `order` by rank. The buckets counted above go
+            // back to zero on the way.
+            keyed.clear();
+            keyed.extend(order.iter().enumerate().map(|(k, &i)| {
+                let rank = ranks[i as usize];
+                counts[rank as usize] = 0;
+                u64::from(rank) << 32 | k as u64
+            }));
+            keyed.sort_unstable();
+            spare.clear();
+            spare.extend_from_slice(order);
+            for (k, (slot, &key)) in order.iter_mut().zip(keyed.iter()).enumerate() {
+                *slot = spare[key as u32 as usize];
+                if k > 0 && key >> 32 != keyed[k - 1] >> 32 {
                     run_ends.push(k as u32);
                 }
             }
