@@ -598,39 +598,50 @@ mod tests {
     #[test]
     fn every_sort_path_is_stable() {
         // A whole tied column takes the counting sort; a few samples
-        // spread over a wide column take the comparison sort. Samples
-        // repeat, as in a bootstrap, and equal ranks must keep their
-        // incoming order.
+        // spread over a wide column take the comparison sort, once with
+        // ties only between repeated samples and once with distinct
+        // samples of equal value. Samples repeat, as in a bootstrap, and
+        // equal ranks must keep their incoming order.
         let mut r = rng();
-        for (rows, levels, node, counting) in [(200, 5, 200, true), (200, 1000, 12, false)] {
+        let mut rows: Vec<u32> = (0..200).collect();
+        rows.shuffle(&mut r);
+        let levels = |r: &mut rand::rngs::StdRng, levels: u32| -> Vec<f64> {
+            (0..200).map(|_| f64::from(r.gen_range(0..levels))).collect()
+        };
+        // 190 distinct values; rows 190.. share row 5's.
+        let shared: Vec<f64> = (0..200).map(|i| if i < 190 { f64::from(i) } else { 5.0 }).collect();
+        let cases = [
+            ("tied", levels(&mut r, 5), rows.clone(), true),
+            ("wide", levels(&mut r, 1000), rows[..12].to_vec(), false),
+            ("wide with shared values", shared, (190..200).chain([5, 0, 189]).collect(), false),
+        ];
+        for (case, column, node, counting) in cases {
             let mut d = Dataset::new();
-            for _ in 0..rows {
-                d.push(vec![r.gen_range(0..levels) as f64], 0.0);
+            for x in column {
+                d.push(vec![x], 0.0);
             }
             let table = ColumnTable::new(&d);
             let (values, ranks) = (table.values(0), table.ranks(0));
             let config = TreeConfig::default();
             let mut builder = Builder::new(&table, &config);
-            let mut incoming: Vec<u32> = (0..rows as u32).collect();
-            incoming.shuffle(&mut r);
-            incoming.truncate(node);
-            incoming.extend_from_within(..node / 2);
+            let mut incoming = node;
+            incoming.extend_from_within(..incoming.len() / 2);
             incoming.shuffle(&mut r);
             let node_ranks = incoming.iter().map(|&i| ranks[i as usize]);
             let span = (node_ranks.clone().max().unwrap() - node_ranks.min().unwrap()) as usize + 1;
-            assert_eq!(span <= COUNTING_SPAN_FACTOR * incoming.len(), counting, "span {span}");
+            assert_eq!(span <= COUNTING_SPAN_FACTOR * incoming.len(), counting, "{case}: {span}");
             builder.order = incoming.clone();
             assert!(builder.sort_by_rank(ranks));
             let mut expected = incoming;
             expected.sort_by(|&a, &b| values[a as usize].total_cmp(&values[b as usize]));
-            assert_eq!(builder.order, expected, "levels = {levels}");
+            assert_eq!(builder.order, expected, "{case}");
             let mut expected_ends: Vec<u32> = (1..expected.len())
                 .filter(|&k| values[expected[k] as usize] != values[expected[k - 1] as usize])
                 .map(|k| k as u32)
                 .collect();
             expected_ends.push(expected.len() as u32);
-            assert_eq!(builder.run_ends, expected_ends, "levels = {levels}");
-            assert!(builder.counts.iter().all(|&c| c == 0), "levels = {levels}");
+            assert_eq!(builder.run_ends, expected_ends, "{case}");
+            assert!(builder.counts.iter().all(|&c| c == 0), "{case}");
         }
     }
 
