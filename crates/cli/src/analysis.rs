@@ -205,11 +205,6 @@ pub(crate) fn build_report(dir: &Path) -> Result<(Value, Value), CliError> {
     let replay_evals = replay.counter("evaluations");
     let evals_per_sec = if wall_s > 0.0 { replay_evals as f64 / wall_s } else { 0.0 };
 
-    let cache_hits = replay.counter("cache_hits");
-    let cache_misses = replay.counter("cache_misses");
-    let cache_lookups = cache_hits + cache_misses;
-    let hit_rate = if cache_lookups > 0 { cache_hits as f64 / cache_lookups as f64 } else { 0.0 };
-
     let mut fields = vec![
         (
             "run",
@@ -255,19 +250,9 @@ pub(crate) fn build_report(dir: &Path) -> Result<(Value, Value), CliError> {
         (
             "cache",
             Value::object(vec![
-                ("hits", Value::U64(cache_hits)),
-                ("misses", Value::U64(cache_misses)),
-                ("evictions", Value::U64(replay.counter("cache_evictions"))),
+                ("enabled", Value::Bool(opts.eval_cache)),
                 ("routing_rebuilds", Value::U64(replay.counter("routing_rebuilds"))),
                 ("routing_hits", Value::U64(replay.counter("routing_hits"))),
-                ("hit_rate", Value::F64(hit_rate)),
-            ]),
-        ),
-        (
-            "delta",
-            Value::object(vec![
-                ("hits", Value::U64(replay.counter("delta_hits"))),
-                ("fallbacks", Value::U64(replay.counter("delta_fallbacks"))),
             ]),
         ),
         ("trends", trends_value(&replay)),
@@ -351,14 +336,6 @@ pub(crate) fn report(dir: &str, log_level: LogLevel) -> Result<(), CliError> {
         throughput.field("evals_per_sec")?.as_f64()?,
         throughput.field("wall_us")?.as_u64()? as f64 / 1e6
     ));
-    let delta = report.field("delta")?;
-    let (delta_hits, delta_fallbacks) =
-        (delta.field("hits")?.as_u64()?, delta.field("fallbacks")?.as_u64()?);
-    if delta_hits + delta_fallbacks > 0 {
-        reporter.info(&format!(
-            "  delta evaluation: {delta_hits} incremental, {delta_fallbacks} full fallbacks"
-        ));
-    }
     let ckpt = report.field("checkpoints")?;
     let written = ckpt.field("count")?.as_u64()?;
     if written > 0 {

@@ -4,7 +4,7 @@ use std::time::Duration;
 
 use moela_manycore::ObjectiveSet;
 use moela_moo::fault::{FaultConfig, FaultPolicy};
-use moela_moo::{ChaosSpec, DEFAULT_EVAL_CACHE_CAPACITY};
+use moela_moo::ChaosSpec;
 use moela_obs::LogLevel;
 use moela_traffic::Benchmark;
 
@@ -130,15 +130,9 @@ pub struct RunOptions {
     /// Re-evaluation attempts per faulted candidate before the policy
     /// applies.
     pub eval_retries: u32,
-    /// Evaluation-cache capacity in memoized designs (`0` = caching
-    /// off, including topology-keyed routing reuse). Results are
-    /// bit-identical for every value.
-    pub eval_cache: usize,
-    /// Neighbor move evaluation: score a neighbor against its cached
-    /// routing table instead of routing it from scratch, falling back to
-    /// full evaluation when no such table exists. Results are
-    /// bit-identical on or off.
-    pub eval_delta: bool,
+    /// Reuse routing tables across designs that share a topology
+    /// (`--eval-cache on|off`). Results are bit-identical on or off.
+    pub eval_cache: bool,
     /// Optional seeded fault injection (chaos testing).
     pub chaos: Option<ChaosSpec>,
     /// Seed for the chaos fault stream (required with `--chaos` so the
@@ -177,8 +171,7 @@ impl Default for RunOptions {
             crash_after_checkpoints: None,
             fault_policy: FaultPolicy::default(),
             eval_retries: 0,
-            eval_cache: DEFAULT_EVAL_CACHE_CAPACITY,
-            eval_delta: true,
+            eval_cache: true,
             chaos: None,
             chaos_seed: None,
             progress: false,
@@ -599,21 +592,13 @@ fn parse_run_options(args: &[String]) -> Result<RunOptions, ArgsError> {
             }
             "--eval-cache" => {
                 let v = value()?;
-                opts.eval_cache = if v.eq_ignore_ascii_case("off") {
-                    0
-                } else {
-                    v.parse().map_err(|_| "--eval-cache needs an integer or 'off'")?
-                };
-            }
-            "--eval-delta" => {
-                let v = value()?;
-                opts.eval_delta = if v.eq_ignore_ascii_case("on") {
+                opts.eval_cache = if v.eq_ignore_ascii_case("on") {
                     true
                 } else if v.eq_ignore_ascii_case("off") {
                     false
                 } else {
                     return Err(ArgsError::syntax(format!(
-                        "--eval-delta must be on or off (got {v})"
+                        "--eval-cache must be on or off (got {v})"
                     )));
                 };
             }
@@ -697,16 +682,10 @@ COMMON FLAGS:
     --seed <N>                          RNG seed          [11]
     --threads <N>                       evaluation worker threads, 0 = auto;
                                         results are identical for any N [1]
-    --eval-cache <N|off>                memoize up to N evaluated designs
-                                        and reuse routing tables across
-                                        placement-only moves; off disables
-                                        both layers; results are identical
-                                        either way [4096]
-    --eval-delta <on|off>               neighbor move evaluation: score a
-                                        neighbor against its cached routing
-                                        table (exact; falls back to a full
-                                        evaluation otherwise); results are
-                                        identical either way [on]
+    --eval-cache <on|off>               reuse routing tables across designs
+                                        that share a topology (placement-only
+                                        moves); results are identical either
+                                        way [on]
     --trace-csv <PATH>                  write PHV trace CSV
     --front-csv <PATH>                  write final front CSV
     --dot <PATH>                        write best design as Graphviz DOT
@@ -975,49 +954,24 @@ mod tests {
     }
 
     #[test]
-    fn eval_cache_parses_sizes_and_off() {
+    fn eval_cache_parses_on_off_and_defaults_on() {
         let Command::Run(o) = parse(&argv("run")).expect("ok") else { panic!("expected Run") };
-        assert_eq!(o.eval_cache, DEFAULT_EVAL_CACHE_CAPACITY);
-
-        let Command::Run(o) = parse(&argv("run --eval-cache 128")).expect("ok") else {
-            panic!("expected Run")
-        };
-        assert_eq!(o.eval_cache, 128);
+        assert!(o.eval_cache, "routing reuse defaults on");
 
         let Command::Run(o) = parse(&argv("run --eval-cache off")).expect("ok") else {
             panic!("expected Run")
         };
-        assert_eq!(o.eval_cache, 0);
+        assert!(!o.eval_cache);
 
-        // `0` is an explicit spelling of `off`.
-        let Command::Run(o) = parse(&argv("run --eval-cache 0")).expect("ok") else {
+        let Command::Run(o) = parse(&argv("run --eval-cache on")).expect("ok") else {
             panic!("expected Run")
         };
-        assert_eq!(o.eval_cache, 0);
+        assert!(o.eval_cache);
 
-        let err = parse(&argv("run --eval-cache many")).expect_err("bad value");
-        assert_eq!(err.code, 1);
-        assert!(err.message.contains("--eval-cache"));
-    }
-
-    #[test]
-    fn eval_delta_parses_on_off_and_defaults_on() {
-        let Command::Run(o) = parse(&argv("run")).expect("ok") else { panic!("expected Run") };
-        assert!(o.eval_delta, "delta evaluation defaults on");
-
-        let Command::Run(o) = parse(&argv("run --eval-delta off")).expect("ok") else {
-            panic!("expected Run")
-        };
-        assert!(!o.eval_delta);
-
-        let Command::Run(o) = parse(&argv("run --eval-delta on")).expect("ok") else {
-            panic!("expected Run")
-        };
-        assert!(o.eval_delta);
-
-        let err = parse(&argv("run --eval-delta maybe")).expect_err("bad value");
-        assert_eq!(err.code, 1);
-        assert!(err.message.contains("--eval-delta"));
+        for gone in ["run --eval-cache 128", "run --eval-delta off"] {
+            let err = parse(&argv(gone)).expect_err("no longer accepted");
+            assert_eq!(err.code, 1, "{gone}");
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@ use moela_moo::checkpoint::{CancelToken, Resumable, RunCtx};
 use moela_moo::fault::{FaultLog, FaultPolicy};
 use moela_moo::normalize::Normalizer;
 use moela_moo::run::RunResult;
-use moela_moo::{CachedProblem, ChaosProblem, ChaosSpec, EvalCache, Problem};
+use moela_moo::{ChaosProblem, ChaosSpec, Problem};
 use moela_obs::{JsonlSink, MetricsAggregator, Obs, ProgressReporter, Reporter, SharedSink, Sink};
 use moela_persist::{
     CheckpointStore, PersistError, Restore, RunStore, Snapshot, Value, FORMAT_VERSION,
@@ -148,12 +148,9 @@ pub(crate) fn build_problem(opts: &RunOptions) -> Result<ManycoreProblem, CliErr
     let workload = Workload::synthesize(opts.app, platform.pe_mix(), opts.seed);
     let mut problem = ManycoreProblem::new(platform, workload, opts.set)
         .map_err(|e| fail(format!("cannot build the paper platform: {e}")))?;
-    if opts.eval_cache == 0 {
-        // `--eval-cache off` disables both layers: the design-keyed memo
-        // and the topology-keyed routing-table reuse.
+    if !opts.eval_cache {
         problem.set_routing_cache_capacity(0);
     }
-    problem.set_delta_eval(opts.eval_delta);
     Ok(problem)
 }
 
@@ -231,7 +228,7 @@ impl Telemetry {
 
     /// Renders `metrics.json` from the aggregated events, folding in the
     /// identity and fault counters the retired `health.json` used to
-    /// carry alone, plus the evaluation-cache hit rates.
+    /// carry alone, plus the routing-cache counters.
     fn metrics_value(
         &self,
         opts: &RunOptions,
@@ -240,24 +237,10 @@ impl Telemetry {
         base_evals: u64,
     ) -> Option<Value> {
         let aggregator = self.aggregator.as_ref()?;
-        let (rendered, cache) = aggregator
+        let (rendered, routing_rebuilds, routing_hits) = aggregator
             .lock()
-            .map(|agg| {
-                let counters = [
-                    "cache_hits",
-                    "cache_misses",
-                    "cache_evictions",
-                    "routing_rebuilds",
-                    "routing_hits",
-                    "delta_hits",
-                    "delta_fallbacks",
-                ]
-                .map(|name| agg.counter(name));
-                (agg.render(), counters)
-            })
+            .map(|agg| (agg.render(), agg.counter("routing_rebuilds"), agg.counter("routing_hits")))
             .ok()?;
-        let [cache_hits, cache_misses, cache_evictions, routing_rebuilds, routing_hits, delta_hits, delta_fallbacks] =
-            cache;
         let mut fields = vec![
             ("algorithm", Value::Str(opts.algorithm.name().to_owned())),
             ("app", Value::Str(opts.app.name().to_owned())),
@@ -288,21 +271,9 @@ impl Telemetry {
             (
                 "cache",
                 Value::object(vec![
-                    ("enabled", Value::Bool(opts.eval_cache > 0)),
-                    ("capacity", Value::U64(opts.eval_cache as u64)),
-                    ("hits", Value::U64(cache_hits)),
-                    ("misses", Value::U64(cache_misses)),
-                    ("evictions", Value::U64(cache_evictions)),
+                    ("enabled", Value::Bool(opts.eval_cache)),
                     ("routing_rebuilds", Value::U64(routing_rebuilds)),
                     ("routing_hits", Value::U64(routing_hits)),
-                ]),
-            ),
-            (
-                "delta",
-                Value::object(vec![
-                    ("enabled", Value::Bool(opts.eval_delta)),
-                    ("hits", Value::U64(delta_hits)),
-                    ("fallbacks", Value::U64(delta_fallbacks)),
                 ]),
             ),
             ("telemetry", rendered),
@@ -518,17 +489,13 @@ where
 }
 
 /// Builds the selected optimizer (fresh, or restored from a checkpoint)
-/// and drives it to completion — against the bare manycore problem, a
-/// memoizing [`CachedProblem`] wrapper (`--eval-cache`, on by default),
-/// and/or a seeded [`ChaosProblem`] wrapper when `--chaos` fault
-/// injection is configured. Under chaos the cache sits *below* the
-/// injector (`Chaos(Cached(problem))`) so faulted evaluations are never
-/// admitted and the fault stream consumes ordinals identically with the
-/// cache on or off.
+/// and drives it to completion — against the bare manycore problem, or a
+/// seeded [`ChaosProblem`] wrapper when `--chaos` fault injection is
+/// configured.
 ///
-/// After the run, cache and routing-reuse counters are emitted through
-/// the obs pipeline so `metrics.json` records hit rates — write-only
-/// telemetry that never feeds back into the optimizer.
+/// After the run, routing-reuse counters are emitted through the obs
+/// pipeline so `metrics.json` records hit rates — write-only telemetry
+/// that never feeds back into the optimizer.
 pub(crate) fn execute(
     opts: &RunOptions,
     problem: &ManycoreProblem,
@@ -538,17 +505,15 @@ pub(crate) fn execute(
     telemetry: &mut Telemetry,
     hooks: &ExecHooks<'_>,
 ) -> Result<Driven, CliError> {
-    let cache = (opts.eval_cache > 0).then(|| Arc::new(EvalCache::new(opts.eval_cache)));
-    // The problem's routing and delta counters are cumulative over the
-    // problem's lifetime, which is longer than this run: the corpus
-    // normalizer evaluates 200 designs before `execute` is ever called,
-    // and `compare` (or a serve worker reusing a problem) drives several
+    // The problem's routing counters are cumulative over the problem's
+    // lifetime, which is longer than this run: the corpus normalizer
+    // evaluates 200 designs before `execute` is ever called, and
+    // `compare` (or a serve worker reusing a problem) drives several
     // executions over one problem. Snapshot at entry and emit only the
     // difference so every run's metrics.json counts its own work alone.
     let (base_rebuilds, base_routing_hits) = problem.routing_stats();
-    let (base_delta_hits, base_delta_fallbacks) = problem.delta_stats();
-    let outcome = match (opts.chaos, &cache) {
-        (None, None) => execute_on(
+    let outcome = match opts.chaos {
+        None => execute_on(
             opts,
             problem,
             problem,
@@ -559,21 +524,7 @@ pub(crate) fn execute(
             telemetry,
             hooks,
         ),
-        (None, Some(cache)) => {
-            let cached = CachedProblem::new(problem, Arc::clone(cache));
-            execute_on(
-                opts,
-                &cached,
-                problem,
-                normalizer,
-                persistence,
-                resume,
-                None,
-                telemetry,
-                hooks,
-            )
-        }
-        (Some(spec), cache) => {
+        Some(spec) => {
             // A chaos spec without its seed can only arrive through a
             // manifest or job spec that bypassed argument validation;
             // refuse it as the user error it is instead of panicking.
@@ -583,58 +534,29 @@ pub(crate) fn execute(
                      injected faults are reproducible",
                 ));
             };
-            if let Some(cache) = cache {
-                let cached = CachedProblem::new(problem, Arc::clone(cache));
-                let chaotic = ChaosProblem::new(cached, spec, seed);
-                if let Some((point, _)) = &resume {
-                    // Replay the fault stream from the checkpointed
-                    // ordinal; a pre-chaos checkpoint starts at zero.
-                    chaotic.set_ordinal(point.chaos_ordinal.unwrap_or(0));
-                }
-                let ordinal = || chaotic.ordinal();
-                execute_on(
-                    opts,
-                    &chaotic,
-                    problem,
-                    normalizer,
-                    persistence,
-                    resume,
-                    Some(&ordinal),
-                    telemetry,
-                    hooks,
-                )
-            } else {
-                let chaotic = ChaosProblem::new(problem, spec, seed);
-                if let Some((point, _)) = &resume {
-                    chaotic.set_ordinal(point.chaos_ordinal.unwrap_or(0));
-                }
-                let ordinal = || chaotic.ordinal();
-                execute_on(
-                    opts,
-                    &chaotic,
-                    problem,
-                    normalizer,
-                    persistence,
-                    resume,
-                    Some(&ordinal),
-                    telemetry,
-                    hooks,
-                )
+            let chaotic = ChaosProblem::new(problem, spec, seed);
+            if let Some((point, _)) = &resume {
+                // Replay the fault stream from the checkpointed ordinal;
+                // a pre-chaos checkpoint starts at zero.
+                chaotic.set_ordinal(point.chaos_ordinal.unwrap_or(0));
             }
+            let ordinal = || chaotic.ordinal();
+            execute_on(
+                opts,
+                &chaotic,
+                problem,
+                normalizer,
+                persistence,
+                resume,
+                Some(&ordinal),
+                telemetry,
+                hooks,
+            )
         }
     };
     let (rebuilds, routing_hits) = problem.routing_stats();
     telemetry.obs.counter("routing_rebuilds", rebuilds - base_rebuilds);
     telemetry.obs.counter("routing_hits", routing_hits - base_routing_hits);
-    let (delta_hits, delta_fallbacks) = problem.delta_stats();
-    telemetry.obs.counter("delta_hits", delta_hits - base_delta_hits);
-    telemetry.obs.counter("delta_fallbacks", delta_fallbacks - base_delta_fallbacks);
-    if let Some(cache) = &cache {
-        let stats = cache.stats();
-        telemetry.obs.counter("cache_hits", stats.hits);
-        telemetry.obs.counter("cache_misses", stats.misses);
-        telemetry.obs.counter("cache_evictions", stats.evictions);
-    }
     outcome
 }
 
@@ -780,8 +702,7 @@ pub(crate) fn manifest_value(opts: &RunOptions, normalizer: &Normalizer) -> Valu
         ("checkpoint_every", Value::U64(opts.checkpoint_every)),
         ("fault_policy", Value::Str(opts.fault_policy.name().to_owned())),
         ("eval_retries", Value::U64(u64::from(opts.eval_retries))),
-        ("eval_cache", Value::U64(opts.eval_cache as u64)),
-        ("eval_delta", Value::Bool(opts.eval_delta)),
+        ("eval_cache", Value::Bool(opts.eval_cache)),
     ];
     if let Some(spec) = &opts.chaos {
         fields.push(("chaos", Value::Str(spec.to_string())));
@@ -791,6 +712,16 @@ pub(crate) fn manifest_value(opts: &RunOptions, normalizer: &Normalizer) -> Valu
     }
     fields.push(("normalizer", normalizer.snapshot()));
     Value::object(fields)
+}
+
+/// Reads `eval_cache` as manifests and job specs carry it: a boolean,
+/// or, as builds that also sized a design memo wrote it, a capacity
+/// where 0 means off.
+pub(crate) fn eval_cache_flag(v: &Value) -> Result<bool, PersistError> {
+    match v {
+        Value::Bool(on) => Ok(*on),
+        other => Ok(other.as_u64()? > 0),
+    }
 }
 
 /// Rebuilds the run configuration (and the fitted normalizer) from a
@@ -822,21 +753,19 @@ pub(crate) fn options_from_manifest(m: &Value) -> Result<(RunOptions, Normalizer
         None => FaultPolicy::default(),
     };
     let eval_retries = match m.field_opt("eval_retries") {
-        Some(v) => v.as_u64()? as u32,
+        Some(v) => {
+            let n = v.as_u64()?;
+            u32::try_from(n)
+                .map_err(|_| fail(format!("manifest eval_retries {n} exceeds {}", u32::MAX)))?
+        }
         None => 0,
     };
     // Manifests written before the evaluation cache existed resume with
-    // today's default — results are bit-identical at any capacity.
+    // today's default — results are bit-identical either way. A key
+    // `eval_delta` from earlier builds is ignored for the same reason.
     let eval_cache = match m.field_opt("eval_cache") {
-        Some(v) => v.as_usize()?,
+        Some(v) => eval_cache_flag(v)?,
         None => RunOptions::default().eval_cache,
-    };
-    // Manifests written before delta evaluation existed resume with
-    // today's default — the fast path is bit-identical to full
-    // evaluation, so the choice never changes resumed artifacts.
-    let eval_delta = match m.field_opt("eval_delta") {
-        Some(v) => v.as_bool()?,
-        None => RunOptions::default().eval_delta,
     };
     let chaos = match m.field_opt("chaos") {
         Some(v) => Some(ChaosSpec::parse(v.as_str()?).map_err(fail)?),
@@ -864,7 +793,6 @@ pub(crate) fn options_from_manifest(m: &Value) -> Result<(RunOptions, Normalizer
         fault_policy,
         eval_retries,
         eval_cache,
-        eval_delta,
         chaos,
         chaos_seed,
         ..Default::default()
@@ -1224,5 +1152,51 @@ pub(crate) fn resume(
             reporter.info(&format!("interrupted at step {completed}; checkpoint written"));
             Ok(RunStatus::Interrupted)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A current manifest with `key` set to `value` (added if absent).
+    fn manifest_with(key: &str, value: Value) -> Value {
+        let normalizer = Normalizer::fit(&[vec![0.0; 3], vec![1.0; 3]]);
+        let Value::Object(mut fields) = manifest_value(&RunOptions::default(), &normalizer) else {
+            panic!("a manifest is an object")
+        };
+        match fields.iter_mut().find(|(k, _)| k == key) {
+            Some((_, v)) => *v = value,
+            None => fields.push((key.to_owned(), value)),
+        }
+        Value::Object(fields)
+    }
+
+    /// An `eval_retries` beyond `u32` is refused, not truncated: 2^32
+    /// would otherwise resume with 0 retries.
+    #[test]
+    fn oversized_manifest_eval_retries_are_refused() {
+        let err = options_from_manifest(&manifest_with("eval_retries", Value::U64(1 << 32)))
+            .expect_err("2^32 retries do not fit");
+        assert!(err.message.contains("eval_retries"), "{}", err.message);
+        let (opts, _) =
+            options_from_manifest(&manifest_with("eval_retries", Value::U64(u64::from(u32::MAX))))
+                .expect("u32::MAX fits");
+        assert_eq!(opts.eval_retries, u32::MAX);
+    }
+
+    /// Manifests written by earlier builds carry `eval_cache` as a memo
+    /// capacity (0 = off) and a boolean `eval_delta`, which is ignored.
+    #[test]
+    fn manifests_from_earlier_builds_read_eval_cache_and_ignore_eval_delta() {
+        for (capacity, on) in [(4096, true), (1, true), (0, false)] {
+            let manifest = manifest_with("eval_cache", Value::U64(capacity));
+            let Value::Object(mut fields) = manifest else { unreachable!() };
+            fields.push(("eval_delta".to_owned(), Value::Bool(false)));
+            let (opts, _) = options_from_manifest(&Value::Object(fields)).expect("resumable");
+            assert_eq!(opts.eval_cache, on, "eval_cache {capacity}");
+        }
+        let string = manifest_with("eval_cache", Value::Str("on".into()));
+        assert!(options_from_manifest(&string).is_err(), "a string is neither form");
     }
 }

@@ -116,14 +116,18 @@ fn spec_to_options(spec: &Value, default_checkpoint_every: u64) -> Result<RunOpt
         opts.fault_policy = FaultPolicy::parse(name)?;
     }
     if let Some(n) = u64_field("eval_retries")? {
-        opts.eval_retries = n as u32;
+        opts.eval_retries = u32::try_from(n)
+            .map_err(|_| format!("spec key 'eval_retries' must be at most {}", u32::MAX))?;
     }
-    if let Some(n) = u64_field("eval_cache")? {
-        opts.eval_cache = n as usize;
+    if let Some(v) = spec.field_opt("eval_cache") {
+        opts.eval_cache = engine::eval_cache_flag(v).map_err(|_| {
+            "spec key 'eval_cache' must be a boolean or a non-negative integer".to_owned()
+        })?;
     }
+    // Specs written for earlier builds may carry `eval_delta`; its value
+    // never changed a result, so it is checked and ignored.
     if let Some(v) = spec.field_opt("eval_delta") {
-        opts.eval_delta =
-            v.as_bool().map_err(|_| "spec key 'eval_delta' must be a boolean".to_owned())?;
+        v.as_bool().map_err(|_| "spec key 'eval_delta' must be a boolean".to_owned())?;
     }
     if let Some(s) = str_field("chaos")? {
         opts.chaos = Some(ChaosSpec::parse(s)?);
@@ -176,8 +180,7 @@ fn normalized_spec(opts: &RunOptions) -> Value {
         ("checkpoint_every", Value::U64(opts.checkpoint_every)),
         ("fault_policy", Value::Str(opts.fault_policy.name().to_owned())),
         ("eval_retries", Value::U64(u64::from(opts.eval_retries))),
-        ("eval_cache", Value::U64(opts.eval_cache as u64)),
-        ("eval_delta", Value::Bool(opts.eval_delta)),
+        ("eval_cache", Value::Bool(opts.eval_cache)),
     ];
     if let Some(spec) = &opts.chaos {
         fields.push(("chaos", Value::Str(spec.to_string())));
@@ -333,14 +336,57 @@ mod tests {
         let reparsed = spec_to_options(&normalized, 1).expect("normalized specs revalidate");
         assert_eq!(reparsed, opts, "normalization round-trips");
 
-        let spec = Value::object(vec![("eval_delta", Value::Bool(false))]);
+        let spec = Value::object(vec![("eval_cache", Value::Bool(false))]);
         let opts = spec_to_options(&spec, 1).expect("ok");
-        assert!(!opts.eval_delta, "eval_delta=false must parse");
+        assert!(!opts.eval_cache, "eval_cache=false must parse");
         let reparsed = spec_to_options(&normalized_spec(&opts), 1).expect("revalidates");
-        assert_eq!(reparsed, opts, "eval_delta survives normalization");
+        assert_eq!(reparsed, opts, "eval_cache survives normalization");
+    }
+
+    /// Specs written for earlier builds carry `eval_cache` as a memo
+    /// capacity and a boolean `eval_delta`: both still parse, the
+    /// capacity as on unless 0, and `eval_delta` is ignored.
+    #[test]
+    fn specs_from_earlier_builds_still_parse() {
+        for (capacity, on) in [(4096, true), (1, true), (0, false)] {
+            for delta in [true, false] {
+                let spec = Value::object(vec![
+                    ("eval_cache", Value::U64(capacity)),
+                    ("eval_delta", Value::Bool(delta)),
+                ]);
+                let opts = spec_to_options(&spec, 1).expect("an earlier spec parses");
+                let expected = RunOptions {
+                    eval_cache: on,
+                    ..spec_to_options(&Value::object(vec![]), 1).expect("ok")
+                };
+                assert_eq!(opts, expected, "eval_cache {capacity}, eval_delta {delta}");
+            }
+        }
         let err = spec_to_options(&Value::object(vec![("eval_delta", Value::U64(1))]), 1)
             .expect_err("non-boolean eval_delta");
         assert!(err.contains("eval_delta"), "{err}");
+        let err = spec_to_options(&Value::object(vec![("eval_cache", Value::Str("on".into()))]), 1)
+            .expect_err("string eval_cache");
+        assert!(err.contains("eval_cache"), "{err}");
+    }
+
+    /// An `eval_retries` beyond `u32` is refused, not truncated: 2^32
+    /// would otherwise wrap to 0 retries and slip past the fail+retries
+    /// check.
+    #[test]
+    fn oversized_eval_retries_are_refused() {
+        let spec = Value::object(vec![
+            ("eval_retries", Value::U64(1 << 32)),
+            ("fault_policy", Value::Str("fail".into())),
+        ]);
+        let err = spec_to_options(&spec, 1).expect_err("2^32 retries do not fit");
+        assert!(err.contains("eval_retries"), "{err}");
+        let spec = Value::object(vec![
+            ("eval_retries", Value::U64(u64::from(u32::MAX))),
+            ("fault_policy", Value::Str("skip".into())),
+        ]);
+        let opts = spec_to_options(&spec, 1).expect("u32::MAX fits");
+        assert_eq!(opts.eval_retries, u32::MAX);
     }
 
     #[test]

@@ -377,6 +377,19 @@ fn compare_passes_self_and_gates_a_doctored_regression() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A committed benchmark snapshot from an earlier build, whose runs
+/// carry the retired `delta` object and design-memo counters, still
+/// compares cleanly against itself.
+#[test]
+fn compare_reads_a_snapshot_with_retired_delta_and_memo_fields() {
+    let bench = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_2026-08-08.json");
+    let text = fs::read_to_string(&bench).expect("the committed snapshot");
+    assert!(text.contains("\"delta\":{"), "the snapshot carries the retired fields");
+    let bench = bench.to_str().expect("utf-8 path");
+    let out = moela_dse(&["compare", bench, bench]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+}
+
 /// MOO-STAGE counts its meta search: the moves it made on predicted
 /// `Eval`, and the episodes where it could not move and restarted at
 /// random. Both reach metrics.json and the report's operators section,

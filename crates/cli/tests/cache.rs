@@ -1,14 +1,15 @@
-//! Evaluation-cache parity tests: caching must be invisible in every
-//! deterministic artifact.
+//! Evaluation-cache parity tests: routing-table reuse must be invisible
+//! in every deterministic artifact.
 //!
-//! The contract under test is the two-layer evaluation cache:
+//! The contract under test is `--eval-cache` (on by default):
 //!
 //! * for every optimizer, `trace.csv` and `front.csv` are byte-identical
-//!   with the cache on (any capacity, including eviction-heavy tiny
-//!   ones) and off, at 1 and 4 threads;
-//! * the same holds under `--chaos` fault injection, where the cache
-//!   sits below the injector and faulted evaluations bypass it;
-//! * `metrics.json` reports the cache and routing-reuse counters.
+//!   with the cache on and off, at 1 and 4 threads;
+//! * the same holds under `--chaos` fault injection;
+//! * `metrics.json` reports the routing-reuse counters;
+//! * kill + resume round-trips the flag through the manifest, and a
+//!   manifest written by an earlier build (a memo capacity and an
+//!   `eval_delta` key) still resumes byte for byte.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -31,7 +32,7 @@ fn read(path: &Path) -> Vec<u8> {
 }
 
 /// Standard tiny run (the golden-test configuration) with extra flags.
-fn run_algorithm(algorithm: &str, dir: &Path, extra: &[&str]) {
+fn run_raw(algorithm: &str, dir: &Path, extra: &[&str]) -> Output {
     let mut args = vec![
         "run",
         "--app",
@@ -50,7 +51,12 @@ fn run_algorithm(algorithm: &str, dir: &Path, extra: &[&str]) {
         dir.to_str().expect("utf-8 path"),
     ];
     args.extend_from_slice(extra);
-    let out = moela_dse(&args);
+    moela_dse(&args)
+}
+
+/// [`run_raw`], asserting the run succeeds.
+fn run_algorithm(algorithm: &str, dir: &Path, extra: &[&str]) {
+    let out = run_raw(algorithm, dir, extra);
     assert!(
         out.status.success(),
         "{algorithm} run {extra:?} failed: {}",
@@ -68,10 +74,7 @@ fn assert_cache_is_invisible(algorithm: &str, chaos: &[&str]) {
     let reference = (read(&baseline.join("trace.csv")), read(&baseline.join("front.csv")));
     let _ = fs::remove_dir_all(&baseline);
 
-    // Default capacity at both thread counts, plus a capacity so small
-    // that almost every insert evicts — eviction must be invisible too.
-    let cells: [&[&str]; 3] =
-        [&["--threads", "1"], &["--threads", "4"], &["--eval-cache", "2", "--threads", "4"]];
+    let cells: [&[&str]; 2] = [&["--threads", "1"], &["--eval-cache", "on", "--threads", "4"]];
     for (i, cell) in cells.iter().enumerate() {
         let dir = scratch(&format!("{algorithm}-cell{i}"));
         let mut args = cell.to_vec();
@@ -104,9 +107,8 @@ parity_tests! {
     random_artifacts_identical_with_cache_on_or_off: "random";
 }
 
-/// Under chaos the cache sits below the injector: the fault stream
-/// consumes ordinals identically and faulted evaluations are never
-/// admitted, so the artifacts still match the cache-off chaotic run.
+/// Under chaos the fault stream is keyed by evaluation ordinal alone, so
+/// the artifacts still match the cache-off chaotic run.
 #[test]
 fn chaotic_artifacts_identical_with_cache_on_or_off() {
     let chaos = [
@@ -144,8 +146,11 @@ fn metrics_report_cache_and_routing_counters() {
     let metrics = String::from_utf8(read(&dir.join("metrics.json"))).expect("utf-8 metrics");
     let cache = cache_object(&metrics);
     assert!(cache.contains("\"enabled\":true"), "default runs cache: {cache}");
-    assert_eq!(counter_in(cache, "capacity"), 4096, "default capacity: {cache}");
-    assert!(counter_in(cache, "misses") > 0, "every unique design misses once: {cache}");
+    assert!(counter_in(cache, "routing_hits") > 0, "placement moves reuse tables: {cache}");
+    for gone in ["\"capacity\"", "\"hits\"", "\"misses\"", "\"evictions\""] {
+        assert!(!cache.contains(gone), "the memo field {gone} is gone: {cache}");
+    }
+    assert!(!metrics.contains("\"delta\":{"), "the delta object is gone: {metrics}");
     assert!(
         counter_in(cache, "routing_rebuilds") > 0,
         "at least one routing table is built: {cache}"
@@ -157,9 +162,28 @@ fn metrics_report_cache_and_routing_counters() {
     let metrics = String::from_utf8(read(&dir.join("metrics.json"))).expect("utf-8 metrics");
     let cache = cache_object(&metrics);
     assert!(cache.contains("\"enabled\":false"), "--eval-cache off is recorded: {cache}");
-    assert_eq!(counter_in(cache, "hits"), 0, "no memo layer, no hits: {cache}");
-    assert_eq!(counter_in(cache, "routing_hits"), 0, "off disables routing reuse as well: {cache}");
+    assert_eq!(counter_in(cache, "routing_hits"), 0, "off disables routing reuse: {cache}");
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// Runs the golden configuration of moela into `dir` until its first
+/// checkpoint, then aborts it.
+fn crash_after_one_checkpoint(dir: &Path) {
+    let out = run_raw("moela", dir, &["--crash-after-checkpoints", "1"]);
+    assert!(!out.status.success(), "crash injection must abort the process");
+}
+
+/// Resumes `crashed` at 4 threads and asserts it reproduces `full`.
+fn assert_resumes_to(full: &Path, crashed: &Path, what: &str) {
+    let out = moela_dse(&["resume", crashed.to_str().expect("utf-8 path"), "--threads", "4"]);
+    assert!(out.status.success(), "resume failed: {}", String::from_utf8_lossy(&out.stderr));
+    for file in ["trace.csv", "front.csv"] {
+        assert_eq!(
+            read(&full.join(file)),
+            read(&crashed.join(file)),
+            "{file} differs after crash+resume {what}"
+        );
+    }
 }
 
 /// Resume round-trips `--eval-cache` through the manifest, and a run
@@ -170,39 +194,35 @@ fn crash_resume_with_cache_is_bit_identical() {
     run_algorithm("moela", &full, &[]);
 
     let crashed = scratch("resume-crashed");
-    let crashed_dir = crashed.to_str().expect("utf-8 path");
-    let mut args = vec![
-        "run",
-        "--app",
-        "BFS",
-        "--objectives",
-        "3",
-        "--algorithm",
-        "moela",
-        "--budget",
-        "120",
-        "--population",
-        "8",
-        "--seed",
-        "7",
-        "--run-dir",
-        crashed_dir,
-    ];
-    args.extend_from_slice(&["--crash-after-checkpoints", "1"]);
-    let out = moela_dse(&args);
-    assert!(!out.status.success(), "crash injection must abort the process");
+    crash_after_one_checkpoint(&crashed);
     let manifest = String::from_utf8(read(&crashed.join("manifest.json"))).expect("utf-8");
-    assert!(manifest.contains("\"eval_cache\":4096"), "manifest records the capacity: {manifest}");
+    assert!(manifest.contains("\"eval_cache\":true"), "manifest records the flag: {manifest}");
+    assert!(!manifest.contains("eval_delta"), "no eval_delta is written: {manifest}");
 
-    let out = moela_dse(&["resume", crashed_dir, "--threads", "4"]);
-    assert!(out.status.success(), "resume failed: {}", String::from_utf8_lossy(&out.stderr));
-    for file in ["trace.csv", "front.csv"] {
-        assert_eq!(
-            read(&full.join(file)),
-            read(&crashed.join(file)),
-            "{file} differs after crash+resume with the cache enabled"
-        );
-    }
+    assert_resumes_to(&full, &crashed, "with the cache enabled");
+    let _ = fs::remove_dir_all(&full);
+    let _ = fs::remove_dir_all(&crashed);
+}
+
+/// A format-2 run directory written by an earlier build — its manifest
+/// sizes a design memo (`"eval_cache":4096`) and carries
+/// `"eval_delta":false` — still resumes byte-identical to an
+/// uninterrupted run.
+#[test]
+fn crash_resume_of_an_earlier_manifest_is_bit_identical() {
+    let full = scratch("earlier-full");
+    run_algorithm("moela", &full, &[]);
+
+    let crashed = scratch("earlier-crashed");
+    crash_after_one_checkpoint(&crashed);
+    let path = crashed.join("manifest.json");
+    let manifest = String::from_utf8(read(&path)).expect("utf-8");
+    let earlier =
+        manifest.replacen("\"eval_cache\":true", "\"eval_cache\":4096,\"eval_delta\":false", 1);
+    assert_ne!(earlier, manifest, "the manifest carries eval_cache: {manifest}");
+    fs::write(&path, earlier).expect("rewrite the manifest");
+
+    assert_resumes_to(&full, &crashed, "from an earlier build's manifest");
     let _ = fs::remove_dir_all(&full);
     let _ = fs::remove_dir_all(&crashed);
 }

@@ -180,10 +180,7 @@ fn metrics_json_reports_phases_throughput_and_faults() {
         "\"phv_per_generation\":",
         "\"faults\":",
         "\"resume\":",
-        "\"cache\":",
-        "\"hits\":",
-        "\"misses\":",
-        "\"evictions\":",
+        "\"cache\":{\"enabled\":true",
         "\"routing_rebuilds\":",
         "\"routing_hits\":",
         "\"checkpoint_snapshot\":",

@@ -272,7 +272,7 @@ fn served_job_matches_cli_run_byte_for_byte() {
 
 /// Counter blocks in `metrics.json` are per-job state, not process
 /// state: two identical jobs served back-to-back by the same server
-/// process must report byte-identical cache/delta/fault counters, and
+/// process must report byte-identical cache and fault counters, and
 /// both must match a fresh one-shot CLI run. This pins the execute-entry
 /// counter snapshot — without it, a job's metrics would absorb the
 /// normalizer corpus fit and any earlier run sharing the process.
@@ -298,7 +298,7 @@ fn sequential_jobs_report_isolated_per_job_counters() {
             .unwrap_or_else(|| panic!("metrics.json in {} lacks {key}", dir.display()));
         tail.split('}').next().expect("the object closes").to_owned()
     };
-    for key in ["cache", "delta", "faults"] {
+    for key in ["cache", "faults"] {
         let a = block(&root.join(&first), key);
         let b = block(&root.join(&second), key);
         assert_eq!(a, b, "{key} counters differ between identical sequential jobs");

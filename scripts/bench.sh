@@ -2,11 +2,9 @@
 # Telemetry benchmark sweep: runs every optimizer at a standard budget
 # with observability on, then assembles their metrics.json reports into
 # one BENCH_<date>.json at the repo root. Each embedded report carries
-# the evaluation-cache counters (cache_hits/cache_misses/evictions and
-# routing_rebuilds/routing_hits inside its "cache" object) and the
-# incremental-evaluation counters (hits/fallbacks inside its "delta"
-# object), so both hit rates are collated alongside the timing data and
-# echoed per run below. Wall-clock figures are machine-dependent
+# the routing-reuse counters (routing_rebuilds/routing_hits inside its
+# "cache" object), so the hit rate is collated alongside the timing data
+# and echoed per run below. Wall-clock figures are machine-dependent
 # snapshots, not regression gates — compare them across commits on the
 # same machine only.
 #
@@ -17,11 +15,6 @@ cd "$(dirname "$0")/.."
 budget="${1:-2000}"
 seed="${2:-11}"
 out="BENCH_$(date +%F).json"
-
-# Microbenchmark: one neighbor scored from scratch vs patched from the
-# base design's cached evaluation state, per move kind.
-echo "==> cargo bench -p moela-bench --bench delta_eval"
-cargo bench -p moela-bench --bench delta_eval
 
 echo "==> cargo build --release -p moela-cli"
 cargo build --release -p moela-cli
@@ -38,8 +31,6 @@ for algo in "${algorithms[@]}"; do
         --run-dir "$sweep/$algo" --log-level quiet
     grep -o '"cache":{[^}]*}' "$sweep/$algo/metrics.json" \
         | sed "s/^/    /" || echo "    (no cache counters in metrics.json)"
-    grep -o '"delta":{[^}]*}' "$sweep/$algo/metrics.json" \
-        | sed "s/^/    /" || echo "    (no delta counters in metrics.json)"
 done
 
 {

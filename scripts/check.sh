@@ -70,26 +70,19 @@ crashed_faults="$(grep -o '"faults":{[^}]*}' "$smoke/chaos-crashed/metrics.json"
 [ "$full_faults" = "$crashed_faults" ] \
     || { echo "fault counters differ after chaotic crash + resume"; exit 1; }
 
-echo "==> cache smoke (cache on/off parity; hit counters land in metrics.json)"
+echo "==> cache smoke (cache on/off parity; routing counters land in metrics.json)"
 "$dse" run "${flags[@]}" --eval-cache off --run-dir "$smoke/nocache" >/dev/null
 cmp "$smoke/full/trace.csv" "$smoke/nocache/trace.csv"
 cmp "$smoke/full/front.csv" "$smoke/nocache/front.csv"
 grep -q '"cache":{"enabled":true' "$smoke/full/metrics.json"
 grep -q '"cache":{"enabled":false' "$smoke/nocache/metrics.json"
-grep -o '"cache":{[^}]*}' "$smoke/full/metrics.json" | grep -q '"misses":0' \
-    && { echo "the default cache saw no lookups"; exit 1; }
+grep -o '"cache":{[^}]*}' "$smoke/full/metrics.json" | grep -q '"routing_hits":0' \
+    && { echo "the default cache reused no routing table"; exit 1; }
 grep -o '"cache":{[^}]*}' "$smoke/full/metrics.json" | grep -q '"routing_rebuilds":0' \
     && { echo "no routing table was ever built"; exit 1; }
-
-echo "==> delta smoke (fast path on/off parity; the parity harness catches a broken patch)"
-"$dse" run "${flags[@]}" --eval-delta off --run-dir "$smoke/nodelta" >/dev/null
-cmp "$smoke/full/trace.csv" "$smoke/nodelta/trace.csv"
-cmp "$smoke/full/front.csv" "$smoke/nodelta/front.csv"
-grep -q '"delta":{"enabled":true' "$smoke/full/metrics.json"
-grep -q '"delta":{"enabled":false' "$smoke/nodelta/metrics.json"
-grep -o '"delta":{[^}]*}' "$smoke/nodelta/metrics.json" | grep -q '"hits":0' \
-    || { echo "--eval-delta off still recorded delta hits"; exit 1; }
-# Self-check: a deliberately broken patch path must fail the harness.
+grep -o '"cache":{[^}]*}' "$smoke/nocache/metrics.json" | grep -q '"routing_hits":0' \
+    || { echo "--eval-cache off still reused routing tables"; exit 1; }
+# Self-check: a deliberately broken neighbor path must fail the harness.
 cargo test -q -p moela-manycore --features delta-fault --test delta_parity
 
 echo "==> serve smoke (served job matches moela-dse run byte-for-byte; drain exits 0)"
