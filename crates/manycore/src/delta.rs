@@ -1,22 +1,14 @@
 //! Neighbor evaluation that reuses a cached routing table.
 //!
-//! Local search spends almost all of its time evaluating neighbors that
-//! differ from an already-scored design by one [`crate::moves`] operator:
-//! a two-tile placement swap or a single link rewire. A swap leaves the
-//! topology — and so the routing table — unchanged. What costs is the
-//! all-pairs routing, not the flow scoring: scoring every flow against a
-//! ready table costs about as much as patching the few terms a move
-//! touches, so [`DeltaEngine`] only saves the table build.
-//!
 //! A neighbor whose topology has a table in the evaluator's routing
-//! cache — every identity or swap neighbor of a scored base — is scored
-//! against it by [`Evaluator::evaluate_with_table`], so the result is the
-//! full evaluation by construction. A miss — a rewire, as a rewire chain
-//! rarely revisits a topology — is a full [`Evaluator::evaluate`], which
-//! routes the new topology and admits its table: routing from scratch
-//! costs less than repairing a neighbor's table from its base's would.
-//! DESIGN.md §5 states the contract, and
-//! `crates/manycore/tests/delta_parity.rs` enforces it.
+//! cache is scored against it by [`Evaluator::evaluate_with_table`]; a
+//! miss is a full [`Evaluator::evaluate`]. Either way the result is the
+//! full evaluation by construction.
+//!
+//! [`Evaluator::evaluate`] performs the same cache lookup, so no workspace
+//! code calls this module any more; it stays only because dse-bench's
+//! traced `Probe` compiles against it, and goes with that probe in a
+//! later benchmark change.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -26,10 +18,15 @@ use crate::objectives::{Evaluation, Evaluator};
 /// The default [`DeltaEngine::new`] argument. The engine keeps no tables
 /// of its own (they live in the evaluator's routing cache), so any
 /// non-zero value turns it on and 0 turns it off.
+///
+/// No workspace code calls this; it goes with dse-bench's `Probe` in a
+/// later benchmark change.
 pub const DEFAULT_DELTA_CACHE_CAPACITY: usize = 32;
 
-/// The neighbor fast path plus the `delta_hits`/`delta_fallbacks`
-/// counters surfaced in metrics.json and `moela-dse report`.
+/// The neighbor fast path plus its hit/fallback counters.
+///
+/// No workspace code calls this; it goes with dse-bench's `Probe` in a
+/// later benchmark change.
 ///
 /// Shared via `Arc` across clones of one problem, like the routing cache
 /// it reads, so a hill climber's accepted design's table is almost
@@ -72,8 +69,6 @@ impl DeltaEngine {
         if self.enabled {
             if let Some(table) = evaluator.routing_cache().lookup(&next.topology) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                #[cfg(feature = "delta-fault")]
-                let table = std::sync::Arc::new((*table).clone().with_fault());
                 return evaluator.evaluate_with_table(next, &table);
             }
         }

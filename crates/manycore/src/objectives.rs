@@ -180,6 +180,10 @@ impl Evaluator {
     /// Stage 1: the routing table for `design`'s topology, served from
     /// the shared cache when available.
     pub fn routing_for(&self, design: &Design) -> Arc<RoutingTable> {
+        #[cfg(feature = "routing-fault")]
+        if let Some(table) = self.routing.lookup(&design.topology) {
+            return Arc::new((*table).clone().with_fault());
+        }
         self.routing.routing_for(&self.dims, &design.topology, &self.params)
     }
 

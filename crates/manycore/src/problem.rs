@@ -10,7 +10,6 @@ use moela_thermal::{FastThermalModel, ThermalParams};
 use moela_traffic::{PeKind, PeMix, Workload};
 
 use crate::crossover;
-use crate::delta::{DeltaEngine, DEFAULT_DELTA_CACHE_CAPACITY};
 use crate::design::{Design, Placement};
 use crate::geometry::{GridDims, TileCoord};
 use crate::moves;
@@ -321,8 +320,6 @@ pub struct ManycoreProblem {
     builder: TopologyBuilder,
     /// [`coord_table`] of the grid, for [`Problem::features`].
     coords: Arc<[TileCoord]>,
-    delta: Arc<DeltaEngine>,
-    delta_enabled: bool,
 }
 
 impl ManycoreProblem {
@@ -352,15 +349,7 @@ impl ManycoreProblem {
             config.noc.max_planar_length,
             config.noc.max_degree,
         );
-        Ok(Self {
-            coords: coord_table(&config.dims),
-            config,
-            objective_set,
-            evaluator,
-            builder,
-            delta: Arc::new(DeltaEngine::new(DEFAULT_DELTA_CACHE_CAPACITY)),
-            delta_enabled: true,
-        })
+        Ok(Self { coords: coord_table(&config.dims), config, objective_set, evaluator, builder })
     }
 
     /// The platform configuration.
@@ -404,28 +393,14 @@ impl ManycoreProblem {
         (cache.rebuilds(), cache.hits())
     }
 
-    /// Switches the neighbor (delta) evaluation fast path on or off. Off
-    /// replaces the engine, so counters restart from zero. Apply before
-    /// cloning/sharing the problem: clones made earlier keep the old
-    /// engine.
-    pub fn set_delta_eval(&mut self, enabled: bool) {
-        self.delta_enabled = enabled;
-        let capacity = if enabled { DEFAULT_DELTA_CACHE_CAPACITY } else { 0 };
-        self.delta = Arc::new(DeltaEngine::new(capacity));
-    }
-
-    /// Whether the delta-evaluation fast path is active.
-    pub fn delta_eval_enabled(&self) -> bool {
-        self.delta_enabled
-    }
-
-    /// Delta-evaluation (hits, fallbacks) counters, shared across every
-    /// clone of this problem: hits are neighbor evaluations scored
-    /// against a cached routing table, fallbacks are full evaluations
-    /// (routing cache misses).
-    pub fn delta_stats(&self) -> (u64, u64) {
-        (self.delta.hits(), self.delta.fallbacks())
-    }
+    /// Does nothing: every evaluation takes the one path through
+    /// [`Evaluator::evaluate`], whose routing-table reuse
+    /// [`set_routing_cache_capacity`](Self::set_routing_cache_capacity)
+    /// controls.
+    ///
+    /// Only dse-bench's correctness gate calls this; it goes with
+    /// dse-bench's `Probe` in a later benchmark change.
+    pub fn set_delta_eval(&mut self, _enabled: bool) {}
 }
 
 impl Problem for ManycoreProblem {
@@ -467,39 +442,6 @@ impl Problem for ManycoreProblem {
 
     fn evaluate(&self, s: &Design) -> Vec<f64> {
         self.evaluator.evaluate(s).objectives(self.objective_set)
-    }
-
-    /// The neighbor fast path: the shared [`DeltaEngine`] scores `s`
-    /// against its cached routing table — present when `s` keeps the
-    /// topology of a scored `base` — instead of routing it from scratch,
-    /// with a guaranteed-exact result (the engine falls back to a full
-    /// evaluation on a cache miss). Disabled engines skip straight to
-    /// [`evaluate_ordinal`](Problem::evaluate_ordinal).
-    fn evaluate_neighbor_ordinal(&self, base: &Design, s: &Design, ordinal: u64) -> Vec<f64> {
-        if !self.delta_enabled {
-            return self.evaluate_ordinal(s, ordinal);
-        }
-        self.delta.evaluate_neighbor(&self.evaluator, base, s).objectives(self.objective_set)
-    }
-
-    /// Exact canonical bytes of the design: the placement vector plus the
-    /// ordered link list. Two designs share a key iff they are equal
-    /// (`Design: PartialEq` compares the same data), so memoized results
-    /// can never collide.
-    fn cache_key(&self, s: &Design) -> Option<Vec<u8>> {
-        let links = s.topology.links();
-        let pe_of = s.placement.pe_of();
-        let mut key = Vec::with_capacity(8 + 4 * (pe_of.len() + 2 * links.len()));
-        key.extend_from_slice(&(pe_of.len() as u32).to_le_bytes());
-        for &pe in pe_of {
-            key.extend_from_slice(&(pe as u32).to_le_bytes());
-        }
-        key.extend_from_slice(&(links.len() as u32).to_le_bytes());
-        for l in links {
-            key.extend_from_slice(&(l.a().0 as u32).to_le_bytes());
-            key.extend_from_slice(&(l.b().0 as u32).to_le_bytes());
-        }
-        Some(key)
     }
 
     fn features(&self, s: &Design) -> Vec<f64> {
@@ -767,18 +709,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_keys_match_design_equality() {
-        let p = paper_problem(ObjectiveSet::Three);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let a = p.random_solution(&mut rng);
-        let b = p.random_solution(&mut rng);
-        assert_eq!(p.cache_key(&a), p.cache_key(&a.clone()), "equal designs share a key");
-        assert_ne!(p.cache_key(&a), p.cache_key(&b), "distinct designs get distinct keys");
-        let n = p.neighbor(&a, &mut rng);
-        assert_ne!(p.cache_key(&a), p.cache_key(&n), "one move changes the key");
-    }
-
-    #[test]
     fn objective_set_clones_share_the_routing_cache() {
         let p = paper_problem(ObjectiveSet::Three);
         let q = p.with_objective_set(ObjectiveSet::Five);
@@ -788,46 +718,6 @@ mod tests {
         q.evaluate(&d);
         let (rebuilds, hits) = p.routing_stats();
         assert_eq!((rebuilds, hits), (1, 1), "the second evaluation reuses the table");
-    }
-
-    #[test]
-    fn neighbor_evaluation_is_bit_identical_and_counts_delta_hits() {
-        let p = paper_problem(ObjectiveSet::Five);
-        // Scored on its own routing cache, so a wrong table admitted by
-        // the neighbor path cannot leak into the expected values.
-        let mut reference = paper_problem(ObjectiveSet::Five);
-        reference.set_routing_cache_capacity(0);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
-        let mut current = p.random_solution(&mut rng);
-        let mut rewires = 0;
-        for step in 0..12 {
-            let next = p.neighbor(&current, &mut rng);
-            rewires += u64::from(next.topology != current.topology);
-            assert_eq!(
-                p.evaluate_neighbor_ordinal(&current, &next, step),
-                reference.evaluate(&next),
-                "delta and full evaluation diverged at step {step}"
-            );
-            current = next;
-        }
-        let (hits, fallbacks) = p.delta_stats();
-        // The unscored seed design's first neighbor (a swap) and the six
-        // rewires route topologies with no cached table; the five other
-        // swaps reuse the table of the design they move from.
-        assert_eq!(rewires, 6);
-        assert_eq!((hits, fallbacks), (5, 7));
-    }
-
-    #[test]
-    fn disabled_delta_engine_stays_exact_and_counts_nothing() {
-        let mut p = paper_problem(ObjectiveSet::Five);
-        p.set_delta_eval(false);
-        assert!(!p.delta_eval_enabled());
-        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
-        let base = p.random_solution(&mut rng);
-        let next = p.neighbor(&base, &mut rng);
-        assert_eq!(p.evaluate_neighbor_ordinal(&base, &next, 0), p.evaluate(&next));
-        assert_eq!(p.delta_stats(), (0, 0), "the off engine never runs");
     }
 
     #[test]

@@ -122,10 +122,10 @@ impl RoutingTable {
     }
 
     /// Deliberate divergence for the parity harness's self-test: raises
-    /// every latency, as a stale or wrong cached table would. Only the
-    /// neighbor path calls it, so full evaluation stays correct and the
-    /// harness must flag the difference.
-    #[cfg(feature = "delta-fault")]
+    /// every latency, as a stale or wrong cached table would. Only
+    /// routing-cache hits serve it, so cache-off evaluation stays correct
+    /// and the harness must flag the difference.
+    #[cfg(feature = "routing-fault")]
     pub(crate) fn with_fault(mut self) -> Self {
         for c in &mut self.cost {
             *c += 1.0;

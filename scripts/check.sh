@@ -82,8 +82,8 @@ grep -o '"cache":{[^}]*}' "$smoke/full/metrics.json" | grep -q '"routing_rebuild
     && { echo "no routing table was ever built"; exit 1; }
 grep -o '"cache":{[^}]*}' "$smoke/nocache/metrics.json" | grep -q '"routing_hits":0' \
     || { echo "--eval-cache off still reused routing tables"; exit 1; }
-# Self-check: a deliberately broken neighbor path must fail the harness.
-cargo test -q -p moela-manycore --features delta-fault --test delta_parity
+# Self-check: a deliberately wrong cached table must fail the harness.
+cargo test -q -p moela-manycore --features routing-fault --test eval_cache
 
 echo "==> serve smoke (served job matches moela-dse run byte-for-byte; drain exits 0)"
 "$dse" serve --addr 127.0.0.1:0 --addr-file "$smoke/addr" --run-root "$smoke/jobs" \
