@@ -54,9 +54,7 @@ where
     for _ in 0..max_steps {
         let candidates: Vec<P::Solution> =
             (0..neighbors_per_step).map(|_| problem.neighbor(&current, rng)).collect();
-        // Every candidate is one move from `current`, so delta-capable
-        // problems may score the batch incrementally (bit-identically).
-        let batch = evaluator.evaluate_neighbors(problem, &current, &candidates);
+        let batch = evaluator.evaluate(problem, &candidates);
         evaluations += batch.attempts;
         if evaluator.poisoned() {
             break; // a Fail-policy fault latched; stop descending

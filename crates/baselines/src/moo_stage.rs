@@ -271,9 +271,7 @@ where
             let candidates: Vec<P::Solution> = (0..cfg.ls_neighbors_per_step)
                 .map(|_| self.problem.neighbor(&current, rng))
                 .collect();
-            // Every candidate is one move from `current`, so delta-capable
-            // problems may score the batch incrementally (bit-identically).
-            let batch = self.ctx.evaluate_neighbors(self.problem, &current, &candidates);
+            let batch = self.ctx.evaluate(self.problem, &candidates);
             if self.ctx.poisoned() {
                 return false;
             }

@@ -13,9 +13,14 @@
 //! byte-identical at any thread count. Results are only admitted when
 //! they have the declared arity and every component is finite, so
 //! faulted or corrupted evaluations are never served from the cache; and
-//! [`crate::chaos::ChaosProblem`] refuses a cache key outright, so under
+//! [`crate::chaos::ChaosProblem`] keeps the default (no key), so under
 //! chaos injection the cache must sit *below* the injector
 //! (`Chaos(Cached(inner))`), where it only ever sees clean results.
+//!
+//! No workspace code memoizes any more (no workspace problem returns a
+//! key); the module stays only because dse-bench's traced `Probe`
+//! compiles against it, and goes with that probe in a later benchmark
+//! change.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -26,9 +31,15 @@ use rand::RngCore;
 use crate::problem::Problem;
 
 /// Default number of memoized objective vectors.
+///
+/// No workspace code calls this; it goes with dse-bench's `Probe` in a
+/// later benchmark change.
 pub const DEFAULT_EVAL_CACHE_CAPACITY: usize = 4096;
 
 /// Hit/miss/eviction counters of an [`EvalCache`].
+///
+/// No workspace code calls this; it goes with dse-bench's `Probe` in a
+/// later benchmark change.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Evaluations served from the cache.
@@ -54,6 +65,9 @@ struct MemoState {
 /// A bounded, thread-safe LRU map from solution keys to objective
 /// vectors. Shared (via `Arc`) between every clone of a
 /// [`CachedProblem`] and across evaluation worker threads.
+///
+/// No workspace code calls this; it goes with dse-bench's `Probe` in a
+/// later benchmark change.
 #[derive(Debug)]
 pub struct EvalCache {
     capacity: usize,
@@ -137,6 +151,9 @@ impl EvalCache {
 /// Wraps a [`Problem`], memoizing [`evaluate`](Problem::evaluate) results
 /// in a shared [`EvalCache`]. Transparent for problems without a
 /// [`cache_key`](Problem::cache_key); bit-transparent for those with one.
+///
+/// No workspace code calls this; it goes with dse-bench's `Probe` in a
+/// later benchmark change.
 #[derive(Clone, Debug)]
 pub struct CachedProblem<P> {
     inner: P,
@@ -224,31 +241,8 @@ impl<P: Problem> Problem for CachedProblem<P> {
         }
     }
 
-    fn evaluate_neighbor_ordinal(
-        &self,
-        base: &Self::Solution,
-        s: &Self::Solution,
-        ordinal: u64,
-    ) -> Vec<f64> {
-        match self.inner.cache_key(s) {
-            None => self.inner.evaluate_neighbor_ordinal(base, s, ordinal),
-            Some(key) => {
-                if let Some(hit) = self.cache.get(&key) {
-                    return hit;
-                }
-                let objectives = self.inner.evaluate_neighbor_ordinal(base, s, ordinal);
-                self.admit(key, &objectives);
-                objectives
-            }
-        }
-    }
-
     fn reserve_ordinals(&self, n: u64) -> u64 {
         self.inner.reserve_ordinals(n)
-    }
-
-    fn cache_key(&self, s: &Self::Solution) -> Option<Vec<u8>> {
-        self.inner.cache_key(s)
     }
 
     fn features(&self, s: &Self::Solution) -> Vec<f64> {
@@ -267,11 +261,12 @@ mod tests {
     use crate::problems::Zdt;
     use rand::SeedableRng;
 
-    /// A ZDT wrapper with an exact-bytes cache key, so caching activates.
+    /// A problem wrapper with an exact-bytes cache key, so caching
+    /// activates.
     #[derive(Clone, Debug)]
-    struct Keyed(Zdt);
+    struct Keyed<P>(P);
 
-    impl Problem for Keyed {
+    impl<P: Problem<Solution = Vec<f64>>> Problem for Keyed<P> {
         type Solution = Vec<f64>;
 
         fn objective_count(&self) -> usize {
@@ -310,7 +305,7 @@ mod tests {
     fn hits_skip_the_inner_evaluation_and_return_identical_objectives() {
         let counter = EvalCounter::new();
         let p = CachedProblem::new(
-            Counted::new(Keyed(Zdt::zdt1(4)), counter.clone()),
+            Keyed(Counted::new(Zdt::zdt1(4), counter.clone())),
             Arc::new(EvalCache::new(16)),
         );
         let xs = solutions(3);
@@ -403,7 +398,7 @@ mod tests {
     fn the_cache_is_shared_between_clones() {
         let counter = EvalCounter::new();
         let p = CachedProblem::new(
-            Counted::new(Keyed(Zdt::zdt1(4)), counter.clone()),
+            Keyed(Counted::new(Zdt::zdt1(4), counter.clone())),
             Arc::new(EvalCache::new(16)),
         );
         let q = p.clone();

@@ -173,17 +173,9 @@ impl<P> ChaosProblem<P> {
 }
 
 impl<P: Problem> ChaosProblem<P> {
+    /// Evaluates `s` as evaluation number `ordinal`, with the fault (if
+    /// any) that `(seed, ordinal)` selects.
     fn inject(&self, s: &P::Solution, ordinal: u64) -> Vec<f64> {
-        self.inject_with(ordinal, || self.inner.evaluate(s))
-    }
-
-    /// The injection core, parameterized over how the clean objectives
-    /// are produced: the ordinary path evaluates the solution in full,
-    /// the neighbor path may delta-evaluate — the fault stream is keyed
-    /// purely by `(seed, ordinal)` either way, and the delta contract
-    /// guarantees the clean objectives are bit-identical, so both paths
-    /// fault identically.
-    fn inject_with(&self, ordinal: u64, eval: impl FnOnce() -> Vec<f64>) -> Vec<f64> {
         let u = unit(self.seed, ordinal, FAULT_SALT);
         let mut threshold = self.spec.panic;
         if u < threshold {
@@ -192,7 +184,7 @@ impl<P: Problem> ChaosProblem<P> {
         if self.spec.slow > 0.0 && unit(self.seed, ordinal, SLOW_SALT) < self.spec.slow {
             std::thread::sleep(std::time::Duration::from_micros(200));
         }
-        let mut objs = eval();
+        let mut objs = self.inner.evaluate(s);
         let m = objs.len().max(1);
         threshold += self.spec.nan;
         if u < threshold {
@@ -253,26 +245,8 @@ impl<P: Problem> Problem for ChaosProblem<P> {
         self.inject(s, ordinal)
     }
 
-    fn evaluate_neighbor_ordinal(
-        &self,
-        base: &Self::Solution,
-        s: &Self::Solution,
-        ordinal: u64,
-    ) -> Vec<f64> {
-        self.inject_with(ordinal, || self.inner.evaluate_neighbor_ordinal(base, s, ordinal))
-    }
-
     fn reserve_ordinals(&self, n: u64) -> u64 {
         self.ordinal.fetch_add(n, Ordering::SeqCst)
-    }
-
-    /// Chaotic evaluations depend on the ordinal, not just the solution,
-    /// so they must never be memoized: deliberately `None` rather than a
-    /// delegation to the inner problem. (Memoize *below* chaos instead —
-    /// `ChaosProblem::new(CachedProblem::new(..), ..)` — so faulted
-    /// results never enter the cache.)
-    fn cache_key(&self, _s: &Self::Solution) -> Option<Vec<u8>> {
-        None
     }
 
     fn features(&self, s: &Self::Solution) -> Vec<f64> {

@@ -239,23 +239,6 @@ impl RunCtx {
         batch
     }
 
-    /// Evaluates neighbors of `base` under containment, metered (see
-    /// [`GuardedEvaluator::evaluate_neighbors`]).
-    pub fn evaluate_neighbors<P>(
-        &mut self,
-        problem: &P,
-        base: &P::Solution,
-        solutions: &[P::Solution],
-    ) -> GuardedBatch
-    where
-        P: Problem + Sync,
-        P::Solution: Sync,
-    {
-        let batch = self.evaluator.evaluate_neighbors(problem, base, solutions);
-        self.charge(batch.attempts);
-        batch
-    }
-
     /// Evaluates one candidate under containment, metered.
     pub fn evaluate_one<P>(&mut self, problem: &P, solution: &P::Solution) -> Option<Vec<f64>>
     where

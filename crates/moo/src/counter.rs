@@ -129,24 +129,8 @@ impl<P: Problem> Problem for Counted<P> {
         self.inner.evaluate_ordinal(s, ordinal)
     }
 
-    fn evaluate_neighbor_ordinal(
-        &self,
-        base: &Self::Solution,
-        s: &Self::Solution,
-        ordinal: u64,
-    ) -> Vec<f64> {
-        // A delta-scored neighbor still spends one budget unit: the budget
-        // counts *candidate evaluations*, not the cost of producing them.
-        self.counter.add(1);
-        self.inner.evaluate_neighbor_ordinal(base, s, ordinal)
-    }
-
     fn reserve_ordinals(&self, n: u64) -> u64 {
         self.inner.reserve_ordinals(n)
-    }
-
-    fn cache_key(&self, s: &Self::Solution) -> Option<Vec<u8>> {
-        self.inner.cache_key(s)
     }
 
     fn features(&self, s: &Self::Solution) -> Vec<f64> {

@@ -281,16 +281,12 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 /// finiteness.
 fn guarded_eval_one<P: Problem>(
     problem: &P,
-    base: Option<&P::Solution>,
     solution: &P::Solution,
     ordinal: u64,
     m: usize,
     index: usize,
 ) -> Result<Vec<f64>, EvalFault> {
-    match catch_quiet(|| match base {
-        Some(b) => problem.evaluate_neighbor_ordinal(b, solution, ordinal),
-        None => problem.evaluate_ordinal(solution, ordinal),
-    }) {
+    match catch_quiet(|| problem.evaluate_ordinal(solution, ordinal)) {
         Err(payload) => Err(EvalFault {
             kind: FaultKind::Panic,
             index,
@@ -405,38 +401,6 @@ impl GuardedEvaluator {
         P: Problem + Sync,
         P::Solution: Sync,
     {
-        self.evaluate_impl(problem, None, solutions)
-    }
-
-    /// Evaluates a batch of *neighbors of one base solution* under
-    /// containment, routing through
-    /// [`Problem::evaluate_neighbor_ordinal`] so delta-capable problems
-    /// can score each move incrementally. The delta contract makes this
-    /// bit-identical to [`evaluate`](Self::evaluate) on the same batch —
-    /// callers switch freely between the two.
-    pub fn evaluate_neighbors<P>(
-        &mut self,
-        problem: &P,
-        base: &P::Solution,
-        solutions: &[P::Solution],
-    ) -> GuardedBatch
-    where
-        P: Problem + Sync,
-        P::Solution: Sync,
-    {
-        self.evaluate_impl(problem, Some(base), solutions)
-    }
-
-    fn evaluate_impl<P>(
-        &mut self,
-        problem: &P,
-        neighbor_base: Option<&P::Solution>,
-        solutions: &[P::Solution],
-    ) -> GuardedBatch
-    where
-        P: Problem + Sync,
-        P::Solution: Sync,
-    {
         if solutions.is_empty() || self.poisoned() {
             return GuardedBatch { objectives: vec![None; solutions.len()], attempts: 0 };
         }
@@ -444,8 +408,7 @@ impl GuardedEvaluator {
         let faults_before = self.log.faults();
         let m = problem.objective_count();
         let base = problem.reserve_ordinals(solutions.len() as u64);
-        let mut results =
-            self.evaluator.try_evaluate_with_base(problem, neighbor_base, solutions, base, m);
+        let mut results = self.evaluator.try_evaluate(problem, solutions, base, m);
         let mut attempts = solutions.len() as u64;
 
         // Retries run sequentially in batch order: deterministic at any
@@ -458,7 +421,7 @@ impl GuardedEvaluator {
                 let ordinal = problem.reserve_ordinals(1);
                 attempts += 1;
                 self.log.retries += 1;
-                match guarded_eval_one(problem, neighbor_base, &solutions[i], ordinal, m, i) {
+                match guarded_eval_one(problem, &solutions[i], ordinal, m, i) {
                     Ok(objs) => {
                         self.log.recovered += 1;
                         results[i] = Ok(objs);
@@ -535,26 +498,6 @@ impl ParallelEvaluator {
         P: Problem + Sync,
         P::Solution: Sync,
     {
-        self.try_evaluate_with_base(problem, None, solutions, base_ordinal, m)
-    }
-
-    /// [`try_evaluate`](Self::try_evaluate), optionally told that every
-    /// candidate is one neighbor move away from `neighbor_base` — in
-    /// which case evaluation routes through
-    /// [`Problem::evaluate_neighbor_ordinal`] (bit-identical by the
-    /// delta contract, potentially much cheaper).
-    pub fn try_evaluate_with_base<P>(
-        &self,
-        problem: &P,
-        neighbor_base: Option<&P::Solution>,
-        solutions: &[P::Solution],
-        base_ordinal: u64,
-        m: usize,
-    ) -> Vec<Result<Vec<f64>, EvalFault>>
-    where
-        P: Problem + Sync,
-        P::Solution: Sync,
-    {
         let workers = self.threads().min(solutions.len());
         let eval_chunk =
             |chunk: &[P::Solution], offset: usize| -> Vec<Result<Vec<f64>, EvalFault>> {
@@ -563,14 +506,7 @@ impl ParallelEvaluator {
                     .enumerate()
                     .map(|(k, s)| {
                         let index = offset + k;
-                        guarded_eval_one(
-                            problem,
-                            neighbor_base,
-                            s,
-                            base_ordinal + index as u64,
-                            m,
-                            index,
-                        )
+                        guarded_eval_one(problem, s, base_ordinal + index as u64, m, index)
                     })
                     .collect()
             };

@@ -20,11 +20,6 @@
 //!   ([`parallel::ParallelEvaluator`]) — optimizers generate candidates
 //!   sequentially, then evaluate whole batches across scoped worker
 //!   threads with bit-identical results at any thread count;
-//! * evaluation memoization: [`cache::CachedProblem`] memoizes whole
-//!   objective vectors in a bounded, thread-safe [`cache::EvalCache`]
-//!   keyed by exact solution bytes ([`Problem::cache_key`]), so duplicate
-//!   candidates never re-evaluate while staying bit-identical to
-//!   uncached runs;
 //! * fault containment: [`fault::GuardedEvaluator`] turns panicking,
 //!   NaN-producing or malformed evaluations into structured
 //!   [`fault::EvalFault`]s handled by a uniform [`fault::FaultPolicy`],

@@ -86,16 +86,12 @@ pub trait Problem {
         self.evaluate(s)
     }
 
-    /// Evaluates `s` as evaluation number `ordinal`, given that `s` was
-    /// produced by one [`neighbor`](Problem::neighbor) move from `base`.
+    /// Evaluates `s`, a one-move [`neighbor`](Problem::neighbor) of
+    /// `base`, as evaluation number `ordinal`. The default ignores `base`
+    /// and delegates to [`evaluate_ordinal`](Problem::evaluate_ordinal).
     ///
-    /// This is the hook for incremental (delta) evaluation: problems that
-    /// can score a single move faster than a full evaluation override it,
-    /// under the contract that the result is **bit-identical** to
-    /// [`evaluate_ordinal`](Problem::evaluate_ordinal) on `s` — callers
-    /// may substitute one for the other freely. Implementations must fall
-    /// back to full evaluation whenever the move cannot be scored exactly.
-    /// The default ignores `base` and delegates.
+    /// No workspace code calls this; it goes with dse-bench's `Probe` in a
+    /// later benchmark change.
     fn evaluate_neighbor_ordinal(
         &self,
         _base: &Self::Solution,
@@ -129,6 +125,10 @@ pub trait Problem {
     /// [`crate::chaos::ChaosProblem`], where the outcome depends on the
     /// evaluation ordinal — must also return `None` so nothing caches
     /// *above* them.
+    ///
+    /// Only [`crate::CachedProblem`] reads this, and no workspace code
+    /// calls either; both go with dse-bench's `Probe` in a later benchmark
+    /// change.
     fn cache_key(&self, _s: &Self::Solution) -> Option<Vec<u8>> {
         None
     }
@@ -181,21 +181,8 @@ impl<P: Problem + ?Sized> Problem for &P {
         (**self).evaluate_ordinal(s, ordinal)
     }
 
-    fn evaluate_neighbor_ordinal(
-        &self,
-        base: &Self::Solution,
-        s: &Self::Solution,
-        ordinal: u64,
-    ) -> Vec<f64> {
-        (**self).evaluate_neighbor_ordinal(base, s, ordinal)
-    }
-
     fn reserve_ordinals(&self, n: u64) -> u64 {
         (**self).reserve_ordinals(n)
-    }
-
-    fn cache_key(&self, s: &Self::Solution) -> Option<Vec<u8>> {
-        (**self).cache_key(s)
     }
 
     fn features(&self, s: &Self::Solution) -> Vec<f64> {
