@@ -27,10 +27,6 @@ pub const DEFAULT_DELTA_CACHE_CAPACITY: usize = 32;
 ///
 /// No workspace code calls this; it goes with dse-bench's `Probe` in a
 /// later benchmark change.
-///
-/// Shared via `Arc` across clones of one problem, like the routing cache
-/// it reads, so a hill climber's accepted design's table is almost
-/// always resident when its neighbors are scored.
 #[derive(Debug)]
 pub struct DeltaEngine {
     enabled: bool,
