@@ -25,7 +25,7 @@ use moela_moo::run::{convergence_point, evaluations_to_reach, normalized_phv, Tr
 use moela_obs::{chrome_trace, names, replay_run_dir, LogLevel, Reporter, RunReplay};
 use moela_persist::{decode, encode, RunStore, Value};
 
-use crate::engine::{fail, options_from_manifest, user_error, CliError, ErrorClass};
+use crate::engine::{cache_value, fail, options_from_manifest, user_error, CliError, ErrorClass};
 
 /// Exit code for a compare-detected regression, distinct from 1
 /// (operational failure) and 2 (configuration error) so CI can tell
@@ -247,14 +247,7 @@ pub(crate) fn build_report(dir: &Path) -> Result<(Value, Value), CliError> {
                 replay.counters.iter().map(|(n, v)| (n.clone(), Value::U64(*v))).collect(),
             ),
         ),
-        (
-            "cache",
-            Value::object(vec![
-                ("enabled", Value::Bool(opts.eval_cache)),
-                ("routing_rebuilds", Value::U64(replay.counter("routing_rebuilds"))),
-                ("routing_hits", Value::U64(replay.counter("routing_hits"))),
-            ]),
-        ),
+        ("cache", cache_value(|n| replay.counter(n))),
         ("trends", trends_value(&replay)),
         (
             "events",

@@ -6,6 +6,7 @@ use moela_manycore::ObjectiveSet;
 use moela_moo::fault::{FaultConfig, FaultPolicy};
 use moela_moo::ChaosSpec;
 use moela_obs::LogLevel;
+use moela_persist::Value;
 use moela_traffic::Benchmark;
 
 /// A failed parse. `code` is the process exit code: `1` for malformed
@@ -130,9 +131,6 @@ pub struct RunOptions {
     /// Re-evaluation attempts per faulted candidate before the policy
     /// applies.
     pub eval_retries: u32,
-    /// Reuse routing tables across designs that share a topology
-    /// (`--eval-cache on|off`). Results are bit-identical on or off.
-    pub eval_cache: bool,
     /// Optional seeded fault injection (chaos testing).
     pub chaos: Option<ChaosSpec>,
     /// Seed for the chaos fault stream (required with `--chaos` so the
@@ -171,7 +169,6 @@ impl Default for RunOptions {
             crash_after_checkpoints: None,
             fault_policy: FaultPolicy::default(),
             eval_retries: 0,
-            eval_cache: true,
             chaos: None,
             chaos_seed: None,
             progress: false,
@@ -537,24 +534,14 @@ fn parse_run_options(args: &[String]) -> Result<RunOptions, ArgsError> {
     while let Some(flag) = it.next() {
         let mut value = || it.next().cloned().ok_or_else(|| format!("flag {flag} needs a value"));
         match flag.as_str() {
-            "--app" => {
-                let name = value()?;
-                opts.app = Benchmark::ALL
-                    .into_iter()
-                    .find(|b| b.name().eq_ignore_ascii_case(&name))
-                    .ok_or_else(|| format!("unknown app '{name}'"))?;
-            }
+            "--app" => opts.app = app_named(&value()?)?,
             "--objectives" => {
-                opts.set = match value()?.as_str() {
-                    "3" => ObjectiveSet::Three,
-                    "4" => ObjectiveSet::Four,
-                    "5" => ObjectiveSet::Five,
-                    other => {
-                        return Err(ArgsError::syntax(format!(
-                            "--objectives must be 3, 4, or 5 (got {other})"
-                        )))
-                    }
-                };
+                let v = value()?;
+                opts.set = v
+                    .parse()
+                    .ok()
+                    .and_then(objective_set)
+                    .ok_or_else(|| format!("--objectives must be 3, 4, or 5 (got {v})"))?;
             }
             "--algorithm" => opts.algorithm = Algorithm::parse(&value()?)?,
             "--budget" => {
@@ -589,18 +576,6 @@ fn parse_run_options(args: &[String]) -> Result<RunOptions, ArgsError> {
             "--eval-retries" => {
                 opts.eval_retries =
                     value()?.parse().map_err(|_| "--eval-retries needs an integer")?;
-            }
-            "--eval-cache" => {
-                let v = value()?;
-                opts.eval_cache = if v.eq_ignore_ascii_case("on") {
-                    true
-                } else if v.eq_ignore_ascii_case("off") {
-                    false
-                } else {
-                    return Err(ArgsError::syntax(format!(
-                        "--eval-cache must be on or off (got {v})"
-                    )));
-                };
             }
             "--chaos" => opts.chaos = Some(ChaosSpec::parse(&value()?)?),
             "--chaos-seed" => {
@@ -652,6 +627,147 @@ pub fn validate_run_options(opts: &RunOptions) -> Result<(), ArgsError> {
     Ok(())
 }
 
+/// Looks up an application by name, ignoring case.
+fn app_named(name: &str) -> Result<Benchmark, String> {
+    Benchmark::ALL
+        .into_iter()
+        .find(|b| b.name().eq_ignore_ascii_case(name))
+        .ok_or_else(|| format!("unknown app '{name}'"))
+}
+
+/// The objective stack with `count` objectives.
+fn objective_set(count: u64) -> Option<ObjectiveSet> {
+    ObjectiveSet::ALL.into_iter().find(|s| s.count() as u64 == count)
+}
+
+/// Every key [`RunOptions::from_value`] reads: the ones
+/// [`RunOptions::to_value`] writes, then `eval_cache` and `eval_delta`,
+/// which earlier builds wrote and which are checked and ignored.
+pub(crate) const OPTION_KEYS: [&str; 15] = [
+    "algorithm",
+    "app",
+    "objectives",
+    "budget",
+    "population",
+    "seed",
+    "threads",
+    "time_guard_secs",
+    "checkpoint_every",
+    "fault_policy",
+    "eval_retries",
+    "chaos",
+    "chaos_seed",
+    "eval_cache",
+    "eval_delta",
+];
+
+impl RunOptions {
+    /// The run configuration as the object manifests and job specs share.
+    /// Output paths, crash injection and logging are per invocation and
+    /// are not written.
+    pub(crate) fn to_value(&self) -> Value {
+        let mut fields = vec![
+            ("algorithm", Value::Str(self.algorithm.name().to_owned())),
+            ("app", Value::Str(self.app.name().to_owned())),
+            ("objectives", Value::U64(self.set.count() as u64)),
+            ("budget", Value::U64(self.budget)),
+            ("population", Value::U64(self.population as u64)),
+            ("seed", Value::U64(self.seed)),
+            ("threads", Value::U64(self.threads as u64)),
+            ("time_guard_secs", Value::U64(self.time_guard.as_secs())),
+            ("checkpoint_every", Value::U64(self.checkpoint_every)),
+            ("fault_policy", Value::Str(self.fault_policy.name().to_owned())),
+            ("eval_retries", Value::U64(u64::from(self.eval_retries))),
+        ];
+        if let Some(spec) = &self.chaos {
+            fields.push(("chaos", Value::Str(spec.to_string())));
+        }
+        if let Some(seed) = self.chaos_seed {
+            fields.push(("chaos_seed", Value::U64(seed)));
+        }
+        Value::object(fields)
+    }
+
+    /// Reads the fields [`RunOptions::to_value`] writes over `base`, which
+    /// supplies every absent key, and validates the result as the flag
+    /// parser does. Keys outside [`OPTION_KEYS`] are left to the caller.
+    ///
+    /// # Errors
+    ///
+    /// An [`ArgsError`] naming the key: code 1 for a malformed value,
+    /// code 2 for a contradictory combination.
+    pub(crate) fn from_value(v: &Value, base: RunOptions) -> Result<RunOptions, ArgsError> {
+        if !matches!(v, Value::Object(_)) {
+            return Err(ArgsError::syntax(format!(
+                "run options must be an object, not {}",
+                v.kind()
+            )));
+        }
+        let text = |key: &str| match v.field_opt(key) {
+            Some(x) => x.as_str().map(Some).map_err(|_| format!("key '{key}' must be a string")),
+            None => Ok(None),
+        };
+        let number = |key: &str| match v.field_opt(key) {
+            Some(x) => x
+                .as_u64()
+                .map(Some)
+                .map_err(|_| format!("key '{key}' must be a non-negative integer")),
+            None => Ok(None),
+        };
+        let size = |key: &str| -> Result<Option<usize>, String> {
+            number(key)?
+                .map(|n| usize::try_from(n).map_err(|_| format!("key '{key}' is out of range")))
+                .transpose()
+        };
+        let mut opts = base;
+        if let Some(name) = text("algorithm")? {
+            opts.algorithm = Algorithm::parse(name)?;
+        }
+        if let Some(name) = text("app")? {
+            opts.app = app_named(name)?;
+        }
+        if let Some(n) = number("objectives")? {
+            opts.set = objective_set(n)
+                .ok_or_else(|| format!("key 'objectives' must be 3, 4, or 5 (got {n})"))?;
+        }
+        opts.budget = number("budget")?.unwrap_or(opts.budget);
+        opts.population = size("population")?.unwrap_or(opts.population);
+        opts.seed = number("seed")?.unwrap_or(opts.seed);
+        opts.threads = size("threads")?.unwrap_or(opts.threads);
+        if let Some(secs) = number("time_guard_secs")? {
+            opts.time_guard = Duration::from_secs(secs);
+        }
+        opts.checkpoint_every = number("checkpoint_every")?.unwrap_or(opts.checkpoint_every);
+        if let Some(name) = text("fault_policy")? {
+            opts.fault_policy = FaultPolicy::parse(name)?;
+        }
+        if let Some(n) = number("eval_retries")? {
+            // Refused, not truncated: 2^32 would otherwise become 0
+            // retries and slip past the fail+retries check below.
+            opts.eval_retries = u32::try_from(n)
+                .map_err(|_| format!("key 'eval_retries' must be at most {}", u32::MAX))?;
+        }
+        if let Some(spec) = text("chaos")? {
+            opts.chaos = Some(ChaosSpec::parse(spec)?);
+        }
+        if let Some(seed) = number("chaos_seed")? {
+            opts.chaos_seed = Some(seed);
+        }
+        // Retired keys. Routing reuse is always on and its results equal
+        // the reuse-free path's bit for bit, so the values are ignored.
+        if let Some(x) = v.field_opt("eval_cache") {
+            if x.as_bool().is_err() && x.as_u64().is_err() {
+                return Err("key 'eval_cache' must be a boolean or a non-negative integer".into());
+            }
+        }
+        if let Some(x) = v.field_opt("eval_delta") {
+            x.as_bool().map_err(|_| "key 'eval_delta' must be a boolean")?;
+        }
+        validate_run_options(&opts)?;
+        Ok(opts)
+    }
+}
+
 /// The usage text.
 pub const USAGE: &str = "\
 moela-dse — multi-objective DSE for 3D heterogeneous manycore platforms
@@ -682,10 +798,6 @@ COMMON FLAGS:
     --seed <N>                          RNG seed          [11]
     --threads <N>                       evaluation worker threads, 0 = auto;
                                         results are identical for any N [1]
-    --eval-cache <on|off>               reuse routing tables across designs
-                                        that share a topology (placement-only
-                                        moves); results are identical either
-                                        way [on]
     --trace-csv <PATH>                  write PHV trace CSV
     --front-csv <PATH>                  write final front CSV
     --dot <PATH>                        write best design as Graphviz DOT
@@ -954,23 +1066,110 @@ mod tests {
     }
 
     #[test]
-    fn eval_cache_parses_on_off_and_defaults_on() {
-        let Command::Run(o) = parse(&argv("run")).expect("ok") else { panic!("expected Run") };
-        assert!(o.eval_cache, "routing reuse defaults on");
-
-        let Command::Run(o) = parse(&argv("run --eval-cache off")).expect("ok") else {
-            panic!("expected Run")
-        };
-        assert!(!o.eval_cache);
-
-        let Command::Run(o) = parse(&argv("run --eval-cache on")).expect("ok") else {
-            panic!("expected Run")
-        };
-        assert!(o.eval_cache);
-
-        for gone in ["run --eval-cache 128", "run --eval-delta off"] {
+    fn retired_cache_flags_are_refused() {
+        for gone in ["run --eval-cache on", "run --eval-cache off", "run --eval-delta off"] {
             let err = parse(&argv(gone)).expect_err("no longer accepted");
             assert_eq!(err.code, 1, "{gone}");
+        }
+    }
+
+    /// A fully set configuration, as `to_value` writes it.
+    fn chaotic_options() -> RunOptions {
+        let Command::Run(o) = parse(&argv(
+            "run --app HOT --objectives 4 --algorithm moo-stage --budget 77 --population 6 \
+             --seed 5 --threads 3 --time-guard-secs 9 --checkpoint-every 2 \
+             --fault-policy skip --eval-retries 2 --chaos panic=0.1 --chaos-seed 4",
+        ))
+        .expect("ok") else {
+            panic!("expected Run")
+        };
+        o
+    }
+
+    /// `to_value` keeps exactly what `from_value` reads, and `from_value`
+    /// fills every absent key from its base.
+    #[test]
+    fn option_values_round_trip_over_a_base() {
+        let opts = chaotic_options();
+        let v = opts.to_value();
+        let Value::Object(fields) = &v else { panic!("an object") };
+        for (key, _) in fields {
+            assert!(OPTION_KEYS.contains(&key.as_str()), "{key} is read back");
+        }
+        assert_eq!(RunOptions::from_value(&v, RunOptions::default()).expect("valid"), opts);
+        let base = RunOptions { log_level: LogLevel::Quiet, ..RunOptions::default() };
+        let empty = Value::object(vec![]);
+        assert_eq!(RunOptions::from_value(&empty, base.clone()).expect("valid"), base);
+        let err = RunOptions::from_value(&Value::Array(vec![]), base).expect_err("not an object");
+        assert!(err.message.contains("object"), "{}", err.message);
+    }
+
+    /// Values the codec refuses name their key; contradictions exit 2
+    /// exactly as the flags do.
+    #[test]
+    fn option_values_are_validated_like_flags() {
+        let read = |fields: Vec<(&str, Value)>| {
+            RunOptions::from_value(&Value::object(fields), RunOptions::default())
+        };
+        let cases = [
+            (vec![("app", Value::Str("NOPE".into()))], "NOPE", 1),
+            (vec![("objectives", Value::U64(7))], "objectives", 1),
+            (vec![("budget", Value::Str("9".into()))], "budget", 1),
+            (vec![("population", Value::U64(1))], "population", 1),
+            (vec![("checkpoint_every", Value::U64(0))], "checkpoint-every", 1),
+            (vec![("chaos", Value::Str("panic=0.5".into()))], "chaos-seed", 2),
+            (vec![("chaos_seed", Value::U64(3))], "chaos-seed", 2),
+            (
+                vec![("fault_policy", Value::Str("fail".into())), ("eval_retries", Value::U64(3))],
+                "eval-retries",
+                2,
+            ),
+        ];
+        for (fields, names, code) in cases {
+            let err = read(fields).expect_err(names);
+            assert!(err.message.contains(names), "{names}: {}", err.message);
+            assert_eq!(err.code, code, "{names}");
+        }
+
+        // An `eval_retries` beyond `u32` is refused, not truncated: 2^32
+        // would otherwise become 0 retries and pass the fail+retries check.
+        let err = read(vec![
+            ("eval_retries", Value::U64(1 << 32)),
+            ("fault_policy", Value::Str("fail".into())),
+        ])
+        .expect_err("2^32 retries do not fit");
+        assert!(err.message.contains("eval_retries"), "{}", err.message);
+        let opts = read(vec![
+            ("eval_retries", Value::U64(u64::from(u32::MAX))),
+            ("fault_policy", Value::Str("skip".into())),
+        ])
+        .expect("u32::MAX fits");
+        assert_eq!(opts.eval_retries, u32::MAX);
+    }
+
+    /// Manifests and job specs from earlier builds carry `eval_cache` as a
+    /// boolean or a memo capacity, and a boolean `eval_delta`. Both are
+    /// read and ignored; a value of another type is refused.
+    #[test]
+    fn retired_keys_are_read_and_ignored() {
+        let opts = chaotic_options();
+        for cache in [Value::Bool(true), Value::Bool(false), Value::U64(4096), Value::U64(0)] {
+            for delta in [true, false] {
+                let Value::Object(mut fields) = opts.to_value() else { panic!("an object") };
+                fields.push(("eval_cache".to_owned(), cache.clone()));
+                fields.push(("eval_delta".to_owned(), Value::Bool(delta)));
+                let read = RunOptions::from_value(&Value::Object(fields), RunOptions::default());
+                assert_eq!(read.expect("an earlier file reads"), opts, "{cache:?}, {delta}");
+            }
+        }
+        for (key, bad) in [
+            ("eval_cache", Value::Str("on".into())),
+            ("eval_cache", Value::I64(-1)),
+            ("eval_delta", Value::U64(1)),
+        ] {
+            let v = Value::object(vec![(key, bad)]);
+            let err = RunOptions::from_value(&v, RunOptions::default()).expect_err(key);
+            assert!(err.message.contains(key), "{}", err.message);
         }
     }
 

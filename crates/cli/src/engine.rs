@@ -22,20 +22,20 @@ use moela_baselines::{
 };
 use moela_core::moela::MoelaState;
 use moela_core::{Moela, MoelaConfig};
-use moela_manycore::{viz, Design, ManycoreProblem, ObjectiveSet, PlatformConfig};
+use moela_manycore::{viz, Design, ManycoreProblem, PlatformConfig};
 use moela_moo::checkpoint::{CancelToken, Resumable, RunCtx};
-use moela_moo::fault::{FaultLog, FaultPolicy};
+use moela_moo::fault::FaultLog;
 use moela_moo::normalize::Normalizer;
 use moela_moo::run::RunResult;
-use moela_moo::{ChaosProblem, ChaosSpec, Problem};
+use moela_moo::{ChaosProblem, Problem};
 use moela_obs::{JsonlSink, MetricsAggregator, Obs, ProgressReporter, Reporter, SharedSink, Sink};
 use moela_persist::{
     CheckpointStore, PersistError, Restore, RunStore, Snapshot, Value, FORMAT_VERSION,
 };
 use moela_serve::{Heartbeat, LiveMetrics};
-use moela_traffic::{Benchmark, Workload};
+use moela_traffic::Workload;
 
-use crate::args::{Algorithm, RunOptions};
+use crate::args::{validate_run_options, Algorithm, ArgsError, RunOptions};
 
 /// The build version stamped into manifests and checkpoints.
 pub(crate) const VERSION: &str = env!("CARGO_PKG_VERSION");
@@ -73,6 +73,12 @@ impl std::fmt::Display for CliError {
     }
 }
 
+impl From<ArgsError> for CliError {
+    fn from(e: ArgsError) -> Self {
+        CliError { message: e.message, code: e.code, class: ErrorClass::Fatal }
+    }
+}
+
 impl From<PersistError> for CliError {
     fn from(e: PersistError) -> Self {
         // OS-level I/O failures are worth retrying (and flag disk
@@ -92,9 +98,8 @@ pub(crate) fn transient(message: impl Into<String>) -> CliError {
     CliError { message: message.into(), code: 1, class: ErrorClass::Transient }
 }
 
-/// A configuration the user must fix (exit code 2) — e.g. `--chaos`
-/// without `--chaos-seed` arriving through a manifest or job spec that
-/// bypassed argument parsing.
+/// A configuration the user must fix (exit code 2), such as two runs
+/// `compare` cannot set side by side.
 pub(crate) fn user_error(message: impl Into<String>) -> CliError {
     CliError { message: message.into(), code: 2, class: ErrorClass::Fatal }
 }
@@ -146,12 +151,8 @@ pub(crate) enum RunStatus {
 pub(crate) fn build_problem(opts: &RunOptions) -> Result<ManycoreProblem, CliError> {
     let platform = PlatformConfig::paper();
     let workload = Workload::synthesize(opts.app, platform.pe_mix(), opts.seed);
-    let mut problem = ManycoreProblem::new(platform, workload, opts.set)
-        .map_err(|e| fail(format!("cannot build the paper platform: {e}")))?;
-    if !opts.eval_cache {
-        problem.set_routing_cache_capacity(0);
-    }
-    Ok(problem)
+    ManycoreProblem::new(platform, workload, opts.set)
+        .map_err(|e| fail(format!("cannot build the paper platform: {e}")))
 }
 
 pub(crate) fn corpus_normalizer(problem: &ManycoreProblem, seed: u64) -> Normalizer {
@@ -237,10 +238,8 @@ impl Telemetry {
         base_evals: u64,
     ) -> Option<Value> {
         let aggregator = self.aggregator.as_ref()?;
-        let (rendered, routing_rebuilds, routing_hits) = aggregator
-            .lock()
-            .map(|agg| (agg.render(), agg.counter("routing_rebuilds"), agg.counter("routing_hits")))
-            .ok()?;
+        let (rendered, cache) =
+            aggregator.lock().map(|agg| (agg.render(), cache_value(|n| agg.counter(n)))).ok()?;
         let mut fields = vec![
             ("algorithm", Value::Str(opts.algorithm.name().to_owned())),
             ("app", Value::Str(opts.app.name().to_owned())),
@@ -268,14 +267,7 @@ impl Telemetry {
                     ("skipped", Value::U64(log.skipped)),
                 ]),
             ),
-            (
-                "cache",
-                Value::object(vec![
-                    ("enabled", Value::Bool(opts.eval_cache)),
-                    ("routing_rebuilds", Value::U64(routing_rebuilds)),
-                    ("routing_hits", Value::U64(routing_hits)),
-                ]),
-            ),
+            ("cache", cache),
             ("telemetry", rendered),
         ];
         if let Some(spec) = &opts.chaos {
@@ -291,6 +283,15 @@ impl Telemetry {
         }
         Some(Value::object(fields))
     }
+}
+
+/// The `"cache"` block of metrics.json and report.json: routing tables
+/// built and reused, read by name through `counter`.
+pub(crate) fn cache_value(counter: impl Fn(&str) -> u64) -> Value {
+    Value::object(vec![
+        ("routing_rebuilds", Value::U64(counter("routing_rebuilds"))),
+        ("routing_hits", Value::U64(counter("routing_hits"))),
+    ])
 }
 
 /// How [`drive`] ended.
@@ -525,15 +526,7 @@ pub(crate) fn execute(
             hooks,
         ),
         Some(spec) => {
-            // A chaos spec without its seed can only arrive through a
-            // manifest or job spec that bypassed argument validation;
-            // refuse it as the user error it is instead of panicking.
-            let Some(seed) = opts.chaos_seed else {
-                return Err(user_error(
-                    "--chaos injects a seeded fault stream and needs --chaos-seed <N> so the \
-                     injected faults are reproducible",
-                ));
-            };
+            let seed = opts.chaos_seed.expect("validated run options pair --chaos with a seed");
             let chaotic = ChaosProblem::new(problem, spec, seed);
             if let Some((point, _)) = &resume {
                 // Replay the fault stream from the checkpointed ordinal;
@@ -689,40 +682,31 @@ where
 /// resume skips the 200-design corpus fit.
 pub(crate) fn manifest_value(opts: &RunOptions, normalizer: &Normalizer) -> Value {
     let mut fields = vec![
-        ("format", Value::U64(u64::from(FORMAT_VERSION))),
-        ("version", Value::Str(VERSION.to_owned())),
-        ("algorithm", Value::Str(opts.algorithm.name().to_owned())),
-        ("app", Value::Str(opts.app.name().to_owned())),
-        ("objectives", Value::U64(opts.set.count() as u64)),
-        ("budget", Value::U64(opts.budget)),
-        ("population", Value::U64(opts.population as u64)),
-        ("seed", Value::U64(opts.seed)),
-        ("threads", Value::U64(opts.threads as u64)),
-        ("time_guard_secs", Value::U64(opts.time_guard.as_secs())),
-        ("checkpoint_every", Value::U64(opts.checkpoint_every)),
-        ("fault_policy", Value::Str(opts.fault_policy.name().to_owned())),
-        ("eval_retries", Value::U64(u64::from(opts.eval_retries))),
-        ("eval_cache", Value::Bool(opts.eval_cache)),
+        ("format".to_owned(), Value::U64(u64::from(FORMAT_VERSION))),
+        ("version".to_owned(), Value::Str(VERSION.to_owned())),
     ];
-    if let Some(spec) = &opts.chaos {
-        fields.push(("chaos", Value::Str(spec.to_string())));
-    }
-    if let Some(seed) = opts.chaos_seed {
-        fields.push(("chaos_seed", Value::U64(seed)));
-    }
-    fields.push(("normalizer", normalizer.snapshot()));
-    Value::object(fields)
+    let Value::Object(options) = opts.to_value() else {
+        unreachable!("run options encode as an object")
+    };
+    fields.extend(options);
+    fields.push(("normalizer".to_owned(), normalizer.snapshot()));
+    Value::Object(fields)
 }
 
-/// Reads `eval_cache` as manifests and job specs carry it: a boolean,
-/// or, as builds that also sized a design memo wrote it, a capacity
-/// where 0 means off.
-pub(crate) fn eval_cache_flag(v: &Value) -> Result<bool, PersistError> {
-    match v {
-        Value::Bool(on) => Ok(*on),
-        other => Ok(other.as_u64()? > 0),
-    }
-}
+/// The option keys every manifest carries. The fault and chaos keys are
+/// optional because manifests written before fault containment lack
+/// them.
+const MANIFEST_REQUIRED: [&str; 9] = [
+    "algorithm",
+    "app",
+    "objectives",
+    "budget",
+    "population",
+    "seed",
+    "threads",
+    "time_guard_secs",
+    "checkpoint_every",
+];
 
 /// Rebuilds the run configuration (and the fitted normalizer) from a
 /// manifest, refusing manifests from an incompatible format version.
@@ -734,69 +718,11 @@ pub(crate) fn options_from_manifest(m: &Value) -> Result<(RunOptions, Normalizer
              format {FORMAT_VERSION}"
         )));
     }
-    let app_name = m.field("app")?.as_str()?;
-    let app = Benchmark::ALL
-        .into_iter()
-        .find(|b| b.name().eq_ignore_ascii_case(app_name))
-        .ok_or_else(|| fail(format!("manifest names unknown app '{app_name}'")))?;
-    let set = match m.field("objectives")?.as_u64()? {
-        3 => ObjectiveSet::Three,
-        4 => ObjectiveSet::Four,
-        5 => ObjectiveSet::Five,
-        other => return Err(fail(format!("manifest names unknown objective stack '{other}'"))),
-    };
-    let algorithm = Algorithm::parse(m.field("algorithm")?.as_str()?).map_err(fail)?;
-    // Fault/chaos fields are absent from manifests written before fault
-    // containment existed; default to the pre-containment behavior.
-    let fault_policy = match m.field_opt("fault_policy") {
-        Some(v) => FaultPolicy::parse(v.as_str()?).map_err(fail)?,
-        None => FaultPolicy::default(),
-    };
-    let eval_retries = match m.field_opt("eval_retries") {
-        Some(v) => {
-            let n = v.as_u64()?;
-            u32::try_from(n)
-                .map_err(|_| fail(format!("manifest eval_retries {n} exceeds {}", u32::MAX)))?
-        }
-        None => 0,
-    };
-    // Manifests written before the evaluation cache existed resume with
-    // today's default — results are bit-identical either way. A key
-    // `eval_delta` from earlier builds is ignored for the same reason.
-    let eval_cache = match m.field_opt("eval_cache") {
-        Some(v) => eval_cache_flag(v)?,
-        None => RunOptions::default().eval_cache,
-    };
-    let chaos = match m.field_opt("chaos") {
-        Some(v) => Some(ChaosSpec::parse(v.as_str()?).map_err(fail)?),
-        None => None,
-    };
-    let chaos_seed = match m.field_opt("chaos_seed") {
-        Some(v) => Some(v.as_u64()?),
-        None => None,
-    };
-    if chaos.is_some() && chaos_seed.is_none() {
-        // The same contradiction `--chaos` without `--chaos-seed` is on
-        // the command line: a configuration the user must fix (exit 2).
-        return Err(user_error("manifest configures --chaos but records no chaos seed"));
+    for key in MANIFEST_REQUIRED {
+        m.field(key)?;
     }
-    let opts = RunOptions {
-        app,
-        set,
-        algorithm,
-        budget: m.field("budget")?.as_u64()?,
-        population: m.field("population")?.as_usize()?,
-        seed: m.field("seed")?.as_u64()?,
-        threads: m.field("threads")?.as_usize()?,
-        time_guard: Duration::from_secs(m.field("time_guard_secs")?.as_u64()?),
-        checkpoint_every: m.field("checkpoint_every")?.as_u64()?,
-        fault_policy,
-        eval_retries,
-        eval_cache,
-        chaos,
-        chaos_seed,
-        ..Default::default()
-    };
+    let opts = RunOptions::from_value(m, RunOptions::default())
+        .map_err(|e| CliError::from(ArgsError { message: format!("manifest: {e}"), ..e }))?;
     let normalizer = Normalizer::restore(m.field("normalizer")?)?;
     if normalizer.len() != opts.set.count() {
         return Err(fail("manifest normalizer does not match the objective stack"));
@@ -965,17 +891,12 @@ pub(crate) fn run(opts: &RunOptions, hooks: &ExecHooks<'_>) -> Result<RunStatus,
         opts.budget,
         opts.seed
     ));
-    if let Some(spec) = &opts.chaos {
-        // The seed may legitimately be absent here (a hand-written job
-        // spec); `execute` turns that into the structured exit-2 error,
-        // so this log line must not assume it.
-        if let Some(chaos_seed) = opts.chaos_seed {
-            reporter.info(&format!(
-                "chaos injection: {spec} (chaos seed {chaos_seed}), fault policy {}, {} retries",
-                opts.fault_policy.name(),
-                opts.eval_retries
-            ));
-        }
+    if let (Some(spec), Some(chaos_seed)) = (&opts.chaos, opts.chaos_seed) {
+        reporter.info(&format!(
+            "chaos injection: {spec} (chaos seed {chaos_seed}), fault policy {}, {} retries",
+            opts.fault_policy.name(),
+            opts.eval_retries
+        ));
     }
     let run_store = match &opts.run_dir {
         Some(dir) => {
@@ -1046,21 +967,13 @@ pub(crate) fn resume(
     store.remove_stale_temps();
     let manifest = store.read_manifest()?;
     let (mut opts, normalizer) = options_from_manifest(&manifest)?;
-    if let Some(t) = overrides.threads {
-        opts.threads = t;
-    }
-    if let Some(e) = overrides.checkpoint_every {
-        if e == 0 {
-            return Err(fail("--checkpoint-every must be positive"));
-        }
-        opts.checkpoint_every = e;
-    }
+    opts.threads = overrides.threads.unwrap_or(opts.threads);
+    opts.checkpoint_every = overrides.checkpoint_every.unwrap_or(opts.checkpoint_every);
     opts.crash_after_checkpoints = overrides.crash_after_checkpoints;
     opts.run_dir = Some(dir.to_owned());
     opts.progress = overrides.progress;
-    if let Some(level) = overrides.log_level {
-        opts.log_level = level;
-    }
+    opts.log_level = overrides.log_level.unwrap_or(opts.log_level);
+    validate_run_options(&opts)?;
     let reporter = Reporter::new(opts.log_level);
 
     let checkpoints = store.checkpoints()?;
@@ -1159,44 +1072,35 @@ pub(crate) fn resume(
 mod tests {
     use super::*;
 
-    /// A current manifest with `key` set to `value` (added if absent).
-    fn manifest_with(key: &str, value: Value) -> Value {
+    /// The fields of a current manifest for the default options.
+    fn manifest_fields() -> Vec<(String, Value)> {
         let normalizer = Normalizer::fit(&[vec![0.0; 3], vec![1.0; 3]]);
-        let Value::Object(mut fields) = manifest_value(&RunOptions::default(), &normalizer) else {
+        let Value::Object(fields) = manifest_value(&RunOptions::default(), &normalizer) else {
             panic!("a manifest is an object")
         };
-        match fields.iter_mut().find(|(k, _)| k == key) {
-            Some((_, v)) => *v = value,
-            None => fields.push((key.to_owned(), value)),
-        }
-        Value::Object(fields)
+        fields
     }
 
-    /// An `eval_retries` beyond `u32` is refused, not truncated: 2^32
-    /// would otherwise resume with 0 retries.
+    /// Every manifest key the options need is required, and so are the
+    /// format and the normalizer: a manifest missing any is refused.
     #[test]
-    fn oversized_manifest_eval_retries_are_refused() {
-        let err = options_from_manifest(&manifest_with("eval_retries", Value::U64(1 << 32)))
-            .expect_err("2^32 retries do not fit");
-        assert!(err.message.contains("eval_retries"), "{}", err.message);
-        let (opts, _) =
-            options_from_manifest(&manifest_with("eval_retries", Value::U64(u64::from(u32::MAX))))
-                .expect("u32::MAX fits");
-        assert_eq!(opts.eval_retries, u32::MAX);
-    }
-
-    /// Manifests written by earlier builds carry `eval_cache` as a memo
-    /// capacity (0 = off) and a boolean `eval_delta`, which is ignored.
-    #[test]
-    fn manifests_from_earlier_builds_read_eval_cache_and_ignore_eval_delta() {
-        for (capacity, on) in [(4096, true), (1, true), (0, false)] {
-            let manifest = manifest_with("eval_cache", Value::U64(capacity));
-            let Value::Object(mut fields) = manifest else { unreachable!() };
-            fields.push(("eval_delta".to_owned(), Value::Bool(false)));
-            let (opts, _) = options_from_manifest(&Value::Object(fields)).expect("resumable");
-            assert_eq!(opts.eval_cache, on, "eval_cache {capacity}");
+    fn manifests_missing_a_required_key_are_refused() {
+        let fields = manifest_fields();
+        options_from_manifest(&Value::Object(fields.clone())).expect("the full manifest reads");
+        for (key, _) in &fields {
+            let mut fewer = fields.clone();
+            fewer.retain(|(k, _)| k != key);
+            let result = options_from_manifest(&Value::Object(fewer));
+            if ["version", "fault_policy", "eval_retries"].contains(&key.as_str()) {
+                result.unwrap_or_else(|e| panic!("{key} is optional: {}", e.message));
+            } else {
+                let err = result.expect_err(key);
+                assert!(err.message.contains(key.as_str()), "{key}: {}", err.message);
+            }
         }
-        let string = manifest_with("eval_cache", Value::Str("on".into()));
-        assert!(options_from_manifest(&string).is_err(), "a string is neither form");
+        let mut v1 = fields;
+        v1[0].1 = Value::U64(1);
+        let err = options_from_manifest(&Value::Object(v1)).expect_err("format 1");
+        assert!(err.message.contains("format 1"), "{}", err.message);
     }
 }

@@ -12,138 +12,47 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use moela_manycore::ObjectiveSet;
-use moela_moo::fault::FaultPolicy;
-use moela_moo::ChaosSpec;
 use moela_obs::LogLevel;
 use moela_persist::Value;
 use moela_serve::{
     JobContext, JobRunner, ReportBuilder, RunError, RunOutcome, ServeConfig, Server,
 };
-use moela_traffic::Benchmark;
 
-use crate::args::{self, Algorithm, RunOptions, ServeOptions};
+use crate::args::{self, RunOptions, ServeOptions};
 use crate::engine::{self, fail, CliError, ErrorClass, ExecHooks, ResumeOverrides, RunStatus};
 
-/// The spec keys a job submission may set; everything else is rejected
-/// so a typo (`"algorthm"`) fails loudly instead of running defaults.
-const SPEC_KEYS: [&str; 16] = [
-    "app",
-    "objectives",
-    "algorithm",
-    "budget",
-    "population",
-    "seed",
-    "threads",
-    "time_guard_secs",
-    "checkpoint_every",
-    "fault_policy",
-    "eval_retries",
-    "eval_cache",
-    "eval_delta",
-    "chaos",
-    "chaos_seed",
-    "timeout_s",
-];
-
-/// Translates a submission spec into [`RunOptions`]. Unknown keys are
-/// errors; absent keys take the same defaults as the `run` flags,
-/// except the checkpoint cadence which falls back to the server's
-/// `--checkpoint-every` so every served job is resumable.
-fn spec_to_options(spec: &Value, default_checkpoint_every: u64) -> Result<RunOptions, String> {
+/// Translates a submission spec into [`RunOptions`]. Keys beyond the run
+/// options and `timeout_s` are errors, so a typo (`"algorthm"`) fails
+/// loudly instead of running defaults. Absent keys take the same
+/// defaults as the `run` flags, except the checkpoint cadence, which
+/// falls back to the server's `--checkpoint-every` so every served job
+/// is resumable.
+pub(crate) fn spec_to_options(
+    spec: &Value,
+    default_checkpoint_every: u64,
+) -> Result<RunOptions, String> {
     let Value::Object(fields) = spec else {
         return Err("job spec must be a JSON object".into());
     };
     for (key, _) in fields {
-        if !SPEC_KEYS.contains(&key.as_str()) {
-            return Err(format!("unknown spec key '{key}' (accepted: {})", SPEC_KEYS.join(", ")));
+        if key != "timeout_s" && !args::OPTION_KEYS.contains(&key.as_str()) {
+            return Err(format!(
+                "unknown spec key '{key}' (accepted: {}, timeout_s)",
+                args::OPTION_KEYS.join(", ")
+            ));
         }
-    }
-    let mut opts = RunOptions { checkpoint_every: default_checkpoint_every, ..Default::default() };
-    let str_field = |name: &str| -> Result<Option<&str>, String> {
-        match spec.field_opt(name) {
-            Some(v) => {
-                v.as_str().map(Some).map_err(|_| format!("spec key '{name}' must be a string"))
-            }
-            None => Ok(None),
-        }
-    };
-    let u64_field = |name: &str| -> Result<Option<u64>, String> {
-        match spec.field_opt(name) {
-            Some(v) => v
-                .as_u64()
-                .map(Some)
-                .map_err(|_| format!("spec key '{name}' must be a non-negative integer")),
-            None => Ok(None),
-        }
-    };
-    if let Some(name) = str_field("app")? {
-        opts.app = Benchmark::ALL
-            .into_iter()
-            .find(|b| b.name().eq_ignore_ascii_case(name))
-            .ok_or_else(|| format!("unknown app '{name}'"))?;
-    }
-    if let Some(n) = u64_field("objectives")? {
-        opts.set = match n {
-            3 => ObjectiveSet::Three,
-            4 => ObjectiveSet::Four,
-            5 => ObjectiveSet::Five,
-            other => return Err(format!("objectives must be 3, 4, or 5 (got {other})")),
-        };
-    }
-    if let Some(name) = str_field("algorithm")? {
-        opts.algorithm = Algorithm::parse(name)?;
-    }
-    if let Some(n) = u64_field("budget")? {
-        opts.budget = n;
-    }
-    if let Some(n) = u64_field("population")? {
-        opts.population = n as usize;
-    }
-    if let Some(n) = u64_field("seed")? {
-        opts.seed = n;
-    }
-    if let Some(n) = u64_field("threads")? {
-        opts.threads = n as usize;
-    }
-    if let Some(n) = u64_field("time_guard_secs")? {
-        opts.time_guard = Duration::from_secs(n);
-    }
-    if let Some(n) = u64_field("checkpoint_every")? {
-        opts.checkpoint_every = n;
-    }
-    if let Some(name) = str_field("fault_policy")? {
-        opts.fault_policy = FaultPolicy::parse(name)?;
-    }
-    if let Some(n) = u64_field("eval_retries")? {
-        opts.eval_retries = u32::try_from(n)
-            .map_err(|_| format!("spec key 'eval_retries' must be at most {}", u32::MAX))?;
-    }
-    if let Some(v) = spec.field_opt("eval_cache") {
-        opts.eval_cache = engine::eval_cache_flag(v).map_err(|_| {
-            "spec key 'eval_cache' must be a boolean or a non-negative integer".to_owned()
-        })?;
-    }
-    // Specs written for earlier builds may carry `eval_delta`; its value
-    // never changed a result, so it is checked and ignored.
-    if let Some(v) = spec.field_opt("eval_delta") {
-        v.as_bool().map_err(|_| "spec key 'eval_delta' must be a boolean".to_owned())?;
-    }
-    if let Some(s) = str_field("chaos")? {
-        opts.chaos = Some(ChaosSpec::parse(s)?);
-    }
-    if let Some(n) = u64_field("chaos_seed")? {
-        opts.chaos_seed = Some(n);
     }
     // `timeout_s` is validated here (so submission rejects it loudly)
     // but enforced by the server's supervisor, not the run engine.
     timeout_from_spec(spec)?;
     // Served jobs log through job.json and events.jsonl, not the server's
     // stdout; interactive progress painting makes no sense here either.
-    opts.log_level = LogLevel::Quiet;
-    opts.progress = false;
-    args::validate_run_options(&opts).map_err(|e| e.message)?;
-    Ok(opts)
+    let base = RunOptions {
+        checkpoint_every: default_checkpoint_every,
+        log_level: LogLevel::Quiet,
+        ..Default::default()
+    };
+    RunOptions::from_value(spec, base).map_err(|e| e.message)
 }
 
 /// Extracts and validates the optional per-job wall-clock deadline. The
@@ -162,33 +71,6 @@ fn timeout_from_spec(spec: &Value) -> Result<Option<u64>, String> {
         }
         None => Ok(None),
     }
-}
-
-/// Renders the effective configuration back into a spec object. This is
-/// what gets persisted in `job.json`, so a restarted server re-derives
-/// the identical [`RunOptions`] without reparsing the client's input.
-fn normalized_spec(opts: &RunOptions) -> Value {
-    let mut fields = vec![
-        ("app", Value::Str(opts.app.name().to_owned())),
-        ("objectives", Value::U64(opts.set.count() as u64)),
-        ("algorithm", Value::Str(opts.algorithm.name().to_owned())),
-        ("budget", Value::U64(opts.budget)),
-        ("population", Value::U64(opts.population as u64)),
-        ("seed", Value::U64(opts.seed)),
-        ("threads", Value::U64(opts.threads as u64)),
-        ("time_guard_secs", Value::U64(opts.time_guard.as_secs())),
-        ("checkpoint_every", Value::U64(opts.checkpoint_every)),
-        ("fault_policy", Value::Str(opts.fault_policy.name().to_owned())),
-        ("eval_retries", Value::U64(u64::from(opts.eval_retries))),
-        ("eval_cache", Value::Bool(opts.eval_cache)),
-    ];
-    if let Some(spec) = &opts.chaos {
-        fields.push(("chaos", Value::Str(spec.to_string())));
-    }
-    if let Some(seed) = opts.chaos_seed {
-        fields.push(("chaos_seed", Value::U64(seed)));
-    }
-    Value::object(fields)
 }
 
 /// True when `dir` holds at least one *completed* checkpoint file
@@ -214,8 +96,9 @@ pub(crate) struct DseRunner {
 
 impl JobRunner for DseRunner {
     fn validate(&self, spec: &Value) -> Result<Value, String> {
-        let opts = spec_to_options(spec, self.default_checkpoint_every)?;
-        let mut normalized = normalized_spec(&opts);
+        // The effective configuration is what job.json keeps, so a
+        // restarted server re-derives the identical options.
+        let mut normalized = spec_to_options(spec, self.default_checkpoint_every)?.to_value();
         // The deadline is server-side state, not a RunOptions field, so
         // it must ride the normalized spec to survive in job.json.
         if let Some(secs) = timeout_from_spec(spec)? {
@@ -298,6 +181,7 @@ pub(crate) fn serve(opts: &ServeOptions) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::args::Algorithm;
 
     #[test]
     fn specs_reject_unknown_keys_and_bad_values() {
@@ -332,61 +216,8 @@ mod tests {
         assert_eq!(opts.population, RunOptions::default().population);
         assert_eq!(opts.log_level, LogLevel::Quiet);
 
-        let normalized = normalized_spec(&opts);
-        let reparsed = spec_to_options(&normalized, 1).expect("normalized specs revalidate");
+        let reparsed = spec_to_options(&opts.to_value(), 1).expect("normalized specs revalidate");
         assert_eq!(reparsed, opts, "normalization round-trips");
-
-        let spec = Value::object(vec![("eval_cache", Value::Bool(false))]);
-        let opts = spec_to_options(&spec, 1).expect("ok");
-        assert!(!opts.eval_cache, "eval_cache=false must parse");
-        let reparsed = spec_to_options(&normalized_spec(&opts), 1).expect("revalidates");
-        assert_eq!(reparsed, opts, "eval_cache survives normalization");
-    }
-
-    /// Specs written for earlier builds carry `eval_cache` as a memo
-    /// capacity and a boolean `eval_delta`: both still parse, the
-    /// capacity as on unless 0, and `eval_delta` is ignored.
-    #[test]
-    fn specs_from_earlier_builds_still_parse() {
-        for (capacity, on) in [(4096, true), (1, true), (0, false)] {
-            for delta in [true, false] {
-                let spec = Value::object(vec![
-                    ("eval_cache", Value::U64(capacity)),
-                    ("eval_delta", Value::Bool(delta)),
-                ]);
-                let opts = spec_to_options(&spec, 1).expect("an earlier spec parses");
-                let expected = RunOptions {
-                    eval_cache: on,
-                    ..spec_to_options(&Value::object(vec![]), 1).expect("ok")
-                };
-                assert_eq!(opts, expected, "eval_cache {capacity}, eval_delta {delta}");
-            }
-        }
-        let err = spec_to_options(&Value::object(vec![("eval_delta", Value::U64(1))]), 1)
-            .expect_err("non-boolean eval_delta");
-        assert!(err.contains("eval_delta"), "{err}");
-        let err = spec_to_options(&Value::object(vec![("eval_cache", Value::Str("on".into()))]), 1)
-            .expect_err("string eval_cache");
-        assert!(err.contains("eval_cache"), "{err}");
-    }
-
-    /// An `eval_retries` beyond `u32` is refused, not truncated: 2^32
-    /// would otherwise wrap to 0 retries and slip past the fail+retries
-    /// check.
-    #[test]
-    fn oversized_eval_retries_are_refused() {
-        let spec = Value::object(vec![
-            ("eval_retries", Value::U64(1 << 32)),
-            ("fault_policy", Value::Str("fail".into())),
-        ]);
-        let err = spec_to_options(&spec, 1).expect_err("2^32 retries do not fit");
-        assert!(err.contains("eval_retries"), "{err}");
-        let spec = Value::object(vec![
-            ("eval_retries", Value::U64(u64::from(u32::MAX))),
-            ("fault_policy", Value::Str("skip".into())),
-        ]);
-        let opts = spec_to_options(&spec, 1).expect("u32::MAX fits");
-        assert_eq!(opts.eval_retries, u32::MAX);
     }
 
     #[test]

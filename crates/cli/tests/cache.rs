@@ -1,14 +1,11 @@
-//! Evaluation-cache parity tests: routing-table reuse must be invisible
-//! in every deterministic artifact.
+//! Routing-reuse tests at the CLI surface.
 //!
-//! The contract under test is `--eval-cache` (on by default):
+//! Reuse is always on; that it is invisible in every deterministic
+//! artifact is pinned bit for bit by `crates/manycore/tests/eval_cache.rs`.
+//! Here:
 //!
-//! * for every optimizer, `trace.csv` and `front.csv` are byte-identical
-//!   with the cache on and off, at 1 and 4 threads;
-//! * the same holds under `--chaos` fault injection;
 //! * `metrics.json` reports the routing-reuse counters;
-//! * kill + resume round-trips the flag through the manifest, and a
-//!   manifest written by an earlier build (a memo capacity and an
+//! * a manifest written by an earlier build (a memo capacity and an
 //!   `eval_delta` key) still resumes byte for byte.
 
 use std::fs;
@@ -64,67 +61,6 @@ fn run_algorithm(algorithm: &str, dir: &Path, extra: &[&str]) {
     );
 }
 
-/// Runs `algorithm` with `extra` cells on top of the cache-off baseline
-/// and asserts the deterministic artifacts never move by a byte.
-fn assert_cache_is_invisible(algorithm: &str, chaos: &[&str]) {
-    let baseline = scratch(&format!("{algorithm}-baseline"));
-    let mut off = vec!["--eval-cache", "off", "--threads", "1"];
-    off.extend_from_slice(chaos);
-    run_algorithm(algorithm, &baseline, &off);
-    let reference = (read(&baseline.join("trace.csv")), read(&baseline.join("front.csv")));
-    let _ = fs::remove_dir_all(&baseline);
-
-    let cells: [&[&str]; 2] = [&["--threads", "1"], &["--eval-cache", "on", "--threads", "4"]];
-    for (i, cell) in cells.iter().enumerate() {
-        let dir = scratch(&format!("{algorithm}-cell{i}"));
-        let mut args = cell.to_vec();
-        args.extend_from_slice(chaos);
-        run_algorithm(algorithm, &dir, &args);
-        let artifacts = (read(&dir.join("trace.csv")), read(&dir.join("front.csv")));
-        assert_eq!(
-            reference, artifacts,
-            "{algorithm}: artifacts with cache cell {cell:?} differ from the cache-off baseline"
-        );
-        let _ = fs::remove_dir_all(&dir);
-    }
-}
-
-macro_rules! parity_tests {
-    ($($name:ident: $algorithm:literal;)*) => {$(
-        #[test]
-        fn $name() {
-            assert_cache_is_invisible($algorithm, &[]);
-        }
-    )*};
-}
-
-parity_tests! {
-    moela_artifacts_identical_with_cache_on_or_off: "moela";
-    moead_artifacts_identical_with_cache_on_or_off: "moead";
-    moos_artifacts_identical_with_cache_on_or_off: "moos";
-    moo_stage_artifacts_identical_with_cache_on_or_off: "moo-stage";
-    nsga2_artifacts_identical_with_cache_on_or_off: "nsga2";
-    random_artifacts_identical_with_cache_on_or_off: "random";
-}
-
-/// Under chaos the fault stream is keyed by evaluation ordinal alone, so
-/// the artifacts still match the cache-off chaotic run.
-#[test]
-fn chaotic_artifacts_identical_with_cache_on_or_off() {
-    let chaos = [
-        "--chaos",
-        "panic=0.03,nan=0.03,arity=0.02",
-        "--chaos-seed",
-        "41",
-        "--fault-policy",
-        "penalize-worst",
-        "--eval-retries",
-        "1",
-    ];
-    assert_cache_is_invisible("moela", &chaos);
-    assert_cache_is_invisible("nsga2", &chaos);
-}
-
 /// Pulls the `"cache":{...}` object out of a metrics.json body. The
 /// object holds only flat counters, so it ends at the first `}`.
 fn cache_object(metrics: &str) -> &str {
@@ -145,7 +81,7 @@ fn metrics_report_cache_and_routing_counters() {
     run_algorithm("moela", &dir, &[]);
     let metrics = String::from_utf8(read(&dir.join("metrics.json"))).expect("utf-8 metrics");
     let cache = cache_object(&metrics);
-    assert!(cache.contains("\"enabled\":true"), "default runs cache: {cache}");
+    assert!(!cache.contains("\"enabled\""), "reuse is always on: {cache}");
     assert!(counter_in(cache, "routing_hits") > 0, "placement moves reuse tables: {cache}");
     for gone in ["\"capacity\"", "\"hits\"", "\"misses\"", "\"evictions\""] {
         assert!(!cache.contains(gone), "the memo field {gone} is gone: {cache}");
@@ -155,14 +91,6 @@ fn metrics_report_cache_and_routing_counters() {
         counter_in(cache, "routing_rebuilds") > 0,
         "at least one routing table is built: {cache}"
     );
-    let _ = fs::remove_dir_all(&dir);
-
-    let dir = scratch("metrics-off");
-    run_algorithm("moela", &dir, &["--eval-cache", "off"]);
-    let metrics = String::from_utf8(read(&dir.join("metrics.json"))).expect("utf-8 metrics");
-    let cache = cache_object(&metrics);
-    assert!(cache.contains("\"enabled\":false"), "--eval-cache off is recorded: {cache}");
-    assert_eq!(counter_in(cache, "routing_hits"), 0, "off disables routing reuse: {cache}");
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -186,24 +114,6 @@ fn assert_resumes_to(full: &Path, crashed: &Path, what: &str) {
     }
 }
 
-/// Resume round-trips `--eval-cache` through the manifest, and a run
-/// resumed with caching still matches the golden uninterrupted output.
-#[test]
-fn crash_resume_with_cache_is_bit_identical() {
-    let full = scratch("resume-full");
-    run_algorithm("moela", &full, &[]);
-
-    let crashed = scratch("resume-crashed");
-    crash_after_one_checkpoint(&crashed);
-    let manifest = String::from_utf8(read(&crashed.join("manifest.json"))).expect("utf-8");
-    assert!(manifest.contains("\"eval_cache\":true"), "manifest records the flag: {manifest}");
-    assert!(!manifest.contains("eval_delta"), "no eval_delta is written: {manifest}");
-
-    assert_resumes_to(&full, &crashed, "with the cache enabled");
-    let _ = fs::remove_dir_all(&full);
-    let _ = fs::remove_dir_all(&crashed);
-}
-
 /// A format-2 run directory written by an earlier build — its manifest
 /// sizes a design memo (`"eval_cache":4096`) and carries
 /// `"eval_delta":false` — still resumes byte-identical to an
@@ -217,9 +127,15 @@ fn crash_resume_of_an_earlier_manifest_is_bit_identical() {
     crash_after_one_checkpoint(&crashed);
     let path = crashed.join("manifest.json");
     let manifest = String::from_utf8(read(&path)).expect("utf-8");
-    let earlier =
-        manifest.replacen("\"eval_cache\":true", "\"eval_cache\":4096,\"eval_delta\":false", 1);
-    assert_ne!(earlier, manifest, "the manifest carries eval_cache: {manifest}");
+    for retired in ["eval_cache", "eval_delta"] {
+        assert!(!manifest.contains(retired), "{retired} is no longer written: {manifest}");
+    }
+    let earlier = manifest.replacen(
+        "\"eval_retries\":0,",
+        "\"eval_retries\":0,\"eval_cache\":4096,\"eval_delta\":false,",
+        1,
+    );
+    assert_ne!(earlier, manifest, "the manifest carries eval_retries: {manifest}");
     fs::write(&path, earlier).expect("rewrite the manifest");
 
     assert_resumes_to(&full, &crashed, "from an earlier build's manifest");

@@ -347,16 +347,44 @@ fn clean_runs_print_no_health_line_but_chaotic_runs_do() {
     assert!(stdout.contains("chaos injection:"), "chaotic run announces chaos: {stdout}");
 }
 
+/// Doctored manifests on a resumable nsga2 run directory: each edit is
+/// one the flags would refuse, arriving through the path the flag parser
+/// never sees. Each row is `(what, from, to, exit code, field named)`.
+const HOSTILE_MANIFESTS: [(&str, &str, &str, i32, &str); 8] = [
+    ("chaos without its seed", "\"chaos_seed\":41,", "", 2, "chaos"),
+    ("population 0", "\"population\":8,", "\"population\":0,", 1, "population"),
+    ("population 1", "\"population\":8,", "\"population\":1,", 1, "population"),
+    ("budget 0", "\"budget\":120,", "\"budget\":0,", 1, "budget"),
+    (
+        "checkpoint_every 0",
+        "\"checkpoint_every\":1,",
+        "\"checkpoint_every\":0,",
+        1,
+        "checkpoint-every",
+    ),
+    (
+        "fail with retries",
+        "\"fault_policy\":\"penalize-worst\",\"eval_retries\":1,",
+        "\"fault_policy\":\"fail\",\"eval_retries\":3,",
+        2,
+        "eval-retries",
+    ),
+    ("a seed without chaos", "\"chaos\":\"nan=0.05\",", "", 2, "chaos-seed"),
+    (
+        "non-boolean eval_delta",
+        "\"normalizer\":",
+        "\"eval_delta\":1,\"normalizer\":",
+        1,
+        "eval_delta",
+    ),
+];
+
 #[test]
-fn manifest_with_chaos_but_no_seed_exits_2_without_panicking() {
-    // A resumable chaotic run directory, then a doctored manifest that
-    // configures chaos without recording its seed — the same
-    // contradiction `--chaos` without `--chaos-seed` is on the command
-    // line, arriving through the bypass path the flag parser never sees.
-    let dir = scratch("manifest-no-seed");
+fn hostile_manifests_exit_with_a_message_without_panicking() {
+    let dir = scratch("hostile-manifests");
     let dir_str = dir.to_str().expect("utf-8 path");
     let out = moela_dse(&chaos_args(
-        "random",
+        "nsga2",
         "nan=0.05",
         "1",
         dir_str,
@@ -365,19 +393,16 @@ fn manifest_with_chaos_but_no_seed_exits_2_without_panicking() {
     assert!(!out.status.success(), "crash injection must abort the process");
 
     let manifest = dir.join("manifest.json");
-    let text = String::from_utf8(read(&manifest)).expect("manifest is UTF-8");
-    assert!(text.contains("\"chaos_seed\":41,"), "chaos_seed field moved? {text}");
-    fs::write(&manifest, text.replace("\"chaos_seed\":41,", "")).expect("rewrite manifest");
-
-    let out = moela_dse(&["resume", dir_str]);
-    let stderr = stderr_of(&out);
-    assert_eq!(
-        out.status.code(),
-        Some(2),
-        "a chaos manifest without a seed is a user error (exit 2), stderr: {stderr}"
-    );
-    assert!(stderr.contains("error:"), "expected a structured diagnostic, got: {stderr}");
-    assert!(stderr.contains("chaos"), "the diagnostic names the contradiction: {stderr}");
-    assert!(!stderr.contains("panicked"), "the process must not panic: {stderr}");
+    let original = String::from_utf8(read(&manifest)).expect("manifest is UTF-8");
+    for (what, from, to, code, field) in HOSTILE_MANIFESTS {
+        assert!(original.contains(from), "{what}: manifest lacks {from}: {original}");
+        fs::write(&manifest, original.replacen(from, to, 1)).expect("rewrite manifest");
+        let out = moela_dse(&["resume", dir_str]);
+        let stderr = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(code), "{what}: stderr: {stderr}");
+        assert!(stderr.contains("error:"), "{what}: expected a structured diagnostic: {stderr}");
+        assert!(stderr.contains(field), "{what}: the diagnostic names {field}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{what}: the process must not panic: {stderr}");
+    }
     let _ = fs::remove_dir_all(&dir);
 }

@@ -180,7 +180,7 @@ fn metrics_json_reports_phases_throughput_and_faults() {
         "\"phv_per_generation\":",
         "\"faults\":",
         "\"resume\":",
-        "\"cache\":{\"enabled\":true",
+        "\"cache\":{\"routing_rebuilds\":",
         "\"routing_rebuilds\":",
         "\"routing_hits\":",
         "\"checkpoint_snapshot\":",

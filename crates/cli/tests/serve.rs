@@ -416,3 +416,30 @@ fn graceful_drain_parks_jobs_and_restart_finishes_them() {
     let _ = fs::remove_dir_all(&reference);
     let _ = fs::remove_dir_all(&root);
 }
+
+/// A queued job whose `job.json` was written by an earlier build, with
+/// the retired `"eval_cache":true` in its normalized spec, still runs
+/// when a restarted server rediscovers it, and matches the CLI run.
+#[test]
+fn an_earlier_job_json_with_eval_cache_restores_on_restart() {
+    let reference = reference_run("ref-earlier-job");
+    let root = scratch("root-earlier-job");
+    let job_dir = root.join("job-000000");
+    fs::create_dir_all(&job_dir).expect("create the job dir");
+    let job_json = format!(
+        "{{\"format\":2,\"id\":\"job-000000\",\"seq\":0,\"state\":\"queued\",\"attempts\":0,\
+         \"spec\":{{\"app\":\"BFS\",\"objectives\":3,\"algorithm\":\"{ALGORITHM}\",\
+         \"budget\":{BUDGET},\"population\":{POPULATION},\"seed\":{SEED},\"threads\":1,\
+         \"time_guard_secs\":600,\"checkpoint_every\":1,\"fault_policy\":\"fail\",\
+         \"eval_retries\":0,\"eval_cache\":true,\"chaos\":\"{CHAOS}\",\
+         \"chaos_seed\":{CHAOS_SEED}}},\"history\":[]}}"
+    );
+    fs::write(job_dir.join("job.json"), job_json).expect("write job.json");
+
+    let server = ServerProc::start("earlier-job", &root, 1, 4);
+    wait_for_state(&server.addr, "job-000000", "done", Duration::from_secs(120));
+    assert_artifacts_match(&reference, &job_dir, "restoring an earlier job.json");
+    server.shutdown();
+    let _ = fs::remove_dir_all(&reference);
+    let _ = fs::remove_dir_all(&root);
+}
