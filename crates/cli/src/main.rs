@@ -12,6 +12,8 @@
 mod analysis;
 mod args;
 mod engine;
+#[cfg(test)]
+mod hostile_options;
 mod serve_cmd;
 
 use std::process::ExitCode;
