@@ -5,9 +5,11 @@
 //! defined by uniformly spread weight vectors, Tchebycheff scalarization
 //! against a running reference point, mating restricted to weight-space
 //! neighborhoods with probability `δ`, and bounded replacement (`n_r`).
-//! MOELA's EA step is intentionally the same machinery — the paper's
-//! contribution is what it *adds* (the ML-guided local search), so sharing
-//! the update semantics makes the comparison fair.
+//! MOELA's EA step is the same machinery, literally: both run
+//! [`Population::evolve`] over a [`Population`]. The paper's contribution
+//! is what MOELA *adds* (the ML-guided local search), so sharing the
+//! engine makes the comparison fair. MOEA/D visits the sub-problems in a
+//! fresh shuffled order each generation; MOELA in slot order.
 //!
 //! Like every optimizer in the workspace, the run loop is exposed as a
 //! checkpointable state machine ([`MoeadState`], one step per generation).
@@ -16,17 +18,14 @@ use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, RngCore};
+use rand::RngCore;
 
 use moela_moo::checkpoint::{run_to_end, Resumable, RunCtx};
-use moela_moo::fault::{is_quarantined, FaultConfig};
-use moela_moo::normalize::Normalizer;
+use moela_moo::decomposition::Population;
+use moela_moo::fault::FaultConfig;
 use moela_moo::run::RunResult;
-use moela_moo::scalarize::{ReferencePoint, Scalarizer};
-use moela_moo::snapshot::{entries_from_value, entries_to_value};
-use moela_moo::weights::{neighborhoods, uniform_weights};
 use moela_moo::Problem;
-use moela_persist::{PersistError, Restore, Snapshot, SolutionCodec, Value};
+use moela_persist::{PersistError, SolutionCodec, Value};
 
 /// MOEA/D parameters.
 #[derive(Clone, Debug, PartialEq)]
@@ -132,48 +131,17 @@ where
     /// as a steppable state machine.
     pub fn start(&self, rng: &mut dyn RngCore) -> MoeadState<'p, P> {
         let cfg = self.config.clone();
-        let m = self.problem.objective_count();
         let mut ctx = RunCtx::new(
             cfg.threads,
             cfg.fault,
             cfg.trace_normalizer.as_ref(),
-            m,
+            self.problem.objective_count(),
             cfg.max_evaluations,
             cfg.time_budget,
         );
-
-        let weights = uniform_weights(cfg.population, m);
-        let nbhd = neighborhoods(&weights, cfg.neighborhood);
-        let mut z = ReferencePoint::new(m);
-        let mut normalizer = Normalizer::new(m);
-        let solutions: Vec<P::Solution> =
-            (0..cfg.population).map(|_| self.problem.random_solution(rng)).collect();
-        // Dropped initial slots are materialized as penalty vectors — every
-        // sub-problem keeps a member, but the quarantined ones never feed
-        // the reference point, normalizer, or trace.
-        let objectives = ctx.evaluate(self.problem, &solutions).materialized(m);
-        for o in &objectives {
-            if is_quarantined(o) {
-                continue;
-            }
-            z.update(o);
-            normalizer.observe(o);
-            ctx.recorder.observe(o);
-        }
-        ctx.record(0, &objectives);
-
-        MoeadState {
-            config: cfg,
-            problem: self.problem,
-            ctx,
-            weights,
-            nbhd,
-            z,
-            normalizer,
-            solutions,
-            objectives,
-            generation: 0,
-        }
+        let population =
+            Population::random(self.problem, &mut ctx, cfg.population, cfg.neighborhood, rng);
+        MoeadState { config: cfg, problem: self.problem, ctx, population, generation: 0 }
     }
 
     /// Rebuilds a mid-run state from a [`MoeadState::snapshot_state`]
@@ -186,23 +154,7 @@ where
     ) -> Result<MoeadState<'p, P>, PersistError> {
         let cfg = self.config.clone();
         let m = self.problem.objective_count();
-        let entries = entries_from_value(value.field("population")?, codec)?;
-        if entries.len() != cfg.population {
-            return Err(PersistError::schema("checkpointed population size mismatch"));
-        }
-        if entries.iter().any(|(_, o)| o.len() != m) {
-            return Err(PersistError::schema("checkpointed objective dimensionality mismatch"));
-        }
-        let (solutions, objectives): (Vec<_>, Vec<_>) = entries.into_iter().unzip();
-        let z = ReferencePoint::restore(value.field("z")?)?;
-        let normalizer = Normalizer::restore(value.field("normalizer")?)?;
-        if z.len() != m || normalizer.len() != m {
-            return Err(PersistError::schema(
-                "checkpointed reference/normalizer dimension mismatch",
-            ));
-        }
-        let weights = uniform_weights(cfg.population, m);
-        let nbhd = neighborhoods(&weights, cfg.neighborhood);
+        let population = Population::restore(value, codec, cfg.population, m, cfg.neighborhood)?;
         Ok(MoeadState {
             ctx: RunCtx::restore(
                 value,
@@ -214,12 +166,7 @@ where
             )?,
             config: cfg,
             problem: self.problem,
-            weights,
-            nbhd,
-            z,
-            normalizer,
-            solutions,
-            objectives,
+            population,
             generation: value.field("generation")?.as_usize()?,
         })
     }
@@ -231,12 +178,7 @@ pub struct MoeadState<'p, P: Problem> {
     config: MoeadConfig,
     problem: &'p P,
     ctx: RunCtx,
-    weights: Vec<Vec<f64>>,
-    nbhd: Vec<Vec<usize>>,
-    z: ReferencePoint,
-    normalizer: Normalizer,
-    solutions: Vec<P::Solution>,
-    objectives: Vec<Vec<f64>>,
+    population: Population<P::Solution>,
     generation: usize,
 }
 
@@ -275,78 +217,19 @@ where
         order.shuffle(rng);
         order.truncate(self.ctx.remaining().min(cfg.population as u64) as usize);
         let partial = order.len() < cfg.population;
-
-        let mut children: Vec<P::Solution> = Vec::with_capacity(order.len());
-        let mut pools: Vec<Vec<usize>> = Vec::with_capacity(order.len());
-        let mate_span = self.ctx.obs.span("mate");
-        for &i in &order {
-            let whole: Vec<usize>;
-            let pool: &[usize] = if rng.gen_bool(cfg.delta) {
-                &self.nbhd[i]
-            } else {
-                whole = (0..cfg.population).collect();
-                &whole
-            };
-            let pa = pool[rng.gen_range(0..pool.len())];
-            let child = if pool.len() < 2 {
-                // A one-element pool cannot supply a distinct second
-                // parent; mutate instead of self-mating.
-                self.problem.neighbor(&self.solutions[pa], rng)
-            } else {
-                let mut pb = pool[rng.gen_range(0..pool.len())];
-                if pb == pa {
-                    pb = pool[(pool.iter().position(|&x| x == pa).expect("pa in pool") + 1)
-                        % pool.len()];
-                }
-                self.problem.crossover(&self.solutions[pa], &self.solutions[pb], rng)
-            };
-            children.push(child);
-            pools.push(pool.to_vec());
-        }
-        drop(mate_span);
-
-        let batch = self.ctx.evaluate(self.problem, &children);
-        if self.ctx.poisoned() {
+        if !self.population.evolve(
+            self.problem,
+            &mut self.ctx,
+            &order,
+            cfg.delta,
+            cfg.max_replacements,
+            rng,
+        ) {
             return false;
         }
-        let select_span = self.ctx.obs.span("select");
-        let mut ea_improvements = 0u64;
-        for ((child, child_objs), pool) in children.iter().zip(&batch.objectives).zip(&pools) {
-            let Some(child_objs) = child_objs else { continue };
-            if is_quarantined(child_objs) {
-                continue;
-            }
-            self.z.update(child_objs);
-            self.normalizer.observe(child_objs);
-            self.ctx.recorder.observe(child_objs);
-
-            let g = |objs: &[f64], w: &[f64]| {
-                Scalarizer::Tchebycheff.value(
-                    &self.normalizer.normalize(objs),
-                    w,
-                    &self.normalizer.normalize(self.z.values()),
-                )
-            };
-            let mut replaced = 0;
-            for &j in pool {
-                if replaced >= cfg.max_replacements {
-                    break;
-                }
-                if g(child_objs, &self.weights[j]) < g(&self.objectives[j], &self.weights[j]) {
-                    self.solutions[j] = child.clone();
-                    self.objectives[j] = child_objs.clone();
-                    replaced += 1;
-                }
-            }
-            ea_improvements += replaced as u64;
-        }
-        if ea_improvements > 0 {
-            self.ctx.obs.counter(moela_obs::names::EA_IMPROVEMENTS, ea_improvements);
-        }
-        drop(select_span);
         {
             let _archive = self.ctx.obs.span("archive_update");
-            self.ctx.record(generation + 1, &self.objectives);
+            self.ctx.record(generation + 1, &self.population.objective_vectors());
         }
         self.generation = generation + 1;
         self.ctx.report_step();
@@ -358,20 +241,14 @@ where
     }
 
     fn snapshot_state(&self, codec: &C) -> Value {
-        let entries: Vec<(P::Solution, Vec<f64>)> =
-            self.solutions.iter().cloned().zip(self.objectives.iter().cloned()).collect();
         self.ctx.snapshot(
             vec![("generation", Value::U64(self.generation as u64))],
-            vec![
-                ("population", entries_to_value(&entries, codec)),
-                ("z", self.z.snapshot()),
-                ("normalizer", self.normalizer.snapshot()),
-            ],
+            self.population.snapshot(codec),
         )
     }
 
     fn finish(self) -> RunResult<P::Solution> {
-        self.ctx.into_result(self.solutions.into_iter().zip(self.objectives).collect())
+        self.ctx.into_result(self.population.into_entries())
     }
 }
 
@@ -601,6 +478,10 @@ mod tests {
             MoeadConfig { population: 12, neighborhood: 4, generations: 3, ..Default::default() },
             &problem,
         );
-        assert!(other.restore(&VecF64Codec, &snap, Duration::ZERO).is_err());
+        let err = other.restore(&VecF64Codec, &snap, Duration::ZERO).expect_err("size mismatch");
+        assert!(
+            err.to_string().contains("population has 8 members, the configuration 12"),
+            "{err}"
+        );
     }
 }

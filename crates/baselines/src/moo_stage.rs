@@ -35,7 +35,7 @@ use moela_moo::snapshot::{archive_from_value, archive_to_value};
 use moela_moo::Problem;
 use moela_persist::{PersistError, Restore, Snapshot, SolutionCodec, Value};
 
-use crate::common::normalized_phv;
+use crate::common::{normalized_phv, PATIENCE};
 
 /// MOO-STAGE parameters.
 #[derive(Clone, Debug, PartialEq)]
@@ -262,7 +262,6 @@ where
         // --- Base search: PHV-greedy hill climb ---------------------
         let ls_span = self.ctx.obs.span("local_search");
         let mut ls_improvements = 0u64;
-        const PATIENCE: usize = 3;
         let mut current = self.start.clone();
         let mut current_phv = normalized_phv(&self.archive.objectives(), &self.normalizer);
         let mut trajectory: Vec<Vec<f64>> = vec![self.problem.features(&current)];

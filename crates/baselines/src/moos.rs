@@ -29,6 +29,7 @@ use moela_ml::{Dataset, ForestConfig, Surrogate, MIN_FIT_ROWS};
 use moela_moo::archive::ParetoArchive;
 use moela_moo::checkpoint::{run_to_end, Resumable, RunCtx};
 use moela_moo::fault::{is_quarantined, penalty_objectives, FaultConfig};
+use moela_moo::local_search::greedy_descent;
 use moela_moo::normalize::Normalizer;
 use moela_moo::run::RunResult;
 use moela_moo::scalarize::ReferencePoint;
@@ -37,7 +38,7 @@ use moela_moo::weights::uniform_weights;
 use moela_moo::Problem;
 use moela_persist::{PersistError, Restore, Snapshot, SolutionCodec, Value};
 
-use crate::common::{normalized_phv, weighted_descent};
+use crate::common::{descent_budget, normalized_phv};
 
 /// MOOS parameters.
 #[derive(Clone, Debug, PartialEq)]
@@ -353,27 +354,26 @@ where
         // --- Episode: descend and archive ---------------------------
         let phv_before = normalized_phv(&self.archive.objectives(), &self.normalizer);
         let ls_span = self.ctx.obs.span("local_search");
-        let (accepted, spent) = weighted_descent(
+        let descent = greedy_descent(
             self.problem,
             &start,
             &start_objs,
             &weight,
             self.z.values(),
             &self.normalizer,
-            cfg.ls_max_steps,
-            cfg.ls_neighbors_per_step,
+            descent_budget(cfg.ls_max_steps, cfg.ls_neighbors_per_step),
             &mut self.ctx.evaluator,
             rng,
         );
         drop(ls_span);
-        self.ctx.charge(spent);
+        self.ctx.charge(descent.evaluations);
         if self.ctx.poisoned() {
             return false;
         }
         {
             let _archive = self.ctx.obs.span("archive_update");
             let mut ls_improvements = 0u64;
-            for (s, o) in accepted {
+            for (s, o) in descent.accepted {
                 self.z.update(&o);
                 self.normalizer.observe(&o);
                 self.ctx.recorder.observe(&o);

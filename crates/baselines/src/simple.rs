@@ -10,6 +10,7 @@ use rand::{Rng, RngCore};
 use moela_moo::archive::ParetoArchive;
 use moela_moo::checkpoint::{run_to_end, Resumable, RunCtx};
 use moela_moo::fault::{is_quarantined, FaultConfig};
+use moela_moo::local_search::greedy_descent;
 use moela_moo::normalize::Normalizer;
 use moela_moo::run::{RunResult, TraceRecorder};
 use moela_moo::scalarize::ReferencePoint;
@@ -18,7 +19,7 @@ use moela_moo::weights::uniform_weights;
 use moela_moo::{GuardedEvaluator, Problem};
 use moela_persist::{PersistError, SolutionCodec, Value};
 
-use crate::common::weighted_descent;
+use crate::common::descent_budget;
 
 /// Uniform random search: draw designs, keep the Pareto archive.
 #[derive(Clone, Debug, PartialEq)]
@@ -324,19 +325,18 @@ where
             archive.insert(start.clone(), start_objs.clone());
 
             let weight = &directions[restart % directions.len()];
-            let (accepted, spent) = weighted_descent(
+            let descent = greedy_descent(
                 problem,
                 &start,
                 &start_objs,
                 weight,
                 z.values(),
                 &normalizer,
-                config.ls_max_steps,
-                config.ls_neighbors_per_step,
+                descent_budget(config.ls_max_steps, config.ls_neighbors_per_step),
                 &mut evaluator,
                 rng,
             );
-            evaluations += spent;
+            evaluations += descent.evaluations;
             if evaluator.poisoned() {
                 recorder.record(
                     restart + 1,
@@ -346,7 +346,7 @@ where
                 );
                 break;
             }
-            for (s, o) in accepted {
+            for (s, o) in descent.accepted {
                 z.update(&o);
                 normalizer.observe(&o);
                 recorder.observe(&o);

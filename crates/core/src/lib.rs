@@ -11,14 +11,16 @@
 //!
 //! * [`MoelaConfig`] — Algorithm 1's inputs (`N`, `gen`, `iter_early`,
 //!   `n_local`, `δ`, `|S_train|` cap) plus practical budgets;
-//! * [`population::Population`] — the decomposition population with
-//!   Das–Dennis weights, Tchebycheff neighborhoods, and the eq. (10)
-//!   update;
-//! * [`local_search::greedy_descent`] — the eq. (8) weighted-sum descent
-//!   whose trajectories feed the learned evaluation function;
 //! * [`Moela`] — the full loop: ML-guided start selection (Algorithm 2,
 //!   via a [`moela_ml::RandomForest`]), local search, `Eval` retraining,
 //!   and the decomposition EA step.
+//!
+//! The machinery it shares with the baselines lives in `moela-moo`: the
+//! decomposition population with its eq. (10) update and EA pass
+//! ([`moela_moo::decomposition::Population`], the same engine the MOEA/D
+//! baseline runs), and the eq. (8) weighted-sum descent
+//! ([`moela_moo::local_search::greedy_descent`]) whose accepted states
+//! become the trajectories that feed the learned evaluation function.
 //!
 //! # Example
 //!
@@ -41,9 +43,7 @@
 //! ```
 
 pub mod config;
-pub mod local_search;
 pub mod moela;
-pub mod population;
 
 pub use config::{BuildConfigError, MoelaConfig, MoelaConfigBuilder};
 pub use moela::{Moela, MoelaOutcome};

@@ -21,21 +21,18 @@ use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, RngCore};
+use rand::RngCore;
 
 use moela_ml::{Dataset, RandomForest, Surrogate, MIN_FIT_ROWS};
 use moela_moo::checkpoint::{run_to_end, Resumable, RunCtx};
-use moela_moo::fault::is_quarantined;
-use moela_moo::normalize::Normalizer;
+use moela_moo::decomposition::Population;
+use moela_moo::local_search::{greedy_descent, LocalSearchBudget};
 use moela_moo::run::RunResult;
-use moela_moo::scalarize::{ReferencePoint, Scalarizer};
-use moela_moo::snapshot::entries_from_value;
+use moela_moo::scalarize::Scalarizer;
 use moela_moo::Problem;
 use moela_persist::{PersistError, Restore, Snapshot, SolutionCodec, Value};
 
 use crate::config::MoelaConfig;
-use crate::local_search::{greedy_descent, LocalSearchBudget};
-use crate::population::{Individual, Population};
 
 /// The outcome of a MOELA run: the final population, the anytime-PHV
 /// trace, and budget accounting. See [`RunResult`].
@@ -99,42 +96,22 @@ where
     /// trace point) and returns it as a steppable state machine.
     pub fn start(&self, rng: &mut dyn RngCore) -> MoelaState<'p, P> {
         let cfg = self.config.clone();
-        let m = self.problem.objective_count();
         let mut ctx = RunCtx::new(
             cfg.threads,
             cfg.fault,
             cfg.trace_normalizer.as_ref(),
-            m,
+            self.problem.objective_count(),
             cfg.max_evaluations,
             cfg.time_budget,
         );
-
-        // Initialization: N random designs, one per weight vector, drawn
-        // sequentially and evaluated as one batch. The population
-        // structurally needs one objective vector per weight slot, so
-        // dropped candidates are materialized as penalty vectors (they are
-        // retired by selection pressure and never reach front or scale).
-        let candidates: Vec<P::Solution> =
-            (0..cfg.population).map(|_| self.problem.random_solution(rng)).collect();
-        let objective_batch = ctx.evaluate(self.problem, &candidates).materialized(m);
-        let individuals: Vec<Individual<P::Solution>> = candidates
-            .into_iter()
-            .zip(objective_batch)
-            .map(|(solution, objectives)| {
-                ctx.recorder.observe(&objectives);
-                Individual { solution, objectives }
-            })
-            .collect();
-        let population = Population::new(individuals, m, cfg.neighborhood);
-        let train = Dataset::with_capacity(cfg.train_cap);
-        ctx.record(0, &population.objective_vectors());
-
+        let population =
+            Population::random(self.problem, &mut ctx, cfg.population, cfg.neighborhood, rng);
         MoelaState {
+            train: Dataset::with_capacity(cfg.train_cap),
             config: cfg,
             problem: self.problem,
             ctx,
             population,
-            train,
             eval_fn: Surrogate::default(),
             recent_starts: Vec::new(),
             generation: 0,
@@ -154,29 +131,7 @@ where
     ) -> Result<MoelaState<'p, P>, PersistError> {
         let cfg = self.config.clone();
         let m = self.problem.objective_count();
-        let individuals: Vec<Individual<P::Solution>> =
-            entries_from_value(value.field("population")?, codec)?
-                .into_iter()
-                .map(|(solution, objectives)| Individual { solution, objectives })
-                .collect();
-        if individuals.len() != cfg.population {
-            return Err(PersistError::schema(format!(
-                "checkpointed population has {} members, the configuration {}",
-                individuals.len(),
-                cfg.population
-            )));
-        }
-        if individuals.iter().any(|i| i.objectives.len() != m) {
-            return Err(PersistError::schema("checkpointed objective dimensionality mismatch"));
-        }
-        let z = ReferencePoint::restore(value.field("z")?)?;
-        let normalizer = Normalizer::restore(value.field("normalizer")?)?;
-        if z.len() != m || normalizer.len() != m {
-            return Err(PersistError::schema(
-                "checkpointed reference/normalizer dimension mismatch",
-            ));
-        }
-        let population = Population::from_parts(individuals, m, cfg.neighborhood, z, normalizer);
+        let population = Population::restore(value, codec, cfg.population, m, cfg.neighborhood)?;
         let train = Dataset::restore(value.field("train")?)?;
         train.check_width(self.problem.feature_len() + m)?;
         let eval_fn = Surrogate::restore(value.field("fit_rng")?, &train, &cfg.forest)?;
@@ -308,9 +263,14 @@ where
             // improve towards the reference point": the regression
             // target is the (negative) improvement, so Algorithm 2's
             // lowest-e_i selection picks the starts with the largest
-            // predicted improvement.
+            // predicted improvement. Each state of the trajectory
+            // `S_traj` (the start, then every accepted move) is described
+            // by its features with the search weight appended.
             let improvement_target = outcome.final_value - start_g;
-            for features in outcome.trajectory_features {
+            let visited = outcome.accepted.iter().map(|(state, _)| state);
+            for state in std::iter::once(&individual.solution).chain(visited) {
+                let mut features = self.problem.features(state);
+                features.extend_from_slice(&weight);
                 self.train.push_finite(features, improvement_target);
             }
             // Offer every accepted state to every sub-problem — these
@@ -356,31 +316,18 @@ where
     }
 
     fn snapshot_state(&self, codec: &C) -> Value {
-        let individuals = Value::Array(
-            self.population
-                .individuals()
-                .iter()
-                .map(|ind| {
-                    Value::object(vec![
-                        ("solution", codec.encode_solution(&ind.solution)),
-                        ("objectives", Value::f64_array(&ind.objectives)),
-                    ])
-                })
-                .collect(),
-        );
+        let mut body = self.population.snapshot(codec);
+        body.extend([
+            ("train", self.train.snapshot()),
+            ("fit_rng", self.eval_fn.snapshot()),
+            ("recent_starts", Value::usize_array(&self.recent_starts)),
+        ]);
         self.ctx.snapshot(
             vec![
                 ("generation", Value::U64(self.generation as u64)),
                 ("last_generation", Value::U64(self.last_generation as u64)),
             ],
-            vec![
-                ("population", individuals),
-                ("z", self.population.reference().snapshot()),
-                ("normalizer", self.population.normalizer().snapshot()),
-                ("train", self.train.snapshot()),
-                ("fit_rng", self.eval_fn.snapshot()),
-                ("recent_starts", Value::usize_array(&self.recent_starts)),
-            ],
+            body,
         )
     }
 
@@ -392,13 +339,7 @@ where
         if self.ctx.recorder.points().last().is_none_or(|p| p.evaluations != self.ctx.evaluations) {
             self.ctx.record(self.last_generation, &self.population.objective_vectors());
         }
-        let population = self
-            .population
-            .individuals()
-            .iter()
-            .map(|i| (i.solution.clone(), i.objectives.clone()))
-            .collect();
-        self.ctx.into_result(population)
+        self.ctx.into_result(self.population.into_entries())
     }
 }
 
@@ -407,83 +348,27 @@ where
     P: Problem + Sync,
     P::Solution: Sync,
 {
-    /// One decomposition-EA pass over all sub-problems (Algorithm 1,
-    /// line 12). Offspring for every sub-problem are generated first —
-    /// parents drawn from the population as it stood at the start of the
-    /// pass — then evaluated as one batch, then offered to the population
-    /// in sub-problem order. Returns `false` when the budget cut the pass
-    /// short.
+    /// One decomposition-EA pass over all sub-problems in slot order
+    /// (Algorithm 1, line 12), capped to the remaining evaluation budget
+    /// so hard caps stay as tight as with one-at-a-time evaluation.
+    /// Returns `false` when the budget cut the pass short.
     fn ea_step(&mut self, rng: &mut dyn RngCore) -> bool {
         let cfg = &self.config;
         if self.ctx.out_of_time() {
             return false;
         }
-        // Cap the batch to the remaining evaluation budget so hard caps
-        // stay as tight as with one-at-a-time evaluation.
         let batch = (cfg.population as u64).min(self.ctx.remaining()) as usize;
-        if batch == 0 {
-            return false;
-        }
-
-        let mut children: Vec<P::Solution> = Vec::with_capacity(batch);
-        let mut scopes: Vec<Vec<usize>> = Vec::with_capacity(batch);
-        let mate_span = self.ctx.obs.span("mate");
-        for i in 0..batch {
-            let whole: Vec<usize>;
-            let pool: &[usize] = if rng.gen_bool(cfg.delta) {
-                self.population.neighborhood(i)
-            } else {
-                whole = (0..cfg.population).collect();
-                &whole
-            };
-            let pa = pool[rng.gen_range(0..pool.len())];
-            let child = if pool.len() < 2 {
-                // A one-element pool cannot supply a distinct second
-                // parent; mutate instead of crossing a design with itself.
-                self.problem.neighbor(&self.population.individual(pa).solution, rng)
-            } else {
-                let mut pb = pool[rng.gen_range(0..pool.len())];
-                if pb == pa {
-                    pb = pool[(pool.iter().position(|&x| x == pa).expect("pa in pool") + 1)
-                        % pool.len()];
-                }
-                self.problem.crossover(
-                    &self.population.individual(pa).solution,
-                    &self.population.individual(pb).solution,
-                    rng,
-                )
-            };
-            children.push(child);
-            scopes.push(pool.to_vec());
-        }
-        drop(mate_span);
-
-        let guarded = self.ctx.evaluate(self.problem, &children);
-        if self.ctx.poisoned() {
-            return false;
-        }
-        let _select = self.ctx.obs.span("select");
-        let mut ea_improvements = 0u64;
-        for ((child, objectives), scope) in children.iter().zip(&guarded.objectives).zip(&scopes) {
-            // Dropped (Skip) children vanish; quarantined penalties could
-            // never replace a real member, so both are passed over.
-            let Some(objectives) = objectives else { continue };
-            if is_quarantined(objectives) {
-                continue;
-            }
-            self.ctx.recorder.observe(objectives);
-            ea_improvements += self.population.update(
-                Scalarizer::Tchebycheff,
-                child,
-                objectives,
-                scope,
+        let order: Vec<usize> = (0..batch).collect();
+        batch > 0
+            && self.population.evolve(
+                self.problem,
+                &mut self.ctx,
+                &order,
+                cfg.delta,
                 cfg.max_replacements,
-            ) as u64;
-        }
-        if ea_improvements > 0 {
-            self.ctx.obs.counter(moela_obs::names::EA_IMPROVEMENTS, ea_improvements);
-        }
-        batch == cfg.population
+                rng,
+            )
+            && batch == cfg.population
     }
 }
 

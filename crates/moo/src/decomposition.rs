@@ -1,10 +1,25 @@
-//! The decomposition population: individuals bound to weight vectors, with
-//! the Tchebycheff update rule of eq. (10).
+//! Decomposition in the MOEA/D sense (Zhang & Li, 2007), shared by MOELA
+//! and the MOEA/D baseline.
+//!
+//! MOEADr (arXiv:1807.06731) splits a MOEA/D into decomposition,
+//! neighborhood, variation and update components. Here each has one
+//! implementation: [`Population`] binds individuals to Das–Dennis weight
+//! vectors with Tchebycheff neighborhoods, [`Population::update`] is the
+//! eq. (10) replacement rule, and [`Population::evolve`] is the mating and
+//! replacement pass both optimizers run. MOEA/D passes it a shuffled slot
+//! order; MOELA passes the plain one.
 
-use moela_moo::fault::is_quarantined;
-use moela_moo::normalize::Normalizer;
-use moela_moo::scalarize::{ReferencePoint, Scalarizer};
-use moela_moo::weights::{neighborhoods, uniform_weights};
+use rand::{Rng, RngCore};
+
+use moela_persist::{PersistError, Restore, Snapshot, SolutionCodec, Value};
+
+use crate::checkpoint::RunCtx;
+use crate::fault::is_quarantined;
+use crate::normalize::Normalizer;
+use crate::scalarize::{ReferencePoint, Scalarizer};
+use crate::snapshot::{entries_from_value, entry_to_value};
+use crate::weights::{neighborhoods, uniform_weights};
+use crate::Problem;
 
 /// One population slot: a solution, its raw objective vector, and (via its
 /// index) an assigned weight vector.
@@ -33,31 +48,20 @@ pub struct Population<S> {
 }
 
 impl<S: Clone> Population<S> {
-    /// Builds the population from already-evaluated individuals.
+    /// Builds the population from already-evaluated individuals; `z` and
+    /// the normalizer start from the non-quarantined ones.
     ///
     /// # Panics
     ///
-    /// Panics if `individuals` is empty, objective lengths are
-    /// inconsistent, or `t` is out of `1..=N`.
+    /// Panics under the same conditions as [`Population::from_parts`].
     pub fn new(individuals: Vec<Individual<S>>, m: usize, t: usize) -> Self {
-        assert!(!individuals.is_empty(), "population must be non-empty");
-        assert!(
-            individuals.iter().all(|i| i.objectives.len() == m),
-            "objective dimensionality mismatch"
-        );
-        let n = individuals.len();
-        let weights = uniform_weights(n, m);
-        let nbhd = neighborhoods(&weights, t.clamp(1, n));
         let mut z = ReferencePoint::new(m);
         let mut normalizer = Normalizer::new(m);
-        for ind in &individuals {
-            if is_quarantined(&ind.objectives) {
-                continue;
-            }
+        for ind in individuals.iter().filter(|i| !is_quarantined(&i.objectives)) {
             z.update(&ind.objectives);
             normalizer.observe(&ind.objectives);
         }
-        Self { individuals, weights, neighborhoods: nbhd, z, normalizer }
+        Self::from_parts(individuals, m, t, z, normalizer)
     }
 
     /// Rebuilds a population from checkpointed parts. Weights and
@@ -69,7 +73,8 @@ impl<S: Clone> Population<S> {
     ///
     /// # Panics
     ///
-    /// Panics under the same conditions as [`Population::new`].
+    /// Panics if `individuals` is empty, objective lengths are
+    /// inconsistent, or `t` is out of `1..=N`.
     pub fn from_parts(
         individuals: Vec<Individual<S>>,
         m: usize,
@@ -86,6 +91,85 @@ impl<S: Clone> Population<S> {
         let weights = uniform_weights(n, m);
         let nbhd = neighborhoods(&weights, t.clamp(1, n));
         Self { individuals, weights, neighborhoods: nbhd, z, normalizer }
+    }
+
+    /// Draws `n` random designs sequentially from `rng`, evaluates them as
+    /// one batch through `ctx`, and records the generation-0 trace point.
+    /// Every slot needs an objective vector, so dropped candidates are
+    /// materialized as penalty vectors; selection retires them, and they
+    /// never reach the front, `z` or either normalizer.
+    pub fn random<P>(
+        problem: &P,
+        ctx: &mut RunCtx,
+        n: usize,
+        t: usize,
+        rng: &mut dyn RngCore,
+    ) -> Self
+    where
+        P: Problem<Solution = S> + Sync,
+        S: Sync,
+    {
+        let m = problem.objective_count();
+        let solutions: Vec<S> = (0..n).map(|_| problem.random_solution(rng)).collect();
+        let objectives = ctx.evaluate(problem, &solutions).materialized(m);
+        let individuals: Vec<Individual<S>> = solutions
+            .into_iter()
+            .zip(objectives)
+            .map(|(solution, objectives)| {
+                ctx.recorder.observe(&objectives);
+                Individual { solution, objectives }
+            })
+            .collect();
+        let population = Self::new(individuals, m, t);
+        ctx.record(0, &population.objective_vectors());
+        population
+    }
+
+    /// Restores the `population`, `z` and `normalizer` keys written by
+    /// [`Population::snapshot`], refusing a member count other than `n`
+    /// and any vector not `m` wide.
+    pub fn restore<C: SolutionCodec<S>>(
+        state: &Value,
+        codec: &C,
+        n: usize,
+        m: usize,
+        t: usize,
+    ) -> Result<Self, PersistError> {
+        let individuals: Vec<Individual<S>> =
+            entries_from_value(state.field("population")?, codec)?
+                .into_iter()
+                .map(|(solution, objectives)| Individual { solution, objectives })
+                .collect();
+        if individuals.len() != n {
+            return Err(PersistError::schema(format!(
+                "checkpointed population has {} members, the configuration {n}",
+                individuals.len()
+            )));
+        }
+        if individuals.iter().any(|i| i.objectives.len() != m) {
+            return Err(PersistError::schema("checkpointed objective dimensionality mismatch"));
+        }
+        let z = ReferencePoint::restore(state.field("z")?)?;
+        let normalizer = Normalizer::restore(state.field("normalizer")?)?;
+        if z.len() != m || normalizer.len() != m {
+            return Err(PersistError::schema(
+                "checkpointed reference/normalizer dimension mismatch",
+            ));
+        }
+        Ok(Self::from_parts(individuals, m, t, z, normalizer))
+    }
+
+    /// The `population`, `z` and `normalizer` checkpoint keys, in that
+    /// order; `population` is laid out as
+    /// [`entries_to_value`](crate::snapshot::entries_to_value) writes it.
+    pub fn snapshot<C: SolutionCodec<S>>(&self, codec: &C) -> Vec<(&'static str, Value)> {
+        let entries =
+            self.individuals.iter().map(|i| entry_to_value(&i.solution, &i.objectives, codec));
+        vec![
+            ("population", Value::Array(entries.collect())),
+            ("z", self.z.snapshot()),
+            ("normalizer", self.normalizer.snapshot()),
+        ]
     }
 
     /// Number of individuals (= sub-problems).
@@ -181,6 +265,81 @@ impl<S: Clone> Population<S> {
     pub fn objective_vectors(&self) -> Vec<Vec<f64>> {
         self.individuals.iter().map(|i| i.objectives.clone()).collect()
     }
+
+    /// The members as `(solution, objectives)` pairs, slot-ordered.
+    pub fn into_entries(self) -> Vec<(S, Vec<f64>)> {
+        self.individuals.into_iter().map(|i| (i.solution, i.objectives)).collect()
+    }
+
+    /// One variation-and-update pass over the slots in `order`. Every
+    /// child is bred first, from the population as it stood at the start
+    /// of the pass: with probability `delta` its parents come from the
+    /// slot's neighborhood, otherwise from the whole population. The
+    /// children are evaluated as one batch through `ctx`, then each
+    /// surviving child is offered to its parent pool through
+    /// [`Population::update`], in `order`. Returns `false` when a latched
+    /// fault stopped the pass before the update.
+    pub fn evolve<P>(
+        &mut self,
+        problem: &P,
+        ctx: &mut RunCtx,
+        order: &[usize],
+        delta: f64,
+        max_replacements: usize,
+        rng: &mut dyn RngCore,
+    ) -> bool
+    where
+        P: Problem<Solution = S> + Sync,
+        S: Sync,
+    {
+        let mate_span = ctx.obs.span("mate");
+        let whole: Vec<usize> = (0..self.len()).collect();
+        let mut children: Vec<S> = Vec::with_capacity(order.len());
+        let mut pools: Vec<Vec<usize>> = Vec::with_capacity(order.len());
+        for &i in order {
+            let pool = if rng.gen_bool(delta) { &self.neighborhoods[i] } else { &whole };
+            let pa = pool[rng.gen_range(0..pool.len())];
+            let child = if pool.len() < 2 {
+                // A one-element pool cannot supply a distinct second
+                // parent; mutate instead of crossing a design with itself.
+                problem.neighbor(&self.individuals[pa].solution, rng)
+            } else {
+                let mut pb = pool[rng.gen_range(0..pool.len())];
+                if pb == pa {
+                    pb = pool[(pool.iter().position(|&x| x == pa).expect("pa in pool") + 1)
+                        % pool.len()];
+                }
+                let (a, b) = (&self.individuals[pa].solution, &self.individuals[pb].solution);
+                problem.crossover(a, b, rng)
+            };
+            children.push(child);
+            pools.push(pool.clone());
+        }
+        drop(mate_span);
+
+        let batch = ctx.evaluate(problem, &children);
+        if ctx.poisoned() {
+            return false;
+        }
+        let _select = ctx.obs.span("select");
+        let mut improvements = 0u64;
+        for ((child, objectives), pool) in children.iter().zip(&batch.objectives).zip(&pools) {
+            // Dropped (Skip) children vanish; quarantined penalties could
+            // never replace a real member, so both are passed over.
+            let Some(objectives) = objectives else { continue };
+            if is_quarantined(objectives) {
+                continue;
+            }
+            ctx.recorder.observe(objectives);
+            improvements +=
+                self.update(Scalarizer::Tchebycheff, child, objectives, pool, max_replacements)
+                    as u64;
+        }
+        if improvements > 0 {
+            ctx.obs.counter(moela_obs::names::EA_IMPROVEMENTS, improvements);
+        }
+        true
+    }
 }
 
 #[cfg(test)]
@@ -256,7 +415,7 @@ mod tests {
         let max_before = p.normalizer().max().to_vec();
         p.observe(&[f64::NAN, 1.0]);
         p.observe(&[1.0, f64::INFINITY]);
-        p.observe(&moela_moo::fault::penalty_objectives(2));
+        p.observe(&crate::fault::penalty_objectives(2));
         assert_eq!(p.reference().values(), z_before.as_slice());
         assert_eq!(p.normalizer().max(), max_before.as_slice());
         // A penalty candidate scalarizes to the worst corner and can never
@@ -264,7 +423,7 @@ mod tests {
         let replaced = p.update(
             Scalarizer::Tchebycheff,
             &"penalty",
-            &moela_moo::fault::penalty_objectives(2),
+            &crate::fault::penalty_objectives(2),
             &[0, 1, 2],
             10,
         );
@@ -276,7 +435,7 @@ mod tests {
         let p = Population::new(
             vec![
                 Individual { solution: "a", objectives: vec![0.0, 10.0] },
-                Individual { solution: "bad", objectives: moela_moo::fault::penalty_objectives(2) },
+                Individual { solution: "bad", objectives: crate::fault::penalty_objectives(2) },
                 Individual { solution: "c", objectives: vec![10.0, 0.0] },
             ],
             2,

@@ -16,6 +16,12 @@
 //!   [`scalarize::ReferencePoint`] tracking;
 //! * objective normalization ([`normalize::Normalizer`]) and a bounded
 //!   [`archive::ParetoArchive`];
+//! * the MOEA/D engine MOELA and the MOEA/D baseline share: the
+//!   [`decomposition::Population`] with its eq. (10) update and its
+//!   mating-and-replacement pass [`decomposition::Population::evolve`];
+//! * the greedy weighted-sum descent of eq. (8),
+//!   [`local_search::greedy_descent`], run by MOELA, MOOS and the
+//!   multi-start baseline;
 //! * deterministic parallel batch evaluation
 //!   ([`parallel::ParallelEvaluator`]) — optimizers generate candidates
 //!   sequentially, then evaluate whole batches across scoped worker
@@ -51,8 +57,10 @@ pub mod cache;
 pub mod chaos;
 pub mod checkpoint;
 pub mod counter;
+pub mod decomposition;
 pub mod fault;
 pub mod hypervolume;
+pub mod local_search;
 pub mod metrics;
 pub mod normalize;
 pub mod parallel;

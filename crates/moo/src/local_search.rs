@@ -1,20 +1,19 @@
-//! MOELA's decomposition-directed greedy local search (Algorithm 1,
-//! line 5; eq. (8)).
+//! The greedy weighted-sum descent of eq. (8), shared by MOELA's local
+//! search (Algorithm 1, line 5), MOOS's direction-following episodes and
+//! the multi-start baseline.
 //!
 //! From a starting design, repeatedly sample a handful of neighbors and
 //! move to the best one as long as it improves the weighted-sum distance to
 //! the reference point, `g(Obj | w, z) = Σᵢ wᵢ·|Objᵢ − zᵢ|`. The search
-//! returns both the best design found and the *trajectory* — every accepted
-//! state's feature vector — which, labeled with the final `g` value, is
-//! exactly the training data STAGE-style guidance needs: "how good an
-//! outcome does a local search from here reach?".
+//! returns the best design found and every accepted state on the way;
+//! MOELA turns that path into its trajectory features.
 
 use rand::RngCore;
 
-use moela_moo::fault::is_quarantined;
-use moela_moo::normalize::Normalizer;
-use moela_moo::scalarize::Scalarizer;
-use moela_moo::{GuardedEvaluator, Problem};
+use crate::fault::is_quarantined;
+use crate::normalize::Normalizer;
+use crate::scalarize::Scalarizer;
+use crate::{GuardedEvaluator, Problem};
 
 /// Budget knobs of one greedy descent.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -38,12 +37,8 @@ pub struct LocalSearchOutcome<S> {
     pub best_objectives: Vec<f64>,
     /// The final value of eq. (8) at termination (normalized objectives).
     pub final_value: f64,
-    /// Feature vectors of every accepted state (start included), in visit
-    /// order — the `S_traj` of Algorithm 1.
-    pub trajectory_features: Vec<Vec<f64>>,
-    /// Every accepted intermediate state with its objectives (start
-    /// excluded, best included). These are already-paid-for evaluations;
-    /// MOELA offers them all to the population.
+    /// Every accepted state with its objectives, in visit order (start
+    /// excluded, best included). These are already-paid-for evaluations.
     pub accepted: Vec<(S, Vec<f64>)>,
     /// Objective evaluations consumed.
     pub evaluations: u64,
@@ -52,9 +47,9 @@ pub struct LocalSearchOutcome<S> {
 /// Runs a greedy descent of eq. (8) from `start`.
 ///
 /// `normalizer`/`z` define the normalized objective space the weighted sum
-/// is computed in (see [`crate::population::Population`]); features are
-/// the problem's design descriptor with the weight vector appended, so the
-/// learned `Eval` can condition on the search direction.
+/// is computed in (see [`crate::decomposition::Population`]). The descent
+/// stops after `max_steps` batches, or once `stall_evaluations` sampled
+/// neighbors in a row failed to improve.
 ///
 /// Each step samples its `neighbors_per_step` candidates sequentially from
 /// `rng`, then evaluates the whole batch through `evaluator` — so results
@@ -62,7 +57,7 @@ pub struct LocalSearchOutcome<S> {
 ///
 /// Evaluation faults are contained by the [`GuardedEvaluator`]: dropped or
 /// quarantined neighbors simply never become the step's best move, and a
-/// latched [`FaultPolicy::Fail`](moela_moo::fault::FaultPolicy::Fail)
+/// latched [`FaultPolicy::Fail`](crate::fault::FaultPolicy::Fail)
 /// error ends the descent early (the caller checks
 /// [`GuardedEvaluator::poisoned`]). `evaluations` in the outcome counts
 /// *attempts*, retries included.
@@ -89,16 +84,9 @@ where
             &normalizer.normalize(z_raw),
         )
     };
-    let features = |s: &P::Solution| -> Vec<f64> {
-        let mut f = problem.features(s);
-        f.extend_from_slice(weight);
-        f
-    };
-
     let mut current = start.clone();
     let mut current_objs = start_objectives.to_vec();
     let mut current_g = g(&current_objs);
-    let mut trajectory = vec![features(&current)];
     let mut accepted: Vec<(P::Solution, Vec<f64>)> = Vec::new();
     let mut evaluations = 0u64;
     let mut stalls = 0usize;
@@ -130,7 +118,6 @@ where
                 current = candidate;
                 current_objs = objs;
                 current_g = value;
-                trajectory.push(features(&current));
                 accepted.push((current.clone(), current_objs.clone()));
                 stalls = 0;
             }
@@ -147,17 +134,19 @@ where
         best: current,
         best_objectives: current_objs,
         final_value: current_g,
-        trajectory_features: trajectory,
         accepted,
         evaluations,
     }
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use moela_moo::fault::{FaultConfig, FaultPolicy};
-    use moela_moo::problems::Zdt;
+    use crate::fault::{FaultConfig, FaultPolicy};
+    use crate::problems::Zdt;
     use rand::SeedableRng;
 
     fn guard() -> GuardedEvaluator {
@@ -214,7 +203,7 @@ mod tests {
     }
 
     #[test]
-    fn trajectory_starts_at_the_start_and_counts_accepted_moves() {
+    fn accepted_states_end_at_the_best_and_fit_the_step_budget() {
         let (p, z, n, mut rng) = setup();
         let start = p.random_solution(&mut rng);
         let objs = p.evaluate(&start);
@@ -222,13 +211,10 @@ mod tests {
             LocalSearchBudget { max_steps: 15, neighbors_per_step: 4, stall_evaluations: 12 };
         let out =
             greedy_descent(&p, &start, &objs, &[1.0, 0.0], &z, &n, budget, &mut guard(), &mut rng);
-        assert!(!out.trajectory_features.is_empty());
-        assert!(out.trajectory_features.len() <= budget.max_steps + 1);
-        // Features = problem features + weight.
-        assert_eq!(out.trajectory_features[0].len(), p.feature_len() + 2);
-        let mut start_features = p.features(&start);
-        start_features.extend_from_slice(&[1.0, 0.0]);
-        assert_eq!(out.trajectory_features[0], start_features);
+        assert!(!out.accepted.is_empty());
+        assert!(out.accepted.len() <= budget.max_steps);
+        let (last, last_objs) = out.accepted.last().expect("non-empty");
+        assert_eq!((last, last_objs), (&out.best, &out.best_objectives));
     }
 
     #[test]
@@ -272,7 +258,7 @@ mod tests {
             assert_eq!(parallel.best, sequential.best, "threads = {threads}");
             assert_eq!(parallel.best_objectives, sequential.best_objectives);
             assert_eq!(parallel.final_value, sequential.final_value);
-            assert_eq!(parallel.trajectory_features, sequential.trajectory_features);
+            assert_eq!(parallel.accepted, sequential.accepted);
             assert_eq!(parallel.evaluations, sequential.evaluations);
         }
     }
@@ -318,7 +304,7 @@ mod tests {
 
     #[test]
     fn faulted_neighbors_are_contained_and_never_accepted() {
-        use moela_moo::{ChaosProblem, ChaosSpec};
+        use crate::{ChaosProblem, ChaosSpec};
         let (p, z, n, mut rng) = setup();
         let chaotic =
             ChaosProblem::new(p, ChaosSpec::parse("panic=0.2,nan=0.2,arity=0.1").unwrap(), 99);
@@ -349,7 +335,7 @@ mod tests {
 
     #[test]
     fn a_latched_fail_fault_stops_the_descent_early() {
-        use moela_moo::{ChaosProblem, ChaosSpec};
+        use crate::{ChaosProblem, ChaosSpec};
         let (p, z, n, mut rng) = setup();
         let chaotic = ChaosProblem::new(p, ChaosSpec::parse("panic=1.0").unwrap(), 7);
         let start = vec![0.9; 8];

@@ -92,17 +92,19 @@ impl Restore for TraceRecorder {
 
 /// Encodes `(solution, objectives)` entries through a solution codec.
 pub fn entries_to_value<S, C: SolutionCodec<S>>(entries: &[(S, Vec<f64>)], codec: &C) -> Value {
-    Value::Array(
-        entries
-            .iter()
-            .map(|(s, o)| {
-                Value::object(vec![
-                    ("solution", codec.encode_solution(s)),
-                    ("objectives", Value::f64_array(o)),
-                ])
-            })
-            .collect(),
-    )
+    Value::Array(entries.iter().map(|(s, o)| entry_to_value(s, o, codec)).collect())
+}
+
+/// Encodes one entry of [`entries_to_value`].
+pub(crate) fn entry_to_value<S, C: SolutionCodec<S>>(
+    solution: &S,
+    objectives: &[f64],
+    codec: &C,
+) -> Value {
+    Value::object(vec![
+        ("solution", codec.encode_solution(solution)),
+        ("objectives", Value::f64_array(objectives)),
+    ])
 }
 
 /// Decodes entries written by [`entries_to_value`].

@@ -40,8 +40,8 @@ cmp "$smoke/full/front.csv" "$smoke/crashed/front.csv"
 "$dse" resume "$smoke/crashed-late" --threads 4 >/dev/null
 cmp "$smoke/full/trace.csv" "$smoke/crashed-late/trace.csv"
 cmp "$smoke/full/front.csv" "$smoke/crashed-late/front.csv"
-# The other two surrogate optimizers checkpoint their own schemas.
-for algo in moo-stage moos; do
+# The other optimizers checkpoint their own schemas.
+for algo in moo-stage moos moead nsga2; do
     algo_flags=("${flags[@]}" --algorithm "$algo")
     "$dse" run "${algo_flags[@]}" --run-dir "$smoke/$algo-full" >/dev/null
     "$dse" run "${algo_flags[@]}" --run-dir "$smoke/$algo-crashed" --crash-after-checkpoints 2 \

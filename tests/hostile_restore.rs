@@ -4,17 +4,18 @@
 //! a damaged writer, a hand edit or a format mix-up can still hand a
 //! restore a payload no run produced. The surrogate optimizers refit
 //! their forest on restore, so such a payload must come back as a
-//! `PersistError` before it reaches `RandomForest::fit`'s asserts. These
-//! tests mutate valid MOELA, MOOS and MOO-STAGE state payloads — dropped
-//! fields, swapped types, truncated arrays — wrap each in a checkpoint
-//! whose CRC is recomputed, and accept `Ok` or `Err` from the restore,
-//! never a panic.
+//! `PersistError` before it reaches `RandomForest::fit`'s asserts. MOELA
+//! and MOEA/D rebuild the same decomposition population, whose
+//! constructor asserts too. These tests mutate valid MOELA, MOOS,
+//! MOO-STAGE and MOEA/D state payloads — dropped fields, swapped types,
+//! truncated arrays — wrap each in a checkpoint whose CRC is recomputed,
+//! and accept `Ok` or `Err` from the restore, never a panic.
 
 use std::path::Path;
 use std::sync::OnceLock;
 use std::time::Duration;
 
-use moela::baselines::{MooStage, MooStageConfig, Moos, MoosConfig};
+use moela::baselines::{Moead, MoeadConfig, MooStage, MooStageConfig, Moos, MoosConfig};
 use moela::core::{Moela, MoelaConfig};
 use moela::ml::MIN_FIT_ROWS;
 use moela::moo::checkpoint::Resumable;
@@ -29,9 +30,13 @@ enum Algo {
     Moela,
     Moos,
     MooStage,
+    Moead,
 }
 
-const ALGOS: [Algo; 3] = [Algo::Moela, Algo::Moos, Algo::MooStage];
+const ALGOS: [Algo; 4] = [Algo::Moela, Algo::Moos, Algo::MooStage, Algo::Moead];
+
+/// The optimizers that checkpoint a training set.
+const SURROGATE_ALGOS: [Algo; 3] = [Algo::Moela, Algo::Moos, Algo::MooStage];
 
 fn problem() -> Zdt {
     Zdt::zdt1(6)
@@ -49,6 +54,10 @@ fn stage_config() -> MooStageConfig {
     MooStageConfig { episodes: 40, ..Default::default() }
 }
 
+fn moead_config() -> MoeadConfig {
+    MoeadConfig { population: 6, neighborhood: 3, generations: 40, ..Default::default() }
+}
+
 /// Steps `state` `steps` times and returns its snapshot.
 fn snapshot_after<S>(mut state: S, rng: &mut StdRng, steps: u64) -> Value
 where
@@ -58,7 +67,8 @@ where
     state.snapshot_state(&VecF64Codec)
 }
 
-/// A valid state payload of `algo`, taken after its surrogate was fitted.
+/// A valid state payload of `algo`, taken after its surrogate (if any) was
+/// fitted.
 fn valid_state(algo: Algo) -> Value {
     static STATES: OnceLock<Vec<Value>> = OnceLock::new();
     let states = STATES.get_or_init(|| {
@@ -68,6 +78,7 @@ fn valid_state(algo: Algo) -> Value {
             snapshot_after(Moela::new(moela_config(), &p).start(&mut rng), &mut rng, 3),
             snapshot_after(Moos::new(moos_config(), &p).start(&mut rng), &mut rng, 10),
             snapshot_after(MooStage::new(stage_config(), &p).start(&mut rng), &mut rng, 4),
+            snapshot_after(Moead::new(moead_config(), &p).start(&mut rng), &mut rng, 3),
         ]
     });
     states[algo as usize].clone()
@@ -89,6 +100,7 @@ fn restore(algo: Algo, state: &Value) -> Result<(), PersistError> {
         Algo::Moela => Moela::new(moela_config(), &p).restore(codec, state, zero).map(drop),
         Algo::Moos => Moos::new(moos_config(), &p).restore(codec, state, zero).map(drop),
         Algo::MooStage => MooStage::new(stage_config(), &p).restore(codec, state, zero).map(drop),
+        Algo::Moead => Moead::new(moead_config(), &p).restore(codec, state, zero).map(drop),
     }
 }
 
@@ -216,7 +228,9 @@ fn valid_states_restore() {
         let fitted = state.field("fit_rng").map(|v| *v != Value::Null);
         match algo {
             Algo::Moela | Algo::Moos => assert!(fitted.unwrap(), "{algo:?} must have fitted"),
-            Algo::MooStage => assert!(fitted.is_err(), "MOO-STAGE checkpoints no surrogate"),
+            Algo::MooStage | Algo::Moead => {
+                assert!(fitted.is_err(), "{algo:?} checkpoints no surrogate")
+            }
         }
     }
 }
@@ -250,7 +264,7 @@ fn a_fit_rng_over_too_few_training_rows_is_refused() {
 
 #[test]
 fn training_rows_of_unequal_or_wrong_width_are_refused() {
-    for algo in ALGOS {
+    for algo in SURROGATE_ALGOS {
         let mut state = valid_state(algo);
         let Value::Array(row) = &mut train_array(&mut state, "features")[1] else {
             panic!("feature row")
@@ -264,5 +278,26 @@ fn training_rows_of_unequal_or_wrong_width_are_refused() {
             row.push(Value::F64(0.5));
         }
         assert_schema_error(algo, &state, "rows one feature too wide");
+    }
+}
+
+#[test]
+fn a_population_of_another_size_is_refused_with_both_counts() {
+    for algo in [Algo::Moela, Algo::Moead] {
+        let mut state = valid_state(algo);
+        let Value::Object(fields) = &mut state else { panic!("object state") };
+        let Value::Array(members) =
+            &mut fields.iter_mut().find(|(k, _)| k == "population").expect("population").1
+        else {
+            panic!("population array")
+        };
+        members.pop();
+        match restore(algo, &state) {
+            Err(PersistError::Schema(message)) => assert_eq!(
+                message, "checkpointed population has 5 members, the configuration 6",
+                "{algo:?}"
+            ),
+            other => panic!("{algo:?}: expected a schema error, got {other:?}"),
+        }
     }
 }
