@@ -47,8 +47,9 @@ pub struct MoeadConfig {
     pub max_evaluations: Option<u64>,
     /// Optional wall-clock budget.
     pub time_budget: Option<Duration>,
-    /// Worker threads for batch objective evaluation (`0` = auto-detect).
-    /// Results are bit-identical for every value.
+    /// Worker threads the run's [`moela_moo::GuardedEvaluator`] fans each
+    /// evaluation batch across (`0` = auto-detect). Results are
+    /// bit-identical for every value.
     pub threads: usize,
     /// Fault-containment policy for evaluation (see
     /// [`moela_moo::GuardedEvaluator`]).

@@ -20,6 +20,7 @@
 //! The run loop is exposed as a checkpointable state machine
 //! ([`MooStageState`], one step per episode).
 
+use std::slice;
 use std::time::Duration;
 
 use rand::rngs::StdRng;
@@ -59,8 +60,9 @@ pub struct MooStageConfig {
     pub max_evaluations: Option<u64>,
     /// Optional wall-clock budget.
     pub time_budget: Option<Duration>,
-    /// Worker threads for batch objective evaluation (`0` = auto-detect).
-    /// Results are bit-identical for every value.
+    /// Worker threads the run's [`moela_moo::GuardedEvaluator`] fans each
+    /// evaluation batch across (`0` = auto-detect). Results are
+    /// bit-identical for every value.
     pub threads: usize,
     /// Fault-containment policy for evaluation (see
     /// [`moela_moo::GuardedEvaluator`]).
@@ -161,7 +163,8 @@ where
         // Initial random start; a quarantined one is simply not archived
         // (the base search still departs from it).
         let start = self.problem.random_solution(rng);
-        if let Some(o) = ctx.evaluate_one(self.problem, &start).filter(|o| !is_quarantined(o)) {
+        let o = ctx.evaluate(self.problem, slice::from_ref(&start)).objectives.pop().flatten();
+        if let Some(o) = o.filter(|o| !is_quarantined(o)) {
             normalizer.observe(&o);
             ctx.recorder.observe(&o);
             archive.insert(start.clone(), o);

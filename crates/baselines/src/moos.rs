@@ -20,6 +20,7 @@
 //! The run loop is exposed as a checkpointable state machine
 //! ([`MoosState`], one step per episode).
 
+use std::slice;
 use std::time::Duration;
 
 use rand::rngs::StdRng;
@@ -66,8 +67,9 @@ pub struct MoosConfig {
     pub max_evaluations: Option<u64>,
     /// Optional wall-clock budget.
     pub time_budget: Option<Duration>,
-    /// Worker threads for batch objective evaluation (`0` = auto-detect).
-    /// Results are bit-identical for every value.
+    /// Worker threads the run's [`moela_moo::GuardedEvaluator`] fans each
+    /// evaluation batch across (`0` = auto-detect). Results are
+    /// bit-identical for every value.
     pub threads: usize,
     /// Fault-containment policy for evaluation (see
     /// [`moela_moo::GuardedEvaluator`]).
@@ -168,7 +170,7 @@ where
         // seeds are simply not archived.
         for _ in 0..4 {
             let s = self.problem.random_solution(rng);
-            let o = ctx.evaluate_one(self.problem, &s);
+            let o = ctx.evaluate(self.problem, slice::from_ref(&s)).objectives.pop().flatten();
             if ctx.poisoned() {
                 break;
             }
@@ -297,14 +299,14 @@ where
                 let w = directions[rng.gen_range(0..directions.len())].clone();
                 if entries.is_empty() || rng.gen_bool(0.5) {
                     let s = self.problem.random_solution(rng);
-                    let o = self.ctx.evaluate_one(self.problem, &s);
+                    let mut batch = self.ctx.evaluate(self.problem, slice::from_ref(&s));
                     if self.ctx.poisoned() {
                         return false;
                     }
                     // A quarantined fresh start still descends — from the
                     // penalty corner, where any real neighbor improves —
                     // but never touches the archive or the normalizer.
-                    let o = match o {
+                    let o = match batch.objectives.pop().flatten() {
                         Some(o) if !is_quarantined(&o) => {
                             self.z.update(&o);
                             self.normalizer.observe(&o);
@@ -362,11 +364,10 @@ where
             self.z.values(),
             &self.normalizer,
             descent_budget(cfg.ls_max_steps, cfg.ls_neighbors_per_step),
-            &mut self.ctx.evaluator,
+            &mut self.ctx,
             rng,
         );
         drop(ls_span);
-        self.ctx.charge(descent.evaluations);
         if self.ctx.poisoned() {
             return false;
         }

@@ -31,8 +31,9 @@ pub struct Nsga2Config {
     pub max_evaluations: Option<u64>,
     /// Optional wall-clock budget.
     pub time_budget: Option<Duration>,
-    /// Worker threads for batch objective evaluation (`0` = auto-detect).
-    /// Results are bit-identical for every value.
+    /// Worker threads the run's [`moela_moo::GuardedEvaluator`] fans each
+    /// evaluation batch across (`0` = auto-detect). Results are
+    /// bit-identical for every value.
     pub threads: usize,
     /// Fault-containment policy for evaluation (see
     /// [`moela_moo::GuardedEvaluator`]).
@@ -151,8 +152,12 @@ where
         let cfg = self.config.clone();
         let m = self.problem.objective_count();
         let pop = entries_from_value(value.field("population")?, codec)?;
-        if pop.is_empty() {
-            return Err(PersistError::schema("checkpointed population is empty"));
+        if pop.len() != cfg.population {
+            return Err(PersistError::schema(format!(
+                "checkpointed population has {} members, the configuration {}",
+                pop.len(),
+                cfg.population
+            )));
         }
         if pop.iter().any(|(_, o)| o.len() != m) {
             return Err(PersistError::schema("checkpointed objective dimensionality mismatch"));

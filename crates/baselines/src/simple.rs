@@ -2,7 +2,8 @@
 //! local search (no learning). These bracket the sophisticated algorithms
 //! from below in the benchmark harness and sanity-check the test suite.
 
-use std::time::{Duration, Instant};
+use std::slice;
+use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore};
@@ -12,11 +13,11 @@ use moela_moo::checkpoint::{run_to_end, Resumable, RunCtx};
 use moela_moo::fault::{is_quarantined, FaultConfig};
 use moela_moo::local_search::greedy_descent;
 use moela_moo::normalize::Normalizer;
-use moela_moo::run::{RunResult, TraceRecorder};
+use moela_moo::run::RunResult;
 use moela_moo::scalarize::ReferencePoint;
 use moela_moo::snapshot::{archive_from_value, archive_to_value};
 use moela_moo::weights::uniform_weights;
-use moela_moo::{GuardedEvaluator, Problem};
+use moela_moo::Problem;
 use moela_persist::{PersistError, SolutionCodec, Value};
 
 use crate::common::descent_budget;
@@ -35,8 +36,9 @@ pub struct RandomSearchConfig {
     pub trace_normalizer: Option<Normalizer>,
     /// Optional wall-clock budget.
     pub time_budget: Option<Duration>,
-    /// Worker threads for batch objective evaluation (`0` = auto-detect).
-    /// Results are bit-identical for every value.
+    /// Worker threads the run's [`moela_moo::GuardedEvaluator`] fans each
+    /// evaluation batch across (`0` = auto-detect). Results are
+    /// bit-identical for every value.
     pub threads: usize,
     /// Fault-containment policy for evaluation (see
     /// [`moela_moo::GuardedEvaluator`]).
@@ -253,8 +255,9 @@ pub struct MultiStartConfig {
     pub max_evaluations: Option<u64>,
     /// Optional wall-clock budget.
     pub time_budget: Option<Duration>,
-    /// Worker threads for batch objective evaluation (`0` = auto-detect).
-    /// Results are bit-identical for every value.
+    /// Worker threads the run's [`moela_moo::GuardedEvaluator`] fans each
+    /// evaluation batch across (`0` = auto-detect). Results are
+    /// bit-identical for every value.
     pub threads: usize,
     /// Fault-containment policy for evaluation (see
     /// [`moela_moo::GuardedEvaluator`]).
@@ -290,38 +293,35 @@ where
 {
     let rng: &mut dyn RngCore = rng;
     let m = problem.objective_count();
-    let start_time = Instant::now();
-    let mut evaluator = GuardedEvaluator::new(config.threads, config.fault);
-    let mut recorder = match &config.trace_normalizer {
-        Some(n) => TraceRecorder::with_fixed_normalizer(n.clone()),
-        None => TraceRecorder::new(m),
-    };
+    let mut ctx = RunCtx::new(
+        config.threads,
+        config.fault,
+        config.trace_normalizer.as_ref(),
+        m,
+        config.max_evaluations,
+        config.time_budget,
+    );
     let mut archive: ParetoArchive<P::Solution> = ParetoArchive::bounded(config.archive_cap);
     let mut z = ReferencePoint::new(m);
     let mut normalizer = Normalizer::new(m);
     let directions = uniform_weights(config.directions.max(1), m);
-    let mut evaluations = 0u64;
 
     for restart in 0..config.restarts {
-        if config.max_evaluations.is_some_and(|cap| evaluations >= cap)
-            || config.time_budget.is_some_and(|cap| start_time.elapsed() >= cap)
-        {
+        if !ctx.budget_left() {
             break;
         }
         let start = problem.random_solution(rng);
-        let (start_objs, attempts) = evaluator.evaluate_one(problem, &start);
-        evaluations += attempts;
-        if evaluator.poisoned() {
+        let start_objs = ctx.evaluate(problem, slice::from_ref(&start)).objectives.pop().flatten();
+        if ctx.poisoned() {
             break; // a Fail-policy fault latched; stop restarting
         }
         // A quarantined start (faulted under Skip/PenalizeWorst) has no
         // trustworthy objectives to descend from: skip this restart but
         // keep the trace cadence so resume bookkeeping stays aligned.
-        let usable = start_objs.as_ref().is_some_and(|o| !is_quarantined(o));
-        if let Some(start_objs) = start_objs.filter(|_| usable) {
+        if let Some(start_objs) = start_objs.filter(|o| !is_quarantined(o)) {
             z.update(&start_objs);
             normalizer.observe(&start_objs);
-            recorder.observe(&start_objs);
+            ctx.recorder.observe(&start_objs);
             archive.insert(start.clone(), start_objs.clone());
 
             let weight = &directions[restart % directions.len()];
@@ -333,35 +333,24 @@ where
                 z.values(),
                 &normalizer,
                 descent_budget(config.ls_max_steps, config.ls_neighbors_per_step),
-                &mut evaluator,
+                &mut ctx,
                 rng,
             );
-            evaluations += descent.evaluations;
-            if evaluator.poisoned() {
-                recorder.record(
-                    restart + 1,
-                    evaluations,
-                    start_time.elapsed(),
-                    &archive.objectives(),
-                );
+            if ctx.poisoned() {
+                ctx.record(restart + 1, &archive.objectives());
                 break;
             }
             for (s, o) in descent.accepted {
                 z.update(&o);
                 normalizer.observe(&o);
-                recorder.observe(&o);
+                ctx.recorder.observe(&o);
                 archive.insert(s, o);
             }
         }
-        recorder.record(restart + 1, evaluations, start_time.elapsed(), &archive.objectives());
+        ctx.record(restart + 1, &archive.objectives());
     }
 
-    RunResult {
-        population: archive.into_entries(),
-        trace: recorder.into_points(),
-        evaluations,
-        elapsed: start_time.elapsed(),
-    }
+    ctx.into_result(archive.into_entries())
 }
 
 /// Draws `k` distinct indices in `0..n` (used by tests and the harness).

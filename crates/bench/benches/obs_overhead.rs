@@ -1,7 +1,7 @@
 //! Criterion benchmark for observability overhead on the batch-evaluation
 //! hot path: the guarded evaluator with no obs handle (the disabled
-//! default), with an enabled handle draining into a `NullSink`, and the
-//! bare `ParallelEvaluator` as the floor.
+//! default), with an enabled handle draining into a `NullSink`, and a
+//! plain `Problem::evaluate` loop as the floor.
 //!
 //! The acceptance bar is that the disabled handle costs <1% over the
 //! guarded baseline — disabled telemetry is a single `Option` check per
@@ -13,7 +13,7 @@ use rand::SeedableRng;
 
 use moela_manycore::{ManycoreProblem, ObjectiveSet, PlatformConfig};
 use moela_moo::fault::FaultConfig;
-use moela_moo::{GuardedEvaluator, ParallelEvaluator, Problem};
+use moela_moo::{GuardedEvaluator, Problem};
 use moela_obs::{NullSink, Obs, Sink};
 use moela_traffic::{Benchmark, Workload};
 
@@ -31,9 +31,11 @@ fn bench_obs_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("obs_overhead/manycore_4x4x4_batch48");
     group.sample_size(20);
 
-    let plain = ParallelEvaluator::new(1);
-    group.bench_function("parallel_evaluator", |b| {
-        b.iter(|| plain.evaluate(black_box(&problem), black_box(&batch)))
+    group.bench_function("plain_evaluate", |b| {
+        b.iter(|| {
+            let problem = black_box(&problem);
+            black_box(&batch).iter().map(|d| problem.evaluate(d)).collect::<Vec<_>>()
+        })
     });
 
     let mut guarded = GuardedEvaluator::new(1, FaultConfig::default());

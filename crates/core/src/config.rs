@@ -65,9 +65,9 @@ pub struct MoelaConfig {
     pub max_evaluations: Option<u64>,
     /// Optional wall-clock budget (the paper's `T_stop`).
     pub time_budget: Option<Duration>,
-    /// Worker threads for batch objective evaluation (`0` = auto-detect
-    /// from the host). Results are bit-identical for every value — see
-    /// [`moela_moo::parallel::ParallelEvaluator`].
+    /// Worker threads the run's [`moela_moo::fault::GuardedEvaluator`] fans each
+    /// evaluation batch across (`0` = auto-detect). Results are
+    /// bit-identical for every value.
     pub threads: usize,
     /// How evaluation faults (panics, non-finite or malformed objective
     /// vectors) are contained — see [`moela_moo::fault::GuardedEvaluator`].

@@ -84,10 +84,10 @@ where
     /// population with its trace.
     ///
     /// Candidate designs are always *generated* sequentially from `rng`
-    /// and *evaluated* in batches through a
-    /// [`ParallelEvaluator`](moela_moo::ParallelEvaluator) sized by
-    /// [`MoelaConfig::threads`], so the outcome is bit-identical for every
-    /// thread count.
+    /// and *evaluated* in batches through the run's
+    /// [`RunCtx`], whose guarded evaluator
+    /// has [`MoelaConfig::threads`] workers, so the outcome is
+    /// bit-identical for every thread count.
     pub fn run(&self, rng: &mut StdRng) -> MoelaOutcome<P::Solution> {
         run_to_end(self.start(rng), rng)
     }
@@ -251,10 +251,9 @@ where
                     neighbors_per_step: self.config.ls_neighbors_per_step,
                     stall_evaluations: self.config.ls_stall_evaluations,
                 },
-                &mut self.ctx.evaluator,
+                &mut self.ctx,
                 rng,
             );
-            self.ctx.charge(outcome.evaluations);
             if self.ctx.poisoned() {
                 return false;
             }

@@ -18,8 +18,10 @@
 //! all optimizers share. The context owns the fault-guarded evaluator, the
 //! evaluation count and the budget caps, the anytime trace recorder, the
 //! start time, the `finished` latch, and the telemetry and cancellation
-//! handles. A `step` opens with [`RunCtx::begin_step`], evaluates through
-//! the context's metered methods, records trace points with
+//! handles. It is the only code that evaluates and counts: every
+//! candidate, in every optimizer and in the shared descent, goes through
+//! [`RunCtx::evaluate`]. A `step` opens with [`RunCtx::begin_step`],
+//! evaluates through the context, records trace points with
 //! [`RunCtx::record`], and a snapshot wraps the optimizer's own fields
 //! around [`RunCtx::snapshot`]. [`Resumable`] reaches the context through
 //! `ctx`/`ctx_mut` and implements the driver hooks (`set_obs`,
@@ -86,10 +88,7 @@ impl CancelToken {
 /// guard.
 #[derive(Debug)]
 pub struct RunCtx {
-    /// The fault-containing evaluator. Evaluate through the metered
-    /// methods; a helper that takes the evaluator itself reports its
-    /// attempts through [`RunCtx::charge`].
-    pub evaluator: GuardedEvaluator,
+    evaluator: GuardedEvaluator,
     /// Objective evaluations paid for so far, retries included.
     pub evaluations: u64,
     /// The anytime-PHV trace.
@@ -214,40 +213,31 @@ impl RunCtx {
     }
 
     /// `true` once a [`crate::fault::FaultPolicy::Fail`] fault latched;
-    /// the metered methods latch `finished` with it.
+    /// [`RunCtx::evaluate`] latches `finished` with it.
     pub fn poisoned(&self) -> bool {
         self.evaluator.poisoned()
     }
 
-    /// Adds `attempts` paid evaluations and latches `finished` if the
-    /// evaluator is poisoned.
-    pub fn charge(&mut self, attempts: u64) {
-        self.evaluations += attempts;
-        if self.poisoned() {
-            self.finished = true;
-        }
+    /// The fault counters accumulated by this run's evaluations.
+    pub fn fault_log(&self) -> &FaultLog {
+        self.evaluator.log()
     }
 
-    /// Evaluates a batch under containment, metered.
+    /// Evaluates a batch under containment and adds its attempts,
+    /// retries included, to the evaluation count; latches `finished` if
+    /// a [`crate::fault::FaultPolicy::Fail`] fault poisoned the run. One
+    /// candidate is a one-element slice (`std::slice::from_ref`).
     pub fn evaluate<P>(&mut self, problem: &P, solutions: &[P::Solution]) -> GuardedBatch
     where
         P: Problem + Sync,
         P::Solution: Sync,
     {
         let batch = self.evaluator.evaluate(problem, solutions);
-        self.charge(batch.attempts);
+        self.evaluations += batch.attempts;
+        if self.poisoned() {
+            self.finished = true;
+        }
         batch
-    }
-
-    /// Evaluates one candidate under containment, metered.
-    pub fn evaluate_one<P>(&mut self, problem: &P, solution: &P::Solution) -> Option<Vec<f64>>
-    where
-        P: Problem + Sync,
-        P::Solution: Sync,
-    {
-        let (objectives, attempts) = self.evaluator.evaluate_one(problem, solution);
-        self.charge(attempts);
-        objectives
     }
 
     /// Appends the trace point of `step` over `objectives`, at the
@@ -315,7 +305,7 @@ pub trait Resumable<C: SolutionCodec<Self::Solution>> {
 
     /// The fault counters accumulated by this run's guarded evaluator.
     fn fault_log(&self) -> &FaultLog {
-        self.ctx().evaluator.log()
+        self.ctx().fault_log()
     }
 
     /// The latched [`crate::fault::FaultPolicy::Fail`] error, if an
@@ -493,6 +483,28 @@ mod tests {
     }
 
     #[test]
+    fn a_one_element_slice_is_evaluated_and_charged_like_a_batch() {
+        let problem = Zdt::zdt1(4);
+        let design = vec![0.5; 4];
+        let broken = ChaosProblem::new(Zdt::zdt1(4), ChaosSpec::parse("panic=1.0").unwrap(), 1);
+        let skip = FaultConfig { policy: FaultPolicy::Skip, retries: 1 };
+        let mut run = ctx(skip, None, None);
+        let clean = run.evaluate(&problem, std::slice::from_ref(&design));
+        assert_eq!(clean.objectives, vec![Some(problem.evaluate(&design))]);
+        assert_eq!(run.evaluations, 1);
+        let dropped = run.evaluate(&broken, std::slice::from_ref(&design));
+        assert_eq!(dropped.objectives, vec![None]);
+        assert_eq!(run.evaluations, 3, "the retry is paid for");
+        assert_eq!(run.fault_log().skipped, 1);
+        assert!(!run.finished);
+
+        let mut run = ctx(FaultConfig::default(), None, None);
+        assert_eq!(run.evaluate(&broken, std::slice::from_ref(&design)).objectives, vec![None]);
+        assert_eq!(run.evaluations, 1);
+        assert!(run.poisoned() && run.finished, "a Fail fault latches the run");
+    }
+
+    #[test]
     fn a_snapshot_restores_the_shared_fields() {
         let problem = ChaosProblem::new(Zdt::zdt1(4), ChaosSpec::parse("nan=0.3").unwrap(), 7);
         let skip = FaultConfig { policy: FaultPolicy::Skip, retries: 1 };
@@ -504,7 +516,7 @@ mod tests {
         let restored = RunCtx::restore(&snap, Duration::ZERO, 1, skip, Some(12), None).unwrap();
         assert_eq!(restored.evaluations, run.evaluations());
         assert!(restored.finished);
-        assert_eq!(restored.evaluator.log(), run.fault_log());
+        assert_eq!(restored.fault_log(), run.fault_log());
         assert_eq!(restored.recorder.points(), run.ctx().recorder.points());
         let shared = |c: &RunCtx| c.snapshot(Vec::new(), Vec::new());
         assert_eq!(shared(&restored), shared(run.ctx()));
@@ -522,7 +534,7 @@ mod tests {
         let old = Value::Object(fields);
         let restored =
             RunCtx::restore(&old, Duration::ZERO, 1, FaultConfig::default(), None, None).unwrap();
-        assert_eq!(*restored.evaluator.log(), FaultLog::default());
+        assert_eq!(*restored.fault_log(), FaultLog::default());
         assert_eq!(restored.evaluations, 1);
     }
 }

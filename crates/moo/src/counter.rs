@@ -118,11 +118,6 @@ impl<P: Problem> Problem for Counted<P> {
         self.inner.evaluate(s)
     }
 
-    fn evaluate_batch(&self, solutions: &[Self::Solution]) -> Vec<Vec<f64>> {
-        self.counter.add(solutions.len() as u64);
-        self.inner.evaluate_batch(solutions)
-    }
-
     fn evaluate_ordinal(&self, s: &Self::Solution, ordinal: u64) -> Vec<f64> {
         // Tick before evaluating so the count survives a contained panic.
         self.counter.add(1);

@@ -5,10 +5,9 @@
 //! they panic, return NaN/Inf, or produce malformed vectors. This module
 //! turns those failures into data instead of process aborts:
 //!
-//! * [`GuardedEvaluator`] wraps the workspace's
-//!   [`ParallelEvaluator`] with per-candidate
-//!   panic isolation and result validation, classifying every failure as a
-//!   structured [`EvalFault`];
+//! * [`GuardedEvaluator`] fans a batch out across scoped worker threads
+//!   with per-candidate panic isolation and result validation,
+//!   classifying every failure as a structured [`EvalFault`];
 //! * [`FaultPolicy`] decides what happens next — abort the run with a
 //!   clean error ([`FaultPolicy::Fail`]), quarantine the candidate behind a
 //!   finite worst-case penalty vector ([`FaultPolicy::PenalizeWorst`]), or
@@ -33,7 +32,6 @@ use std::sync::Once;
 use moela_obs::Obs;
 use moela_persist::{PersistError, Restore, Snapshot, Value};
 
-use crate::parallel::ParallelEvaluator;
 use crate::problem::Problem;
 
 /// The finite worst-case objective value used to quarantine faulted
@@ -327,16 +325,21 @@ impl GuardedBatch {
     }
 }
 
-/// A fault-containing evaluation front-end: the
-/// [`ParallelEvaluator`] plus per-candidate
-/// panic isolation, validation, retries, and policy application.
+/// The workspace's one evaluation engine: a batch fanned out across
+/// scoped worker threads, with per-candidate panic isolation,
+/// validation, retries, and policy application.
 ///
-/// On the happy path (no faults) it returns exactly what the parallel
-/// evaluator would — same values, same order, same cost — so fault
-/// containment is zero-cost for byte-identical traces.
+/// Candidates are generated sequentially by the optimizer, so the RNG
+/// stream does not depend on the worker count. They are evaluated here in
+/// contiguous chunks, one per worker, and reassembled in input order.
+/// Candidate `i` is evaluated as ordinal `base + i` however the batch is
+/// chunked, so results, fault decisions and costs are bit-identical at
+/// any worker count. On the happy path (no faults) it returns exactly
+/// what per-candidate [`Problem::evaluate_ordinal`] returns, at the same
+/// cost.
 #[derive(Clone, Debug)]
 pub struct GuardedEvaluator {
-    evaluator: ParallelEvaluator,
+    threads: usize,
     config: FaultConfig,
     log: FaultLog,
     error: Option<EvalFault>,
@@ -347,24 +350,18 @@ impl GuardedEvaluator {
     /// A guard with `threads` evaluation workers (0 = auto) and the given
     /// fault policy.
     pub fn new(threads: usize, config: FaultConfig) -> Self {
-        Self {
-            evaluator: ParallelEvaluator::new(threads),
-            config,
-            log: FaultLog::default(),
-            error: None,
-            obs: Obs::disabled(),
-        }
+        Self::from_parts(threads, config, FaultLog::default())
     }
 
-    /// Rebuilds a guard from a checkpointed fault log.
+    /// Rebuilds a guard from a checkpointed fault log. `threads = 0`
+    /// resolves to the host's available parallelism (1 when it cannot be
+    /// determined).
     pub fn from_parts(threads: usize, config: FaultConfig, log: FaultLog) -> Self {
-        Self {
-            evaluator: ParallelEvaluator::new(threads),
-            config,
-            log,
-            error: None,
-            obs: Obs::disabled(),
-        }
+        let threads = match threads {
+            0 => std::thread::available_parallelism().map_or(1, usize::from),
+            n => n,
+        };
+        Self { threads, config, log, error: None, obs: Obs::disabled() }
     }
 
     /// Installs the observability handle every batch evaluation reports
@@ -377,11 +374,6 @@ impl GuardedEvaluator {
     /// The fault counters accumulated so far.
     pub fn log(&self) -> &FaultLog {
         &self.log
-    }
-
-    /// The configured policy.
-    pub fn config(&self) -> FaultConfig {
-        self.config
     }
 
     /// The latched [`FaultPolicy::Fail`] error, if one occurred.
@@ -408,7 +400,7 @@ impl GuardedEvaluator {
         let faults_before = self.log.faults();
         let m = problem.objective_count();
         let base = problem.reserve_ordinals(solutions.len() as u64);
-        let mut results = self.evaluator.try_evaluate(problem, solutions, base, m);
+        let mut results = fan_out(problem, solutions, base, m, self.threads);
         let mut attempts = solutions.len() as u64;
 
         // Retries run sequentially in batch order: deterministic at any
@@ -464,74 +456,56 @@ impl GuardedEvaluator {
         }
         GuardedBatch { objectives, attempts }
     }
-
-    /// Evaluates a single candidate under containment.
-    pub fn evaluate_one<P>(
-        &mut self,
-        problem: &P,
-        solution: &P::Solution,
-    ) -> (Option<Vec<f64>>, u64)
-    where
-        P: Problem + Sync,
-        P::Solution: Sync,
-    {
-        let batch = self.evaluate(problem, std::slice::from_ref(solution));
-        let objectives = batch.objectives.into_iter().next().flatten();
-        (objectives, batch.attempts)
-    }
 }
 
-impl ParallelEvaluator {
-    /// Evaluates `solutions` with per-candidate panic isolation and
-    /// result validation, returning one `Result` per candidate in input
-    /// order. Candidate `i` is evaluated as ordinal `base_ordinal + i`
-    /// regardless of how the batch is chunked across workers, so results
-    /// are bit-identical at any thread count.
-    pub fn try_evaluate<P>(
-        &self,
-        problem: &P,
-        solutions: &[P::Solution],
-        base_ordinal: u64,
-        m: usize,
-    ) -> Vec<Result<Vec<f64>, EvalFault>>
-    where
-        P: Problem + Sync,
-        P::Solution: Sync,
-    {
-        let workers = self.threads().min(solutions.len());
-        let eval_chunk =
-            |chunk: &[P::Solution], offset: usize| -> Vec<Result<Vec<f64>, EvalFault>> {
-                chunk
-                    .iter()
-                    .enumerate()
-                    .map(|(k, s)| {
-                        let index = offset + k;
-                        guarded_eval_one(problem, s, base_ordinal + index as u64, m, index)
-                    })
-                    .collect()
-            };
-        if workers <= 1 {
-            return eval_chunk(solutions, 0);
-        }
-        let chunk_len = solutions.len().div_ceil(workers);
-        let mut results: Vec<Vec<Result<Vec<f64>, EvalFault>>> = Vec::with_capacity(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = solutions
-                .chunks(chunk_len)
-                .enumerate()
-                .map(|(c, chunk)| scope.spawn(move || eval_chunk(chunk, c * chunk_len)))
-                .collect();
-            for handle in handles {
-                match handle.join() {
-                    Ok(chunk) => results.push(chunk),
-                    // The chunk closure contains every per-item panic, so a
-                    // join error means the *harness* itself failed.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-        });
-        results.into_iter().flatten().collect()
+/// Evaluates `solutions` on up to `threads` scoped workers, each taking
+/// one contiguous chunk, with per-candidate panic isolation and result
+/// validation. Returns one `Result` per candidate in input order;
+/// candidate `i` is evaluated as ordinal `base_ordinal + i`. A single
+/// worker (or a batch of one) runs on the caller's thread.
+fn fan_out<P>(
+    problem: &P,
+    solutions: &[P::Solution],
+    base_ordinal: u64,
+    m: usize,
+    threads: usize,
+) -> Vec<Result<Vec<f64>, EvalFault>>
+where
+    P: Problem + Sync,
+    P::Solution: Sync,
+{
+    let workers = threads.min(solutions.len());
+    let eval_chunk = |chunk: &[P::Solution], offset: usize| -> Vec<Result<Vec<f64>, EvalFault>> {
+        chunk
+            .iter()
+            .enumerate()
+            .map(|(k, s)| {
+                let index = offset + k;
+                guarded_eval_one(problem, s, base_ordinal + index as u64, m, index)
+            })
+            .collect()
+    };
+    if workers <= 1 {
+        return eval_chunk(solutions, 0);
     }
+    let chunk_len = solutions.len().div_ceil(workers);
+    let mut results: Vec<Vec<Result<Vec<f64>, EvalFault>>> = Vec::with_capacity(workers);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = solutions
+            .chunks(chunk_len)
+            .enumerate()
+            .map(|(c, chunk)| scope.spawn(move || eval_chunk(chunk, c * chunk_len)))
+            .collect();
+        for handle in handles {
+            match handle.join() {
+                Ok(chunk) => results.push(chunk),
+                // The chunk closure contains every per-item panic, so a
+                // join error means the *harness* itself failed.
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+    });
+    results.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
@@ -591,8 +565,7 @@ mod tests {
     #[test]
     fn faults_are_classified_per_candidate_at_any_thread_count() {
         for threads in [1, 4] {
-            let evaluator = ParallelEvaluator::new(threads);
-            let out = evaluator.try_evaluate(&Moody, &moody_batch(), 0, 2);
+            let out = fan_out(&Moody, &moody_batch(), 0, 2, threads);
             assert!(out[0].is_ok() && out[4].is_ok(), "threads {threads}");
             assert_eq!(out[1].as_ref().unwrap_err().kind, FaultKind::Panic);
             assert_eq!(out[2].as_ref().unwrap_err().kind, FaultKind::NonFinite);
@@ -664,18 +637,28 @@ mod tests {
     }
 
     #[test]
-    fn happy_path_matches_the_plain_evaluator_exactly() {
-        let problem = Zdt::zdt1(6);
+    fn happy_path_matches_sequential_evaluation_at_every_worker_count() {
+        let problem = Zdt::zdt3(6);
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let batch: Vec<_> = (0..17).map(|_| problem.random_solution(&mut rng)).collect();
-        let plain = ParallelEvaluator::new(4).evaluate(&problem, &batch);
-        let mut guard = GuardedEvaluator::new(4, FaultConfig::default());
-        let guarded = guard.evaluate(&problem, &batch);
-        assert_eq!(guarded.attempts, batch.len() as u64);
-        let values: Vec<Vec<f64>> =
-            guarded.objectives.into_iter().map(|o| o.expect("clean")).collect();
-        assert_eq!(values, plain);
-        assert!(guard.log().is_clean());
+        let plain: Vec<Vec<f64>> = batch.iter().map(|s| problem.evaluate(s)).collect();
+        for threads in [0, 1, 2, 3, 4, 8, 64] {
+            let mut guard = GuardedEvaluator::new(threads, FaultConfig::default());
+            for len in [0, 1, batch.len()] {
+                let guarded = guard.evaluate(&problem, &batch[..len]);
+                assert_eq!(guarded.attempts, len as u64, "threads {threads}");
+                let values: Vec<Vec<f64>> =
+                    guarded.objectives.into_iter().map(|o| o.expect("clean")).collect();
+                assert_eq!(values, plain[..len], "threads {threads}, {len} candidates");
+            }
+            assert!(guard.log().is_clean());
+        }
+    }
+
+    #[test]
+    fn zero_threads_resolves_to_available_parallelism() {
+        assert!(GuardedEvaluator::new(0, FaultConfig::default()).threads >= 1);
+        assert_eq!(GuardedEvaluator::new(3, FaultConfig::default()).threads, 3);
     }
 
     #[test]
@@ -704,17 +687,5 @@ mod tests {
         assert!(is_quarantined(&[PENALTY, 0.0]));
         assert!(!is_quarantined(&[1.0, 2.0]));
         assert!(!is_penalty(&[1.0, 2.0]));
-    }
-
-    #[test]
-    fn evaluate_one_contains_single_candidates() {
-        let mut guard =
-            GuardedEvaluator::new(1, FaultConfig { policy: FaultPolicy::Skip, retries: 0 });
-        let (ok, cost) = guard.evaluate_one(&Moody, &vec![0.5]);
-        assert_eq!(ok, Some(vec![0.5, 0.5]));
-        assert_eq!(cost, 1);
-        let (bad, cost) = guard.evaluate_one(&Moody, &vec![-2.0]);
-        assert_eq!(bad, None);
-        assert_eq!(cost, 1);
     }
 }

@@ -22,11 +22,13 @@
 //! * the greedy weighted-sum descent of eq. (8),
 //!   [`local_search::greedy_descent`], run by MOELA, MOOS and the
 //!   multi-start baseline;
-//! * deterministic parallel batch evaluation
-//!   ([`parallel::ParallelEvaluator`]) — optimizers generate candidates
-//!   sequentially, then evaluate whole batches across scoped worker
-//!   threads with bit-identical results at any thread count;
-//! * fault containment: [`fault::GuardedEvaluator`] turns panicking,
+//! * one evaluation path: an optimizer generates candidates sequentially
+//!   and hands the batch to [`checkpoint::RunCtx::evaluate`], which
+//!   counts it against the budget and passes it to
+//!   [`fault::GuardedEvaluator::evaluate`]. That fans the batch out across
+//!   scoped worker threads, calls [`Problem::evaluate_ordinal`] per
+//!   candidate and gives bit-identical results at any thread count;
+//! * fault containment on that path: the guard turns panicking,
 //!   NaN-producing or malformed evaluations into structured
 //!   [`fault::EvalFault`]s handled by a uniform [`fault::FaultPolicy`],
 //!   and [`chaos::ChaosProblem`] injects such faults deterministically
@@ -63,7 +65,6 @@ pub mod hypervolume;
 pub mod local_search;
 pub mod metrics;
 pub mod normalize;
-pub mod parallel;
 pub mod pareto;
 pub mod problem;
 pub mod problems;
@@ -79,5 +80,4 @@ pub use fault::{
     is_penalty, is_quarantined, penalty_objectives, EvalFault, FaultConfig, FaultKind, FaultLog,
     FaultPolicy, GuardedBatch, GuardedEvaluator, PENALTY,
 };
-pub use parallel::ParallelEvaluator;
 pub use problem::Problem;

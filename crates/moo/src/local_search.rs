@@ -10,10 +10,11 @@
 
 use rand::RngCore;
 
+use crate::checkpoint::RunCtx;
 use crate::fault::is_quarantined;
 use crate::normalize::Normalizer;
 use crate::scalarize::Scalarizer;
-use crate::{GuardedEvaluator, Problem};
+use crate::Problem;
 
 /// Budget knobs of one greedy descent.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -40,8 +41,6 @@ pub struct LocalSearchOutcome<S> {
     /// Every accepted state with its objectives, in visit order (start
     /// excluded, best included). These are already-paid-for evaluations.
     pub accepted: Vec<(S, Vec<f64>)>,
-    /// Objective evaluations consumed.
-    pub evaluations: u64,
 }
 
 /// Runs a greedy descent of eq. (8) from `start`.
@@ -52,15 +51,16 @@ pub struct LocalSearchOutcome<S> {
 /// neighbors in a row failed to improve.
 ///
 /// Each step samples its `neighbors_per_step` candidates sequentially from
-/// `rng`, then evaluates the whole batch through `evaluator` — so results
-/// are independent of the evaluator's worker count.
+/// `rng`, then evaluates the whole batch through [`RunCtx::evaluate`] — so
+/// results are independent of the worker count, and every attempt,
+/// retries included, is counted on `ctx`.
 ///
-/// Evaluation faults are contained by the [`GuardedEvaluator`]: dropped or
+/// Evaluation faults are contained by the context's guard: dropped or
 /// quarantined neighbors simply never become the step's best move, and a
 /// latched [`FaultPolicy::Fail`](crate::fault::FaultPolicy::Fail)
 /// error ends the descent early (the caller checks
-/// [`GuardedEvaluator::poisoned`]). `evaluations` in the outcome counts
-/// *attempts*, retries included.
+/// [`RunCtx::poisoned`]). It checks neither the evaluation cap nor the
+/// clock: the caller decides whether a descent may start.
 #[allow(clippy::too_many_arguments)]
 pub fn greedy_descent<P>(
     problem: &P,
@@ -70,7 +70,7 @@ pub fn greedy_descent<P>(
     z_raw: &[f64],
     normalizer: &Normalizer,
     budget: LocalSearchBudget,
-    evaluator: &mut GuardedEvaluator,
+    ctx: &mut RunCtx,
     rng: &mut dyn RngCore,
 ) -> LocalSearchOutcome<P::Solution>
 where
@@ -88,15 +88,13 @@ where
     let mut current_objs = start_objectives.to_vec();
     let mut current_g = g(&current_objs);
     let mut accepted: Vec<(P::Solution, Vec<f64>)> = Vec::new();
-    let mut evaluations = 0u64;
     let mut stalls = 0usize;
 
     for _ in 0..budget.max_steps {
         let candidates: Vec<P::Solution> =
             (0..budget.neighbors_per_step).map(|_| problem.neighbor(&current, rng)).collect();
-        let batch = evaluator.evaluate(problem, &candidates);
-        evaluations += batch.attempts;
-        if evaluator.poisoned() {
+        let batch = ctx.evaluate(problem, &candidates);
+        if ctx.poisoned() {
             break; // a Fail-policy fault latched; stop descending
         }
         let mut best_neighbor: Option<(P::Solution, Vec<f64>, f64)> = None;
@@ -135,7 +133,6 @@ where
         best_objectives: current_objs,
         final_value: current_g,
         accepted,
-        evaluations,
     }
 }
 
@@ -149,8 +146,12 @@ mod tests {
     use crate::problems::Zdt;
     use rand::SeedableRng;
 
-    fn guard() -> GuardedEvaluator {
-        GuardedEvaluator::new(1, FaultConfig::default())
+    fn ctx(threads: usize, fault: FaultConfig) -> RunCtx {
+        RunCtx::new(threads, fault, None, 2, None, None)
+    }
+
+    fn run() -> RunCtx {
+        ctx(1, FaultConfig::default())
     }
 
     fn setup() -> (Zdt, Vec<f64>, Normalizer, rand::rngs::StdRng) {
@@ -168,7 +169,7 @@ mod tests {
         let budget =
             LocalSearchBudget { max_steps: 20, neighbors_per_step: 4, stall_evaluations: 12 };
         let out =
-            greedy_descent(&p, &start, &objs, &[0.5, 0.5], &z, &n, budget, &mut guard(), &mut rng);
+            greedy_descent(&p, &start, &objs, &[0.5, 0.5], &z, &n, budget, &mut run(), &mut rng);
         let g0 = Scalarizer::WeightedSum.value(&n.normalize(&objs), &[0.5, 0.5], &n.normalize(&z));
         assert!(out.final_value <= g0);
     }
@@ -190,7 +191,7 @@ mod tests {
                 &z,
                 &n,
                 budget,
-                &mut guard(),
+                &mut run(),
                 &mut rng,
             );
             let g0 =
@@ -210,7 +211,7 @@ mod tests {
         let budget =
             LocalSearchBudget { max_steps: 15, neighbors_per_step: 4, stall_evaluations: 12 };
         let out =
-            greedy_descent(&p, &start, &objs, &[1.0, 0.0], &z, &n, budget, &mut guard(), &mut rng);
+            greedy_descent(&p, &start, &objs, &[1.0, 0.0], &z, &n, budget, &mut run(), &mut rng);
         assert!(!out.accepted.is_empty());
         assert!(out.accepted.len() <= budget.max_steps);
         let (last, last_objs) = out.accepted.last().expect("non-empty");
@@ -224,11 +225,11 @@ mod tests {
         let objs = p.evaluate(&start);
         let budget =
             LocalSearchBudget { max_steps: 10, neighbors_per_step: 3, stall_evaluations: 9 };
-        let out =
-            greedy_descent(&p, &start, &objs, &[0.5, 0.5], &z, &n, budget, &mut guard(), &mut rng);
-        assert_eq!(out.evaluations % 3, 0, "whole steps only");
-        assert!(out.evaluations <= 30);
-        assert!(out.evaluations >= 3, "at least one step is attempted");
+        let mut run = run();
+        greedy_descent(&p, &start, &objs, &[0.5, 0.5], &z, &n, budget, &mut run, &mut rng);
+        assert_eq!(run.evaluations % 3, 0, "whole steps only");
+        assert!(run.evaluations <= 30);
+        assert!(run.evaluations >= 3, "at least one step is attempted");
     }
 
     #[test]
@@ -236,30 +237,23 @@ mod tests {
         let (p, z, n, _) = setup();
         let budget =
             LocalSearchBudget { max_steps: 25, neighbors_per_step: 5, stall_evaluations: 15 };
-        let run = |threads: usize| {
+        let descend = |threads: usize| {
             let mut rng = rand::rngs::StdRng::seed_from_u64(42);
             let start = p.random_solution(&mut rng);
             let objs = p.evaluate(&start);
-            greedy_descent(
-                &p,
-                &start,
-                &objs,
-                &[0.3, 0.7],
-                &z,
-                &n,
-                budget,
-                &mut GuardedEvaluator::new(threads, FaultConfig::default()),
-                &mut rng,
-            )
+            let mut run = ctx(threads, FaultConfig::default());
+            let out =
+                greedy_descent(&p, &start, &objs, &[0.3, 0.7], &z, &n, budget, &mut run, &mut rng);
+            (out, run.evaluations)
         };
-        let sequential = run(1);
+        let (sequential, sequential_evaluations) = descend(1);
         for threads in [2, 4, 8] {
-            let parallel = run(threads);
+            let (parallel, parallel_evaluations) = descend(threads);
             assert_eq!(parallel.best, sequential.best, "threads = {threads}");
             assert_eq!(parallel.best_objectives, sequential.best_objectives);
             assert_eq!(parallel.final_value, sequential.final_value);
             assert_eq!(parallel.accepted, sequential.accepted);
-            assert_eq!(parallel.evaluations, sequential.evaluations);
+            assert_eq!(parallel_evaluations, sequential_evaluations);
         }
     }
 
@@ -272,28 +266,10 @@ mod tests {
         let objs = p.evaluate(&start);
         let budget =
             LocalSearchBudget { max_steps: 60, neighbors_per_step: 6, stall_evaluations: 18 };
-        let to_f1 = greedy_descent(
-            &p,
-            &start,
-            &objs,
-            &[0.95, 0.05],
-            &z,
-            &n,
-            budget,
-            &mut guard(),
-            &mut rng,
-        );
-        let to_f2 = greedy_descent(
-            &p,
-            &start,
-            &objs,
-            &[0.05, 0.95],
-            &z,
-            &n,
-            budget,
-            &mut guard(),
-            &mut rng,
-        );
+        let to_f1 =
+            greedy_descent(&p, &start, &objs, &[0.95, 0.05], &z, &n, budget, &mut run(), &mut rng);
+        let to_f2 =
+            greedy_descent(&p, &start, &objs, &[0.05, 0.95], &z, &n, budget, &mut run(), &mut rng);
         assert!(
             to_f1.best_objectives[0] < to_f2.best_objectives[0],
             "f1-weighted search must reach lower f1 ({} vs {})",
@@ -312,8 +288,7 @@ mod tests {
         let objs = chaotic.inner().evaluate(&start);
         let budget =
             LocalSearchBudget { max_steps: 20, neighbors_per_step: 4, stall_evaluations: 12 };
-        let mut guard =
-            GuardedEvaluator::new(2, FaultConfig { policy: FaultPolicy::Skip, retries: 1 });
+        let mut run = ctx(2, FaultConfig { policy: FaultPolicy::Skip, retries: 1 });
         let out = greedy_descent(
             &chaotic,
             &start,
@@ -322,15 +297,15 @@ mod tests {
             &z,
             &n,
             budget,
-            &mut guard,
+            &mut run,
             &mut rng,
         );
-        assert!(!guard.poisoned());
-        assert!(guard.log().faults() > 0, "the spec must actually inject");
+        assert!(!run.poisoned());
+        assert!(run.fault_log().faults() > 0, "the spec must actually inject");
         assert!(out.best_objectives.iter().all(|v| v.is_finite()));
         assert!(out.accepted.iter().all(|(_, o)| o.iter().all(|v| v.is_finite())));
         assert!(out.final_value.is_finite());
-        assert!(out.evaluations >= 4, "attempts are still charged");
+        assert!(run.evaluations >= 4, "attempts are still charged");
     }
 
     #[test]
@@ -342,7 +317,7 @@ mod tests {
         let objs = chaotic.inner().evaluate(&start);
         let budget =
             LocalSearchBudget { max_steps: 50, neighbors_per_step: 4, stall_evaluations: 200 };
-        let mut guard = GuardedEvaluator::new(1, FaultConfig::default());
+        let mut run = run();
         let out = greedy_descent(
             &chaotic,
             &start,
@@ -351,11 +326,11 @@ mod tests {
             &z,
             &n,
             budget,
-            &mut guard,
+            &mut run,
             &mut rng,
         );
-        assert!(guard.poisoned());
-        assert_eq!(out.evaluations, 4, "exactly one batch is attempted before the latch");
+        assert!(run.poisoned() && run.finished);
+        assert_eq!(run.evaluations, 4, "exactly one batch is attempted before the latch");
         assert_eq!(out.best_objectives, objs, "the start survives unchanged");
     }
 }

@@ -15,6 +15,7 @@ use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
 use super::{greedy_descent, LocalSearchBudget};
+use crate::checkpoint::RunCtx;
 use crate::fault::{is_quarantined, FaultConfig, FaultPolicy};
 use crate::normalize::Normalizer;
 use crate::problems::Zdt;
@@ -109,14 +110,14 @@ fn assert_same_descent<P>(problem: impl Fn() -> P, seed: u64, k: usize, max_step
 where
     P: Problem<Solution = Vec<f64>> + Sync,
 {
-    let guard = || GuardedEvaluator::new(1, FaultConfig { policy: FaultPolicy::Skip, retries: 1 });
+    let skip = FaultConfig { policy: FaultPolicy::Skip, retries: 1 };
     let mut rng = StdRng::seed_from_u64(seed);
     let start = Zdt::zdt1(8).random_solution(&mut rng);
     let objs = Zdt::zdt1(8).evaluate(&start);
     let (weight, z) = ([w, 1.0 - w], [0.0, 0.0]);
     let n = Normalizer::from_bounds(vec![0.0, 0.0], vec![1.0, 10.0]);
 
-    let (mut rng_a, mut guard_a) = (rng.clone(), guard());
+    let (mut rng_a, mut guard_a) = (rng.clone(), GuardedEvaluator::new(1, skip));
     let (accepted, evaluations) = oracle_descent(
         &problem(),
         &start,
@@ -130,25 +131,16 @@ where
         &mut rng_a,
     );
 
-    let (mut rng_b, mut guard_b) = (rng, guard());
+    let (mut rng_b, mut ctx_b) = (rng, RunCtx::new(1, skip, None, 2, None, None));
     let budget = LocalSearchBudget { max_steps, neighbors_per_step: k, stall_evaluations: 3 * k };
-    let out = greedy_descent(
-        &problem(),
-        &start,
-        &objs,
-        &weight,
-        &z,
-        &n,
-        budget,
-        &mut guard_b,
-        &mut rng_b,
-    );
+    let out =
+        greedy_descent(&problem(), &start, &objs, &weight, &z, &n, budget, &mut ctx_b, &mut rng_b);
 
     let what = format!("seed {seed}, k {k}, max_steps {max_steps}");
     assert_eq!(out.accepted, accepted, "{what}");
-    assert_eq!(out.evaluations, evaluations, "{what}");
+    assert_eq!(ctx_b.evaluations, evaluations, "{what}");
     assert_eq!(rng_b.state(), rng_a.state(), "{what}");
-    assert_eq!(guard_b.log(), guard_a.log(), "{what}");
+    assert_eq!(ctx_b.fault_log(), guard_a.log(), "{what}");
 }
 
 /// Runs [`assert_same_descent`] on plain ZDT1 and on a chaotic ZDT1 under

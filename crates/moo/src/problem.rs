@@ -59,19 +59,6 @@ pub trait Problem {
     /// [`crate::Counted`] to meter it.
     fn evaluate(&self, s: &Self::Solution) -> Vec<f64>;
 
-    /// Evaluates a batch of solutions, returning one objective vector per
-    /// input, in input order.
-    ///
-    /// The default simply maps [`evaluate`](Problem::evaluate) over the
-    /// slice sequentially. Metering wrappers ([`crate::Counted`]) override
-    /// it to tick their counter once per batch, and
-    /// [`crate::ParallelEvaluator`] fans a batch out across worker
-    /// threads. Implementations must keep batch results identical to
-    /// per-solution [`evaluate`](Problem::evaluate) results.
-    fn evaluate_batch(&self, solutions: &[Self::Solution]) -> Vec<Vec<f64>> {
-        solutions.iter().map(|s| self.evaluate(s)).collect()
-    }
-
     /// Evaluates `s` as global evaluation number `ordinal`.
     ///
     /// Ordinals are the addressing scheme of fault injection
@@ -171,10 +158,6 @@ impl<P: Problem + ?Sized> Problem for &P {
 
     fn evaluate(&self, s: &Self::Solution) -> Vec<f64> {
         (**self).evaluate(s)
-    }
-
-    fn evaluate_batch(&self, solutions: &[Self::Solution]) -> Vec<Vec<f64>> {
-        (**self).evaluate_batch(solutions)
     }
 
     fn evaluate_ordinal(&self, s: &Self::Solution, ordinal: u64) -> Vec<f64> {

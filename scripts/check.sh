@@ -41,7 +41,7 @@ cmp "$smoke/full/front.csv" "$smoke/crashed/front.csv"
 cmp "$smoke/full/trace.csv" "$smoke/crashed-late/trace.csv"
 cmp "$smoke/full/front.csv" "$smoke/crashed-late/front.csv"
 # The other optimizers checkpoint their own schemas.
-for algo in moo-stage moos moead nsga2; do
+for algo in moo-stage moos moead nsga2 random; do
     algo_flags=("${flags[@]}" --algorithm "$algo")
     "$dse" run "${algo_flags[@]}" --run-dir "$smoke/$algo-full" >/dev/null
     "$dse" run "${algo_flags[@]}" --run-dir "$smoke/$algo-crashed" --crash-after-checkpoints 2 \

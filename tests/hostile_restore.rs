@@ -6,16 +6,19 @@
 //! their forest on restore, so such a payload must come back as a
 //! `PersistError` before it reaches `RandomForest::fit`'s asserts. MOELA
 //! and MOEA/D rebuild the same decomposition population, whose
-//! constructor asserts too. These tests mutate valid MOELA, MOOS,
-//! MOO-STAGE and MOEA/D state payloads — dropped fields, swapped types,
-//! truncated arrays — wrap each in a checkpoint whose CRC is recomputed,
-//! and accept `Ok` or `Err` from the restore, never a panic.
+//! constructor asserts too. These tests mutate valid state payloads of
+//! all six optimizers — dropped fields, swapped types, truncated arrays —
+//! wrap each in a checkpoint whose CRC is recomputed, and accept `Ok` or
+//! `Err` from the restore, never a panic.
 
 use std::path::Path;
 use std::sync::OnceLock;
 use std::time::Duration;
 
-use moela::baselines::{Moead, MoeadConfig, MooStage, MooStageConfig, Moos, MoosConfig};
+use moela::baselines::{
+    random_search_restore, random_search_start, Moead, MoeadConfig, MooStage, MooStageConfig, Moos,
+    MoosConfig, Nsga2, Nsga2Config, RandomSearchConfig,
+};
 use moela::core::{Moela, MoelaConfig};
 use moela::ml::MIN_FIT_ROWS;
 use moela::moo::checkpoint::Resumable;
@@ -31,9 +34,12 @@ enum Algo {
     Moos,
     MooStage,
     Moead,
+    Nsga2,
+    Random,
 }
 
-const ALGOS: [Algo; 4] = [Algo::Moela, Algo::Moos, Algo::MooStage, Algo::Moead];
+const ALGOS: [Algo; 6] =
+    [Algo::Moela, Algo::Moos, Algo::MooStage, Algo::Moead, Algo::Nsga2, Algo::Random];
 
 /// The optimizers that checkpoint a training set.
 const SURROGATE_ALGOS: [Algo; 3] = [Algo::Moela, Algo::Moos, Algo::MooStage];
@@ -58,6 +64,14 @@ fn moead_config() -> MoeadConfig {
     MoeadConfig { population: 6, neighborhood: 3, generations: 40, ..Default::default() }
 }
 
+fn nsga2_config() -> Nsga2Config {
+    Nsga2Config { population: 6, generations: 40, ..Default::default() }
+}
+
+fn random_config() -> RandomSearchConfig {
+    RandomSearchConfig { samples: 200, archive_cap: 8, trace_every: 20, ..Default::default() }
+}
+
 /// Steps `state` `steps` times and returns its snapshot.
 fn snapshot_after<S>(mut state: S, rng: &mut StdRng, steps: u64) -> Value
 where
@@ -79,6 +93,8 @@ fn valid_state(algo: Algo) -> Value {
             snapshot_after(Moos::new(moos_config(), &p).start(&mut rng), &mut rng, 10),
             snapshot_after(MooStage::new(stage_config(), &p).start(&mut rng), &mut rng, 4),
             snapshot_after(Moead::new(moead_config(), &p).start(&mut rng), &mut rng, 3),
+            snapshot_after(Nsga2::new(nsga2_config(), &p).start(&mut rng), &mut rng, 3),
+            snapshot_after(random_search_start(&random_config(), &p), &mut rng, 3),
         ]
     });
     states[algo as usize].clone()
@@ -101,6 +117,8 @@ fn restore(algo: Algo, state: &Value) -> Result<(), PersistError> {
         Algo::Moos => Moos::new(moos_config(), &p).restore(codec, state, zero).map(drop),
         Algo::MooStage => MooStage::new(stage_config(), &p).restore(codec, state, zero).map(drop),
         Algo::Moead => Moead::new(moead_config(), &p).restore(codec, state, zero).map(drop),
+        Algo::Nsga2 => Nsga2::new(nsga2_config(), &p).restore(codec, state, zero).map(drop),
+        Algo::Random => random_search_restore(&random_config(), &p, codec, state, zero).map(drop),
     }
 }
 
@@ -228,7 +246,7 @@ fn valid_states_restore() {
         let fitted = state.field("fit_rng").map(|v| *v != Value::Null);
         match algo {
             Algo::Moela | Algo::Moos => assert!(fitted.unwrap(), "{algo:?} must have fitted"),
-            Algo::MooStage | Algo::Moead => {
+            Algo::MooStage | Algo::Moead | Algo::Nsga2 | Algo::Random => {
                 assert!(fitted.is_err(), "{algo:?} checkpoints no surrogate")
             }
         }
@@ -283,7 +301,7 @@ fn training_rows_of_unequal_or_wrong_width_are_refused() {
 
 #[test]
 fn a_population_of_another_size_is_refused_with_both_counts() {
-    for algo in [Algo::Moela, Algo::Moead] {
+    for algo in [Algo::Moela, Algo::Moead, Algo::Nsga2] {
         let mut state = valid_state(algo);
         let Value::Object(fields) = &mut state else { panic!("object state") };
         let Value::Array(members) =

@@ -66,24 +66,24 @@ proptest! {
         prop_assert_eq!(problem.evaluate(&d), problem.evaluate(&d));
     }
 
-    /// Batch evaluation (at any worker count) equals per-solution
-    /// evaluation on the manycore problem — the contract the parallel
-    /// engine's determinism rests on.
+    /// Guarded batch evaluation (at any worker count) equals
+    /// per-solution evaluation on the manycore problem — the contract the
+    /// parallel engine's determinism rests on.
     #[test]
     fn manycore_batch_evaluation_matches_sequential(
         count in 0usize..9,
         threads in 0usize..6,
         seed in 0u64..500,
     ) {
-        use moela::moo::ParallelEvaluator;
+        use moela::moo::{FaultConfig, GuardedEvaluator};
         use rand::SeedableRng;
         let problem = small_problem(5);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let designs: Vec<_> = (0..count).map(|_| problem.random_solution(&mut rng)).collect();
-        let sequential: Vec<Vec<f64>> = designs.iter().map(|d| problem.evaluate(d)).collect();
-        prop_assert_eq!(problem.evaluate_batch(&designs), sequential.clone());
-        let evaluator = ParallelEvaluator::new(threads);
-        prop_assert_eq!(evaluator.evaluate(&problem, &designs), sequential);
+        let sequential: Vec<_> = designs.iter().map(|d| Some(problem.evaluate(d))).collect();
+        let batch = GuardedEvaluator::new(threads, FaultConfig::default()).evaluate(&problem, &designs);
+        prop_assert_eq!(batch.objectives, sequential);
+        prop_assert_eq!(batch.attempts, count as u64);
     }
 
     /// Hypervolume is monotone: adding a point never decreases it, and a
