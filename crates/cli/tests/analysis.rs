@@ -1,4 +1,5 @@
-//! Run-analysis tests: `report` and the two-path `compare` gate.
+//! Run-analysis tests: `report`, the two-path `compare` gate, and the
+//! all-optimizers `compare` table.
 //!
 //! `report` is a pure reader over a finished run store, so its
 //! `report.json` must agree exactly with the totals the engine itself
@@ -453,4 +454,45 @@ fn moo_stage_reports_meta_moves_and_random_restarts() {
         String::from_utf8_lossy(&out.stderr)
     );
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// `compare` with run flags (no run directories): every optimizer runs
+/// the same configuration and prints one table row.
+fn compare_optimizers(extra: &[&str]) -> String {
+    let mut args = vec![
+        "compare",
+        "--app",
+        "BFS",
+        "--objectives",
+        "3",
+        "--budget",
+        "120",
+        "--population",
+        "8",
+        "--seed",
+        "7",
+    ];
+    args.extend_from_slice(extra);
+    let out = moela_dse(&args);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    for algorithm in ["moela", "moead", "moos", "moo-stage", "nsga2", "random"] {
+        let rows = stdout.lines().filter(|l| l.split_whitespace().next() == Some(algorithm));
+        assert_eq!(rows.count(), 1, "one {algorithm} row expected:\n{stdout}");
+    }
+    stdout
+}
+
+#[test]
+fn compare_runs_every_optimizer_from_run_flags() {
+    let stdout = compare_optimizers(&[]);
+    assert!(!stdout.contains("faults contained"), "a clean run has no faults:\n{stdout}");
+}
+
+#[test]
+fn compare_under_chaos_notes_the_contained_faults() {
+    let chaos = ["--chaos", "panic=0.05", "--chaos-seed", "41", "--fault-policy", "penalize-worst"];
+    let stdout = compare_optimizers(&chaos);
+    let noted = stdout.lines().filter(|l| l.ends_with("faults contained)")).count();
+    assert_eq!(noted, 6, "every row notes its contained faults:\n{stdout}");
 }

@@ -11,7 +11,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 use moela_persist::checkpoint::from_bytes;
-use moela_persist::{PersistError, FORMAT_VERSION};
+use moela_persist::{CheckpointStore, PersistError, Value, FORMAT_VERSION};
 
 const BIN: &str = env!("CARGO_BIN_EXE_moela-dse");
 
@@ -269,6 +269,43 @@ fn resume_refuses_a_future_checkpoint_format() {
     assert!(stderr.contains("format 99"), "must name the offending version, got: {stderr}");
     let _ = fs::remove_dir_all(&full);
     let _ = fs::remove_dir_all(&crashed);
+}
+
+/// Rewrites one envelope field of the newest checkpoint through
+/// `CheckpointStore::save`, so the file's CRC stays valid and only the
+/// envelope check can refuse it, then resumes and returns stderr.
+fn resume_with_doctored_envelope(name: &str, field: &str, value: Value) -> String {
+    let (full, crashed) = crashed_run_pair(name);
+    let store = CheckpointStore::new(crashed.join("checkpoints")).expect("checkpoint store");
+    let (seq, mut envelope, _) = store.load_latest().expect("load").expect("a checkpoint");
+    let Value::Object(fields) = &mut envelope else { panic!("an envelope is an object") };
+    fields.iter_mut().find(|(k, _)| k == field).unwrap_or_else(|| panic!("no {field}")).1 = value;
+    store.save(seq, &envelope).expect("save doctored checkpoint");
+
+    let out = moela_dse(&["resume", crashed.to_str().expect("utf-8 path")]);
+    let stderr = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(1), "got: {stderr}");
+    assert!(!stderr.contains("panicked"), "got: {stderr}");
+    assert!(!crashed.join("trace.csv").exists(), "a refused resume must not finish the run");
+    let _ = fs::remove_dir_all(&full);
+    let _ = fs::remove_dir_all(&crashed);
+    stderr
+}
+
+#[test]
+fn resume_refuses_a_checkpoint_of_another_algorithm() {
+    let stderr =
+        resume_with_doctored_envelope("other-algorithm", "algorithm", Value::Str("nsga2".into()));
+    assert!(
+        stderr.contains("was written by 'nsga2' but the manifest configures 'moela'"),
+        "got: {stderr}"
+    );
+}
+
+#[test]
+fn resume_refuses_an_rng_state_that_is_not_four_words() {
+    let stderr = resume_with_doctored_envelope("short-rng", "rng", Value::u64_array(&[1, 2, 3]));
+    assert!(stderr.contains("malformed RNG state"), "got: {stderr}");
 }
 
 /// `tests/fixtures/v1-moela` is a run directory written by a format-1
