@@ -118,13 +118,14 @@ fn phases_value(replay: &RunReplay) -> Value {
 /// largest file size.
 fn checkpoints_value(replay: &RunReplay) -> Value {
     let total_us = |name: &str| replay.phase(name).map_or(0, |p| p.total_us);
-    let sizes = replay.gauge_events.iter().filter(|(n, _, _)| n == "checkpoint_bytes");
+    let bytes = names::CHECKPOINT_BYTES;
+    let sizes = replay.gauge_events.iter().filter(|(n, _, _)| n == bytes);
     let max_bytes = sizes.map(|&(_, _, v)| v as u64).max().unwrap_or(0);
     Value::object(vec![
-        ("count", Value::U64(replay.phase("checkpoint_write").map_or(0, |p| p.count))),
-        ("snapshot_us", Value::U64(total_us("checkpoint_snapshot"))),
-        ("write_us", Value::U64(total_us("checkpoint_write"))),
-        ("last_bytes", Value::U64(replay.gauge("checkpoint_bytes").map_or(0, |v| v as u64))),
+        ("count", Value::U64(replay.phase(names::CHECKPOINT_WRITE).map_or(0, |p| p.count))),
+        ("snapshot_us", Value::U64(total_us(names::CHECKPOINT_SNAPSHOT))),
+        ("write_us", Value::U64(total_us(names::CHECKPOINT_WRITE))),
+        ("last_bytes", Value::U64(replay.gauge(bytes).map_or(0, |v| v as u64))),
         ("max_bytes", Value::U64(max_bytes)),
     ])
 }

@@ -1,13 +1,18 @@
 //! The run engine: everything between parsed arguments and finished
-//! artifacts, shared verbatim by `run`, `resume`, and the job server.
+//! artifacts, shared verbatim by `run`, `resume`, the job server, and
+//! `compare`.
 //!
 //! This module is the reason served jobs are byte-identical to CLI
-//! runs: there is exactly one code path that builds the problem, drives
-//! an optimizer through its start/step/finish loop, checkpoints, and
-//! writes `trace.csv` / `front.csv` / `trace.json` / `front.json`. The
-//! server adds two hooks — a cooperative [`CancelToken`] checked at
-//! step boundaries and a live-metrics slot for in-flight polling — and
-//! both are write-only with respect to the deterministic artifacts.
+//! runs: every execution reaches the optimizer through [`execute`],
+//! which builds the telemetry, steps the optimizer through its
+//! start/step/finish loop, checkpoints, and writes `trace.csv` /
+//! `front.csv` / `trace.json` / `front.json`. Callers differ only in
+//! the inputs they hand it: a fresh run creates its store, a resumed
+//! run decodes a [`ResumePoint`] from its newest checkpoint, and
+//! `compare` passes neither. The server adds two hooks — a cooperative
+//! [`CancelToken`] checked at step boundaries and a live-metrics slot
+//! for in-flight polling — and both are write-only with respect to the
+//! deterministic artifacts.
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -28,6 +33,7 @@ use moela_moo::fault::FaultLog;
 use moela_moo::normalize::Normalizer;
 use moela_moo::run::RunResult;
 use moela_moo::{ChaosProblem, Problem};
+use moela_obs::names;
 use moela_obs::{JsonlSink, MetricsAggregator, Obs, ProgressReporter, Reporter, SharedSink, Sink};
 use moela_persist::{
     CheckpointStore, PersistError, Restore, RunStore, Snapshot, Value, FORMAT_VERSION,
@@ -136,16 +142,24 @@ impl ExecHooks<'_> {
     }
 }
 
-/// How a driven run ended.
-pub(crate) enum RunStatus {
-    /// Ran to completion; all artifacts are on disk.
-    Completed {
-        /// Small machine-readable report (evaluations, PHV, front size).
-        summary: Value,
+/// How an [`execute`] call ended.
+pub(crate) enum Ended {
+    /// The optimizer ran out of work; a run store, if given, holds every
+    /// artifact.
+    Finished {
+        /// The final population and the convergence trace.
+        result: RunResult<Design>,
+        /// The optimizer's fault counters.
+        log: FaultLog,
+        /// The final front's normalized hypervolume.
+        phv: f64,
     },
     /// Parked at a checkpoint by the cancel hook; the run directory is
     /// resumable.
-    Interrupted,
+    Interrupted {
+        /// Completed steps at the parking checkpoint.
+        completed: u64,
+    },
 }
 
 pub(crate) fn build_problem(opts: &RunOptions) -> Result<ManycoreProblem, CliError> {
@@ -162,46 +176,113 @@ pub(crate) fn corpus_normalizer(problem: &ManycoreProblem, seed: u64) -> Normali
     Normalizer::fit(&objs)
 }
 
-/// Checkpointing context threaded through [`drive`].
-pub(crate) struct Persistence {
-    pub(crate) store: CheckpointStore,
-    pub(crate) every: u64,
-    pub(crate) crash_after: Option<u64>,
-    pub(crate) algorithm: Algorithm,
-}
-
-/// A checkpoint to continue from: the optimizer state plus the wall-clock
-/// time the interrupted run had already consumed and, for chaotic runs,
-/// the chaos ordinal counter captured at the same safe point.
+/// One checkpoint: the optimizer state plus everything it does not
+/// carry — the RNG, the wall-clock time the run had consumed and, for
+/// chaotic runs, the chaos ordinal counter, all captured at the same
+/// step boundary. [`into_envelope`](Self::into_envelope) writes it and
+/// [`from_envelope`](Self::from_envelope) reads it back.
 pub(crate) struct ResumePoint {
-    pub(crate) state: Value,
-    pub(crate) elapsed: Duration,
-    pub(crate) chaos_ordinal: Option<u64>,
+    /// Completed steps, which is also the checkpoint's sequence number.
+    completed: u64,
+    state: Value,
+    rng: StdRng,
+    elapsed: Duration,
+    chaos_ordinal: Option<u64>,
 }
 
-/// Live telemetry threaded through [`drive`]: the obs handle every
+impl ResumePoint {
+    /// The checkpoint envelope, stamped with the format and build
+    /// versions and the algorithm that wrote it.
+    fn into_envelope(self, algorithm: Algorithm) -> Value {
+        let mut fields = vec![
+            ("format", Value::U64(u64::from(FORMAT_VERSION))),
+            ("version", Value::Str(VERSION.to_owned())),
+            ("algorithm", Value::Str(algorithm.name().to_owned())),
+            ("completed", Value::U64(self.completed)),
+            ("rng", Value::u64_array(&self.rng.state())),
+            ("elapsed_nanos", Value::U64(self.elapsed.as_nanos() as u64)),
+        ];
+        if let Some(ordinal) = self.chaos_ordinal {
+            fields.push(("chaos_ordinal", Value::U64(ordinal)));
+        }
+        fields.push(("state", self.state));
+        Value::object(fields)
+    }
+
+    /// Reads checkpoint `seq`'s envelope, refusing another format, a
+    /// checkpoint `algorithm` did not write, and a malformed RNG state.
+    fn from_envelope(seq: u64, envelope: &Value, algorithm: Algorithm) -> Result<Self, CliError> {
+        let format = envelope.field("format")?.as_u64()?;
+        if format != u64::from(FORMAT_VERSION) {
+            return Err(fail(format!(
+                "checkpoint {seq} uses format {format}, but this build supports only format \
+                 {FORMAT_VERSION}"
+            )));
+        }
+        let written_by = envelope.field("algorithm")?.as_str()?;
+        if written_by != algorithm.name() {
+            return Err(fail(format!(
+                "checkpoint {seq} was written by '{written_by}' but the manifest configures '{}'",
+                algorithm.name()
+            )));
+        }
+        let rng_words: [u64; 4] = envelope
+            .field("rng")?
+            .to_u64_vec()?
+            .try_into()
+            .map_err(|_| fail(format!("checkpoint {seq} has a malformed RNG state")))?;
+        let elapsed = Duration::from_nanos(envelope.field("elapsed_nanos")?.as_u64()?);
+        let chaos_ordinal = match envelope.field_opt("chaos_ordinal") {
+            Some(v) => Some(v.as_u64()?),
+            None => None,
+        };
+        Ok(ResumePoint {
+            completed: seq,
+            state: envelope.field("state")?.clone(),
+            rng: StdRng::from_state(rng_words),
+            elapsed,
+            chaos_ordinal,
+        })
+    }
+
+    /// Evaluations the checkpointed run had already spent.
+    fn evaluations(&self) -> u64 {
+        self.state.field_opt("evaluations").and_then(|v| v.as_u64().ok()).unwrap_or_default()
+    }
+}
+
+/// Live telemetry for one [`execute`] call: the obs handle every
 /// optimizer reports phase spans through, the in-memory aggregator the
 /// end-of-run `metrics.json` is rendered from, and the optional live
 /// progress line. All of it is write-only wall-clock instrumentation —
 /// none of it feeds back into the optimizer, so the deterministic
 /// artifacts (trace.csv, front.csv, checkpoints) are byte-identical
 /// with telemetry on or off.
-pub(crate) struct Telemetry {
-    pub(crate) obs: Obs,
-    pub(crate) aggregator: Option<Arc<Mutex<MetricsAggregator>>>,
-    pub(crate) progress: Option<ProgressReporter>,
-    pub(crate) reporter: Reporter,
+struct Telemetry {
+    obs: Obs,
+    aggregator: Option<Arc<Mutex<MetricsAggregator>>>,
+    progress: Option<ProgressReporter>,
+    /// Evaluations spent before a resume; `None` for a fresh run.
+    prior_evals: Option<u64>,
     /// Supervised attempt number ([`ExecHooks::attempt`]); 0 for direct
     /// CLI runs, which therefore emit no supervision block.
-    pub(crate) attempt: u64,
+    attempt: u64,
 }
 
 impl Telemetry {
     /// Builds the run telemetry: a JSONL event sink plus the metrics
     /// aggregator when a run store exists (both are cheap), and the
-    /// progress reporter when `--progress` was given. `base_evals` seeds
-    /// resume-aware throughput accounting.
-    pub(crate) fn new(opts: &RunOptions, store: Option<&RunStore>, base_evals: u64) -> Self {
+    /// progress reporter when `--progress` was given. Progress rates and
+    /// the metrics throughput window count only the work done after a
+    /// resume; events.jsonl appends to the prior process's log rather
+    /// than truncating it. The aggregator is published into the server's
+    /// live slot so `GET /jobs/{id}` can report in-flight phase metrics.
+    fn new(
+        opts: &RunOptions,
+        store: Option<&RunStore>,
+        resume: Option<&ResumePoint>,
+        hooks: &ExecHooks<'_>,
+    ) -> Self {
         let mut sinks: Vec<Box<dyn Sink>> = Vec::new();
         let mut aggregator = None;
         if let Some(store) = store {
@@ -213,30 +294,26 @@ impl Telemetry {
             sinks.push(Box::new(shared));
         }
         let obs = if sinks.is_empty() { Obs::disabled() } else { Obs::with_sinks(sinks) };
-        let progress = opts.progress.then(|| ProgressReporter::new(base_evals, Some(opts.budget)));
-        Telemetry { obs, aggregator, progress, reporter: Reporter::new(opts.log_level), attempt: 0 }
-    }
-
-    /// Publishes this run's aggregator into the server's live slot so
-    /// `GET /jobs/{id}` can report in-flight phase metrics.
-    fn publish_live(&self, hooks: &ExecHooks<'_>) {
-        if let (Some(slot), Some(agg)) = (hooks.live, &self.aggregator) {
+        let prior_evals = resume.map(ResumePoint::evaluations);
+        let progress = opts
+            .progress
+            .then(|| ProgressReporter::new(prior_evals.unwrap_or(0), Some(opts.budget)));
+        if let (Some(slot), Some(agg)) = (hooks.live, &aggregator) {
             if let Ok(mut s) = slot.lock() {
                 *s = Some(Arc::clone(agg));
             }
         }
+        match resume {
+            None => obs.marker("run_start", opts.algorithm.name()),
+            Some(point) => obs.marker("resume", &format!("checkpoint {}", point.completed)),
+        }
+        Telemetry { obs, aggregator, progress, prior_evals, attempt: hooks.attempt }
     }
 
     /// Renders `metrics.json` from the aggregated events, folding in the
     /// identity and fault counters the retired `health.json` used to
     /// carry alone, plus the routing-cache counters.
-    fn metrics_value(
-        &self,
-        opts: &RunOptions,
-        log: &FaultLog,
-        resumed: bool,
-        base_evals: u64,
-    ) -> Option<Value> {
+    fn metrics_value(&self, opts: &RunOptions, log: &FaultLog) -> Option<Value> {
         let aggregator = self.aggregator.as_ref()?;
         let (rendered, cache) =
             aggregator.lock().map(|agg| (agg.render(), cache_value(|n| agg.counter(n)))).ok()?;
@@ -249,8 +326,8 @@ impl Telemetry {
             (
                 "resume",
                 Value::object(vec![
-                    ("resumed", Value::Bool(resumed)),
-                    ("prior_evaluations", Value::U64(base_evals)),
+                    ("resumed", Value::Bool(self.prior_evals.is_some())),
+                    ("prior_evaluations", Value::U64(self.prior_evals.unwrap_or(0))),
                 ]),
             ),
             (
@@ -278,7 +355,7 @@ impl Telemetry {
             // CLI runs keep their exact historical metrics.json shape.
             fields.push((
                 "supervision",
-                Value::object(vec![(moela_obs::names::JOB_ATTEMPT, Value::U64(self.attempt))]),
+                Value::object(vec![(names::JOB_ATTEMPT, Value::U64(self.attempt))]),
             ));
         }
         Some(Value::object(fields))
@@ -289,159 +366,24 @@ impl Telemetry {
 /// built and reused, read by name through `counter`.
 pub(crate) fn cache_value(counter: impl Fn(&str) -> u64) -> Value {
     Value::object(vec![
-        ("routing_rebuilds", Value::U64(counter("routing_rebuilds"))),
-        ("routing_hits", Value::U64(counter("routing_hits"))),
+        (names::ROUTING_REBUILDS, Value::U64(counter(names::ROUTING_REBUILDS))),
+        (names::ROUTING_HITS, Value::U64(counter(names::ROUTING_HITS))),
     ])
 }
 
-/// How [`drive`] ended.
-pub(crate) enum Driven {
-    /// The optimizer ran out of work; the result is final.
-    Finished(RunResult<Design>, FaultLog),
-    /// The cancel hook fired; the state was checkpointed at the step
-    /// boundary it parked on.
-    Interrupted {
-        /// Completed steps at the parking checkpoint.
-        completed: u64,
-    },
-}
+/// The problem the optimizers evaluate: the bare manycore problem, or
+/// its [`ChaosProblem`] wrapper under `--chaos`.
+type Evaluated<'p> = &'p (dyn Problem<Solution = Design> + Sync);
 
-/// Writes one checkpoint envelope at the current step boundary, timing
-/// the state snapshot (`checkpoint_snapshot`) apart from the encode and
-/// durable save (`checkpoint_write`), and reporting the file size as the
-/// `checkpoint_bytes` gauge.
-fn write_checkpoint<S>(
-    state: &S,
-    rng: &StdRng,
-    codec: &ManycoreProblem,
-    p: &Persistence,
-    elapsed: Duration,
-    chaos_ordinal: Option<&dyn Fn() -> u64>,
-    telemetry: &mut Telemetry,
-) -> Result<(), CliError>
-where
-    S: Resumable<ManycoreProblem, Solution = Design>,
-{
-    let mut fields = vec![
-        ("format", Value::U64(u64::from(FORMAT_VERSION))),
-        ("version", Value::Str(VERSION.to_owned())),
-        ("algorithm", Value::Str(p.algorithm.name().to_owned())),
-        ("completed", Value::U64(state.completed())),
-        ("rng", Value::u64_array(&rng.state())),
-        ("elapsed_nanos", Value::U64(elapsed.as_nanos() as u64)),
-    ];
-    if let Some(ordinal) = chaos_ordinal {
-        fields.push(("chaos_ordinal", Value::U64(ordinal())));
-    }
-    let snapshot = {
-        let _snapshot = telemetry.obs.span("checkpoint_snapshot");
-        state.snapshot_state(codec)
-    };
-    fields.push(("state", snapshot));
-    let envelope = Value::object(fields);
-    let (_, bytes) = {
-        let _ckpt = telemetry.obs.span("checkpoint_write");
-        p.store.save_sized(state.completed(), &envelope)?
-    };
-    telemetry.obs.gauge("checkpoint_bytes", bytes as f64);
-    // Telemetry is crash-safe at the same cadence as the run itself:
-    // everything up to the newest checkpoint survives an abort.
-    telemetry.obs.flush();
-    Ok(())
-}
-
-/// Steps any resumable optimizer to completion, checkpointing every
-/// `persistence.every` completed steps. The envelope carries everything
-/// the optimizer state does not: format/build versions, the RNG state,
-/// accumulated wall-clock time, and (for chaotic runs) the chaos ordinal
-/// counter so resume replays the identical fault stream.
-///
-/// When the cancel hook fires, the optimizer parks at the next step
-/// boundary (drawing no RNG) and an unconditional checkpoint is written
-/// there — cadence only batches checkpoints for running work, never for
-/// a parked run — so the directory resumes byte-identically.
-///
-/// A latched [`moela_moo::fault::FaultPolicy::Fail`] error surfaces as a
-/// [`CliError`] instead of a completed result. On success, the
-/// optimizer's fault counters are returned alongside the result for the
-/// end-of-run health report.
-#[allow(clippy::too_many_arguments)]
-fn drive<S>(
-    mut state: S,
-    rng: &mut StdRng,
-    codec: &ManycoreProblem,
-    persistence: Option<&Persistence>,
-    base_elapsed: Duration,
-    chaos_ordinal: Option<&dyn Fn() -> u64>,
-    telemetry: &mut Telemetry,
-    hooks: &ExecHooks<'_>,
-) -> Result<Driven, CliError>
-where
-    S: Resumable<ManycoreProblem, Solution = Design>,
-{
-    state.set_obs(telemetry.obs.clone());
-    if let Some(token) = hooks.cancel {
-        state.set_cancel(token.clone());
-    }
-    let t0 = Instant::now();
-    if let Some(progress) = telemetry.progress.as_mut() {
-        // The reporter was built before checkpoint decode/restore;
-        // restart its rate clock now that stepping actually begins so
-        // resume setup time never deflates evals/s or inflates the ETA.
-        progress.begin();
-    }
-    let mut written = 0u64;
-    while state.step(rng) {
-        hooks.beat();
-        if let Some(progress) = telemetry.progress.as_mut() {
-            progress.update(state.completed(), state.evaluations(), state.latest_phv());
-        }
-        let Some(p) = persistence else { continue };
-        if !state.completed().is_multiple_of(p.every) {
-            continue;
-        }
-        let elapsed = base_elapsed + t0.elapsed();
-        write_checkpoint(&state, rng, codec, p, elapsed, chaos_ordinal, telemetry)?;
-        written += 1;
-        if p.crash_after.is_some_and(|n| written >= n) {
-            eprintln!("crash injection: aborting after {written} checkpoints");
-            std::process::abort();
-        }
-    }
-    if let Some(progress) = telemetry.progress.as_mut() {
-        progress.finish(state.completed(), state.evaluations(), state.latest_phv());
-    }
-    if hooks.cancelled() {
-        // Parked at a step boundary: the state drew no RNG for the
-        // refused step, so this checkpoint resumes byte-identically.
-        if let Some(p) = persistence {
-            let elapsed = base_elapsed + t0.elapsed();
-            write_checkpoint(&state, rng, codec, p, elapsed, chaos_ordinal, telemetry)?;
-        }
-        return Ok(Driven::Interrupted { completed: state.completed() });
-    }
-    if let Some(fault) = state.fault_error() {
-        // Transient by classification: a different attempt sees a
-        // different slice of the fault stream, so a supervisor may
-        // legitimately retry from the last checkpoint.
-        return Err(transient(format!(
-            "{fault} (policy 'fail' stops on the first fault; rerun with --fault-policy \
-             penalize-worst or skip to contain faults and continue)"
-        )));
-    }
-    let log = *state.fault_log();
-    Ok(Driven::Finished(state.finish(), log))
-}
-
-/// The selected optimizer's run, so [`execute_on`] drives every
-/// algorithm through one [`drive`] call.
-enum AnyState<'p, P: Problem> {
-    Moela(MoelaState<'p, P>),
-    Moead(MoeadState<'p, P>),
-    Moos(MoosState<'p, P>),
-    MooStage(MooStageState<'p, P>),
-    Nsga2(Nsga2State<'p, P>),
-    Random(RandomSearchState<'p, P>),
+/// The selected optimizer's run, so [`drive`] steps every algorithm
+/// through one loop.
+enum AnyState<'p> {
+    Moela(MoelaState<'p, Evaluated<'p>>),
+    Moead(MoeadState<'p, Evaluated<'p>>),
+    Moos(MoosState<'p, Evaluated<'p>>),
+    MooStage(MooStageState<'p, Evaluated<'p>>),
+    Nsga2(Nsga2State<'p, Evaluated<'p>>),
+    Random(RandomSearchState<'p, Evaluated<'p>>),
 }
 
 /// Forwards one `Resumable` call to the state an [`AnyState`] wraps.
@@ -458,10 +400,7 @@ macro_rules! forward {
     };
 }
 
-impl<P> Resumable<ManycoreProblem> for AnyState<'_, P>
-where
-    P: Problem<Solution = Design> + Sync,
-{
+impl Resumable<ManycoreProblem> for AnyState<'_> {
     type Solution = Design;
 
     fn ctx(&self) -> &RunCtx {
@@ -489,94 +428,27 @@ where
     }
 }
 
-/// Builds the selected optimizer (fresh, or restored from a checkpoint)
-/// and drives it to completion — against the bare manycore problem, or a
-/// seeded [`ChaosProblem`] wrapper when `--chaos` fault injection is
-/// configured.
-///
-/// After the run, routing-reuse counters are emitted through the obs
-/// pipeline so `metrics.json` records hit rates — write-only telemetry
-/// that never feeds back into the optimizer.
-pub(crate) fn execute(
+/// Builds the selected optimizer over `problem`: started from `rng`, or
+/// restored from `point` through `codec`, the bare [`ManycoreProblem`]
+/// that encodes and decodes checkpointed solutions.
+fn start_state<'p>(
     opts: &RunOptions,
-    problem: &ManycoreProblem,
-    normalizer: &Normalizer,
-    persistence: Option<&Persistence>,
-    resume: Option<(ResumePoint, StdRng)>,
-    telemetry: &mut Telemetry,
-    hooks: &ExecHooks<'_>,
-) -> Result<Driven, CliError> {
-    // The problem's routing counters are cumulative over the problem's
-    // lifetime, which is longer than this run: the corpus normalizer
-    // evaluates 200 designs before `execute` is ever called, and
-    // `compare` (or a serve worker reusing a problem) drives several
-    // executions over one problem. Snapshot at entry and emit only the
-    // difference so every run's metrics.json counts its own work alone.
-    let (base_rebuilds, base_routing_hits) = problem.routing_stats();
-    let outcome = match opts.chaos {
-        None => execute_on(
-            opts,
-            problem,
-            problem,
-            normalizer,
-            persistence,
-            resume,
-            None,
-            telemetry,
-            hooks,
-        ),
-        Some(spec) => {
-            let seed = opts.chaos_seed.expect("validated run options pair --chaos with a seed");
-            let chaotic = ChaosProblem::new(problem, spec, seed);
-            if let Some((point, _)) = &resume {
-                // Replay the fault stream from the checkpointed ordinal;
-                // a pre-chaos checkpoint starts at zero.
-                chaotic.set_ordinal(point.chaos_ordinal.unwrap_or(0));
-            }
-            let ordinal = || chaotic.ordinal();
-            execute_on(
-                opts,
-                &chaotic,
-                problem,
-                normalizer,
-                persistence,
-                resume,
-                Some(&ordinal),
-                telemetry,
-                hooks,
-            )
-        }
-    };
-    let (rebuilds, routing_hits) = problem.routing_stats();
-    telemetry.obs.counter("routing_rebuilds", rebuilds - base_rebuilds);
-    telemetry.obs.counter("routing_hits", routing_hits - base_routing_hits);
-    outcome
-}
-
-/// Drives one optimizer over `problem` — possibly a chaos wrapper —
-/// while `codec` stays the bare [`ManycoreProblem`] that encodes and
-/// decodes checkpointed solutions.
-#[allow(clippy::too_many_arguments)]
-fn execute_on<P>(
-    opts: &RunOptions,
-    problem: &P,
+    problem: &'p Evaluated<'p>,
     codec: &ManycoreProblem,
     normalizer: &Normalizer,
-    persistence: Option<&Persistence>,
-    resume: Option<(ResumePoint, StdRng)>,
-    chaos_ordinal: Option<&dyn Fn() -> u64>,
-    telemetry: &mut Telemetry,
-    hooks: &ExecHooks<'_>,
-) -> Result<Driven, CliError>
-where
-    P: Problem<Solution = Design> + Sync,
-{
-    let (point, mut rng) = match resume {
-        Some((p, r)) => (Some(p), r),
-        None => (None, StdRng::seed_from_u64(opts.seed)),
-    };
-    let base_elapsed = point.as_ref().map_or(Duration::ZERO, |p| p.elapsed);
-    let state = match opts.algorithm {
+    point: Option<&ResumePoint>,
+    rng: &mut StdRng,
+) -> Result<AnyState<'p>, CliError> {
+    // Every optimizer but random search starts and restores alike.
+    macro_rules! start_or_restore {
+        ($optimizer:expr) => {
+            match point {
+                Some(p) => $optimizer.restore(codec, &p.state, p.elapsed)?,
+                None => $optimizer.start(rng),
+            }
+        };
+    }
+    Ok(match opts.algorithm {
         Algorithm::Moela => {
             let config = MoelaConfig::builder()
                 .population(opts.population)
@@ -588,11 +460,7 @@ where
                 .fault(opts.fault())
                 .build()
                 .map_err(|e| fail(format!("invalid MOELA configuration: {e}")))?;
-            let moela = Moela::new(config, problem);
-            AnyState::Moela(match &point {
-                Some(p) => moela.restore(codec, &p.state, p.elapsed)?,
-                None => moela.start(&mut rng),
-            })
+            AnyState::Moela(start_or_restore!(Moela::new(config, problem)))
         }
         Algorithm::Moead => {
             let config = MoeadConfig {
@@ -606,11 +474,7 @@ where
                 fault: opts.fault(),
                 ..Default::default()
             };
-            let moead = Moead::new(config, problem);
-            AnyState::Moead(match &point {
-                Some(p) => moead.restore(codec, &p.state, p.elapsed)?,
-                None => moead.start(&mut rng),
-            })
+            AnyState::Moead(start_or_restore!(Moead::new(config, problem)))
         }
         Algorithm::Moos => {
             let config = MoosConfig {
@@ -622,11 +486,7 @@ where
                 fault: opts.fault(),
                 ..Default::default()
             };
-            let moos = Moos::new(config, problem);
-            AnyState::Moos(match &point {
-                Some(p) => moos.restore(codec, &p.state, p.elapsed)?,
-                None => moos.start(&mut rng),
-            })
+            AnyState::Moos(start_or_restore!(Moos::new(config, problem)))
         }
         Algorithm::MooStage => {
             let config = MooStageConfig {
@@ -638,11 +498,7 @@ where
                 fault: opts.fault(),
                 ..Default::default()
             };
-            let stage = MooStage::new(config, problem);
-            AnyState::MooStage(match &point {
-                Some(p) => stage.restore(codec, &p.state, p.elapsed)?,
-                None => stage.start(&mut rng),
-            })
+            AnyState::MooStage(start_or_restore!(MooStage::new(config, problem)))
         }
         Algorithm::Nsga2 => {
             let config = Nsga2Config {
@@ -654,11 +510,7 @@ where
                 threads: opts.threads,
                 fault: opts.fault(),
             };
-            let nsga2 = Nsga2::new(config, problem);
-            AnyState::Nsga2(match &point {
-                Some(p) => nsga2.restore(codec, &p.state, p.elapsed)?,
-                None => nsga2.start(&mut rng),
-            })
+            AnyState::Nsga2(start_or_restore!(Nsga2::new(config, problem)))
         }
         Algorithm::Random => {
             let config = RandomSearchConfig {
@@ -668,13 +520,180 @@ where
                 fault: opts.fault(),
                 ..Default::default()
             };
-            AnyState::Random(match &point {
+            AnyState::Random(match point {
                 Some(p) => random_search_restore(&config, problem, codec, &p.state, p.elapsed)?,
                 None => random_search_start(&config, problem),
             })
         }
+    })
+}
+
+/// Runs one execution to its end — the single path every fresh run,
+/// resumed run, served job and `compare` row takes.
+///
+/// With a `store`, the run checkpoints into it every
+/// `opts.checkpoint_every` completed steps and, when it finishes, writes
+/// the run-dir CSVs, their JSON twins and `metrics.json` there. With a
+/// `resume` point, the optimizer is restored from that checkpoint
+/// instead of started from `opts.seed`.
+///
+/// After the run, routing-reuse counters are emitted through the obs
+/// pipeline so `metrics.json` records hit rates — write-only telemetry
+/// that never feeds back into the optimizer.
+pub(crate) fn execute(
+    opts: &RunOptions,
+    problem: &ManycoreProblem,
+    normalizer: &Normalizer,
+    store: Option<&RunStore>,
+    resume: Option<ResumePoint>,
+    hooks: &ExecHooks<'_>,
+) -> Result<Ended, CliError> {
+    let checkpoints = store.map(RunStore::checkpoints).transpose()?;
+    let mut telemetry = Telemetry::new(opts, store, resume.as_ref(), hooks);
+    // The problem's routing counters are cumulative over the problem's
+    // lifetime, which is longer than this run: the corpus normalizer
+    // evaluates 200 designs before `execute` is ever called, and
+    // `compare` drives several executions over one problem. Snapshot at
+    // entry and emit only the difference so every run's metrics.json
+    // counts its own work alone — also when the run fails.
+    let (base_rebuilds, base_routing_hits) = problem.routing_stats();
+    let ended =
+        drive(opts, problem, normalizer, checkpoints.as_ref(), resume, &mut telemetry, hooks);
+    let (rebuilds, routing_hits) = problem.routing_stats();
+    telemetry.obs.counter(names::ROUTING_REBUILDS, rebuilds - base_rebuilds);
+    telemetry.obs.counter(names::ROUTING_HITS, routing_hits - base_routing_hits);
+    let ended = ended?;
+    if let (Some(store), Ended::Finished { result, log, .. }) = (store, &ended) {
+        store.write_trace(&deterministic_trace_csv(result))?;
+        store.write_front(&result.front_csv())?;
+        store.write_trace_json(&trace_json_value(result))?;
+        store.write_front_json(&front_json_value(result))?;
+        telemetry.obs.flush();
+        if let Some(metrics) = telemetry.metrics_value(opts, log) {
+            store.write_metrics(&metrics)?;
+        }
+    }
+    Ok(ended)
+}
+
+/// Steps the selected optimizer to completion — against the bare
+/// manycore problem, or a seeded [`ChaosProblem`] wrapper when `--chaos`
+/// fault injection is configured — checkpointing every
+/// `opts.checkpoint_every` completed steps into `checkpoints`.
+///
+/// When the cancel hook fires, the optimizer parks at the next step
+/// boundary (drawing no RNG) and an unconditional checkpoint is written
+/// there — cadence only batches checkpoints for running work, never for
+/// a parked run — so the directory resumes byte-identically.
+///
+/// A latched [`moela_moo::fault::FaultPolicy::Fail`] error surfaces as a
+/// [`CliError`] instead of a completed result.
+fn drive(
+    opts: &RunOptions,
+    problem: &ManycoreProblem,
+    normalizer: &Normalizer,
+    checkpoints: Option<&CheckpointStore>,
+    resume: Option<ResumePoint>,
+    telemetry: &mut Telemetry,
+    hooks: &ExecHooks<'_>,
+) -> Result<Ended, CliError> {
+    let chaos = opts.chaos.map(|spec| {
+        let seed = opts.chaos_seed.expect("validated run options pair --chaos with a seed");
+        let chaotic = ChaosProblem::new(problem, spec, seed);
+        // Replay the fault stream from the checkpointed ordinal; a fresh
+        // run and a pre-chaos checkpoint start at zero.
+        chaotic.set_ordinal(resume.as_ref().and_then(|p| p.chaos_ordinal).unwrap_or(0));
+        chaotic
+    });
+    let evaluated: Evaluated<'_> = match &chaos {
+        Some(chaotic) => chaotic,
+        None => problem,
     };
-    drive(state, &mut rng, codec, persistence, base_elapsed, chaos_ordinal, telemetry, hooks)
+    let (mut rng, base_elapsed) = match &resume {
+        Some(p) => (p.rng.clone(), p.elapsed),
+        None => (StdRng::seed_from_u64(opts.seed), Duration::ZERO),
+    };
+    let mut state = start_state(opts, &evaluated, problem, normalizer, resume.as_ref(), &mut rng)?;
+    let Telemetry { obs, progress, .. } = telemetry;
+    state.set_obs(obs.clone());
+    if let Some(token) = hooks.cancel {
+        state.set_cancel(token.clone());
+    }
+    let t0 = Instant::now();
+    // Writes one checkpoint at the current step boundary, timing the
+    // state snapshot apart from the encode and durable save, and
+    // reporting the file size as a gauge.
+    let save = |store: &CheckpointStore,
+                state: &AnyState<'_>,
+                rng: &StdRng|
+     -> Result<(), CliError> {
+        let elapsed = base_elapsed + t0.elapsed();
+        let chaos_ordinal = chaos.as_ref().map(ChaosProblem::ordinal);
+        let snapshot = {
+            let _snapshot = obs.span(names::CHECKPOINT_SNAPSHOT);
+            state.snapshot_state(problem)
+        };
+        let completed = state.completed();
+        let point =
+            ResumePoint { completed, state: snapshot, rng: rng.clone(), elapsed, chaos_ordinal };
+        let envelope = point.into_envelope(opts.algorithm);
+        let (_, bytes) = {
+            let _write = obs.span(names::CHECKPOINT_WRITE);
+            store.save_sized(completed, &envelope)?
+        };
+        obs.gauge(names::CHECKPOINT_BYTES, bytes as f64);
+        // Telemetry is crash-safe at the same cadence as the run itself:
+        // everything up to the newest checkpoint survives an abort.
+        obs.flush();
+        Ok(())
+    };
+    if let Some(progress) = progress.as_mut() {
+        // The reporter was built before checkpoint decode/restore;
+        // restart its rate clock now that stepping actually begins so
+        // resume setup time never deflates evals/s or inflates the ETA.
+        progress.begin();
+    }
+    let mut written = 0u64;
+    while state.step(&mut rng) {
+        hooks.beat();
+        if let Some(progress) = progress.as_mut() {
+            progress.update(state.completed(), state.evaluations(), state.latest_phv());
+        }
+        let Some(store) = checkpoints else { continue };
+        if !state.completed().is_multiple_of(opts.checkpoint_every) {
+            continue;
+        }
+        save(store, &state, &rng)?;
+        written += 1;
+        if opts.crash_after_checkpoints.is_some_and(|n| written >= n) {
+            eprintln!("crash injection: aborting after {written} checkpoints");
+            std::process::abort();
+        }
+    }
+    if let Some(progress) = progress.as_mut() {
+        progress.finish(state.completed(), state.evaluations(), state.latest_phv());
+    }
+    if hooks.cancelled() {
+        // Parked at a step boundary: the state drew no RNG for the
+        // refused step, so this checkpoint resumes byte-identically.
+        if let Some(store) = checkpoints {
+            save(store, &state, &rng)?;
+        }
+        return Ok(Ended::Interrupted { completed: state.completed() });
+    }
+    if let Some(fault) = state.fault_error() {
+        // Transient by classification: a different attempt sees a
+        // different slice of the fault stream, so a supervisor may
+        // legitimately retry from the last checkpoint.
+        return Err(transient(format!(
+            "{fault} (policy 'fail' stops on the first fault; rerun with --fault-policy \
+             penalize-worst or skip to contain faults and continue)"
+        )));
+    }
+    let log = *state.fault_log();
+    let result = state.finish();
+    let phv = result.phv(normalizer);
+    Ok(Ended::Finished { result, log, phv })
 }
 
 /// The manifest written into every run directory: enough to rebuild the
@@ -732,7 +751,7 @@ pub(crate) fn options_from_manifest(m: &Value) -> Result<(RunOptions, Normalizer
 
 /// The deterministic convergence trace (no wall-clock column), used for
 /// the run-dir `trace.csv` so kill + resume reproduces it byte for byte.
-pub(crate) fn deterministic_trace_csv(result: &RunResult<Design>) -> String {
+fn deterministic_trace_csv(result: &RunResult<Design>) -> String {
     let mut out = String::from("generation,evaluations,phv\n");
     for p in &result.trace {
         out.push_str(&format!("{},{},{:.9}\n", p.generation, p.evaluations, p.phv));
@@ -742,7 +761,7 @@ pub(crate) fn deterministic_trace_csv(result: &RunResult<Design>) -> String {
 
 /// The machine-readable twin of `trace.csv`: the same deterministic
 /// points (no wall-clock), so consumers never reparse CSV.
-pub(crate) fn trace_json_value(result: &RunResult<Design>) -> Value {
+fn trace_json_value(result: &RunResult<Design>) -> Value {
     let points = result
         .trace
         .iter()
@@ -759,7 +778,7 @@ pub(crate) fn trace_json_value(result: &RunResult<Design>) -> Value {
 
 /// The machine-readable twin of `front.csv`: objective vectors in the
 /// same row order.
-pub(crate) fn front_json_value(result: &RunResult<Design>) -> Value {
+fn front_json_value(result: &RunResult<Design>) -> Value {
     let rows = result
         .front_objectives()
         .into_iter()
@@ -800,7 +819,7 @@ fn write_outputs(
 
 /// Prints the fault-containment health line. Stays silent for clean runs
 /// without chaos so the happy-path output is unchanged.
-pub(crate) fn print_health(opts: &RunOptions, log: &FaultLog, reporter: &Reporter) {
+fn print_health(opts: &RunOptions, log: &FaultLog, reporter: &Reporter) {
     if log.is_clean() && opts.chaos.is_none() {
         return;
     }
@@ -819,38 +838,27 @@ pub(crate) fn print_health(opts: &RunOptions, log: &FaultLog, reporter: &Reporte
     ));
 }
 
-/// The small machine-readable completion report a served job carries in
-/// its `job.json` and `GET /jobs/{id}` response.
-fn summary_value(result: &RunResult<Design>, normalizer: &Normalizer) -> Value {
-    Value::object(vec![
-        ("evaluations", Value::U64(result.evaluations)),
-        ("phv", Value::F64(result.phv(normalizer))),
-        ("front_size", Value::U64(result.front().len() as u64)),
-    ])
-}
-
-/// Prints the result summary and writes every requested artifact (the
-/// run-dir CSVs and their JSON twins, the metrics report — which
-/// carries the fault counters the retired `health.json` used to hold —
-/// and the ad-hoc output flags).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn finish_run(
+/// Prints how a `run` or `resume` ended — for a finished run the result
+/// summary and the start of its front — and writes the ad-hoc output
+/// files its flags ask for.
+fn conclude(
     opts: &RunOptions,
     problem: &ManycoreProblem,
-    normalizer: &Normalizer,
-    run_store: Option<&RunStore>,
-    result: &RunResult<Design>,
-    log: &FaultLog,
-    telemetry: &mut Telemetry,
-    resumed: bool,
-    base_evals: u64,
+    store: Option<&RunStore>,
+    ended: &Ended,
 ) -> Result<(), CliError> {
-    let reporter = telemetry.reporter;
+    let reporter = Reporter::new(opts.log_level);
+    let (result, log, phv) = match ended {
+        Ended::Finished { result, log, phv } => (result, log, phv),
+        Ended::Interrupted { completed } => {
+            reporter.info(&format!("interrupted at step {completed}; checkpoint written"));
+            return Ok(());
+        }
+    };
     reporter.info(&format!(
-        "finished: {} evaluations in {:.2?}; PHV {:.4}; front {} designs",
+        "finished: {} evaluations in {:.2?}; PHV {phv:.4}; front {} designs",
         result.evaluations,
         result.elapsed,
-        result.phv(normalizer),
         result.front().len()
     ));
     print_health(opts, log, &reporter);
@@ -863,15 +871,7 @@ pub(crate) fn finish_run(
     if front.len() > 15 {
         reporter.info(&format!("  … {} more", front.len() - 15));
     }
-    if let Some(store) = run_store {
-        store.write_trace(&deterministic_trace_csv(result))?;
-        store.write_front(&result.front_csv())?;
-        store.write_trace_json(&trace_json_value(result))?;
-        store.write_front_json(&front_json_value(result))?;
-        telemetry.obs.flush();
-        if let Some(metrics) = telemetry.metrics_value(opts, log, resumed, base_evals) {
-            store.write_metrics(&metrics)?;
-        }
+    if let Some(store) = store {
         reporter.info(&format!("run artifacts written to {}", store.root().display()));
     }
     write_outputs(opts, problem, result, &reporter)
@@ -879,7 +879,7 @@ pub(crate) fn finish_run(
 
 /// Runs a fresh optimizer per `opts` (the `moela-dse run` body, also
 /// the server's fresh-job path).
-pub(crate) fn run(opts: &RunOptions, hooks: &ExecHooks<'_>) -> Result<RunStatus, CliError> {
+pub(crate) fn run(opts: &RunOptions, hooks: &ExecHooks<'_>) -> Result<Ended, CliError> {
     let reporter = Reporter::new(opts.log_level);
     let problem = build_problem(opts)?;
     let normalizer = corpus_normalizer(&problem, opts.seed);
@@ -898,7 +898,7 @@ pub(crate) fn run(opts: &RunOptions, hooks: &ExecHooks<'_>) -> Result<RunStatus,
             opts.eval_retries
         ));
     }
-    let run_store = match &opts.run_dir {
+    let store = match &opts.run_dir {
         Some(dir) => {
             let store = RunStore::create(dir)?;
             store.remove_stale_temps();
@@ -907,41 +907,9 @@ pub(crate) fn run(opts: &RunOptions, hooks: &ExecHooks<'_>) -> Result<RunStatus,
         }
         None => None,
     };
-    let persistence = match &run_store {
-        Some(store) => Some(Persistence {
-            store: store.checkpoints()?,
-            every: opts.checkpoint_every,
-            crash_after: opts.crash_after_checkpoints,
-            algorithm: opts.algorithm,
-        }),
-        None => None,
-    };
-    let mut telemetry = Telemetry::new(opts, run_store.as_ref(), 0);
-    telemetry.attempt = hooks.attempt;
-    telemetry.publish_live(hooks);
-    telemetry.obs.marker("run_start", opts.algorithm.name());
-    let driven =
-        execute(opts, &problem, &normalizer, persistence.as_ref(), None, &mut telemetry, hooks)?;
-    match driven {
-        Driven::Finished(result, log) => {
-            finish_run(
-                opts,
-                &problem,
-                &normalizer,
-                run_store.as_ref(),
-                &result,
-                &log,
-                &mut telemetry,
-                false,
-                0,
-            )?;
-            Ok(RunStatus::Completed { summary: summary_value(&result, &normalizer) })
-        }
-        Driven::Interrupted { completed } => {
-            reporter.info(&format!("interrupted at step {completed}; checkpoint written"));
-            Ok(RunStatus::Interrupted)
-        }
-    }
+    let ended = execute(opts, &problem, &normalizer, store.as_ref(), None, hooks)?;
+    conclude(opts, &problem, store.as_ref(), &ended)?;
+    Ok(ended)
 }
 
 /// Per-invocation overrides `moela-dse resume` accepts on top of the
@@ -962,7 +930,7 @@ pub(crate) fn resume(
     dir: &str,
     overrides: &ResumeOverrides,
     hooks: &ExecHooks<'_>,
-) -> Result<RunStatus, CliError> {
+) -> Result<Ended, CliError> {
     let store = RunStore::open(dir)?;
     store.remove_stale_temps();
     let manifest = store.read_manifest()?;
@@ -974,10 +942,8 @@ pub(crate) fn resume(
     opts.progress = overrides.progress;
     opts.log_level = overrides.log_level.unwrap_or(opts.log_level);
     validate_run_options(&opts)?;
-    let reporter = Reporter::new(opts.log_level);
 
-    let checkpoints = store.checkpoints()?;
-    let Some((seq, envelope, warnings)) = checkpoints.load_latest()? else {
+    let Some((seq, envelope, warnings)) = store.checkpoints()?.load_latest()? else {
         return Err(fail(format!(
             "{} holds no checkpoints to resume (was the run started with --checkpoint-every?)",
             store.root().display()
@@ -986,35 +952,10 @@ pub(crate) fn resume(
     for w in warnings {
         eprintln!("warning: skipped corrupt checkpoint: {w}");
     }
-    let format = envelope.field("format")?.as_u64()?;
-    if format != u64::from(FORMAT_VERSION) {
-        return Err(fail(format!(
-            "checkpoint {seq} uses format {format}, but this build supports only format \
-             {FORMAT_VERSION}"
-        )));
-    }
-    let algorithm = envelope.field("algorithm")?.as_str()?;
-    if algorithm != opts.algorithm.name() {
-        return Err(fail(format!(
-            "checkpoint {seq} was written by '{algorithm}' but the manifest configures '{}'",
-            opts.algorithm.name()
-        )));
-    }
-    let rng_words: [u64; 4] = envelope
-        .field("rng")?
-        .to_u64_vec()?
-        .try_into()
-        .map_err(|_| fail(format!("checkpoint {seq} has a malformed RNG state")))?;
-    let rng = StdRng::from_state(rng_words);
-    let elapsed = Duration::from_nanos(envelope.field("elapsed_nanos")?.as_u64()?);
-    let chaos_ordinal = match envelope.field_opt("chaos_ordinal") {
-        Some(v) => Some(v.as_u64()?),
-        None => None,
-    };
-    let point = ResumePoint { state: envelope.field("state")?.clone(), elapsed, chaos_ordinal };
+    let point = ResumePoint::from_envelope(seq, &envelope, opts.algorithm)?;
 
     let problem = build_problem(&opts)?;
-    reporter.info(&format!(
+    Reporter::new(opts.log_level).info(&format!(
         "resuming {} on {} ({}) from checkpoint {} in {}",
         opts.algorithm.name(),
         opts.app,
@@ -1022,50 +963,9 @@ pub(crate) fn resume(
         seq,
         store.root().display()
     ));
-    let persistence = Persistence {
-        store: checkpoints,
-        every: opts.checkpoint_every,
-        crash_after: opts.crash_after_checkpoints,
-        algorithm: opts.algorithm,
-    };
-    // Progress rates and the metrics throughput window count only the
-    // work done after this resume; events.jsonl appends to the prior
-    // process's log rather than truncating it.
-    let base_evals =
-        point.state.field_opt("evaluations").and_then(|v| v.as_u64().ok()).unwrap_or_default();
-    let mut telemetry = Telemetry::new(&opts, Some(&store), base_evals);
-    telemetry.attempt = hooks.attempt;
-    telemetry.publish_live(hooks);
-    telemetry.obs.marker("resume", &format!("checkpoint {seq}"));
-    let driven = execute(
-        &opts,
-        &problem,
-        &normalizer,
-        Some(&persistence),
-        Some((point, rng)),
-        &mut telemetry,
-        hooks,
-    )?;
-    match driven {
-        Driven::Finished(result, log) => {
-            finish_run(
-                &opts,
-                &problem,
-                &normalizer,
-                Some(&store),
-                &result,
-                &log,
-                &mut telemetry,
-                true,
-                base_evals,
-            )?;
-            Ok(RunStatus::Completed { summary: summary_value(&result, &normalizer) })
-        }
-        Driven::Interrupted { completed } => {
-            reporter.info(&format!("interrupted at step {completed}; checkpoint written"));
-            Ok(RunStatus::Interrupted)
-        }
-    }
+    let ended = execute(&opts, &problem, &normalizer, Some(&store), Some(point), hooks)?;
+    conclude(&opts, &problem, Some(&store), &ended)?;
+    Ok(ended)
 }
 
 #[cfg(test)]

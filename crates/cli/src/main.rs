@@ -28,7 +28,7 @@ use moela_obs::Reporter;
 use moela_traffic::{Benchmark, PeKind, Workload};
 
 use args::{Algorithm, Command, RunOptions};
-use engine::{CliError, ExecHooks, ResumeOverrides, Telemetry, VERSION};
+use engine::{CliError, Ended, ExecHooks, ResumeOverrides, VERSION};
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -108,19 +108,10 @@ fn compare(opts: &RunOptions) -> Result<(), CliError> {
         "algorithm", "evals", "time", "PHV", "front"
     ));
     for (algorithm, name) in Algorithm::ALL {
-        let mut per_algorithm = opts.clone();
-        per_algorithm.algorithm = algorithm;
-        let mut telemetry = Telemetry::new(&per_algorithm, None, 0);
-        let driven = engine::execute(
-            &per_algorithm,
-            &problem,
-            &normalizer,
-            None,
-            None,
-            &mut telemetry,
-            &ExecHooks::none(),
-        )?;
-        let engine::Driven::Finished(result, log) = driven else {
+        let per_algorithm = RunOptions { algorithm, ..opts.clone() };
+        let ended =
+            engine::execute(&per_algorithm, &problem, &normalizer, None, None, &ExecHooks::none())?;
+        let Ended::Finished { result, log, phv } = ended else {
             unreachable!("compare runs without a cancel hook")
         };
         let health = if log.is_clean() {
@@ -133,7 +124,7 @@ fn compare(opts: &RunOptions) -> Result<(), CliError> {
             name,
             result.evaluations,
             result.elapsed,
-            result.phv(&normalizer),
+            phv,
             result.front().len()
         ));
     }

@@ -13,13 +13,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use moela_obs::LogLevel;
-use moela_persist::Value;
+use moela_persist::{RunStore, Value};
 use moela_serve::{
     JobContext, JobRunner, ReportBuilder, RunError, RunOutcome, ServeConfig, Server,
 };
 
 use crate::args::{self, RunOptions, ServeOptions};
-use crate::engine::{self, fail, CliError, ErrorClass, ExecHooks, ResumeOverrides, RunStatus};
+use crate::engine::{self, fail, CliError, Ended, ErrorClass, ExecHooks, ResumeOverrides};
 
 /// Translates a submission spec into [`RunOptions`]. Keys beyond the run
 /// options and `timeout_s` are errors, so a typo (`"algorthm"`) fails
@@ -73,20 +73,6 @@ fn timeout_from_spec(spec: &Value) -> Result<Option<u64>, String> {
     }
 }
 
-/// True when `dir` holds at least one *completed* checkpoint file
-/// (`ckpt-NNNNNNNN.json`), ignoring atomic-write `.tmp` siblings a
-/// crash may have stranded.
-fn has_checkpoint(dir: &std::path::Path) -> bool {
-    let Ok(entries) = std::fs::read_dir(dir) else { return false };
-    entries.flatten().any(|entry| {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { return false };
-        name.strip_prefix("ckpt-")
-            .and_then(|rest| rest.strip_suffix(".json"))
-            .is_some_and(|digits| digits.parse::<u64>().is_ok())
-    })
-}
-
 /// The serve-side job runner backed by the CLI's own engine.
 pub(crate) struct DseRunner {
     /// Checkpoint cadence for specs that do not set one (the server's
@@ -121,12 +107,13 @@ impl JobRunner for DseRunner {
         // a previous life of the same job: resume it. Anything less is a
         // fresh start (a job interrupted before its first checkpoint
         // reruns from scratch — same bytes either way). Only completed
-        // `ckpt-*.json` files count: a crash mid-write leaves a `.tmp`
+        // checkpoint files count: a crash mid-write leaves a `.tmp`
         // sibling behind, and that alone must not route a job into
         // `resume`, which would find nothing usable and fail it.
-        let resumable =
-            ctx.dir.join("manifest.json").is_file() && has_checkpoint(&ctx.dir.join("checkpoints"));
-        let status = if resumable {
+        let resumable = RunStore::open(ctx.dir)
+            .and_then(|store| store.checkpoints()?.sequences())
+            .is_ok_and(|seqs| !seqs.is_empty());
+        let ended = if resumable {
             let overrides =
                 ResumeOverrides { log_level: Some(LogLevel::Quiet), ..Default::default() };
             engine::resume(&dir, &overrides, &hooks)
@@ -135,9 +122,17 @@ impl JobRunner for DseRunner {
             opts.run_dir = Some(dir);
             engine::run(&opts, &hooks)
         };
-        match status {
-            Ok(RunStatus::Completed { summary }) => Ok(RunOutcome::Completed { summary }),
-            Ok(RunStatus::Interrupted) => Ok(RunOutcome::Interrupted),
+        match ended {
+            // The small machine-readable completion report a served job
+            // carries in its `job.json` and `GET /jobs/{id}` response.
+            Ok(Ended::Finished { result, phv, .. }) => Ok(RunOutcome::Completed {
+                summary: Value::object(vec![
+                    ("evaluations", Value::U64(result.evaluations)),
+                    ("phv", Value::F64(phv)),
+                    ("front_size", Value::U64(result.front().len() as u64)),
+                ]),
+            }),
+            Ok(Ended::Interrupted { .. }) => Ok(RunOutcome::Interrupted),
             // The engine's classification drives the supervisor: only
             // transient and disk failures feed retry-with-backoff.
             Err(e) => Err(match e.class {

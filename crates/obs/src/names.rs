@@ -1,10 +1,13 @@
-//! The shared name registry for supervision telemetry.
+//! The shared name registry for telemetry that more than one place
+//! writes or reads.
 //!
 //! The serve layer counts retries, quarantines, stalls, and deadline
 //! hits in its `/metrics` endpoint, and the engine stamps the same
-//! facts into each run's `metrics.json`. Both sides key off these
-//! constants so the two surfaces can never drift apart on spelling —
-//! a dashboard that joins them joins on one string.
+//! facts into each run's `metrics.json`. The engine also emits the
+//! checkpoint and routing-cache names below, which `moela-dse report`
+//! reads back from the event log. Every side keys off these constants
+//! so the surfaces can never drift apart on spelling — a dashboard that
+//! joins them joins on one string.
 
 /// Jobs re-queued with backoff after a transient failure.
 pub const JOBS_RETRIED: &str = "jobs_retried";
@@ -48,3 +51,18 @@ pub const META_MOVES: &str = "meta_moves";
 /// MOO-STAGE random restarts: episodes whose meta search could not move
 /// from the local search's final design, so the next start is random.
 pub const RANDOM_RESTARTS: &str = "random_restarts";
+
+/// Span around the optimizer-state snapshot taken at each checkpoint.
+pub const CHECKPOINT_SNAPSHOT: &str = "checkpoint_snapshot";
+
+/// Span around a checkpoint's encode and durable save.
+pub const CHECKPOINT_WRITE: &str = "checkpoint_write";
+
+/// Gauge: the size in bytes of the newest checkpoint file.
+pub const CHECKPOINT_BYTES: &str = "checkpoint_bytes";
+
+/// Counter: routing tables built during the run (cache misses).
+pub const ROUTING_REBUILDS: &str = "routing_rebuilds";
+
+/// Counter: routing tables reused from the cache during the run.
+pub const ROUTING_HITS: &str = "routing_hits";

@@ -85,15 +85,6 @@ impl RunStore {
         self.root.join("front.csv")
     }
 
-    /// `RUN_DIR/health.json` — retired: current runs fold the fault
-    /// counters into `metrics.json` and write no health file. The path
-    /// is kept so tooling can still read (or knowingly ignore) the
-    /// report in run directories produced by older builds; resume
-    /// tolerates both layouts.
-    pub fn health_path(&self) -> PathBuf {
-        self.root.join("health.json")
-    }
-
     /// `RUN_DIR/trace.json` — the machine-readable convergence trace
     /// (same deterministic data as `trace.csv`, no CSV reparsing).
     pub fn trace_json_path(&self) -> PathBuf {
@@ -245,10 +236,6 @@ mod tests {
         assert!(store.front_path().is_file());
         assert!(store.trace_json_path().is_file());
         assert!(store.front_json_path().is_file());
-        // No health.json: current runs never write one, but the path
-        // accessor survives for old run directories.
-        assert!(!store.health_path().is_file());
-        assert_eq!(store.health_path(), root.join("health.json"));
         assert!(store.metrics_path().is_file());
         assert_eq!(store.events_path(), root.join("events.jsonl"));
         fs::remove_dir_all(&root).unwrap();
