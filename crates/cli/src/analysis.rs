@@ -93,6 +93,7 @@ fn front_objectives(front: &Value) -> Result<Vec<Vec<f64>>, CliError> {
 fn phases_value(replay: &RunReplay) -> Value {
     Value::Object(
         replay
+            .tally
             .phases
             .iter()
             .map(|(name, stat)| {
@@ -117,15 +118,15 @@ fn phases_value(replay: &RunReplay) -> Value {
 /// spent snapshotting state and writing files, and the newest and
 /// largest file size.
 fn checkpoints_value(replay: &RunReplay) -> Value {
-    let total_us = |name: &str| replay.phase(name).map_or(0, |p| p.total_us);
+    let total_us = |name: &str| replay.tally.phase(name).map_or(0, |p| p.total_us);
     let bytes = names::CHECKPOINT_BYTES;
     let sizes = replay.gauge_events.iter().filter(|(n, _, _)| n == bytes);
     let max_bytes = sizes.map(|&(_, _, v)| v as u64).max().unwrap_or(0);
     Value::object(vec![
-        ("count", Value::U64(replay.phase(names::CHECKPOINT_WRITE).map_or(0, |p| p.count))),
+        ("count", Value::U64(replay.tally.phase(names::CHECKPOINT_WRITE).map_or(0, |p| p.count))),
         ("snapshot_us", Value::U64(total_us(names::CHECKPOINT_SNAPSHOT))),
         ("write_us", Value::U64(total_us(names::CHECKPOINT_WRITE))),
-        ("last_bytes", Value::U64(replay.gauge(bytes).map_or(0, |v| v as u64))),
+        ("last_bytes", Value::U64(replay.tally.gauge(bytes).map_or(0, |v| v as u64))),
         ("max_bytes", Value::U64(max_bytes)),
     ])
 }
@@ -203,7 +204,7 @@ pub(crate) fn build_report(dir: &Path) -> Result<(Value, Value), CliError> {
     convergence.push(("phv_over_evaluations", Value::Array(phv_series)));
 
     let wall_s = replay.wall_us as f64 / 1e6;
-    let replay_evals = replay.counter("evaluations");
+    let replay_evals = replay.tally.counter("evaluations");
     let evals_per_sec = if wall_s > 0.0 { replay_evals as f64 / wall_s } else { 0.0 };
 
     let mut fields = vec![
@@ -224,12 +225,12 @@ pub(crate) fn build_report(dir: &Path) -> Result<(Value, Value), CliError> {
             // produced the archive/population improvements.
             "operators",
             Value::object(vec![
-                ("ls_improvements", Value::U64(replay.counter(names::LS_IMPROVEMENTS))),
-                ("ea_improvements", Value::U64(replay.counter(names::EA_IMPROVEMENTS))),
+                ("ls_improvements", Value::U64(replay.tally.counter(names::LS_IMPROVEMENTS))),
+                ("ea_improvements", Value::U64(replay.tally.counter(names::EA_IMPROVEMENTS))),
                 // MOO-STAGE's meta search: moves it made, and episodes it
                 // could not move at all and restarted at random.
-                ("meta_moves", Value::U64(replay.counter(names::META_MOVES))),
-                ("random_restarts", Value::U64(replay.counter(names::RANDOM_RESTARTS))),
+                ("meta_moves", Value::U64(replay.tally.counter(names::META_MOVES))),
+                ("random_restarts", Value::U64(replay.tally.counter(names::RANDOM_RESTARTS))),
             ]),
         ),
         (
@@ -245,10 +246,10 @@ pub(crate) fn build_report(dir: &Path) -> Result<(Value, Value), CliError> {
         (
             "counters",
             Value::Object(
-                replay.counters.iter().map(|(n, v)| (n.clone(), Value::U64(*v))).collect(),
+                replay.tally.counters.iter().map(|(n, v)| (n.clone(), Value::U64(*v))).collect(),
             ),
         ),
-        ("cache", cache_value(|n| replay.counter(n))),
+        ("cache", cache_value(|n| replay.tally.counter(n))),
         ("trends", trends_value(&replay)),
         (
             "events",
@@ -256,8 +257,8 @@ pub(crate) fn build_report(dir: &Path) -> Result<(Value, Value), CliError> {
                 ("lines", Value::U64(replay.lines)),
                 ("legs", Value::U64(replay.legs as u64)),
                 ("torn_tail", Value::Bool(replay.torn_tail)),
-                ("unclosed_spans", Value::U64(replay.unclosed_spans)),
-                ("nesting_violations", Value::U64(replay.nesting_violations)),
+                ("unclosed_spans", Value::U64(replay.tally.unclosed_spans)),
+                ("nesting_violations", Value::U64(replay.tally.nesting_violations)),
                 ("wall_us", Value::U64(replay.wall_us)),
             ]),
         ),

@@ -99,7 +99,7 @@ pub struct RunOptions {
     pub app: Benchmark,
     /// Objective stack.
     pub set: ObjectiveSet,
-    /// Optimizer selection (`run` uses one; `compare` ignores it).
+    /// Optimizer selection (`run` uses one; `compare` runs them all).
     pub algorithm: Algorithm,
     /// Objective-evaluation budget.
     pub budget: u64,
@@ -307,45 +307,20 @@ pub fn parse(args: &[String]) -> Result<Command, ArgsError> {
         "resume" => parse_resume(rest),
         "serve" => parse_serve(rest),
         "report" => parse_report(rest),
-        "run" => Ok(Command::Run(parse_run_options(rest)?)),
+        "run" => Ok(Command::Run(parse_run_flags("run", rest)?.opts)),
         // Two forms share the name: `compare [run flags]` re-runs every
         // algorithm at one budget, while `compare <A> <B>` diffs two
         // existing runs/snapshots. A leading positional selects the
         // second form.
         "compare" if rest.first().is_some_and(|a| !a.starts_with("--")) => parse_compare_runs(rest),
-        "compare" => Ok(Command::Compare(parse_run_options(rest)?)),
+        "compare" => Ok(Command::Compare(parse_run_flags("compare", rest)?.opts)),
         "info" => {
-            let opts = parse_run_options(rest)?;
+            let opts = parse_run_flags("info", rest)?.opts;
             Ok(Command::Info { app: opts.app, seed: opts.seed })
         }
         "simulate" => {
-            let mut load_factor = 1.0;
-            let mut cycles = 50_000;
-            let mut filtered = Vec::new();
-            let mut it = rest.iter();
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--load" => {
-                        load_factor = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .ok_or("--load needs a number")?;
-                    }
-                    "--cycles" => {
-                        cycles = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .ok_or("--cycles needs an integer")?;
-                    }
-                    other => {
-                        filtered.push(other.to_owned());
-                        if let Some(v) = it.next() {
-                            filtered.push(v.clone());
-                        }
-                    }
-                }
-            }
-            Ok(Command::Simulate { options: parse_run_options(&filtered)?, load_factor, cycles })
+            let RunFlags { opts, load_factor, cycles } = parse_run_flags("simulate", rest)?;
+            Ok(Command::Simulate { options: opts, load_factor, cycles })
         }
         other => Err(ArgsError::syntax(format!(
             "unknown subcommand '{other}' (try: run, resume, serve, compare, info, simulate, help)"
@@ -528,8 +503,40 @@ fn parse_serve(args: &[String]) -> Result<Command, ArgsError> {
     Ok(Command::Serve(opts))
 }
 
-fn parse_run_options(args: &[String]) -> Result<RunOptions, ArgsError> {
+/// The run flags and `simulate`'s own two, parsed in one pass.
+struct RunFlags {
+    opts: RunOptions,
+    load_factor: f64,
+    cycles: u64,
+}
+
+/// Whether subcommand `sub` reads the known flag `flag`. A flag it
+/// would silently ignore is refused instead.
+fn reads(sub: &str, flag: &str) -> bool {
+    match sub {
+        // One run per optimizer, and nothing written to disk.
+        "compare" => !matches!(
+            flag,
+            "--algorithm"
+                | "--run-dir"
+                | "--trace-csv"
+                | "--front-csv"
+                | "--dot"
+                | "--checkpoint-every"
+                | "--crash-after-checkpoints"
+                | "--load"
+                | "--cycles"
+        ),
+        "info" => matches!(flag, "--app" | "--seed"),
+        "simulate" => matches!(flag, "--app" | "--objectives" | "--seed" | "--load" | "--cycles"),
+        _ => !matches!(flag, "--load" | "--cycles"),
+    }
+}
+
+fn parse_run_flags(sub: &str, args: &[String]) -> Result<RunFlags, ArgsError> {
     let mut opts = RunOptions::default();
+    let mut load_factor = 1.0;
+    let mut cycles = 50_000;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let mut value = || it.next().cloned().ok_or_else(|| format!("flag {flag} needs a value"));
@@ -589,11 +596,16 @@ fn parse_run_options(args: &[String]) -> Result<RunOptions, ArgsError> {
                     format!("--log-level must be quiet, info, or debug (got {name})")
                 })?;
             }
+            "--load" => load_factor = value()?.parse().map_err(|_| "--load needs a number")?,
+            "--cycles" => cycles = value()?.parse().map_err(|_| "--cycles needs an integer")?,
             other => return Err(ArgsError::syntax(format!("unknown flag '{other}'"))),
+        }
+        if !reads(sub, flag) {
+            return Err(ArgsError::contradiction(format!("{sub} does not read {flag}")));
         }
     }
     validate_run_options(&opts)?;
-    Ok(opts)
+    Ok(RunFlags { opts, load_factor, cycles })
 }
 
 /// Semantic validation shared by the flag parser and the job server's
@@ -774,6 +786,7 @@ moela-dse — multi-objective DSE for 3D heterogeneous manycore platforms
 
 USAGE:
     moela-dse <SUBCOMMAND> [FLAGS]
+    a subcommand refuses (exit 2) a flag it does not read
 
 SUBCOMMANDS:
     run        run one optimizer and print its Pareto front
@@ -852,6 +865,13 @@ REPORT:
     DIR/trace.chrome.json (open at https://ui.perfetto.dev); tolerates
     a torn final event line after SIGKILL
 
+COMPARE (every optimizer):
+    moela-dse compare [--app A] [--objectives N] [--budget N]
+                      [--population N] [--seed N] [--threads N]
+                      [fault containment flags] [--progress] [--log-level L]
+    runs each optimizer on the same configuration and prints one PHV
+    row per optimizer; writes no files
+
 COMPARE (regression gate):
     moela-dse compare <BASELINE> <CANDIDATE>
                       [--max-phv-regression F] [--max-rate-regression F]
@@ -859,7 +879,13 @@ COMPARE (regression gate):
     prints per-algorithm PHV and throughput deltas and exits 3 when the
     candidate regresses past a threshold (defaults: PHV 0.01, rate 0.2)
 
-SIMULATE FLAGS:
+INFO:
+    moela-dse info [--app A] [--seed N]
+    describes the application's synthesized workload
+
+SIMULATE:
+    moela-dse simulate [--app A] [--objectives N] [--seed N]
+                       [--load F] [--cycles N]
     --load <F>                          injection multiplier [1.0]
     --cycles <N>                        measured cycles      [50000]
 
@@ -945,6 +971,45 @@ mod tests {
         assert_eq!(options.seed, 9);
         assert!((load_factor - 2.5).abs() < 1e-12);
         assert_eq!(cycles, 123);
+    }
+
+    #[test]
+    fn subcommands_refuse_flags_they_do_not_read() {
+        for (args, flag) in [
+            ("compare --budget 50 --run-dir out", "--run-dir"),
+            ("compare --algorithm moela", "--algorithm"),
+            ("compare --trace-csv t.csv", "--trace-csv"),
+            ("compare --crash-after-checkpoints 1", "--crash-after-checkpoints"),
+            ("info --run-dir out", "--run-dir"),
+            ("info --app HOT --budget 5", "--budget"),
+            ("simulate --progress --load 2.0", "--progress"),
+            ("simulate --algorithm nsga2", "--algorithm"),
+            ("run --load 2.0", "--load"),
+        ] {
+            let err = parse(&argv(args)).expect_err(args);
+            assert_eq!(err.code, 2, "{args}: {}", err.message);
+            assert!(err.message.contains(flag), "{args}: {}", err.message);
+        }
+        // Unknown flags stay syntax errors.
+        assert_eq!(parse(&argv("info --bogus")).expect_err("unknown").code, 1);
+    }
+
+    #[test]
+    fn each_subcommand_accepts_the_flags_it_reads() {
+        let cmd = parse(&argv("info --app HOT --seed 4")).expect("info");
+        assert_eq!(cmd, Command::Info { app: Benchmark::Hot, seed: 4 });
+        let cmd = parse(&argv("simulate --load 2.0 --objectives 4 --cycles 10")).expect("sim");
+        let Command::Simulate { options, load_factor, cycles } = cmd else {
+            panic!("expected Simulate")
+        };
+        assert_eq!((options.set, load_factor, cycles), (ObjectiveSet::Four, 2.0, 10));
+        let cmd = parse(&argv(
+            "compare --budget 50 --threads 2 --progress --log-level quiet \
+             --fault-policy skip --eval-retries 1 --chaos nan=0.1 --chaos-seed 3",
+        ))
+        .expect("compare");
+        let Command::Compare(o) = cmd else { panic!("expected Compare") };
+        assert_eq!((o.budget, o.threads, o.eval_retries), (50, 2, 1));
     }
 
     #[test]

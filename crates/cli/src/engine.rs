@@ -615,6 +615,18 @@ fn drive(
     };
     let mut state = start_state(opts, &evaluated, problem, normalizer, resume.as_ref(), &mut rng)?;
     let Telemetry { obs, progress, .. } = telemetry;
+    if resume.is_none() {
+        // `start` evaluated the initial population before the handle
+        // was installed; count what it paid here, once. A restore
+        // evaluates nothing, so a resumed leg counts only its own steps.
+        let (evaluations, faults) = (state.evaluations(), state.fault_log().faults());
+        if evaluations > 0 {
+            obs.counter("evaluations", evaluations);
+        }
+        if faults > 0 {
+            obs.counter("eval_faults", faults);
+        }
+    }
     state.set_obs(obs.clone());
     if let Some(token) = hooks.cancel {
         state.set_cancel(token.clone());

@@ -146,6 +146,15 @@ fn assert_report_round_trips(algorithm: &str) {
         get(&metrics, &["telemetry", "counters", "evaluations"]),
         "{algorithm}: throughput must come from the replayed counter"
     );
+    // Every evaluation the process paid for reaches the counter once,
+    // the initial population's included.
+    let trace = read_json(&dir.join("trace.json"));
+    let last = get(&trace, &["points"]).as_array().unwrap().last().expect("a trace point");
+    assert_eq!(
+        get(&metrics, &["telemetry", "counters", "evaluations"]),
+        get(last, &["evaluations"]),
+        "{algorithm}: the evaluations counter must equal the trace's final count"
+    );
 
     // A fresh single-process run replays to exactly one leg with fully
     // monotone timestamps and balanced spans.

@@ -1,41 +1,29 @@
 //! In-memory aggregation of the event stream into `metrics.json`.
 
 use crate::hist::LogHistogram;
+use crate::tally::Tally;
 use crate::{Event, Sink};
 use moela_persist::Value;
-
-#[derive(Debug, Default, Clone)]
-struct PhaseStat {
-    count: u64,
-    total_us: u64,
-    self_us: u64,
-    hist: LogHistogram,
-}
-
-#[derive(Debug)]
-struct Frame {
-    id: u64,
-    child_us: u64,
-}
 
 /// Folds the event stream into per-phase wall-clock statistics (self and
 /// total time via the span stack), counters, gauges, a per-generation
 /// hypervolume series, and per-phase latency histograms. Render the
 /// result with [`MetricsAggregator::render`].
 ///
+/// The spans, counters and gauges are a [`Tally`], the same fold the
+/// offline replay uses; this adds the histograms, the `phv` series and
+/// the event-time window. Recording an event allocates only when a name
+/// or nesting depth is first seen.
+///
 /// Everything here is process-local: after a resume only post-resume
 /// events are aggregated, so rates never pretend restored work happened
 /// in this process.
 #[derive(Debug, Default)]
 pub struct MetricsAggregator {
-    phases: Vec<(&'static str, PhaseStat)>,
-    counters: Vec<(&'static str, u64)>,
-    gauges: Vec<(&'static str, f64)>,
+    tally: Tally<&'static str, LogHistogram>,
     phv_series: Vec<f64>,
-    stack: Vec<Frame>,
     first_t_us: Option<u64>,
     last_t_us: u64,
-    nesting_violations: u64,
 }
 
 impl MetricsAggregator {
@@ -44,23 +32,14 @@ impl MetricsAggregator {
         Self::default()
     }
 
-    fn phase_mut(&mut self, name: &'static str) -> &mut PhaseStat {
-        if let Some(idx) = self.phases.iter().position(|(n, _)| *n == name) {
-            &mut self.phases[idx].1
-        } else {
-            self.phases.push((name, PhaseStat::default()));
-            &mut self.phases.last_mut().expect("just pushed").1
-        }
-    }
-
     /// Current value of a counter (0 when never incremented).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.iter().find(|(n, _)| *n == name).map_or(0, |(_, v)| *v)
+        self.tally.counter(name)
     }
 
     /// Span enter/exit pairs seen out of order (0 in a well-formed run).
     pub fn nesting_violations(&self) -> u64 {
-        self.nesting_violations
+        self.tally.nesting_violations
     }
 
     /// Wall-clock span of the aggregated events in microseconds.
@@ -70,7 +49,15 @@ impl MetricsAggregator {
 
     /// Current value of a gauge (`None` when never set).
     pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.iter().find(|(n, _)| *n == name).map(|(_, v)| *v)
+        self.tally.gauge(name)
+    }
+
+    /// Evaluations per second over the event-time window.
+    fn evals_per_sec(&self) -> f64 {
+        match self.wall_us() {
+            0 => 0.0,
+            wall_us => self.counter("evaluations") as f64 / (wall_us as f64 / 1e6),
+        }
     }
 
     /// A cheap live snapshot for polling while a run is still in flight
@@ -80,15 +67,11 @@ impl MetricsAggregator {
     /// call at any event boundary; [`MetricsAggregator::render`] remains
     /// the full end-of-run report.
     pub fn summary(&self) -> Value {
-        let wall_us = self.wall_us();
-        let evaluations = self.counter("evaluations");
-        let evals_per_sec =
-            if wall_us > 0 { evaluations as f64 / (wall_us as f64 / 1e6) } else { 0.0 };
         let mut fields = vec![
-            ("wall_us", Value::U64(wall_us)),
-            ("evaluations", Value::U64(evaluations)),
+            ("wall_us", Value::U64(self.wall_us())),
+            ("evaluations", Value::U64(self.counter("evaluations"))),
             ("generations", Value::U64(self.counter("generations"))),
-            ("evals_per_sec", Value::F64(evals_per_sec)),
+            ("evals_per_sec", Value::F64(self.evals_per_sec())),
         ];
         if let Some(phv) = self.gauge("phv") {
             fields.push(("phv", Value::F64(phv)));
@@ -98,44 +81,29 @@ impl MetricsAggregator {
 
     /// Render the aggregate as the body of `metrics.json`.
     pub fn render(&self) -> Value {
-        let wall_us = self.wall_us();
-        let evaluations = self.counter("evaluations");
-        let evals_per_sec =
-            if wall_us > 0 { evaluations as f64 / (wall_us as f64 / 1e6) } else { 0.0 };
-        let phases = Value::Object(
-            self.phases
-                .iter()
-                .map(|(name, stat)| {
-                    (
-                        name.to_string(),
-                        Value::object(vec![
-                            ("count", Value::U64(stat.count)),
-                            ("total_us", Value::U64(stat.total_us)),
-                            ("self_us", Value::U64(stat.self_us)),
-                            ("max_us", Value::U64(stat.hist.max())),
-                            ("latency_hist", stat.hist.to_value()),
-                        ]),
-                    )
-                })
-                .collect(),
-        );
-        let counters = Value::Object(
-            self.counters.iter().map(|(n, v)| (n.to_string(), Value::U64(*v))).collect(),
-        );
-        let gauges = Value::Object(
-            self.gauges.iter().map(|(n, v)| (n.to_string(), Value::F64(*v))).collect(),
-        );
+        let phases = self.tally.phases.iter().map(|(name, phase)| {
+            let stat = Value::object(vec![
+                ("count", Value::U64(phase.count)),
+                ("total_us", Value::U64(phase.total_us)),
+                ("self_us", Value::U64(phase.self_us)),
+                ("max_us", Value::U64(phase.max_us)),
+                ("latency_hist", phase.samples.to_value()),
+            ]);
+            (name.to_string(), stat)
+        });
+        let counters = self.tally.counters.iter().map(|(n, v)| (n.to_string(), Value::U64(*v)));
+        let gauges = self.tally.gauges.iter().map(|(n, v)| (n.to_string(), Value::F64(*v)));
         Value::object(vec![
-            ("wall_us", Value::U64(wall_us)),
-            ("evals_per_sec", Value::F64(evals_per_sec)),
-            ("phases", phases),
-            ("counters", counters),
-            ("gauges", gauges),
+            ("wall_us", Value::U64(self.wall_us())),
+            ("evals_per_sec", Value::F64(self.evals_per_sec())),
+            ("phases", Value::Object(phases.collect())),
+            ("counters", Value::Object(counters.collect())),
+            ("gauges", Value::Object(gauges.collect())),
             (
                 "phv_per_generation",
                 Value::Array(self.phv_series.iter().map(|&v| Value::F64(v)).collect()),
             ),
-            ("nesting_violations", Value::U64(self.nesting_violations)),
+            ("nesting_violations", Value::U64(self.tally.nesting_violations)),
         ])
     }
 }
@@ -145,46 +113,9 @@ impl Sink for MetricsAggregator {
         let t_us = event.t_us();
         self.first_t_us.get_or_insert(t_us);
         self.last_t_us = self.last_t_us.max(t_us);
-        match event {
-            Event::SpanEnter { id, .. } => {
-                self.stack.push(Frame { id: *id, child_us: 0 });
-            }
-            Event::SpanExit { id, name, dur_us, .. } => {
-                let child_us = match self.stack.pop() {
-                    Some(frame) if frame.id == *id => frame.child_us,
-                    Some(_) | None => {
-                        self.nesting_violations += 1;
-                        self.stack.clear();
-                        0
-                    }
-                };
-                if let Some(parent) = self.stack.last_mut() {
-                    parent.child_us = parent.child_us.saturating_add(*dur_us);
-                }
-                let stat = self.phase_mut(name);
-                stat.count += 1;
-                stat.total_us = stat.total_us.saturating_add(*dur_us);
-                stat.self_us = stat.self_us.saturating_add(dur_us.saturating_sub(child_us));
-                stat.hist.record(*dur_us);
-            }
-            Event::Counter { name, delta, .. } => {
-                if let Some(entry) = self.counters.iter_mut().find(|(n, _)| n == name) {
-                    entry.1 = entry.1.saturating_add(*delta);
-                } else {
-                    self.counters.push((name, *delta));
-                }
-            }
-            Event::Gauge { name, value, .. } => {
-                if let Some(entry) = self.gauges.iter_mut().find(|(n, _)| n == name) {
-                    entry.1 = *value;
-                } else {
-                    self.gauges.push((name, *value));
-                }
-                if *name == "phv" {
-                    self.phv_series.push(*value);
-                }
-            }
-            Event::Marker { .. } => {}
+        self.tally.record(event);
+        if let Event::Gauge { name: "phv", value, .. } = event {
+            self.phv_series.push(*value);
         }
     }
 }
@@ -192,30 +123,6 @@ impl Sink for MetricsAggregator {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn exit(id: u64, name: &'static str, t_us: u64, dur_us: u64) -> Event {
-        Event::SpanExit { id, name, depth: 0, t_us, dur_us }
-    }
-
-    fn enter(id: u64, name: &'static str, t_us: u64) -> Event {
-        Event::SpanEnter { id, name, depth: 0, t_us }
-    }
-
-    #[test]
-    fn self_time_excludes_nested_children() {
-        let mut agg = MetricsAggregator::new();
-        agg.record(&enter(1, "step", 0));
-        agg.record(&enter(2, "evaluate", 10));
-        agg.record(&exit(2, "evaluate", 40, 30));
-        agg.record(&exit(1, "step", 100, 100));
-        let v = agg.render();
-        let step = v.field("phases").unwrap().field("step").unwrap();
-        assert_eq!(step.field("total_us").unwrap().as_u64().unwrap(), 100);
-        assert_eq!(step.field("self_us").unwrap().as_u64().unwrap(), 70);
-        let eval = v.field("phases").unwrap().field("evaluate").unwrap();
-        assert_eq!(eval.field("self_us").unwrap().as_u64().unwrap(), 30);
-        assert_eq!(agg.nesting_violations(), 0);
-    }
 
     #[test]
     fn counters_accumulate_and_gauges_keep_last_value() {
@@ -260,13 +167,5 @@ mod tests {
         assert!((rate - 50.0).abs() < 1e-9, "rate {rate}");
         assert_eq!(v.field("phv").unwrap().as_f64().unwrap(), 0.5);
         assert!(v.field_opt("phases").is_none(), "summary must stay lightweight");
-    }
-
-    #[test]
-    fn mismatched_exit_is_counted_not_propagated() {
-        let mut agg = MetricsAggregator::new();
-        agg.record(&enter(1, "step", 0));
-        agg.record(&exit(99, "evaluate", 5, 5));
-        assert_eq!(agg.nesting_violations(), 1);
     }
 }

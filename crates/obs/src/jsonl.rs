@@ -1,48 +1,86 @@
-//! JSONL event-log sink writing `events.jsonl` into the run store.
+//! The `events.jsonl` line format — [`event_value`] writes a line and
+//! [`parse_line`] reads it back — and the sink that appends the lines to
+//! the run store.
 
 use crate::{Event, Sink};
-use moela_persist::{encode, Value};
+use moela_persist::{decode, encode, Value};
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::path::Path;
 
 /// Render one event as the JSON object written per `events.jsonl` line.
 /// Exposed so tests can assert the schema without string matching.
-pub fn event_value(event: &Event) -> Value {
+pub fn event_value<N: AsRef<str>>(event: &Event<N>) -> Value {
+    let text = |s: &str| Value::Str(s.to_owned());
     match event {
         Event::SpanEnter { id, name, depth, t_us } => Value::object(vec![
-            ("type", Value::Str("enter".to_string())),
-            ("span", Value::Str(name.to_string())),
+            ("type", text("enter")),
+            ("span", text(name.as_ref())),
             ("id", Value::U64(*id)),
             ("depth", Value::U64(u64::from(*depth))),
             ("t_us", Value::U64(*t_us)),
         ]),
         Event::SpanExit { id, name, depth, t_us, dur_us } => Value::object(vec![
-            ("type", Value::Str("exit".to_string())),
-            ("span", Value::Str(name.to_string())),
+            ("type", text("exit")),
+            ("span", text(name.as_ref())),
             ("id", Value::U64(*id)),
             ("depth", Value::U64(u64::from(*depth))),
             ("t_us", Value::U64(*t_us)),
             ("dur_us", Value::U64(*dur_us)),
         ]),
         Event::Counter { name, delta, t_us } => Value::object(vec![
-            ("type", Value::Str("counter".to_string())),
-            ("name", Value::Str(name.to_string())),
+            ("type", text("counter")),
+            ("name", text(name.as_ref())),
             ("delta", Value::U64(*delta)),
             ("t_us", Value::U64(*t_us)),
         ]),
         Event::Gauge { name, value, t_us } => Value::object(vec![
-            ("type", Value::Str("gauge".to_string())),
-            ("name", Value::Str(name.to_string())),
+            ("type", text("gauge")),
+            ("name", text(name.as_ref())),
             ("value", Value::F64(*value)),
             ("t_us", Value::U64(*t_us)),
         ]),
         Event::Marker { name, detail, t_us } => Value::object(vec![
-            ("type", Value::Str("marker".to_string())),
-            ("name", Value::Str(name.to_string())),
-            ("detail", Value::Str(detail.clone())),
+            ("type", text("marker")),
+            ("name", text(name.as_ref())),
+            ("detail", text(detail)),
             ("t_us", Value::U64(*t_us)),
         ]),
+    }
+}
+
+/// Decodes one `events.jsonl` line, validating the schema
+/// [`event_value`] writes. A reader gets whatever name the file holds,
+/// so the event owns it.
+pub fn parse_line(line: &str) -> Result<Event<String>, String> {
+    let v = decode::from_str(line).map_err(|e| e.to_string())?;
+    let text = |key: &str| {
+        v.field(key).and_then(Value::as_str).map(str::to_owned).map_err(|e| e.to_string())
+    };
+    let num = |key: &str| v.field(key).and_then(Value::as_u64).map_err(|e| e.to_string());
+    let ty = text("type")?;
+    let t_us = num("t_us")?;
+    match ty.as_str() {
+        "enter" => Ok(Event::SpanEnter {
+            id: num("id")?,
+            name: text("span")?,
+            depth: num("depth")? as u32,
+            t_us,
+        }),
+        "exit" => Ok(Event::SpanExit {
+            id: num("id")?,
+            name: text("span")?,
+            depth: num("depth")? as u32,
+            t_us,
+            dur_us: num("dur_us")?,
+        }),
+        "counter" => Ok(Event::Counter { name: text("name")?, delta: num("delta")?, t_us }),
+        "gauge" => {
+            let value = v.field("value").and_then(Value::as_f64).map_err(|e| e.to_string())?;
+            Ok(Event::Gauge { name: text("name")?, value, t_us })
+        }
+        "marker" => Ok(Event::Marker { name: text("name")?, detail: text("detail")?, t_us }),
+        other => Err(format!("unknown event type {other:?}")),
     }
 }
 
@@ -84,23 +122,29 @@ impl Drop for JsonlSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use moela_persist::decode;
 
     #[test]
-    fn event_lines_round_trip_through_the_decoder() {
+    fn parse_line_reads_back_every_event_variant() {
         let events = [
-            Event::SpanEnter { id: 1, name: "evaluate", depth: 1, t_us: 5 },
-            Event::SpanExit { id: 1, name: "evaluate", depth: 1, t_us: 9, dur_us: 4 },
-            Event::Counter { name: "evaluations", delta: 8, t_us: 9 },
-            Event::Gauge { name: "phv", value: 0.5, t_us: 10 },
-            Event::Marker { name: "run_start", detail: "moela".to_string(), t_us: 0 },
+            Event::SpanEnter { id: 3, name: "evaluate", depth: 2, t_us: 17 },
+            Event::SpanExit { id: 3, name: "evaluate", depth: 2, t_us: 42, dur_us: 25 },
+            Event::Counter { name: "evaluations", delta: 8, t_us: 43 },
+            Event::Gauge { name: "phv", value: 0.625, t_us: 44 },
+            Event::Marker { name: "run_start", detail: "seed 7".to_owned(), t_us: 1 },
         ];
         for event in &events {
             let line = encode::to_string(&event_value(event));
-            let parsed = decode::from_str(&line).expect("line parses");
-            assert!(parsed.field("type").unwrap().as_str().is_ok());
-            assert!(parsed.field("t_us").unwrap().as_u64().is_ok());
+            let read = parse_line(&line).expect("round trip");
+            assert_eq!(event_value(&read), event_value(event), "{line}");
+            assert_eq!(read.t_us(), event.t_us());
         }
+    }
+
+    #[test]
+    fn unknown_or_incomplete_lines_are_rejected() {
+        assert!(parse_line("{\"type\":\"mystery\",\"t_us\":1}").is_err());
+        assert!(parse_line("{\"span\":\"evaluate\"}").is_err());
+        assert!(parse_line("{\"type\":\"exit\",\"span\":\"a\",\"id\":1,\"t_us\":1}").is_err());
     }
 
     #[test]

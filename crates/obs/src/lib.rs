@@ -1,6 +1,6 @@
 //! Structured tracing, phase metrics, and live progress for optimizer runs.
 //!
-//! The crate is built around three small pieces:
+//! The crate is built around a few small pieces:
 //!
 //! * [`Obs`] — a cloneable handle the driver threads through every
 //!   optimizer. It emits [`Event`]s (span enter/exit, counters, gauges,
@@ -9,18 +9,22 @@
 //!   locking, no clock reads on the hot path.
 //! * Sinks — [`JsonlSink`] appends one JSON object per event to
 //!   `events.jsonl` inside the run store; [`MetricsAggregator`] folds the
-//!   same stream into per-phase self/total wall-clock time, counters,
-//!   gauges, and log-scale latency histograms, rendered as the
-//!   `metrics.json` document; [`NullSink`] discards everything (useful
-//!   for overhead measurement).
+//!   same stream live into the `metrics.json` document; [`NullSink`]
+//!   discards everything (useful for overhead measurement).
+//! * One fold — [`Tally`] is the only code that pairs spans, computes
+//!   self time, and totals phases, counters and gauges. The live
+//!   aggregator adds log-scale latency histograms and the `phv` series;
+//!   [`replay`] adds exact durations for quantiles, process legs, span
+//!   records and the counter/gauge/marker series. So `metrics.json` and
+//!   `report.json` agree by construction on the same events.
 //! * Human output — [`ProgressReporter`] paints a rate-limited live
 //!   status line on stderr, and [`Reporter`] routes status text through
 //!   `--log-level {quiet,info,debug}`.
-//! * Offline analysis — [`replay`] streams `events.jsonl` back into
-//!   validated per-phase statistics with exact quantiles (tolerating
-//!   the torn tail a SIGKILL leaves behind), and [`chrome`] exports the
-//!   replayed span stream as a Perfetto-viewable Chrome trace with
-//!   per-worker evaluation lanes.
+//! * Offline analysis — [`replay`] streams `events.jsonl` back through
+//!   [`parse_line`] (the reader beside the writer's [`event_value`]),
+//!   tolerating the torn tail a SIGKILL leaves behind, and [`chrome`]
+//!   exports the replayed span stream as a Perfetto-viewable Chrome
+//!   trace with per-worker evaluation lanes.
 //!
 //! Determinism rule: observability data is wall-clock tainted and flows
 //! **only** to `events.jsonl`, `metrics.json`, and stderr. Nothing in
@@ -35,14 +39,16 @@ pub mod names;
 pub mod progress;
 pub mod replay;
 pub mod report;
+pub mod tally;
 
 pub use agg::MetricsAggregator;
 pub use chrome::chrome_trace;
 pub use hist::LogHistogram;
-pub use jsonl::{event_value, JsonlSink};
+pub use jsonl::{event_value, parse_line, JsonlSink};
 pub use progress::ProgressReporter;
-pub use replay::{replay_run_dir, PhaseReplay, ReplayError, ReplayEvent, RunReplay, SpanRecord};
+pub use replay::{replay_run_dir, PhaseReplay, ReplayError, RunReplay, SpanRecord};
 pub use report::{LogLevel, Reporter};
+pub use tally::Tally;
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -51,22 +57,26 @@ use std::time::Instant;
 /// One observability event. Timestamps (`t_us`) are microseconds since
 /// the handle's epoch (process-local, monotonic, never persisted into
 /// optimizer state).
+///
+/// The writer interns names as `&'static str`, the default `N`; an
+/// event read back from `events.jsonl` ([`jsonl::parse_line`]) owns its
+/// name as a `String`.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Event {
+pub enum Event<N = &'static str> {
     /// A phase span opened. `depth` is the nesting depth *after* entering
     /// (the outermost span has depth 1).
-    SpanEnter { id: u64, name: &'static str, depth: u32, t_us: u64 },
+    SpanEnter { id: u64, name: N, depth: u32, t_us: u64 },
     /// The matching span closed; `dur_us` is its wall-clock duration.
-    SpanExit { id: u64, name: &'static str, depth: u32, t_us: u64, dur_us: u64 },
+    SpanExit { id: u64, name: N, depth: u32, t_us: u64, dur_us: u64 },
     /// A monotonically accumulating count (e.g. `evaluations`).
-    Counter { name: &'static str, delta: u64, t_us: u64 },
+    Counter { name: N, delta: u64, t_us: u64 },
     /// A point-in-time measurement (e.g. `phv`, `archive_size`).
-    Gauge { name: &'static str, value: f64, t_us: u64 },
+    Gauge { name: N, value: f64, t_us: u64 },
     /// A one-off annotation (e.g. `run_start`, `resume`).
-    Marker { name: &'static str, detail: String, t_us: u64 },
+    Marker { name: N, detail: String, t_us: u64 },
 }
 
-impl Event {
+impl<N> Event<N> {
     /// Timestamp of the event in microseconds since the handle's epoch.
     pub fn t_us(&self) -> u64 {
         match self {

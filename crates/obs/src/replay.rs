@@ -1,12 +1,14 @@
 //! Offline replay of `events.jsonl` — the read side of the event log.
 //!
 //! [`JsonlSink`](crate::JsonlSink) writes one JSON object per event;
-//! this module streams those lines back into typed [`ReplayEvent`]s and
-//! folds them into a [`RunReplay`]: exact per-phase durations (so
-//! reports get true p50/p90/p99, not histogram-bucket interpolation),
-//! counter/gauge totals and series, completed spans for the Chrome
-//! trace exporter, and structural validation (span pairing, timestamp
-//! monotonicity).
+//! this module streams those lines back through
+//! [`parse_line`](crate::parse_line) and folds them into a
+//! [`RunReplay`]. The phases, counters, gauges and span pairing are a
+//! [`Tally`] — the same fold the live `metrics.json` aggregator uses —
+//! kept with every duration, so reports get exact p50/p90/p99, not
+//! histogram-bucket interpolation. On top of it come the counter, gauge
+//! and marker series, completed spans for the Chrome trace exporter,
+//! and the log's shape: lines, legs and a torn tail.
 //!
 //! Two realities of the log shape this reader must absorb:
 //!
@@ -26,82 +28,13 @@ use std::fmt;
 use std::io::BufRead;
 use std::path::Path;
 
-use moela_persist::{decode, Value};
+use crate::jsonl::parse_line;
+use crate::tally::{Phase, Tally};
+use crate::Event;
 
 /// Cosmetic gap inserted between legs on the stitched global timeline,
 /// so a resumed run's legs render as visibly separate bursts.
 pub const LEG_GAP_US: u64 = 1_000;
-
-/// One decoded `events.jsonl` line. The owned-`String` twin of
-/// [`Event`](crate::Event): the writer interns `&'static str` names,
-/// but a reader gets whatever the file says.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ReplayEvent {
-    /// A phase span opened.
-    SpanEnter {
-        /// Writer-assigned span id (unique within one leg).
-        id: u64,
-        /// Phase name.
-        name: String,
-        /// Nesting depth after entering (outermost is 1).
-        depth: u32,
-        /// Microseconds since the writing process's epoch.
-        t_us: u64,
-    },
-    /// A phase span closed.
-    SpanExit {
-        /// Id matching the corresponding enter.
-        id: u64,
-        /// Phase name.
-        name: String,
-        /// Nesting depth before exiting.
-        depth: u32,
-        /// Microseconds since the writing process's epoch.
-        t_us: u64,
-        /// Span duration in microseconds.
-        dur_us: u64,
-    },
-    /// A monotone counter increment.
-    Counter {
-        /// Counter name.
-        name: String,
-        /// Increment.
-        delta: u64,
-        /// Microseconds since the writing process's epoch.
-        t_us: u64,
-    },
-    /// A point-in-time gauge sample.
-    Gauge {
-        /// Gauge name.
-        name: String,
-        /// Sampled value.
-        value: f64,
-        /// Microseconds since the writing process's epoch.
-        t_us: u64,
-    },
-    /// A one-off annotation.
-    Marker {
-        /// Marker name.
-        name: String,
-        /// Free-form detail text.
-        detail: String,
-        /// Microseconds since the writing process's epoch.
-        t_us: u64,
-    },
-}
-
-impl ReplayEvent {
-    /// The event timestamp (microseconds since its leg's epoch).
-    pub fn t_us(&self) -> u64 {
-        match self {
-            ReplayEvent::SpanEnter { t_us, .. }
-            | ReplayEvent::SpanExit { t_us, .. }
-            | ReplayEvent::Counter { t_us, .. }
-            | ReplayEvent::Gauge { t_us, .. }
-            | ReplayEvent::Marker { t_us, .. } => *t_us,
-        }
-    }
-}
 
 /// Why a replay failed: a malformed line *before* the tail (torn tails
 /// are tolerated, not errors) or an unreadable file.
@@ -125,38 +58,20 @@ impl fmt::Display for ReplayError {
 
 impl std::error::Error for ReplayError {}
 
-/// Exact replayed statistics for one phase. Mirrors the live
-/// aggregator's bookkeeping (count/total/self/max via the span stack)
-/// but additionally keeps every duration, so quantiles are exact.
-#[derive(Debug, Default, Clone)]
-pub struct PhaseReplay {
-    /// Completed spans.
-    pub count: u64,
-    /// Summed span durations (including child spans).
-    pub total_us: u64,
-    /// Summed durations minus time attributed to child spans.
-    pub self_us: u64,
-    /// Longest single span.
-    pub max_us: u64,
-    durations: Vec<u64>,
-}
+/// Replayed statistics for one phase, with every span duration kept.
+pub type PhaseReplay = Phase<Vec<u64>>;
 
 impl PhaseReplay {
     /// Exact nearest-rank quantile over the recorded durations
     /// (`q` in `(0, 1]`); 0 when the phase never completed a span.
     pub fn quantile_us(&self, q: f64) -> u64 {
-        let mut sorted = self.durations.clone();
+        let mut sorted = self.samples.clone();
         sorted.sort_unstable();
         if sorted.is_empty() {
             return 0;
         }
         let rank = (q * sorted.len() as f64).ceil() as usize;
         sorted[rank.clamp(1, sorted.len()) - 1]
-    }
-
-    /// Every recorded duration, unordered.
-    pub fn durations_us(&self) -> &[u64] {
-        &self.durations
     }
 }
 
@@ -185,17 +100,11 @@ pub struct RunReplay {
     pub legs: u32,
     /// The final line was truncated (SIGKILL mid-flush) and skipped.
     pub torn_tail: bool,
-    /// Spans still open when their leg ended (events lost to a crash
-    /// between flushes, or cut off by the torn tail).
-    pub unclosed_spans: u64,
-    /// Span exits that did not match the innermost open span.
-    pub nesting_violations: u64,
-    /// Per-phase statistics, in first-seen order.
-    pub phases: Vec<(String, PhaseReplay)>,
-    /// Counter totals, in first-seen order.
-    pub counters: Vec<(String, u64)>,
-    /// Final gauge values, in first-seen order.
-    pub gauges: Vec<(String, f64)>,
+    /// Phases, counters, gauges and span pairing over every leg. Its
+    /// `unclosed_spans` counts spans still open when their leg ended
+    /// (events lost to a crash between flushes, or cut off by the torn
+    /// tail).
+    pub tally: Tally<String, Vec<u64>>,
     /// Every gauge sample as `(name, global t, value)`, in file order.
     pub gauge_events: Vec<(String, u64, f64)>,
     /// Every counter increment as `(name, global t, delta)`, in file
@@ -210,86 +119,6 @@ pub struct RunReplay {
     pub wall_us: u64,
 }
 
-impl RunReplay {
-    /// Counter total (0 when never incremented).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v)
-    }
-
-    /// Final gauge value (`None` when never set).
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
-    }
-
-    /// Phase statistics by name.
-    pub fn phase(&self, name: &str) -> Option<&PhaseReplay> {
-        self.phases.iter().find(|(n, _)| n == name).map(|(_, p)| p)
-    }
-
-    /// True when span pairing and nesting validated clean.
-    pub fn is_structurally_clean(&self) -> bool {
-        self.unclosed_spans == 0 && self.nesting_violations == 0
-    }
-}
-
-/// Decodes one `events.jsonl` line into a [`ReplayEvent`], validating
-/// the schema [`event_value`](crate::event_value) writes.
-pub fn parse_line(line: &str) -> Result<ReplayEvent, String> {
-    let value = decode::from_str(line).map_err(|e| e.to_string())?;
-    let text = |v: &Value, key: &str| -> Result<String, String> {
-        Ok(v.field(key).map_err(|e| e.to_string())?.as_str().map_err(|e| e.to_string())?.to_owned())
-    };
-    let num = |v: &Value, key: &str| -> Result<u64, String> {
-        v.field(key).map_err(|e| e.to_string())?.as_u64().map_err(|e| e.to_string())
-    };
-    let ty = text(&value, "type")?;
-    let t_us = num(&value, "t_us")?;
-    match ty.as_str() {
-        "enter" => Ok(ReplayEvent::SpanEnter {
-            id: num(&value, "id")?,
-            name: text(&value, "span")?,
-            depth: num(&value, "depth")? as u32,
-            t_us,
-        }),
-        "exit" => Ok(ReplayEvent::SpanExit {
-            id: num(&value, "id")?,
-            name: text(&value, "span")?,
-            depth: num(&value, "depth")? as u32,
-            t_us,
-            dur_us: num(&value, "dur_us")?,
-        }),
-        "counter" => Ok(ReplayEvent::Counter {
-            name: text(&value, "name")?,
-            delta: num(&value, "delta")?,
-            t_us,
-        }),
-        "gauge" => Ok(ReplayEvent::Gauge {
-            name: text(&value, "name")?,
-            value: value
-                .field("value")
-                .map_err(|e| e.to_string())?
-                .as_f64()
-                .map_err(|e| e.to_string())?,
-            t_us,
-        }),
-        "marker" => Ok(ReplayEvent::Marker {
-            name: text(&value, "name")?,
-            detail: text(&value, "detail")?,
-            t_us,
-        }),
-        other => Err(format!("unknown event type {other:?}")),
-    }
-}
-
-/// Open spans within the current leg.
-#[derive(Debug)]
-struct OpenSpan {
-    id: u64,
-    name: String,
-    start_global_us: u64,
-    child_us: u64,
-}
-
 /// Streams `events.jsonl` lines from `reader` and folds them into a
 /// [`RunReplay`]. Lines are processed one at a time — the whole file is
 /// never held in memory. A truncated final line sets
@@ -297,18 +126,12 @@ struct OpenSpan {
 /// is an error.
 pub fn replay<R: BufRead>(mut reader: R) -> Result<RunReplay, ReplayError> {
     let mut out = RunReplay::default();
-    let mut stack: Vec<OpenSpan> = Vec::new();
     let mut last_t_us = 0u64;
     let mut leg_offset_us = 0u64;
     let mut leg_max_t_us = 0u64;
     let mut line_no = 0u64;
     // A line that failed to parse; fatal unless it turns out to be last.
     let mut pending_failure: Option<(u64, String)> = None;
-
-    let close_leg = |stack: &mut Vec<OpenSpan>, out: &mut RunReplay| {
-        out.unclosed_spans += stack.len() as u64;
-        stack.clear();
-    };
 
     let mut buf = Vec::new();
     loop {
@@ -347,7 +170,7 @@ pub fn replay<R: BufRead>(mut reader: R) -> Result<RunReplay, ReplayError> {
             // construction, so any regression marks a process boundary
             // — which is also why a fresh run replaying to `legs == 1`
             // *is* the monotone-`t_us` guarantee.
-            close_leg(&mut stack, &mut out);
+            out.tally.close_open();
             leg_offset_us += leg_max_t_us + LEG_GAP_US;
             out.legs += 1;
             leg_max_t_us = 0;
@@ -356,57 +179,19 @@ pub fn replay<R: BufRead>(mut reader: R) -> Result<RunReplay, ReplayError> {
         leg_max_t_us = leg_max_t_us.max(t_us);
         let global_t_us = leg_offset_us + t_us;
 
+        let opened_at = out.tally.record(&event);
         match event {
-            ReplayEvent::SpanEnter { id, name, .. } => {
-                stack.push(OpenSpan { id, name, start_global_us: global_t_us, child_us: 0 });
+            Event::SpanEnter { .. } => {}
+            Event::SpanExit { name, dur_us, depth, .. } => {
+                let start_us = opened_at
+                    .map_or(global_t_us.saturating_sub(dur_us), |t_us| leg_offset_us + t_us);
+                out.spans.push(SpanRecord { name, leg: out.legs, start_us, dur_us, depth });
             }
-            ReplayEvent::SpanExit { id, name, dur_us, depth, .. } => {
-                let (child_us, start_global_us) = match stack.pop() {
-                    Some(open) if open.id == id && open.name == name => {
-                        (open.child_us, open.start_global_us)
-                    }
-                    Some(_) | None => {
-                        out.nesting_violations += 1;
-                        stack.clear();
-                        (0, global_t_us.saturating_sub(dur_us))
-                    }
-                };
-                if let Some(parent) = stack.last_mut() {
-                    parent.child_us = parent.child_us.saturating_add(dur_us);
-                }
-                let stat = phase_mut(&mut out.phases, &name);
-                stat.count += 1;
-                stat.total_us = stat.total_us.saturating_add(dur_us);
-                stat.self_us = stat.self_us.saturating_add(dur_us.saturating_sub(child_us));
-                stat.max_us = stat.max_us.max(dur_us);
-                stat.durations.push(dur_us);
-                out.spans.push(SpanRecord {
-                    name,
-                    leg: out.legs,
-                    start_us: start_global_us,
-                    dur_us,
-                    depth,
-                });
+            Event::Counter { name, delta, .. } => {
+                out.counter_events.push((name, global_t_us, delta))
             }
-            ReplayEvent::Counter { name, delta, .. } => {
-                if let Some(entry) = out.counters.iter_mut().find(|(n, _)| *n == name) {
-                    entry.1 = entry.1.saturating_add(delta);
-                } else {
-                    out.counters.push((name.clone(), delta));
-                }
-                out.counter_events.push((name, global_t_us, delta));
-            }
-            ReplayEvent::Gauge { name, value, .. } => {
-                if let Some(entry) = out.gauges.iter_mut().find(|(n, _)| *n == name) {
-                    entry.1 = value;
-                } else {
-                    out.gauges.push((name.clone(), value));
-                }
-                out.gauge_events.push((name, global_t_us, value));
-            }
-            ReplayEvent::Marker { name, detail, .. } => {
-                out.markers.push((name, detail, global_t_us));
-            }
+            Event::Gauge { name, value, .. } => out.gauge_events.push((name, global_t_us, value)),
+            Event::Marker { name, detail, .. } => out.markers.push((name, detail, global_t_us)),
         }
     }
 
@@ -415,7 +200,7 @@ pub fn replay<R: BufRead>(mut reader: R) -> Result<RunReplay, ReplayError> {
         // before it already validated, so the replay stands — flagged.
         out.torn_tail = true;
     }
-    close_leg(&mut stack, &mut out);
+    out.tally.close_open();
     out.wall_us = leg_offset_us.saturating_sub(LEG_GAP_US * (out.legs.saturating_sub(1)) as u64)
         + leg_max_t_us;
     Ok(out)
@@ -429,15 +214,6 @@ pub fn replay_run_dir(dir: &Path) -> Result<RunReplay, ReplayError> {
         message: format!("cannot open {}: {e}", path.display()),
     })?;
     replay(std::io::BufReader::new(file))
-}
-
-fn phase_mut<'a>(phases: &'a mut Vec<(String, PhaseReplay)>, name: &str) -> &'a mut PhaseReplay {
-    if let Some(idx) = phases.iter().position(|(n, _)| n == name) {
-        &mut phases[idx].1
-    } else {
-        phases.push((name.to_owned(), PhaseReplay::default()));
-        &mut phases.last_mut().expect("just pushed").1
-    }
 }
 
 #[cfg(test)]
@@ -483,14 +259,14 @@ mod tests {
         let r = replay_text(&format!("{log}\n")).expect("clean replay");
         assert_eq!(r.lines, 6);
         assert_eq!(r.legs, 1);
-        assert!(r.is_structurally_clean());
+        assert_eq!((r.tally.unclosed_spans, r.tally.nesting_violations), (0, 0));
         assert!(!r.torn_tail);
-        let step = r.phase("step").expect("step phase");
+        let step = r.tally.phase("step").expect("step phase");
         assert_eq!((step.count, step.total_us, step.self_us, step.max_us), (1, 100, 70, 100));
-        let eval = r.phase("evaluate").expect("evaluate phase");
+        let eval = r.tally.phase("evaluate").expect("evaluate phase");
         assert_eq!((eval.count, eval.total_us, eval.self_us), (1, 30, 30));
-        assert_eq!(r.counter("evaluations"), 8);
-        assert_eq!(r.gauge("phv"), Some(0.5));
+        assert_eq!(r.tally.counter("evaluations"), 8);
+        assert_eq!(r.tally.gauge("phv"), Some(0.5));
         assert_eq!(r.spans.len(), 2);
         assert_eq!(r.spans[0].name, "evaluate");
         assert_eq!(r.spans[0].start_us, 10);
@@ -508,8 +284,8 @@ mod tests {
         let r = replay_text(&log).expect("torn tail tolerated");
         assert!(r.torn_tail);
         assert_eq!(r.lines, 2);
-        assert_eq!(r.phase("step").expect("step phase").count, 1);
-        assert!(r.is_structurally_clean());
+        assert_eq!(r.tally.phase("step").expect("step phase").count, 1);
+        assert_eq!((r.tally.unclosed_spans, r.tally.nesting_violations), (0, 0));
     }
 
     #[test]
@@ -551,73 +327,25 @@ mod tests {
         .join("\n");
         let r = replay_text(&format!("{log}\n")).expect("replay");
         assert_eq!(r.legs, 2);
-        assert_eq!(r.unclosed_spans, 2);
-        assert_eq!(r.phase("step").expect("step").count, 1);
+        assert_eq!(r.tally.unclosed_spans, 2);
+        assert_eq!(r.tally.phase("step").expect("step").count, 1);
     }
 
     #[test]
     fn mismatched_exit_counts_a_nesting_violation() {
         let log = [enter(1, "a", 1, 0), exit(9, "a", 1, 10, 10)].join("\n");
         let r = replay_text(&format!("{log}\n")).expect("replay");
-        assert_eq!(r.nesting_violations, 1);
-        assert_eq!(r.phase("a").expect("a").count, 1, "the exit still counts its phase");
+        assert_eq!(r.tally.nesting_violations, 1);
+        assert_eq!(r.tally.phase("a").expect("a").count, 1, "the exit still counts its phase");
     }
 
     #[test]
     fn quantiles_are_exact_nearest_rank() {
-        let p = PhaseReplay { durations: (1..=100).collect(), ..Default::default() };
+        let p = PhaseReplay { samples: (1..=100).collect(), ..Default::default() };
         assert_eq!(p.quantile_us(0.50), 50);
         assert_eq!(p.quantile_us(0.90), 90);
         assert_eq!(p.quantile_us(0.99), 99);
         assert_eq!(p.quantile_us(1.0), 100);
         assert_eq!(PhaseReplay::default().quantile_us(0.5), 0);
-    }
-
-    #[test]
-    fn parse_line_round_trips_every_event_variant() {
-        use crate::{event_value, Event};
-        use moela_persist::encode;
-        let events = [
-            Event::SpanEnter { id: 3, name: "evaluate", depth: 2, t_us: 17 },
-            Event::SpanExit { id: 3, name: "evaluate", depth: 2, t_us: 42, dur_us: 25 },
-            Event::Counter { name: "evaluations", delta: 8, t_us: 43 },
-            Event::Gauge { name: "phv", value: 0.625, t_us: 44 },
-            Event::Marker { name: "run_start", detail: "seed 7".to_owned(), t_us: 1 },
-        ];
-        for event in &events {
-            let line = encode::to_string(&event_value(event));
-            let replayed = parse_line(&line).expect("round trip");
-            match (event, &replayed) {
-                (
-                    Event::SpanEnter { id, name, depth, t_us },
-                    ReplayEvent::SpanEnter { id: i, name: n, depth: d, t_us: t },
-                ) => assert_eq!((id, *name, depth, t_us), (i, n.as_str(), d, t)),
-                (
-                    Event::SpanExit { id, name, dur_us, .. },
-                    ReplayEvent::SpanExit { id: i, name: n, dur_us: du, .. },
-                ) => assert_eq!((id, *name, dur_us), (i, n.as_str(), du)),
-                (
-                    Event::Counter { name, delta, .. },
-                    ReplayEvent::Counter { name: n, delta: d, .. },
-                ) => assert_eq!((*name, delta), (n.as_str(), d)),
-                (
-                    Event::Gauge { name, value, .. },
-                    ReplayEvent::Gauge { name: n, value: v, .. },
-                ) => {
-                    assert_eq!((*name, value), (n.as_str(), v))
-                }
-                (
-                    Event::Marker { name, detail, .. },
-                    ReplayEvent::Marker { name: n, detail: d, .. },
-                ) => assert_eq!((*name, detail), (n.as_str(), d)),
-                (written, got) => panic!("variant changed in replay: {written:?} -> {got:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn unknown_event_type_is_rejected() {
-        assert!(parse_line("{\"type\":\"mystery\",\"t_us\":1}").is_err());
-        assert!(parse_line("{\"span\":\"evaluate\"}").is_err());
     }
 }

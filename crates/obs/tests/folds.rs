@@ -55,7 +55,8 @@ fn jsonl(events: &[Event]) -> String {
 
 /// The replay side's phases as `(name, [count, total, self, max])`.
 fn replayed_phases(r: &RunReplay) -> Vec<(String, [u64; 4])> {
-    r.phases
+    r.tally
+        .phases
         .iter()
         .map(|(name, p)| (name.clone(), [p.count, p.total_us, p.self_us, p.max_us]))
         .collect()
@@ -124,18 +125,18 @@ fn the_live_and_replayed_folds_agree() {
     assert_eq!(names, ["evaluate", "step", "select"], "phases appear at their first exit");
 
     for name in ["evaluations", "eval_faults", "generations", "never_counted"] {
-        assert_eq!(r.counter(name), agg.counter(name), "counter {name}");
+        assert_eq!(r.tally.counter(name), agg.counter(name), "counter {name}");
     }
     for name in ["phv", "archive_size", "never_set"] {
-        assert_eq!(r.gauge(name), agg.gauge(name), "gauge {name}");
+        assert_eq!(r.tally.gauge(name), agg.gauge(name), "gauge {name}");
     }
     let counters: Vec<(String, Value)> =
-        r.counters.iter().map(|(n, v)| (n.clone(), Value::U64(*v))).collect();
+        r.tally.counters.iter().map(|(n, v)| (n.clone(), Value::U64(*v))).collect();
     assert_eq!(&Value::Object(counters), rendered.field("counters").expect("counters"));
     let gauges: Vec<(String, Value)> =
-        r.gauges.iter().map(|(n, v)| (n.clone(), Value::F64(*v))).collect();
+        r.tally.gauges.iter().map(|(n, v)| (n.clone(), Value::F64(*v))).collect();
     assert_eq!(&Value::Object(gauges), rendered.field("gauges").expect("gauges"));
 
-    assert_eq!(r.nesting_violations, agg.nesting_violations());
-    assert_eq!(r.unclosed_spans, 2, "the two spans the stream leaves open");
+    assert_eq!(r.tally.nesting_violations, agg.nesting_violations());
+    assert_eq!(r.tally.unclosed_spans, 2, "the two spans the stream leaves open");
 }
