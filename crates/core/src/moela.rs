@@ -724,26 +724,6 @@ mod tests {
         assert_eq!(out.evaluations, baseline.evaluations);
     }
 
-    /// Pre-fault-containment checkpoints (no `faults` field) still restore.
-    #[test]
-    fn restore_tolerates_checkpoints_without_fault_counters() {
-        let problem = Zdt::zdt1(6);
-        let config = MoelaConfig::builder().population(6).generations(3).build().expect("valid");
-        let moela = Moela::new(config, &problem);
-        let mut r = rng(5);
-        let mut state = zdt(moela.start(&mut r));
-        while state.completed() < 1 && state.step(&mut r) {}
-        let snap = state.snapshot_state(&VecF64Codec);
-        // Strip the faults field to mimic an old checkpoint.
-        let json = moela_persist::encode::to_string(&snap);
-        let stripped = moela_persist::decode::from_str(&json).expect("parse");
-        let Value::Object(mut fields) = stripped else { panic!("object snapshot") };
-        fields.retain(|(k, _)| k != "faults");
-        let old = Value::Object(fields);
-        let restored = zdt(moela.restore(&VecF64Codec, &old, Duration::ZERO).expect("restore"));
-        assert!(restored.fault_log().is_clean());
-    }
-
     /// A restored state refits `Eval` from the checkpointed `fit_rng`
     /// and training set: every tree predicts what the snapshotted
     /// state's tree predicts.

@@ -47,7 +47,7 @@ use rand::rngs::StdRng;
 use moela_obs::Obs;
 use moela_persist::{PersistError, Restore, Snapshot, SolutionCodec, Value};
 
-use crate::fault::{fault_log_from, EvalFault, FaultConfig, FaultLog, GuardedBatch};
+use crate::fault::{EvalFault, FaultConfig, FaultLog, GuardedBatch};
 use crate::normalize::Normalizer;
 use crate::run::{RunResult, TraceRecorder};
 use crate::{GuardedEvaluator, Problem};
@@ -136,8 +136,7 @@ impl RunCtx {
 
     /// Rebuilds a context from the shared keys of a snapshot (see
     /// [`RunCtx::snapshot`]), with `elapsed` wall-clock time already
-    /// consumed. A state written before fault containment has no
-    /// `faults` key and restores with zero counters.
+    /// consumed.
     pub fn restore(
         state: &Value,
         elapsed: Duration,
@@ -150,7 +149,7 @@ impl RunCtx {
             evaluator: GuardedEvaluator::from_parts(
                 threads,
                 fault,
-                fault_log_from(state, "faults")?,
+                FaultLog::restore(state.field("faults")?)?,
             ),
             evaluations: state.field("evaluations")?.as_u64()?,
             recorder: TraceRecorder::restore(state.field("recorder")?)?,
@@ -523,7 +522,7 @@ mod tests {
     }
 
     #[test]
-    fn a_state_without_fault_counters_restores_clean() {
+    fn a_state_without_fault_counters_is_refused() {
         let problem = Zdt::zdt1(4);
         let mut run = sampler(&problem, ctx(FaultConfig::default(), None, None));
         assert!(run.step(&mut StdRng::seed_from_u64(4)));
@@ -532,9 +531,7 @@ mod tests {
         };
         fields.retain(|(key, _)| key != "faults");
         let old = Value::Object(fields);
-        let restored =
-            RunCtx::restore(&old, Duration::ZERO, 1, FaultConfig::default(), None, None).unwrap();
-        assert_eq!(*restored.fault_log(), FaultLog::default());
-        assert_eq!(restored.evaluations, 1);
+        let restored = RunCtx::restore(&old, Duration::ZERO, 1, FaultConfig::default(), None, None);
+        assert!(matches!(restored, Err(PersistError::Schema(_))), "{:?}", restored.err());
     }
 }

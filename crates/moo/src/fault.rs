@@ -224,15 +224,6 @@ impl Restore for FaultLog {
     }
 }
 
-/// Restores a fault log from an optional checkpoint field: states
-/// checkpointed before fault containment existed simply have none.
-pub fn fault_log_from(state: &Value, key: &str) -> Result<FaultLog, PersistError> {
-    match state.field(key) {
-        Ok(v) => FaultLog::restore(v),
-        Err(_) => Ok(FaultLog::default()),
-    }
-}
-
 thread_local! {
     /// Set while a guarded evaluation runs on this thread, so the global
     /// panic hook knows to swallow the (expected, contained) output.
@@ -662,7 +653,7 @@ mod tests {
     }
 
     #[test]
-    fn fault_log_round_trips_and_tolerates_missing_fields() {
+    fn fault_log_round_trips() {
         let log = FaultLog {
             panics: 1,
             non_finite: 2,
@@ -673,10 +664,6 @@ mod tests {
             skipped: 7,
         };
         assert_eq!(FaultLog::restore(&log.snapshot()).unwrap(), log);
-        let state = Value::object(vec![("other", Value::U64(1))]);
-        assert_eq!(fault_log_from(&state, "faults").unwrap(), FaultLog::default());
-        let with = Value::object(vec![("faults", log.snapshot())]);
-        assert_eq!(fault_log_from(&with, "faults").unwrap(), log);
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Offline replay of `events.jsonl` — the read side of the event log.
 //!
 //! [`JsonlSink`](crate::JsonlSink) writes one JSON object per event;
-//! this module streams those lines back through
-//! [`parse_line`](crate::parse_line) and folds them into a
-//! [`RunReplay`]. The phases, counters, gauges and span pairing are a
+//! this module streams those lines back through [`parse_line`] and
+//! folds them into a [`RunReplay`]. The phases, counters, gauges and span pairing are a
 //! [`Tally`] — the same fold the live `metrics.json` aggregator uses —
 //! kept with every duration, so reports get exact p50/p90/p99, not
 //! histogram-bucket interpolation. On top of it come the counter, gauge

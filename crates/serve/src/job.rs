@@ -167,9 +167,6 @@ struct JobCell {
     /// When the job first entered `running` in this process (the
     /// deadline clock; restarts restart it).
     started: Option<Instant>,
-    /// Set when the watchdog gave up on the worker driving this job;
-    /// the zombie worker must drop its outcome instead of reporting it.
-    abandoned: bool,
     /// Cancellation token for the *current* attempt; replaced on retry
     /// because a fired token cannot be re-armed.
     cancel: CancelToken,
@@ -228,7 +225,6 @@ impl JobRecord {
                 summary: None,
                 attempts: 0,
                 started: None,
-                abandoned: false,
                 cancel: CancelToken::new(),
                 history: Vec::new(),
             }),
@@ -349,17 +345,6 @@ impl JobRecord {
     /// started.
     pub fn running_for(&self) -> Option<Duration> {
         lock(&self.cell).started.map(|t| t.elapsed())
-    }
-
-    /// Marks the record abandoned: the watchdog has written the final
-    /// verdict and the (stuck) worker must discard its outcome.
-    pub fn mark_abandoned(&self) {
-        lock(&self.cell).abandoned = true;
-    }
-
-    /// Whether the watchdog abandoned the worker driving this job.
-    pub fn is_abandoned(&self) -> bool {
-        lock(&self.cell).abandoned
     }
 
     /// The failure message, if the job failed.

@@ -626,7 +626,6 @@ impl JobManager {
     /// whose eventual return is discarded, and a replacement keeps the
     /// pool at full strength.
     fn abandon(self: &Arc<Self>, record: &Arc<JobRecord>) {
-        record.mark_abandoned();
         let (idx, respawn) = {
             let mut inner = lock(&self.inner);
             let Some(idx) =

@@ -117,6 +117,16 @@ test -s "$smoke/traced/metrics.json" || { echo "metrics.json missing or empty"; 
 grep -q '"type":"enter"' "$smoke/traced/events.jsonl"
 grep -q '"evals_per_sec":' "$smoke/traced/metrics.json"
 grep -q '"phases":' "$smoke/traced/metrics.json"
+# Every evaluation the run paid for, the initial population's included,
+# reaches the evaluations counter exactly once.
+python3 - "$smoke/full" <<'EOF'
+import json, sys
+run = sys.argv[1]
+counted = json.load(open(f"{run}/metrics.json"))["telemetry"]["counters"]["evaluations"]
+paid = json.load(open(f"{run}/trace.json"))["points"][-1]["evaluations"]
+if counted != paid:
+    sys.exit(f"metrics.json counts {counted} evaluations, trace.json ends at {paid}")
+EOF
 cmp "$smoke/full/trace.csv" "$smoke/traced/trace.csv"
 cmp "$smoke/full/front.csv" "$smoke/traced/front.csv"
 quiet_out="$("$dse" run "${flags[@]}" --log-level quiet)"

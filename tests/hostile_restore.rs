@@ -319,3 +319,15 @@ fn a_population_of_another_size_is_refused_with_both_counts() {
         }
     }
 }
+
+#[test]
+fn a_state_without_fault_counters_is_refused() {
+    for algo in ALGOS {
+        let mut state = valid_state(algo);
+        let Value::Object(fields) = &mut state else { panic!("object state") };
+        let before = fields.len();
+        fields.retain(|(k, _)| k != "faults");
+        assert_eq!(fields.len(), before - 1, "{algo:?} checkpoints its fault counters");
+        assert_schema_error(algo, &state, "no faults key");
+    }
+}
