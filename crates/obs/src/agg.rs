@@ -12,8 +12,8 @@ use moela_persist::Value;
 ///
 /// The spans, counters and gauges are a [`Tally`], the same fold the
 /// offline replay uses; this adds the histograms, the `phv` series and
-/// the event-time window. Recording an event allocates only when a name
-/// or nesting depth is first seen.
+/// the event-time window. Recording an event allocates only to grow a
+/// table (a new name or a deeper nesting) or the `phv` series.
 ///
 /// Everything here is process-local: after a resume only post-resume
 /// events are aggregated, so rates never pretend restored work happened
