@@ -97,6 +97,7 @@ fn phases_value(replay: &RunReplay) -> Value {
             .phases
             .iter()
             .map(|(name, stat)| {
+                let [p50, p90, p99] = stat.quantiles_us([0.50, 0.90, 0.99]);
                 (
                     name.clone(),
                     Value::object(vec![
@@ -104,9 +105,9 @@ fn phases_value(replay: &RunReplay) -> Value {
                         ("total_us", Value::U64(stat.total_us)),
                         ("self_us", Value::U64(stat.self_us)),
                         ("max_us", Value::U64(stat.max_us)),
-                        ("p50_us", Value::U64(stat.quantile_us(0.50))),
-                        ("p90_us", Value::U64(stat.quantile_us(0.90))),
-                        ("p99_us", Value::U64(stat.quantile_us(0.99))),
+                        ("p50_us", Value::U64(p50)),
+                        ("p90_us", Value::U64(p90)),
+                        ("p99_us", Value::U64(p99)),
                     ]),
                 )
             })

@@ -36,7 +36,8 @@ use moela_moo::{ChaosProblem, Problem};
 use moela_obs::names;
 use moela_obs::{JsonlSink, MetricsAggregator, Obs, ProgressReporter, Reporter, SharedSink, Sink};
 use moela_persist::{
-    CheckpointStore, PersistError, Restore, RunStore, Snapshot, Value, FORMAT_VERSION,
+    CheckpointStore, Encoded, PersistError, Persister, Restore, RunStore, Snapshot, Value,
+    FORMAT_VERSION,
 };
 use moela_serve::{Heartbeat, LiveMetrics};
 use moela_traffic::Workload;
@@ -581,6 +582,12 @@ pub(crate) fn execute(
 /// fault injection is configured — checkpointing every
 /// `opts.checkpoint_every` completed steps into `checkpoints`.
 ///
+/// Each checkpoint is snapshotted and encoded at its step boundary and
+/// written by a [`Persister`]'s writer thread while the next step runs.
+/// The crash injection, the parked checkpoint and every way out of this
+/// function wait for that writer first, so whatever they report is on
+/// disk, and a write error surfaces as a [`ErrorClass::Disk`] error.
+///
 /// When the cancel hook fires, the optimizer parks at the next step
 /// boundary (drawing no RNG) and an unconditional checkpoint is written
 /// there — cadence only batches checkpoints for running work, never for
@@ -632,10 +639,19 @@ fn drive(
         state.set_cancel(token.clone());
     }
     let t0 = Instant::now();
-    // Writes one checkpoint at the current step boundary, timing the
-    // state snapshot apart from the encode and durable save, and
-    // reporting the file size as a gauge.
-    let save = |store: &CheckpointStore,
+    let mut persister = checkpoints.map(Persister::new).transpose()?;
+    // Counts the time the checkpoint writer spent on the saves it
+    // finished; the step path paid only for waiting on it.
+    let persisted = |took: Duration| {
+        if !took.is_zero() {
+            obs.counter(names::CHECKPOINT_PERSIST_US, took.as_micros() as u64);
+        }
+    };
+    // Takes one checkpoint at the current step boundary: snapshots and
+    // encodes the state here, timing the snapshot apart from the encode
+    // and the wait for the previous save, reports the file size as a
+    // gauge, and hands the bytes to the writer thread.
+    let save = |persister: &mut Persister,
                 state: &AnyState<'_>,
                 rng: &StdRng|
      -> Result<(), CliError> {
@@ -648,12 +664,15 @@ fn drive(
         let completed = state.completed();
         let point =
             ResumePoint { completed, state: snapshot, rng: rng.clone(), elapsed, chaos_ordinal };
-        let envelope = point.into_envelope(opts.algorithm);
-        let (_, bytes) = {
+        {
             let _write = obs.span(names::CHECKPOINT_WRITE);
-            store.save_sized(completed, &envelope)?
-        };
-        obs.gauge(names::CHECKPOINT_BYTES, bytes as f64);
+            // Wait for the previous save before encoding: the writer has
+            // freed its bytes by then, so two saves' bytes never coexist.
+            persisted(persister.join()?);
+            let encoded = Encoded::new(&point.into_envelope(opts.algorithm));
+            obs.gauge(names::CHECKPOINT_BYTES, encoded.file_len() as f64);
+            persisted(persister.hand_off(completed, encoded)?);
+        }
         // Telemetry is crash-safe at the same cadence as the run itself:
         // everything up to the newest checkpoint survives an abort.
         obs.flush();
@@ -671,13 +690,16 @@ fn drive(
         if let Some(progress) = progress.as_mut() {
             progress.update(state.completed(), state.evaluations(), state.latest_phv());
         }
-        let Some(store) = checkpoints else { continue };
+        let Some(persister) = persister.as_mut() else { continue };
         if !state.completed().is_multiple_of(opts.checkpoint_every) {
             continue;
         }
-        save(store, &state, &rng)?;
+        save(persister, &state, &rng)?;
         written += 1;
         if opts.crash_after_checkpoints.is_some_and(|n| written >= n) {
+            // The crash counts durable checkpoints only.
+            persisted(persister.join()?);
+            obs.flush();
             eprintln!("crash injection: aborting after {written} checkpoints");
             std::process::abort();
         }
@@ -685,12 +707,17 @@ fn drive(
     if let Some(progress) = progress.as_mut() {
         progress.finish(state.completed(), state.evaluations(), state.latest_phv());
     }
-    if hooks.cancelled() {
-        // Parked at a step boundary: the state drew no RNG for the
-        // refused step, so this checkpoint resumes byte-identically.
-        if let Some(store) = checkpoints {
-            save(store, &state, &rng)?;
+    let cancelled = hooks.cancelled();
+    if let Some(persister) = persister.as_mut() {
+        if cancelled {
+            // Parked at a step boundary: the state drew no RNG for the
+            // refused step, so this checkpoint resumes byte-identically.
+            save(persister, &state, &rng)?;
         }
+        // However the run ends, it reports only what is on disk.
+        persisted(persister.join()?);
+    }
+    if cancelled {
         return Ok(Ended::Interrupted { completed: state.completed() });
     }
     if let Some(fault) = state.fault_error() {
@@ -1014,5 +1041,29 @@ mod tests {
         v1[0].1 = Value::U64(1);
         let err = options_from_manifest(&Value::Object(v1)).expect_err("format 1");
         assert!(err.message.contains("format 1"), "{}", err.message);
+    }
+
+    /// A checkpoint the writer thread could not write fails the run at
+    /// the next hand-off or join as a disk error, which a supervisor
+    /// retries and reports as disk trouble.
+    #[test]
+    fn a_failed_background_save_is_a_disk_error() {
+        let dir = std::env::temp_dir().join(format!("moela-engine-disk-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = CheckpointStore::new(&dir).expect("checkpoint store");
+        let mut persister = Persister::new(&store).expect("persister");
+        persister.hand_off(1, Encoded::new(&Value::U64(1))).expect("first save");
+        persister.join().expect("first save is durable");
+        // A regular file where the directory was fails the next save,
+        // also for root, whom permissions would not stop.
+        std::fs::remove_dir_all(&dir).expect("remove the checkpoint directory");
+        std::fs::write(&dir, b"not a directory").expect("plant a file");
+        let err = persister
+            .hand_off(2, Encoded::new(&Value::U64(2)))
+            .and_then(|_| persister.join())
+            .map_err(CliError::from)
+            .expect_err("the second save cannot be written");
+        assert_eq!(err.class, ErrorClass::Disk, "{}", err.message);
+        let _ = std::fs::remove_file(&dir);
     }
 }

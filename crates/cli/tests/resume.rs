@@ -8,7 +8,9 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::thread;
+use std::time::{Duration, Instant};
 
 use moela_persist::checkpoint::from_bytes;
 use moela_persist::{CheckpointStore, PersistError, Value, FORMAT_VERSION};
@@ -86,6 +88,12 @@ fn assert_crash_resume_is_bit_identical(cell: &Cell, crash_after: &str) {
         !crashed.join("trace.csv").exists(),
         "a crashed run must not have written final outputs"
     );
+    // The crash counts durable checkpoints: the N-th save is on disk and
+    // verifies before the process aborts.
+    let store = CheckpointStore::new(crashed.join("checkpoints")).expect("checkpoint store");
+    let (newest, _, skipped) = store.load_latest().expect("load").expect("a checkpoint");
+    assert_eq!(newest.to_string(), crash_after, "newest intact checkpoint for {tag}");
+    assert!(skipped.is_empty(), "{tag}: skipped {skipped:?}");
 
     let out = moela_dse(&["resume", crashed_dir]);
     assert!(out.status.success(), "resume failed: {}", stderr_of(&out));
@@ -131,6 +139,83 @@ crash_resume_tests! {
         "moo-stage" / "4" / budget "160" / crash after "1";
     random_resumes_bit_identical_single_threaded: "random" / "1" / budget "200" / crash after "1";
     random_resumes_bit_identical_multi_threaded: "random" / "4" / budget "200" / crash after "1";
+}
+
+/// The highest checkpoint sequence number in `dir`'s rotation, if any.
+fn newest_checkpoint_file(dir: &Path) -> Option<u64> {
+    fs::read_dir(dir.join("checkpoints"))
+        .ok()?
+        .filter_map(|entry| {
+            let name = entry.ok()?.file_name().into_string().ok()?;
+            name.strip_prefix("ckpt-")?.strip_suffix(".json")?.parse().ok()
+        })
+        .max()
+}
+
+/// Runs `cell` uninterrupted, then again until its `kill_at`-th
+/// checkpoint file appears, and SIGKILLs it there. The kill lands in the
+/// next step or while the writer is still fsyncing or pruning, not at a
+/// boundary the program chose. The resumed run must match the
+/// uninterrupted one byte for byte.
+fn assert_sigkill_resume_is_bit_identical(cell: &Cell, kill_at: u64) {
+    let tag = format!("{}-t{}", cell.algorithm, cell.threads);
+    let full = scratch(&format!("sigkill-full-{tag}"));
+    let out = moela_dse(&cell.run_args(full.to_str().expect("utf-8 path"), &[]));
+    assert!(out.status.success(), "uninterrupted run failed: {}", stderr_of(&out));
+
+    let killed = scratch(&format!("sigkill-{tag}"));
+    let killed_dir = killed.to_str().expect("utf-8 path");
+    let mut child = Command::new(BIN)
+        .args(cell.run_args(killed_dir, &[]))
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn moela-dse");
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while newest_checkpoint_file(&killed).is_none_or(|seq| seq < kill_at) {
+        if let Some(status) = child.try_wait().expect("poll the child") {
+            panic!("{tag} exited ({status}) before checkpoint {kill_at}; raise its budget");
+        }
+        assert!(Instant::now() < deadline, "{tag} never wrote checkpoint {kill_at}");
+        thread::sleep(Duration::from_micros(200));
+    }
+    child.kill().expect("SIGKILL the child");
+    let status = child.wait().expect("reap the child");
+    assert!(!status.success(), "{tag} finished before the kill; raise its budget");
+    assert!(!killed.join("trace.csv").exists(), "{tag} finished before the kill");
+
+    let out = moela_dse(&["resume", killed_dir, "--threads", "4"]);
+    assert!(out.status.success(), "resume after SIGKILL failed: {}", stderr_of(&out));
+    for file in ["trace.csv", "front.csv"] {
+        assert_eq!(
+            read(&full.join(file)),
+            read(&killed.join(file)),
+            "{file} differs after SIGKILL+resume for {tag}"
+        );
+    }
+    let _ = fs::remove_dir_all(&full);
+    let _ = fs::remove_dir_all(&killed);
+}
+
+macro_rules! sigkill_resume_tests {
+    ($($name:ident: $algorithm:literal / budget $budget:literal / kill at $kill_at:literal;)*) => {$(
+        #[test]
+        fn $name() {
+            let cell = Cell { algorithm: $algorithm, threads: "1", budget: $budget };
+            assert_sigkill_resume_is_bit_identical(&cell, $kill_at);
+        }
+    )*};
+}
+
+// Each budget runs at least ten times as many steps as the kill waits for,
+// so the child is still running when the kill lands.
+sigkill_resume_tests! {
+    moela_resumes_bit_identical_after_sigkill: "moela" / budget "1200" / kill at 3;
+    moead_resumes_bit_identical_after_sigkill: "moead" / budget "1200" / kill at 5;
+    nsga2_resumes_bit_identical_after_sigkill: "nsga2" / budget "1200" / kill at 5;
+    moos_resumes_bit_identical_after_sigkill: "moos" / budget "1500" / kill at 9;
+    moo_stage_resumes_bit_identical_after_sigkill: "moo-stage" / budget "1200" / kill at 2;
+    random_resumes_bit_identical_after_sigkill: "random" / budget "2000" / kill at 2;
 }
 
 /// A crashed MOELA run directory with at least two intact checkpoints,

@@ -55,8 +55,13 @@ pub const RANDOM_RESTARTS: &str = "random_restarts";
 /// Span around the optimizer-state snapshot taken at each checkpoint.
 pub const CHECKPOINT_SNAPSHOT: &str = "checkpoint_snapshot";
 
-/// Span around a checkpoint's encode and durable save.
+/// Span around what a checkpoint costs the step path: its encode and
+/// the wait for the previous checkpoint's writer to finish.
 pub const CHECKPOINT_WRITE: &str = "checkpoint_write";
+
+/// Counter: microseconds the checkpoint writer thread spent writing,
+/// fsyncing, renaming and pruning, counted when the run waits for it.
+pub const CHECKPOINT_PERSIST_US: &str = "checkpoint_persist_us";
 
 /// Gauge: the size in bytes of the newest checkpoint file.
 pub const CHECKPOINT_BYTES: &str = "checkpoint_bytes";

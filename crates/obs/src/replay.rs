@@ -61,16 +61,16 @@ impl std::error::Error for ReplayError {}
 pub type PhaseReplay = Phase<Vec<u64>>;
 
 impl PhaseReplay {
-    /// Exact nearest-rank quantile over the recorded durations
-    /// (`q` in `(0, 1]`); 0 when the phase never completed a span.
-    pub fn quantile_us(&self, q: f64) -> u64 {
+    /// Exact nearest-rank quantiles over the recorded durations, one
+    /// per `q` in `(0, 1]`, from one sort; all 0 when the phase never
+    /// completed a span.
+    pub fn quantiles_us<const N: usize>(&self, qs: [f64; N]) -> [u64; N] {
         let mut sorted = self.samples.clone();
         sorted.sort_unstable();
-        if sorted.is_empty() {
-            return 0;
-        }
-        let rank = (q * sorted.len() as f64).ceil() as usize;
-        sorted[rank.clamp(1, sorted.len()) - 1]
+        qs.map(|q| match sorted.len() {
+            0 => 0,
+            len => sorted[((q * len as f64).ceil() as usize).clamp(1, len) - 1],
+        })
     }
 }
 
@@ -341,10 +341,7 @@ mod tests {
     #[test]
     fn quantiles_are_exact_nearest_rank() {
         let p = PhaseReplay { samples: (1..=100).collect(), ..Default::default() };
-        assert_eq!(p.quantile_us(0.50), 50);
-        assert_eq!(p.quantile_us(0.90), 90);
-        assert_eq!(p.quantile_us(0.99), 99);
-        assert_eq!(p.quantile_us(1.0), 100);
-        assert_eq!(PhaseReplay::default().quantile_us(0.5), 0);
+        assert_eq!(p.quantiles_us([0.50, 0.90, 0.99, 1.0]), [50, 90, 99, 100]);
+        assert_eq!(PhaseReplay::default().quantiles_us([0.5]), [0]);
     }
 }

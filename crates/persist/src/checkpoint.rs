@@ -14,12 +14,19 @@
 //!   even when the truncated payload happens to parse.
 //!
 //! Files are written atomically: the bytes go to a `.tmp` sibling which is
-//! fsynced and then renamed over the final name, so a crash mid-write can
-//! never corrupt a previously good checkpoint. The store keeps the last
+//! fsynced and then renamed over the final name, and the directory is
+//! fsynced after the rename. A crash mid-write can never corrupt a
+//! previously good checkpoint, and once a write returns, its file
+//! survives a power loss under its final name. The store keeps the last
 //! few files ([`CheckpointStore::DEFAULT_KEEP`] unless configured;
 //! `ckpt-00000042.json`, numbered by sequence) and
 //! [`CheckpointStore::load_latest`] falls back to older rotations when
 //! the newest file is damaged.
+//!
+//! [`CheckpointStore::save`] encodes and writes on the caller's thread.
+//! A run that checkpoints every step hands its saves to a
+//! [`Persister`](crate::Persister) instead, which writes them on a
+//! thread of their own.
 
 use std::fs;
 use std::io::Write;
@@ -38,17 +45,40 @@ pub const FORMAT_VERSION: u32 = 2;
 /// Magic token opening every checkpoint header line.
 const MAGIC: &str = "MOELA-CKPT";
 
-/// The header line of a checkpoint whose payload is `body`.
-fn header(body: &[u8]) -> String {
-    format!("{MAGIC} {FORMAT_VERSION} crc32={:08x} len={}\n", crc32(body), body.len())
+/// A checkpoint file's bytes: the checksummed header line and the
+/// payload, kept as two buffers so the payload is never copied behind
+/// its header.
+#[derive(Debug)]
+pub struct Encoded {
+    header: String,
+    body: String,
+}
+
+impl Encoded {
+    /// Encodes `payload` and checksums it.
+    pub fn new(payload: &Value) -> Self {
+        let body = encode::to_string(payload);
+        let header = format!(
+            "{MAGIC} {FORMAT_VERSION} crc32={:08x} len={}\n",
+            crc32(body.as_bytes()),
+            body.len()
+        );
+        Self { header, body }
+    }
+
+    /// The size of the file in bytes.
+    pub fn file_len(&self) -> u64 {
+        (self.header.len() + self.body.len()) as u64
+    }
+
+    pub(crate) fn parts(&self) -> [&[u8]; 2] {
+        [self.header.as_bytes(), self.body.as_bytes()]
+    }
 }
 
 /// Serializes `payload` with the checksummed header.
 pub fn to_bytes(payload: &Value) -> Vec<u8> {
-    let body = encode::to_string(payload);
-    let mut out = header(body.as_bytes()).into_bytes();
-    out.extend_from_slice(body.as_bytes());
-    out
+    Encoded::new(payload).parts().concat()
 }
 
 /// Parses and verifies checkpoint `bytes`; `path` is used only for error
@@ -100,35 +130,57 @@ pub fn from_bytes(bytes: &[u8], path: &Path) -> Result<Value, PersistError> {
     decode::from_str(text)
 }
 
-/// Writes `bytes` to `path` atomically: temp sibling, fsync, rename.
+/// Writes `bytes` to `path` atomically: temp sibling, fsync, rename,
+/// then an fsync of the directory so the rename survives a power loss.
 ///
 /// Each call writes its own temp sibling (`<name>.<pid>-<n>.tmp`), so
 /// concurrent writers of one path never rename each other's files; the
 /// last rename wins. A failed write removes its temp file; a process
 /// killed mid-write leaves it for [`remove_stale_temps`].
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
-    write_atomic_parts(path, &[bytes])
+    write_atomic_parts(&temp_path(path), path, &[bytes])
 }
 
-/// [`write_atomic`] of the concatenation of `parts`, written one after
-/// the other instead of copied into one buffer first.
-fn write_atomic_parts(path: &Path, parts: &[&[u8]]) -> Result<(), PersistError> {
+/// A temp sibling of `path` that no other [`write_atomic`] call of this
+/// process uses.
+pub(crate) fn temp_path(path: &Path) -> PathBuf {
     static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
     let mut name = path.file_name().unwrap_or_default().to_os_string();
     let n = NEXT_TMP.fetch_add(1, Ordering::Relaxed);
     name.push(format!(".{}-{n}.tmp", std::process::id()));
-    let tmp = path.with_file_name(name);
-    let written = fs::File::create(&tmp)
+    path.with_file_name(name)
+}
+
+/// [`write_atomic`] of the concatenation of `parts` through the temp
+/// file `tmp`, written one part after the other instead of copied into
+/// one buffer first. On paths shorter than a few hundred bytes it
+/// allocates only to report an error.
+pub(crate) fn write_atomic_parts(
+    tmp: &Path,
+    path: &Path,
+    parts: &[&[u8]],
+) -> Result<(), PersistError> {
+    let written = fs::File::create(tmp)
         .and_then(|mut f| {
             parts.iter().try_for_each(|part| f.write_all(part))?;
             f.sync_all()
         })
-        .map_err(|e| PersistError::io(&tmp, e))
-        .and_then(|()| fs::rename(&tmp, path).map_err(|e| PersistError::io(path, e)));
+        .map_err(|e| PersistError::io(tmp, e))
+        .and_then(|()| fs::rename(tmp, path).map_err(|e| PersistError::io(path, e)));
     if written.is_err() {
-        let _ = fs::remove_file(&tmp);
+        let _ = fs::remove_file(tmp);
     }
-    written
+    written?;
+    // The rename is an entry in the directory; only the directory's own
+    // fsync makes it durable.
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    if cfg!(unix) {
+        fs::File::open(dir).and_then(|d| d.sync_all()).map_err(|e| PersistError::io(dir, e))?;
+    }
+    Ok(())
 }
 
 /// Deletes the `.tmp` files in `dir` that no [`write_atomic`] call of
@@ -192,22 +244,18 @@ impl CheckpointStore {
         self.dir.join(Self::file_name(seq))
     }
 
-    /// Saves `payload` as sequence number `seq` (atomically) and prunes
-    /// rotations beyond the keep limit.
-    pub fn save(&self, seq: u64, payload: &Value) -> Result<PathBuf, PersistError> {
-        self.save_sized(seq, payload).map(|(path, _)| path)
+    /// The number of rotations kept.
+    pub(crate) fn keep(&self) -> usize {
+        self.keep
     }
 
-    /// [`save`](Self::save) that also returns the file's size in bytes.
-    /// The header and the payload are written as two slices, so the
-    /// payload is never copied behind its header.
-    pub fn save_sized(&self, seq: u64, payload: &Value) -> Result<(PathBuf, u64), PersistError> {
+    /// Saves `payload` as sequence number `seq` (atomically) and prunes
+    /// rotations beyond the keep limit, all on the calling thread.
+    pub fn save(&self, seq: u64, payload: &Value) -> Result<PathBuf, PersistError> {
         let path = self.path_for(seq);
-        let body = encode::to_string(payload);
-        let header = header(body.as_bytes());
-        write_atomic_parts(&path, &[header.as_bytes(), body.as_bytes()])?;
+        write_atomic_parts(&temp_path(&path), &path, &Encoded::new(payload).parts())?;
         self.prune()?;
-        Ok((path, (header.len() + body.len()) as u64))
+        Ok(path)
     }
 
     /// All checkpoint sequence numbers on disk, ascending.
@@ -302,10 +350,10 @@ mod tests {
     fn save_writes_exactly_the_bytes_of_to_bytes() {
         let dir = temp_dir("save-bytes");
         let store = CheckpointStore::new(&dir).unwrap();
-        let (path, len) = store.save_sized(4, &sample(4)).unwrap();
+        let path = store.save(4, &sample(4)).unwrap();
         let on_disk = fs::read(&path).unwrap();
         assert_eq!(on_disk, to_bytes(&sample(4)));
-        assert_eq!(len, on_disk.len() as u64);
+        assert_eq!(Encoded::new(&sample(4)).file_len(), on_disk.len() as u64);
         fs::remove_dir_all(&dir).unwrap();
     }
 

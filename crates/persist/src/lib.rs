@@ -13,7 +13,8 @@
 //!   the grid dimensions);
 //! * a versioned, CRC-32-checksummed checkpoint file format with atomic
 //!   writes, keep-last-K rotation and corruption fallback
-//!   ([`checkpoint::CheckpointStore`]);
+//!   ([`checkpoint::CheckpointStore`]), and a [`Persister`] that writes
+//!   a run's checkpoints on a thread of their own;
 //! * a run-store directory layout ([`store::RunStore`]) holding
 //!   `manifest.json`, `checkpoints/`, `trace.csv` and `front.csv`.
 //!
@@ -26,14 +27,16 @@ pub mod crc32;
 pub mod decode;
 pub mod encode;
 pub mod error;
+mod persister;
 #[cfg(test)]
 mod reference;
 mod shortest;
 pub mod store;
 pub mod value;
 
-pub use checkpoint::{CheckpointStore, FORMAT_VERSION};
+pub use checkpoint::{CheckpointStore, Encoded, FORMAT_VERSION};
 pub use error::PersistError;
+pub use persister::Persister;
 pub use store::RunStore;
 pub use value::Value;
 
