@@ -13,11 +13,15 @@
 //! Run with:
 //! `cargo run -p moela-bench --release --bin ablations [-- --budget N --seeds a,b]`
 
-use moela_bench::{build_cell, mean, HarnessConfig};
-use moela_core::{Moela, MoelaConfig, MoelaConfigBuilder};
-use moela_manycore::ObjectiveSet;
+use moela_bench::{build_cell, mean, moela_builder, HarnessConfig};
+use moela_core::{Moela, MoelaConfigBuilder};
+use moela_manycore::{ObjectiveSet, PlatformConfig};
 use moela_traffic::Benchmark;
+use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// A variant's change to the harness's MOELA configuration.
+type Tweak = fn(MoelaConfigBuilder) -> MoelaConfigBuilder;
 
 fn main() {
     let mut cfg = HarnessConfig::from_args();
@@ -30,14 +34,13 @@ fn main() {
         cfg.budget, cfg.seeds
     );
 
-    #[allow(clippy::type_complexity)]
-    let variants: Vec<(&str, Box<dyn Fn(MoelaConfigBuilder) -> MoelaConfigBuilder>)> = vec![
-        ("baseline (LS-first, ML on)", Box::new(|b| b)),
-        ("EA-first ordering", Box::new(|b| b.ea_first(true))),
-        ("no ML guidance", Box::new(|b| b.iter_early(usize::MAX / 2))),
-        ("n_local = 1", Box::new(|b| b.n_local(1))),
-        ("n_local = 8", Box::new(|b| b.n_local(8))),
-        ("train cap = 200", Box::new(|b| b.train_cap(200))),
+    let variants: [(&str, Tweak); 6] = [
+        ("baseline (LS-first, ML on)", |b| b),
+        ("EA-first ordering", |b| b.ea_first(true)),
+        ("no ML guidance", |b| b.iter_early(usize::MAX / 2)),
+        ("n_local = 1", |b| b.n_local(1)),
+        ("n_local = 8", |b| b.n_local(8)),
+        ("train cap = 200", |b| b.train_cap(200)),
     ];
 
     let header: Vec<String> = std::iter::once("variant".to_owned())
@@ -51,16 +54,10 @@ fn main() {
         for &app in &cfg.apps {
             let mut phvs = Vec::new();
             for &seed in &cfg.seeds {
-                let cell = build_cell(app, ObjectiveSet::Five, 200, seed);
-                let builder = MoelaConfig::builder()
-                    .population(cfg.population)
-                    .generations(usize::MAX / 2)
-                    .trace_normalizer(cell.normalizer.clone())
-                    .max_evaluations(cfg.budget)
-                    .time_budget(cfg.time_guard);
-                let config = tweak(builder).build().expect("ablation config is valid");
-                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-                let out = Moela::new(config, &cell.problem).run(&mut rng);
+                let cell = build_cell(PlatformConfig::paper(), app, ObjectiveSet::Five, seed);
+                let config =
+                    tweak(moela_builder(&cell, &cfg)).build().expect("ablation config is valid");
+                let out = Moela::new(config, &cell.problem).run(&mut StdRng::seed_from_u64(seed));
                 phvs.push(out.phv(&cell.normalizer));
             }
             row.push(format!("{:.4}", mean(&phvs)));

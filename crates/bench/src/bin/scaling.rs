@@ -10,21 +10,17 @@
 //! Run with:
 //! `cargo run -p moela-bench --release --bin scaling [-- --budget N --seeds a,b]`
 
-use moela_bench::{mean, run_algo, Algo, Cell, HarnessConfig};
-use moela_manycore::{ManycoreProblem, ObjectiveSet, PlatformConfig};
+use moela_bench::{build_cell, mean, run_algo, Algo, HarnessConfig};
+use moela_manycore::{ObjectiveSet, PlatformConfig};
 use moela_moo::hypervolume::hv_gain;
-use moela_moo::normalize::Normalizer;
-use moela_moo::Problem;
-use moela_traffic::{Benchmark, Workload};
-use rand::SeedableRng;
+use moela_traffic::Benchmark;
 
-/// The platforms under test: name, grid, CPU/LLC counts, link budgets.
-#[allow(clippy::type_complexity)]
-const PLATFORMS: [(&str, (usize, usize, usize), usize, usize, usize, usize); 3] = [
-    // (label, (nx, ny, layers), cpus, llcs, planar, tsvs)
-    ("4x4x4 (64 tiles, paper)", (4, 4, 4), 8, 16, 96, 48),
-    ("6x6x3 (108 tiles)", (6, 6, 3), 12, 24, 180, 72),
-    ("8x8x2 (128 tiles)", (8, 8, 2), 16, 32, 224, 64),
+/// The platforms under test: label, then nx, ny, layers, CPUs, LLCs,
+/// planar links and TSVs.
+const PLATFORMS: [(&str, [usize; 7]); 3] = [
+    ("4x4x4 (64 tiles, paper)", [4, 4, 4, 8, 16, 96, 48]),
+    ("6x6x3 (108 tiles)", [6, 6, 3, 12, 24, 180, 72]),
+    ("8x8x2 (128 tiles)", [8, 8, 2, 16, 32, 224, 64]),
 ];
 
 fn main() {
@@ -40,7 +36,7 @@ fn main() {
     );
 
     let rows = moela_bench::parallel_map(PLATFORMS.to_vec(), |entry| {
-        let (label, (nx, ny, layers), cpus, llcs, planar, tsvs) = entry;
+        let (label, [nx, ny, layers, cpus, llcs, planar, tsvs]) = entry;
         let mut phv = [Vec::new(), Vec::new(), Vec::new()];
         for &seed in &cfg.seeds {
             let platform = PlatformConfig::builder()
@@ -51,16 +47,9 @@ fn main() {
                 .tsvs(tsvs)
                 .build()
                 .expect("scaling platforms are feasible");
-            let workload = Workload::synthesize(app, platform.pe_mix(), seed);
-            let problem =
-                ManycoreProblem::new(platform, workload, ObjectiveSet::Five).expect("consistent");
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xC0FFEE);
-            let corpus: Vec<Vec<f64>> =
-                (0..200).map(|_| problem.evaluate(&problem.random_solution(&mut rng))).collect();
-            let normalizer = Normalizer::fit(&corpus);
-            let cell = Cell { app, set: ObjectiveSet::Five, problem, normalizer };
-            for (slot, algo) in [Algo::Moela, Algo::Moead, Algo::Moos].iter().enumerate() {
-                let out = run_algo(&cell, *algo, &cfg, seed);
+            let cell = build_cell(platform, app, ObjectiveSet::Five, seed);
+            for (slot, algo) in Algo::ALL.into_iter().enumerate() {
+                let out = run_algo(&cell, algo, &cfg, seed);
                 phv[slot].push(out.phv(&cell.normalizer));
             }
         }

@@ -3,10 +3,11 @@
 //!
 //! | Paper artifact | Binary |
 //! |----------------|--------|
-//! | Table I (speed-up of MOELA vs MOEA/D, MOOS) | `table1_speedup` |
-//! | Table II (PHV gain at the stop budget)      | `table2_phv`     |
-//! | Fig. 3 (EDP overhead of the baselines)      | `fig3_edp`       |
-//! | §IV design-choice ablations                 | `ablations`      |
+//! | Table I (speed-up of MOELA vs MOEA/D, MOOS) | `paper_tables` |
+//! | Table II (PHV gain at the stop budget)      | `paper_tables` |
+//! | Fig. 3 (EDP overhead of the baselines)      | `paper_tables` |
+//! | §IV design-choice ablations                 | `ablations`    |
+//! | §II.B system-size scaling (extension)       | `scaling`      |
 //!
 //! ## The clock
 //!
@@ -29,11 +30,10 @@ use std::time::Duration;
 use rand::SeedableRng;
 
 use moela_baselines::{Moead, MoeadConfig, Moos, MoosConfig};
-use moela_core::{Moela, MoelaConfig};
+use moela_core::{Moela, MoelaConfig, MoelaConfigBuilder};
 use moela_manycore::{Design, ManycoreProblem, ObjectiveSet, PlatformConfig};
 use moela_moo::normalize::Normalizer;
-use moela_moo::run::{convergence_point, evaluations_to_reach, RunResult};
-use moela_moo::Problem;
+use moela_moo::run::{convergence_point, evaluations_to_reach, RunResult, TracePoint};
 use moela_traffic::{Benchmark, Workload};
 
 /// Harness-wide settings, parsed from the command line.
@@ -90,29 +90,20 @@ impl HarnessConfig {
         let mut cfg = HarnessConfig::default();
         let mut args = std::env::args().skip(1);
         while let Some(flag) = args.next() {
+            let mut value = || args.next().unwrap_or_else(|| panic!("{flag} needs a value"));
             match flag.as_str() {
-                "--budget" => {
-                    cfg.budget = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| panic!("--budget needs an integer"));
-                }
+                "--budget" => cfg.budget = value().parse().expect("--budget needs an integer"),
                 "--population" => {
-                    cfg.population = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| panic!("--population needs an integer"));
+                    cfg.population = value().parse().expect("--population needs an integer");
                 }
                 "--seeds" => {
-                    let list = args.next().unwrap_or_else(|| panic!("--seeds needs a list"));
-                    cfg.seeds = list
+                    cfg.seeds = value()
                         .split(',')
                         .map(|v| v.trim().parse().expect("seed must be an integer"))
                         .collect();
                 }
                 "--apps" => {
-                    let list = args.next().unwrap_or_else(|| panic!("--apps needs a list"));
-                    cfg.apps = list
+                    cfg.apps = value()
                         .split(',')
                         .map(|name| {
                             Benchmark::ALL
@@ -144,27 +135,20 @@ impl HarnessConfig {
 pub struct Cell {
     /// The application under test.
     pub app: Benchmark,
-    /// The objective stack.
-    pub set: ObjectiveSet,
     /// The posed design problem.
     pub problem: ManycoreProblem,
     /// Normalizer fitted on a shared random corpus.
     pub normalizer: Normalizer,
 }
 
-/// Builds the experimental cell for `(app, set)`: the paper platform, the
-/// synthesized workload, and a normalizer fitted to `corpus` random
-/// designs.
-pub fn build_cell(app: Benchmark, set: ObjectiveSet, corpus: usize, seed: u64) -> Cell {
-    let platform = PlatformConfig::paper();
+/// Builds the experimental cell for `(app, set)` on `platform`: the
+/// synthesized workload and the cell's corpus normalizer
+/// ([`Normalizer::from_corpus`], the same scale `moela-dse` scores on).
+pub fn build_cell(platform: PlatformConfig, app: Benchmark, set: ObjectiveSet, seed: u64) -> Cell {
     let workload = Workload::synthesize(app, platform.pe_mix(), seed);
-    let problem =
-        ManycoreProblem::new(platform, workload, set).expect("paper platform is consistent");
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xC0FFEE);
-    let objs: Vec<Vec<f64>> =
-        (0..corpus).map(|_| problem.evaluate(&problem.random_solution(&mut rng))).collect();
-    let normalizer = Normalizer::fit(&objs);
-    Cell { app, set, problem, normalizer }
+    let problem = ManycoreProblem::new(platform, workload, set).expect("platform is consistent");
+    let normalizer = Normalizer::from_corpus(&problem, seed);
+    Cell { app, problem, normalizer }
 }
 
 /// The algorithms Table I/II compare.
@@ -179,6 +163,9 @@ pub enum Algo {
 }
 
 impl Algo {
+    /// Every compared algorithm, MOELA first; `Algo::ALL[a as usize] == a`.
+    pub const ALL: [Algo; 3] = [Algo::Moela, Algo::Moead, Algo::Moos];
+
     /// Display name matching the paper's tables.
     pub fn name(&self) -> &'static str {
         match self {
@@ -189,19 +176,23 @@ impl Algo {
     }
 }
 
+/// The harness's MOELA configuration on `cell`, before `build`: the
+/// ablations tweak it, [`run_algo`] builds it as is.
+pub fn moela_builder(cell: &Cell, cfg: &HarnessConfig) -> MoelaConfigBuilder {
+    MoelaConfig::builder()
+        .population(cfg.population)
+        .generations(usize::MAX / 2)
+        .trace_normalizer(cell.normalizer.clone())
+        .max_evaluations(cfg.budget)
+        .time_budget(cfg.time_guard)
+}
+
 /// Runs `algo` on the cell at the given budget and seed.
 pub fn run_algo(cell: &Cell, algo: Algo, cfg: &HarnessConfig, seed: u64) -> RunResult<Design> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     match algo {
         Algo::Moela => {
-            let config = MoelaConfig::builder()
-                .population(cfg.population)
-                .generations(usize::MAX / 2)
-                .trace_normalizer(cell.normalizer.clone())
-                .max_evaluations(cfg.budget)
-                .time_budget(cfg.time_guard)
-                .build()
-                .expect("harness MOELA config is valid");
+            let config = moela_builder(cell, cfg).build().expect("harness MOELA config is valid");
             Moela::new(config, &cell.problem).run(&mut rng)
         }
         Algo::Moead => {
@@ -230,41 +221,32 @@ pub fn run_algo(cell: &Cell, algo: Algo, cfg: &HarnessConfig, seed: u64) -> RunR
 
 /// Table I's speed-up factor on the evaluation clock.
 ///
-/// Finds the baseline's convergence point (first trace point within 0.5 %
-/// of its final PHV — the paper's §V.C criterion), then the evaluation
-/// count at which MOELA first reaches the same PHV. Returns
-/// `(baseline_evals_at_convergence, moela_evals, speedup)`; `None` when
-/// MOELA never reaches the baseline's converged quality within its budget
-/// (reported as `<1×` by the table binary).
-pub fn speedup(moela: &RunResult<Design>, baseline: &RunResult<Design>) -> Option<(u64, u64, f64)> {
-    let conv_idx = convergence_point(&baseline.trace, 0.005)?;
-    let conv = baseline.trace[conv_idx];
-    let moela_evals = evaluations_to_reach(&moela.trace, conv.phv)?;
-    if moela_evals == 0 {
-        return Some((conv.evaluations, 1, conv.evaluations as f64));
-    }
-    Some((conv.evaluations, moela_evals, conv.evaluations as f64 / moela_evals as f64))
+/// Finds the baseline's convergence point in its trace (first trace point
+/// within 0.5 % of its final PHV — the paper's §V.C criterion), then the
+/// evaluation count at which MOELA's trace first reaches the same PHV.
+/// Returns the ratio of the two counts (MOELA's taken as at least 1);
+/// `None` when MOELA never reaches the baseline's converged quality
+/// within its budget (reported as `<1×` by the table binary).
+pub fn speedup(moela: &[TracePoint], baseline: &[TracePoint]) -> Option<f64> {
+    let conv = baseline[convergence_point(baseline, 0.005)?];
+    let moela_evals = evaluations_to_reach(moela, conv.phv)?.max(1);
+    Some(conv.evaluations as f64 / moela_evals as f64)
 }
 
-/// Geometric mean of positive values (speed-ups average multiplicatively).
+/// Geometric mean of positive values (speed-ups average multiplicatively);
+/// NaN for no values.
 pub fn geometric_mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return f64::NAN;
-    }
     let log_sum: f64 = values.iter().map(|v| v.max(1e-12).ln()).sum();
     (log_sum / values.len() as f64).exp()
 }
 
-/// Arithmetic mean.
+/// Arithmetic mean; NaN for no values.
 pub fn mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return f64::NAN;
-    }
     values.iter().sum::<f64>() / values.len() as f64
 }
 
 /// Maps `worker` over `items` on scoped threads (one per item, which the
-/// table binaries use at row granularity — at most seven rows), returning
+/// harness binaries use at row granularity — at most seven rows), returning
 /// results in input order. Plain `std::thread::scope`; no extra runtime.
 pub fn parallel_map<T, R, F>(items: Vec<T>, worker: F) -> Vec<R>
 where
@@ -272,17 +254,12 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    let mut out: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    let worker = &worker;
     std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for item in items {
-            handles.push(scope.spawn(|| worker(item)));
-        }
-        for (slot, handle) in out.iter_mut().zip(handles) {
-            *slot = Some(handle.join().expect("worker panicked"));
-        }
-    });
-    out.into_iter().map(|r| r.expect("all slots filled")).collect()
+        let handles: Vec<_> =
+            items.into_iter().map(|item| scope.spawn(move || worker(item))).collect();
+        handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
+    })
 }
 
 /// Formats a markdown-ish table row.
@@ -293,14 +270,10 @@ pub fn format_row(cells: &[String], widths: &[usize]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use moela_moo::run::TracePoint;
+    use moela_moo::Problem;
 
     fn tp(evaluations: u64, phv: f64) -> TracePoint {
         TracePoint { generation: 0, evaluations, elapsed: Duration::ZERO, phv }
-    }
-
-    fn result(trace: Vec<TracePoint>) -> RunResult<Design> {
-        RunResult { population: Vec::new(), trace, evaluations: 0, elapsed: Duration::ZERO }
     }
 
     #[test]
@@ -311,18 +284,14 @@ mod tests {
             (0..10).map(|i| tp(i * 100 + 100, 0.08 * (i + 1) as f64)).collect();
         baseline_trace.extend((0..6).map(|i| tp(1100 + i * 100, 0.8)));
         let moela_trace = vec![tp(50, 0.5), tp(100, 0.85), tp(150, 0.9)];
-        let (b, m, s) =
-            speedup(&result(moela_trace), &result(baseline_trace)).expect("both converge");
-        assert_eq!(m, 100);
-        assert!(s > 1.0);
-        assert_eq!(b / m, s as u64);
+        assert_eq!(speedup(&moela_trace, &baseline_trace), Some(10.0));
     }
 
     #[test]
     fn speedup_is_none_when_moela_never_catches_up() {
         let baseline_trace: Vec<TracePoint> = (0..10).map(|i| tp(i * 10, 0.9)).collect();
         let moela_trace = vec![tp(100, 0.5)];
-        assert!(speedup(&result(moela_trace), &result(baseline_trace)).is_none());
+        assert!(speedup(&moela_trace, &baseline_trace).is_none());
     }
 
     #[test]
@@ -330,6 +299,7 @@ mod tests {
         let g = geometric_mean(&[2.0, 0.5]);
         assert!((g - 1.0).abs() < 1e-12);
         assert!(geometric_mean(&[]).is_nan());
+        assert!(mean(&[]).is_nan());
     }
 
     #[test]
@@ -347,7 +317,7 @@ mod tests {
 
     #[test]
     fn build_cell_produces_a_consistent_problem() {
-        let cell = build_cell(Benchmark::Bp, ObjectiveSet::Three, 20, 1);
+        let cell = build_cell(PlatformConfig::paper(), Benchmark::Bp, ObjectiveSet::Three, 1);
         assert_eq!(cell.problem.objective_count(), 3);
         // The normalizer actually observed the corpus.
         assert!(cell.normalizer.min().iter().all(|v| v.is_finite()));

@@ -170,13 +170,6 @@ pub(crate) fn build_problem(opts: &RunOptions) -> Result<ManycoreProblem, CliErr
         .map_err(|e| fail(format!("cannot build the paper platform: {e}")))
 }
 
-pub(crate) fn corpus_normalizer(problem: &ManycoreProblem, seed: u64) -> Normalizer {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xC0FFEE);
-    let objs: Vec<Vec<f64>> =
-        (0..200).map(|_| problem.evaluate(&problem.random_solution(&mut rng))).collect();
-    Normalizer::fit(&objs)
-}
-
 /// One checkpoint: the optimizer state plus everything it does not
 /// carry — the RNG, the wall-clock time the run had consumed and, for
 /// chaotic runs, the chaos ordinal counter, all captured at the same
@@ -921,7 +914,7 @@ fn conclude(
 pub(crate) fn run(opts: &RunOptions, hooks: &ExecHooks<'_>) -> Result<Ended, CliError> {
     let reporter = Reporter::new(opts.log_level);
     let problem = build_problem(opts)?;
-    let normalizer = corpus_normalizer(&problem, opts.seed);
+    let normalizer = Normalizer::from_corpus(&problem, opts.seed);
     reporter.info(&format!(
         "{} on {} ({}), budget {} evaluations, seed {}",
         opts.algorithm.name(),

@@ -22,6 +22,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use moela_manycore::PlatformConfig;
+use moela_moo::normalize::Normalizer;
 use moela_moo::Problem;
 use moela_nocsim::{SimConfig, Simulator};
 use moela_obs::Reporter;
@@ -98,7 +99,7 @@ fn main() -> ExitCode {
 fn compare(opts: &RunOptions) -> Result<(), CliError> {
     let reporter = Reporter::new(opts.log_level);
     let problem = engine::build_problem(opts)?;
-    let normalizer = engine::corpus_normalizer(&problem, opts.seed);
+    let normalizer = Normalizer::from_corpus(&problem, opts.seed);
     reporter.info(&format!(
         "comparing all algorithms on {} ({}), budget {} evaluations\n",
         opts.app, opts.set, opts.budget

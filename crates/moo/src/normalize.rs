@@ -6,6 +6,13 @@
 //! `[0, 1]` by a [`Normalizer`] fitted either to a fixed corpus (for
 //! cross-algorithm comparability) or updated online.
 
+use rand::SeedableRng;
+
+use crate::Problem;
+
+/// Random designs behind a [`Normalizer::from_corpus`] fit.
+pub const CORPUS_SIZE: usize = 200;
+
 /// Per-objective min–max normalizer.
 ///
 /// # Example
@@ -62,6 +69,17 @@ impl Normalizer {
             n.observe(o);
         }
         n
+    }
+
+    /// The PHV scale of one `(problem, seed)` cell: a fit to
+    /// [`CORPUS_SIZE`] random solutions drawn from `seed ^ 0xC0FFEE`, so
+    /// every optimizer run on the cell scores its front on one scale.
+    pub fn from_corpus<P: Problem>(problem: &P, seed: u64) -> Self {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xC0FFEE);
+        let objs: Vec<Vec<f64>> = (0..CORPUS_SIZE)
+            .map(|_| problem.evaluate(&problem.random_solution(&mut rng)))
+            .collect();
+        Self::fit(&objs)
     }
 
     /// Widens the range to include `objectives`.

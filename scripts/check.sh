@@ -23,6 +23,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "==> dse-bench builds and passes against the workspace API"
 cargo test --manifest-path dse-bench/Cargo.toml -q
 
+echo "==> harness smoke (scaling and ablations run to completion)"
+# paper_tables runs under cargo test, against its golden output.
+for bin in scaling ablations; do
+    target/release/"$bin" --budget 60 --seeds 5 --apps BFS >/dev/null
+done
+
 echo "==> resume smoke (crash + resume is byte-identical)"
 smoke="$(mktemp -d)"
 trap 'rm -rf "$smoke"' EXIT
