@@ -16,6 +16,9 @@ use moela_moo::Problem;
 use moela_thermal::{FastThermalModel, PowerGrid, ThermalParams};
 use moela_traffic::{Benchmark, Workload};
 
+/// How many inputs a rotating benchmark cycles through.
+const ROTATION: usize = 48;
+
 fn paper_problem(set: ObjectiveSet) -> ManycoreProblem {
     app_problem(Benchmark::Hot, set)
 }
@@ -40,6 +43,16 @@ fn bench_routing(c: &mut Criterion) {
     c.bench_function("routing/all_pairs_random_4x4x4", |b| {
         b.iter(|| RoutingTable::build(&dims, &random, &params))
     });
+    // One fixed input lets the branch predictor learn its branches, which
+    // flatters branchy code; a search never routes the same topology
+    // twice in a row. This rotates over inputs drawn up front.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+    let inputs: Vec<Topology> =
+        (0..ROTATION).map(|_| problem.random_solution(&mut rng).topology).collect();
+    let mut next = inputs.iter().cycle();
+    c.bench_function("routing/all_pairs_random_4x4x4_rotating", |b| {
+        b.iter(|| RoutingTable::build(&dims, next.next().expect("cycles"), &params))
+    });
     // Link costs that are not whole cycles, so the build runs Dijkstra
     // per source instead of the level sweep.
     let fractional = NocParams { router_stages: 2.5, link_delay_per_unit: 0.75, ..params };
@@ -48,14 +61,7 @@ fn bench_routing(c: &mut Criterion) {
     });
     // The scaling axis: 256 tiles, four source blocks of the sweep.
     let large = GridDims::new(8, 8, 4);
-    let (nx, ny, layers) = (large.nx(), large.ny(), large.layers());
-    let builder = TopologyBuilder::new(
-        large,
-        layers * (nx * (ny - 1) + ny * (nx - 1)),
-        nx * ny * (layers - 1),
-        params.max_planar_length,
-        params.max_degree,
-    );
+    let builder = mesh_budget_builder(large, &params);
     let random = builder.random(&mut rand::rngs::StdRng::seed_from_u64(8)).expect("mesh budgets");
     c.bench_function("routing/all_pairs_random_8x8x4", |b| {
         b.iter(|| RoutingTable::build(&large, &random, &params))
@@ -91,10 +97,45 @@ fn bench_operators(c: &mut Criterion) {
     c.bench_function("operators/random_design", |b| b.iter(|| problem.random_solution(&mut rng)));
     c.bench_function("operators/neighbor_move", |b| b.iter(|| problem.neighbor(&a, &mut rng)));
     c.bench_function("operators/crossover", |b| b.iter(|| problem.crossover(&a, &b2, &mut rng)));
+    let parents: Vec<_> = (0..ROTATION)
+        .map(|_| (problem.random_solution(&mut rng), problem.random_solution(&mut rng)))
+        .collect();
+    let mut next = parents.iter().cycle();
+    c.bench_function("operators/crossover_rotating", |b| {
+        b.iter(|| {
+            let (x, y) = next.next().expect("cycles");
+            problem.crossover(x, y, &mut rng)
+        })
+    });
     c.bench_function("operators/features", |b| b.iter(|| problem.features(&a)));
     // GAU has the densest traffic, so the most flows to weigh.
     let gau = app_problem(Benchmark::Gau, ObjectiveSet::Three);
     c.bench_function("operators/features_gau", |b| b.iter(|| gau.features(&a)));
+
+    // The growth curve of topology construction: a degree-capped random
+    // topology at mesh budgets on 64, 256 and 1024 tiles. Connectivity is
+    // checked once, outside the timed loop.
+    for (nx, ny) in [(4, 4), (8, 8), (16, 16)] {
+        let dims = GridDims::new(nx, ny, 4);
+        let builder = mesh_budget_builder(dims, problem.config().noc());
+        let topology = builder.random(&mut rng).expect("mesh budgets");
+        assert!(topology.is_connected(), "a random topology must connect every tile");
+        c.bench_function(&format!("operators/random_topology_{}", dims.tiles()), |b| {
+            b.iter(|| builder.random(&mut rng))
+        });
+    }
+}
+
+/// A builder at the 3D mesh's link budgets on `dims`.
+fn mesh_budget_builder(dims: GridDims, params: &NocParams) -> TopologyBuilder {
+    let (nx, ny, layers) = (dims.nx(), dims.ny(), dims.layers());
+    TopologyBuilder::new(
+        dims,
+        layers * (nx * (ny - 1) + ny * (nx - 1)),
+        nx * ny * (layers - 1),
+        params.max_planar_length,
+        params.max_degree,
+    )
 }
 
 fn bench_hypervolume(c: &mut Criterion) {

@@ -11,7 +11,10 @@
 //! normalizer and budget); the score is the final PHV.
 //!
 //! Run with:
-//! `cargo run -p moela-bench --release --bin ablations [-- --budget N --seeds a,b]`
+//! `cargo run -p moela-bench --release --bin ablations [-- --budget N --seeds a,b --apps BFS,HOT]`
+//!
+//! It also reads `--population` and `--paper-scale`, and refuses any other
+//! flag (exit 2).
 
 use moela_bench::{build_cell, mean, moela_builder, HarnessConfig};
 use moela_core::{Moela, MoelaConfigBuilder};
@@ -24,11 +27,9 @@ use rand::SeedableRng;
 type Tweak = fn(MoelaConfigBuilder) -> MoelaConfigBuilder;
 
 fn main() {
-    let mut cfg = HarnessConfig::from_args();
-    if cfg.apps.len() > 2 {
-        // Ablations don't need the full app matrix by default.
-        cfg.apps = vec![Benchmark::Bfs, Benchmark::Hot];
-    }
+    // Ablations don't need the full app matrix by default.
+    let cfg = HarnessConfig { apps: vec![Benchmark::Bfs, Benchmark::Hot], ..Default::default() }
+        .with_args(&["--budget", "--population", "--seeds", "--apps", "--paper-scale"]);
     println!(
         "MOELA ablations — final PHV on 5 objectives (budget {} evals, seeds {:?})\n",
         cfg.budget, cfg.seeds

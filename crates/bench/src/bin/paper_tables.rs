@@ -44,7 +44,14 @@ struct Outcome {
 type AppRuns = Vec<Vec<[Outcome; 3]>>;
 
 fn main() {
-    let cfg = HarnessConfig::from_args();
+    let cfg = HarnessConfig::default().with_args(&[
+        "--budget",
+        "--population",
+        "--seeds",
+        "--apps",
+        "--paper-scale",
+        "--simulate",
+    ]);
     let sweep: Vec<(Benchmark, AppRuns)> = parallel_map(cfg.apps.clone(), |app| {
         let runs = cfg
             .sets

@@ -9,6 +9,9 @@
 //!
 //! Run with:
 //! `cargo run -p moela-bench --release --bin scaling [-- --budget N --seeds a,b]`
+//!
+//! It also reads `--population` and `--paper-scale`, and refuses any other
+//! flag (exit 2).
 
 use moela_bench::{build_cell, mean, run_algo, Algo, HarnessConfig};
 use moela_manycore::{ObjectiveSet, PlatformConfig};
@@ -24,7 +27,13 @@ const PLATFORMS: [(&str, [usize; 7]); 3] = [
 ];
 
 fn main() {
-    let cfg = HarnessConfig::from_args();
+    // The study fixes its app, so `--apps` and `--simulate` are refused.
+    let cfg = HarnessConfig::default().with_args(&[
+        "--budget",
+        "--population",
+        "--seeds",
+        "--paper-scale",
+    ]);
     let app = Benchmark::Hot;
     println!(
         "scaling study — final PHV on {app}, 5 objectives, budget {} evals, seeds {:?}\n",

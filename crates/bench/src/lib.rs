@@ -72,7 +72,17 @@ impl Default for HarnessConfig {
 }
 
 impl HarnessConfig {
-    /// Parses harness flags:
+    /// Parses the command line over `self`'s values, reading only the
+    /// flags in `reads`; see [`Self::parse`]. On an error it prints the
+    /// message and exits 2.
+    pub fn with_args(self, reads: &[&str]) -> Self {
+        self.parse(std::env::args().skip(1), reads).unwrap_or_else(|msg| {
+            eprintln!("error: {msg}");
+            std::process::exit(2)
+        })
+    }
+
+    /// Parses harness flags over `self`'s values:
     ///
     /// * `--budget N` — evaluations per run (default 4000);
     /// * `--population N` — population size (default 24);
@@ -83,51 +93,59 @@ impl HarnessConfig {
     /// * `--simulate` — Fig. 3 only: score final designs with the
     ///   flit-level simulator instead of the analytic network model.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a usage message on unknown flags or unparsable values.
-    pub fn from_args() -> Self {
-        let mut cfg = HarnessConfig::default();
-        let mut args = std::env::args().skip(1);
+    /// A flag outside `reads` — a binary names the flags it reads, so one
+    /// it would ignore is refused — a missing value or an unparsable one.
+    pub fn parse(
+        mut self,
+        args: impl IntoIterator<Item = String>,
+        reads: &[&str],
+    ) -> Result<Self, String> {
+        let mut args = args.into_iter();
         while let Some(flag) = args.next() {
-            let mut value = || args.next().unwrap_or_else(|| panic!("{flag} needs a value"));
+            if !reads.contains(&flag.as_str()) {
+                return Err(format!(
+                    "this binary does not read {flag}; it reads {}",
+                    reads.join(" ")
+                ));
+            }
+            let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
             match flag.as_str() {
-                "--budget" => cfg.budget = value().parse().expect("--budget needs an integer"),
-                "--population" => {
-                    cfg.population = value().parse().expect("--population needs an integer");
-                }
+                "--budget" => self.budget = integer(&flag, &value()?)?,
+                "--population" => self.population = integer(&flag, &value()?)?,
                 "--seeds" => {
-                    cfg.seeds = value()
-                        .split(',')
-                        .map(|v| v.trim().parse().expect("seed must be an integer"))
-                        .collect();
+                    self.seeds =
+                        value()?.split(',').map(|v| integer(&flag, v)).collect::<Result<_, _>>()?;
                 }
                 "--apps" => {
-                    cfg.apps = value()
+                    self.apps = value()?
                         .split(',')
                         .map(|name| {
                             Benchmark::ALL
                                 .into_iter()
                                 .find(|b| b.name().eq_ignore_ascii_case(name.trim()))
-                                .unwrap_or_else(|| panic!("unknown app {name}"))
+                                .ok_or_else(|| format!("unknown app {name}"))
                         })
-                        .collect();
+                        .collect::<Result<_, _>>()?;
                 }
-                "--simulate" => cfg.simulate = true,
+                "--simulate" => self.simulate = true,
                 "--paper-scale" => {
-                    cfg.population = 50;
+                    self.population = 50;
                     // N=50 × gen=1000 EA offspring plus local searches.
-                    cfg.budget = 150_000;
-                    cfg.time_guard = Duration::from_secs(48 * 3600);
+                    self.budget = 150_000;
+                    self.time_guard = Duration::from_secs(48 * 3600);
                 }
-                other => panic!(
-                    "unknown flag {other}; known: --budget --population --seeds --apps \
-                     --paper-scale --simulate"
-                ),
+                other => return Err(format!("unknown flag {other}")),
             }
         }
-        cfg
+        Ok(self)
     }
+}
+
+/// Parses `value`, one integer argument of `flag`.
+fn integer<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value.trim().parse().map_err(|_| format!("{flag} takes integers, not {value:?}"))
 }
 
 /// One `(application, objective stack)` experimental cell: the problem,
@@ -307,6 +325,25 @@ mod tests {
         let cfg = HarnessConfig::default();
         assert_eq!(cfg.apps.len(), 6);
         assert_eq!(cfg.sets.len(), 3);
+    }
+
+    fn parse(args: &[&str], reads: &[&str]) -> Result<HarnessConfig, String> {
+        HarnessConfig::default().parse(args.iter().map(|a| (*a).to_owned()), reads)
+    }
+
+    #[test]
+    fn flags_a_binary_does_not_read_are_refused() {
+        let reads = ["--budget", "--seeds", "--apps"];
+        let cfg = parse(&["--budget", "60", "--seeds", "5,7", "--apps", "bfs,HOT"], &reads)
+            .expect("read flags parse");
+        assert_eq!((cfg.budget, cfg.seeds), (60, vec![5, 7]));
+        assert_eq!(cfg.apps, vec![Benchmark::Bfs, Benchmark::Hot]);
+        let err = parse(&["--simulate"], &reads).expect_err("an unread flag");
+        assert!(err.contains("--simulate") && err.contains("--apps"), "{err}");
+        assert!(parse(&["--bogus"], &reads).is_err());
+        assert!(parse(&["--budget"], &reads).expect_err("no value").contains("needs a value"));
+        assert!(parse(&["--seeds", "5,x"], &reads).is_err());
+        assert!(parse(&["--apps", "NOPE"], &reads).expect_err("bad app").contains("NOPE"));
     }
 
     #[test]

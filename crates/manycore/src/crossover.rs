@@ -12,7 +12,9 @@
 //! * **topology** — a connectivity-first reassembly from the *union* of the
 //!   parents' link sets (links common to both parents are very likely to
 //!   survive), topped up from the global candidate pool when the union
-//!   cannot fill the budgets.
+//!   cannot fill the budgets. The union lists A's links in order, then B's
+//!   other links in ascending [`crate::link::Link`] order; the builder
+//!   computes it on its link-set bitsets.
 
 use rand::Rng;
 
@@ -20,7 +22,6 @@ use moela_traffic::PeMix;
 
 use crate::design::{Design, Placement};
 use crate::geometry::GridDims;
-use crate::link::Link;
 use crate::moves;
 use crate::topology::TopologyBuilder;
 
@@ -36,13 +37,9 @@ pub fn crossover(
     rng: &mut impl Rng,
 ) -> Design {
     let placement = placement_crossover(dims, mix, &a.placement, &b.placement, rng);
-    // BTreeSets keep the union order deterministic (HashSet iteration
-    // order varies run-to-run, which would break seed reproducibility).
-    let mut union: Vec<Link> = a.topology.links().to_vec();
-    let b_links: std::collections::BTreeSet<Link> = b.topology.links().iter().copied().collect();
-    let a_links: std::collections::BTreeSet<Link> = union.iter().copied().collect();
-    union.extend(b_links.difference(&a_links));
-    let topology = builder.from_preferred(&union, rng).unwrap_or_else(|_| a.topology.clone());
+    let topology = builder
+        .assemble_union(a.topology.links(), b.topology.links(), rng)
+        .unwrap_or_else(|_| a.topology.clone());
     let child = Design::new(placement, topology);
     moves::random_move(dims, mix, builder, max_degree, &child, rng)
 }
@@ -75,6 +72,7 @@ pub fn placement_crossover(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::Link;
     use moela_traffic::PeKind;
     use rand::SeedableRng;
 

@@ -1,11 +1,16 @@
 //! NoC topologies: link sets with adjacency, connectivity and degree
 //! checking, and constrained random construction.
 
+use std::sync::Arc;
+
 use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::geometry::{GridDims, TileCoord, TileId};
 use crate::link::{planar_candidates, vertical_candidates, Link, LinkKind};
+
+#[cfg(test)]
+mod reference;
 
 /// A topology: an undirected link set over the tiles of a grid, with
 /// adjacency lists for traversal.
@@ -46,16 +51,22 @@ impl Topology {
     /// Panics if the list contains duplicates or an endpoint outside the
     /// grid.
     pub fn from_links(dims: &GridDims, links: Vec<Link>) -> Self {
-        let mut adjacency = vec![Vec::new(); dims.tiles()];
+        let n = dims.tiles();
+        // Duplicates are caught on a bitset keyed by the tile pair.
+        let mut seen = LinkSet::new(n * n);
+        let mut degree = vec![0usize; n];
+        for link in &links {
+            assert!(link.b().0 < n, "link endpoint {} outside the grid", link.b());
+            assert!(seen.insert(link.a().0 * n + link.b().0), "duplicate links in topology");
+            degree[link.a().0] += 1;
+            degree[link.b().0] += 1;
+        }
+        let mut adjacency: Vec<Vec<(TileId, usize)>> =
+            degree.into_iter().map(Vec::with_capacity).collect();
         for (idx, link) in links.iter().enumerate() {
-            assert!(link.b().0 < dims.tiles(), "link endpoint {} outside the grid", link.b());
             adjacency[link.a().0].push((link.b(), idx));
             adjacency[link.b().0].push((link.a(), idx));
         }
-        let mut sorted = links.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), links.len(), "duplicate links in topology");
         let fingerprint = links.iter().fold(0u64, |acc, &l| acc ^ link_hash(l));
         Self { links, adjacency, fingerprint }
     }
@@ -197,6 +208,54 @@ impl Topology {
     }
 }
 
+/// A fixed-capacity set of small integer keys, one bit per key.
+///
+/// The builder keys a link by its index among its [`Candidates`], so a
+/// topology's link set takes one bit per candidate (9 words on the paper
+/// grid) and the set distance between two topologies is the popcount of
+/// their XOR. [`Topology::from_links`], which has no builder, keys by the
+/// tile pair instead.
+struct LinkSet {
+    words: Vec<u64>,
+}
+
+impl LinkSet {
+    /// An empty set for keys `0..keys`.
+    fn new(keys: usize) -> Self {
+        Self { words: vec![0; keys.div_ceil(64)] }
+    }
+
+    /// Adds `key`; `false` if it was already present.
+    fn insert(&mut self, key: usize) -> bool {
+        let (word, bit) = (key / 64, 1u64 << (key % 64));
+        let fresh = self.words[word] & bit == 0;
+        self.words[word] |= bit;
+        fresh
+    }
+
+    fn contains(&self, key: usize) -> bool {
+        self.words[key / 64] & (1u64 << (key % 64)) != 0
+    }
+
+    /// The keys in ascending order.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(i, &word)| {
+            std::iter::successors((word != 0).then_some(word), |&w| {
+                let rest = w & (w - 1);
+                (rest != 0).then_some(rest)
+            })
+            .map(move |w| i * 64 + w.trailing_zeros() as usize)
+        })
+    }
+}
+
+/// `true` if the feasible `link` is a TSV: a planar link joins two tiles
+/// of one layer, less than a layer apart in id, while a TSV joins a tile
+/// to the same position one layer up.
+fn is_tsv(link: Link, tiles_per_layer: usize) -> bool {
+    link.b().0 - link.a().0 == tiles_per_layer
+}
+
 /// Errors produced when a constrained topology cannot be built.
 #[derive(Clone, Debug, Eq, PartialEq)]
 pub enum BuildTopologyError {
@@ -227,6 +286,59 @@ impl std::fmt::Display for BuildTopologyError {
 
 impl std::error::Error for BuildTopologyError {}
 
+/// A builder's candidate links and their keys.
+///
+/// A link's key is its index in `links`: the planar and TSV pools merged
+/// and sorted by [`Link`]. Ascending keys are therefore ascending links,
+/// which is the order crossover appends the second parent's links in.
+#[derive(Debug)]
+struct Candidates {
+    planar: Vec<Link>,
+    vertical: Vec<Link>,
+    /// Every candidate, ascending.
+    links: Vec<Link>,
+    /// `links[row[a]..row[a + 1]]` are the candidates whose lower
+    /// endpoint is tile `a`, ascending in the upper one.
+    row: Vec<u32>,
+    /// The keys of `planar`, then of `vertical`, in pool order.
+    pool_keys: Vec<u32>,
+}
+
+impl Candidates {
+    fn new(dims: &GridDims, max_planar_length: usize) -> Self {
+        let planar = planar_candidates(dims, max_planar_length);
+        let vertical = vertical_candidates(dims);
+        let mut links: Vec<Link> = planar.iter().chain(&vertical).copied().collect();
+        links.sort_unstable();
+        let mut row = Vec::with_capacity(dims.tiles() + 1);
+        for a in 0..=dims.tiles() {
+            row.push(links.partition_point(|l| l.a().0 < a) as u32);
+        }
+        let mut candidates = Self { planar, vertical, links, row, pool_keys: Vec::new() };
+        candidates.pool_keys = (candidates.planar.iter().chain(&candidates.vertical))
+            .map(|&l| candidates.key(l).expect("every pool link is a candidate"))
+            .collect();
+        candidates
+    }
+
+    /// The key of `link`, or `None` if it is not a candidate.
+    fn key(&self, link: Link) -> Option<u32> {
+        let a = link.a().0;
+        let (start, end) = (*self.row.get(a)?, *self.row.get(a + 1)?);
+        let row = &self.links[start as usize..end as usize];
+        let offset = row.binary_search_by_key(&link.b(), Link::b).ok()?;
+        Some(start + offset as u32)
+    }
+
+    fn planar_keys(&self) -> &[u32] {
+        &self.pool_keys[..self.planar.len()]
+    }
+
+    fn vertical_keys(&self) -> &[u32] {
+        &self.pool_keys[self.planar.len()..]
+    }
+}
+
 /// Constrained random-topology construction.
 #[derive(Clone, Debug)]
 pub struct TopologyBuilder {
@@ -235,8 +347,8 @@ pub struct TopologyBuilder {
     vertical_budget: usize,
     max_planar_length: usize,
     max_degree: usize,
-    planar_pool: Vec<Link>,
-    vertical_pool: Vec<Link>,
+    /// Shared by clones: every `ManycoreProblem` clone carries a builder.
+    candidates: Arc<Candidates>,
 }
 
 impl TopologyBuilder {
@@ -254,14 +366,13 @@ impl TopologyBuilder {
             vertical_budget,
             max_planar_length,
             max_degree,
-            planar_pool: planar_candidates(&dims, max_planar_length),
-            vertical_pool: vertical_candidates(&dims),
+            candidates: Arc::new(Candidates::new(&dims, max_planar_length)),
         }
     }
 
     /// The feasible planar candidates.
     pub fn planar_pool(&self) -> &[Link] {
-        &self.planar_pool
+        &self.candidates.planar
     }
 
     /// The planar length bound this builder enforces.
@@ -271,7 +382,7 @@ impl TopologyBuilder {
 
     /// The feasible TSV candidates.
     pub fn vertical_pool(&self) -> &[Link] {
-        &self.vertical_pool
+        &self.candidates.vertical
     }
 
     /// Generates a random feasible topology: a randomized spanning
@@ -290,7 +401,11 @@ impl TopologyBuilder {
             return Err(BuildTopologyError::BudgetTooSmall { needed: n - 1, available: budget });
         }
         for _attempt in 0..32 {
-            if let Some(t) = self.try_random(rng) {
+            // The pool in planar-then-TSV order, shuffled: the same draws
+            // and the same permutation as shuffling the links themselves.
+            let mut pool = self.candidates.pool_keys.clone();
+            pool.shuffle(rng);
+            if let Some(t) = self.try_assemble(&pool, rng) {
                 return Ok(t);
             }
         }
@@ -298,15 +413,59 @@ impl TopologyBuilder {
     }
 
     /// Builds a connectivity-preserving topology from a preferred link pool
-    /// (used by crossover: the union of two parents' links), topping up
-    /// from the full candidate pools if the preferred pool cannot fill the
-    /// budgets.
+    /// (crossover assembles the union of two parents' links this way),
+    /// topping up from the full candidate pools if the preferred pool
+    /// cannot fill the budgets. Every preferred link must be one of the
+    /// builder's candidates: debug builds assert it, release builds skip
+    /// any other.
     pub fn from_preferred(
         &self,
         preferred: &[Link],
         rng: &mut impl Rng,
     ) -> Result<Topology, BuildTopologyError> {
-        let mut pref = preferred.to_vec();
+        let keys = preferred.iter().filter_map(|&link| self.key(link)).collect();
+        self.assemble_preferred(keys, rng)
+    }
+
+    /// [`Self::from_preferred`] on the union of two parents' links: `a` in
+    /// order, then the links of `b` not in `a` in ascending [`Link`] order.
+    pub(crate) fn assemble_union(
+        &self,
+        a: &[Link],
+        b: &[Link],
+        rng: &mut impl Rng,
+    ) -> Result<Topology, BuildTopologyError> {
+        let cand = &self.candidates;
+        let mut in_a = LinkSet::new(cand.links.len());
+        let mut union = Vec::with_capacity(a.len() + b.len());
+        for key in a.iter().filter_map(|&link| self.key(link)) {
+            in_a.insert(key as usize);
+            union.push(key);
+        }
+        let mut b_only = LinkSet::new(cand.links.len());
+        for key in b.iter().filter_map(|&link| self.key(link)) {
+            if !in_a.contains(key as usize) {
+                b_only.insert(key as usize);
+            }
+        }
+        union.extend(b_only.iter().map(|key| key as u32));
+        self.assemble_preferred(union, rng)
+    }
+
+    /// The key of a link taken from a design. Every design link comes from
+    /// the pools (the builder made it, or the codec validated it), so a
+    /// miss is a bug; release builds drop the link.
+    fn key(&self, link: Link) -> Option<u32> {
+        let key = self.candidates.key(link);
+        debug_assert!(key.is_some(), "{link:?} is not a candidate link of this builder");
+        key
+    }
+
+    fn assemble_preferred(
+        &self,
+        mut pref: Vec<u32>,
+        rng: &mut impl Rng,
+    ) -> Result<Topology, BuildTopologyError> {
         pref.shuffle(rng);
         for _attempt in 0..32 {
             if let Some(t) = self.try_assemble(&pref, rng) {
@@ -317,46 +476,43 @@ impl TopologyBuilder {
         Err(BuildTopologyError::ConstructionFailed)
     }
 
-    fn try_random(&self, rng: &mut impl Rng) -> Option<Topology> {
-        let mut pool: Vec<Link> =
-            self.planar_pool.iter().chain(self.vertical_pool.iter()).copied().collect();
-        pool.shuffle(rng);
-        self.try_assemble(&pool, rng)
-    }
-
-    /// Assembly from `ordered` (already shuffled): TSVs first (their
-    /// budget may require every candidate, so planar links must not steal
-    /// router degree beforehand), then a Kruskal-style planar spanning
-    /// phase, then budget fill — preferring `ordered`, topping up from the
-    /// full pools.
-    fn try_assemble(&self, ordered: &[Link], rng: &mut impl Rng) -> Option<Topology> {
+    /// Assembly from `ordered` candidate keys (already shuffled): TSVs
+    /// first (their budget may require every candidate, so planar links
+    /// must not steal router degree beforehand), then a Kruskal-style
+    /// planar spanning phase, then budget fill — preferring `ordered`,
+    /// topping up from the full pools.
+    fn try_assemble(&self, ordered: &[u32], rng: &mut impl Rng) -> Option<Topology> {
         let n = self.dims.tiles();
+        let cand = &self.candidates;
+        let tiles_per_layer = self.dims.tiles_per_layer();
         let mut st = Assembly {
-            dims: self.dims,
+            candidates: &cand.links,
+            tiles_per_layer,
             max_degree: self.max_degree,
             uf: UnionFind::new(n),
             degree: vec![0usize; n],
             planar_left: self.planar_budget,
             vertical_left: self.vertical_budget,
             chosen: Vec::with_capacity(self.planar_budget + self.vertical_budget),
-            chosen_set: std::collections::HashSet::new(),
+            chosen_set: LinkSet::new(cand.links.len()),
         };
 
         // Phase 0: vertical links, preferred first.
-        for &link in ordered.iter().filter(|l| l.kind(&self.dims) == LinkKind::Vertical) {
+        for &key in ordered.iter().filter(|&&key| is_tsv(cand.links[key as usize], tiles_per_layer))
+        {
             if st.vertical_left == 0 {
                 break;
             }
-            st.admit(link, false);
+            st.admit(key, false);
         }
         if st.vertical_left > 0 {
-            let mut pool = self.vertical_pool.clone();
+            let mut pool = cand.vertical_keys().to_vec();
             pool.shuffle(rng);
-            for link in pool {
+            for key in pool {
                 if st.vertical_left == 0 {
                     break;
                 }
-                st.admit(link, false);
+                st.admit(key, false);
             }
         }
         if st.vertical_left > 0 {
@@ -365,20 +521,20 @@ impl TopologyBuilder {
 
         // Phase 1: spanning structure from the ordered pool, then the full
         // planar pool.
-        for &link in ordered {
+        for &key in ordered {
             if st.uf.components() == 1 {
                 break;
             }
-            st.admit(link, true);
+            st.admit(key, true);
         }
         if st.uf.components() != 1 {
-            let mut pool = self.planar_pool.clone();
+            let mut pool = cand.planar_keys().to_vec();
             pool.shuffle(rng);
-            for link in pool {
+            for key in pool {
                 if st.uf.components() == 1 {
                     break;
                 }
-                st.admit(link, true);
+                st.admit(key, true);
             }
         }
         if st.uf.components() != 1 {
@@ -386,20 +542,20 @@ impl TopologyBuilder {
         }
 
         // Phase 2: budget fill — preferred pool first, then everything.
-        for &link in ordered {
+        for &key in ordered {
             if st.planar_left == 0 {
                 break;
             }
-            st.admit(link, false);
+            st.admit(key, false);
         }
         if st.planar_left > 0 {
-            let mut pool = self.planar_pool.clone();
+            let mut pool = cand.planar_keys().to_vec();
             pool.shuffle(rng);
-            for link in pool {
+            for key in pool {
                 if st.planar_left == 0 {
                     break;
                 }
-                st.admit(link, false);
+                st.admit(key, false);
             }
         }
         if st.planar_left > 0 {
@@ -411,25 +567,30 @@ impl TopologyBuilder {
 }
 
 /// Mutable state of one assembly attempt.
-struct Assembly {
-    dims: GridDims,
+struct Assembly<'a> {
+    /// The builder's candidates, indexed by key.
+    candidates: &'a [Link],
+    tiles_per_layer: usize,
     max_degree: usize,
     uf: UnionFind,
     degree: Vec<usize>,
     planar_left: usize,
     vertical_left: usize,
     chosen: Vec<Link>,
-    chosen_set: std::collections::HashSet<Link>,
+    chosen_set: LinkSet,
 }
 
-impl Assembly {
-    fn admit(&mut self, link: Link, spanning_only: bool) -> bool {
-        if self.chosen_set.contains(&link) {
+impl Assembly<'_> {
+    fn admit(&mut self, key: u32, spanning_only: bool) -> bool {
+        let key = key as usize;
+        if self.chosen_set.contains(key) {
             return false;
         }
-        let budget = match link.kind(&self.dims) {
-            LinkKind::Planar => &mut self.planar_left,
-            LinkKind::Vertical => &mut self.vertical_left,
+        let link = self.candidates[key];
+        let budget = if is_tsv(link, self.tiles_per_layer) {
+            &mut self.vertical_left
+        } else {
+            &mut self.planar_left
         };
         if *budget == 0 {
             return false;
@@ -441,15 +602,11 @@ impl Assembly {
         if spanning_only && self.uf.find(link.a().0) == self.uf.find(link.b().0) {
             return false;
         }
-        let budget = match link.kind(&self.dims) {
-            LinkKind::Planar => &mut self.planar_left,
-            LinkKind::Vertical => &mut self.vertical_left,
-        };
         *budget -= 1;
         self.uf.union(link.a().0, link.b().0);
         self.degree[link.a().0] += 1;
         self.degree[link.b().0] += 1;
-        self.chosen_set.insert(link);
+        self.chosen_set.insert(key);
         self.chosen.push(link);
         true
     }

@@ -25,9 +25,15 @@ cargo test --manifest-path dse-bench/Cargo.toml -q
 
 echo "==> harness smoke (scaling and ablations run to completion)"
 # paper_tables runs under cargo test, against its golden output.
-for bin in scaling ablations; do
-    target/release/"$bin" --budget 60 --seeds 5 --apps BFS >/dev/null
-done
+# scaling fixes its app, so it takes no --apps.
+target/release/scaling --budget 60 --seeds 5 >/dev/null
+target/release/ablations --budget 60 --seeds 5 --apps BFS >/dev/null
+# A harness flag a binary would ignore is refused instead.
+set +e
+target/release/scaling --budget 60 --seeds 5 --simulate >/dev/null 2>&1
+rc=$?
+set -e
+[ "$rc" -eq 2 ] || { echo "scaling must refuse --simulate with exit 2 (got $rc)"; exit 1; }
 
 echo "==> resume smoke (crash + resume is byte-identical)"
 smoke="$(mktemp -d)"
