@@ -5,9 +5,10 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::{Rng, SeedableRng};
 
+use moela_manycore::objectives::Evaluator;
 use moela_manycore::routing::RoutingTable;
 use moela_manycore::topology::TopologyBuilder;
-use moela_manycore::{GridDims, NocParams, Topology};
+use moela_manycore::{Design, GridDims, NocParams, Topology};
 use moela_manycore::{ManycoreProblem, ObjectiveSet, PlatformConfig};
 use moela_ml::{Dataset, ForestConfig, RandomForest};
 use moela_moo::hypervolume::hypervolume;
@@ -87,6 +88,30 @@ fn bench_objectives(c: &mut Criterion) {
         }
     }
     c.bench_function("objectives/thermal_4x4x4", |b| b.iter(|| model.peak_and_max_spread(&power)));
+
+    // Scoring alone on the densest traffic, over designs drawn up front
+    // with their tables built outside the timed loop. Per-flow path walks
+    // are latency- and branch-bound, so one fixed input would flatter
+    // them as it does the routing build.
+    let platform = PlatformConfig::paper();
+    let workload = Workload::synthesize(Benchmark::Gau, platform.pe_mix(), 7);
+    let thermal = FastThermalModel::new(platform.thermal().clone());
+    let gau = Evaluator::new(*platform.dims(), *platform.noc(), workload, thermal);
+    let problem = app_problem(Benchmark::Gau, ObjectiveSet::Five);
+    let scored: Vec<(Design, RoutingTable)> = (0..ROTATION)
+        .map(|_| {
+            let design = problem.random_solution(&mut rng);
+            let table = RoutingTable::build(platform.dims(), &design.topology, platform.noc());
+            (design, table)
+        })
+        .collect();
+    let mut next = scored.iter().cycle();
+    c.bench_function("objectives/score_gau_rotating", |b| {
+        b.iter(|| {
+            let (design, table) = next.next().expect("cycles");
+            gau.evaluate_with_table(design, table)
+        })
+    });
 }
 
 fn bench_operators(c: &mut Criterion) {

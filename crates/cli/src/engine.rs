@@ -558,14 +558,14 @@ pub(crate) fn execute(
     telemetry.obs.counter(names::ROUTING_HITS, routing_hits - base_routing_hits);
     let ended = ended?;
     if let (Some(store), Ended::Finished { result, log, .. }) = (store, &ended) {
-        store.write_trace(&deterministic_trace_csv(result))?;
-        store.write_front(&result.front_csv())?;
-        store.write_trace_json(&trace_json_value(result))?;
-        store.write_front_json(&front_json_value(result))?;
         telemetry.obs.flush();
-        if let Some(metrics) = telemetry.metrics_value(opts, log) {
-            store.write_metrics(&metrics)?;
-        }
+        store.write_finished(
+            &deterministic_trace_csv(result),
+            &result.front_csv(),
+            &trace_json_value(result),
+            &front_json_value(result),
+            telemetry.metrics_value(opts, log).as_ref(),
+        )?;
     }
     Ok(ended)
 }

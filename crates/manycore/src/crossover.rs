@@ -41,7 +41,7 @@ pub fn crossover(
         .assemble_union(a.topology.links(), b.topology.links(), rng)
         .unwrap_or_else(|_| a.topology.clone());
     let child = Design::new(placement, topology);
-    moves::random_move(dims, mix, builder, max_degree, &child, rng)
+    moves::random_move(dims, mix, builder, max_degree, child, rng)
 }
 
 /// Permutation-preserving placement crossover (see the module docs).

@@ -118,7 +118,7 @@ mod tests {
         let (engine, reference) = (DeltaEngine::new(DEFAULT_DELTA_CACHE_CAPACITY), fresh(&ev));
         ev.evaluate(&design);
         for _ in 0..16 {
-            let next = moves::swap_tiles(ev.dims(), ev.workload().mix(), &design, &mut rng);
+            let next = moves::swap_tiles(ev.dims(), ev.workload().mix(), design.clone(), &mut rng);
             let e = engine.evaluate_neighbor(&ev, &design, &next);
             assert_eq!(e, reference.evaluate(&next));
             assert_eq!(
@@ -140,7 +140,7 @@ mod tests {
         ev.evaluate(&design);
         let mut new_topologies = 0;
         for _ in 0..16 {
-            let next = moves::rewire_link(ev.dims(), &builder, 7, &design, &mut rng);
+            let next = moves::rewire_link(ev.dims(), &builder, 7, design.clone(), &mut rng);
             new_topologies += u64::from(next.topology != design.topology);
             assert_eq!(engine.evaluate_neighbor(&ev, &design, &next), reference.evaluate(&next));
         }
@@ -160,8 +160,8 @@ mod tests {
         let mut current = design;
         let mut rewires = 0;
         for _ in 0..10 {
-            let next =
-                moves::random_move(ev.dims(), ev.workload().mix(), &builder, 7, &current, &mut rng);
+            let mix = ev.workload().mix();
+            let next = moves::random_move(ev.dims(), mix, &builder, 7, current.clone(), &mut rng);
             rewires += u64::from(next.topology != current.topology);
             let via_engine = engine.evaluate_neighbor(&ev, &current, &next);
             assert_eq!(via_engine, reference.evaluate(&next));
@@ -179,7 +179,7 @@ mod tests {
     fn zero_capacity_engine_always_falls_back_but_stays_exact() {
         let (ev, builder, design, mut rng) = setup();
         let engine = DeltaEngine::new(0);
-        let next = moves::rewire_link(ev.dims(), &builder, 7, &design, &mut rng);
+        let next = moves::rewire_link(ev.dims(), &builder, 7, design.clone(), &mut rng);
         assert_eq!(engine.evaluate_neighbor(&ev, &design, &next), ev.evaluate(&next));
         assert_eq!(engine.hits(), 0);
         assert!(engine.fallbacks() >= 1);

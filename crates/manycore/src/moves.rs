@@ -1,8 +1,9 @@
 //! Feasibility-preserving mutation operators on designs.
 //!
 //! These are the "small changes" of every local search and the mutation
-//! step of the EAs. Each operator returns a *new* design that satisfies all
-//! §III constraints by construction:
+//! step of the EAs. Each operator takes a design by value and returns it
+//! changed, still satisfying all §III constraints by construction; a
+//! caller that keeps the original passes a clone:
 //!
 //! * [`swap_tiles`] — exchange the PEs of two tiles (LLC-edge checked);
 //! * [`rewire_link`] — remove one non-bridge link and add a feasible link
@@ -21,13 +22,12 @@ use crate::link::{Link, LinkKind};
 use crate::topology::TopologyBuilder;
 
 /// How many rejection-sampling attempts an operator makes before giving up
-/// and returning a clone (keeps operators total; the probability of
-/// exhausting this on the paper platform is negligible).
+/// and returning the design unchanged (keeps operators total; the
+/// probability of exhausting this on the paper platform is negligible).
 const MAX_TRIES: usize = 64;
 
 /// Swaps the PEs of two random tiles, respecting the LLC-edge constraint.
-pub fn swap_tiles(dims: &GridDims, mix: PeMix, design: &Design, rng: &mut impl Rng) -> Design {
-    let mut out = design.clone();
+pub fn swap_tiles(dims: &GridDims, mix: PeMix, mut out: Design, rng: &mut impl Rng) -> Design {
     for _ in 0..MAX_TRIES {
         let a = TileId(rng.gen_range(0..dims.tiles()));
         let b = TileId(rng.gen_range(0..dims.tiles()));
@@ -49,10 +49,9 @@ pub fn rewire_link(
     dims: &GridDims,
     builder: &TopologyBuilder,
     max_degree: usize,
-    design: &Design,
+    mut out: Design,
     rng: &mut impl Rng,
 ) -> Design {
-    let mut out = design.clone();
     let link_count = out.topology.link_count();
     for _ in 0..MAX_TRIES {
         let victim_idx = rng.gen_range(0..link_count);
@@ -97,7 +96,7 @@ pub fn random_move(
     mix: PeMix,
     builder: &TopologyBuilder,
     max_degree: usize,
-    design: &Design,
+    design: Design,
     rng: &mut impl Rng,
 ) -> Design {
     if rng.gen_bool(0.5) {
@@ -129,7 +128,7 @@ mod tests {
     fn swap_preserves_feasibility_and_changes_exactly_two_tiles() {
         let (dims, mix, _, design, mut rng) = setup();
         for _ in 0..50 {
-            let next = swap_tiles(&dims, mix, &design, &mut rng);
+            let next = swap_tiles(&dims, mix, design.clone(), &mut rng);
             next.validate(&dims, mix, 96, 48, 5, 7).expect("feasible");
             let diffs = design
                 .placement
@@ -148,7 +147,7 @@ mod tests {
         let (dims, mix, builder, design, mut rng) = setup();
         let mut current = design;
         for _ in 0..50 {
-            let next = rewire_link(&dims, &builder, 7, &current, &mut rng);
+            let next = rewire_link(&dims, &builder, 7, current.clone(), &mut rng);
             next.validate(&dims, mix, 96, 48, 5, 7).expect("feasible");
             assert_eq!(current.placement, next.placement, "rewire must not move PEs");
             current = next;
@@ -158,7 +157,7 @@ mod tests {
     #[test]
     fn rewire_changes_at_most_one_link() {
         let (dims, _, builder, design, mut rng) = setup();
-        let next = rewire_link(&dims, &builder, 7, &design, &mut rng);
+        let next = rewire_link(&dims, &builder, 7, design.clone(), &mut rng);
         let before: std::collections::HashSet<_> = design.topology.links().iter().collect();
         let after: std::collections::HashSet<_> = next.topology.links().iter().collect();
         assert!(before.difference(&after).count() <= 1);
@@ -170,7 +169,7 @@ mod tests {
         let (dims, mix, builder, design, mut rng) = setup();
         let mut current = design;
         for _ in 0..100 {
-            current = random_move(&dims, mix, &builder, 7, &current, &mut rng);
+            current = random_move(&dims, mix, &builder, 7, current, &mut rng);
             current.validate(&dims, mix, 96, 48, 5, 7).expect("feasible");
         }
     }
@@ -181,7 +180,7 @@ mod tests {
         let mut changed = false;
         let mut current = design.clone();
         for _ in 0..10 {
-            current = random_move(&dims, mix, &builder, 7, &current, &mut rng);
+            current = random_move(&dims, mix, &builder, 7, current, &mut rng);
             if current != design {
                 changed = true;
                 break;

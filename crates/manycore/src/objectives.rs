@@ -82,7 +82,7 @@ impl Evaluation {
 /// Routing tables are cached by topology fingerprint in a shared
 /// [`RoutingCache`]: clones of an evaluator (and problems derived from
 /// it) reuse one cache, so placement-only moves skip the all-pairs
-/// Dijkstra rebuild entirely.
+/// routing build entirely.
 #[derive(Clone, Debug)]
 pub struct Evaluator {
     dims: GridDims,
@@ -171,7 +171,7 @@ impl Evaluator {
     /// Split into two stages: route construction (cached by topology
     /// fingerprint, see [`Evaluator::routing_for`]) and flow accumulation
     /// ([`Evaluator::evaluate_with_table`]). Designs differing only in
-    /// placement share a table and skip Dijkstra.
+    /// placement share a table and skip the routing build.
     pub fn evaluate(&self, design: &Design) -> Evaluation {
         let table = self.routing_for(design);
         self.evaluate_with_table(design, &table)
@@ -350,7 +350,7 @@ mod tests {
             let d = mesh_design(&ev, seed); // same mesh, different placements
             let _ = ev.evaluate(&d);
         }
-        assert_eq!(ev.routing_cache().rebuilds(), 1, "one Dijkstra for eight evaluations");
+        assert_eq!(ev.routing_cache().rebuilds(), 1, "one routing build for eight evaluations");
         assert_eq!(ev.routing_cache().hits(), 7);
     }
 

@@ -423,7 +423,7 @@ impl Problem for ManycoreProblem {
             self.config.mix,
             &self.builder,
             self.config.noc.max_degree,
-            s,
+            s.clone(),
             &mut rng,
         )
     }

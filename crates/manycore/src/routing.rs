@@ -13,7 +13,8 @@
 //! Two builders fill it. When every link costs a whole number of cycles
 //! between 1 and `MAX_SWEEP_COST` (64) — the paper's parameters give
 //! `3 + length` — a level sweep routes 64 sources at a time with one
-//! bitset per tile. Any other parameters run Dijkstra once per source.
+//! bitset per tile and per arc, and writes the rows after its level loop
+//! from bit-planes. Any other parameters run Dijkstra once per source.
 //! Both produce the same bits; `Router::sweep` says why.
 
 use std::cmp::Reverse;
@@ -150,17 +151,6 @@ struct Router {
     arcs: Vec<Edge>,
 }
 
-/// An arc seen from its head, for the level sweep.
-#[derive(Clone, Copy)]
-struct InArc {
-    pred: u32,
-    link: u32,
-    cost: u32,
-}
-
-/// A [`Router::sweep`] claim with no arc: the source itself.
-const NO_ARC: u32 = u32::MAX;
-
 impl Router {
     fn new(dims: &GridDims, topology: &Topology, params: &NocParams) -> Self {
         let n = dims.tiles();
@@ -204,13 +194,27 @@ impl Router {
     /// a source not yet at `t` claims that source for `t`. Costs of at
     /// least 1 keep every such tail on an earlier level.
     ///
+    /// The level loop works on whole bitsets, with no branch on which
+    /// sources an arc holds: its claim is `ring & open`, which leaves
+    /// `open` and joins the arc's `won` mask. The rows are written after
+    /// the loop, from bit-planes: plane `k` of tile `t` holds the sources
+    /// whose level at `t` (or whose claiming arc's rank among `t`'s
+    /// incoming arcs) has bit `k` set. [`unslice`] turns the planes into
+    /// one number per (source, tile), in row order.
+    ///
     /// # Panics
     ///
     /// Panics if the topology is disconnected.
     fn sweep(&self, table: &mut RoutingTable, max_cost: u32) {
         let n = table.n;
+        let slots = max_cost as usize + 1;
+        let ring_len = slots * n;
         // Incoming arcs of every tile, in ascending predecessor id and,
-        // within one predecessor, in its own arc order.
+        // within one predecessor, in its own arc order: `back[i]` places
+        // arc `i`'s tail `cost` levels back in the ring, less the current
+        // level's offset, and `hop[i]` is its `parent` entry. `hop` ends
+        // in a spare [`NO_PARENT`], so that a tile with no arcs (on a
+        // one-tile grid) still indexes inside it.
         let mut in_start = vec![0usize; n + 1];
         for arc in &self.arcs {
             in_start[arc.nb as usize + 1] += 1;
@@ -219,92 +223,115 @@ impl Router {
             in_start[t + 1] += in_start[t];
         }
         let mut fill = in_start.clone();
-        let mut incoming = vec![InArc { pred: 0, link: 0, cost: 0 }; self.arcs.len()];
+        let mut back = vec![0usize; self.arcs.len()];
+        let mut hop = vec![NO_PARENT; self.arcs.len() + 1];
         for p in 0..n {
             for arc in &self.arcs[self.start[p]..self.start[p + 1]] {
                 let slot = &mut fill[arc.nb as usize];
-                incoming[*slot] = InArc { pred: p as u32, link: arc.link, cost: arc.cost as u32 };
+                back[*slot] = (slots - arc.cost as usize) * n + p;
+                hop[*slot] = (p as u32, arc.link);
                 *slot += 1;
             }
         }
+        let max_in = (0..n).map(|t| in_start[t + 1] - in_start[t]).max().unwrap_or(0);
+        let rank_planes = bit_length(max_in.saturating_sub(1));
 
-        let slots = max_cost as usize + 1;
         // `ring[(L mod slots)·n + t]`: the block's sources first reaching
         // `t` at level `L`, for the last `slots` levels.
-        let mut ring = vec![0u64; slots * n];
-        // `reached[t]`: the block's sources already at `t`.
-        let mut reached = vec![0u64; n];
-        // `claims[t·BLOCK + bit]`: (level, incoming arc) of the block's
-        // source `bit` at `t`, dst-major so the level loop writes near.
-        let mut claims = vec![(0u32, NO_ARC); BLOCK * n];
+        let mut ring = vec![0u64; ring_len];
+        // `unreached[t]`: the block's sources not yet at `t`.
+        let mut unreached = vec![0u64; n];
+        // `won[i]`: the block's sources that arc `i` claimed for its head.
+        let mut won = vec![0u64; self.arcs.len()];
+        // Bit-planes `levels[k·n + t]` and `ranks[k·n + t]`, and the
+        // numbers they hold, `level_of[s·n + t]` and `rank_of[s·n + t]`.
+        let (mut levels, mut ranks) = (Vec::new(), vec![0u64; rank_planes * n]);
+        let (mut level_of, mut rank_of) = (Vec::new(), Vec::new());
         for base in (0..n).step_by(BLOCK) {
             let width = BLOCK.min(n - base);
             let all = u64::MAX >> (BLOCK - width);
             ring.fill(0);
-            reached.fill(0);
+            unreached.fill(all);
+            won.fill(0);
+            levels.fill(0);
             for bit in 0..width {
-                let src = base + bit;
-                ring[src] = 1 << bit;
-                reached[src] = 1 << bit;
-                claims[src * BLOCK + bit] = (0, NO_ARC);
+                ring[base + bit] = 1 << bit;
+                unreached[base + bit] &= !(1 << bit);
             }
-            let mut pending = (n - 1) * width;
             let (mut level, mut slot, mut last_claim) = (0u32, 0usize, 0u32);
-            while pending > 0 {
+            let mut left = unreached.iter().fold(0, |left, &open| left | open);
+            while left != 0 {
                 level += 1;
                 slot = if slot + 1 == slots { 0 } else { slot + 1 };
                 assert!(
                     level - last_claim <= max_cost,
                     "topology must be connected before routing"
                 );
+                let offset = slot * n;
+                let mut claimed = 0u64;
+                left = 0;
                 for t in 0..n {
-                    let mut open = all & !reached[t];
+                    let mut open = unreached[t];
                     let mut found = 0u64;
-                    if open != 0 {
-                        let first = in_start[t];
-                        for (i, arc) in incoming[first..in_start[t + 1]].iter().enumerate() {
-                            // Levels below 0 map to slots not yet written
-                            // in this block, which hold no sources.
-                            let mut from = slot + slots - arc.cost as usize;
-                            if from >= slots {
-                                from -= slots;
-                            }
-                            let mut claim = ring[from * n + arc.pred as usize] & open;
-                            if claim == 0 {
-                                continue;
-                            }
-                            open &= !claim;
-                            found |= claim;
-                            while claim != 0 {
-                                let bit = claim.trailing_zeros() as usize;
-                                claims[t * BLOCK + bit] = (level, (first + i) as u32);
-                                claim &= claim - 1;
-                            }
-                            if open == 0 {
-                                break;
-                            }
+                    let arcs = in_start[t]..in_start[t + 1];
+                    for (&back, won) in back[arcs.clone()].iter().zip(&mut won[arcs]) {
+                        // Levels below 0 map to slots not yet written
+                        // in this block, which hold no sources.
+                        let mut from = offset + back;
+                        if from >= ring_len {
+                            from -= ring_len;
                         }
+                        let claim = ring[from] & open;
+                        open &= !claim;
+                        found |= claim;
+                        *won |= claim;
                     }
-                    ring[slot * n + t] = found;
-                    if found != 0 {
-                        reached[t] |= found;
-                        pending -= found.count_ones() as usize;
-                        last_claim = level;
+                    ring[offset + t] = found;
+                    unreached[t] &= !found;
+                    claimed |= found;
+                    left |= unreached[t];
+                }
+                if claimed != 0 {
+                    last_claim = level;
+                }
+                // The level's first-reach masks join the planes of its set bits.
+                let planes = bit_length(level as usize);
+                levels.resize(planes * n, 0);
+                let now = &ring[offset..offset + n];
+                for k in (0..planes).filter(|k| level >> k & 1 == 1) {
+                    for (plane, &found) in levels[k * n..(k + 1) * n].iter_mut().zip(now) {
+                        *plane |= found;
                     }
                 }
             }
-            for bit in 0..width {
-                let row = (base + bit) * n;
-                let cost = &mut table.cost[row..row + n];
-                let parent = &mut table.parent[row..row + n];
-                for t in 0..n {
-                    let (level, arc) = claims[t * BLOCK + bit];
-                    cost[t] = f64::from(level);
-                    parent[t] = match incoming.get(arc as usize) {
-                        Some(arc) => (arc.pred, arc.link),
-                        None => NO_PARENT,
-                    };
+
+            // Each arc's claims join the planes of its rank's set bits.
+            ranks.fill(0);
+            for t in 0..n {
+                for (rank, &won) in won[in_start[t]..in_start[t + 1]].iter().enumerate() {
+                    for k in (0..rank_planes).filter(|k| rank >> k & 1 == 1) {
+                        ranks[k * n + t] |= won;
+                    }
                 }
+            }
+            unslice(&levels, n, &mut level_of);
+            unslice(&ranks, n, &mut rank_of);
+            // Row `src` holds its level at each tile and the entry of the
+            // arc that claimed it there; the source itself has none.
+            for bit in 0..width {
+                let src = base + bit;
+                let row = src * n..(src + 1) * n;
+                let values = bit * n..(bit + 1) * n;
+                for (cost, &level) in
+                    table.cost[row.clone()].iter_mut().zip(&level_of[values.clone()])
+                {
+                    *cost = f64::from(level);
+                }
+                let parent = &mut table.parent[row];
+                for (t, (parent, &rank)) in parent.iter_mut().zip(&rank_of[values]).enumerate() {
+                    *parent = hop[in_start[t] + rank as usize];
+                }
+                parent[src] = NO_PARENT;
             }
         }
     }
@@ -357,6 +384,102 @@ impl Router {
                 cost.iter().all(|v| v.is_finite()),
                 "topology must be connected before routing"
             );
+        }
+    }
+}
+
+/// The number of bits needed to write `x`: 0 for 0.
+fn bit_length(x: usize) -> usize {
+    (usize::BITS - x.leading_zeros()) as usize
+}
+
+/// Sets `values[s·n + t]`, for each of a block's 64 sources `s` and each
+/// tile `t`, to the number whose bit `k` is bit `s` of `planes[k·n + t]`.
+///
+/// Each plane is cut into 64-tile squares and [`transpose64`]d, so that a
+/// source's words hold its tiles in order; eight planes at a time, those
+/// words are then [`transpose8x64`]d into one byte per tile.
+fn unslice(planes: &[u64], n: usize, values: &mut Vec<u32>) {
+    let squares = n.div_ceil(BLOCK);
+    // `rows[(k·squares + c)·BLOCK + s]`: bit `i` is bit `s` of
+    // `planes[k·n + c·BLOCK + i]`.
+    let mut rows = vec![0u64; planes.len() / n * squares * BLOCK];
+    for (plane, rows) in planes.chunks_exact(n).zip(rows.chunks_exact_mut(squares * BLOCK)) {
+        for (tiles, square) in plane.chunks(BLOCK).zip(rows.chunks_exact_mut(BLOCK)) {
+            square[..tiles.len()].copy_from_slice(tiles);
+            transpose64(square.try_into().expect("64 words"));
+        }
+    }
+    // Group 0 writes every value, and any further group adds its bits.
+    values.resize(BLOCK * n, 0);
+    let planes = planes.len() / n;
+    for (s, values) in values.chunks_exact_mut(n).enumerate() {
+        for (c, values) in values.chunks_mut(BLOCK).enumerate() {
+            for group in (0..planes.max(1)).step_by(8) {
+                let mut words = [0u64; 8];
+                for (k, word) in (group..planes.min(group + 8)).zip(&mut words) {
+                    *word = rows[(k * squares + c) * BLOCK + s];
+                }
+                let mut bytes = [0u8; BLOCK];
+                for (bytes, word) in bytes.chunks_exact_mut(8).zip(transpose8x64(words)) {
+                    bytes.copy_from_slice(&word.to_le_bytes());
+                }
+                for (value, &byte) in values.iter_mut().zip(&bytes) {
+                    let bits = u32::from(byte) << group;
+                    *value = if group == 0 { bits } else { *value | bits };
+                }
+            }
+        }
+    }
+}
+
+/// Transposes a 64×64 bit matrix in place: bit `c` of word `r` trades
+/// places with bit `r` of word `c`.
+fn transpose64(a: &mut [u64; 64]) {
+    for (j, mask) in [
+        (32, 0x0000_0000_FFFF_FFFF),
+        (16, 0x0000_FFFF_0000_FFFF),
+        (8, 0x00FF_00FF_00FF_00FF),
+        (4, 0x0F0F_0F0F_0F0F_0F0F),
+        (2, 0x3333_3333_3333_3333),
+        (1, 0x5555_5555_5555_5555),
+    ] {
+        swap_blocks(a, j, j, mask);
+    }
+}
+
+/// Transposes eight 64-bit words into 64 bytes: bit `k` of byte `i` of
+/// the result (word `i / 8`, little-endian) is bit `i` of `w[k]`.
+fn transpose8x64(mut w: [u64; 8]) -> [u64; 8] {
+    // As an 8×8 byte matrix first: byte `j` of word `k` moves to byte
+    // `k` of word `j`.
+    for (j, mask) in
+        [(4, 0x0000_0000_FFFF_FFFF), (2, 0x0000_FFFF_0000_FFFF), (1, 0x00FF_00FF_00FF_00FF)]
+    {
+        swap_blocks(&mut w, j, 8 * j, mask);
+    }
+    // Then each word as an 8×8 bit matrix, one byte a row.
+    for x in &mut w {
+        for (j, mask) in
+            [(7, 0x00AA_00AA_00AA_00AA), (14, 0x0000_CCCC_0000_CCCC), (28, 0x0000_0000_F0F0_F0F0)]
+        {
+            let t = (*x ^ (*x >> j)) & mask;
+            *x ^= t ^ (t << j);
+        }
+    }
+    w
+}
+
+/// One step of a block transpose: in each run of `2·rows` words, the
+/// `mask`ed bits of the last `rows` words trade places with the bits
+/// `shift` above them in the first `rows` words.
+fn swap_blocks(words: &mut [u64], rows: usize, shift: usize, mask: u64) {
+    for run in words.chunks_exact_mut(2 * rows) {
+        let (low, high) = run.split_at_mut(rows);
+        for (low, high) in low.iter_mut().zip(high) {
+            let t = ((*low >> shift) ^ *high) & mask;
+            *high ^= t;
+            *low ^= t << shift;
         }
     }
 }
@@ -465,5 +588,70 @@ mod tests {
         let dims = GridDims::new(2, 1, 1);
         let topo = Topology::from_links(&dims, Vec::new());
         RoutingTable::build(&dims, &topo, &NocParams::paper());
+    }
+
+    /// An isolated tile in the second, partial source block of a 9×9
+    /// layer: no source ever reaches it, so the sweep must stop.
+    #[test]
+    #[should_panic(expected = "connected")]
+    fn an_isolated_tile_past_the_first_block_panics() {
+        let dims = GridDims::new(9, 9, 1);
+        let lone = TileId(77);
+        let mut links = Topology::mesh(&dims).links().to_vec();
+        links.retain(|l| l.a() != lone && l.b() != lone);
+        let topo = Topology::from_links(&dims, links);
+        RoutingTable::build(&dims, &topo, &NocParams::paper());
+    }
+
+    #[test]
+    fn a_one_tile_grid_routes_to_itself() {
+        let dims = GridDims::new(1, 1, 1);
+        let topo = Topology::from_links(&dims, Vec::new());
+        let table = RoutingTable::build(&dims, &topo, &NocParams::paper());
+        assert_eq!(table.latency(TileId(0), TileId(0)), 0.0);
+        assert!(table.path_links(TileId(0), TileId(0)).is_empty());
+    }
+
+    #[test]
+    fn transpose64_swaps_rows_and_columns() {
+        let mut words = [0u64; 64];
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for word in &mut words {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            *word = x;
+        }
+        let mut flipped = words;
+        transpose64(&mut flipped);
+        for (r, word) in words.iter().enumerate() {
+            for (c, column) in flipped.iter().enumerate() {
+                assert_eq!(column >> r & 1, word >> c & 1, "bit ({r}, {c})");
+            }
+        }
+    }
+
+    /// Ten planes (two byte groups) over 70 tiles (two squares, the
+    /// second partial) against the bit-by-bit definition.
+    #[test]
+    fn unslice_reads_every_plane_bit() {
+        let n = 70;
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let planes: Vec<u64> = (0..10 * n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            })
+            .collect();
+        let mut values = Vec::new();
+        unslice(&planes, n, &mut values);
+        for s in 0..BLOCK {
+            for t in 0..n {
+                let want = (0..10).fold(0, |v, k| v | ((planes[k * n + t] >> s) as u32 & 1) << k);
+                assert_eq!(values[s * n + t], want, "source {s}, tile {t}");
+            }
+        }
     }
 }

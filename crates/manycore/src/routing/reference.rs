@@ -17,7 +17,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use super::{Router, RoutingTable, MAX_SWEEP_COST};
+use super::{Router, RoutingTable, MAX_SWEEP_COST, NO_PARENT};
 use crate::design::{Design, Placement};
 use crate::geometry::{GridDims, TileId};
 use crate::link::Link;
@@ -118,7 +118,9 @@ fn dijkstra(src: usize, n: usize, topology: &Topology, link_cost: &[f64]) -> Dij
     (parent, cost, hops)
 }
 
-/// Asserts `table` and `oracle` agree bitwise on every ordered pair.
+/// Asserts `table` and `oracle` agree bitwise on every ordered pair. The
+/// parent entries are compared before any path is walked, so that a
+/// table whose parents form a cycle fails rather than hangs.
 fn assert_matches(table: &RoutingTable, oracle: &Reference, what: &str) {
     let n = table.tile_count();
     assert_eq!(n, oracle.cost.len(), "{what}: tile count");
@@ -130,6 +132,13 @@ fn assert_matches(table: &RoutingTable, oracle: &Reference, what: &str) {
                 oracle.cost[s][d].to_bits(),
                 "{what}: latency {s}->{d}"
             );
+            let parent = oracle.parent[s][d].map_or(NO_PARENT, |(p, l)| (p.0 as u32, l as u32));
+            assert_eq!(table.parent[s * n + d], parent, "{what}: parent {s}->{d}");
+        }
+    }
+    for s in 0..n {
+        for d in 0..n {
+            let (src, dst) = (TileId(s), TileId(d));
             assert_eq!(table.hop_count(src, dst), oracle.hops[s][d], "{what}: hops {s}->{d}");
             assert_eq!(table.path_links(src, dst), oracle.path_links(src, dst), "{what}: path");
         }
@@ -162,16 +171,19 @@ fn mesh_budgets(dims: GridDims) -> TopologyBuilder {
 
 /// Link parameters by `kind`: 0 = the paper's (whole arc costs `3 +
 /// length`), 1 = other whole costs within the sweep's bound, 2 = whole
-/// costs above [`MAX_SWEEP_COST`], 3 = whole and half costs mixed
-/// (2.5 + 0.5 per unit), and anything else = off-integer ones, so that
-/// equal-cost ties are decided by rounded sums rather than exact small
-/// integers. `a` and `b` pick the free coefficients.
+/// costs whose 5-unit arcs cost exactly [`MAX_SWEEP_COST`] (59 + length,
+/// so the sweep's ring takes all 65 slots), 3 = whole costs above that
+/// bound, 4 = whole and half costs mixed (2.5 + 0.5 per unit), and
+/// anything else = off-integer ones, so that equal-cost ties are decided
+/// by rounded sums rather than exact small integers. `a` and `b` pick the
+/// free coefficients.
 fn params(kind: u8, a: f64, b: f64) -> NocParams {
     let (router_stages, link_delay_per_unit) = match kind {
         0 => return NocParams::paper(),
         1 => ((1.0 + 7.0 * a).floor(), (1.0 + 7.0 * b).floor()),
-        2 => (f64::from(MAX_SWEEP_COST) + (8.0 * a).floor(), (1.0 + 3.0 * b).floor()),
-        3 => (2.5, 0.5),
+        2 => (f64::from(MAX_SWEEP_COST) - 5.0, 1.0),
+        3 => (f64::from(MAX_SWEEP_COST) + (8.0 * a).floor(), (1.0 + 3.0 * b).floor()),
+        4 => (2.5, 0.5),
         _ => (0.1 + 3.9 * a, 0.05 + 1.95 * b),
     };
     NocParams { router_stages, link_delay_per_unit, ..NocParams::paper() }
@@ -186,7 +198,7 @@ proptest! {
     fn flat_builds_match_the_oracle(
         seed in 0u64..1000,
         g in 0u8..6,
-        kind in 0u8..5,
+        kind in 0u8..6,
         a in 0.0f64..1.0,
         b in 0.0f64..1.0,
     ) {
@@ -207,7 +219,7 @@ proptest! {
         seed in 0u64..1000,
         g in 0u8..4,
         walk in 1usize..8,
-        kind in 0u8..5,
+        kind in 0u8..6,
         a in 0.0f64..1.0,
         b in 0.0f64..1.0,
     ) {
@@ -218,7 +230,7 @@ proptest! {
         let placement = Placement::random(&dims, mix, &mut rng);
         let mut design = Design::new(placement, builder.random(&mut rng).expect("builds"));
         for step in 0..walk {
-            let next = moves::rewire_link(&dims, &builder, 7, &design, &mut rng);
+            let next = moves::rewire_link(&dims, &builder, 7, design.clone(), &mut rng);
             let fresh = Topology::from_links(&dims, next.topology.links().to_vec());
             let oracle = Reference::build(&dims, &fresh, &p);
             let built = RoutingTable::build(&dims, &next.topology, &p);
@@ -250,6 +262,26 @@ fn meshes_and_a_large_stack_match_the_oracle() {
         &Reference::build(&dims, &topo, &p),
         "8x8x4",
     );
+}
+
+/// Arcs that cost exactly [`MAX_SWEEP_COST`]: the sweep's ring wraps at
+/// its full 65 slots, on one source block (a line with a 5-unit express
+/// link) and on two (a 9×9 layer whose mesh gains 5-unit links).
+#[test]
+fn arcs_at_the_sweep_bound_match_the_oracle() {
+    let p = params(2, 0.0, 0.0);
+    let line = GridDims::new(6, 1, 1);
+    let mut links: Vec<Link> = (0..5).map(|i| Link::new(TileId(i), TileId(i + 1))).collect();
+    links.push(Link::new(TileId(0), TileId(5)));
+    let layer = GridDims::new(9, 9, 1);
+    let mut mesh = Topology::mesh(&layer).links().to_vec();
+    mesh.extend([(0, 5), (40, 45), (75, 80)].map(|(a, b)| Link::new(TileId(a), TileId(b))));
+    for (dims, links) in [(line, links), (layer, mesh)] {
+        let topo = Topology::from_links(&dims, links);
+        assert_eq!(Router::new(&dims, &topo, &p).sweep_max_cost(), Some(MAX_SWEEP_COST));
+        let oracle = Reference::build(&dims, &topo, &p);
+        assert_matches(&RoutingTable::build(&dims, &topo, &p), &oracle, "bound");
+    }
 }
 
 /// Which builder each parameter set selects: the sweep exactly when every

@@ -2,9 +2,10 @@
 //!
 //! The dominant local-search moves (placement swaps) leave the topology —
 //! and therefore the routing function — unchanged, yet every evaluation
-//! used to rebuild the full all-pairs Dijkstra table. This cache keys
-//! tables by [`Topology::fingerprint`] so placement-only moves skip
-//! Dijkstra entirely.
+//! used to rebuild the full all-pairs table ([`RoutingTable::build`]: the
+//! level sweep under the paper's parameters, Dijkstra under others). This
+//! cache keys tables by [`Topology::fingerprint`] so placement-only moves
+//! skip the build entirely.
 //!
 //! Correctness: the fingerprint is order-independent over the link *set*,
 //! but routing tables address per-link arrays by link *index*, so a hit is
@@ -131,9 +132,9 @@ impl RoutingCache {
     /// The routing table for `topology`, from cache when possible.
     ///
     /// The table is built *outside* the lock, so concurrent misses on
-    /// different topologies never serialize on Dijkstra; concurrent misses
-    /// on the same topology build duplicate (identical) tables and the
-    /// first admitted stays.
+    /// different topologies never serialize on the build; concurrent
+    /// misses on the same topology build duplicate (identical) tables and
+    /// the first admitted stays.
     pub fn routing_for(
         &self,
         dims: &GridDims,

@@ -59,7 +59,7 @@ fn crossover(
     union.extend(b_links.difference(&a_links));
     let topology = from_preferred(builder, &union, rng).unwrap_or_else(|_| a.topology.clone());
     let child = Design::new(placement, topology);
-    moves::random_move(dims, mix, builder, max_degree, &child, rng)
+    moves::random_move(dims, mix, builder, max_degree, child, rng)
 }
 
 /// [`TopologyBuilder::random`].

@@ -65,7 +65,7 @@ fn reference_on(grid: u8, seed: u64) -> ManycoreProblem {
 fn step(problem: &ManycoreProblem, kind: u8, current: &Design, rng: &mut StdRng) -> Design {
     let config = problem.config();
     match kind {
-        0 => moves::swap_tiles(config.dims(), config.pe_mix(), current, rng),
+        0 => moves::swap_tiles(config.dims(), config.pe_mix(), current.clone(), rng),
         1 => {
             let builder = TopologyBuilder::new(
                 *config.dims(),
@@ -74,7 +74,8 @@ fn step(problem: &ManycoreProblem, kind: u8, current: &Design, rng: &mut StdRng)
                 config.noc().max_planar_length,
                 config.noc().max_degree,
             );
-            moves::rewire_link(config.dims(), &builder, config.noc().max_degree, current, rng)
+            let max_degree = config.noc().max_degree;
+            moves::rewire_link(config.dims(), &builder, max_degree, current.clone(), rng)
         }
         _ => problem.neighbor(current, rng),
     }

@@ -138,7 +138,18 @@ pub fn from_bytes(bytes: &[u8], path: &Path) -> Result<Value, PersistError> {
 /// last rename wins. A failed write removes its temp file; a process
 /// killed mid-write leaves it for [`remove_stale_temps`].
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
-    write_atomic_parts(&temp_path(path), path, &[bytes])
+    write_atomic_batch(&[(path, bytes)])
+}
+
+/// [`write_atomic`] of several files in one directory, in order, with
+/// one directory fsync after the last rename instead of one per file.
+/// Each file is still written, fsynced and renamed before the next.
+pub fn write_atomic_batch(files: &[(&Path, &[u8])]) -> Result<(), PersistError> {
+    for &(path, bytes) in files {
+        debug_assert_eq!(path.parent(), files[0].0.parent(), "a batch shares one directory");
+        replace(&temp_path(path), path, &[bytes])?;
+    }
+    files.last().map_or(Ok(()), |&(path, _)| sync_parent(path))
 }
 
 /// A temp sibling of `path` that no other [`write_atomic`] call of this
@@ -160,6 +171,13 @@ pub(crate) fn write_atomic_parts(
     path: &Path,
     parts: &[&[u8]],
 ) -> Result<(), PersistError> {
+    replace(tmp, path, parts)?;
+    sync_parent(path)
+}
+
+/// Writes `parts` to `tmp`, fsyncs it and renames it over `path`. A
+/// failed write removes `tmp`.
+fn replace(tmp: &Path, path: &Path, parts: &[&[u8]]) -> Result<(), PersistError> {
     let written = fs::File::create(tmp)
         .and_then(|mut f| {
             parts.iter().try_for_each(|part| f.write_all(part))?;
@@ -170,9 +188,12 @@ pub(crate) fn write_atomic_parts(
     if written.is_err() {
         let _ = fs::remove_file(tmp);
     }
-    written?;
-    // The rename is an entry in the directory; only the directory's own
-    // fsync makes it durable.
+    written
+}
+
+/// Fsyncs the directory holding `path`. A rename is an entry in the
+/// directory; only the directory's own fsync makes it durable.
+fn sync_parent(path: &Path) -> Result<(), PersistError> {
     let dir = match path.parent() {
         Some(dir) if !dir.as_os_str().is_empty() => dir,
         _ => Path::new("."),

@@ -20,7 +20,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::checkpoint::{remove_stale_temps, write_atomic, CheckpointStore};
+use crate::checkpoint::{remove_stale_temps, write_atomic, write_atomic_batch, CheckpointStore};
 use crate::error::PersistError;
 use crate::value::Value;
 use crate::{decode, encode};
@@ -154,25 +154,32 @@ impl RunStore {
         decode::from_str(&text)
     }
 
-    /// Writes `trace.csv` (atomically, like every run artifact).
-    pub fn write_trace(&self, csv: &str) -> Result<(), PersistError> {
-        write_atomic(&self.trace_path(), csv.as_bytes())
-    }
-
-    /// Writes `front.csv`.
-    pub fn write_front(&self, csv: &str) -> Result<(), PersistError> {
-        write_atomic(&self.front_path(), csv.as_bytes())
-    }
-
-    /// Writes `trace.json` (atomically; deterministic bytes for equal
-    /// values, like every JSON artifact in the store).
-    pub fn write_trace_json(&self, trace: &Value) -> Result<(), PersistError> {
-        write_atomic(&self.trace_json_path(), encode::to_string(trace).as_bytes())
-    }
-
-    /// Writes `front.json`.
-    pub fn write_front_json(&self, front: &Value) -> Result<(), PersistError> {
-        write_atomic(&self.front_json_path(), encode::to_string(front).as_bytes())
+    /// Writes a finished run's artifacts: `trace.csv`, `front.csv`,
+    /// `trace.json`, `front.json` and, when given, `metrics.json` — the
+    /// end-of-run phase-metrics report (per-phase timing, throughput,
+    /// fault counters, PHV series). Each file is written atomically, and
+    /// the directory is fsynced once, after the last rename. The JSON
+    /// files have deterministic bytes for equal values, like every JSON
+    /// artifact in the store; wall-clock data lives only in
+    /// `metrics.json`, in `events.jsonl` and on stderr.
+    pub fn write_finished(
+        &self,
+        trace_csv: &str,
+        front_csv: &str,
+        trace: &Value,
+        front: &Value,
+        metrics: Option<&Value>,
+    ) -> Result<(), PersistError> {
+        let mut files = vec![
+            (self.trace_path(), trace_csv.to_owned()),
+            (self.front_path(), front_csv.to_owned()),
+            (self.trace_json_path(), encode::to_string(trace)),
+            (self.front_json_path(), encode::to_string(front)),
+        ];
+        files.extend(metrics.map(|metrics| (self.metrics_path(), encode::to_string(metrics))));
+        let files: Vec<(&Path, &[u8])> =
+            files.iter().map(|(path, text)| (path.as_path(), text.as_bytes())).collect();
+        write_atomic_batch(&files)
     }
 
     /// Writes the `job.json` job-state manifest (atomically, so a crash
@@ -186,15 +193,6 @@ impl RunStore {
         let path = self.job_path();
         let text = fs::read_to_string(&path).map_err(|e| PersistError::io(&path, e))?;
         decode::from_str(&text)
-    }
-
-    /// Writes `metrics.json` — the end-of-run phase-metrics report
-    /// (per-phase timing, throughput, fault counters, PHV series).
-    /// Wall-clock data lives only here, in `events.jsonl`, and on
-    /// stderr — never in the deterministic artifacts.
-    pub fn write_metrics(&self, metrics: &Value) -> Result<(), PersistError> {
-        let text = encode::to_string(metrics);
-        write_atomic(&self.metrics_path(), text.as_bytes())
     }
 
     /// Writes `report.json` — the offline analysis report.
@@ -227,11 +225,15 @@ mod tests {
         store.write_manifest(&Value::object(vec![("seed", Value::U64(11))])).unwrap();
         let back = store.read_manifest().unwrap();
         assert_eq!(back.field("seed").unwrap().as_u64().unwrap(), 11);
-        store.write_trace("generation,evaluations,phv\n").unwrap();
-        store.write_front("obj0,obj1\n").unwrap();
-        store.write_metrics(&Value::object(vec![("wall_us", Value::U64(1))])).unwrap();
-        store.write_trace_json(&Value::object(vec![("points", Value::Array(vec![]))])).unwrap();
-        store.write_front_json(&Value::object(vec![("objectives", Value::Array(vec![]))])).unwrap();
+        store
+            .write_finished(
+                "generation,evaluations,phv\n",
+                "obj0,obj1\n",
+                &Value::object(vec![("points", Value::Array(vec![]))]),
+                &Value::object(vec![("objectives", Value::Array(vec![]))]),
+                Some(&Value::object(vec![("wall_us", Value::U64(1))])),
+            )
+            .unwrap();
         assert!(store.trace_path().is_file());
         assert!(store.front_path().is_file());
         assert!(store.trace_json_path().is_file());

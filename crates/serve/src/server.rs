@@ -483,11 +483,11 @@ mod tests {
                 }
                 std::thread::sleep(Duration::from_millis(5));
             }
-            store
-                .write_front_json(&Value::object(vec![(
-                    "objectives",
-                    Value::Array(vec![Value::Array(vec![Value::F64(1.0), Value::F64(2.0)])]),
-                )]))
+            let front = Value::object(vec![(
+                "objectives",
+                Value::Array(vec![Value::Array(vec![Value::F64(1.0), Value::F64(2.0)])]),
+            )]);
+            std::fs::write(store.front_json_path(), moela_persist::encode::to_string(&front))
                 .map_err(|e| RunError::disk(e.to_string()))?;
             Ok(RunOutcome::Completed {
                 summary: Value::object(vec![("evaluations", Value::U64(42))]),
