@@ -144,7 +144,7 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
 /// [`write_atomic`] of several files in one directory, in order, with
 /// one directory fsync after the last rename instead of one per file.
 /// Each file is still written, fsynced and renamed before the next.
-pub fn write_atomic_batch(files: &[(&Path, &[u8])]) -> Result<(), PersistError> {
+pub(crate) fn write_atomic_batch(files: &[(&Path, &[u8])]) -> Result<(), PersistError> {
     for &(path, bytes) in files {
         debug_assert_eq!(path.parent(), files[0].0.parent(), "a batch shares one directory");
         replace(&temp_path(path), path, &[bytes])?;
