@@ -11,7 +11,7 @@
 //! * [`MooStage`] — MOO-STAGE (Joardar et al. 2019), STAGE-style learned
 //!   restart policy;
 //! * [`Nsga2`] — NSGA-II (Deb et al. 2002);
-//! * [`random_search`] and [`multi_start_local_search`] — naive brackets.
+//! * [`RandomSearch`] and [`multi_start_local_search`] — naive brackets.
 
 pub mod common;
 pub mod moead;
@@ -25,6 +25,5 @@ pub use moo_stage::{MooStage, MooStageConfig, MooStageState};
 pub use moos::{Moos, MoosConfig, MoosState};
 pub use nsga2::{Nsga2, Nsga2Config, Nsga2State};
 pub use simple::{
-    multi_start_local_search, random_search, random_search_restore, random_search_start,
-    MultiStartConfig, RandomSearchConfig, RandomSearchState,
+    multi_start_local_search, MultiStartConfig, RandomSearch, RandomSearchConfig, RandomSearchState,
 };

@@ -423,7 +423,7 @@ mod tests {
     }
 
     /// Interrupting a chaotic run and resuming (restoring the fault log
-    /// and the chaos ordinal) reproduces the uninterrupted run.
+    /// and the evaluation count) reproduces the uninterrupted run.
     #[test]
     fn chaos_resume_round_trips_fault_counters_bit_identically() {
         use moela_moo::fault::{FaultConfig, FaultPolicy};
@@ -436,29 +436,22 @@ mod tests {
             ..Default::default()
         };
 
-        let baseline_problem = ChaosProblem::new(Zdt::zdt3(8), spec, 77);
+        // The wrapper keeps no state, so all three legs share it.
+        let problem = ChaosProblem::new(Zdt::zdt3(8), spec, 77);
+        let moead = Moead::new(config, &problem);
         let mut r = rng(17);
-        let mut state = zdt(Moead::new(config.clone(), &baseline_problem).start(&mut r));
+        let mut state = zdt(moead.start(&mut r));
         while state.step(&mut r) {}
         let base_log = *state.fault_log();
         let baseline = state.finish();
         assert!(base_log.faults() > 0, "the spec must actually inject");
 
-        let interrupted_problem = ChaosProblem::new(Zdt::zdt3(8), spec, 77);
-        let moead2 = Moead::new(config.clone(), &interrupted_problem);
         let mut r = rng(17);
-        let mut state = zdt(moead2.start(&mut r));
+        let mut state = zdt(moead.start(&mut r));
         while state.completed() < 2 && state.step(&mut r) {}
         let snap = state.snapshot_state(&VecF64Codec);
-        let ordinal = interrupted_problem.ordinal();
-        let rng_state = r.state();
-
-        let resumed_problem = ChaosProblem::new(Zdt::zdt3(8), spec, 77);
-        resumed_problem.set_ordinal(ordinal);
-        let moead3 = Moead::new(config, &resumed_problem);
-        let mut r2 = rand::rngs::StdRng::from_state(rng_state);
-        let mut resumed =
-            zdt(moead3.restore(&VecF64Codec, &snap, Duration::ZERO).expect("restore"));
+        let mut r2 = rand::rngs::StdRng::from_state(r.state());
+        let mut resumed = zdt(moead.restore(&VecF64Codec, &snap, Duration::ZERO).expect("restore"));
         while resumed.step(&mut r2) {}
         assert_eq!(*resumed.fault_log(), base_log, "health counters must round-trip");
         let out = resumed.finish();

@@ -59,93 +59,88 @@ impl Default for RandomSearchConfig {
     }
 }
 
-/// Runs random search.
+/// Uniform random search bound to one problem.
 ///
 /// # Example
 ///
 /// ```
-/// use moela_baselines::{random_search, RandomSearchConfig};
+/// use moela_baselines::{RandomSearch, RandomSearchConfig};
 /// use moela_moo::problems::Zdt;
 /// use rand::SeedableRng;
 ///
 /// let problem = Zdt::zdt1(10);
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 /// let cfg = RandomSearchConfig { samples: 50, ..Default::default() };
-/// let out = random_search(&cfg, &problem, &mut rng);
+/// let out = RandomSearch::new(cfg, &problem).run(&mut rng);
 /// assert_eq!(out.evaluations, 50);
 /// ```
-pub fn random_search<P>(
-    config: &RandomSearchConfig,
-    problem: &P,
-    rng: &mut StdRng,
-) -> RunResult<P::Solution>
-where
-    P: Problem + Sync,
-    P::Solution: Sync,
-{
-    run_to_end(random_search_start(config, problem), rng)
+#[derive(Debug)]
+pub struct RandomSearch<'p, P> {
+    config: RandomSearchConfig,
+    problem: &'p P,
 }
 
-/// Initializes a random-search run as a steppable state machine (one
-/// step per trace chunk). Draws no RNG values itself.
-pub fn random_search_start<'p, P>(
-    config: &RandomSearchConfig,
-    problem: &'p P,
-) -> RandomSearchState<'p, P>
-where
-    P: Problem + Sync,
-    P::Solution: Sync,
-{
-    RandomSearchState {
-        ctx: RunCtx::new(
-            config.threads,
-            config.fault,
-            config.trace_normalizer.as_ref(),
-            problem.objective_count(),
-            None,
-            config.time_budget,
-        ),
-        config: config.clone(),
-        problem,
-        archive: ParetoArchive::bounded(config.archive_cap),
-        drawn: 0,
-        chunks: 0,
+impl<'p, P: Problem> RandomSearch<'p, P> {
+    /// Binds a configuration to a problem.
+    pub fn new(config: RandomSearchConfig, problem: &'p P) -> Self {
+        Self { config, problem }
     }
 }
 
-/// Rebuilds a mid-run state from a [`RandomSearchState::snapshot_state`]
-/// value, with `elapsed` wall-clock time already consumed.
-pub fn random_search_restore<'p, P, C>(
-    config: &RandomSearchConfig,
-    problem: &'p P,
-    codec: &C,
-    value: &Value,
-    elapsed: Duration,
-) -> Result<RandomSearchState<'p, P>, PersistError>
+impl<'p, P> RandomSearch<'p, P>
 where
     P: Problem + Sync,
     P::Solution: Sync,
-    C: SolutionCodec<P::Solution>,
 {
-    let drawn = value.field("drawn")?.as_u64()?;
-    if drawn > config.samples {
-        return Err(PersistError::schema("checkpoint drew more samples than configured"));
+    /// Runs random search and returns the final archive with its trace.
+    pub fn run(&self, rng: &mut StdRng) -> RunResult<P::Solution> {
+        run_to_end(self.start(rng), rng)
     }
-    Ok(RandomSearchState {
-        ctx: RunCtx::restore(
-            value,
-            elapsed,
-            config.threads,
-            config.fault,
-            None,
-            config.time_budget,
-        )?,
-        config: config.clone(),
-        problem,
-        archive: archive_from_value(value.field("archive")?, codec)?,
-        drawn,
-        chunks: value.field("chunks")?.as_u64()?,
-    })
+
+    /// Initializes a run as a steppable state machine (one step per
+    /// trace chunk). Draws nothing from `rng`; it takes one only to
+    /// share the other optimizers' shape.
+    pub fn start(&self, _rng: &mut dyn RngCore) -> RandomSearchState<'p, P> {
+        let cfg = &self.config;
+        RandomSearchState {
+            ctx: RunCtx::new(
+                cfg.threads,
+                cfg.fault,
+                cfg.trace_normalizer.as_ref(),
+                self.problem.objective_count(),
+                None,
+                cfg.time_budget,
+            ),
+            config: cfg.clone(),
+            problem: self.problem,
+            archive: ParetoArchive::bounded(cfg.archive_cap),
+            drawn: 0,
+            chunks: 0,
+        }
+    }
+
+    /// Rebuilds a mid-run state from a [`RandomSearchState::snapshot_state`]
+    /// value, with `elapsed` wall-clock time already consumed.
+    pub fn restore<C: SolutionCodec<P::Solution>>(
+        &self,
+        codec: &C,
+        value: &Value,
+        elapsed: Duration,
+    ) -> Result<RandomSearchState<'p, P>, PersistError> {
+        let cfg = &self.config;
+        let drawn = value.field("drawn")?.as_u64()?;
+        if drawn > cfg.samples {
+            return Err(PersistError::schema("checkpoint drew more samples than configured"));
+        }
+        Ok(RandomSearchState {
+            ctx: RunCtx::restore(value, elapsed, cfg.threads, cfg.fault, None, cfg.time_budget)?,
+            config: cfg.clone(),
+            problem: self.problem,
+            archive: archive_from_value(value.field("archive")?, codec)?,
+            drawn,
+            chunks: value.field("chunks")?.as_u64()?,
+        })
+    }
 }
 
 /// A random-search run in progress, checkpointable between trace chunks.
@@ -385,7 +380,7 @@ mod tests {
     fn random_search_counts_exactly() {
         let problem = Zdt::zdt1(6);
         let cfg = RandomSearchConfig { samples: 123, ..Default::default() };
-        let out = random_search(&cfg, &problem, &mut rng(1));
+        let out = RandomSearch::new(cfg, &problem).run(&mut rng(1));
         assert_eq!(out.evaluations, 123);
         assert!(!out.population.is_empty());
     }
@@ -402,7 +397,7 @@ mod tests {
             let ls_cfg = MultiStartConfig { restarts: 25, ls_max_steps: 60, ..Default::default() };
             let ls = multi_start_local_search(&ls_cfg, &problem, &mut rng(seed));
             let rs_cfg = RandomSearchConfig { samples: ls.evaluations, ..Default::default() };
-            let rs = random_search(&rs_cfg, &problem, &mut rng(seed + 1));
+            let rs = RandomSearch::new(rs_cfg, &problem).run(&mut rng(seed + 1));
             igd_ls_total += moela_moo::metrics::igd(&ls.front_objectives(), &reference);
             igd_rs_total += moela_moo::metrics::igd(&rs.front_objectives(), &reference);
         }
@@ -427,7 +422,7 @@ mod tests {
 
         let rs = |threads: usize| {
             let cfg = RandomSearchConfig { samples: 230, threads, ..Default::default() };
-            random_search(&cfg, &problem, &mut rng(8))
+            RandomSearch::new(cfg, &problem).run(&mut rng(8))
         };
         let (rs_seq, rs_par) = (rs(1), rs(4));
         assert_eq!(rs_par.evaluations, rs_seq.evaluations);
@@ -447,18 +442,18 @@ mod tests {
     fn snapshot_resume_is_bit_identical_at_every_boundary() {
         let problem = Zdt::zdt1(6);
         let cfg = RandomSearchConfig { samples: 230, trace_every: 50, ..Default::default() };
-        let baseline = random_search(&cfg, &problem, &mut rng(71));
+        let search = RandomSearch::new(cfg, &problem);
+        let baseline = search.run(&mut rng(71));
 
         // 230 samples at trace_every=50 is 5 chunks (the last partial).
         for boundary in [0u64, 1, 3, 5] {
             let mut r = rng(71);
-            let mut state = zdt(random_search_start(&cfg, &problem));
+            let mut state = zdt(search.start(&mut r));
             while state.completed() < boundary && state.step(&mut r) {}
             let snap = state.snapshot_state(&VecF64Codec);
             let mut r2 = rand::rngs::StdRng::from_state(r.state());
             let mut resumed =
-                zdt(random_search_restore(&cfg, &problem, &VecF64Codec, &snap, Duration::ZERO)
-                    .expect("restore"));
+                zdt(search.restore(&VecF64Codec, &snap, Duration::ZERO).expect("restore"));
             while resumed.step(&mut r2) {}
             let out = resumed.finish();
             assert_eq!(out.evaluations, baseline.evaluations, "boundary {boundary}");
@@ -491,7 +486,7 @@ mod tests {
                 ..Default::default()
             };
             let mut r = rng(13);
-            let mut state = zdt(random_search_start(&cfg, &problem));
+            let mut state = zdt(RandomSearch::new(cfg, &problem).start(&mut r));
             while state.step(&mut r) {}
             let log = *state.fault_log();
             (state.finish(), log)
@@ -522,7 +517,7 @@ mod tests {
         let problem = ChaosProblem::new(Zdt::zdt1(6), ChaosSpec::parse("panic=1.0").unwrap(), 5);
         let cfg = RandomSearchConfig { samples: 100, ..Default::default() };
         let mut r = rng(1);
-        let mut state = zdt(random_search_start(&cfg, &problem));
+        let mut state = zdt(RandomSearch::new(cfg, &problem).start(&mut r));
         assert!(!state.step(&mut r), "the poisoned guard must stop the run");
         let err = state.fault_error().expect("a latched error");
         assert_eq!(err.kind, FaultKind::Panic);

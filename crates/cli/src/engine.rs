@@ -21,9 +21,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use moela_baselines::{
-    random_search_restore, random_search_start, Moead, MoeadConfig, MoeadState, MooStage,
-    MooStageConfig, MooStageState, Moos, MoosConfig, MoosState, Nsga2, Nsga2Config, Nsga2State,
-    RandomSearchConfig, RandomSearchState,
+    Moead, MoeadConfig, MoeadState, MooStage, MooStageConfig, MooStageState, Moos, MoosConfig,
+    MoosState, Nsga2, Nsga2Config, Nsga2State, RandomSearch, RandomSearchConfig, RandomSearchState,
 };
 use moela_core::moela::MoelaState;
 use moela_core::{Moela, MoelaConfig};
@@ -171,9 +170,10 @@ pub(crate) fn build_problem(opts: &RunOptions) -> Result<ManycoreProblem, CliErr
 }
 
 /// One checkpoint: the optimizer state plus everything it does not
-/// carry — the RNG, the wall-clock time the run had consumed and, for
-/// chaotic runs, the chaos ordinal counter, all captured at the same
-/// step boundary. [`into_envelope`](Self::into_envelope) writes it and
+/// carry — the RNG and the wall-clock time the run had consumed, both
+/// captured at the same step boundary. A chaotic run's fault stream
+/// needs nothing more: it continues from the state's evaluation count.
+/// [`into_envelope`](Self::into_envelope) writes it and
 /// [`from_envelope`](Self::from_envelope) reads it back.
 pub(crate) struct ResumePoint {
     /// Completed steps, which is also the checkpoint's sequence number.
@@ -181,30 +181,27 @@ pub(crate) struct ResumePoint {
     state: Value,
     rng: StdRng,
     elapsed: Duration,
-    chaos_ordinal: Option<u64>,
 }
 
 impl ResumePoint {
     /// The checkpoint envelope, stamped with the format and build
     /// versions and the algorithm that wrote it.
     fn into_envelope(self, algorithm: Algorithm) -> Value {
-        let mut fields = vec![
+        Value::object(vec![
             ("format", Value::U64(u64::from(FORMAT_VERSION))),
             ("version", Value::Str(VERSION.to_owned())),
             ("algorithm", Value::Str(algorithm.name().to_owned())),
             ("completed", Value::U64(self.completed)),
             ("rng", Value::u64_array(&self.rng.state())),
             ("elapsed_nanos", Value::U64(self.elapsed.as_nanos() as u64)),
-        ];
-        if let Some(ordinal) = self.chaos_ordinal {
-            fields.push(("chaos_ordinal", Value::U64(ordinal)));
-        }
-        fields.push(("state", self.state));
-        Value::object(fields)
+            ("state", self.state),
+        ])
     }
 
     /// Reads checkpoint `seq`'s envelope, refusing another format, a
     /// checkpoint `algorithm` did not write, and a malformed RNG state.
+    /// Keys it does not read, such as the chaos ordinal older builds
+    /// wrote, are ignored.
     fn from_envelope(seq: u64, envelope: &Value, algorithm: Algorithm) -> Result<Self, CliError> {
         let format = envelope.field("format")?.as_u64()?;
         if format != u64::from(FORMAT_VERSION) {
@@ -225,17 +222,11 @@ impl ResumePoint {
             .to_u64_vec()?
             .try_into()
             .map_err(|_| fail(format!("checkpoint {seq} has a malformed RNG state")))?;
-        let elapsed = Duration::from_nanos(envelope.field("elapsed_nanos")?.as_u64()?);
-        let chaos_ordinal = match envelope.field_opt("chaos_ordinal") {
-            Some(v) => Some(v.as_u64()?),
-            None => None,
-        };
         Ok(ResumePoint {
             completed: seq,
             state: envelope.field("state")?.clone(),
             rng: StdRng::from_state(rng_words),
-            elapsed,
-            chaos_ordinal,
+            elapsed: Duration::from_nanos(envelope.field("elapsed_nanos")?.as_u64()?),
         })
     }
 
@@ -433,7 +424,7 @@ fn start_state<'p>(
     point: Option<&ResumePoint>,
     rng: &mut StdRng,
 ) -> Result<AnyState<'p>, CliError> {
-    // Every optimizer but random search starts and restores alike.
+    // Every optimizer starts and restores alike.
     macro_rules! start_or_restore {
         ($optimizer:expr) => {
             match point {
@@ -514,10 +505,7 @@ fn start_state<'p>(
                 fault: opts.fault(),
                 ..Default::default()
             };
-            AnyState::Random(match point {
-                Some(p) => random_search_restore(&config, problem, codec, &p.state, p.elapsed)?,
-                None => random_search_start(&config, problem),
-            })
+            AnyState::Random(start_or_restore!(RandomSearch::new(config, problem)))
         }
     })
 }
@@ -597,13 +585,11 @@ fn drive(
     telemetry: &mut Telemetry,
     hooks: &ExecHooks<'_>,
 ) -> Result<Ended, CliError> {
+    // The fault stream needs no resume state: the restored run numbers
+    // its evaluations from the checkpoint's count.
     let chaos = opts.chaos.map(|spec| {
         let seed = opts.chaos_seed.expect("validated run options pair --chaos with a seed");
-        let chaotic = ChaosProblem::new(problem, spec, seed);
-        // Replay the fault stream from the checkpointed ordinal; a fresh
-        // run and a pre-chaos checkpoint start at zero.
-        chaotic.set_ordinal(resume.as_ref().and_then(|p| p.chaos_ordinal).unwrap_or(0));
-        chaotic
+        ChaosProblem::new(problem, spec, seed)
     });
     let evaluated: Evaluated<'_> = match &chaos {
         Some(chaotic) => chaotic,
@@ -644,33 +630,29 @@ fn drive(
     // encodes the state here, timing the snapshot apart from the encode
     // and the wait for the previous save, reports the file size as a
     // gauge, and hands the bytes to the writer thread.
-    let save = |persister: &mut Persister,
-                state: &AnyState<'_>,
-                rng: &StdRng|
-     -> Result<(), CliError> {
-        let elapsed = base_elapsed + t0.elapsed();
-        let chaos_ordinal = chaos.as_ref().map(ChaosProblem::ordinal);
-        let snapshot = {
-            let _snapshot = obs.span(names::CHECKPOINT_SNAPSHOT);
-            state.snapshot_state(problem)
+    let save =
+        |persister: &mut Persister, state: &AnyState<'_>, rng: &StdRng| -> Result<(), CliError> {
+            let elapsed = base_elapsed + t0.elapsed();
+            let snapshot = {
+                let _snapshot = obs.span(names::CHECKPOINT_SNAPSHOT);
+                state.snapshot_state(problem)
+            };
+            let completed = state.completed();
+            let point = ResumePoint { completed, state: snapshot, rng: rng.clone(), elapsed };
+            {
+                let _write = obs.span(names::CHECKPOINT_WRITE);
+                // Wait for the previous save before encoding: the writer has
+                // freed its bytes by then, so two saves' bytes never coexist.
+                persisted(persister.join()?);
+                let encoded = Encoded::new(&point.into_envelope(opts.algorithm));
+                obs.gauge(names::CHECKPOINT_BYTES, encoded.file_len() as f64);
+                persisted(persister.hand_off(completed, encoded)?);
+            }
+            // Telemetry is crash-safe at the same cadence as the run itself:
+            // everything up to the newest checkpoint survives an abort.
+            obs.flush();
+            Ok(())
         };
-        let completed = state.completed();
-        let point =
-            ResumePoint { completed, state: snapshot, rng: rng.clone(), elapsed, chaos_ordinal };
-        {
-            let _write = obs.span(names::CHECKPOINT_WRITE);
-            // Wait for the previous save before encoding: the writer has
-            // freed its bytes by then, so two saves' bytes never coexist.
-            persisted(persister.join()?);
-            let encoded = Encoded::new(&point.into_envelope(opts.algorithm));
-            obs.gauge(names::CHECKPOINT_BYTES, encoded.file_len() as f64);
-            persisted(persister.hand_off(completed, encoded)?);
-        }
-        // Telemetry is crash-safe at the same cadence as the run itself:
-        // everything up to the newest checkpoint survives an abort.
-        obs.flush();
-        Ok(())
-    };
     if let Some(progress) = progress.as_mut() {
         // The reporter was built before checkpoint decode/restore;
         // restart its rate clock now that stepping actually begins so

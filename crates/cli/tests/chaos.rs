@@ -8,13 +8,17 @@
 //!   are bit-identical at any thread count;
 //! * a chaotic run killed at a checkpoint boundary and resumed is
 //!   byte-identical to the uninterrupted chaotic run (the fault stream
-//!   round-trips through the checkpoint);
+//!   continues from the checkpoint's evaluation count), also from a
+//!   checkpoint whose envelope carries the chaos ordinal older builds
+//!   wrote;
 //! * contradictory flag combinations are rejected with exit code 2;
 //! * a `fail`-policy fault surfaces as a structured `error:` exit.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+
+use moela_persist::{CheckpointStore, Value};
 
 const BIN: &str = env!("CARGO_BIN_EXE_moela-dse");
 
@@ -158,68 +162,105 @@ chaos_matrix_tests! {
     random_contains_every_fault_kind_at_any_thread_count: "random";
 }
 
-/// Kills a chaotic run after one checkpoint, resumes it, and asserts the
-/// artifacts are byte-identical to the uninterrupted chaotic run — the
-/// fault stream (chaos ordinal) and fault counters round-trip through
-/// the checkpoint envelope.
-fn assert_chaos_crash_resume_is_bit_identical(algorithm: &str) {
-    let spec = "panic=0.03,nan=0.03,arity=0.02";
-    let full = scratch(&format!("chaos-full-{algorithm}"));
+/// The chaos spec of the crash/resume tests.
+const CRASH_SPEC: &str = "panic=0.03,nan=0.03,arity=0.02";
+
+/// Runs `algorithm` under chaos to the end in one directory and, in a
+/// second, aborts it after its first checkpoint. Returns both
+/// directories, uninterrupted first.
+fn chaos_crash_pair(algorithm: &str, tag: &str) -> (PathBuf, PathBuf) {
+    let full = scratch(&format!("chaos-full-{tag}"));
     let full_dir = full.to_str().expect("utf-8 path");
-    let out = moela_dse(&chaos_args(algorithm, spec, "1", full_dir, &[]));
+    let out = moela_dse(&chaos_args(algorithm, CRASH_SPEC, "1", full_dir, &[]));
     assert!(out.status.success(), "uninterrupted chaotic run failed: {}", stderr_of(&out));
 
-    let crashed = scratch(&format!("chaos-crashed-{algorithm}"));
+    let crashed = scratch(&format!("chaos-crashed-{tag}"));
     let crashed_dir = crashed.to_str().expect("utf-8 path");
     let out = moela_dse(&chaos_args(
         algorithm,
-        spec,
+        CRASH_SPEC,
         "1",
         crashed_dir,
         &["--crash-after-checkpoints", "1"],
     ));
     assert!(!out.status.success(), "crash injection must abort the process");
+    (full, crashed)
+}
 
+/// Resumes the `crashed` directory and asserts its artifacts are
+/// byte-identical to the uninterrupted run's in `full` — the fault
+/// stream continues from the checkpoint's evaluation count and the
+/// fault counters round-trip through the checkpoint.
+fn assert_resume_matches(tag: &str, full: &Path, crashed: &Path) {
     // Resume with a different thread count: still byte-identical.
-    let out = moela_dse(&["resume", crashed_dir, "--threads", "4"]);
+    let out = moela_dse(&["resume", crashed.to_str().expect("utf-8 path"), "--threads", "4"]);
     assert!(out.status.success(), "chaotic resume failed: {}", stderr_of(&out));
 
     for file in ["trace.csv", "front.csv"] {
         assert_eq!(
             read(&full.join(file)),
             read(&crashed.join(file)),
-            "{file} differs after chaotic crash+resume for {algorithm}"
+            "{file} differs after chaotic crash+resume for {tag}"
         );
     }
     // metrics.json carries wall-clock data so whole files cannot be
     // compared, but the fault counters must round-trip exactly through
-    // the checkpoint envelope.
+    // the checkpoint.
     let faults_of = |dir: &Path| {
         let metrics = String::from_utf8_lossy(&read(&dir.join("metrics.json"))).into_owned();
         faults_object(&metrics).to_owned()
     };
     assert_eq!(
-        faults_of(&full),
-        faults_of(&crashed),
-        "fault counters differ after chaotic crash+resume for {algorithm}"
+        faults_of(full),
+        faults_of(crashed),
+        "fault counters differ after chaotic crash+resume for {tag}"
     );
-    let _ = fs::remove_dir_all(&full);
-    let _ = fs::remove_dir_all(&crashed);
+    let _ = fs::remove_dir_all(full);
+    let _ = fs::remove_dir_all(crashed);
 }
 
-#[test]
-fn moela_chaotic_crash_resume_is_bit_identical() {
-    assert_chaos_crash_resume_is_bit_identical("moela");
+macro_rules! chaos_resume_tests {
+    ($($name:ident: $algorithm:literal;)*) => {$(
+        #[test]
+        fn $name() {
+            let (full, crashed) = chaos_crash_pair($algorithm, $algorithm);
+            assert_resume_matches($algorithm, &full, &crashed);
+        }
+    )*};
 }
 
-#[test]
-fn moead_chaotic_crash_resume_is_bit_identical() {
-    assert_chaos_crash_resume_is_bit_identical("moead");
+chaos_resume_tests! {
+    moela_chaotic_crash_resume_is_bit_identical: "moela";
+    moead_chaotic_crash_resume_is_bit_identical: "moead";
+    moos_chaotic_crash_resume_is_bit_identical: "moos";
+    moo_stage_chaotic_crash_resume_is_bit_identical: "moo-stage";
+    nsga2_chaotic_crash_resume_is_bit_identical: "nsga2";
+    random_chaotic_crash_resume_is_bit_identical: "random";
 }
 
+/// Older builds also wrote a `chaos_ordinal` envelope key, always equal
+/// to the state's `evaluations`. A checkpoint that carries it still
+/// resumes byte-identically: the key is read past and the fault stream
+/// continues from the evaluation count.
 #[test]
-fn random_chaotic_crash_resume_is_bit_identical() {
-    assert_chaos_crash_resume_is_bit_identical("random");
+fn an_envelope_with_the_old_chaos_ordinal_resumes_bit_identically() {
+    let (full, crashed) = chaos_crash_pair("nsga2", "old-envelope");
+    let store = CheckpointStore::new(crashed.join("checkpoints")).expect("checkpoint store");
+    let (seq, mut envelope, _) = store.load_latest().expect("load").expect("a checkpoint");
+    assert!(envelope.field_opt("chaos_ordinal").is_none(), "current envelopes omit the key");
+    let evaluations = envelope
+        .field("state")
+        .and_then(|state| state.field("evaluations"))
+        .and_then(Value::as_u64)
+        .expect("the state counts its evaluations");
+    assert!(evaluations > 0, "the first checkpoint follows the initial population");
+    // Where the older writer put it: after `elapsed_nanos`, before `state`.
+    let Value::Object(fields) = &mut envelope else { panic!("an envelope is an object") };
+    let at = fields.iter().position(|(key, _)| key == "state").expect("a state field");
+    fields.insert(at, ("chaos_ordinal".to_owned(), Value::U64(evaluations)));
+    store.save(seq, &envelope).expect("save the old-style checkpoint");
+
+    assert_resume_matches("an old envelope", &full, &crashed);
 }
 
 #[test]

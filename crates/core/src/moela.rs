@@ -335,7 +335,8 @@ where
         // record, which would leave the last paid-for evaluations
         // invisible in the trace. Record a final point whenever the trace
         // lags the evaluation count.
-        if self.ctx.recorder.points().last().is_none_or(|p| p.evaluations != self.ctx.evaluations) {
+        if self.ctx.recorder.points().last().is_none_or(|p| p.evaluations != self.ctx.evaluations())
+        {
             self.ctx.record(self.last_generation, &self.population.objective_vectors());
         }
         self.ctx.into_result(self.population.into_entries())
@@ -677,7 +678,7 @@ mod tests {
     }
 
     /// Interrupting a chaotic run and resuming (restoring the fault log
-    /// and the chaos ordinal) reproduces the uninterrupted run — same
+    /// and the evaluation count) reproduces the uninterrupted run — same
     /// population, same evaluations, same health counters.
     #[test]
     fn chaos_resume_round_trips_fault_counters_bit_identically() {
@@ -691,8 +692,9 @@ mod tests {
             .build()
             .expect("valid");
 
-        let baseline_problem = ChaosProblem::new(Zdt::zdt3(8), spec, 77);
-        let moela = Moela::new(config.clone(), &baseline_problem);
+        // The wrapper keeps no state, so all three legs share it.
+        let problem = ChaosProblem::new(Zdt::zdt3(8), spec, 77);
+        let moela = Moela::new(config, &problem);
         let mut r = rng(17);
         let mut state = zdt(moela.start(&mut r));
         while state.step(&mut r) {}
@@ -700,23 +702,14 @@ mod tests {
         let baseline = state.finish();
         assert!(base_log.faults() > 0, "the spec must actually inject");
 
-        // Interrupt after 2 generations; carry the chaos ordinal alongside
-        // the snapshot exactly as the run driver does.
-        let interrupted_problem = ChaosProblem::new(Zdt::zdt3(8), spec, 77);
-        let moela2 = Moela::new(config.clone(), &interrupted_problem);
+        // Interrupt after 2 generations; the snapshot's evaluation count
+        // is all the fault stream needs to continue.
         let mut r = rng(17);
-        let mut state = zdt(moela2.start(&mut r));
+        let mut state = zdt(moela.start(&mut r));
         while state.completed() < 2 && state.step(&mut r) {}
         let snap = state.snapshot_state(&VecF64Codec);
-        let ordinal = interrupted_problem.ordinal();
-        let rng_state = r.state();
-
-        let resumed_problem = ChaosProblem::new(Zdt::zdt3(8), spec, 77);
-        resumed_problem.set_ordinal(ordinal);
-        let moela3 = Moela::new(config, &resumed_problem);
-        let mut r2 = rand::rngs::StdRng::from_state(rng_state);
-        let mut resumed =
-            zdt(moela3.restore(&VecF64Codec, &snap, Duration::ZERO).expect("restore"));
+        let mut r2 = rand::rngs::StdRng::from_state(r.state());
+        let mut resumed = zdt(moela.restore(&VecF64Codec, &snap, Duration::ZERO).expect("restore"));
         while resumed.step(&mut r2) {}
         assert_eq!(*resumed.fault_log(), base_log, "health counters must round-trip");
         let out = resumed.finish();

@@ -241,10 +241,6 @@ impl<P: Problem> Problem for CachedProblem<P> {
         }
     }
 
-    fn reserve_ordinals(&self, n: u64) -> u64 {
-        self.inner.reserve_ordinals(n)
-    }
-
     fn features(&self, s: &Self::Solution) -> Vec<f64> {
         self.inner.features(s)
     }

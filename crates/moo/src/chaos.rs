@@ -3,20 +3,19 @@
 //! [`ChaosProblem`] wraps any [`Problem`] and corrupts a seeded,
 //! reproducible subset of evaluations: panics, NaN/±Inf objectives,
 //! wrong-arity vectors, and artificial slowness. Which evaluations fault
-//! is decided purely by `(seed, ordinal)` — the ordinal being the global
-//! evaluation sequence number reserved through
-//! [`Problem::reserve_ordinals`] — so the fault stream is bit-identical
-//! at any thread count and round-trips through checkpoints by persisting
-//! a single counter ([`ChaosProblem::ordinal`] /
-//! [`ChaosProblem::set_ordinal`]).
+//! is decided purely by `(seed, ordinal)`, where the ordinal is the run's
+//! evaluation count at that attempt: the
+//! [`GuardedEvaluator`](crate::fault::GuardedEvaluator) numbers each
+//! attempt from the count it holds and passes it to
+//! [`Problem::evaluate_ordinal`]. The wrapper keeps no state of its own,
+//! so the fault stream is bit-identical at any thread count, and a run
+//! restored from a checkpoint's evaluation count continues it.
 //!
-//! Plain [`Problem::evaluate`] *also* injects (it reserves one ordinal
-//! for itself), so an optimizer path that bypasses the guarded evaluator
-//! fails loudly under chaos instead of silently skipping injection —
-//! that is exactly what the chaos test matrix relies on to prove every
-//! evaluation path is contained.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! Plain [`Problem::evaluate`] has no ordinal, so it panics: an optimizer
+//! path that bypasses the guarded evaluator fails loudly under chaos
+//! instead of silently skipping injection — that is exactly what the
+//! chaos test matrix relies on to prove every evaluation path is
+//! contained.
 
 use rand::RngCore;
 
@@ -145,30 +144,18 @@ pub struct ChaosProblem<P> {
     inner: P,
     spec: ChaosSpec,
     seed: u64,
-    ordinal: AtomicU64,
 }
 
 impl<P> ChaosProblem<P> {
     /// Wraps `inner`, faulting evaluations according to `spec` with the
     /// fault stream keyed by `seed`.
     pub fn new(inner: P, spec: ChaosSpec, seed: u64) -> Self {
-        Self { inner, spec, seed, ordinal: AtomicU64::new(0) }
+        Self { inner, spec, seed }
     }
 
     /// The wrapped problem.
     pub fn inner(&self) -> &P {
         &self.inner
-    }
-
-    /// The next unreserved evaluation ordinal — persist this at a
-    /// checkpoint safe point to resume the fault stream bit-identically.
-    pub fn ordinal(&self) -> u64 {
-        self.ordinal.load(Ordering::SeqCst)
-    }
-
-    /// Restores the ordinal counter captured by [`ordinal`](Self::ordinal).
-    pub fn set_ordinal(&self, ordinal: u64) {
-        self.ordinal.store(ordinal, Ordering::SeqCst);
     }
 }
 
@@ -234,19 +221,18 @@ impl<P: Problem> Problem for ChaosProblem<P> {
         self.inner.crossover(a, b, rng)
     }
 
-    /// Reserves one ordinal and injects: unguarded call sites fault
-    /// loudly under chaos rather than dodging injection.
-    fn evaluate(&self, s: &Self::Solution) -> Vec<f64> {
-        let ordinal = self.reserve_ordinals(1);
-        self.inject(s, ordinal)
+    /// Panics: an evaluation without an ordinal has no fault to draw, and
+    /// an unguarded call site must fail loudly under chaos rather than
+    /// dodge injection.
+    fn evaluate(&self, _s: &Self::Solution) -> Vec<f64> {
+        panic!(
+            "chaos: ChaosProblem::evaluate bypasses the guarded evaluator; evaluate through \
+             GuardedEvaluator, which calls evaluate_ordinal"
+        );
     }
 
     fn evaluate_ordinal(&self, s: &Self::Solution, ordinal: u64) -> Vec<f64> {
         self.inject(s, ordinal)
-    }
-
-    fn reserve_ordinals(&self, n: u64) -> u64 {
-        self.ordinal.fetch_add(n, Ordering::SeqCst)
     }
 
     fn features(&self, s: &Self::Solution) -> Vec<f64> {
@@ -312,25 +298,35 @@ mod tests {
     #[test]
     fn ordinal_round_trip_resumes_the_same_fault_stream() {
         let (problem, solutions) = batch(30, 3);
-        let spec = ChaosSpec::parse("nan=0.3").unwrap();
-        let config = FaultConfig { policy: FaultPolicy::Skip, retries: 0 };
+        let chaotic = ChaosProblem::new(&problem, ChaosSpec::parse("nan=0.3").unwrap(), 5);
+        let config = FaultConfig { policy: FaultPolicy::Skip, retries: 1 };
 
-        let uninterrupted = ChaosProblem::new(&problem, spec, 5);
-        let mut guard = GuardedEvaluator::new(1, config);
-        let first = guard.evaluate(&uninterrupted, &solutions[..12]);
-        let second = guard.evaluate(&uninterrupted, &solutions[12..]);
+        let mut uninterrupted = GuardedEvaluator::new(1, config);
+        let first = uninterrupted.evaluate(&chaotic, &solutions[..12]);
+        let second = uninterrupted.evaluate(&chaotic, &solutions[12..]);
 
-        // "Crash" after the first batch: rebuild the wrapper and restore
-        // only the ordinal counter.
-        let resumed = ChaosProblem::new(&problem, spec, 5);
-        let mut guard2 = GuardedEvaluator::new(4, config);
-        let first2 = guard2.evaluate(&resumed, &solutions[..12]);
-        assert_eq!(first2, first);
-        let restored = ChaosProblem::new(&problem, spec, 5);
-        restored.set_ordinal(resumed.ordinal());
-        assert_eq!(restored.ordinal(), uninterrupted.ordinal() - 18);
-        let second2 = guard2.evaluate(&restored, &solutions[12..]);
-        assert_eq!(second2, second);
+        // "Crash" after the first batch: the problem holds nothing, so
+        // the resumed guard is rebuilt from the checkpointed fault log
+        // and evaluation count alone.
+        let mut interrupted = GuardedEvaluator::new(4, config);
+        assert_eq!(interrupted.evaluate(&chaotic, &solutions[..12]), first);
+        let count = interrupted.evaluations();
+        assert!(count > 12, "the retries are counted too");
+        let mut resumed = GuardedEvaluator::from_parts(4, config, *interrupted.log(), count);
+        assert_eq!(resumed.evaluate(&chaotic, &solutions[12..]), second);
+        assert_eq!(resumed.evaluations(), uninterrupted.evaluations());
+        assert_eq!(resumed.log(), uninterrupted.log());
+
+        // A guard that forgot the count replays the stream from ordinal 0.
+        let mut forgetful = GuardedEvaluator::from_parts(4, config, *interrupted.log(), 0);
+        assert_ne!(forgetful.evaluate(&chaotic, &solutions[12..]), second);
+    }
+
+    #[test]
+    #[should_panic(expected = "ChaosProblem::evaluate bypasses the guarded evaluator")]
+    fn unguarded_evaluate_panics_naming_the_bypass() {
+        let (problem, solutions) = batch(1, 6);
+        ChaosProblem::new(&problem, ChaosSpec::default(), 3).evaluate(&solutions[0]);
     }
 
     #[test]
@@ -338,8 +334,8 @@ mod tests {
         let (problem, solutions) = batch(8, 1);
         for (spec, check) in [("nan=1", "nan"), ("inf=1", "inf"), ("arity=1", "arity")] {
             let chaotic = ChaosProblem::new(&problem, ChaosSpec::parse(spec).unwrap(), 2);
-            for s in &solutions {
-                let objs = chaotic.evaluate(s);
+            for (ordinal, s) in (0..).zip(&solutions) {
+                let objs = chaotic.evaluate_ordinal(s, ordinal);
                 match check {
                     "nan" => assert!(objs.iter().any(|v| v.is_nan())),
                     "inf" => assert!(objs.iter().any(|v| v.is_infinite())),
@@ -349,7 +345,7 @@ mod tests {
         }
         let panicky = ChaosProblem::new(&problem, ChaosSpec::parse("panic=1").unwrap(), 2);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            panicky.evaluate(&solutions[0])
+            panicky.evaluate_ordinal(&solutions[0], 0)
         }));
         assert!(caught.is_err());
     }
@@ -368,9 +364,8 @@ mod tests {
     fn zero_spec_is_transparent() {
         let (problem, solutions) = batch(6, 4);
         let chaotic = ChaosProblem::new(&problem, ChaosSpec::default(), 9);
-        for s in &solutions {
-            assert_eq!(chaotic.evaluate(s), problem.evaluate(s));
+        for (ordinal, s) in (0..).zip(&solutions) {
+            assert_eq!(chaotic.evaluate_ordinal(s, ordinal), problem.evaluate(s));
         }
-        assert_eq!(chaotic.ordinal(), 6);
     }
 }

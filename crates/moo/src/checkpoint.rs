@@ -15,17 +15,18 @@
 //! ```
 //!
 //! Each state is its own search state plus one [`RunCtx`]: the lifecycle
-//! all optimizers share. The context owns the fault-guarded evaluator, the
-//! evaluation count and the budget caps, the anytime trace recorder, the
-//! start time, the `finished` latch, and the telemetry and cancellation
-//! handles. It is the only code that evaluates and counts: every
-//! candidate, in every optimizer and in the shared descent, goes through
-//! [`RunCtx::evaluate`]. A `step` opens with [`RunCtx::begin_step`],
-//! evaluates through the context, records trace points with
-//! [`RunCtx::record`], and a snapshot wraps the optimizer's own fields
-//! around [`RunCtx::snapshot`]. [`Resumable`] reaches the context through
-//! `ctx`/`ctx_mut` and implements the driver hooks (`set_obs`,
-//! `set_cancel`) and the progress queries once, for every optimizer.
+//! all optimizers share. The context owns the fault-guarded evaluator
+//! (which holds the run's one evaluation count) and the budget caps, the
+//! anytime trace recorder, the start time, the `finished` latch, and the
+//! telemetry and cancellation handles. It is the only code that evaluates
+//! and counts: every candidate, in every optimizer and in the shared
+//! descent, goes through [`RunCtx::evaluate`]. A `step` opens with
+//! [`RunCtx::begin_step`], evaluates through the context, records trace
+//! points with [`RunCtx::record`], and a snapshot wraps the optimizer's
+//! own fields around [`RunCtx::snapshot`]. [`Resumable`] reaches the
+//! context through `ctx`/`ctx_mut` and implements the driver hooks
+//! (`set_obs`, `set_cancel`) and the progress queries once, for every
+//! optimizer.
 //!
 //! The determinism contract: a state restored from
 //! [`Resumable::snapshot_state`] (together with the RNG state captured at
@@ -88,9 +89,8 @@ impl CancelToken {
 /// guard.
 #[derive(Debug)]
 pub struct RunCtx {
+    /// The run's guard; its count is the run's evaluation count.
     evaluator: GuardedEvaluator,
-    /// Objective evaluations paid for so far, retries included.
-    pub evaluations: u64,
     /// The anytime-PHV trace.
     pub recorder: TraceRecorder,
     /// Latched once the run is over; every later step is a no-op.
@@ -120,7 +120,6 @@ impl RunCtx {
     ) -> Self {
         Self {
             evaluator: GuardedEvaluator::new(threads, fault),
-            evaluations: 0,
             recorder: match trace_normalizer {
                 Some(n) => TraceRecorder::with_fixed_normalizer(n.clone()),
                 None => TraceRecorder::new(m),
@@ -136,7 +135,8 @@ impl RunCtx {
 
     /// Rebuilds a context from the shared keys of a snapshot (see
     /// [`RunCtx::snapshot`]), with `elapsed` wall-clock time already
-    /// consumed.
+    /// consumed. The guard resumes counting, and numbering evaluation
+    /// ordinals, from the snapshot's `evaluations`.
     pub fn restore(
         state: &Value,
         elapsed: Duration,
@@ -150,8 +150,8 @@ impl RunCtx {
                 threads,
                 fault,
                 FaultLog::restore(state.field("faults")?)?,
+                state.field("evaluations")?.as_u64()?,
             ),
-            evaluations: state.field("evaluations")?.as_u64()?,
             recorder: TraceRecorder::restore(state.field("recorder")?)?,
             finished: state.field("finished")?.as_bool()?,
             obs: Obs::disabled(),
@@ -173,7 +173,7 @@ impl RunCtx {
     ) -> Value {
         let mut fields = head;
         fields.push(("finished", Value::Bool(self.finished)));
-        fields.push(("evaluations", Value::U64(self.evaluations)));
+        fields.push(("evaluations", Value::U64(self.evaluations())));
         fields.push(("recorder", self.recorder.snapshot()));
         fields.extend(body);
         fields.push(("faults", self.evaluator.log().snapshot()));
@@ -195,9 +195,14 @@ impl RunCtx {
         !self.finished
     }
 
+    /// Objective evaluations paid for so far, retries included.
+    pub fn evaluations(&self) -> u64 {
+        self.evaluator.evaluations()
+    }
+
     /// Evaluations left under the cap (`u64::MAX` when uncapped).
     pub fn remaining(&self) -> u64 {
-        self.max_evaluations.map_or(u64::MAX, |cap| cap.saturating_sub(self.evaluations))
+        self.max_evaluations.map_or(u64::MAX, |cap| cap.saturating_sub(self.evaluations()))
     }
 
     /// Whether the wall-clock budget is spent.
@@ -222,8 +227,8 @@ impl RunCtx {
         self.evaluator.log()
     }
 
-    /// Evaluates a batch under containment and adds its attempts,
-    /// retries included, to the evaluation count; latches `finished` if
+    /// Evaluates a batch under containment; the guard adds its attempts,
+    /// retries included, to the evaluation count. Latches `finished` if
     /// a [`crate::fault::FaultPolicy::Fail`] fault poisoned the run. One
     /// candidate is a one-element slice (`std::slice::from_ref`).
     pub fn evaluate<P>(&mut self, problem: &P, solutions: &[P::Solution]) -> GuardedBatch
@@ -232,7 +237,6 @@ impl RunCtx {
         P::Solution: Sync,
     {
         let batch = self.evaluator.evaluate(problem, solutions);
-        self.evaluations += batch.attempts;
         if self.poisoned() {
             self.finished = true;
         }
@@ -242,7 +246,7 @@ impl RunCtx {
     /// Appends the trace point of `step` over `objectives`, at the
     /// current evaluation count and wall-clock time.
     pub fn record(&mut self, step: usize, objectives: &[Vec<f64>]) {
-        self.recorder.record(step, self.evaluations, self.start_time.elapsed(), objectives);
+        self.recorder.record(step, self.evaluations(), self.start_time.elapsed(), objectives);
     }
 
     /// Reports a completed step: the `generations` counter and the
@@ -260,7 +264,7 @@ impl RunCtx {
         RunResult {
             population,
             trace: self.recorder.into_points(),
-            evaluations: self.evaluations,
+            evaluations: self.evaluator.evaluations(),
             elapsed: self.start_time.elapsed(),
         }
     }
@@ -340,7 +344,7 @@ pub trait Resumable<C: SolutionCodec<Self::Solution>> {
 
     /// Objective evaluations paid for so far, retries included.
     fn evaluations(&self) -> u64 {
-        self.ctx().evaluations
+        self.ctx().evaluations()
     }
 
     /// The most recent normalized hypervolume recorded on the anytime
@@ -490,16 +494,16 @@ mod tests {
         let mut run = ctx(skip, None, None);
         let clean = run.evaluate(&problem, std::slice::from_ref(&design));
         assert_eq!(clean.objectives, vec![Some(problem.evaluate(&design))]);
-        assert_eq!(run.evaluations, 1);
+        assert_eq!(run.evaluations(), 1);
         let dropped = run.evaluate(&broken, std::slice::from_ref(&design));
         assert_eq!(dropped.objectives, vec![None]);
-        assert_eq!(run.evaluations, 3, "the retry is paid for");
+        assert_eq!(run.evaluations(), 3, "the retry is paid for");
         assert_eq!(run.fault_log().skipped, 1);
         assert!(!run.finished);
 
         let mut run = ctx(FaultConfig::default(), None, None);
         assert_eq!(run.evaluate(&broken, std::slice::from_ref(&design)).objectives, vec![None]);
-        assert_eq!(run.evaluations, 1);
+        assert_eq!(run.evaluations(), 1);
         assert!(run.poisoned() && run.finished, "a Fail fault latches the run");
     }
 
@@ -513,7 +517,7 @@ mod tests {
         assert!(run.fault_log().faults() > 0, "the spec must actually inject");
         let snap = run.snapshot_state(&VecF64Codec);
         let restored = RunCtx::restore(&snap, Duration::ZERO, 1, skip, Some(12), None).unwrap();
-        assert_eq!(restored.evaluations, run.evaluations());
+        assert_eq!(restored.evaluations(), run.evaluations());
         assert!(restored.finished);
         assert_eq!(restored.fault_log(), run.fault_log());
         assert_eq!(restored.recorder.points(), run.ctx().recorder.points());

@@ -124,10 +124,6 @@ impl<P: Problem> Problem for Counted<P> {
         self.inner.evaluate_ordinal(s, ordinal)
     }
 
-    fn reserve_ordinals(&self, n: u64) -> u64 {
-        self.inner.reserve_ordinals(n)
-    }
-
     fn features(&self, s: &Self::Solution) -> Vec<f64> {
         self.inner.features(s)
     }

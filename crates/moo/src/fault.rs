@@ -20,9 +20,10 @@
 //! The determinism contract of the rest of the workspace is preserved:
 //! with the same seed and fault stream, results are bit-identical at any
 //! thread count, because fault decisions key off per-candidate evaluation
-//! *ordinals* reserved before the batch fans out (see
-//! [`Problem::reserve_ordinals`]) and retries run sequentially in batch
-//! order.
+//! *ordinals* numbered from the guard's own evaluation count before the
+//! batch fans out, and retries run sequentially in batch order. The guard
+//! holds the run's only evaluation count, so a guard rebuilt from a
+//! checkpoint's count continues the same ordinal sequence.
 
 use std::any::Any;
 use std::cell::Cell;
@@ -323,16 +324,19 @@ impl GuardedBatch {
 /// Candidates are generated sequentially by the optimizer, so the RNG
 /// stream does not depend on the worker count. They are evaluated here in
 /// contiguous chunks, one per worker, and reassembled in input order.
-/// Candidate `i` is evaluated as ordinal `base + i` however the batch is
-/// chunked, so results, fault decisions and costs are bit-identical at
-/// any worker count. On the happy path (no faults) it returns exactly
-/// what per-candidate [`Problem::evaluate_ordinal`] returns, at the same
-/// cost.
+/// The guard counts every attempt it pays for; with `count` attempts
+/// behind it, candidate `i` of a batch is evaluated as ordinal
+/// `count + i` however the batch is chunked, and each retry takes the
+/// next ordinal in batch order. Results, fault decisions and costs are
+/// therefore bit-identical at any worker count. On the happy path (no
+/// faults) it returns exactly what per-candidate
+/// [`Problem::evaluate_ordinal`] returns, at the same cost.
 #[derive(Clone, Debug)]
 pub struct GuardedEvaluator {
     threads: usize,
     config: FaultConfig,
     log: FaultLog,
+    evaluations: u64,
     error: Option<EvalFault>,
     obs: Obs,
 }
@@ -341,18 +345,24 @@ impl GuardedEvaluator {
     /// A guard with `threads` evaluation workers (0 = auto) and the given
     /// fault policy.
     pub fn new(threads: usize, config: FaultConfig) -> Self {
-        Self::from_parts(threads, config, FaultLog::default())
+        Self::from_parts(threads, config, FaultLog::default(), 0)
     }
 
-    /// Rebuilds a guard from a checkpointed fault log. `threads = 0`
-    /// resolves to the host's available parallelism (1 when it cannot be
-    /// determined).
-    pub fn from_parts(threads: usize, config: FaultConfig, log: FaultLog) -> Self {
+    /// Rebuilds a guard from a checkpointed fault log and evaluation
+    /// count; its next attempt is evaluated as ordinal `evaluations`.
+    /// `threads = 0` resolves to the host's available parallelism (1 when
+    /// it cannot be determined).
+    pub fn from_parts(
+        threads: usize,
+        config: FaultConfig,
+        log: FaultLog,
+        evaluations: u64,
+    ) -> Self {
         let threads = match threads {
             0 => std::thread::available_parallelism().map_or(1, usize::from),
             n => n,
         };
-        Self { threads, config, log, error: None, obs: Obs::disabled() }
+        Self { threads, config, log, evaluations, error: None, obs: Obs::disabled() }
     }
 
     /// Installs the observability handle every batch evaluation reports
@@ -360,6 +370,12 @@ impl GuardedEvaluator {
     /// counters). The default handle is disabled and free.
     pub fn set_obs(&mut self, obs: Obs) {
         self.obs = obs;
+    }
+
+    /// Evaluation attempts paid for so far, retries included — also the
+    /// ordinal the next attempt is evaluated as.
+    pub fn evaluations(&self) -> u64 {
+        self.evaluations
     }
 
     /// The fault counters accumulated so far.
@@ -390,18 +406,18 @@ impl GuardedEvaluator {
         let _span = self.obs.span("evaluate");
         let faults_before = self.log.faults();
         let m = problem.objective_count();
-        let base = problem.reserve_ordinals(solutions.len() as u64);
+        let base = self.evaluations;
         let mut results = fan_out(problem, solutions, base, m, self.threads);
         let mut attempts = solutions.len() as u64;
 
         // Retries run sequentially in batch order: deterministic at any
-        // thread count, and each attempt draws a fresh ordinal so seeded
+        // thread count, and each attempt takes the next ordinal so seeded
         // chaos can clear on retry.
         for i in 0..results.len() {
             let Err(fault) = &results[i] else { continue };
             self.log.count(fault.kind);
             for _ in 0..self.config.retries {
-                let ordinal = problem.reserve_ordinals(1);
+                let ordinal = base + attempts;
                 attempts += 1;
                 self.log.retries += 1;
                 match guarded_eval_one(problem, &solutions[i], ordinal, m, i) {
@@ -440,6 +456,7 @@ impl GuardedEvaluator {
                 },
             })
             .collect();
+        self.evaluations += attempts;
         self.obs.counter("evaluations", attempts);
         let faulted = self.log.faults() - faults_before;
         if faulted > 0 {
@@ -553,6 +570,47 @@ mod tests {
         vec![vec![0.5], vec![-1.0], vec![0.05], vec![0.15], vec![0.9]]
     }
 
+    /// [`Moody`] that records the ordinal of every attempt.
+    #[derive(Default)]
+    struct Numbered(std::sync::Mutex<Vec<u64>>);
+
+    impl Problem for Numbered {
+        type Solution = Vec<f64>;
+
+        fn objective_count(&self) -> usize {
+            Moody.objective_count()
+        }
+
+        fn random_solution(&self, rng: &mut dyn rand::RngCore) -> Vec<f64> {
+            Moody.random_solution(rng)
+        }
+
+        fn neighbor(&self, s: &Vec<f64>, rng: &mut dyn rand::RngCore) -> Vec<f64> {
+            Moody.neighbor(s, rng)
+        }
+
+        fn crossover(&self, a: &Vec<f64>, b: &Vec<f64>, rng: &mut dyn rand::RngCore) -> Vec<f64> {
+            Moody.crossover(a, b, rng)
+        }
+
+        fn evaluate(&self, s: &Vec<f64>) -> Vec<f64> {
+            Moody.evaluate(s)
+        }
+
+        fn evaluate_ordinal(&self, s: &Vec<f64>, ordinal: u64) -> Vec<f64> {
+            self.0.lock().expect("unpoisoned").push(ordinal);
+            Moody.evaluate(s)
+        }
+
+        fn features(&self, s: &Vec<f64>) -> Vec<f64> {
+            Moody.features(s)
+        }
+
+        fn feature_len(&self) -> usize {
+            Moody.feature_len()
+        }
+    }
+
     #[test]
     fn faults_are_classified_per_candidate_at_any_thread_count() {
         for threads in [1, 4] {
@@ -625,6 +683,22 @@ mod tests {
         assert_eq!(guard.log().retries, 6);
         assert_eq!(guard.log().recovered, 0);
         assert_eq!(guard.log().panics, 3); // initial + 2 retries
+    }
+
+    #[test]
+    fn attempts_are_numbered_from_the_evaluation_count() {
+        let config = FaultConfig { policy: FaultPolicy::PenalizeWorst, retries: 1 };
+        for threads in [1, 4] {
+            let problem = Numbered::default();
+            let mut guard = GuardedEvaluator::from_parts(threads, config, FaultLog::default(), 100);
+            guard.evaluate(&problem, &moody_batch());
+            let mut seen = problem.0.into_inner().expect("unpoisoned");
+            // The five candidates are 100..105 however they are chunked;
+            // the three faulted ones retry in batch order after them.
+            seen[..5].sort_unstable();
+            assert_eq!(seen, [100, 101, 102, 103, 104, 105, 106, 107], "threads {threads}");
+            assert_eq!(guard.evaluations(), 108, "threads {threads}");
+        }
     }
 
     #[test]

@@ -24,10 +24,11 @@
 //!   multi-start baseline;
 //! * one evaluation path: an optimizer generates candidates sequentially
 //!   and hands the batch to [`checkpoint::RunCtx::evaluate`], which
-//!   counts it against the budget and passes it to
-//!   [`fault::GuardedEvaluator::evaluate`]. That fans the batch out across
-//!   scoped worker threads, calls [`Problem::evaluate_ordinal`] per
-//!   candidate and gives bit-identical results at any thread count;
+//!   passes it to [`fault::GuardedEvaluator::evaluate`]. The guard holds
+//!   the run's evaluation count, fans the batch out across scoped worker
+//!   threads, calls [`Problem::evaluate_ordinal`] per candidate with its
+//!   number in that count and gives bit-identical results at any thread
+//!   count;
 //! * fault containment on that path: the guard turns panicking,
 //!   NaN-producing or malformed evaluations into structured
 //!   [`fault::EvalFault`]s handled by a uniform [`fault::FaultPolicy`],

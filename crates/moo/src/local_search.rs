@@ -227,9 +227,9 @@ mod tests {
             LocalSearchBudget { max_steps: 10, neighbors_per_step: 3, stall_evaluations: 9 };
         let mut run = run();
         greedy_descent(&p, &start, &objs, &[0.5, 0.5], &z, &n, budget, &mut run, &mut rng);
-        assert_eq!(run.evaluations % 3, 0, "whole steps only");
-        assert!(run.evaluations <= 30);
-        assert!(run.evaluations >= 3, "at least one step is attempted");
+        assert_eq!(run.evaluations() % 3, 0, "whole steps only");
+        assert!(run.evaluations() <= 30);
+        assert!(run.evaluations() >= 3, "at least one step is attempted");
     }
 
     #[test]
@@ -244,7 +244,7 @@ mod tests {
             let mut run = ctx(threads, FaultConfig::default());
             let out =
                 greedy_descent(&p, &start, &objs, &[0.3, 0.7], &z, &n, budget, &mut run, &mut rng);
-            (out, run.evaluations)
+            (out, run.evaluations())
         };
         let (sequential, sequential_evaluations) = descend(1);
         for threads in [2, 4, 8] {
@@ -305,7 +305,7 @@ mod tests {
         assert!(out.best_objectives.iter().all(|v| v.is_finite()));
         assert!(out.accepted.iter().all(|(_, o)| o.iter().all(|v| v.is_finite())));
         assert!(out.final_value.is_finite());
-        assert!(run.evaluations >= 4, "attempts are still charged");
+        assert!(run.evaluations() >= 4, "attempts are still charged");
     }
 
     #[test]
@@ -330,7 +330,7 @@ mod tests {
             &mut rng,
         );
         assert!(run.poisoned() && run.finished);
-        assert_eq!(run.evaluations, 4, "exactly one batch is attempted before the latch");
+        assert_eq!(run.evaluations(), 4, "exactly one batch is attempted before the latch");
         assert_eq!(out.best_objectives, objs, "the start survives unchanged");
     }
 }

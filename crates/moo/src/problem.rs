@@ -63,11 +63,13 @@ pub trait Problem {
     ///
     /// Ordinals are the addressing scheme of fault injection
     /// ([`crate::chaos::ChaosProblem`]) and fault-contained evaluation
-    /// ([`crate::fault::GuardedEvaluator`]): the guard reserves a
-    /// contiguous ordinal range for a whole batch *before* fanning out,
-    /// assigns candidate `i` ordinal `base + i`, and thereby keeps the
-    /// fault stream bit-identical at any thread count. Most problems
-    /// ignore ordinals entirely — the default delegates to
+    /// ([`crate::fault::GuardedEvaluator`]): the ordinal is the run's
+    /// evaluation count at that attempt, which the guard holds. With
+    /// `count` attempts paid for, candidate `i` of a batch is ordinal
+    /// `count + i` however the batch is fanned out, so the fault stream
+    /// is bit-identical at any thread count and continues from a
+    /// checkpoint's evaluation count. Most problems ignore ordinals
+    /// entirely — the default delegates to
     /// [`evaluate`](Problem::evaluate).
     fn evaluate_ordinal(&self, s: &Self::Solution, _ordinal: u64) -> Vec<f64> {
         self.evaluate(s)
@@ -86,15 +88,6 @@ pub trait Problem {
         ordinal: u64,
     ) -> Vec<f64> {
         self.evaluate_ordinal(s, ordinal)
-    }
-
-    /// Reserves `n` consecutive evaluation ordinals, returning the first.
-    ///
-    /// Only ordinal-aware wrappers ([`crate::chaos::ChaosProblem`]) track
-    /// a counter; the default is a no-op returning 0, so plain problems
-    /// pay nothing.
-    fn reserve_ordinals(&self, _n: u64) -> u64 {
-        0
     }
 
     /// A stable, collision-free memoization key for `s`, or `None` when
@@ -162,10 +155,6 @@ impl<P: Problem + ?Sized> Problem for &P {
 
     fn evaluate_ordinal(&self, s: &Self::Solution, ordinal: u64) -> Vec<f64> {
         (**self).evaluate_ordinal(s, ordinal)
-    }
-
-    fn reserve_ordinals(&self, n: u64) -> u64 {
-        (**self).reserve_ordinals(n)
     }
 
     fn features(&self, s: &Self::Solution) -> Vec<f64> {

@@ -4,7 +4,7 @@
 use std::time::Duration;
 
 use moela::baselines::{
-    multi_start_local_search, random_search, MooStage, MooStageConfig, MultiStartConfig,
+    multi_start_local_search, MooStage, MooStageConfig, MultiStartConfig, RandomSearch,
     RandomSearchConfig,
 };
 use moela::moo::pareto::non_dominated_indices;
@@ -119,8 +119,8 @@ fn moo_stage_contract() {
 fn naive_baseline_contracts() {
     let p = problem();
     let mut rng = rand::rngs::StdRng::seed_from_u64(6);
-    let rs =
-        random_search(&RandomSearchConfig { samples: BUDGET, ..Default::default() }, &p, &mut rng);
+    let rs = RandomSearch::new(RandomSearchConfig { samples: BUDGET, ..Default::default() }, &p)
+        .run(&mut rng);
     check("random", &rs);
     let ls = multi_start_local_search(
         &MultiStartConfig {

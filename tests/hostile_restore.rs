@@ -16,8 +16,8 @@ use std::sync::OnceLock;
 use std::time::Duration;
 
 use moela::baselines::{
-    random_search_restore, random_search_start, Moead, MoeadConfig, MooStage, MooStageConfig, Moos,
-    MoosConfig, Nsga2, Nsga2Config, RandomSearchConfig,
+    Moead, MoeadConfig, MooStage, MooStageConfig, Moos, MoosConfig, Nsga2, Nsga2Config,
+    RandomSearch, RandomSearchConfig,
 };
 use moela::core::{Moela, MoelaConfig};
 use moela::ml::MIN_FIT_ROWS;
@@ -94,7 +94,7 @@ fn valid_state(algo: Algo) -> Value {
             snapshot_after(MooStage::new(stage_config(), &p).start(&mut rng), &mut rng, 4),
             snapshot_after(Moead::new(moead_config(), &p).start(&mut rng), &mut rng, 3),
             snapshot_after(Nsga2::new(nsga2_config(), &p).start(&mut rng), &mut rng, 3),
-            snapshot_after(random_search_start(&random_config(), &p), &mut rng, 3),
+            snapshot_after(RandomSearch::new(random_config(), &p).start(&mut rng), &mut rng, 3),
         ]
     });
     states[algo as usize].clone()
@@ -118,7 +118,9 @@ fn restore(algo: Algo, state: &Value) -> Result<(), PersistError> {
         Algo::MooStage => MooStage::new(stage_config(), &p).restore(codec, state, zero).map(drop),
         Algo::Moead => Moead::new(moead_config(), &p).restore(codec, state, zero).map(drop),
         Algo::Nsga2 => Nsga2::new(nsga2_config(), &p).restore(codec, state, zero).map(drop),
-        Algo::Random => random_search_restore(&random_config(), &p, codec, state, zero).map(drop),
+        Algo::Random => {
+            RandomSearch::new(random_config(), &p).restore(codec, state, zero).map(drop)
+        }
     }
 }
 

@@ -38,11 +38,11 @@ fn moela_beats_random_search_on_the_knapsack() {
     let moela = Moela::new(config, &p).run(&mut rng);
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-    let random = moela::baselines::random_search(
-        &moela::baselines::RandomSearchConfig { samples: moela.evaluations, ..Default::default() },
+    let random = moela::baselines::RandomSearch::new(
+        moela::baselines::RandomSearchConfig { samples: moela.evaluations, ..Default::default() },
         &p,
-        &mut rng,
-    );
+    )
+    .run(&mut rng);
     let phv_moela = moela.phv(&n);
     let phv_random = random.phv(&n);
     assert!(phv_moela > phv_random, "MOELA {phv_moela:.4} must beat random {phv_random:.4}");
