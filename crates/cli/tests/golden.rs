@@ -14,10 +14,17 @@
 //! directory. Regenerate them only for an intentional, documented change
 //! to optimizer behavior.
 //!
+//! At `--budget 120` MOOS never fits its gain model and MOO-STAGE never
+//! makes a meta move, so the three learning optimizers also run the same
+//! command at `--budget 600` (MOELA fits its `Eval` 15 times, MOOS 6,
+//! MOO-STAGE 17 with 5 meta moves). Those fixtures are named
+//! `<ALGO>.b600.trace.csv` / `<ALGO>.b600.front.csv`.
+//!
 //! `tests/golden/checkpoint_state.crc32` pins, per algorithm, the CRC-32
 //! of the newest checkpoint's `state` object from the same command, with
-//! every wall-clock `elapsed_nanos` zeroed. Equal bytes mean checkpoints
-//! written by earlier builds still restore unchanged.
+//! every wall-clock `elapsed_nanos` zeroed (`<ALGO>` at budget 120,
+//! `<ALGO>@600` at budget 600). Equal bytes mean checkpoints written by
+//! earlier builds still restore unchanged.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -45,8 +52,16 @@ fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
 
-/// Runs the golden command for `algorithm` into `dir`.
-fn golden_run(algorithm: &str, dir: &Path) {
+/// The budget of the original fixtures; [`LONG_BUDGET`] is the second
+/// input, long enough that every surrogate is fitted and used.
+const BUDGET: &str = "120";
+const LONG_BUDGET: &str = "600";
+
+/// The learning optimizers, which also run at [`LONG_BUDGET`].
+const LEARNING: [&str; 3] = ["moela", "moos", "moo-stage"];
+
+/// Runs the golden command for `algorithm` at `budget` into `dir`.
+fn golden_run(algorithm: &str, budget: &str, dir: &Path) {
     let dir_str = dir.to_str().expect("utf-8 path");
     let out = moela_dse(&[
         "run",
@@ -57,7 +72,7 @@ fn golden_run(algorithm: &str, dir: &Path) {
         "--algorithm",
         algorithm,
         "--budget",
-        "120",
+        budget,
         "--population",
         "8",
         "--seed",
@@ -72,36 +87,49 @@ fn golden_run(algorithm: &str, dir: &Path) {
     );
 }
 
-fn assert_matches_golden(algorithm: &str) {
-    let dir = scratch(algorithm);
-    golden_run(algorithm, &dir);
-    for (artifact, fixture) in [("trace.csv", "trace.csv"), ("front.csv", "front.csv")] {
-        let expected = golden_dir().join(format!("{algorithm}.{fixture}"));
+/// The fixture-name stem of `algorithm` at `budget`.
+fn stem(algorithm: &str, budget: &str) -> String {
+    if budget == BUDGET {
+        algorithm.to_owned()
+    } else {
+        format!("{algorithm}.b{budget}")
+    }
+}
+
+fn assert_matches_golden(algorithm: &str, budget: &str) {
+    let stem = stem(algorithm, budget);
+    let dir = scratch(&stem);
+    golden_run(algorithm, budget, &dir);
+    for artifact in ["trace.csv", "front.csv"] {
+        let expected = golden_dir().join(format!("{stem}.{artifact}"));
         assert_eq!(
             read(&expected),
             read(&dir.join(artifact)),
-            "{algorithm} {artifact} drifted from the pre-containment golden output"
+            "{algorithm} {artifact} at budget {budget} drifted from the golden output"
         );
     }
     let _ = fs::remove_dir_all(&dir);
 }
 
 macro_rules! golden_tests {
-    ($($name:ident: $algorithm:literal;)*) => {$(
+    ($($name:ident: $algorithm:literal, $budget:expr;)*) => {$(
         #[test]
         fn $name() {
-            assert_matches_golden($algorithm);
+            assert_matches_golden($algorithm, $budget);
         }
     )*};
 }
 
 golden_tests! {
-    moela_happy_path_matches_golden_output: "moela";
-    moead_happy_path_matches_golden_output: "moead";
-    moos_happy_path_matches_golden_output: "moos";
-    moo_stage_happy_path_matches_golden_output: "moo-stage";
-    nsga2_happy_path_matches_golden_output: "nsga2";
-    random_happy_path_matches_golden_output: "random";
+    moela_happy_path_matches_golden_output: "moela", BUDGET;
+    moead_happy_path_matches_golden_output: "moead", BUDGET;
+    moos_happy_path_matches_golden_output: "moos", BUDGET;
+    moo_stage_happy_path_matches_golden_output: "moo-stage", BUDGET;
+    nsga2_happy_path_matches_golden_output: "nsga2", BUDGET;
+    random_happy_path_matches_golden_output: "random", BUDGET;
+    moela_fitted_surrogate_matches_golden_output: "moela", LONG_BUDGET;
+    moos_fitted_gain_model_matches_golden_output: "moos", LONG_BUDGET;
+    moo_stage_meta_search_matches_golden_output: "moo-stage", LONG_BUDGET;
 }
 
 /// Zeroes every `elapsed_nanos` field, the only wall-clock data in a
@@ -127,14 +155,18 @@ fn checkpoint_state_bytes_match_the_pins() {
     let pins =
         String::from_utf8(read(&golden_dir().join("checkpoint_state.crc32"))).expect("utf-8 pins");
     let mut drifted = Vec::new();
-    for algorithm in ["moela", "moead", "moos", "moo-stage", "nsga2", "random"] {
-        let dir = scratch(&format!("ckpt-{algorithm}"));
-        golden_run(algorithm, &dir);
+    let all = ["moela", "moead", "moos", "moo-stage", "nsga2", "random"];
+    let runs = all.map(|a| (a, BUDGET)).into_iter().chain(LEARNING.map(|a| (a, LONG_BUDGET)));
+    for (algorithm, budget) in runs {
+        let dir = scratch(&format!("ckpt-{}", stem(algorithm, budget)));
+        golden_run(algorithm, budget, &dir);
         let store = RunStore::open(&dir).and_then(|s| s.checkpoints()).expect("checkpoints");
         let (_, envelope, _) = store.load_latest().expect("load").expect("a checkpoint");
         let mut state = envelope.field("state").expect("state").clone();
         zero_elapsed(&mut state);
-        let actual = format!("{algorithm} {:08x}", crc32(encode::to_string(&state).as_bytes()));
+        let pin =
+            if budget == BUDGET { algorithm.to_owned() } else { format!("{algorithm}@{budget}") };
+        let actual = format!("{pin} {:08x}", crc32(encode::to_string(&state).as_bytes()));
         if !pins.lines().any(|line| line == actual) {
             drifted.push(actual);
         }
