@@ -9,16 +9,14 @@ pub use moela_moo::run::normalized_phv;
 /// not end it.
 pub const PATIENCE: usize = 3;
 
-/// The descent budget of MOOS and the multi-start baseline: `max_steps`
-/// batches of `neighbors_per_step`, stopping after [`PATIENCE`]
-/// non-improving batches in a row.
-pub fn descent_budget(max_steps: usize, neighbors_per_step: usize) -> LocalSearchBudget {
-    LocalSearchBudget {
-        max_steps,
-        neighbors_per_step,
-        stall_evaluations: PATIENCE * neighbors_per_step,
-    }
-}
+/// The descent budget of MOOS's weighted-sum descent and MOO-STAGE's
+/// PHV-greedy hill climb: at most 25 batches of 4 neighbors, stopping
+/// after [`PATIENCE`] non-improving batches in a row.
+pub(crate) const DESCENT: LocalSearchBudget =
+    LocalSearchBudget { max_steps: 25, neighbors_per_step: 4, stall_evaluations: PATIENCE * 4 };
+
+/// Archive capacity of MOOS and MOO-STAGE (crowding-pruned beyond this).
+pub(crate) const ARCHIVE_CAP: usize = 40;
 
 #[cfg(test)]
 mod tests {

@@ -1,6 +1,6 @@
 //! Baseline multi-objective optimizers for the MOELA comparison study.
 //!
-//! Every algorithm the paper evaluates against (plus two naive brackets)
+//! Every algorithm the paper evaluates against (plus a naive bracket)
 //! is implemented here over the same [`moela_moo::Problem`] trait MOELA
 //! uses, and returns the same [`moela_moo::run::RunResult`], so the
 //! benchmark harness compares them on identical footing:
@@ -11,7 +11,7 @@
 //! * [`MooStage`] — MOO-STAGE (Joardar et al. 2019), STAGE-style learned
 //!   restart policy;
 //! * [`Nsga2`] — NSGA-II (Deb et al. 2002);
-//! * [`RandomSearch`] and [`multi_start_local_search`] — naive brackets.
+//! * [`RandomSearch`] — the naive bracket.
 
 pub mod common;
 pub mod moead;
@@ -24,6 +24,4 @@ pub use moead::{Moead, MoeadConfig, MoeadState};
 pub use moo_stage::{MooStage, MooStageConfig, MooStageState};
 pub use moos::{Moos, MoosConfig, MoosState};
 pub use nsga2::{Nsga2, Nsga2Config, Nsga2State};
-pub use simple::{
-    multi_start_local_search, MultiStartConfig, RandomSearch, RandomSearchConfig, RandomSearchState,
-};
+pub use simple::{RandomSearch, RandomSearchConfig, RandomSearchState};

@@ -4,7 +4,9 @@
 //! The implementation follows the original algorithm: `N` sub-problems
 //! defined by uniformly spread weight vectors, Tchebycheff scalarization
 //! against a running reference point, mating restricted to weight-space
-//! neighborhoods with probability `δ`, and bounded replacement (`n_r`).
+//! neighborhoods with probability `δ`, and bounded replacement (`n_r`),
+//! with MOELA's `δ` and `n_r` ([`moela_moo::decomposition::DELTA`] and
+//! [`moela_moo::decomposition::MAX_REPLACEMENTS`]).
 //! MOELA's EA step is the same machinery, literally: both run
 //! [`Population::evolve`] over a [`Population`]. The paper's contribution
 //! is what MOELA *adds* (the ML-guided local search), so sharing the
@@ -36,10 +38,6 @@ pub struct MoeadConfig {
     pub generations: usize,
     /// Neighborhood size `T`.
     pub neighborhood: usize,
-    /// Probability of mating within the neighborhood.
-    pub delta: f64,
-    /// Maximum replacements per offspring (`n_r`).
-    pub max_replacements: usize,
     /// Pre-fitted objective normalizer for the PHV trace; `None` fits one
     /// online (see [`moela_moo::run::TraceRecorder`]).
     pub trace_normalizer: Option<moela_moo::normalize::Normalizer>,
@@ -62,8 +60,6 @@ impl Default for MoeadConfig {
             population: 50,
             generations: 100,
             neighborhood: 10,
-            delta: 0.9,
-            max_replacements: 2,
             trace_normalizer: None,
             max_evaluations: None,
             time_budget: None,
@@ -106,7 +102,6 @@ impl<'p, P: Problem> Moead<'p, P> {
             (2..=config.population).contains(&config.neighborhood),
             "neighborhood must lie in 2..=population"
         );
-        assert!((0.0..=1.0).contains(&config.delta), "delta must lie in [0, 1]");
         Self { config, problem }
     }
 }
@@ -218,14 +213,7 @@ where
         order.shuffle(rng);
         order.truncate(self.ctx.remaining().min(cfg.population as u64) as usize);
         let partial = order.len() < cfg.population;
-        if !self.population.evolve(
-            self.problem,
-            &mut self.ctx,
-            &order,
-            cfg.delta,
-            cfg.max_replacements,
-            rng,
-        ) {
+        if !self.population.evolve(self.problem, &mut self.ctx, &order, rng) {
             return false;
         }
         {

@@ -26,7 +26,7 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::RngCore;
 
-use moela_ml::{Dataset, ForestConfig, RandomForest, MIN_FIT_ROWS};
+use moela_ml::{Dataset, RandomForest, MIN_FIT_ROWS, SURROGATE_FOREST};
 use moela_moo::archive::ParetoArchive;
 use moela_moo::checkpoint::{run_to_end, Resumable, RunCtx};
 use moela_moo::fault::{is_quarantined, FaultConfig};
@@ -36,23 +36,17 @@ use moela_moo::snapshot::{archive_from_value, archive_to_value};
 use moela_moo::Problem;
 use moela_persist::{PersistError, Restore, Snapshot, SolutionCodec, Value};
 
-use crate::common::{normalized_phv, PATIENCE};
+use crate::common::{normalized_phv, ARCHIVE_CAP, DESCENT, PATIENCE};
 
-/// MOO-STAGE parameters.
+/// Meta-search (predicted-`Eval` hill-climb) step limit.
+const META_STEPS: usize = 10;
+
+/// MOO-STAGE parameters. The archive cap and base-search budget are
+/// [`crate::common`]'s, and `Eval` is a [`moela_ml::SURROGATE_FOREST`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct MooStageConfig {
     /// Number of base-search episodes.
     pub episodes: usize,
-    /// Archive capacity.
-    pub archive_cap: usize,
-    /// Base-search step limit per episode.
-    pub ls_max_steps: usize,
-    /// Neighbors sampled per base-search step.
-    pub ls_neighbors_per_step: usize,
-    /// Meta-search (predicted-Eval hill-climb) step limit.
-    pub meta_steps: usize,
-    /// Random-forest hyper-parameters of `Eval`.
-    pub forest: ForestConfig,
     /// Pre-fitted objective normalizer for the PHV trace; `None` fits one
     /// online (see [`moela_moo::run::TraceRecorder`]).
     pub trace_normalizer: Option<moela_moo::normalize::Normalizer>,
@@ -73,11 +67,6 @@ impl Default for MooStageConfig {
     fn default() -> Self {
         Self {
             episodes: 40,
-            archive_cap: 40,
-            ls_max_steps: 25,
-            ls_neighbors_per_step: 4,
-            meta_steps: 10,
-            forest: ForestConfig { trees: 25, bootstrap_size: Some(512), ..Default::default() },
             trace_normalizer: None,
             max_evaluations: None,
             time_budget: None,
@@ -113,14 +102,9 @@ impl<'p, P: Problem> MooStage<'p, P> {
     ///
     /// # Panics
     ///
-    /// Panics if any episode/step budget is zero.
+    /// Panics if `episodes` is zero.
     pub fn new(config: MooStageConfig, problem: &'p P) -> Self {
         assert!(config.episodes > 0, "episodes must be positive");
-        assert!(config.archive_cap > 0, "archive capacity must be positive");
-        assert!(
-            config.ls_max_steps > 0 && config.ls_neighbors_per_step > 0,
-            "base-search budgets must be positive"
-        );
         Self { config, problem }
     }
 }
@@ -157,7 +141,7 @@ where
             cfg.time_budget,
         );
 
-        let mut archive: ParetoArchive<P::Solution> = ParetoArchive::bounded(cfg.archive_cap);
+        let mut archive: ParetoArchive<P::Solution> = ParetoArchive::bounded(ARCHIVE_CAP);
         let mut normalizer = Normalizer::new(m);
 
         // Initial random start; a quarantined one is simply not archived
@@ -260,7 +244,6 @@ where
             return false;
         }
         let episode = self.episode;
-        let cfg = self.config.clone();
 
         // --- Base search: PHV-greedy hill climb ---------------------
         let ls_span = self.ctx.obs.span("local_search");
@@ -269,8 +252,8 @@ where
         let mut current_phv = normalized_phv(&self.archive.objectives(), &self.normalizer);
         let mut trajectory: Vec<Vec<f64>> = vec![self.problem.features(&current)];
         let mut stalls = 0usize;
-        for _ in 0..cfg.ls_max_steps {
-            let candidates: Vec<P::Solution> = (0..cfg.ls_neighbors_per_step)
+        for _ in 0..DESCENT.max_steps {
+            let candidates: Vec<P::Solution> = (0..DESCENT.neighbors_per_step)
                 .map(|_| self.problem.neighbor(&current, rng))
                 .collect();
             let batch = self.ctx.evaluate(self.problem, &candidates);
@@ -330,7 +313,7 @@ where
         // the episode.
         let eval_fn = (self.train.len() >= MIN_FIT_ROWS).then(|| {
             let _fit = self.ctx.obs.span("surrogate_fit");
-            RandomForest::fit(&self.train, &cfg.forest, rng)
+            RandomForest::fit(&self.train, &SURROGATE_FOREST, rng)
         });
 
         // --- Meta search on predicted Eval --------------------------
@@ -340,7 +323,7 @@ where
                 let mut meta = current.clone();
                 let mut meta_score = model.predict(&self.problem.features(&meta));
                 let mut moves = 0u64;
-                for _ in 0..cfg.meta_steps {
+                for _ in 0..META_STEPS {
                     let cand = self.problem.neighbor(&meta, rng);
                     let score = model.predict(&self.problem.features(&cand));
                     if score < meta_score {
@@ -413,9 +396,9 @@ mod tests {
     #[test]
     fn archive_is_nondominated_and_bounded() {
         let problem = Zdt::zdt1(8);
-        let config = MooStageConfig { episodes: 8, archive_cap: 10, ..Default::default() };
+        let config = MooStageConfig { episodes: 8, ..Default::default() };
         let out = MooStage::new(config, &problem).run(&mut rng(1));
-        assert!(out.population.len() <= 10);
+        assert!(out.population.len() <= ARCHIVE_CAP);
         let objs: Vec<Vec<f64>> = out.population.iter().map(|(_, o)| o.clone()).collect();
         assert_eq!(moela_moo::pareto::non_dominated_indices(&objs).len(), objs.len());
     }
@@ -437,7 +420,7 @@ mod tests {
     #[test]
     fn makes_progress_toward_the_front() {
         let problem = Zdt::zdt1(8);
-        let config = MooStageConfig { episodes: 30, ls_max_steps: 40, ..Default::default() };
+        let config = MooStageConfig { episodes: 30, ..Default::default() };
         let out = MooStage::new(config, &problem).run(&mut rng(3));
         let d = igd(&out.front_objectives(), &problem.true_front(100));
         assert!(d < 1.5, "IGD {d}");

@@ -26,7 +26,7 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore};
 
-use moela_ml::{Dataset, ForestConfig, Surrogate, MIN_FIT_ROWS};
+use moela_ml::{Dataset, Surrogate, MIN_FIT_ROWS};
 use moela_moo::archive::ParetoArchive;
 use moela_moo::checkpoint::{run_to_end, Resumable, RunCtx};
 use moela_moo::fault::{is_quarantined, penalty_objectives, FaultConfig};
@@ -39,27 +39,24 @@ use moela_moo::weights::uniform_weights;
 use moela_moo::Problem;
 use moela_persist::{PersistError, Restore, Snapshot, SolutionCodec, Value};
 
-use crate::common::{descent_budget, normalized_phv};
+use crate::common::{normalized_phv, ARCHIVE_CAP, DESCENT};
 
-/// MOOS parameters.
+/// Number of scalarization directions in the fan.
+const DIRECTIONS: usize = 12;
+
+/// Episodes with random (unguided) direction selection.
+const WARMUP: usize = 8;
+
+/// ε of the ε-greedy direction policy after warm-up.
+const EPSILON: f64 = 0.3;
+
+/// MOOS parameters. The archive cap and descent budget are
+/// [`crate::common`]'s, and the gain model is a
+/// [`moela_ml::SURROGATE_FOREST`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct MoosConfig {
     /// Number of search episodes.
     pub episodes: usize,
-    /// Archive capacity (crowding-pruned beyond this).
-    pub archive_cap: usize,
-    /// Number of scalarization directions in the fan.
-    pub directions: usize,
-    /// Episodes with random (unguided) direction selection.
-    pub warmup: usize,
-    /// ε of the ε-greedy direction policy after warm-up.
-    pub epsilon: f64,
-    /// Greedy-descent step limit per episode.
-    pub ls_max_steps: usize,
-    /// Neighbors sampled per descent step.
-    pub ls_neighbors_per_step: usize,
-    /// Random-forest hyper-parameters of the gain model.
-    pub forest: ForestConfig,
     /// Pre-fitted objective normalizer for the PHV trace; `None` fits one
     /// online (see [`moela_moo::run::TraceRecorder`]).
     pub trace_normalizer: Option<moela_moo::normalize::Normalizer>,
@@ -80,13 +77,6 @@ impl Default for MoosConfig {
     fn default() -> Self {
         Self {
             episodes: 60,
-            archive_cap: 40,
-            directions: 12,
-            warmup: 8,
-            epsilon: 0.3,
-            ls_max_steps: 25,
-            ls_neighbors_per_step: 4,
-            forest: ForestConfig { trees: 25, bootstrap_size: Some(512), ..Default::default() },
             trace_normalizer: None,
             max_evaluations: None,
             time_budget: None,
@@ -122,13 +112,9 @@ impl<'p, P: Problem> Moos<'p, P> {
     ///
     /// # Panics
     ///
-    /// Panics if `episodes`, `archive_cap`, or `directions` is zero, or if
-    /// `epsilon` leaves `[0, 1]`.
+    /// Panics if `episodes` is zero.
     pub fn new(config: MoosConfig, problem: &'p P) -> Self {
         assert!(config.episodes > 0, "episodes must be positive");
-        assert!(config.archive_cap > 0, "archive capacity must be positive");
-        assert!(config.directions > 0, "need at least one direction");
-        assert!((0.0..=1.0).contains(&config.epsilon), "epsilon must lie in [0, 1]");
         Self { config, problem }
     }
 }
@@ -162,7 +148,7 @@ where
             cfg.time_budget,
         );
 
-        let mut archive: ParetoArchive<P::Solution> = ParetoArchive::bounded(cfg.archive_cap);
+        let mut archive: ParetoArchive<P::Solution> = ParetoArchive::bounded(ARCHIVE_CAP);
         let mut z = ReferencePoint::new(m);
         let mut normalizer = Normalizer::new(m);
 
@@ -218,7 +204,7 @@ where
         }
         let train = Dataset::restore(value.field("train")?)?;
         train.check_width(self.problem.feature_len() + m)?;
-        let gain_model = Surrogate::restore(value.field("fit_rng")?, &train, &cfg.forest)?;
+        let gain_model = Surrogate::restore(value.field("fit_rng")?, &train)?;
         Ok(MoosState {
             ctx: RunCtx::restore(
                 value,
@@ -282,8 +268,7 @@ where
             return false;
         }
         let episode = self.episode;
-        let cfg = self.config.clone();
-        let directions = uniform_weights(cfg.directions, self.problem.objective_count());
+        let directions = uniform_weights(DIRECTIONS, self.problem.objective_count());
 
         // --- Pick (start, direction) --------------------------------
         let entries: Vec<(P::Solution, Vec<f64>)> = self.archive.iter().cloned().collect();
@@ -291,67 +276,66 @@ where
         // happen past warm-up with a model), so a `match` rewrite
         // would change the RNG stream.
         let unfitted = self.gain_model.model().is_none();
-        let (start, start_objs, weight) =
-            if episode < cfg.warmup || unfitted || rng.gen_bool(cfg.epsilon) {
-                // Exploration: half the time restart from a fresh random
-                // design (archive members are locally exhausted), half the
-                // time re-descend an archive member in a random direction.
-                let w = directions[rng.gen_range(0..directions.len())].clone();
-                if entries.is_empty() || rng.gen_bool(0.5) {
-                    let s = self.problem.random_solution(rng);
-                    let mut batch = self.ctx.evaluate(self.problem, slice::from_ref(&s));
-                    if self.ctx.poisoned() {
-                        return false;
-                    }
-                    // A quarantined fresh start still descends — from the
-                    // penalty corner, where any real neighbor improves —
-                    // but never touches the archive or the normalizer.
-                    let o = match batch.objectives.pop().flatten() {
-                        Some(o) if !is_quarantined(&o) => {
-                            self.z.update(&o);
-                            self.normalizer.observe(&o);
-                            self.ctx.recorder.observe(&o);
-                            self.archive.insert(s.clone(), o.clone());
-                            o
-                        }
-                        _ => penalty_objectives(self.problem.objective_count()),
-                    };
-                    (s, o, w)
-                } else {
-                    let (s, o) = &entries[rng.gen_range(0..entries.len())];
-                    (s.clone(), o.clone(), w)
+        let (start, start_objs, weight) = if episode < WARMUP || unfitted || rng.gen_bool(EPSILON) {
+            // Exploration: half the time restart from a fresh random
+            // design (archive members are locally exhausted), half the
+            // time re-descend an archive member in a random direction.
+            let w = directions[rng.gen_range(0..directions.len())].clone();
+            if entries.is_empty() || rng.gen_bool(0.5) {
+                let s = self.problem.random_solution(rng);
+                let mut batch = self.ctx.evaluate(self.problem, slice::from_ref(&s));
+                if self.ctx.poisoned() {
+                    return false;
                 }
+                // A quarantined fresh start still descends — from the
+                // penalty corner, where any real neighbor improves —
+                // but never touches the archive or the normalizer.
+                let o = match batch.objectives.pop().flatten() {
+                    Some(o) if !is_quarantined(&o) => {
+                        self.z.update(&o);
+                        self.normalizer.observe(&o);
+                        self.ctx.recorder.observe(&o);
+                        self.archive.insert(s.clone(), o.clone());
+                        o
+                    }
+                    _ => penalty_objectives(self.problem.objective_count()),
+                };
+                (s, o, w)
             } else {
-                let _predict = self.ctx.obs.span("surrogate_predict");
-                let model = self.gain_model.model().expect("checked above");
-                let mut best: Option<(usize, usize, f64)> = None;
-                for (si, (s, _)) in entries.iter().enumerate() {
-                    let f_base = self.problem.features(s);
-                    for (di, d) in directions.iter().enumerate() {
-                        let mut f = f_base.clone();
-                        f.extend_from_slice(d);
-                        let pred = model.predict(&f);
-                        if best.is_none_or(|(_, _, bp)| pred > bp) {
-                            best = Some((si, di, pred));
-                        }
+                let (s, o) = &entries[rng.gen_range(0..entries.len())];
+                (s.clone(), o.clone(), w)
+            }
+        } else {
+            let _predict = self.ctx.obs.span("surrogate_predict");
+            let model = self.gain_model.model().expect("checked above");
+            let mut best: Option<(usize, usize, f64)> = None;
+            for (si, (s, _)) in entries.iter().enumerate() {
+                let f_base = self.problem.features(s);
+                for (di, d) in directions.iter().enumerate() {
+                    let mut f = f_base.clone();
+                    f.extend_from_slice(d);
+                    let pred = model.predict(&f);
+                    if best.is_none_or(|(_, _, bp)| pred > bp) {
+                        best = Some((si, di, pred));
                     }
                 }
-                match best {
-                    Some((si, di, _)) => {
-                        let (s, o) = &entries[si];
-                        (s.clone(), o.clone(), directions[di].clone())
-                    }
-                    // Only reachable when chaos emptied the archive: fall
-                    // back to an unevaluated random start at the penalty
-                    // corner rather than indexing an empty archive.
-                    None => {
-                        let s = self.problem.random_solution(rng);
-                        let o = penalty_objectives(self.problem.objective_count());
-                        let w = directions[rng.gen_range(0..directions.len())].clone();
-                        (s, o, w)
-                    }
+            }
+            match best {
+                Some((si, di, _)) => {
+                    let (s, o) = &entries[si];
+                    (s.clone(), o.clone(), directions[di].clone())
                 }
-            };
+                // Only reachable when chaos emptied the archive: fall
+                // back to an unevaluated random start at the penalty
+                // corner rather than indexing an empty archive.
+                None => {
+                    let s = self.problem.random_solution(rng);
+                    let o = penalty_objectives(self.problem.objective_count());
+                    let w = directions[rng.gen_range(0..directions.len())].clone();
+                    (s, o, w)
+                }
+            }
+        };
 
         // --- Episode: descend and archive ---------------------------
         let phv_before = normalized_phv(&self.archive.objectives(), &self.normalizer);
@@ -363,7 +347,7 @@ where
             &weight,
             self.z.values(),
             &self.normalizer,
-            descent_budget(cfg.ls_max_steps, cfg.ls_neighbors_per_step),
+            DESCENT,
             &mut self.ctx,
             rng,
         );
@@ -392,9 +376,9 @@ where
         let mut features = self.problem.features(&start);
         features.extend_from_slice(&weight);
         self.train.push_finite(features, phv_after - phv_before);
-        if episode + 1 >= cfg.warmup && self.train.len() >= MIN_FIT_ROWS {
+        if episode + 1 >= WARMUP && self.train.len() >= MIN_FIT_ROWS {
             let _fit = self.ctx.obs.span("surrogate_fit");
-            self.gain_model.fit(&self.train, &cfg.forest, rng);
+            self.gain_model.fit(&self.train, rng);
         }
 
         {
@@ -458,7 +442,7 @@ mod tests {
     #[test]
     fn converges_toward_the_zdt1_front() {
         let problem = Zdt::zdt1(8);
-        let config = MoosConfig { episodes: 60, ls_max_steps: 40, ..Default::default() };
+        let config = MoosConfig { episodes: 60, ..Default::default() };
         let out = Moos::new(config, &problem).run(&mut rng(2));
         let d = igd(&out.front_objectives(), &problem.true_front(100));
         assert!(d < 1.0, "IGD {d}");
@@ -525,8 +509,7 @@ mod tests {
         let run = |threads: usize| {
             let problem = ChaosProblem::new(Zdt::zdt1(8), spec, 31);
             let config = MoosConfig {
-                episodes: 8,
-                warmup: 2,
+                episodes: WARMUP + 4,
                 threads,
                 fault: FaultConfig { policy: FaultPolicy::Skip, retries: 1 },
                 ..Default::default()
@@ -575,7 +558,7 @@ mod tests {
     #[test]
     fn restore_refits_the_same_gain_model() {
         let problem = Zdt::zdt1(8);
-        let config = MoosConfig { episodes: 20, warmup: 2, ..Default::default() };
+        let config = MoosConfig { episodes: 20, ..Default::default() };
         let moos = Moos::new(config.clone(), &problem);
         let mut r = rng(52);
         let mut state = moos.start(&mut r);
@@ -589,7 +572,7 @@ mod tests {
             restored.gain_model.model().expect("refit"),
         );
         for (s, _) in state.archive.iter() {
-            for d in uniform_weights(config.directions, 2) {
+            for d in uniform_weights(DIRECTIONS, 2) {
                 let mut f = problem.features(s);
                 f.extend_from_slice(&d);
                 assert_eq!(a.tree_predictions(&f), b.tree_predictions(&f));
@@ -599,14 +582,15 @@ mod tests {
 
     #[test]
     fn snapshot_resume_is_bit_identical_at_every_boundary() {
-        // Warmup 2 with 8 episodes exercises both the unguided and the
-        // model-guided episode paths across the resume boundary.
+        // Four episodes past the warm-up exercise both the unguided and
+        // the model-guided episode paths across the resume boundary.
         let problem = Zdt::zdt1(8);
-        let config = MoosConfig { episodes: 8, warmup: 2, ..Default::default() };
+        let config = MoosConfig { episodes: WARMUP + 4, ..Default::default() };
         let moos = Moos::new(config.clone(), &problem);
         let baseline = Moos::new(config, &problem).run(&mut rng(51));
 
-        for boundary in [0u64, 1, 2, 4, 7] {
+        let warmup = WARMUP as u64;
+        for boundary in [0, 1, warmup - 1, warmup, warmup + 1, warmup + 3] {
             let mut r = rng(51);
             let mut state = zdt(moos.start(&mut r));
             while state.completed() < boundary && state.step(&mut r) {}

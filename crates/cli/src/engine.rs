@@ -457,7 +457,6 @@ fn start_state<'p>(
                 time_budget: Some(opts.time_guard),
                 threads: opts.threads,
                 fault: opts.fault(),
-                ..Default::default()
             };
             AnyState::Moead(start_or_restore!(Moead::new(config, problem)))
         }
@@ -469,7 +468,6 @@ fn start_state<'p>(
                 time_budget: Some(opts.time_guard),
                 threads: opts.threads,
                 fault: opts.fault(),
-                ..Default::default()
             };
             AnyState::Moos(start_or_restore!(Moos::new(config, problem)))
         }
@@ -481,7 +479,6 @@ fn start_state<'p>(
                 time_budget: Some(opts.time_guard),
                 threads: opts.threads,
                 fault: opts.fault(),
-                ..Default::default()
             };
             AnyState::MooStage(start_or_restore!(MooStage::new(config, problem)))
         }

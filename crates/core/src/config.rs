@@ -2,7 +2,6 @@
 
 use std::time::Duration;
 
-use moela_ml::ForestConfig;
 use moela_moo::fault::FaultConfig;
 
 /// Errors from [`MoelaConfigBuilder::build`].
@@ -24,7 +23,11 @@ impl std::error::Error for BuildConfigError {}
 
 /// Parameters of the MOELA run (Algorithm 1's inputs plus practical
 /// budgets). Defaults follow §V.B of the paper where the paper specifies a
-/// value (`N = 50`, `iter_early = 2`, `δ = 0.9`, `|S_train| ≤ 10 K`).
+/// value (`N = 50`, `iter_early = 2`, `|S_train| ≤ 10 K`). The settings
+/// no program varies are constants: `δ` and `n_r` in
+/// [`moela_moo::decomposition`], the surrogate forest in
+/// [`moela_ml::SURROGATE_FOREST`], and the descent budget in
+/// [`crate::moela`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct MoelaConfig {
     /// Population size `N` (also the number of decomposition weights).
@@ -35,24 +38,8 @@ pub struct MoelaConfig {
     pub iter_early: usize,
     /// Local searches launched per iteration (`n_local`).
     pub n_local: usize,
-    /// Neighborhood size `T` of the decomposition EA.
-    pub neighborhood: usize,
-    /// Probability `δ` of mating within the neighborhood.
-    pub delta: f64,
     /// Cap on the training set (`|S_train|`).
     pub train_cap: usize,
-    /// Greedy-descent step limit per local search.
-    pub ls_max_steps: usize,
-    /// Neighbors sampled per greedy-descent step (`1` = first-improvement
-    /// descent).
-    pub ls_neighbors_per_step: usize,
-    /// Consecutive non-improving evaluations before a descent stops.
-    pub ls_stall_evaluations: usize,
-    /// Maximum population members one new solution may replace (the
-    /// standard MOEA/D `n_r` guard against takeover).
-    pub max_replacements: usize,
-    /// Random-forest hyper-parameters for the learned `Eval`.
-    pub forest: ForestConfig,
     /// Run the EA step *before* the local searches within each iteration.
     /// The paper reports that local-search-first "provides the best
     /// results" (§IV.A); this flag exists for the ablation bench that
@@ -89,13 +76,18 @@ impl MoelaConfig {
             .build()
             .expect("paper parameters are valid")
     }
+
+    /// Neighborhood size `T` of the decomposition EA: `max(3, N/5)`,
+    /// capped at `N`.
+    pub fn neighborhood(&self) -> usize {
+        (self.population / 5).max(3).min(self.population)
+    }
 }
 
 /// Builder for [`MoelaConfig`].
 #[derive(Clone, Debug)]
 pub struct MoelaConfigBuilder {
     config: MoelaConfig,
-    neighborhood_set: bool,
     n_local_set: bool,
 }
 
@@ -107,18 +99,7 @@ impl Default for MoelaConfigBuilder {
                 generations: 100,
                 iter_early: 2,
                 n_local: 5,
-                neighborhood: 10,
-                delta: 0.9,
                 train_cap: 10_000,
-                ls_max_steps: 12,
-                ls_neighbors_per_step: 4,
-                ls_stall_evaluations: 12,
-                max_replacements: 2,
-                forest: ForestConfig {
-                    trees: 25,
-                    bootstrap_size: Some(512),
-                    ..ForestConfig::default()
-                },
                 ea_first: false,
                 trace_normalizer: None,
                 max_evaluations: None,
@@ -126,7 +107,6 @@ impl Default for MoelaConfigBuilder {
                 threads: 1,
                 fault: FaultConfig::default(),
             },
-            neighborhood_set: false,
             n_local_set: false,
         }
     }
@@ -158,52 +138,9 @@ impl MoelaConfigBuilder {
         self
     }
 
-    /// Sets the EA neighborhood size `T`.
-    pub fn neighborhood(mut self, t: usize) -> Self {
-        self.config.neighborhood = t;
-        self.neighborhood_set = true;
-        self
-    }
-
-    /// Sets the neighborhood-mating probability `δ`.
-    pub fn delta(mut self, delta: f64) -> Self {
-        self.config.delta = delta;
-        self
-    }
-
     /// Sets the training-set cap.
     pub fn train_cap(mut self, cap: usize) -> Self {
         self.config.train_cap = cap;
-        self
-    }
-
-    /// Sets the greedy-descent step limit.
-    pub fn ls_max_steps(mut self, steps: usize) -> Self {
-        self.config.ls_max_steps = steps;
-        self
-    }
-
-    /// Sets how many neighbors each greedy-descent step samples.
-    pub fn ls_neighbors_per_step(mut self, k: usize) -> Self {
-        self.config.ls_neighbors_per_step = k;
-        self
-    }
-
-    /// Sets the descent's stall tolerance in evaluations.
-    pub fn ls_stall_evaluations(mut self, evals: usize) -> Self {
-        self.config.ls_stall_evaluations = evals;
-        self
-    }
-
-    /// Sets the replacement cap per offspring.
-    pub fn max_replacements(mut self, nr: usize) -> Self {
-        self.config.max_replacements = nr;
-        self
-    }
-
-    /// Sets the random-forest hyper-parameters.
-    pub fn forest(mut self, forest: ForestConfig) -> Self {
-        self.config.forest = forest;
         self
     }
 
@@ -244,9 +181,8 @@ impl MoelaConfigBuilder {
         self
     }
 
-    /// Validates and produces the configuration. Unset `neighborhood` and
-    /// `n_local` scale with the population (`T = max(3, N/5)`,
-    /// `n_local = max(1, N/10)`).
+    /// Validates and produces the configuration. An unset `n_local`
+    /// scales with the population (`n_local = max(1, N/10)`).
     ///
     /// # Errors
     ///
@@ -257,26 +193,14 @@ impl MoelaConfigBuilder {
         if c.population < 2 {
             return Err(BuildConfigError::InvalidField("population must be at least 2".to_owned()));
         }
-        if !self.neighborhood_set {
-            c.neighborhood = (c.population / 5).max(3).min(c.population);
-        }
         if !self.n_local_set {
             c.n_local = (c.population / 10).max(1);
-        }
-        if c.neighborhood < 2 || c.neighborhood > c.population {
-            return Err(BuildConfigError::InvalidField(format!(
-                "neighborhood {} must be in 2..={}",
-                c.neighborhood, c.population
-            )));
         }
         if c.n_local == 0 || c.n_local > c.population {
             return Err(BuildConfigError::InvalidField(format!(
                 "n_local {} must be in 1..={}",
                 c.n_local, c.population
             )));
-        }
-        if !(0.0..=1.0).contains(&c.delta) {
-            return Err(BuildConfigError::InvalidField("delta must lie in [0, 1]".to_owned()));
         }
         if c.generations == 0 {
             return Err(BuildConfigError::InvalidField(
@@ -285,16 +209,6 @@ impl MoelaConfigBuilder {
         }
         if c.train_cap == 0 {
             return Err(BuildConfigError::InvalidField("train_cap must be positive".to_owned()));
-        }
-        if c.ls_max_steps == 0 || c.ls_neighbors_per_step == 0 || c.ls_stall_evaluations == 0 {
-            return Err(BuildConfigError::InvalidField(
-                "local-search budgets must be positive".to_owned(),
-            ));
-        }
-        if c.max_replacements == 0 {
-            return Err(BuildConfigError::InvalidField(
-                "max_replacements must be positive".to_owned(),
-            ));
         }
         Ok(self.config)
     }
@@ -310,32 +224,26 @@ mod tests {
         assert_eq!(c.population, 50);
         assert_eq!(c.generations, 1000);
         assert_eq!(c.iter_early, 2);
-        assert_eq!(c.delta, 0.9);
+        assert_eq!(moela_moo::decomposition::DELTA, 0.9);
         assert_eq!(c.train_cap, 10_000);
     }
 
     #[test]
-    fn unset_neighborhood_scales_with_population() {
+    fn neighborhood_and_unset_n_local_scale_with_population() {
         let c = MoelaConfig::builder().population(50).build().expect("valid");
-        assert_eq!(c.neighborhood, 10);
+        assert_eq!(c.neighborhood(), 10);
         assert_eq!(c.n_local, 5);
         let small = MoelaConfig::builder().population(6).build().expect("valid");
-        assert_eq!(small.neighborhood, 3);
+        assert_eq!(small.neighborhood(), 3);
         assert_eq!(small.n_local, 1);
+        let tiny = MoelaConfig::builder().population(2).build().expect("valid");
+        assert_eq!(tiny.neighborhood(), 2, "capped at N");
     }
 
     #[test]
-    fn explicit_values_are_kept() {
-        let c = MoelaConfig::builder()
-            .population(20)
-            .neighborhood(7)
-            .n_local(3)
-            .delta(0.5)
-            .build()
-            .expect("valid");
-        assert_eq!(c.neighborhood, 7);
+    fn explicit_n_local_is_kept() {
+        let c = MoelaConfig::builder().population(20).n_local(3).build().expect("valid");
         assert_eq!(c.n_local, 3);
-        assert_eq!(c.delta, 0.5);
     }
 
     #[test]
@@ -366,8 +274,6 @@ mod tests {
     fn invalid_fields_are_named() {
         let err = MoelaConfig::builder().population(1).build().expect_err("too small");
         assert!(err.to_string().contains("population"));
-        let err = MoelaConfig::builder().delta(1.5).build().expect_err("bad delta");
-        assert!(err.to_string().contains("delta"));
         let err =
             MoelaConfig::builder().population(10).n_local(11).build().expect_err("n_local too big");
         assert!(err.to_string().contains("n_local"));

@@ -34,6 +34,11 @@ use moela_persist::{PersistError, Restore, Snapshot, SolutionCodec, Value};
 
 use crate::config::MoelaConfig;
 
+/// The budget of each local search: at most 12 steps of 4 sampled
+/// neighbors, stopping after 12 non-improving evaluations in a row.
+const LOCAL_SEARCH: LocalSearchBudget =
+    LocalSearchBudget { max_steps: 12, neighbors_per_step: 4, stall_evaluations: 12 };
+
 /// The outcome of a MOELA run: the final population, the anytime-PHV
 /// trace, and budget accounting. See [`RunResult`].
 pub type MoelaOutcome<S> = RunResult<S>;
@@ -105,7 +110,7 @@ where
             cfg.time_budget,
         );
         let population =
-            Population::random(self.problem, &mut ctx, cfg.population, cfg.neighborhood, rng);
+            Population::random(self.problem, &mut ctx, cfg.population, cfg.neighborhood(), rng);
         MoelaState {
             train: Dataset::with_capacity(cfg.train_cap),
             config: cfg,
@@ -131,10 +136,10 @@ where
     ) -> Result<MoelaState<'p, P>, PersistError> {
         let cfg = self.config.clone();
         let m = self.problem.objective_count();
-        let population = Population::restore(value, codec, cfg.population, m, cfg.neighborhood)?;
+        let population = Population::restore(value, codec, cfg.population, m, cfg.neighborhood())?;
         let train = Dataset::restore(value.field("train")?)?;
         train.check_width(self.problem.feature_len() + m)?;
-        let eval_fn = Surrogate::restore(value.field("fit_rng")?, &train, &cfg.forest)?;
+        let eval_fn = Surrogate::restore(value.field("fit_rng")?, &train)?;
         Ok(MoelaState {
             ctx: RunCtx::restore(
                 value,
@@ -246,11 +251,7 @@ where
                 &weight,
                 &z_raw,
                 &normalizer,
-                LocalSearchBudget {
-                    max_steps: self.config.ls_max_steps,
-                    neighbors_per_step: self.config.ls_neighbors_per_step,
-                    stall_evaluations: self.config.ls_stall_evaluations,
-                },
+                LOCAL_SEARCH,
                 &mut self.ctx,
                 rng,
             );
@@ -279,13 +280,9 @@ where
             let mut ls_improvements = 0u64;
             for (state, objectives) in &outcome.accepted {
                 self.ctx.recorder.observe(objectives);
-                ls_improvements += self.population.update(
-                    Scalarizer::Tchebycheff,
-                    state,
-                    objectives,
-                    &scope,
-                    self.config.max_replacements,
-                ) as u64;
+                ls_improvements +=
+                    self.population.update(Scalarizer::Tchebycheff, state, objectives, &scope)
+                        as u64;
             }
             if ls_improvements > 0 {
                 self.ctx.obs.counter(moela_obs::names::LS_IMPROVEMENTS, ls_improvements);
@@ -296,7 +293,7 @@ where
         // --- Train Eval ----------------------------------------------
         if generation + 1 >= self.config.iter_early && self.train.len() >= MIN_FIT_ROWS {
             let _fit = self.ctx.obs.span("surrogate_fit");
-            self.eval_fn.fit(&self.train, &self.config.forest, rng);
+            self.eval_fn.fit(&self.train, rng);
         }
 
         // --- Decomposition EA step -----------------------------------
@@ -360,14 +357,7 @@ where
         let batch = (cfg.population as u64).min(self.ctx.remaining()) as usize;
         let order: Vec<usize> = (0..batch).collect();
         batch > 0
-            && self.population.evolve(
-                self.problem,
-                &mut self.ctx,
-                &order,
-                cfg.delta,
-                cfg.max_replacements,
-                rng,
-            )
+            && self.population.evolve(self.problem, &mut self.ctx, &order, rng)
             && batch == cfg.population
     }
 }

@@ -362,12 +362,6 @@ impl ManycoreProblem {
         self.objective_set
     }
 
-    /// Re-targets the problem at a different objective stack (cheap; shares
-    /// the platform and workload).
-    pub fn with_objective_set(&self, objective_set: ObjectiveSet) -> Self {
-        Self { objective_set, ..self.clone() }
-    }
-
     /// The underlying evaluator, exposing the full [`Evaluation`]
     /// (objectives + EDP inputs) rather than just the objective vector.
     pub fn evaluate_full(&self, design: &Design) -> Evaluation {
@@ -698,20 +692,9 @@ mod tests {
     }
 
     #[test]
-    fn with_objective_set_retargets_cheaply() {
+    fn clones_share_the_routing_cache() {
         let p = paper_problem(ObjectiveSet::Three);
-        let p5 = p.with_objective_set(ObjectiveSet::Five);
-        assert_eq!(p5.objective_count(), 5);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-        let d = p.random_solution(&mut rng);
-        // The first three objectives agree between stacks.
-        assert_eq!(p.evaluate(&d), p5.evaluate(&d)[..3].to_vec());
-    }
-
-    #[test]
-    fn objective_set_clones_share_the_routing_cache() {
-        let p = paper_problem(ObjectiveSet::Three);
-        let q = p.with_objective_set(ObjectiveSet::Five);
+        let q = p.clone();
         let mut rng = rand::rngs::StdRng::seed_from_u64(6);
         let d = p.random_solution(&mut rng);
         p.evaluate(&d);

@@ -84,24 +84,6 @@ pub fn placement_ascii(dims: &GridDims, mix: PeMix, design: &Design) -> String {
     out
 }
 
-/// Per-tile router degrees rendered like [`placement_ascii`] — a quick
-/// visual check of where link budget concentrated.
-pub fn degree_ascii(dims: &GridDims, design: &Design) -> String {
-    let mut out = String::new();
-    for z in 0..dims.layers() {
-        out.push_str(&format!("layer {z} degrees\n"));
-        for y in 0..dims.ny() {
-            out.push_str("  ");
-            for x in 0..dims.nx() {
-                let t = dims.tile(TileCoord { x, y, z });
-                out.push_str(&format!("{} ", design.topology.degree(t)));
-            }
-            out.push('\n');
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,17 +134,5 @@ mod tests {
         assert_eq!(body.chars().filter(|&c| c == 'C').count(), mix.cpus());
         assert_eq!(body.chars().filter(|&c| c == 'G').count(), mix.gpus());
         assert_eq!(body.chars().filter(|&c| c == 'L').count(), mix.llcs());
-    }
-
-    #[test]
-    fn degree_map_matches_topology() {
-        let (dims, _, d) = design();
-        let map = degree_ascii(&dims, &d);
-        // Corner tile of a 3x3x2 mesh has degree 3 (2 planar + 1 TSV).
-        assert!(map.contains('3'));
-        let digits: u32 = map.chars().filter_map(|c| c.to_digit(10)).sum();
-        // Each link contributes 2 to the degree sum; headers contain the
-        // layer indices 0 and 1 (sum 1).
-        assert_eq!(digits, 2 * d.topology.link_count() as u32 + 1);
     }
 }

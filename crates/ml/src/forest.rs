@@ -80,37 +80,15 @@ impl RandomForest {
         self.trees.iter().map(|t| t.predict(features)).sum::<f64>() / self.trees.len() as f64
     }
 
-    /// Per-tree predictions (exposed for variance/uncertainty estimates).
+    /// Per-tree predictions.
     pub fn tree_predictions(&self, features: &[f64]) -> Vec<f64> {
         self.trees.iter().map(|t| t.predict(features)).collect()
-    }
-
-    /// Prediction variance across trees — a cheap uncertainty proxy.
-    pub fn predict_variance(&self, features: &[f64]) -> f64 {
-        let preds = self.tree_predictions(features);
-        let mean = preds.iter().sum::<f64>() / preds.len() as f64;
-        preds.iter().map(|p| (p - mean).powi(2)).sum::<f64>() / preds.len() as f64
-    }
-
-    /// Number of trees in the forest.
-    pub fn tree_count(&self) -> usize {
-        self.trees.len()
     }
 
     #[cfg(test)]
     pub(crate) fn trees(&self) -> &[RegressionTree] {
         &self.trees
     }
-}
-
-/// Mean-squared error of a predictor over a dataset — the fit-quality
-/// figure the MOELA trainer logs.
-pub fn mse(forest: &RandomForest, data: &Dataset) -> f64 {
-    assert!(!data.is_empty(), "cannot score on zero samples");
-    (0..data.len())
-        .map(|i| (forest.predict(data.features(i)) - data.target(i)).powi(2))
-        .sum::<f64>()
-        / data.len() as f64
 }
 
 #[cfg(test)]
@@ -120,6 +98,13 @@ mod tests {
 
     fn rng() -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(99)
+    }
+
+    fn mse(forest: &RandomForest, data: &Dataset) -> f64 {
+        (0..data.len())
+            .map(|i| (forest.predict(data.features(i)) - data.target(i)).powi(2))
+            .sum::<f64>()
+            / data.len() as f64
     }
 
     fn linear_data(n: usize, noise: f64, r: &mut impl Rng) -> Dataset {
@@ -156,22 +141,6 @@ mod tests {
             &mut r,
         );
         assert!(mse(&forest, &test) <= mse(&single, &test) * 1.05);
-    }
-
-    #[test]
-    fn more_trees_reduce_prediction_variance() {
-        let mut r = rng();
-        let d = linear_data(300, 0.4, &mut r);
-        let small =
-            RandomForest::fit(&d, &ForestConfig { trees: 3, ..ForestConfig::default() }, &mut r);
-        let large =
-            RandomForest::fit(&d, &ForestConfig { trees: 60, ..ForestConfig::default() }, &mut r);
-        // Average per-point variance of the ensemble mean scales ~1/T; the
-        // per-tree variance itself is similar, so compare mean/T proxies.
-        let x = [0.5, 0.5];
-        let v_small = small.predict_variance(&x) / small.tree_count() as f64;
-        let v_large = large.predict_variance(&x) / large.tree_count() as f64;
-        assert!(v_large <= v_small + 1e-9);
     }
 
     #[test]

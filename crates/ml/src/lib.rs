@@ -36,5 +36,5 @@ pub mod tree;
 
 pub use dataset::Dataset;
 pub use forest::{ForestConfig, RandomForest};
-pub use surrogate::{Surrogate, MIN_FIT_ROWS};
+pub use surrogate::{Surrogate, MIN_FIT_ROWS, SURROGATE_FOREST};
 pub use tree::{RegressionTree, TreeConfig};

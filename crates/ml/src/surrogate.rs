@@ -1,8 +1,10 @@
 //! A surrogate forest that checkpoints as the RNG state of its last fit.
 //!
-//! MOELA's `Eval` and MOOS's gain model are refit from their whole
-//! training set every step, and a fit is a pure function of the data, the
-//! configuration and the RNG (the tree tests pin that). So a checkpoint
+//! MOELA's `Eval`, MOOS's gain model and MOO-STAGE's `Eval` are all
+//! forests of one shape, [`SURROGATE_FOREST`]. The first two are refit
+//! from their whole training set every step, and a fit is a pure function
+//! of the data, the configuration and the RNG (the tree tests pin that).
+//! So a checkpoint
 //! need not carry the trees: [`Surrogate::snapshot`] records only
 //! `fit_rng`, the four `StdRng` words the last fit started from, and
 //! [`Surrogate::restore`] refits from the restored training set, which
@@ -14,6 +16,15 @@ use rand::rngs::StdRng;
 
 use crate::dataset::Dataset;
 use crate::forest::{ForestConfig, RandomForest};
+use crate::tree::TreeConfig;
+
+/// The forest every optimizer's surrogate fits: 25 trees, each on 512
+/// bootstrap draws, with the default tree shape.
+pub const SURROGATE_FOREST: ForestConfig = ForestConfig {
+    trees: 25,
+    bootstrap_size: Some(512),
+    tree: TreeConfig { max_depth: 12, min_samples_leaf: 2, max_features: None },
+};
 
 /// The fewest training rows a surrogate is fitted on. The optimizers fit
 /// only once their training set holds this many, so a checkpointed fit
@@ -28,16 +39,15 @@ pub struct Surrogate {
 }
 
 impl Surrogate {
-    /// Fits a forest on `data`, drawing from `rng`, and replaces the
-    /// previous one.
+    /// Fits a [`SURROGATE_FOREST`] on `data`, drawing from `rng`, and
+    /// replaces the previous one.
     ///
     /// # Panics
     ///
-    /// As [`RandomForest::fit`]: when `data` is empty or the forest has
-    /// no trees.
-    pub fn fit(&mut self, data: &Dataset, config: &ForestConfig, rng: &mut StdRng) {
+    /// As [`RandomForest::fit`]: when `data` is empty.
+    pub fn fit(&mut self, data: &Dataset, rng: &mut StdRng) {
         let start = rng.state();
-        self.fitted = Some((RandomForest::fit(data, config, rng), start));
+        self.fitted = Some((RandomForest::fit(data, &SURROGATE_FOREST, rng), start));
     }
 
     /// The fitted forest, once there is one.
@@ -52,16 +62,12 @@ impl Surrogate {
     }
 
     /// Rebuilds the surrogate from a [`Surrogate::snapshot`] value by
-    /// refitting on `data`, the restored training set, with `config`.
+    /// refitting on `data`, the restored training set.
     ///
     /// A `fit_rng` that is not `null` or four `u64` words, or one over
     /// fewer than [`MIN_FIT_ROWS`] rows, is a schema error, so a hostile
     /// checkpoint never reaches the fit's asserts.
-    pub fn restore(
-        fit_rng: &Value,
-        data: &Dataset,
-        config: &ForestConfig,
-    ) -> Result<Self, PersistError> {
+    pub fn restore(fit_rng: &Value, data: &Dataset) -> Result<Self, PersistError> {
         if *fit_rng == Value::Null {
             return Ok(Self::default());
         }
@@ -76,7 +82,7 @@ impl Surrogate {
             )));
         }
         let mut surrogate = Self::default();
-        surrogate.fit(data, config, &mut StdRng::from_state(start));
+        surrogate.fit(data, &mut StdRng::from_state(start));
         Ok(surrogate)
     }
 }
@@ -98,17 +104,13 @@ mod tests {
         d
     }
 
-    fn config() -> ForestConfig {
-        ForestConfig { trees: 5, ..Default::default() }
-    }
-
     #[test]
     fn restore_refits_the_same_forest() {
         let d = data(40);
         let mut rng = StdRng::seed_from_u64(9);
         let mut fitted = Surrogate::default();
-        fitted.fit(&d, &config(), &mut rng);
-        let restored = Surrogate::restore(&fitted.snapshot(), &d, &config()).unwrap();
+        fitted.fit(&d, &mut rng);
+        let restored = Surrogate::restore(&fitted.snapshot(), &d).unwrap();
         assert_eq!(restored.snapshot(), fitted.snapshot());
         let trees = |s: &Surrogate| -> Vec<String> {
             let forest = s.model().expect("fitted");
@@ -119,7 +121,7 @@ mod tests {
 
     #[test]
     fn null_restores_unfitted() {
-        let restored = Surrogate::restore(&Value::Null, &Dataset::new(), &config()).unwrap();
+        let restored = Surrogate::restore(&Value::Null, &Dataset::new()).unwrap();
         assert!(restored.model().is_none());
         assert_eq!(restored.snapshot(), Value::Null);
     }

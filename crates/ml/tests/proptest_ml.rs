@@ -48,7 +48,7 @@ proptest! {
         let hi = samples.iter().map(|(_, y)| *y).fold(f64::NEG_INFINITY, f64::max);
         let pred = forest.predict(&query);
         prop_assert!(pred >= lo - 1e-9 && pred <= hi + 1e-9);
-        prop_assert!(forest.predict_variance(&query) >= 0.0);
+        prop_assert!(forest.tree_predictions(&query).iter().all(|p| *p >= lo - 1e-9 && *p <= hi + 1e-9));
     }
 
     /// A constant target function is learned exactly regardless of inputs.

@@ -80,12 +80,6 @@ impl ChaosSpec {
         }
         Ok(out)
     }
-
-    /// `true` if the spec injects at least one fault kind (slowness alone
-    /// does not make evaluations fault).
-    pub fn injects_faults(&self) -> bool {
-        self.panic + self.nan + self.inf + self.arity > 0.0
-    }
 }
 
 /// Renders the canonical `key=probability` form accepted by
@@ -265,8 +259,6 @@ mod tests {
         assert_eq!(spec.nan, 0.02);
         assert_eq!(spec.slow, 0.5);
         assert_eq!(spec.inf, 0.0);
-        assert!(spec.injects_faults());
-        assert!(!ChaosSpec::parse("slow=0.9").unwrap().injects_faults());
         assert!(ChaosSpec::parse("").is_err());
         assert!(ChaosSpec::parse("panik=0.1").is_err());
         assert!(ChaosSpec::parse("panic=1.5").is_err());

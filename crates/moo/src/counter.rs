@@ -52,11 +52,6 @@ impl EvalCounter {
     pub fn add(&self, n: u64) {
         self.count.fetch_add(n, Ordering::Relaxed);
     }
-
-    /// Resets the counter to zero.
-    pub fn reset(&self) {
-        self.count.store(0, Ordering::Relaxed);
-    }
 }
 
 /// Wraps a [`Problem`] so every [`evaluate`](Problem::evaluate) call ticks an
@@ -146,8 +141,6 @@ mod tests {
         c.add(3);
         c.add(2);
         assert_eq!(c.count(), 5);
-        c.reset();
-        assert_eq!(c.count(), 0);
     }
 
     #[test]

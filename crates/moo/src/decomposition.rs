@@ -7,7 +7,9 @@
 //! vectors with Tchebycheff neighborhoods, [`Population::update`] is the
 //! eq. (10) replacement rule, and [`Population::evolve`] is the mating and
 //! replacement pass both optimizers run. MOEA/D passes it a shuffled slot
-//! order; MOELA passes the plain one.
+//! order; MOELA passes the plain one. Both use the paper's §V.B mating
+//! probability [`DELTA`] and the standard replacement cap
+//! [`MAX_REPLACEMENTS`].
 
 use rand::{Rng, RngCore};
 
@@ -20,6 +22,13 @@ use crate::scalarize::{ReferencePoint, Scalarizer};
 use crate::snapshot::{entries_from_value, entry_to_value};
 use crate::weights::{neighborhoods, uniform_weights};
 use crate::Problem;
+
+/// Probability `δ` of mating within the neighborhood (§V.B).
+pub const DELTA: f64 = 0.9;
+
+/// Maximum population members one new solution may replace (the standard
+/// MOEA/D `n_r` guard against takeover).
+pub const MAX_REPLACEMENTS: usize = 2;
 
 /// One population slot: a solution, its raw objective vector, and (via its
 /// index) an assigned weight vector.
@@ -234,20 +243,18 @@ impl<S: Clone> Population<S> {
 
     /// Eq. (10): offers `candidate` to the sub-problems in `scope`,
     /// replacing any whose current member scalarizes worse — up to
-    /// `max_replacements` slots (the MOEA/D `n_r` guard). Returns how many
-    /// slots were replaced.
+    /// [`MAX_REPLACEMENTS`] slots. Returns how many slots were replaced.
     pub fn update(
         &mut self,
         scalarizer: Scalarizer,
         candidate: &S,
         objectives: &[f64],
         scope: &[usize],
-        max_replacements: usize,
     ) -> usize {
         self.observe(objectives);
         let mut replaced = 0;
         for &j in scope {
-            if replaced >= max_replacements {
+            if replaced >= MAX_REPLACEMENTS {
                 break;
             }
             let current = self.scalarized(scalarizer, &self.individuals[j].objectives, j);
@@ -273,7 +280,7 @@ impl<S: Clone> Population<S> {
 
     /// One variation-and-update pass over the slots in `order`. Every
     /// child is bred first, from the population as it stood at the start
-    /// of the pass: with probability `delta` its parents come from the
+    /// of the pass: with probability [`DELTA`] its parents come from the
     /// slot's neighborhood, otherwise from the whole population. The
     /// children are evaluated as one batch through `ctx`, then each
     /// surviving child is offered to its parent pool through
@@ -284,8 +291,6 @@ impl<S: Clone> Population<S> {
         problem: &P,
         ctx: &mut RunCtx,
         order: &[usize],
-        delta: f64,
-        max_replacements: usize,
         rng: &mut dyn RngCore,
     ) -> bool
     where
@@ -297,7 +302,7 @@ impl<S: Clone> Population<S> {
         let mut children: Vec<S> = Vec::with_capacity(order.len());
         let mut pools: Vec<Vec<usize>> = Vec::with_capacity(order.len());
         for &i in order {
-            let pool = if rng.gen_bool(delta) { &self.neighborhoods[i] } else { &whole };
+            let pool = if rng.gen_bool(DELTA) { &self.neighborhoods[i] } else { &whole };
             let pa = pool[rng.gen_range(0..pool.len())];
             let child = if pool.len() < 2 {
                 // A one-element pool cannot supply a distinct second
@@ -331,9 +336,7 @@ impl<S: Clone> Population<S> {
                 continue;
             }
             ctx.recorder.observe(objectives);
-            improvements +=
-                self.update(Scalarizer::Tchebycheff, child, objectives, pool, max_replacements)
-                    as u64;
+            improvements += self.update(Scalarizer::Tchebycheff, child, objectives, pool) as u64;
         }
         if improvements > 0 {
             ctx.obs.counter(moela_obs::names::EA_IMPROVEMENTS, improvements);
@@ -377,7 +380,7 @@ mod tests {
     fn update_replaces_dominated_slots() {
         let mut p = population();
         // A solution strictly better than slot 1's member for its weight.
-        let replaced = p.update(Scalarizer::Tchebycheff, &"z", &[1.0, 1.0], &[0, 1, 2], 10);
+        let replaced = p.update(Scalarizer::Tchebycheff, &"z", &[1.0, 1.0], &[0, 1, 2]);
         assert!(replaced >= 1, "an excellent point must replace something");
         assert!(p.individuals().iter().any(|i| i.solution == "z"));
     }
@@ -385,16 +388,16 @@ mod tests {
     #[test]
     fn update_respects_the_replacement_cap() {
         let mut p = population();
-        let replaced = p.update(Scalarizer::Tchebycheff, &"z", &[0.0, 0.0], &[0, 1, 2], 1);
-        assert_eq!(replaced, 1);
+        let replaced = p.update(Scalarizer::Tchebycheff, &"z", &[0.0, 0.0], &[0, 1, 2]);
+        assert_eq!(replaced, MAX_REPLACEMENTS);
         let survivors = p.individuals().iter().filter(|i| i.solution != "z").count();
-        assert_eq!(survivors, 2);
+        assert_eq!(survivors, p.len() - MAX_REPLACEMENTS);
     }
 
     #[test]
     fn worse_candidates_replace_nothing() {
         let mut p = population();
-        let replaced = p.update(Scalarizer::Tchebycheff, &"bad", &[20.0, 20.0], &[0, 1, 2], 10);
+        let replaced = p.update(Scalarizer::Tchebycheff, &"bad", &[20.0, 20.0], &[0, 1, 2]);
         assert_eq!(replaced, 0);
         assert!(p.individuals().iter().all(|i| i.solution != "bad"));
     }
@@ -425,7 +428,6 @@ mod tests {
             &"penalty",
             &crate::fault::penalty_objectives(2),
             &[0, 1, 2],
-            10,
         );
         assert_eq!(replaced, 0);
     }

@@ -9,8 +9,7 @@
 //! * Pareto analysis: [`pareto::dominates`], fast non-dominated sorting
 //!   ([`pareto::non_dominated_sort`]), crowding distance;
 //! * solution-quality metrics: exact [`hypervolume::hypervolume`] (WFG
-//!   algorithm), a Monte-Carlo estimator, IGD/IGD+, spread and coverage in
-//!   [`metrics`];
+//!   algorithm), a Monte-Carlo estimator, and IGD in [`metrics`];
 //! * decomposition support: Das–Dennis [`weights::uniform_weights`],
 //!   [`scalarize::Scalarizer`] (weighted sum and Tchebycheff),
 //!   [`scalarize::ReferencePoint`] tracking;
@@ -20,8 +19,7 @@
 //!   [`decomposition::Population`] with its eq. (10) update and its
 //!   mating-and-replacement pass [`decomposition::Population::evolve`];
 //! * the greedy weighted-sum descent of eq. (8),
-//!   [`local_search::greedy_descent`], run by MOELA, MOOS and the
-//!   multi-start baseline;
+//!   [`local_search::greedy_descent`], run by MOELA and MOOS;
 //! * one evaluation path: an optimizer generates candidates sequentially
 //!   and hands the batch to [`checkpoint::RunCtx::evaluate`], which
 //!   passes it to [`fault::GuardedEvaluator::evaluate`]. The guard holds

@@ -1,6 +1,6 @@
 //! The greedy weighted-sum descent of eq. (8), shared by MOELA's local
-//! search (Algorithm 1, line 5), MOOS's direction-following episodes and
-//! the multi-start baseline.
+//! search (Algorithm 1, line 5) and MOOS's direction-following episodes.
+//! Each passes its own fixed [`LocalSearchBudget`].
 //!
 //! From a starting design, repeatedly sample a handful of neighbors and
 //! move to the best one as long as it improves the weighted-sum distance to

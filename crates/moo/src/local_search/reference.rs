@@ -7,8 +7,7 @@
 //! shared descent counts sampled neighbors instead, so
 //! `stall_evaluations = 3·k` for `k` neighbors per step must stop at the
 //! same batch, draw the same RNG values and spend the same evaluations.
-//! `k = 0` is covered too: neither MOOS nor the multi-start baseline
-//! refuses it.
+//! `k = 0` is covered too: `greedy_descent` does not refuse it.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;

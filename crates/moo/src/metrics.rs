@@ -1,8 +1,7 @@
-//! Secondary solution-set quality metrics: IGD, IGD+, spread, coverage.
+//! A secondary solution-set quality metric: IGD.
 //!
-//! The paper reports PHV (see [`crate::hypervolume`]); these metrics are
-//! provided for the validation suite (convergence to known ZDT/DTLZ fronts)
-//! and for the ablation benches.
+//! The paper reports PHV (see [`crate::hypervolume`]); IGD serves the
+//! validation suite, which checks convergence to known ZDT/DTLZ fronts.
 
 /// Inverted generational distance: mean Euclidean distance from each point
 /// of the `reference_front` to its nearest member of `front`. Lower is
@@ -22,64 +21,6 @@ pub fn igd(front: &[Vec<f64>], reference_front: &[Vec<f64>]) -> f64 {
         .map(|r| front.iter().map(|p| euclidean(p, r)).fold(f64::INFINITY, f64::min))
         .sum();
     total / reference_front.len() as f64
-}
-
-/// IGD+ (Ishibuchi et al.): like [`igd`] but distances only count the
-/// components where the candidate is *worse* than the reference point,
-/// making the metric weakly Pareto-compliant for minimization.
-pub fn igd_plus(front: &[Vec<f64>], reference_front: &[Vec<f64>]) -> f64 {
-    if reference_front.is_empty() {
-        return 0.0;
-    }
-    if front.is_empty() {
-        return f64::INFINITY;
-    }
-    let total: f64 = reference_front
-        .iter()
-        .map(|r| {
-            front
-                .iter()
-                .map(|p| {
-                    p.iter().zip(r).map(|(&pi, &ri)| (pi - ri).max(0.0).powi(2)).sum::<f64>().sqrt()
-                })
-                .fold(f64::INFINITY, f64::min)
-        })
-        .sum();
-    total / reference_front.len() as f64
-}
-
-/// Two-objective spread (Δ, Deb): measures how evenly a front's points are
-/// distributed. `0` is perfectly even; larger values mean clustering.
-///
-/// Only defined for bi-objective fronts with at least two points; returns
-/// `f64::NAN` otherwise so misuse is visible.
-pub fn spread_2d(front: &[Vec<f64>]) -> f64 {
-    if front.len() < 2 || front[0].len() != 2 {
-        return f64::NAN;
-    }
-    let mut pts = front.to_vec();
-    // total_cmp, not partial_cmp: a NaN objective (e.g. a quarantined
-    // penalty leaking into a diagnostic front) must not abort the process
-    // — NaN sorts after every finite value and flows into the result.
-    pts.sort_by(|a, b| a[0].total_cmp(&b[0]));
-    let gaps: Vec<f64> = pts.windows(2).map(|w| euclidean(&w[0], &w[1])).collect();
-    let mean = gaps.iter().sum::<f64>() / gaps.len() as f64;
-    if mean <= f64::EPSILON {
-        return 0.0;
-    }
-    gaps.iter().map(|g| (g - mean).abs()).sum::<f64>() / (gaps.len() as f64 * mean)
-}
-
-/// Coverage (Zitzler's C-metric): the fraction of `b` that is weakly
-/// dominated by at least one member of `a`. `C(a, b) = 1` means `a`
-/// completely covers `b`; the metric is not symmetric.
-pub fn coverage(a: &[Vec<f64>], b: &[Vec<f64>]) -> f64 {
-    if b.is_empty() {
-        return 0.0;
-    }
-    let covered =
-        b.iter().filter(|q| a.iter().any(|p| crate::pareto::weakly_dominates(p, q))).count();
-    covered as f64 / b.len() as f64
 }
 
 fn euclidean(a: &[f64], b: &[f64]) -> f64 {
@@ -118,52 +59,5 @@ mod tests {
     fn igd_of_empty_front_is_infinite() {
         assert_eq!(igd(&[], &line_front(3)), f64::INFINITY);
         assert_eq!(igd(&line_front(3), &[]), 0.0);
-    }
-
-    #[test]
-    fn igd_plus_ignores_improvements_beyond_the_reference() {
-        let reference = line_front(5);
-        // Strictly better than the reference front: IGD+ sees zero distance,
-        // plain IGD does not.
-        let better: Vec<Vec<f64>> =
-            reference.iter().map(|p| vec![p[0] - 0.1, p[1] - 0.1]).collect();
-        assert_eq!(igd_plus(&better, &reference), 0.0);
-        assert!(igd(&better, &reference) > 0.0);
-    }
-
-    #[test]
-    fn spread_of_even_front_is_small() {
-        let even = line_front(20);
-        let mut clustered = line_front(10);
-        clustered.extend((0..10).map(|i| vec![0.01 + i as f64 * 1e-4, 0.99]));
-        assert!(spread_2d(&even) < spread_2d(&clustered));
-    }
-
-    #[test]
-    fn spread_is_nan_when_undefined() {
-        assert!(spread_2d(&[vec![1.0, 2.0]]).is_nan());
-        assert!(spread_2d(&[vec![1.0, 2.0, 3.0], vec![0.0, 0.0, 0.0]]).is_nan());
-    }
-
-    #[test]
-    fn spread_survives_nan_objectives_without_panicking() {
-        // A quarantined-penalty or user-supplied front may carry NaN; the
-        // metric must degrade (NaN result) instead of aborting the process.
-        let mut front = line_front(5);
-        front.push(vec![f64::NAN, 0.5]);
-        let spread = spread_2d(&front);
-        assert!(spread.is_nan(), "NaN input flows to a NaN result, got {spread}");
-        // An all-NaN front is equally survivable.
-        let all_nan = vec![vec![f64::NAN, f64::NAN], vec![f64::NAN, f64::NAN]];
-        let _ = spread_2d(&all_nan);
-    }
-
-    #[test]
-    fn coverage_is_directional() {
-        let strong = vec![vec![0.0, 0.0]];
-        let weak = vec![vec![1.0, 1.0], vec![2.0, 0.5]];
-        assert_eq!(coverage(&strong, &weak), 1.0);
-        assert_eq!(coverage(&weak, &strong), 0.0);
-        assert_eq!(coverage(&strong, &[]), 0.0);
     }
 }

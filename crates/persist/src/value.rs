@@ -111,16 +111,6 @@ impl Value {
         }
     }
 
-    /// The value as an `i64` (integers only).
-    pub fn as_i64(&self) -> Result<i64, PersistError> {
-        match self {
-            Value::I64(v) => Ok(*v),
-            Value::U64(v) => i64::try_from(*v)
-                .map_err(|_| PersistError::schema(format!("integer {v} overflows i64"))),
-            other => Err(PersistError::schema(format!("expected integer, got {}", other.kind()))),
-        }
-    }
-
     /// The value as a `usize`.
     pub fn as_usize(&self) -> Result<usize, PersistError> {
         let v = self.as_u64()?;
@@ -199,8 +189,6 @@ mod tests {
     #[test]
     fn numeric_accessors_respect_ranges() {
         assert_eq!(Value::U64(u64::MAX).as_u64().unwrap(), u64::MAX);
-        assert!(Value::U64(u64::MAX).as_i64().is_err());
-        assert_eq!(Value::I64(-3).as_i64().unwrap(), -3);
         assert!(Value::I64(-3).as_u64().is_err());
         assert_eq!(Value::I64(4).as_u64().unwrap(), 4);
         assert_eq!(Value::U64(7).as_f64().unwrap(), 7.0);

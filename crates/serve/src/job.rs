@@ -281,16 +281,6 @@ impl JobRecord {
         self.interrupt(InterruptKind::Cancel);
     }
 
-    /// Whether a client asked for cancellation.
-    pub fn cancel_requested(&self) -> bool {
-        lock(&self.cell).interrupt == Some(InterruptKind::Cancel)
-    }
-
-    /// Whether the current attempt's cancel token has fired (tests).
-    pub fn cancel_fired(&self) -> bool {
-        lock(&self.cell).cancel.is_cancelled()
-    }
-
     /// Starts one attempt: bumps the persistent attempt counter, arms a
     /// fresh cancel token, clears stale interrupts from the previous
     /// attempt, and moves to `running`. Returns `None` when a client
@@ -485,12 +475,12 @@ mod tests {
         let record =
             JobRecord::new("job-000001".into(), 1, PathBuf::from("/tmp/x"), spec, JobState::Queued);
         assert_eq!(record.state(), JobState::Queued);
-        assert!(!record.cancel_fired());
         let (token, attempt) = record.begin_attempt().expect("no cancel pending");
         assert_eq!(attempt, 1);
+        assert!(!token.is_cancelled());
         record.request_cancel();
         assert!(token.is_cancelled());
-        assert!(record.cancel_requested());
+        assert_eq!(record.interrupt_kind(), Some(InterruptKind::Cancel));
         record.set_state(JobState::Cancelled, None, None);
         let v = record.to_value(true);
         assert_eq!(v.field("state").unwrap().as_str().unwrap(), "cancelled");

@@ -136,11 +136,6 @@ impl PowerGrid {
         self.power[i] = watts;
     }
 
-    /// Total power of one stack.
-    pub fn stack_total(&self, stack: usize) -> f64 {
-        (1..=self.layers).map(|l| self.get(stack, l)).sum()
-    }
-
     /// Total power of the whole grid.
     pub fn total(&self) -> f64 {
         self.power.iter().sum()
@@ -172,7 +167,6 @@ mod tests {
         g.set(5, 4, 2.5);
         assert_eq!(g.get(5, 4), 2.5);
         assert_eq!(g.get(5, 1), 0.0);
-        assert_eq!(g.stack_total(5), 2.5);
         assert_eq!(g.total(), 2.5);
     }
 

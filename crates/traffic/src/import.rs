@@ -3,8 +3,7 @@
 //! The synthesizer in [`crate::synth`] replaces the paper's gem5-gpu
 //! profiling step, but users with access to real traces should be able to
 //! feed them in: [`Workload::from_parts`] builds a workload from raw
-//! `f_ij`/power data, and [`Workload::from_csv`] parses the simple CSV
-//! formats a profiling script would emit.
+//! `f_ij`/power data.
 
 use crate::{Benchmark, PeMix, Workload};
 
@@ -27,8 +26,6 @@ pub enum ImportError {
     },
     /// A value is negative, NaN, or infinite; the message locates it.
     InvalidValue(String),
-    /// A CSV cell failed to parse; the message locates it.
-    Parse(String),
 }
 
 impl std::fmt::Display for ImportError {
@@ -41,7 +38,6 @@ impl std::fmt::Display for ImportError {
                 write!(f, "power vector has {got} elements, expected {expected}")
             }
             ImportError::InvalidValue(msg) => write!(f, "invalid value: {msg}"),
-            ImportError::Parse(msg) => write!(f, "parse error: {msg}"),
         }
     }
 }
@@ -93,45 +89,6 @@ impl Workload {
         }
         Ok(Self::assemble(benchmark, mix, traffic, power))
     }
-
-    /// Parses a workload from CSV text: `traffic_csv` holds `n` rows of
-    /// `n` comma-separated `f_ij` values; `power_csv` holds one value per
-    /// line (or one comma-separated row).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ImportError::Parse`] with the offending row/column,
-    /// plus every validation of [`Workload::from_parts`].
-    pub fn from_csv(
-        benchmark: Benchmark,
-        mix: PeMix,
-        traffic_csv: &str,
-        power_csv: &str,
-    ) -> Result<Self, ImportError> {
-        let mut traffic = Vec::with_capacity(mix.total() * mix.total());
-        for (row, line) in non_empty_lines(traffic_csv).enumerate() {
-            for (col, cell) in line.split(',').enumerate() {
-                let v: f64 = cell.trim().parse().map_err(|_| {
-                    ImportError::Parse(format!("traffic row {row}, column {col}: '{cell}'"))
-                })?;
-                traffic.push(v);
-            }
-        }
-        let mut power = Vec::with_capacity(mix.total());
-        for (row, line) in non_empty_lines(power_csv).enumerate() {
-            for (col, cell) in line.split(',').enumerate() {
-                let v: f64 = cell.trim().parse().map_err(|_| {
-                    ImportError::Parse(format!("power row {row}, column {col}: '{cell}'"))
-                })?;
-                power.push(v);
-            }
-        }
-        Self::from_parts(benchmark, mix, traffic, power)
-    }
-}
-
-fn non_empty_lines(text: &str) -> impl Iterator<Item = &str> {
-    text.lines().map(str::trim).filter(|l| !l.is_empty())
 }
 
 #[cfg(test)]
@@ -182,19 +139,6 @@ mod tests {
         let err = Workload::from_parts(Benchmark::Bp, mix(), vec![0.0; 9], vec![1.0, 0.0, 1.0])
             .expect_err("zero power");
         assert!(err.to_string().contains("power[1]"));
-    }
-
-    #[test]
-    fn csv_parses_and_locates_errors() {
-        let traffic = "0, 1, 2\n3, 0, 4\n5, 6, 0\n";
-        let power = "1.5\n2.5\n0.5\n";
-        let w = Workload::from_csv(Benchmark::Sc, mix(), traffic, power).expect("valid");
-        assert_eq!(w.traffic(1, 2), 4.0);
-        assert_eq!(w.pe_power(2), 0.5);
-
-        let err =
-            Workload::from_csv(Benchmark::Sc, mix(), "0, x, 2\n", power).expect_err("bad cell");
-        assert!(err.to_string().contains("row 0, column 1"));
     }
 
     #[test]

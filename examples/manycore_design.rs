@@ -23,8 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Paper-structure parameters at example scale (gen = 1000 takes hours;
     // 20 iterations already shows the behavior).
-    let config =
-        MoelaConfig::builder().population(24).generations(20).iter_early(2).delta(0.9).build()?;
+    let config = MoelaConfig::builder().population(24).generations(20).iter_early(2).build()?;
     let mut rng = rand::rngs::StdRng::seed_from_u64(2023);
     println!("running MOELA ({benchmark}, 5 objectives)…");
     let outcome = Moela::new(config, &problem).run(&mut rng);

@@ -3,10 +3,7 @@
 
 use std::time::Duration;
 
-use moela::baselines::{
-    multi_start_local_search, MooStage, MooStageConfig, MultiStartConfig, RandomSearch,
-    RandomSearchConfig,
-};
+use moela::baselines::{MooStage, MooStageConfig, RandomSearch, RandomSearchConfig};
 use moela::moo::pareto::non_dominated_indices;
 use moela::prelude::*;
 use rand::SeedableRng;
@@ -122,16 +119,6 @@ fn naive_baseline_contracts() {
     let rs = RandomSearch::new(RandomSearchConfig { samples: BUDGET, ..Default::default() }, &p)
         .run(&mut rng);
     check("random", &rs);
-    let ls = multi_start_local_search(
-        &MultiStartConfig {
-            restarts: usize::MAX / 2,
-            max_evaluations: Some(BUDGET),
-            ..Default::default()
-        },
-        &p,
-        &mut rng,
-    );
-    check("multi-start LS", &ls);
 }
 
 #[test]

@@ -53,7 +53,7 @@ fn moela_config() -> MoelaConfig {
 }
 
 fn moos_config() -> MoosConfig {
-    MoosConfig { episodes: 40, warmup: 2, ..Default::default() }
+    MoosConfig { episodes: 40, ..Default::default() }
 }
 
 fn stage_config() -> MooStageConfig {
@@ -69,7 +69,7 @@ fn nsga2_config() -> Nsga2Config {
 }
 
 fn random_config() -> RandomSearchConfig {
-    RandomSearchConfig { samples: 200, archive_cap: 8, trace_every: 20, ..Default::default() }
+    RandomSearchConfig { samples: 500, ..Default::default() }
 }
 
 /// Steps `state` `steps` times and returns its snapshot.
