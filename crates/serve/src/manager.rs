@@ -38,7 +38,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use moela_persist::{decode, Value};
+use moela_persist::{RunStore, Value};
 
 use crate::error::ApiError;
 use crate::job::{InterruptKind, JobRecord, JobState};
@@ -171,8 +171,11 @@ impl JobManager {
             if !manifest_path.is_file() {
                 continue;
             }
-            let text = std::fs::read_to_string(&manifest_path)?;
-            let Ok(manifest) = decode::from_str(&text) else {
+            // A manifest that cannot be read or decoded (bad bytes, bad
+            // JSON) costs only its own job, never the server's start.
+            // `create` only re-creates the layout the job's first
+            // `persist` made.
+            let Ok(manifest) = RunStore::create(&dir).and_then(|store| store.read_job()) else {
                 eprintln!("serve: skipping unreadable manifest {}", manifest_path.display());
                 continue;
             };
@@ -1025,6 +1028,30 @@ mod tests {
         assert!(revived.error().unwrap().contains("crash loop"), "{:?}", revived.error());
         assert_eq!(metrics.quarantined.load(Ordering::Relaxed), 1);
         assert_eq!(metrics.recovered.load(Ordering::Relaxed), 0);
+        manager.drain();
+    }
+
+    #[test]
+    fn unreadable_manifests_are_skipped_at_recovery() {
+        let root = tempdir("unreadable");
+        for (name, bytes) in [
+            ("job-000000", &b"{\"id\":\"job-000000\",\xff}"[..]),
+            ("job-000001", &b"{not json"[..]),
+        ] {
+            std::fs::create_dir_all(root.join(name)).expect("job dir");
+            std::fs::write(root.join(name).join("job.json"), bytes).expect("forge job.json");
+        }
+        let dir = root.join("job-000002");
+        let record = JobRecord::new("job-000002".into(), 2, dir, spec(), JobState::Queued);
+        record.persist().expect("forge job.json");
+
+        let metrics = Arc::new(ServerMetrics::new());
+        let manager = start(root, 4, 1, fast_policy(), Arc::new(StubRunner::new(1, 1)), &metrics);
+        assert!(manager.get("job-000000").is_none(), "non-UTF-8 manifest skipped");
+        assert!(manager.get("job-000001").is_none(), "malformed manifest skipped");
+        let revived = manager.get("job-000002").expect("the readable job is recovered");
+        wait_for(&revived, JobState::Done);
+        assert_eq!(metrics.recovered.load(Ordering::Relaxed), 1);
         manager.drain();
     }
 
