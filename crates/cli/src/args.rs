@@ -608,12 +608,24 @@ fn parse_run_flags(sub: &str, args: &[String]) -> Result<RunFlags, ArgsError> {
     Ok(RunFlags { opts, load_factor, cycles })
 }
 
+/// The largest population a run accepts, 20× the paper's `N = 50`. Flags,
+/// manifests and served job specs share it, so no spec can make an
+/// optimizer allocate its weight lattice and neighborhood tables
+/// (`O(N²)`) without bound, nor fan a batch out to more workers than this.
+const MAX_POPULATION: usize = 1_000;
+
 /// Semantic validation shared by the flag parser and the job server's
 /// spec validation, so a served job refuses exactly the configurations
 /// the command line refuses.
 pub fn validate_run_options(opts: &RunOptions) -> Result<(), ArgsError> {
     if opts.population < 2 {
         return Err(ArgsError::syntax("--population must be at least 2"));
+    }
+    if opts.population > MAX_POPULATION {
+        return Err(ArgsError::syntax(format!(
+            "--population must be at most {MAX_POPULATION} (got {})",
+            opts.population
+        )));
     }
     if opts.budget == 0 {
         return Err(ArgsError::syntax("--budget must be positive"));
@@ -1015,6 +1027,9 @@ mod tests {
     #[test]
     fn validation_rejects_degenerate_budgets() {
         assert!(parse(&argv("run --population 1")).is_err());
+        let err = parse(&argv("run --population 1001")).expect_err("above the bound");
+        assert!(err.message.contains("at most 1000"), "{}", err.message);
+        assert!(parse(&argv("run --population 1000")).is_ok());
         assert!(parse(&argv("run --budget 0")).is_err());
     }
 
@@ -1181,6 +1196,7 @@ mod tests {
             (vec![("objectives", Value::U64(7))], "objectives", 1),
             (vec![("budget", Value::Str("9".into()))], "budget", 1),
             (vec![("population", Value::U64(1))], "population", 1),
+            (vec![("population", Value::U64(4_000_000_000))], "at most 1000", 1),
             (vec![("checkpoint_every", Value::U64(0))], "checkpoint-every", 1),
             (vec![("chaos", Value::Str("panic=0.5".into()))], "chaos-seed", 2),
             (vec![("chaos_seed", Value::U64(3))], "chaos-seed", 2),

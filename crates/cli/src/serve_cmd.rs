@@ -189,6 +189,13 @@ mod tests {
         let err = spec_to_options(&Value::object(vec![("budget", Value::U64(0))]), 1)
             .expect_err("zero budget");
         assert!(err.contains("--budget"), "{err}");
+        // A population past the bound is refused before it is queued, so
+        // it never reaches the weight lattice or a worker pool.
+        let runner = DseRunner { default_checkpoint_every: 1 };
+        let err = runner
+            .validate(&Value::object(vec![("population", Value::U64(4_000_000_000))]))
+            .expect_err("population above the bound");
+        assert!(err.contains("--population must be at most 1000"), "{err}");
         // The chaos-needs-seed contradiction applies to specs too.
         let err =
             spec_to_options(&Value::object(vec![("chaos", Value::Str("panic=0.5".into()))]), 1)
