@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Telemetry benchmark sweep: runs every optimizer three times at a
 # standard budget with observability on, then assembles one
-# BENCH_<date>.json at the repo root. "runs" holds each algorithm's median
+# BENCH_<date>T<HHMM>.json at the repo root. The time suffix makes a new
+# snapshot sort after every earlier one, including the date-only names of
+# older snapshots, and the sweep refuses to overwrite an existing file. "runs" holds each algorithm's median
 # run's metrics.json (median by wall time; the runs are deterministic, so
 # evals_per_sec orders them the same way) and "spread" holds the min,
 # median and max of evals_per_sec and wall_us over the three. Each
@@ -19,7 +21,11 @@ cd "$(dirname "$0")/.."
 budget="${1:-2000}"
 seed="${2:-11}"
 repeats=3
-out="BENCH_$(date +%F).json"
+out="BENCH_$(date +%FT%H%M).json"
+if [ -e "$out" ]; then
+    echo "error: $out already exists; rerun in a minute" >&2
+    exit 1
+fi
 
 echo "==> cargo build --release -p moela-cli"
 cargo build --release -p moela-cli
@@ -83,7 +89,7 @@ echo "wrote $out"
 # date in its name (a fresh checkout gives every snapshot the same
 # mtime); wall clocks differ across machines, so this never gates the
 # sweep.
-prev="$(ls -1 BENCH_*.json 2>/dev/null | grep -vF "$out" | tail -1 || true)"
+prev="$(LC_ALL=C ls -1 BENCH_*.json 2>/dev/null | grep -vF "$out" | tail -1 || true)"
 if [ -n "$prev" ]; then
     echo "==> compare against $prev"
     "$dse" compare "$prev" "$out" \
