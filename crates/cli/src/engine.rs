@@ -498,9 +498,9 @@ fn start_state<'p>(
             let config = RandomSearchConfig {
                 samples: opts.budget,
                 trace_normalizer: Some(normalizer.clone()),
+                time_budget: Some(opts.time_guard),
                 threads: opts.threads,
                 fault: opts.fault(),
-                ..Default::default()
             };
             AnyState::Random(start_or_restore!(RandomSearch::new(config, problem)))
         }

@@ -20,6 +20,13 @@
 //! MOO-STAGE 17 with 5 meta moves). Those fixtures are named
 //! `<ALGO>.b600.trace.csv` / `<ALGO>.b600.front.csv`.
 //!
+//! The six `.b600.` fixtures and the three `@600` pins below were
+//! regenerated, in a commit of their own, when the surrogate trees
+//! switched to fitting each distinct bootstrap row once with its draw
+//! count (see `moela_ml::tree`). That fit computes the same estimator
+//! with other rounding, so only runs that fit and use a surrogate moved;
+//! every budget-120 fixture and pin stayed byte-identical.
+//!
 //! `tests/golden/checkpoint_state.crc32` pins, per algorithm, the CRC-32
 //! of the newest checkpoint's `state` object from the same command, with
 //! every wall-clock `elapsed_nanos` zeroed (`<ALGO>` at budget 120,

@@ -427,6 +427,51 @@ fn resume_refuses_a_format_1_checkpoint() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// `tests/fixtures/v2-moela-earlier-fit` is a format-2 run directory
+/// written by the build before the surrogate trees summed each bootstrap
+/// row once (`--budget 600 --population 8 --seed 7`, killed after six
+/// checkpoints, the newest at 244 evaluations), with that build's
+/// uninterrupted `trace.csv`. Its checkpoint holds `fit_rng`, not trees,
+/// so this build resumes it by refitting with its own tree builder: the
+/// run finishes, keeps the earlier build's trace points up to the
+/// checkpoint, and gives the same bytes at any thread count.
+#[test]
+fn a_checkpoint_of_an_earlier_tree_fit_resumes_into_this_build() {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v2-moela-earlier-fit");
+    let ckpt = "checkpoints/ckpt-00000006.json";
+    assert!(
+        String::from_utf8_lossy(&read(&fixture.join(ckpt))).contains("\"fit_rng\":["),
+        "the fixture must hold a fitted model"
+    );
+    let mut outputs = Vec::new();
+    for threads in ["1", "4"] {
+        let dir = scratch(&format!("v2-fixture-t{threads}"));
+        fs::create_dir_all(dir.join("checkpoints")).expect("mkdir");
+        for file in ["manifest.json", ckpt] {
+            fs::copy(fixture.join(file), dir.join(file)).expect("copy fixture");
+        }
+        let out = moela_dse(&["resume", dir.to_str().expect("utf-8 path"), "--threads", threads]);
+        assert!(out.status.success(), "resume failed: {}", stderr_of(&out));
+        outputs.push((read(&dir.join("trace.csv")), read(&dir.join("front.csv"))));
+        let _ = fs::remove_dir_all(&dir);
+    }
+    assert_eq!(outputs[0], outputs[1], "the resumed run depends on --threads");
+    let evaluations = |row: &str| -> u64 {
+        row.split(',').nth(1).and_then(|e| e.parse().ok()).expect("an evaluation count")
+    };
+    let rows = |csv: &[u8]| -> Vec<String> {
+        String::from_utf8_lossy(csv).lines().skip(1).map(str::to_owned).collect()
+    };
+    let resumed = rows(&outputs[0].0);
+    let earlier = rows(&read(&fixture.join("earlier-build.trace.csv")));
+    let kept = |rows: &[String]| -> Vec<String> {
+        rows.iter().filter(|r| evaluations(r) <= 244).cloned().collect()
+    };
+    assert!(!kept(&earlier).is_empty());
+    assert_eq!(kept(&resumed), kept(&earlier), "the checkpointed trace points must survive");
+    assert!(evaluations(resumed.last().expect("a trace row")) >= 600, "the run must finish");
+}
+
 #[test]
 fn version_subcommand_prints_the_build_version() {
     for spelling in ["version", "--version", "-V"] {

@@ -1,9 +1,11 @@
 //! The small subcommands end to end: `info` and `simulate` print their
-//! reports, and every run-like subcommand refuses (exit 2, naming the
-//! flag) a flag it would otherwise ignore — before doing any work.
+//! reports, every run-like subcommand refuses (exit 2, naming the flag) a
+//! flag it would otherwise ignore — before doing any work — and `run`
+//! obeys `--time-guard-secs` with every optimizer.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 const BIN: &str = env!("CARGO_BIN_EXE_moela-dse");
 
@@ -65,4 +67,37 @@ fn unread_flags_are_refused_by_name() {
         assert!(stdout(&out).is_empty(), "{args:?} did work before refusing");
     }
     assert!(!dir.exists(), "a refused --run-dir must not be created");
+}
+
+#[test]
+fn every_optimizer_stops_at_the_time_guard() {
+    for algorithm in ["moela", "moead", "moos", "moo-stage", "nsga2", "random"] {
+        let mut child = Command::new(BIN)
+            .args(["run", "--algorithm", algorithm, "--budget", "1000000"])
+            .args(["--time-guard-secs", "0", "--seed", "3"])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn moela-dse");
+        // A run that ignored the guard would take minutes: stop it and fail.
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while child.try_wait().expect("poll moela-dse").is_none() {
+            if Instant::now() > deadline {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("{algorithm} ignored --time-guard-secs 0");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let out = child.wait_with_output().expect("collect moela-dse output");
+        assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+        let text = stdout(&out);
+        let evaluations: u64 = text
+            .lines()
+            .find_map(|line| line.strip_prefix("finished: "))
+            .and_then(|rest| rest.split(' ').next())
+            .and_then(|count| count.parse().ok())
+            .unwrap_or_else(|| panic!("{algorithm} printed no evaluation count:\n{text}"));
+        assert!(evaluations < 1_000_000, "{algorithm} ran its whole budget");
+    }
 }

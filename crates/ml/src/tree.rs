@@ -3,37 +3,40 @@
 //! # Split-search contract
 //!
 //! A fit is pinned to the bit by its RNG draws and the order in which it
-//! adds floating-point numbers, so the split search keeps both fixed:
+//! adds floating-point numbers, so the split search fixes both:
 //!
-//! * A node holds bootstrap sample ids (dataset rows, repeats kept) in
-//!   bootstrap order, and its children receive stable partitions of that
-//!   list. Its leaf value is the sum of its targets in that order divided
-//!   by their count.
+//! * A tree holds its bootstrap as distinct rows, each with the count `w`
+//!   of draws that named it, so the order of the draws does not matter.
+//!   A node keeps its rows in ascending row id; its children receive
+//!   stable partitions of them and so keep that order.
+//! * A node's leaf value is Σw·y, summed in row order, divided by Σw.
+//!   `min_samples_leaf`, and the `2·min_samples_leaf` below which a node
+//!   is not split, count draws (Σw), not rows.
 //! * Each node shuffles the feature list once when `max_features` is set,
-//!   then examines the candidates in that order. One `order` of the node's
-//!   samples carries over from candidate to candidate: it starts in node
-//!   order and each candidate re-sorts it **stably** by its feature under
-//!   [`f64::total_cmp`]. Equal feature values therefore stay in the order
-//!   the earlier candidates left, and the first candidate's ties stay in
-//!   bootstrap order.
-//! * The scan sums the sorted targets and their squares in `order` in one
-//!   pass, recording the prefix at the end of each run of equal values;
-//!   the totals are that prefix carried to the end of `order`. Every SSE,
-//!   and so the winning split, depends on that order's rounding. A single
-//!   presort per fit would break ties by bootstrap position at every
-//!   candidate, and would change the trees.
+//!   then examines the candidates in that order. A candidate adds each
+//!   row's (w, w·y, w·y²) to the bin of the row's value, in row order,
+//!   then takes prefixes over the non-empty bins in ascending value; the
+//!   totals are the last prefix. Each pair of adjacent non-empty bins is
+//!   a split point, scored as Σw·y² − (Σw·y)²/Σw summed over the two
+//!   sides, skipped when its values lie less than 1e-15 apart or a side
+//!   holds fewer than `min_samples_leaf` draws, and placed at
+//!   `(xa + xb) / 2`. The lowest score wins, ties going to the first
+//!   found.
+//!
+//! This is the estimator of a builder that keeps every draw as a sample
+//! (the original one, kept in `tree/reference.rs`); only the rounding of
+//! the sums differs. Where every sum is exact, as with small integer
+//! targets, both grow the same trees from the same RNG draws.
 //!
 //! A column table, built once per forest fit and shared by its trees,
-//! makes the re-sort cheap. It stores each feature's column and the
-//! column's dense ranks under `total_cmp`, so a candidate's re-sort is a
-//! stable counting sort of `order` by rank (when the node's ranks spread
-//! too widely, a sort of keys that put the rank above the position in
-//! `order`, which is just as stable). The sort also emits where each
-//! run of equal ranks ends. A [`Dataset`] holds only finite values, so
-//! equal ranks are equal values, and only run ends can be split points.
-//! A candidate whose feature is constant within the node is skipped: the
-//! stable sort would leave `order` unchanged and the scan could evaluate
-//! no split.
+//! holds each column's dense ranks under [`f64::total_cmp`] and its
+//! distinct values in rank order. A [`Dataset`] holds only finite values,
+//! so equal ranks are equal values and a rank indexes its bin. When a
+//! node's ranks span more than 4× its row count, as in the small deep
+//! nodes of a wide column, the non-empty bins are found by sorting the
+//! node's ranks instead of scanning the span; the bins are filled alike,
+//! so both walks give the same bits. A candidate whose feature is
+//! constant within the node is skipped.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -103,7 +106,8 @@ impl RegressionTree {
     }
 
     /// Fits a tree on the samples selected by `indices` (the forest's
-    /// bootstrap hook). Indices may repeat.
+    /// bootstrap hook). Indices may repeat, and their order does not
+    /// matter: the tree sees each row once, weighted by its count.
     ///
     /// # Panics
     ///
@@ -126,14 +130,21 @@ impl RegressionTree {
         rng: &mut impl Rng,
     ) -> Self {
         assert!(!indices.is_empty(), "cannot fit a tree on zero samples");
-        let mut samples: Vec<u32> = indices
-            .iter()
-            .map(|&i| {
-                assert!(i < table.rows, "sample index {i} out of range");
-                i as u32
-            })
-            .collect();
-        let root = Builder::new(table, config).build(&mut samples, 0, rng);
+        assert!(u32::try_from(indices.len()).is_ok(), "too many samples for one tree");
+        let mut draws = vec![Moments::default(); table.rows];
+        for &i in indices {
+            assert!(i < table.rows, "sample index {i} out of range");
+            draws[i].w += 1;
+        }
+        let mut rows = Vec::new();
+        for (i, (row, &y)) in draws.iter_mut().zip(&table.targets).enumerate() {
+            if row.w > 0 {
+                let w = f64::from(row.w);
+                (row.sum, row.sq) = (w * y, w * y.powi(2));
+                rows.push(i as u32);
+            }
+        }
+        let root = Builder::new(table, config, draws).build(&mut rows, 0, rng);
         Self { root, feature_len: table.features }
     }
 
@@ -189,18 +200,17 @@ impl moela_persist::Snapshot for RegressionTree {
     }
 }
 
-/// A dataset in the split search's layout: feature-major columns, each
-/// with its values' dense ranks under [`f64::total_cmp`] (equal values
-/// share a rank), plus the targets.
+/// A dataset in the split search's layout: each feature's dense ranks
+/// under [`f64::total_cmp`] (equal values share a rank) and its distinct
+/// values in rank order, plus the targets.
 pub(crate) struct ColumnTable {
     rows: usize,
     features: usize,
-    /// `values[f * rows + i]` is feature `f` of sample `i`.
-    values: Vec<f64>,
-    /// Dense rank of `values[f * rows + i]` within column `f`.
+    /// `ranks[f * rows + i]` is the dense rank of feature `f` of sample
+    /// `i` within its column.
     ranks: Vec<u32>,
-    /// The largest rank in any column.
-    max_rank: u32,
+    /// `levels[f * rows + r]` is the value of rank `r` in column `f`.
+    levels: Vec<f64>,
     targets: Vec<f64>,
 }
 
@@ -209,37 +219,33 @@ impl ColumnTable {
         let rows = data.len();
         assert!(u32::try_from(rows).is_ok(), "too many samples for one fit");
         let features = data.feature_len();
-        let mut values = Vec::with_capacity(rows * features);
-        for f in 0..features {
-            values.extend((0..rows).map(|i| data.features(i)[f]));
-        }
         let mut ranks = vec![0; rows * features];
-        let mut max_rank = 0;
+        let mut levels = vec![0.0; rows * features];
         let mut keyed: Vec<(i64, u32)> = Vec::with_capacity(rows);
         for f in 0..features {
-            let column = &values[f * rows..(f + 1) * rows];
             keyed.clear();
-            keyed.extend(column.iter().enumerate().map(|(i, &x)| (total_order_key(x), i as u32)));
+            keyed.extend((0..rows).map(|i| (total_order_key(data.features(i)[f]), i as u32)));
             keyed.sort_unstable();
-            let column_ranks = &mut ranks[f * rows..(f + 1) * rows];
+            let column = f * rows..(f + 1) * rows;
+            let (column_ranks, column_levels) = (&mut ranks[column.clone()], &mut levels[column]);
             let mut rank = 0;
             for (k, &(key, i)) in keyed.iter().enumerate() {
                 if k > 0 && key != keyed[k - 1].0 {
                     rank += 1;
                 }
                 column_ranks[i as usize] = rank;
+                column_levels[rank as usize] = data.features(i as usize)[f];
             }
-            max_rank = max_rank.max(rank);
         }
-        Self { rows, features, values, ranks, max_rank, targets: data.targets().to_vec() }
-    }
-
-    fn values(&self, feature: usize) -> &[f64] {
-        &self.values[feature * self.rows..(feature + 1) * self.rows]
+        Self { rows, features, ranks, levels, targets: data.targets().to_vec() }
     }
 
     fn ranks(&self, feature: usize) -> &[u32] {
         &self.ranks[feature * self.rows..(feature + 1) * self.rows]
+    }
+
+    fn levels(&self, feature: usize) -> &[f64] {
+        &self.levels[feature * self.rows..(feature + 1) * self.rows]
     }
 }
 
@@ -250,56 +256,76 @@ fn total_order_key(x: f64) -> i64 {
     bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
-/// A counting sort runs when the node's rank span is at most this many
-/// times its size; wider spans fall back to a comparison sort.
-const COUNTING_SPAN_FACTOR: usize = 4;
+/// The non-empty bins are found by scanning the node's rank span when it
+/// is at most this many times the node's row count, and by sorting the
+/// node's ranks otherwise.
+const SPAN_FACTOR: usize = 4;
+
+/// Draws and their weighted target sums: one row's share of a tree, one
+/// bin of a candidate, or a prefix of bins.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+struct Moments {
+    /// Bootstrap draws (Σw).
+    w: u32,
+    /// Σw·y.
+    sum: f64,
+    /// Σw·y².
+    sq: f64,
+}
+
+impl Moments {
+    fn add(&mut self, other: &Self) {
+        self.w += other.w;
+        self.sum += other.sum;
+        self.sq += other.sq;
+    }
+}
 
 /// Grows one tree over a [`ColumnTable`], reusing its scratch buffers
 /// from node to node.
 struct Builder<'a> {
     table: &'a ColumnTable,
     config: &'a TreeConfig,
-    /// The node's samples in the order the candidates so far left them.
-    order: Vec<u32>,
-    /// Where each run of equal ranks in `order` ends (exclusive), in
-    /// order; the last is `order.len()`.
-    run_ends: Vec<u32>,
-    /// Σy and Σy² over `order` up to each of `run_ends`.
-    prefixes: Vec<(f64, f64)>,
-    /// Counting-sort buckets, indexed by rank and all zero between sorts.
-    counts: Vec<u32>,
-    /// Counting-sort output and partition overflow.
+    /// Each row's draws in this tree, zero for rows no draw named.
+    draws: Vec<Moments>,
+    /// A candidate's bins, indexed by rank and all empty between
+    /// candidates.
+    bins: Vec<Moments>,
+    /// A candidate's non-empty bins in ascending rank: each rank with
+    /// the prefix through its bin.
+    runs: Vec<(u32, Moments)>,
+    /// The node's sorted ranks, when its span is too wide to scan.
+    sorted: Vec<u32>,
+    /// Partition overflow.
     spare: Vec<u32>,
-    /// Comparison-sort keys: rank in the high half, position in `order`
-    /// in the low half.
-    keyed: Vec<u64>,
 }
 
 impl<'a> Builder<'a> {
-    fn new(table: &'a ColumnTable, config: &'a TreeConfig) -> Self {
+    fn new(table: &'a ColumnTable, config: &'a TreeConfig, draws: Vec<Moments>) -> Self {
         Self {
             table,
             config,
-            order: Vec::new(),
-            run_ends: Vec::new(),
-            prefixes: Vec::new(),
-            counts: vec![0; table.max_rank as usize + 1],
+            draws,
+            bins: vec![Moments::default(); table.rows],
+            runs: Vec::new(),
+            sorted: Vec::new(),
             spare: Vec::new(),
-            keyed: Vec::new(),
         }
     }
 
-    fn build(&mut self, samples: &mut [u32], depth: usize, rng: &mut impl Rng) -> Node {
+    fn build(&mut self, rows: &mut [u32], depth: usize, rng: &mut impl Rng) -> Node {
         let table = self.table;
-        let targets = &table.targets;
+        let draws = &self.draws;
+        let weight: u32 = rows.iter().map(|&i| draws[i as usize].w).sum();
         let leaf_value =
-            samples.iter().map(|&i| targets[i as usize]).sum::<f64>() / samples.len() as f64;
-        if depth >= self.config.max_depth || samples.len() < 2 * self.config.min_samples_leaf {
+            rows.iter().map(|&i| draws[i as usize].sum).sum::<f64>() / f64::from(weight);
+        if depth >= self.config.max_depth || (weight as usize) < 2 * self.config.min_samples_leaf {
             return Node::Leaf { value: leaf_value };
         }
         // Homogeneous targets: nothing to gain.
-        let first = targets[samples[0] as usize];
-        if samples.iter().all(|&i| (targets[i as usize] - first).abs() < 1e-15) {
+        let targets = &table.targets;
+        let first = targets[rows[0] as usize];
+        if rows.iter().all(|&i| (targets[i as usize] - first).abs() < 1e-15) {
             return Node::Leaf { value: leaf_value };
         }
 
@@ -310,15 +336,19 @@ impl<'a> Builder<'a> {
             candidates.truncate(k.clamp(1, d));
         }
 
-        let Some((feature, threshold)) = self.best_split(samples, &candidates) else {
+        let Some((feature, threshold)) = self.best_split(rows, &candidates) else {
             return Node::Leaf { value: leaf_value };
         };
-        let values = table.values(feature);
-        let split = stable_partition(samples, |i| values[i as usize] <= threshold, &mut self.spare);
-        if split == 0 || split == samples.len() {
+        let (ranks, levels) = (table.ranks(feature), table.levels(feature));
+        let split = stable_partition(
+            rows,
+            |i| levels[ranks[i as usize] as usize] <= threshold,
+            &mut self.spare,
+        );
+        if split == 0 || split == rows.len() {
             return Node::Leaf { value: leaf_value };
         }
-        let (left, right) = samples.split_at_mut(split);
+        let (left, right) = rows.split_at_mut(split);
         let left = Box::new(self.build(left, depth + 1, rng));
         let right = Box::new(self.build(right, depth + 1, rng));
         Node::Split { feature, threshold, left, right }
@@ -326,56 +356,34 @@ impl<'a> Builder<'a> {
 
     /// The lowest-SSE `(feature, threshold)` over `candidates`, ties going
     /// to the first found.
-    fn best_split(&mut self, samples: &[u32], candidates: &[usize]) -> Option<(usize, f64)> {
+    fn best_split(&mut self, rows: &[u32], candidates: &[usize]) -> Option<(usize, f64)> {
         let table = self.table;
-        let targets = &table.targets;
-        let n = samples.len();
         let min_leaf = self.config.min_samples_leaf;
         let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, sse)
-        self.order.clear();
-        self.order.extend_from_slice(samples);
         for &feat in candidates {
-            if !self.sort_by_rank(table.ranks(feat)) {
+            let ranks = table.ranks(feat);
+            let Some((lo, hi)) = self.fill_bins(rows, ranks) else {
                 continue; // constant here: no value can be separated
-            }
-            // Prefix sums over sorted targets let every threshold be scored in
-            // O(1): SSE_total = Σy² − (Σy)²/n on each side. One pass adds
-            // the targets in `order` and records the prefix at each run
-            // end; the last run's prefix is the totals. A zero start is
-            // exact because some target here is non-zero (the node is not
-            // homogeneous).
-            let (order, run_ends, prefixes) = (&self.order, &self.run_ends, &mut self.prefixes);
-            prefixes.clear();
-            let mut prefix_sum = 0.0;
-            let mut prefix_sq = 0.0;
-            let mut start = 0;
-            for &end in run_ends {
-                for &i in &order[start..end as usize] {
-                    let y = targets[i as usize];
-                    prefix_sum += y;
-                    prefix_sq += y.powi(2);
-                }
-                prefixes.push((prefix_sum, prefix_sq));
-                start = end as usize;
-            }
-            let (total_sum, total_sq) = (prefix_sum, prefix_sq);
-            let values = table.values(feat);
-            let splits = &run_ends[..run_ends.len() - 1];
-            for (&split_at, &(prefix_sum, prefix_sq)) in splits.iter().zip(prefixes.iter()) {
-                let split_at = split_at as usize;
-                if split_at < min_leaf || n - split_at < min_leaf {
+            };
+            let scan = ((hi - lo) as usize) < SPAN_FACTOR * rows.len();
+            self.drain_bins(rows, ranks, lo, hi, scan);
+            // Each side's SSE is Σw·y² − (Σw·y)²/Σw, read off the prefixes
+            // in O(1) per split point.
+            let levels = table.levels(feat);
+            let total = self.runs.last().expect("a non-constant candidate has bins").1;
+            for pair in self.runs.windows(2) {
+                let ((a, left), (b, _)) = (pair[0], pair[1]);
+                let right_w = total.w - left.w;
+                if (left.w as usize) < min_leaf || (right_w as usize) < min_leaf {
                     continue;
                 }
-                let xa = values[order[split_at - 1] as usize];
-                let xb = values[order[split_at] as usize];
+                let (xa, xb) = (levels[a as usize], levels[b as usize]);
                 if xb - xa < 1e-15 {
                     continue; // too close to separate
                 }
-                let left_n = split_at as f64;
-                let right_n = (n - split_at) as f64;
-                let left_sse = prefix_sq - prefix_sum * prefix_sum / left_n;
-                let right_sum = total_sum - prefix_sum;
-                let right_sse = (total_sq - prefix_sq) - right_sum * right_sum / right_n;
+                let left_sse = left.sq - left.sum * left.sum / f64::from(left.w);
+                let right_sum = total.sum - left.sum;
+                let right_sse = (total.sq - left.sq) - right_sum * right_sum / f64::from(right_w);
                 let sse = left_sse + right_sse;
                 if best.is_none_or(|(_, _, b)| sse < b) {
                     best = Some((feat, (xa + xb) / 2.0, sse));
@@ -385,92 +393,69 @@ impl<'a> Builder<'a> {
         best.map(|(feature, threshold, _)| (feature, threshold))
     }
 
-    /// Stably re-sorts `order` by `ranks`, leaving the end of each run of
-    /// equal ranks in `run_ends`. Returns `false`, with `order` untouched,
-    /// when every sample in it has the same rank.
-    fn sort_by_rank(&mut self, ranks: &[u32]) -> bool {
-        let Self { order, run_ends, counts, spare, keyed, .. } = self;
+    /// Adds each of `rows`, in order, to the bin of its rank and returns
+    /// the lowest and highest rank, or `None`, with the bins left empty,
+    /// when every row has the same rank.
+    fn fill_bins(&mut self, rows: &[u32], ranks: &[u32]) -> Option<(u32, u32)> {
         let (mut lo, mut hi) = (u32::MAX, 0);
-        for &i in order.iter() {
-            let key = ranks[i as usize];
-            lo = lo.min(key);
-            hi = hi.max(key);
-            counts[key as usize] += 1;
+        for &i in rows {
+            let rank = ranks[i as usize];
+            self.bins[rank as usize].add(&self.draws[i as usize]);
+            lo = lo.min(rank);
+            hi = hi.max(rank);
         }
-        let (lo, hi) = (lo as usize, hi as usize);
         if lo >= hi {
-            counts[lo] = 0;
-            return false;
+            self.bins[lo as usize] = Moments::default();
+            return None;
         }
-        let n = order.len();
-        let span = hi - lo + 1;
-        run_ends.clear();
-        if span <= COUNTING_SPAN_FACTOR * n {
-            // counts[r] becomes the first output slot of rank r; the
-            // placement advances it to the end of that rank's run.
-            let mut end = 0;
-            for count in &mut counts[lo..=hi] {
-                if *count > 0 {
-                    let start = end;
-                    end += *count;
-                    run_ends.push(end);
-                    *count = start;
-                }
+        Some((lo, hi))
+    }
+
+    /// Empties the bins [`fill_bins`](Self::fill_bins) filled for `rows`
+    /// into `runs` in ascending rank, finding them by scanning `lo..=hi`
+    /// when `scan` is set and by sorting the rows' ranks otherwise.
+    fn drain_bins(&mut self, rows: &[u32], ranks: &[u32], lo: u32, hi: u32, scan: bool) {
+        let Self { bins, runs, sorted, .. } = self;
+        runs.clear();
+        let mut prefix = Moments::default();
+        let mut take = |rank: u32| {
+            let bin = std::mem::take(&mut bins[rank as usize]);
+            if bin.w > 0 {
+                prefix.add(&bin);
+                runs.push((rank, prefix));
             }
-            spare.clear();
-            spare.resize(n, 0);
-            for &sample in order.iter() {
-                let slot = &mut counts[ranks[sample as usize] as usize];
-                spare[*slot as usize] = sample;
-                *slot += 1;
-            }
-            std::mem::swap(order, spare);
-            counts[lo..=hi].fill(0);
+        };
+        if scan {
+            (lo..=hi).for_each(take);
         } else {
-            // Each sample keyed by its rank, then its position in `order`:
-            // the keys are distinct, so an unstable sort of them is a
-            // stable sort of `order` by rank. The buckets counted above go
-            // back to zero on the way.
-            keyed.clear();
-            keyed.extend(order.iter().enumerate().map(|(k, &i)| {
-                let rank = ranks[i as usize];
-                counts[rank as usize] = 0;
-                u64::from(rank) << 32 | k as u64
-            }));
-            keyed.sort_unstable();
-            spare.clear();
-            spare.extend_from_slice(order);
-            for (k, (slot, &key)) in order.iter_mut().zip(keyed.iter()).enumerate() {
-                *slot = spare[key as u32 as usize];
-                if k > 0 && key >> 32 != keyed[k - 1] >> 32 {
-                    run_ends.push(k as u32);
-                }
-            }
-            run_ends.push(n as u32);
+            sorted.clear();
+            sorted.extend(rows.iter().map(|&i| ranks[i as usize]));
+            sorted.sort_unstable();
+            sorted.dedup();
+            sorted.iter().for_each(|&rank| take(rank));
         }
-        true
     }
 }
 
-/// Moves the samples `goes_left` accepts to the front of `samples`, both
-/// sides keeping their order, and returns how many went left.
+/// Moves the rows `goes_left` accepts to the front of `rows`, both sides
+/// keeping their order, and returns how many went left.
 fn stable_partition(
-    samples: &mut [u32],
+    rows: &mut [u32],
     goes_left: impl Fn(u32) -> bool,
     spare: &mut Vec<u32>,
 ) -> usize {
     spare.clear();
     let mut left = 0;
-    for k in 0..samples.len() {
-        let sample = samples[k];
-        if goes_left(sample) {
-            samples[left] = sample;
+    for k in 0..rows.len() {
+        let row = rows[k];
+        if goes_left(row) {
+            rows[left] = row;
             left += 1;
         } else {
-            spare.push(sample);
+            spare.push(row);
         }
     }
-    samples[left..].copy_from_slice(spare);
+    rows[left..].copy_from_slice(spare);
     left
 }
 
@@ -588,6 +573,9 @@ mod tests {
         }
         let table = ColumnTable::new(&d);
         assert_eq!(table.ranks(0), &[4, 2, 3, 0, 4, 1, 5, 3]);
+        let levels: Vec<u64> = table.levels(0)[..6].iter().map(|x| x.to_bits()).collect();
+        let expected = [f64::MIN, -2.0, -0.0, 0.0, 0.5, f64::MAX].map(f64::to_bits);
+        assert_eq!(levels, expected);
         for (a, &xa) in column.iter().enumerate() {
             for (b, &xb) in column.iter().enumerate() {
                 assert_eq!(table.ranks(0)[a].cmp(&table.ranks(0)[b]), xa.total_cmp(&xb));
@@ -596,68 +584,85 @@ mod tests {
     }
 
     #[test]
-    fn every_sort_path_is_stable() {
-        // A whole tied column takes the counting sort; a few samples
-        // spread over a wide column take the comparison sort, once with
-        // ties only between repeated samples and once with distinct
-        // samples of equal value. Samples repeat, as in a bootstrap, and
-        // equal ranks must keep their incoming order.
+    fn a_permuted_bootstrap_grows_the_same_tree() {
+        use moela_persist::{encode, Snapshot};
         let mut r = rng();
-        let mut rows: Vec<u32> = (0..200).collect();
-        rows.shuffle(&mut r);
-        let levels = |r: &mut rand::rngs::StdRng, levels: u32| -> Vec<f64> {
-            (0..200).map(|_| f64::from(r.gen_range(0..levels))).collect()
+        let mut d = Dataset::new();
+        for _ in 0..60 {
+            let x: Vec<f64> = (0..4).map(|_| f64::from(r.gen_range(0..7)) / 7.0).collect();
+            let y = x[0] * 0.3 - x[2] + r.gen_range(-0.1..0.1);
+            d.push(x, y);
+        }
+        let indices: Vec<usize> = (0..90).map(|_| r.gen_range(0..60)).collect();
+        let mut permuted = indices.clone();
+        permuted.shuffle(&mut r);
+        assert_ne!(permuted, indices);
+        // Shallow, so each leaf sums many targets: summed in draw order,
+        // their rounding would depend on the permutation.
+        let config = TreeConfig { max_depth: 3, max_features: Some(2), ..TreeConfig::default() };
+        let fit = |indices: &[usize]| {
+            let mut r = rng();
+            let tree = RegressionTree::fit_on(&d, indices, &config, &mut r);
+            (encode::to_string(&tree.snapshot()), r.state())
         };
-        // 190 distinct values; rows 190.. share row 5's.
-        let shared: Vec<f64> = (0..200).map(|i| if i < 190 { f64::from(i) } else { 5.0 }).collect();
-        let cases = [
-            ("tied", levels(&mut r, 5), rows.clone(), true),
-            ("wide", levels(&mut r, 1000), rows[..12].to_vec(), false),
-            ("wide with shared values", shared, (190..200).chain([5, 0, 189]).collect(), false),
-        ];
-        for (case, column, node, counting) in cases {
-            let mut d = Dataset::new();
-            for x in column {
-                d.push(vec![x], 0.0);
+        assert_eq!(fit(&permuted), fit(&indices));
+    }
+
+    #[test]
+    fn scanning_and_sorting_find_the_same_bins() {
+        // A few repeated rows of a wide column choose the sort; a whole
+        // tied column chooses the scan. Each node runs both walks, which
+        // must leave the same prefixes to the bit and empty every bin.
+        let mut r = rng();
+        let mut d = Dataset::new();
+        for i in 0..200 {
+            let wide = if i % 40 == 0 { 5.0 } else { f64::from(r.gen_range(0..1000)) };
+            d.push(vec![wide, f64::from(r.gen_range(0..5))], r.gen_range(-1.0..1.0));
+        }
+        let table = ColumnTable::new(&d);
+        let config = TreeConfig::default();
+        let mut draws = vec![Moments::default(); 200];
+        for (i, (row, &y)) in draws.iter_mut().zip(&table.targets).enumerate() {
+            let w = 1 + i as u32 % 3;
+            *row = Moments { w, sum: f64::from(w) * y, sq: f64::from(w) * y.powi(2) };
+        }
+        let mut builder = Builder::new(&table, &config, draws);
+        let few: Vec<u32> = vec![0, 3, 40, 80, 81, 120, 160, 199];
+        let all: Vec<u32> = (0..200).collect();
+        for (feature, rows, scans) in [(0, few, false), (1, all, true)] {
+            let ranks = table.ranks(feature);
+            let mut walks = Vec::new();
+            for scan in [false, true] {
+                let (lo, hi) = builder.fill_bins(&rows, ranks).expect("not constant");
+                assert_eq!(((hi - lo) as usize) < SPAN_FACTOR * rows.len(), scans);
+                builder.drain_bins(&rows, ranks, lo, hi, scan);
+                assert!(builder.bins.iter().all(|b| *b == Moments::default()));
+                let bits: Vec<(u32, u32, u64, u64)> = builder
+                    .runs
+                    .iter()
+                    .map(|&(rank, m)| (rank, m.w, m.sum.to_bits(), m.sq.to_bits()))
+                    .collect();
+                walks.push(bits);
             }
-            let table = ColumnTable::new(&d);
-            let (values, ranks) = (table.values(0), table.ranks(0));
-            let config = TreeConfig::default();
-            let mut builder = Builder::new(&table, &config);
-            let mut incoming = node;
-            incoming.extend_from_within(..incoming.len() / 2);
-            incoming.shuffle(&mut r);
-            let node_ranks = incoming.iter().map(|&i| ranks[i as usize]);
-            let span = (node_ranks.clone().max().unwrap() - node_ranks.min().unwrap()) as usize + 1;
-            assert_eq!(span <= COUNTING_SPAN_FACTOR * incoming.len(), counting, "{case}: {span}");
-            builder.order = incoming.clone();
-            assert!(builder.sort_by_rank(ranks));
-            let mut expected = incoming;
-            expected.sort_by(|&a, &b| values[a as usize].total_cmp(&values[b as usize]));
-            assert_eq!(builder.order, expected, "{case}");
-            let mut expected_ends: Vec<u32> = (1..expected.len())
-                .filter(|&k| values[expected[k] as usize] != values[expected[k - 1] as usize])
-                .map(|k| k as u32)
-                .collect();
-            expected_ends.push(expected.len() as u32);
-            assert_eq!(builder.run_ends, expected_ends, "{case}");
-            assert!(builder.counts.iter().all(|&c| c == 0), "{case}");
+            assert_eq!(walks[0], walks[1], "feature {feature}");
+            let weight: u32 = rows.iter().map(|&i| 1 + i % 3).sum();
+            assert_eq!(builder.runs.last().unwrap().1.w, weight);
         }
     }
 
     #[test]
-    fn constant_candidates_leave_the_order_alone() {
+    fn constant_candidates_leave_the_bins_empty() {
         let mut d = Dataset::new();
         for i in 0..30 {
             d.push(vec![1.25, i as f64], 0.0);
         }
         let table = ColumnTable::new(&d);
         let config = TreeConfig::default();
-        let mut builder = Builder::new(&table, &config);
-        builder.order = (0..30).rev().collect();
-        assert!(!builder.sort_by_rank(table.ranks(0)));
-        assert_eq!(builder.order, (0..30).rev().collect::<Vec<u32>>());
-        assert!(builder.counts.iter().all(|&c| c == 0));
+        let draws = vec![Moments { w: 2, sum: 0.0, sq: 0.0 }; 30];
+        let mut builder = Builder::new(&table, &config, draws);
+        let rows: Vec<u32> = (0..30).collect();
+        assert_eq!(builder.fill_bins(&rows, table.ranks(0)), None);
+        assert!(builder.bins.iter().all(|b| *b == Moments::default()));
     }
 
     #[test]

@@ -62,6 +62,25 @@ for algo in moo-stage moos moead nsga2 random; do
     cmp "$smoke/$algo-full/trace.csv" "$smoke/$algo-crashed/trace.csv"
     cmp "$smoke/$algo-full/front.csv" "$smoke/$algo-crashed/front.csv"
 done
+# At budget 120 MOOS never fits its gain model and MOO-STAGE never makes
+# a meta move. At budget 600 the eighth checkpoint already follows a fit,
+# so the resume refits each surrogate from its restored training set.
+for algo in moela moos moo-stage; do
+    long_flags=("${flags[@]}" --algorithm "$algo" --budget 600)
+    "$dse" run "${long_flags[@]}" --run-dir "$smoke/$algo-600-full" >/dev/null
+    "$dse" run "${long_flags[@]}" --run-dir "$smoke/$algo-600-crashed" --crash-after-checkpoints 8 \
+        >/dev/null 2>&1 && { echo "crash injection did not abort"; exit 1; }
+    ckpt="$smoke/$algo-600-crashed/checkpoints/ckpt-00000008.json"
+    if [ "$algo" = moo-stage ]; then
+        # MOO-STAGE refits before every read and checkpoints only its data.
+        grep -q '"train":{"features":\[\[' "$ckpt" || { echo "$algo: no training rows"; exit 1; }
+    else
+        grep -q '"fit_rng":\[' "$ckpt" || { echo "$algo: checkpoint holds no fit"; exit 1; }
+    fi
+    "$dse" resume "$smoke/$algo-600-crashed" --threads 4 >/dev/null
+    cmp "$smoke/$algo-600-full/trace.csv" "$smoke/$algo-600-crashed/trace.csv"
+    cmp "$smoke/$algo-600-full/front.csv" "$smoke/$algo-600-crashed/front.csv"
+done
 
 echo "==> chaos smoke (faults contained, kill + resume under chaos byte-identical)"
 chaos_flags=("${flags[@]}" --chaos panic=0.03,nan=0.03,arity=0.02 --chaos-seed 41
