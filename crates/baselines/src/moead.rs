@@ -36,8 +36,6 @@ pub struct MoeadConfig {
     pub population: usize,
     /// Number of generations.
     pub generations: usize,
-    /// Neighborhood size `T`.
-    pub neighborhood: usize,
     /// Pre-fitted objective normalizer for the PHV trace; `None` fits one
     /// online (see [`moela_moo::run::TraceRecorder`]).
     pub trace_normalizer: Option<moela_moo::normalize::Normalizer>,
@@ -59,13 +57,20 @@ impl Default for MoeadConfig {
         Self {
             population: 50,
             generations: 100,
-            neighborhood: 10,
             trace_normalizer: None,
             max_evaluations: None,
             time_budget: None,
             threads: 1,
             fault: FaultConfig::default(),
         }
+    }
+}
+
+impl MoeadConfig {
+    /// Neighborhood size `T` of the weight-space neighborhoods:
+    /// `max(2, N/5)`, capped at `N` (10 at the default `N = 50`).
+    pub fn neighborhood(&self) -> usize {
+        (self.population / 5).max(2).min(self.population)
     }
 }
 
@@ -95,13 +100,9 @@ impl<'p, P: Problem> Moead<'p, P> {
     ///
     /// # Panics
     ///
-    /// Panics if `population < 2` or `neighborhood` is out of range.
+    /// Panics if `population < 2`.
     pub fn new(config: MoeadConfig, problem: &'p P) -> Self {
         assert!(config.population >= 2, "population must be at least 2");
-        assert!(
-            (2..=config.population).contains(&config.neighborhood),
-            "neighborhood must lie in 2..=population"
-        );
         Self { config, problem }
     }
 }
@@ -136,7 +137,7 @@ where
             cfg.time_budget,
         );
         let population =
-            Population::random(self.problem, &mut ctx, cfg.population, cfg.neighborhood, rng);
+            Population::random(self.problem, &mut ctx, cfg.population, cfg.neighborhood(), rng);
         MoeadState { config: cfg, problem: self.problem, ctx, population, generation: 0 }
     }
 
@@ -150,7 +151,7 @@ where
     ) -> Result<MoeadState<'p, P>, PersistError> {
         let cfg = self.config.clone();
         let m = self.problem.objective_count();
-        let population = Population::restore(value, codec, cfg.population, m, cfg.neighborhood)?;
+        let population = Population::restore(value, codec, cfg.population, m, cfg.neighborhood())?;
         Ok(MoeadState {
             ctx: RunCtx::restore(
                 value,
@@ -329,10 +330,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "neighborhood")]
-    fn oversized_neighborhood_is_rejected() {
-        let problem = Zdt::zdt1(4);
-        Moead::new(MoeadConfig { population: 5, neighborhood: 6, ..Default::default() }, &problem);
+    fn the_neighborhood_rule_stays_in_range() {
+        let with = |population| MoeadConfig { population, ..Default::default() }.neighborhood();
+        for n in 2..=1000 {
+            assert!((2..=n).contains(&with(n)), "N = {n}: T = {}", with(n));
+        }
+        assert_eq!(with(24), 4);
+        assert_eq!(with(50), 10);
+        assert_eq!(MoeadConfig::default().neighborhood(), 10);
     }
 
     #[test]
@@ -401,8 +406,7 @@ mod tests {
         use moela_moo::fault::FaultKind;
         use moela_moo::{ChaosProblem, ChaosSpec};
         let problem = ChaosProblem::new(Zdt::zdt1(6), ChaosSpec::parse("panic=1.0").unwrap(), 5);
-        let config =
-            MoeadConfig { population: 6, neighborhood: 3, generations: 10, ..Default::default() };
+        let config = MoeadConfig { population: 6, generations: 10, ..Default::default() };
         let mut r = rng(1);
         let mut state = zdt(Moead::new(config, &problem).start(&mut r));
         assert!(!state.step(&mut r), "the poisoned guard must stop the run");
@@ -450,14 +454,13 @@ mod tests {
     #[test]
     fn restore_rejects_population_size_mismatch() {
         let problem = Zdt::zdt1(6);
-        let config =
-            MoeadConfig { population: 8, neighborhood: 4, generations: 3, ..Default::default() };
+        let config = MoeadConfig { population: 8, generations: 3, ..Default::default() };
         let moead = Moead::new(config, &problem);
         let mut r = rng(1);
         let state = moead.start(&mut r);
         let snap = state.snapshot_state(&VecF64Codec);
         let other = Moead::new(
-            MoeadConfig { population: 12, neighborhood: 4, generations: 3, ..Default::default() },
+            MoeadConfig { population: 12, generations: 3, ..Default::default() },
             &problem,
         );
         let err = other.restore(&VecF64Codec, &snap, Duration::ZERO).expect_err("size mismatch");

@@ -16,14 +16,14 @@
 //! It also reads `--population` and `--paper-scale`, and refuses any other
 //! flag (exit 2).
 
-use moela_bench::{build_cell, mean, moela_builder, HarnessConfig};
-use moela_core::{Moela, MoelaConfigBuilder};
+use moela_bench::{build_cell, mean, HarnessConfig};
+use moela_core::{Algorithm, Moela, MoelaConfigBuilder};
 use moela_manycore::{ObjectiveSet, PlatformConfig};
 use moela_traffic::Benchmark;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// A variant's change to the harness's MOELA configuration.
+/// A variant's change to the optimizer table's MOELA configuration.
 type Tweak = fn(MoelaConfigBuilder) -> MoelaConfigBuilder;
 
 fn main() {
@@ -56,8 +56,8 @@ fn main() {
             let mut phvs = Vec::new();
             for &seed in &cfg.seeds {
                 let cell = build_cell(PlatformConfig::paper(), app, ObjectiveSet::Five, seed);
-                let config =
-                    tweak(moela_builder(&cell, &cfg)).build().expect("ablation config is valid");
+                let builder = cfg.settings(Algorithm::Moela, &cell).moela_builder();
+                let config = tweak(builder).build().expect("ablation config is valid");
                 let out = Moela::new(config, &cell.problem).run(&mut StdRng::seed_from_u64(seed));
                 phvs.push(out.phv(&cell.normalizer));
             }

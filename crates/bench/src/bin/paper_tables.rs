@@ -17,8 +17,8 @@
 use std::iter::once;
 
 use moela_bench::{
-    build_cell, format_row, geometric_mean, mean, parallel_map, run_algo, speedup, Algo, Cell,
-    HarnessConfig,
+    build_cell, format_row, geometric_mean, mean, parallel_map, speedup, Cell, HarnessConfig,
+    COMPARED,
 };
 use moela_manycore::{Design, ObjectiveSet, PlatformConfig};
 use moela_moo::hypervolume::hv_gain;
@@ -26,6 +26,8 @@ use moela_moo::run::{RunResult, TracePoint};
 use moela_nocsim::{SimConfig, Simulator};
 use moela_traffic::edp::EdpModel;
 use moela_traffic::Benchmark;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// What the views read of one finished run; its population is dropped
 /// as soon as the run ends.
@@ -39,8 +41,8 @@ struct Outcome {
     selected: Option<(f64, f64)>,
 }
 
-/// One application's runs, as `runs[set][seed][algo as usize]` in
-/// `cfg.sets` and `cfg.seeds` order.
+/// One application's runs, as `runs[set][seed][algo]` in `cfg.sets`,
+/// `cfg.seeds` and [`COMPARED`] order.
 type AppRuns = Vec<Vec<[Outcome; 3]>>;
 
 fn main() {
@@ -95,8 +97,8 @@ fn main() {
 /// what the views read of each run.
 fn run_cell(cfg: &HarnessConfig, app: Benchmark, set: ObjectiveSet, seed: u64) -> [Outcome; 3] {
     let cell = build_cell(PlatformConfig::paper(), app, set, seed);
-    Algo::ALL.map(|algo| {
-        let run = run_algo(&cell, algo, cfg, seed);
+    COMPARED.map(|(algo, _)| {
+        let run = cfg.settings(algo, &cell).run(&cell.problem, &mut StdRng::seed_from_u64(seed));
         Outcome {
             phv: run.phv(&cell.normalizer),
             selected: (set == ObjectiveSet::Five).then(|| select_design(&cell, &run, cfg.simulate)),
@@ -116,21 +118,19 @@ fn print_grid(
     reduce: fn(&[f64]) -> f64,
     show: impl Fn(f64) -> String,
 ) {
-    let columns: Vec<(Algo, usize)> = [Algo::Moead, Algo::Moos]
-        .into_iter()
-        .flat_map(|b| (0..cfg.sets.len()).map(move |s| (b, s)))
-        .collect();
+    // Each baseline's index in `COMPARED`, then the objective set's.
+    let columns: Vec<(usize, usize)> =
+        (1..COMPARED.len()).flat_map(|b| (0..cfg.sets.len()).map(move |s| (b, s))).collect();
     let header: Vec<String> = once("App".to_owned())
-        .chain(columns.iter().map(|&(b, s)| format!("{} {}", b.name(), cfg.sets[s])))
+        .chain(columns.iter().map(|&(b, s)| format!("{} {}", COMPARED[b].1, cfg.sets[s])))
         .collect();
     let widths: Vec<usize> = header.iter().map(|h| h.len().max(10)).collect();
     println!("{}", format_row(&header, &widths));
 
     let mut cells = Vec::new();
     for (app, runs) in sweep {
-        let value = |&(b, s): &(Algo, usize)| {
-            let per_seed: Vec<f64> =
-                runs[s].iter().map(|o| versus(&o[Algo::Moela as usize], &o[b as usize])).collect();
+        let value = |&(b, s): &(usize, usize)| {
+            let per_seed: Vec<f64> = runs[s].iter().map(|o| versus(&o[0], &o[b])).collect();
             reduce(&per_seed)
         };
         let row: Vec<f64> = columns.iter().map(value).collect();

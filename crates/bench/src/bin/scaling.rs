@@ -13,10 +13,12 @@
 //! It also reads `--population` and `--paper-scale`, and refuses any other
 //! flag (exit 2).
 
-use moela_bench::{build_cell, mean, run_algo, Algo, HarnessConfig};
+use moela_bench::{build_cell, mean, HarnessConfig, COMPARED};
 use moela_manycore::{ObjectiveSet, PlatformConfig};
 use moela_moo::hypervolume::hv_gain;
 use moela_traffic::Benchmark;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// The platforms under test: label, then nx, ny, layers, CPUs, LLCs,
 /// planar links and TSVs.
@@ -57,8 +59,9 @@ fn main() {
                 .build()
                 .expect("scaling platforms are feasible");
             let cell = build_cell(platform, app, ObjectiveSet::Five, seed);
-            for (slot, algo) in Algo::ALL.into_iter().enumerate() {
-                let out = run_algo(&cell, algo, &cfg, seed);
+            for (slot, (algo, _)) in COMPARED.into_iter().enumerate() {
+                let settings = cfg.settings(algo, &cell);
+                let out = settings.run(&cell.problem, &mut StdRng::seed_from_u64(seed));
                 phv[slot].push(out.phv(&cell.normalizer));
             }
         }

@@ -24,16 +24,25 @@
 //! workload, the same evaluation budget, the same RNG seed, and one
 //! normalizer fitted to a pre-sampled random-design corpus, so PHV values
 //! (and therefore speed-ups and gains) are directly comparable.
+//!
+//! ## The optimizers
+//!
+//! Every binary builds its optimizers through `moela-core`'s optimizer
+//! table ([`OptimizerSettings`], via [`HarnessConfig::settings`]), the
+//! one `moela-dse` builds them through, so the tables compare the MOELA,
+//! MOEA/D and MOOS a user runs. Until the harness used the table, its
+//! MOEA/D took neighborhood size `T = 10` where `moela-dse` takes
+//! `max(2, N/5)` (4 at the default `N = 24`); the numbers published in
+//! EXPERIMENTS.md predate the change, and ROADMAP item 7 regenerates
+//! them.
 
 use std::time::Duration;
 
-use rand::SeedableRng;
-
-use moela_baselines::{Moead, MoeadConfig, Moos, MoosConfig};
-use moela_core::{Moela, MoelaConfig, MoelaConfigBuilder};
-use moela_manycore::{Design, ManycoreProblem, ObjectiveSet, PlatformConfig};
+use moela_core::{Algorithm, OptimizerSettings};
+use moela_manycore::{ManycoreProblem, ObjectiveSet, PlatformConfig};
+use moela_moo::fault::FaultConfig;
 use moela_moo::normalize::Normalizer;
-use moela_moo::run::{convergence_point, evaluations_to_reach, RunResult, TracePoint};
+use moela_moo::run::{convergence_point, evaluations_to_reach, TracePoint};
 use moela_traffic::{Benchmark, Workload};
 
 /// Harness-wide settings, parsed from the command line.
@@ -72,6 +81,21 @@ impl Default for HarnessConfig {
 }
 
 impl HarnessConfig {
+    /// The optimizer table's settings for `algorithm` on `cell`: the
+    /// harness's population, budget and time guard, the cell's
+    /// normalizer, one evaluation thread and the default fault policy.
+    pub fn settings(&self, algorithm: Algorithm, cell: &Cell) -> OptimizerSettings {
+        OptimizerSettings {
+            algorithm,
+            population: self.population,
+            budget: self.budget,
+            normalizer: cell.normalizer.clone(),
+            time_guard: self.time_guard,
+            threads: 1,
+            fault: FaultConfig::default(),
+        }
+    }
+
     /// Parses the command line over `self`'s values, reading only the
     /// flags in `reads`; see [`Self::parse`]. On an error it prints the
     /// message and exits 2.
@@ -169,73 +193,10 @@ pub fn build_cell(platform: PlatformConfig, app: Benchmark, set: ObjectiveSet, s
     Cell { app, problem, normalizer }
 }
 
-/// The algorithms Table I/II compare.
-#[derive(Clone, Copy, Debug, Eq, PartialEq, Hash)]
-pub enum Algo {
-    /// The paper's contribution.
-    Moela,
-    /// MOEA/D baseline.
-    Moead,
-    /// MOOS baseline.
-    Moos,
-}
-
-impl Algo {
-    /// Every compared algorithm, MOELA first; `Algo::ALL[a as usize] == a`.
-    pub const ALL: [Algo; 3] = [Algo::Moela, Algo::Moead, Algo::Moos];
-
-    /// Display name matching the paper's tables.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Algo::Moela => "MOELA",
-            Algo::Moead => "MOEA/D",
-            Algo::Moos => "MOOS",
-        }
-    }
-}
-
-/// The harness's MOELA configuration on `cell`, before `build`: the
-/// ablations tweak it, [`run_algo`] builds it as is.
-pub fn moela_builder(cell: &Cell, cfg: &HarnessConfig) -> MoelaConfigBuilder {
-    MoelaConfig::builder()
-        .population(cfg.population)
-        .generations(usize::MAX / 2)
-        .trace_normalizer(cell.normalizer.clone())
-        .max_evaluations(cfg.budget)
-        .time_budget(cfg.time_guard)
-}
-
-/// Runs `algo` on the cell at the given budget and seed.
-pub fn run_algo(cell: &Cell, algo: Algo, cfg: &HarnessConfig, seed: u64) -> RunResult<Design> {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    match algo {
-        Algo::Moela => {
-            let config = moela_builder(cell, cfg).build().expect("harness MOELA config is valid");
-            Moela::new(config, &cell.problem).run(&mut rng)
-        }
-        Algo::Moead => {
-            let config = MoeadConfig {
-                population: cfg.population,
-                generations: usize::MAX / 2,
-                trace_normalizer: Some(cell.normalizer.clone()),
-                max_evaluations: Some(cfg.budget),
-                time_budget: Some(cfg.time_guard),
-                ..Default::default()
-            };
-            Moead::new(config, &cell.problem).run(&mut rng)
-        }
-        Algo::Moos => {
-            let config = MoosConfig {
-                episodes: usize::MAX / 2,
-                trace_normalizer: Some(cell.normalizer.clone()),
-                max_evaluations: Some(cfg.budget),
-                time_budget: Some(cfg.time_guard),
-                ..Default::default()
-            };
-            Moos::new(config, &cell.problem).run(&mut rng)
-        }
-    }
-}
+/// The optimizers Tables I–II compare, MOELA first, with the names the
+/// paper's tables give them.
+pub const COMPARED: [(Algorithm, &str); 3] =
+    [(Algorithm::Moela, "MOELA"), (Algorithm::Moead, "MOEA/D"), (Algorithm::Moos, "MOOS")];
 
 /// Table I's speed-up factor on the evaluation clock.
 ///

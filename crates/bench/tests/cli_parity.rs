@@ -13,10 +13,13 @@
 
 use std::path::Path;
 
-use moela_bench::{build_cell, run_algo, Algo, HarnessConfig};
+use moela_bench::{build_cell, HarnessConfig};
+use moela_core::Algorithm;
 use moela_manycore::{Design, ObjectiveSet, PlatformConfig};
 use moela_moo::run::RunResult;
 use moela_traffic::Benchmark;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 const SEED: u64 = 7;
 
@@ -36,27 +39,27 @@ fn golden(name: &str) -> String {
 
 /// Runs `algo` as the harness does at `budget` and compares it with the
 /// CLI fixtures named `stem`.
-fn assert_parity(algo: Algo, budget: u64, stem: &str) {
+fn assert_parity(algo: Algorithm, budget: u64, stem: &str) {
     let cfg = HarnessConfig { budget, population: 8, seeds: vec![SEED], ..Default::default() };
     let cell = build_cell(PlatformConfig::paper(), Benchmark::Bfs, ObjectiveSet::Three, SEED);
-    let result = run_algo(&cell, algo, &cfg, SEED);
+    let result = cfg.settings(algo, &cell).run(&cell.problem, &mut StdRng::seed_from_u64(SEED));
     assert_eq!(trace_csv(&result), golden(&format!("{stem}.trace.csv")), "{stem} trace");
     assert_eq!(result.front_csv(), golden(&format!("{stem}.front.csv")), "{stem} front");
 }
 
 #[test]
 fn harness_moela_matches_the_cli_goldens() {
-    assert_parity(Algo::Moela, 120, "moela");
-    assert_parity(Algo::Moela, 600, "moela.b600");
+    assert_parity(Algorithm::Moela, 120, "moela");
+    assert_parity(Algorithm::Moela, 600, "moela.b600");
 }
 
 #[test]
 fn harness_moead_matches_the_cli_goldens() {
-    assert_parity(Algo::Moead, 120, "moead");
+    assert_parity(Algorithm::Moead, 120, "moead");
 }
 
 #[test]
 fn harness_moos_matches_the_cli_goldens() {
-    assert_parity(Algo::Moos, 120, "moos");
-    assert_parity(Algo::Moos, 600, "moos.b600");
+    assert_parity(Algorithm::Moos, 120, "moos");
+    assert_parity(Algorithm::Moos, 600, "moos.b600");
 }

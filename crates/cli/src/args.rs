@@ -2,8 +2,10 @@
 
 use std::time::Duration;
 
+use moela_core::{Algorithm, OptimizerSettings};
 use moela_manycore::ObjectiveSet;
 use moela_moo::fault::{FaultConfig, FaultPolicy};
+use moela_moo::normalize::Normalizer;
 use moela_moo::ChaosSpec;
 use moela_obs::LogLevel;
 use moela_persist::Value;
@@ -46,49 +48,6 @@ impl From<String> for ArgsError {
 impl From<&str> for ArgsError {
     fn from(message: &str) -> Self {
         ArgsError::syntax(message)
-    }
-}
-
-/// Which optimizer to run.
-#[derive(Clone, Copy, Debug, Eq, PartialEq)]
-pub enum Algorithm {
-    /// The hybrid evolutionary/learning optimizer (the paper's MOELA).
-    Moela,
-    /// MOEA/D.
-    Moead,
-    /// MOOS.
-    Moos,
-    /// MOO-STAGE.
-    MooStage,
-    /// NSGA-II.
-    Nsga2,
-    /// Uniform random search.
-    Random,
-}
-
-impl Algorithm {
-    /// All selectable algorithms with their CLI names.
-    pub const ALL: [(Algorithm, &'static str); 6] = [
-        (Algorithm::Moela, "moela"),
-        (Algorithm::Moead, "moead"),
-        (Algorithm::Moos, "moos"),
-        (Algorithm::MooStage, "moo-stage"),
-        (Algorithm::Nsga2, "nsga2"),
-        (Algorithm::Random, "random"),
-    ];
-
-    /// Parses a CLI name.
-    pub fn parse(name: &str) -> Result<Self, String> {
-        Self::ALL
-            .iter()
-            .find(|(_, n)| name.eq_ignore_ascii_case(n))
-            .map(|(a, _)| *a)
-            .ok_or_else(|| format!("unknown algorithm '{name}' (try: moela, moead, moos, moo-stage, nsga2, random)"))
-    }
-
-    /// The display name.
-    pub fn name(&self) -> &'static str {
-        Self::ALL.iter().find(|(a, _)| a == self).map(|(_, n)| *n).expect("every variant is listed")
     }
 }
 
@@ -144,9 +103,18 @@ pub struct RunOptions {
 }
 
 impl RunOptions {
-    /// The fault-containment configuration handed to every optimizer.
-    pub fn fault(&self) -> FaultConfig {
-        FaultConfig { policy: self.fault_policy, retries: self.eval_retries }
+    /// The settings the optimizer table builds this run's optimizer from,
+    /// with its PHV trace scored under `normalizer`.
+    pub fn optimizer(&self, normalizer: &Normalizer) -> OptimizerSettings {
+        OptimizerSettings {
+            algorithm: self.algorithm,
+            population: self.population,
+            budget: self.budget,
+            normalizer: normalizer.clone(),
+            time_guard: self.time_guard,
+            threads: self.threads,
+            fault: FaultConfig { policy: self.fault_policy, retries: self.eval_retries },
+        }
     }
 }
 
@@ -1138,14 +1106,6 @@ mod tests {
     }
 
     #[test]
-    fn every_algorithm_name_round_trips() {
-        for (algo, name) in Algorithm::ALL {
-            assert_eq!(Algorithm::parse(name).expect("ok"), algo);
-            assert_eq!(algo.name(), name);
-        }
-    }
-
-    #[test]
     fn retired_cache_flags_are_refused() {
         for gone in ["run --eval-cache on", "run --eval-cache off", "run --eval-delta off"] {
             let err = parse(&argv(gone)).expect_err("no longer accepted");
@@ -1267,8 +1227,8 @@ mod tests {
         assert_eq!(spec.panic, 0.1);
         assert_eq!(spec.nan, 0.05);
         assert_eq!(o.chaos_seed, Some(7));
-        assert_eq!(o.fault().policy, FaultPolicy::Skip);
-        assert_eq!(o.fault().retries, 2);
+        let fault = o.optimizer(&Normalizer::fit(&[vec![0.0; 3], vec![1.0; 3]])).fault;
+        assert_eq!(fault, FaultConfig { policy: FaultPolicy::Skip, retries: 2 });
     }
 
     #[test]

@@ -20,14 +20,9 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use moela_baselines::{
-    Moead, MoeadConfig, MoeadState, MooStage, MooStageConfig, MooStageState, Moos, MoosConfig,
-    MoosState, Nsga2, Nsga2Config, Nsga2State, RandomSearch, RandomSearchConfig, RandomSearchState,
-};
-use moela_core::moela::MoelaState;
-use moela_core::{Moela, MoelaConfig};
+use moela_core::{Algorithm, AnyState};
 use moela_manycore::{viz, Design, ManycoreProblem, PlatformConfig};
-use moela_moo::checkpoint::{CancelToken, Resumable, RunCtx};
+use moela_moo::checkpoint::{CancelToken, Resumable};
 use moela_moo::fault::FaultLog;
 use moela_moo::normalize::Normalizer;
 use moela_moo::run::RunResult;
@@ -41,7 +36,7 @@ use moela_persist::{
 use moela_serve::{Heartbeat, LiveMetrics};
 use moela_traffic::Workload;
 
-use crate::args::{validate_run_options, Algorithm, ArgsError, RunOptions};
+use crate::args::{validate_run_options, ArgsError, RunOptions};
 
 /// The build version stamped into manifests and checkpoints.
 pub(crate) const VERSION: &str = env!("CARGO_PKG_VERSION");
@@ -360,152 +355,8 @@ pub(crate) fn cache_value(counter: impl Fn(&str) -> u64) -> Value {
 /// its [`ChaosProblem`] wrapper under `--chaos`.
 type Evaluated<'p> = &'p (dyn Problem<Solution = Design> + Sync);
 
-/// The selected optimizer's run, so [`drive`] steps every algorithm
-/// through one loop.
-enum AnyState<'p> {
-    Moela(MoelaState<'p, Evaluated<'p>>),
-    Moead(MoeadState<'p, Evaluated<'p>>),
-    Moos(MoosState<'p, Evaluated<'p>>),
-    MooStage(MooStageState<'p, Evaluated<'p>>),
-    Nsga2(Nsga2State<'p, Evaluated<'p>>),
-    Random(RandomSearchState<'p, Evaluated<'p>>),
-}
-
-/// Forwards one `Resumable` call to the state an [`AnyState`] wraps.
-macro_rules! forward {
-    ($state:expr, $method:ident($($arg:expr),*)) => {
-        match $state {
-            AnyState::Moela(s) => Resumable::<ManycoreProblem>::$method(s $(, $arg)*),
-            AnyState::Moead(s) => Resumable::<ManycoreProblem>::$method(s $(, $arg)*),
-            AnyState::Moos(s) => Resumable::<ManycoreProblem>::$method(s $(, $arg)*),
-            AnyState::MooStage(s) => Resumable::<ManycoreProblem>::$method(s $(, $arg)*),
-            AnyState::Nsga2(s) => Resumable::<ManycoreProblem>::$method(s $(, $arg)*),
-            AnyState::Random(s) => Resumable::<ManycoreProblem>::$method(s $(, $arg)*),
-        }
-    };
-}
-
-impl Resumable<ManycoreProblem> for AnyState<'_> {
-    type Solution = Design;
-
-    fn ctx(&self) -> &RunCtx {
-        forward!(self, ctx())
-    }
-
-    fn ctx_mut(&mut self) -> &mut RunCtx {
-        forward!(self, ctx_mut())
-    }
-
-    fn completed(&self) -> u64 {
-        forward!(self, completed())
-    }
-
-    fn step(&mut self, rng: &mut StdRng) -> bool {
-        forward!(self, step(rng))
-    }
-
-    fn snapshot_state(&self, codec: &ManycoreProblem) -> Value {
-        forward!(self, snapshot_state(codec))
-    }
-
-    fn finish(self) -> RunResult<Design> {
-        forward!(self, finish())
-    }
-}
-
-/// Builds the selected optimizer over `problem`: started from `rng`, or
-/// restored from `point` through `codec`, the bare [`ManycoreProblem`]
-/// that encodes and decodes checkpointed solutions.
-fn start_state<'p>(
-    opts: &RunOptions,
-    problem: &'p Evaluated<'p>,
-    codec: &ManycoreProblem,
-    normalizer: &Normalizer,
-    point: Option<&ResumePoint>,
-    rng: &mut StdRng,
-) -> Result<AnyState<'p>, CliError> {
-    // Every optimizer starts and restores alike.
-    macro_rules! start_or_restore {
-        ($optimizer:expr) => {
-            match point {
-                Some(p) => $optimizer.restore(codec, &p.state, p.elapsed)?,
-                None => $optimizer.start(rng),
-            }
-        };
-    }
-    Ok(match opts.algorithm {
-        Algorithm::Moela => {
-            let config = MoelaConfig::builder()
-                .population(opts.population)
-                .generations(usize::MAX / 2)
-                .trace_normalizer(normalizer.clone())
-                .max_evaluations(opts.budget)
-                .time_budget(opts.time_guard)
-                .threads(opts.threads)
-                .fault(opts.fault())
-                .build()
-                .map_err(|e| fail(format!("invalid MOELA configuration: {e}")))?;
-            AnyState::Moela(start_or_restore!(Moela::new(config, problem)))
-        }
-        Algorithm::Moead => {
-            let config = MoeadConfig {
-                population: opts.population,
-                neighborhood: (opts.population / 5).max(2).min(opts.population),
-                generations: usize::MAX / 2,
-                trace_normalizer: Some(normalizer.clone()),
-                max_evaluations: Some(opts.budget),
-                time_budget: Some(opts.time_guard),
-                threads: opts.threads,
-                fault: opts.fault(),
-            };
-            AnyState::Moead(start_or_restore!(Moead::new(config, problem)))
-        }
-        Algorithm::Moos => {
-            let config = MoosConfig {
-                episodes: usize::MAX / 2,
-                trace_normalizer: Some(normalizer.clone()),
-                max_evaluations: Some(opts.budget),
-                time_budget: Some(opts.time_guard),
-                threads: opts.threads,
-                fault: opts.fault(),
-            };
-            AnyState::Moos(start_or_restore!(Moos::new(config, problem)))
-        }
-        Algorithm::MooStage => {
-            let config = MooStageConfig {
-                episodes: usize::MAX / 2,
-                trace_normalizer: Some(normalizer.clone()),
-                max_evaluations: Some(opts.budget),
-                time_budget: Some(opts.time_guard),
-                threads: opts.threads,
-                fault: opts.fault(),
-            };
-            AnyState::MooStage(start_or_restore!(MooStage::new(config, problem)))
-        }
-        Algorithm::Nsga2 => {
-            let config = Nsga2Config {
-                population: opts.population,
-                generations: usize::MAX / 2,
-                trace_normalizer: Some(normalizer.clone()),
-                max_evaluations: Some(opts.budget),
-                time_budget: Some(opts.time_guard),
-                threads: opts.threads,
-                fault: opts.fault(),
-            };
-            AnyState::Nsga2(start_or_restore!(Nsga2::new(config, problem)))
-        }
-        Algorithm::Random => {
-            let config = RandomSearchConfig {
-                samples: opts.budget,
-                trace_normalizer: Some(normalizer.clone()),
-                time_budget: Some(opts.time_guard),
-                threads: opts.threads,
-                fault: opts.fault(),
-            };
-            AnyState::Random(start_or_restore!(RandomSearch::new(config, problem)))
-        }
-    })
-}
+/// The selected optimizer's run, checkpointed through the bare problem.
+type Driven<'p> = AnyState<'p, Evaluated<'p>, ManycoreProblem>;
 
 /// Runs one execution to its end — the single path every fresh run,
 /// resumed run, served job and `compare` row takes.
@@ -596,7 +447,11 @@ fn drive(
         Some(p) => (p.rng.clone(), p.elapsed),
         None => (StdRng::seed_from_u64(opts.seed), Duration::ZERO),
     };
-    let mut state = start_state(opts, &evaluated, problem, normalizer, resume.as_ref(), &mut rng)?;
+    let settings = opts.optimizer(normalizer);
+    let mut state = match &resume {
+        Some(p) => settings.restore(&evaluated, problem, &p.state, p.elapsed)?,
+        None => settings.start(&evaluated, &mut rng),
+    };
     let Telemetry { obs, progress, .. } = telemetry;
     if resume.is_none() {
         // `start` evaluated the initial population before the handle
@@ -628,7 +483,7 @@ fn drive(
     // and the wait for the previous save, reports the file size as a
     // gauge, and hands the bytes to the writer thread.
     let save =
-        |persister: &mut Persister, state: &AnyState<'_>, rng: &StdRng| -> Result<(), CliError> {
+        |persister: &mut Persister, state: &Driven<'_>, rng: &StdRng| -> Result<(), CliError> {
             let elapsed = base_elapsed + t0.elapsed();
             let snapshot = {
                 let _snapshot = obs.span(names::CHECKPOINT_SNAPSHOT);

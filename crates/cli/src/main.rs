@@ -21,6 +21,7 @@ use std::process::ExitCode;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use moela_core::Algorithm;
 use moela_manycore::PlatformConfig;
 use moela_moo::normalize::Normalizer;
 use moela_moo::Problem;
@@ -28,7 +29,7 @@ use moela_nocsim::{SimConfig, Simulator};
 use moela_obs::Reporter;
 use moela_traffic::{Benchmark, PeKind, Workload};
 
-use args::{Algorithm, Command, RunOptions};
+use args::{Command, RunOptions};
 use engine::{CliError, Ended, ExecHooks, ResumeOverrides, VERSION};
 
 fn main() -> ExitCode {

@@ -176,7 +176,7 @@ pub(crate) fn serve(opts: &ServeOptions) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::args::Algorithm;
+    use moela_core::Algorithm;
 
     #[test]
     fn specs_reject_unknown_keys_and_bad_values() {

@@ -13,7 +13,10 @@
 //!   `n_local`, `δ`, `|S_train|` cap) plus practical budgets;
 //! * [`Moela`] — the full loop: ML-guided start selection (Algorithm 2,
 //!   via a [`moela_ml::RandomForest`]), local search, `Eval` retraining,
-//!   and the decomposition EA step.
+//!   and the decomposition EA step;
+//! * [`OptimizerSettings`] — the optimizer table: the one place where a
+//!   run's settings become MOELA or one of the `moela-baselines`
+//!   optimizers, for `moela-dse` and the experiment harness alike.
 //!
 //! The machinery it shares with the baselines lives in `moela-moo`: the
 //! decomposition population with its eq. (10) update and EA pass
@@ -44,6 +47,8 @@
 
 pub mod config;
 pub mod moela;
+pub mod optimizer;
 
 pub use config::{BuildConfigError, MoelaConfig, MoelaConfigBuilder};
 pub use moela::{Moela, MoelaOutcome};
+pub use optimizer::{Algorithm, AnyState, OptimizerSettings};

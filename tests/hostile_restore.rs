@@ -61,7 +61,7 @@ fn stage_config() -> MooStageConfig {
 }
 
 fn moead_config() -> MoeadConfig {
-    MoeadConfig { population: 6, neighborhood: 3, generations: 40, ..Default::default() }
+    MoeadConfig { population: 6, generations: 40, ..Default::default() }
 }
 
 fn nsga2_config() -> Nsga2Config {

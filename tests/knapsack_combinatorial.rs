@@ -60,11 +60,9 @@ fn all_population_algorithms_produce_feasible_knapsack_fronts() {
     };
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-    let moead = Moead::new(
-        MoeadConfig { population: 16, neighborhood: 5, generations: 40, ..Default::default() },
-        &p,
-    )
-    .run(&mut rng);
+    let moead =
+        Moead::new(MoeadConfig { population: 16, generations: 40, ..Default::default() }, &p)
+            .run(&mut rng);
     run_and_check("MOEA/D", moead.front());
 
     let nsga2 =
