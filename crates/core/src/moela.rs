@@ -391,12 +391,50 @@ mod tests {
     use super::*;
     use moela_moo::metrics::igd;
     use moela_moo::problems::{Dtlz, Zdt};
-    use moela_moo::{Counted, EvalCounter};
     use moela_persist::VecF64Codec;
     use rand::SeedableRng;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn rng(seed: u64) -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(seed)
+    }
+
+    /// A problem that counts the evaluations it serves.
+    struct Counting<P> {
+        inner: P,
+        evaluations: AtomicU64,
+    }
+
+    impl<P: Problem> Problem for Counting<P> {
+        type Solution = P::Solution;
+
+        fn objective_count(&self) -> usize {
+            self.inner.objective_count()
+        }
+        fn random_solution(&self, rng: &mut dyn RngCore) -> P::Solution {
+            self.inner.random_solution(rng)
+        }
+        fn neighbor(&self, s: &P::Solution, rng: &mut dyn RngCore) -> P::Solution {
+            self.inner.neighbor(s, rng)
+        }
+        fn crossover(
+            &self,
+            a: &P::Solution,
+            b: &P::Solution,
+            rng: &mut dyn RngCore,
+        ) -> P::Solution {
+            self.inner.crossover(a, b, rng)
+        }
+        fn evaluate(&self, s: &P::Solution) -> Vec<f64> {
+            self.evaluations.fetch_add(1, Ordering::Relaxed);
+            self.inner.evaluate(s)
+        }
+        fn features(&self, s: &P::Solution) -> Vec<f64> {
+            self.inner.features(s)
+        }
+        fn feature_len(&self) -> usize {
+            self.inner.feature_len()
+        }
     }
 
     /// Fixes the checkpoint codec so the `Resumable` methods resolve.
@@ -450,8 +488,7 @@ mod tests {
 
     #[test]
     fn evaluation_cap_is_respected() {
-        let counter = EvalCounter::new();
-        let problem = Counted::new(Zdt::zdt1(10), counter.clone());
+        let problem = Counting { inner: Zdt::zdt1(10), evaluations: AtomicU64::new(0) };
         let config = MoelaConfig::builder()
             .population(10)
             .generations(1000)
@@ -462,7 +499,7 @@ mod tests {
         // The cap is checked between phases; one local search (≤ 25 steps ×
         // 4 neighbors) may overshoot it.
         assert!(out.evaluations <= 500 + 100, "evaluations {}", out.evaluations);
-        assert_eq!(out.evaluations, counter.count());
+        assert_eq!(out.evaluations, problem.evaluations.load(Ordering::Relaxed));
     }
 
     #[test]
@@ -496,8 +533,7 @@ mod tests {
 
     #[test]
     fn early_budget_stop_still_records_the_final_trace_point() {
-        let counter = EvalCounter::new();
-        let problem = Counted::new(Zdt::zdt1(10), counter.clone());
+        let problem = Counting { inner: Zdt::zdt1(10), evaluations: AtomicU64::new(0) };
         // 7 × population doesn't divide the per-generation spend, so the
         // cap lands mid-generation and forces the early-stop path.
         let config = MoelaConfig::builder()
@@ -512,7 +548,7 @@ mod tests {
             last.evaluations, out.evaluations,
             "the trace must account for every paid-for evaluation"
         );
-        assert_eq!(out.evaluations, counter.count());
+        assert_eq!(out.evaluations, problem.evaluations.load(Ordering::Relaxed));
     }
 
     #[test]

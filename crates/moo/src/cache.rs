@@ -253,9 +253,46 @@ impl<P: Problem> Problem for CachedProblem<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counter::{Counted, EvalCounter};
     use crate::problems::Zdt;
     use rand::SeedableRng;
+
+    /// ZDT1 on four variables, counting its evaluations in a count its
+    /// clones share.
+    #[derive(Clone, Debug, Default)]
+    struct Counting(Arc<AtomicU64>);
+
+    impl Counting {
+        fn count(&self) -> u64 {
+            self.0.load(Ordering::Relaxed)
+        }
+    }
+
+    impl Problem for Counting {
+        type Solution = Vec<f64>;
+
+        fn objective_count(&self) -> usize {
+            2
+        }
+        fn random_solution(&self, rng: &mut dyn RngCore) -> Vec<f64> {
+            Zdt::zdt1(4).random_solution(rng)
+        }
+        fn neighbor(&self, s: &Vec<f64>, rng: &mut dyn RngCore) -> Vec<f64> {
+            Zdt::zdt1(4).neighbor(s, rng)
+        }
+        fn crossover(&self, a: &Vec<f64>, b: &Vec<f64>, rng: &mut dyn RngCore) -> Vec<f64> {
+            Zdt::zdt1(4).crossover(a, b, rng)
+        }
+        fn evaluate(&self, s: &Vec<f64>) -> Vec<f64> {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            Zdt::zdt1(4).evaluate(s)
+        }
+        fn features(&self, s: &Vec<f64>) -> Vec<f64> {
+            Zdt::zdt1(4).features(s)
+        }
+        fn feature_len(&self) -> usize {
+            Zdt::zdt1(4).feature_len()
+        }
+    }
 
     /// A problem wrapper with an exact-bytes cache key, so caching
     /// activates.
@@ -299,11 +336,8 @@ mod tests {
 
     #[test]
     fn hits_skip_the_inner_evaluation_and_return_identical_objectives() {
-        let counter = EvalCounter::new();
-        let p = CachedProblem::new(
-            Keyed(Counted::new(Zdt::zdt1(4), counter.clone())),
-            Arc::new(EvalCache::new(16)),
-        );
+        let counter = Counting::default();
+        let p = CachedProblem::new(Keyed(counter.clone()), Arc::new(EvalCache::new(16)));
         let xs = solutions(3);
         let first: Vec<_> = xs.iter().map(|x| p.evaluate(x)).collect();
         assert_eq!(counter.count(), 3);
@@ -328,11 +362,8 @@ mod tests {
 
     #[test]
     fn problems_without_a_key_pass_through_untouched() {
-        let counter = EvalCounter::new();
-        let p = CachedProblem::new(
-            Counted::new(Zdt::zdt1(4), counter.clone()),
-            Arc::new(EvalCache::new(16)),
-        );
+        let counter = Counting::default();
+        let p = CachedProblem::new(counter.clone(), Arc::new(EvalCache::new(16)));
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let x = p.random_solution(&mut rng);
         p.evaluate(&x);
@@ -392,11 +423,8 @@ mod tests {
 
     #[test]
     fn the_cache_is_shared_between_clones() {
-        let counter = EvalCounter::new();
-        let p = CachedProblem::new(
-            Keyed(Counted::new(Zdt::zdt1(4), counter.clone())),
-            Arc::new(EvalCache::new(16)),
-        );
+        let counter = Counting::default();
+        let p = CachedProblem::new(Keyed(counter.clone()), Arc::new(EvalCache::new(16)));
         let q = p.clone();
         let xs = solutions(1);
         p.evaluate(&xs[0]);

@@ -57,7 +57,6 @@ pub mod archive;
 pub mod cache;
 pub mod chaos;
 pub mod checkpoint;
-pub mod counter;
 pub mod decomposition;
 pub mod fault;
 pub mod hypervolume;
@@ -74,7 +73,6 @@ pub mod weights;
 
 pub use cache::{CacheStats, CachedProblem, EvalCache, DEFAULT_EVAL_CACHE_CAPACITY};
 pub use chaos::{ChaosProblem, ChaosSpec};
-pub use counter::{Counted, EvalCounter};
 pub use fault::{
     is_penalty, is_quarantined, penalty_objectives, EvalFault, FaultConfig, FaultKind, FaultLog,
     FaultPolicy, GuardedBatch, GuardedEvaluator, PENALTY,

@@ -55,8 +55,7 @@ pub trait Problem {
 
     /// Evaluates all `M` objectives of `s` (minimization).
     ///
-    /// This is the *expensive* operation that evaluation budgets count; use
-    /// [`crate::Counted`] to meter it.
+    /// This is the *expensive* operation that evaluation budgets count.
     fn evaluate(&self, s: &Self::Solution) -> Vec<f64>;
 
     /// Evaluates `s` as global evaluation number `ordinal`.

@@ -59,6 +59,6 @@ pub mod prelude {
         Design, ManycoreProblem, ObjectiveSet, PeKind, PeMix, PlatformConfig,
     };
     pub use moela_moo::hypervolume::hypervolume;
-    pub use moela_moo::{Counted, EvalCounter, Problem};
+    pub use moela_moo::Problem;
     pub use moela_traffic::{Benchmark, Workload};
 }
