@@ -4,73 +4,54 @@
 //!
 //! Run with: `cargo run --release --example algorithm_comparison`
 
+use std::time::Duration;
+
+use moela::core::{Algorithm, OptimizerSettings};
+use moela::moo::fault::FaultConfig;
 use moela::moo::normalize::Normalizer;
 use moela::prelude::*;
 use rand::SeedableRng;
 
 const BUDGET: u64 = 4_000;
+const SEED: u64 = 3;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let benchmark = Benchmark::Srad;
     let platform = PlatformConfig::paper();
-    let workload = Workload::synthesize(benchmark, platform.pe_mix(), 3);
+    let workload = Workload::synthesize(benchmark, platform.pe_mix(), SEED);
     let problem = ManycoreProblem::new(platform, workload, ObjectiveSet::Three)?;
 
-    // Fit one normalizer on a shared random corpus so all PHV values are
-    // on the same scale (this is what the benchmark harness does too).
-    let mut rng = rand::rngs::StdRng::seed_from_u64(99);
-    let corpus: Vec<Vec<f64>> =
-        (0..200).map(|_| problem.evaluate(&problem.random_solution(&mut rng))).collect();
-    let normalizer = Normalizer::fit(&corpus);
+    // One normalizer per (problem, seed) cell puts every PHV on the same
+    // scale: the rule `moela-dse` and the benchmark harness score by.
+    let normalizer = Normalizer::from_corpus(&problem, SEED);
 
     println!("workload {benchmark}, 3 objectives, budget {BUDGET} evaluations\n");
     println!("{:<10} {:>8} {:>10} {:>10} {:>8}", "algorithm", "evals", "time", "PHV", "front");
 
-    // MOELA.
-    let config = MoelaConfig::builder()
-        .population(24)
-        .generations(500)
-        .trace_normalizer(normalizer.clone())
-        .max_evaluations(BUDGET)
-        .build()?;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-    let moela = Moela::new(config, &problem).run(&mut rng);
-    report("MOELA", &moela, &normalizer);
-
-    // MOEA/D.
-    let config = MoeadConfig {
-        population: 24,
-        generations: 500,
-        trace_normalizer: Some(normalizer.clone()),
-        max_evaluations: Some(BUDGET),
-        ..Default::default()
-    };
-    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-    let moead = Moead::new(config, &problem).run(&mut rng);
-    report("MOEA/D", &moead, &normalizer);
-
-    // MOOS.
-    let config = MoosConfig {
-        episodes: 10_000,
-        trace_normalizer: Some(normalizer.clone()),
-        max_evaluations: Some(BUDGET),
-        ..Default::default()
-    };
-    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-    let moos = Moos::new(config, &problem).run(&mut rng);
-    report("MOOS", &moos, &normalizer);
+    // Each optimizer as `moela-dse run --population 24` builds it.
+    for (algorithm, name) in
+        [(Algorithm::Moela, "MOELA"), (Algorithm::Moead, "MOEA/D"), (Algorithm::Moos, "MOOS")]
+    {
+        let settings = OptimizerSettings {
+            algorithm,
+            population: 24,
+            budget: BUDGET,
+            normalizer: normalizer.clone(),
+            time_guard: Duration::from_secs(600),
+            threads: 1,
+            fault: FaultConfig::default(),
+        };
+        let result = settings.run(&problem, &mut rand::rngs::StdRng::seed_from_u64(SEED));
+        println!(
+            "{:<10} {:>8} {:>10.2?} {:>10.4} {:>8}",
+            name,
+            result.evaluations,
+            result.elapsed,
+            result.phv(&normalizer),
+            result.front().len()
+        );
+    }
 
     println!("\n(higher PHV = better trade-off coverage; same budget for all)");
     Ok(())
-}
-
-fn report(name: &str, result: &MoelaOutcome<Design>, normalizer: &Normalizer) {
-    println!(
-        "{:<10} {:>8} {:>10.2?} {:>10.4} {:>8}",
-        name,
-        result.evaluations,
-        result.elapsed,
-        result.phv(normalizer),
-        result.front().len()
-    );
 }
